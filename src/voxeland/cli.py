@@ -6,6 +6,7 @@ import argparse
 import json
 import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -50,6 +51,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         export_instance_map(state, out_dir / "instances.ply")
         export_semantic_map(state, out_dir / "semantics.ply")
         timing = pipeline.timer.report()
+        timing["merges"] = [
+            {"frame_id": frame_id, **asdict(event)} for frame_id, event in pipeline.merges
+        ]
         (out_dir / "timing.json").write_text(json.dumps(timing, sort_keys=True), encoding="utf-8")
         for stage, entry in timing["stages"].items():
             print(f"{stage}: {entry['mean_ms']:.2f} ms over {entry['runs']} runs")

@@ -152,8 +152,8 @@ def select_views(
     return views
 
 
-def summarize_geometry(state: MapState, instance_id: int, cap: int = GEOMETRY_VOXEL_CAP) -> GeometrySummary:
-    footprint = sorted(state.instance_footprint(instance_id))
+def summarize_geometry(footprint: set[VoxelKey], cap: int = GEOMETRY_VOXEL_CAP) -> GeometrySummary:
+    footprint = sorted(footprint)
     if not footprint:
         return GeometrySummary(voxel_count=0, bbox_min=(0, 0, 0), bbox_max=(0, 0, 0), voxels=[])
     lo = tuple(min(k[axis] for k in footprint) for axis in range(3))
@@ -192,7 +192,10 @@ def build_request(
     record: InstanceRecord,
     min_prob: float = DEFAULT_MIN_PROB,
     views_per_candidate: int = DEFAULT_VIEWS_PER_CANDIDATE,
+    footprint: set[VoxelKey] | None = None,
 ) -> DisambiguationRequest:
+    """Request for one instance; ``footprint`` saves a scan of the map when
+    the caller has already collected the instance's voxels."""
     candidates = select_candidates(record, min_prob)
     if len(candidates) < 2:
         raise DisambiguationError(
@@ -203,7 +206,9 @@ def build_request(
         instance_id=record.id,
         evidence=CategoricalDistribution({str(k): v for k, v in dist.probs.items()}),
         candidates=candidates,
-        geometry=summarize_geometry(state, record.id),
+        geometry=summarize_geometry(
+            state.instance_footprints([record.id])[record.id] if footprint is None else footprint
+        ),
         views=select_views(record, candidates, views_per_candidate),
     )
     request.prompt = build_prompt(request)
@@ -318,12 +323,17 @@ def disambiguate_all(
     Evidence is never mutated.
     """
     report = DisambiguationReport()
-    for instance_id in sorted(state.instances):
-        record = state.instances[instance_id]
-        if record.is_unknown or not record.flagged:
-            continue
+    flagged = [
+        (instance_id, record)
+        for instance_id, record in sorted(state.instances.items())
+        if not record.is_unknown and record.flagged
+    ]
+    footprints = state.instance_footprints(instance_id for instance_id, _ in flagged)
+    for instance_id, record in flagged:
         try:
-            request = build_request(state, record, min_prob, views_per_candidate)
+            request = build_request(
+                state, record, min_prob, views_per_candidate, footprint=footprints[instance_id]
+            )
         except DisambiguationError as exc:
             report.parse_failures.append((instance_id, str(exc)))
             continue

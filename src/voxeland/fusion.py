@@ -12,13 +12,17 @@ An opinion matches when either score passes its threshold; otherwise it
 spawns a new instance.  The reserved unknown opinion is always associated
 with the unknown map instance.  Every N integrated frames the map instances
 are associated against each other with the same criterion and merged, which
-heals over-segmentation from disjoint first observations.
+heals over-segmentation from disjoint first observations.  Merge candidates
+come only from voxels that two or more instances share, so a refinement pass
+costs one scan of the map plus the footprints of the instances it merges;
+each merge takes the first passing pair in ascending (kept, retired) id order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -235,15 +239,15 @@ def carve_free_space(
             state.apply_occupancy(sample_key, hit=False)
 
 
-def _instance_pair_scores(
-    footprint_a: set[VoxelKey], footprint_b: set[VoxelKey]
-) -> tuple[float, float]:
-    overlap = len(footprint_a & footprint_b)
-    size_a, size_b = len(footprint_a), len(footprint_b)
-    return (
-        _iou_from_counts(overlap, size_a, size_b),
-        _ios_from_counts(overlap, size_a, size_b),
-    )
+def _passing_scores(
+    overlap: int, size_a: int, size_b: int, config: AssociationConfig
+) -> tuple[float, float] | None:
+    """(iou, ios) of two footprints when either score passes its threshold."""
+    score_iou = _iou_from_counts(overlap, size_a, size_b)
+    score_ios = _ios_from_counts(overlap, size_a, size_b)
+    if score_iou >= config.tau_iou or score_ios >= config.tau_ios:
+        return score_iou, score_ios
+    return None
 
 
 def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
@@ -252,38 +256,70 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
     Matching pairs merge into the older (smaller) id: voxel evidence and
     category evidence are summed, observation logs concatenated, and the
     newer id retired.  Repeats until no pair passes, so chained overlaps
-    collapse transitively.  The unknown instance never participates.
+    collapse transitively; each merge takes the passing pair that comes first
+    in ascending (kept, retired) order.  The unknown instance never
+    participates.
+
+    Both thresholds are positive, so only pairs sharing a voxel can pass.  One
+    scan of the cells collects every footprint and the shared-voxel count of
+    every pair from the cells with two or more owners.  A merge changes only
+    the pairs of the two instances it touches: those of the retired one go,
+    and those of the kept one are recounted from its merged footprint.
     """
-    events: list[MergeEvent] = []
-    while True:
-        footprints: dict[int, set[VoxelKey]] = {
-            instance_id: set()
-            for instance_id in state.instances
-            if instance_id != UNKNOWN_INSTANCE_ID
-        }
-        for key, cell in state.cells.items():
-            for instance_id, count in cell.instance_counts.items():
+    footprints: dict[int, set[VoxelKey]] = {
+        instance_id: set()
+        for instance_id in state.instances
+        if instance_id != UNKNOWN_INSTANCE_ID
+    }
+    shared: dict[tuple[int, int], int] = {}
+    for key, cell in state.cells.items():
+        counts = cell.instance_counts
+        if len(counts) == 1:  # nearly every cell: no pair to count
+            for instance_id, count in counts.items():
                 if instance_id != UNKNOWN_INSTANCE_ID and count > 0:
                     footprints[instance_id].add(key)
-        ids = sorted(footprints)
-        merged = False
-        for a_pos in range(len(ids)):
-            if merged:
-                break
-            for b_pos in range(a_pos + 1, len(ids)):
-                keep, retire = ids[a_pos], ids[b_pos]
-                score_iou, score_ios = _instance_pair_scores(
-                    footprints[keep], footprints[retire]
-                )
-                if score_iou >= config.tau_iou or score_ios >= config.tau_ios:
-                    _merge_instances(state, keep, retire, footprints[retire])
-                    events.append(
-                        MergeEvent(kept_id=keep, retired_id=retire, iou=score_iou, ios=score_ios)
-                    )
-                    merged = True
-                    break
-        if not merged:
-            return events
+            continue
+        owners = sorted(
+            instance_id
+            for instance_id, count in counts.items()
+            if instance_id != UNKNOWN_INSTANCE_ID and count > 0
+        )
+        for instance_id in owners:
+            footprints[instance_id].add(key)
+        for pair in combinations(owners, 2):
+            shared[pair] = shared.get(pair, 0) + 1
+
+    passing: dict[tuple[int, int], tuple[float, float]] = {}
+    for (a, b), overlap in shared.items():
+        scores = _passing_scores(overlap, len(footprints[a]), len(footprints[b]), config)
+        if scores is not None:
+            passing[a, b] = scores
+
+    events: list[MergeEvent] = []
+    while passing:
+        keep, retire = min(passing)
+        score_iou, score_ios = passing[keep, retire]
+        _merge_instances(state, keep, retire, footprints[retire])
+        events.append(MergeEvent(kept_id=keep, retired_id=retire, iou=score_iou, ios=score_ios))
+        footprints[keep] |= footprints.pop(retire)
+        passing = {
+            pair: scores
+            for pair, scores in passing.items()
+            if keep not in pair and retire not in pair
+        }
+        overlaps: dict[int, int] = {}
+        for key in footprints[keep]:
+            counts = state.cells[key].instance_counts
+            if len(counts) > 1:
+                for other, count in counts.items():
+                    if other != keep and other != UNKNOWN_INSTANCE_ID and count > 0:
+                        overlaps[other] = overlaps.get(other, 0) + 1
+        for other, overlap in overlaps.items():
+            a, b = min(keep, other), max(keep, other)
+            scores = _passing_scores(overlap, len(footprints[a]), len(footprints[b]), config)
+            if scores is not None:
+                passing[a, b] = scores
+    return events
 
 
 def _merge_instances(
@@ -352,7 +388,8 @@ class Pipeline:
     When ``view_store`` is set and a frame's manifest record carries an RGB
     path, the bbox crop of every integrated semantic opinion is archived
     there and its path recorded in the observation log for later view
-    selection.
+    selection.  ``merges`` records every refinement merge as
+    ``(frame_id, event)``, in the order the merges happened.
     """
 
     def __init__(
@@ -373,6 +410,7 @@ class Pipeline:
         self.carve_stride = carve_stride
         self.view_store = Path(view_store) if view_store is not None else None
         self.timer = StageTimer()
+        self.merges: list[tuple[int, MergeEvent]] = []
 
     def _archive_view(self, frame: Frame, opinion: SubjectiveOpinion, instance_id: int) -> str | None:
         if (
@@ -422,7 +460,8 @@ class Pipeline:
         mark = now
 
         if self.state.frames_integrated % self.association.refine_every == 0:
-            refine(self.state, self.association)
+            events = refine(self.state, self.association)
+            self.merges.extend((frame.frame_id, event) for event in events)
             self.timer.record(STAGE_REFINEMENT, time.perf_counter() - mark)
 
         self.timer.frames += 1

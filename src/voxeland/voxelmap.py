@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,12 +212,16 @@ class MapState:
                 )
         return recomputed
 
-    def instance_footprint(self, instance_id: int) -> set[VoxelKey]:
-        return {
-            key
-            for key, cell in self.cells.items()
-            if cell.instance_counts.get(instance_id, 0) > 0
-        }
+    def instance_footprints(self, instance_ids: Iterable[int]) -> dict[int, set[VoxelKey]]:
+        """Voxels where each requested instance has evidence, in one scan of the cells."""
+        footprints: dict[int, set[VoxelKey]] = {instance_id: set() for instance_id in instance_ids}
+        if not footprints:
+            return footprints
+        for key, cell in self.cells.items():
+            for instance_id, count in cell.instance_counts.items():
+                if count > 0 and instance_id in footprints:
+                    footprints[instance_id].add(key)
+        return footprints
 
     # -- serialization ------------------------------------------------------
 

@@ -2,13 +2,23 @@
 
 These deliberately avoid the algorithms used by the package: the digamma
 oracle sums the convergent series term by term with an analytic tail bound,
-clustering is a full O(n^2) pairwise construction, and average precision is
-integrated directly from the precision-recall points.
+clustering is a full O(n^2) pairwise construction, average precision is
+integrated directly from the precision-recall points, and map refinement
+rebuilds every footprint and scores every instance pair after each merge.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from voxeland.fusion import (
+    AssociationConfig,
+    MergeEvent,
+    _iou_from_counts,
+    _ios_from_counts,
+    _merge_instances,
+)
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, VoxelKey
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -121,3 +131,49 @@ def brute_force_average_precision(ranked_tp_flags: list[bool], num_gt: int) -> f
         if flag:
             ap += max(precisions[rank:]) / num_gt
     return ap
+
+
+def _oracle_pair_scores(
+    footprint_a: set[VoxelKey], footprint_b: set[VoxelKey]
+) -> tuple[float, float]:
+    overlap = len(footprint_a & footprint_b)
+    size_a, size_b = len(footprint_a), len(footprint_b)
+    return (
+        _iou_from_counts(overlap, size_a, size_b),
+        _ios_from_counts(overlap, size_a, size_b),
+    )
+
+
+def oracle_refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
+    """Reference map refinement: after every merge, rebuild all footprints
+    from all cells and score all instance pairs in ascending id order."""
+    events: list[MergeEvent] = []
+    while True:
+        footprints: dict[int, set[VoxelKey]] = {
+            instance_id: set()
+            for instance_id in state.instances
+            if instance_id != UNKNOWN_INSTANCE_ID
+        }
+        for key, cell in state.cells.items():
+            for instance_id, count in cell.instance_counts.items():
+                if instance_id != UNKNOWN_INSTANCE_ID and count > 0:
+                    footprints[instance_id].add(key)
+        ids = sorted(footprints)
+        merged = False
+        for a_pos in range(len(ids)):
+            if merged:
+                break
+            for b_pos in range(a_pos + 1, len(ids)):
+                keep, retire = ids[a_pos], ids[b_pos]
+                score_iou, score_ios = _oracle_pair_scores(
+                    footprints[keep], footprints[retire]
+                )
+                if score_iou >= config.tau_iou or score_ios >= config.tau_ios:
+                    _merge_instances(state, keep, retire, footprints[retire])
+                    events.append(
+                        MergeEvent(kept_id=keep, retired_id=retire, iou=score_iou, ios=score_ios)
+                    )
+                    merged = True
+                    break
+        if not merged:
+            return events

@@ -97,6 +97,8 @@ class TestSynthBuildEval:
             assert stage in timing["stages"]
         assert timing["stages"]["Map refinement"]["runs"] == 2  # 8 frames / refine_every 4
         assert timing["frame_rate_hz"] > 0
+        for merge in timing["merges"]:
+            assert set(merge) == {"frame_id", "kept_id", "retired_id", "iou", "ios"}
 
     def test_eval_without_gt_fails(self, built, capsys):
         root, dataset, out = built

@@ -288,5 +288,27 @@ class TestDisambiguateAll:
         assert [d.chosen_category for d in report.decisions] == ["bed"]
         assert state.instances[instance_id].final_category == "bed"
 
+    def test_requests_equal_standalone_build_request(self):
+        state, first = flagged_state({"bed": 4.8, "couch": 4.6}, key_count=6)
+        second = state.new_instance()
+        state.instances[second].category_evidence = {"chair": 3.0, "table": 2.9}
+        for i in range(3, 9):
+            state.add_instance_evidence((i, 0, 0), second, 1)
+        state.instances[second].flagged = True
+        expected = [build_request(state, state.instances[i]) for i in (first, second)]
+
+        class RecordingClient:
+            def __init__(self):
+                self.requests = []
+
+            def query(self, request):
+                self.requests.append(request)
+                return ArgmaxClient().query(request)
+
+        client = RecordingClient()
+        disambiguate_all(state, client)
+        assert client.requests == expected
+        assert [r.geometry.voxel_count for r in client.requests] == [6, 6]
+
     def test_answer_phrase_constant_matches_template(self):
         assert ANSWER_PHRASE in PROMPT_TEMPLATE.lower()

@@ -2,7 +2,11 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voxeland import fusion
+from voxeland.config import PipelineConfig
 from voxeland.frames import (
     CameraIntrinsics,
     DepthImage,
@@ -29,8 +33,12 @@ from voxeland.fusion import (
     opinion_voxel_counts,
     refine,
 )
+from voxeland.frames import load_frame, load_manifest
 from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState
+from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation
+
+from oracles import oracle_refine
 
 VOXEL = 0.1
 CFG = AssociationConfig()
@@ -339,6 +347,101 @@ class TestRefine:
         assert UNKNOWN_INSTANCE_ID in state.instances
 
 
+@st.composite
+def refine_cases(draw):
+    """A random map (up to 12 instances, cells with 1-4 owners that may include
+    the unknown instance, instances that own no voxel) and random thresholds."""
+    state = MapState(voxel_size=VOXEL)
+    state.register_category("chair")
+    ids = [state.new_instance() for _ in range(draw(st.integers(0, 12)))]
+    for instance_id in ids:
+        record = state.instances[instance_id]
+        record.category_evidence = {"chair": draw(st.floats(0.1, 2.0))}
+        record.observations.append(
+            Observation(frame_id=instance_id, category="chair", confidence=0.9, pixel_bbox=None)
+        )
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+            unique=True,
+            min_size=4,
+            max_size=18,
+        )
+    )
+    for key in keys:
+        owners = draw(
+            st.lists(
+                st.sampled_from([UNKNOWN_INSTANCE_ID, *ids]), min_size=1, max_size=4, unique=True
+            )
+        )
+        for owner in owners:
+            state.add_instance_evidence(key, owner, draw(st.integers(1, 5)))
+    threshold = st.floats(0.0, 1.0, exclude_min=True)
+    config = AssociationConfig(tau_iou=draw(threshold), tau_ios=draw(threshold))
+    return state, config
+
+
+def clutter_map_without_refinement(tmp_path):
+    """Nine nearby boxes seen through dilated masks and noisy depth, mapped
+    with refinement off, so over-segmented instances are left to merge."""
+    rng = np.random.default_rng(7)
+    objects = []
+    for i in range(3):
+        for j in range(3):
+            low = np.array([-0.55 + 0.4 * i, -0.55 + 0.4 * j, 0.0])
+            size = np.array([*rng.uniform(0.14, 0.3, size=2), rng.uniform(0.12, 0.6)])
+            category = ("crate", "barrel", "chair")[(i + j) % 3]
+            objects.append(SceneObject(f"b{i}{j}", category, low, low + size))
+    scene = SyntheticScene(
+        room_min=np.array([-3.0, -3.0, 0.0]),
+        room_max=np.array([3.0, 3.0, 2.4]),
+        objects=objects,
+        trajectory=orbit_trajectory(np.zeros(3), 2.5, 1.5, 6, target=np.array([0.0, 0.0, 0.2])),
+        intrinsics=CameraIntrinsics(
+            fx=128.0, fy=128.0, cx=80.0, cy=60.0, width=160, height=120, depth_scale=0.001
+        ),
+        noise=NoiseSpec(
+            mask_dilation_px=2, depth_sigma=0.004, misclassification_rate=0.15, mislabel_confidence=0.7
+        ),
+    )
+    generate_synthetic(scene, seed=0, out_dir=tmp_path)
+    pipeline = Pipeline(
+        MapState(voxel_size=0.02),
+        clustering=PipelineConfig().clustering_params(),
+        association=AssociationConfig(refine_every=10**6),
+        max_range=3.0,
+    )
+    for record in load_manifest(tmp_path / "manifest.jsonl"):
+        pipeline.process_frame(load_frame(record))
+    return pipeline.state
+
+
+class TestRefineMatchesOracle:
+    """refine against the reference that rescans the map and scores every
+    pair after each merge: same events in the same order, same final map."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(refine_cases())
+    def test_random_maps(self, case):
+        state, config = case
+        reference = copy.deepcopy(state)
+        events = refine(state, config)
+        expected = oracle_refine(reference, config)
+        assert [(e.kept_id, e.retired_id, e.iou, e.ios) for e in events] == [
+            (e.kept_id, e.retired_id, e.iou, e.ios) for e in expected
+        ]
+        assert state.to_dict() == reference.to_dict()
+        state.audit_voxel_counts()
+
+    def test_noisy_scene(self, tmp_path):
+        state = clutter_map_without_refinement(tmp_path)
+        reference = copy.deepcopy(state)
+        events = refine(state, CFG)
+        assert events == oracle_refine(reference, CFG)
+        assert len(events) >= 3
+        assert state.to_dict() == reference.to_dict()
+
+
 class TestOpinionVoxelCounts:
     def test_counts_partition_points(self):
         rng = np.random.default_rng(3)
@@ -436,16 +539,27 @@ class TestProcessFrame:
             for instance_id, count in counts.items():
                 assert pipeline.state.cells[key].instance_counts[instance_id] == 2 * count
 
-    def test_refine_runs_on_schedule(self):
+    def test_refine_runs_on_schedule(self, monkeypatch):
+        returned = []
+
+        def recording_refine(state, config):
+            events = refine(state, config)
+            returned.extend(events)
+            return events
+
+        monkeypatch.setattr(fusion, "refine", recording_refine)
         pipeline = make_pipeline(refine_every=2)
         shape = (40, 40)
-        predictions = [
-            PredictionInstance("chair", 0.9, encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))),
-        ]
+        # two labels on one mask spawn two instances with the same footprint
+        mask = encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))
+        predictions = [PredictionInstance("chair", 0.9, mask), PredictionInstance("table", 0.6, mask)]
         pipeline.process_frame(synthetic_frame(0, predictions, shape=shape))
         assert pipeline.timer.counts[STAGE_REFINEMENT] == 0
+        assert pipeline.merges == []
         pipeline.process_frame(synthetic_frame(1, predictions, shape=shape))
         assert pipeline.timer.counts[STAGE_REFINEMENT] == 1
+        assert len(returned) == 1
+        assert pipeline.merges == [(1, event) for event in returned]
 
     def test_timer_reports_all_stages(self):
         pipeline = make_pipeline(refine_every=1)

@@ -173,6 +173,13 @@ class TestRegistryAudit:
         for which, i, j, k, count in ops:
             state.add_instance_evidence((i, j, k), ids[which], count)
         state.audit_voxel_counts()
+        footprints = state.instance_footprints(ids)
+        for instance_id in ids:
+            assert footprints[instance_id] == {
+                key
+                for key, cell in state.cells.items()
+                if cell.instance_counts.get(instance_id, 0) > 0
+            }
 
     def test_audit_detects_corruption(self):
         state = MapState(voxel_size=0.05)
