@@ -63,9 +63,6 @@ from .fusion import (
     associate,
     integrate_geometric,
     integrate_semantic,
-    intersection_count,
-    iou,
-    ios,
     refine,
 )
 from .opinions import (

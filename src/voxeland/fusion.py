@@ -31,13 +31,13 @@ from .frames import Frame, crop_bbox, read_ppm, write_ppm
 from .opinions import ClusteringParams, SubjectiveOpinion, build_opinions
 from .voxelmap import (
     UNKNOWN_INSTANCE_ID,
-    InstanceRecord,
     MapState,
     Observation,
+    VoxelCell,
     VoxelKey,
     pack_keys,
     points_to_keys,
-    unpack_key,
+    unpack_keys,
 )
 
 STAGE_OPINIONS = "Opinions generation"
@@ -76,23 +76,18 @@ class MergeEvent:
 
 
 def opinion_voxel_counts(opinion: SubjectiveOpinion, voxel_size: float) -> dict[VoxelKey, int]:
-    """Per-voxel point counts for an opinion, in deterministic key order."""
-    keys = points_to_keys(opinion.points, voxel_size)
-    packed = pack_keys(keys)
-    unique, counts = np.unique(packed, return_counts=True)
-    return {unpack_key(int(p)): int(c) for p, c in zip(unique, counts)}
+    """Per-voxel point counts for an opinion, in ascending (i, j, k) key order.
 
-
-def intersection_count(
-    opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState
-) -> int:
-    """Number of opinion points lying in voxels where the instance has evidence."""
-    total = 0
-    for key, count in opinion_voxel_counts(opinion, state.voxel_size).items():
-        cell = state.cells.get(key)
-        if cell is not None and cell.instance_counts.get(instance.id, 0) > 0:
-            total += count
-    return total
+    The points are keyed, packed and counted in one ``np.unique`` on the first
+    call; later calls with the same voxel size return the same dict, so
+    ``associate`` and ``integrate_geometric`` share it.  Callers must not
+    mutate it.
+    """
+    if opinion._voxel_counts is None or opinion._voxel_counts[0] != voxel_size:
+        packed = pack_keys(points_to_keys(opinion.points, voxel_size))
+        unique, counts = np.unique(packed, return_counts=True)
+        opinion._voxel_counts = (voxel_size, dict(zip(unpack_keys(unique), counts.tolist())))
+    return opinion._voxel_counts[1]
 
 
 def _iou_from_counts(overlap: int, n_points: int, n_voxels: int) -> float:
@@ -106,16 +101,6 @@ def _iou_from_counts(overlap: int, n_points: int, n_voxels: int) -> float:
 def _ios_from_counts(overlap: int, n_points: int, n_voxels: int) -> float:
     smaller = min(n_points, n_voxels)
     return min(1.0, overlap / smaller) if smaller > 0 else 0.0
-
-
-def iou(opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState) -> float:
-    overlap = intersection_count(opinion, instance, state)
-    return _iou_from_counts(overlap, len(opinion.points), instance.voxel_count)
-
-
-def ios(opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState) -> float:
-    overlap = intersection_count(opinion, instance, state)
-    return _ios_from_counts(overlap, len(opinion.points), instance.voxel_count)
 
 
 def associate(
@@ -168,11 +153,32 @@ def integrate_geometric(
     """Register the opinion's per-voxel point counts as instance evidence.
 
     Each touched voxel also receives exactly one occupancy hit, so occupancy
-    tracks observation rather than point sampling density.
+    tracks observation rather than point sampling density.  One pass over
+    ``opinion_voxel_counts`` creates missing cells, adds each count, counts
+    the voxels new to the instance into its ``voxel_count`` and applies the
+    clamped hit; the per-voxel effect equals ``MapState.add_instance_evidence``
+    followed by ``MapState.apply_occupancy``, in the same key order.
     """
+    record = state.instances.get(instance_id)
+    if record is None:
+        raise KeyError(f"instance {instance_id} is not registered")
+    params = state.occupancy
+    l_hit, low, high = params.l_hit, params.log_odds_min, params.log_odds_max
+    cells = state.cells
+    new_voxels = 0
     for key, count in opinion_voxel_counts(opinion, state.voxel_size).items():
-        state.add_instance_evidence(key, instance_id, count)
-        state.apply_occupancy(key, hit=True)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = VoxelCell()
+        instance_counts = cell.instance_counts
+        previous = instance_counts.get(instance_id, 0)
+        if previous == 0:
+            new_voxels += 1
+        instance_counts[instance_id] = previous + count
+        # equals min(high, max(low, ...)), since OccupancyParams keeps low <= high
+        log_odds = cell.log_odds + l_hit
+        cell.log_odds = high if log_odds > high else low if log_odds < low else log_odds
+    record.voxel_count += new_voxels
 
 
 def integrate_semantic(
@@ -279,15 +285,17 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
                 if instance_id != UNKNOWN_INSTANCE_ID and count > 0:
                     footprints[instance_id].add(key)
             continue
-        owners = sorted(
+        owners = [
             instance_id
             for instance_id, count in counts.items()
             if instance_id != UNKNOWN_INSTANCE_ID and count > 0
-        )
+        ]
         for instance_id in owners:
             footprints[instance_id].add(key)
-        for pair in combinations(owners, 2):
-            shared[pair] = shared.get(pair, 0) + 1
+        if len(owners) > 1:  # most shared cells pair one object with the unknown instance
+            owners.sort()
+            for pair in combinations(owners, 2):
+                shared[pair] = shared.get(pair, 0) + 1
 
     passing: dict[tuple[int, int], tuple[float, float]] = {}
     for (a, b), overlap in shared.items():

@@ -10,14 +10,13 @@ filter (it is background by definition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .frames import CameraIntrinsics, Frame, Pose, backproject_pixels
-
-UNKNOWN_CATEGORY = "unknown"
+from .voxelmap import UNKNOWN_CATEGORY, VoxelKey, pack_keys
 
 NOISE = -1
 
@@ -44,6 +43,11 @@ class SubjectiveOpinion:
     confidence: float
     source_frame: int
     pixel_bbox: tuple[int, int, int, int] | None
+    # (voxel_size, per-voxel point counts), filled by fusion.opinion_voxel_counts
+    # so that association and integration key the points once.
+    _voxel_counts: tuple[float, dict[VoxelKey, int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -97,17 +101,18 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 def filter_geometric_opinion(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
     """Keep only the points whose coarse voxel belongs to the largest cluster.
 
-    Points are downsampled to distinct coarse-voxel centers, DBSCAN runs on
-    the centers, and the winning cluster is the largest one (ties broken by
-    the lowest cluster id).  Returns an empty array when every center is
-    noise, which the caller treats as a rejected opinion.
+    Points are downsampled to distinct coarse-voxel centers, taken in the
+    order of their packed keys, which is (i, j, k) order.  DBSCAN runs on the
+    centers, and the winning cluster is the largest one (ties broken by the
+    lowest cluster id).  Returns an empty array when every center is noise,
+    which the caller treats as a rejected opinion.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) == 0:
         raise ValueError("cannot filter an empty point set")
     keys = np.floor(points / params.coarse_voxel).astype(np.int64)
-    unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    centers = (unique_keys.astype(float) + 0.5) * params.coarse_voxel
+    _, first, inverse = np.unique(pack_keys(keys), return_index=True, return_inverse=True)
+    centers = (keys[first].astype(float) + 0.5) * params.coarse_voxel
     labels = dbscan(centers, eps=params.eps, min_pts=params.min_pts)
     if np.all(labels == NOISE):
         return points[:0]

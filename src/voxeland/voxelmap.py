@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .evidence import CategoricalDistribution, EvidenceVector, NoEvidenceError, probabilities
-from .opinions import UNKNOWN_CATEGORY
 
 UNKNOWN_INSTANCE_ID = 0
+UNKNOWN_CATEGORY = "unknown"
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -52,6 +52,7 @@ def points_to_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
 
 
 def pack_keys(keys: np.ndarray) -> np.ndarray:
+    """(n, 3) int64 keys to (n,) int64 scalars whose order is the keys' (i, j, k) order."""
     keys = np.asarray(keys, dtype=np.int64)
     if keys.size and (keys.min() < -_KEY_OFFSET or keys.max() >= _KEY_OFFSET):
         raise ValueError("voxel key out of packable range")
@@ -59,11 +60,14 @@ def pack_keys(keys: np.ndarray) -> np.ndarray:
     return (shifted[:, 0] << (2 * _KEY_BITS)) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
 
 
-def unpack_key(packed: int) -> VoxelKey:
-    k = (packed & _KEY_MASK) - _KEY_OFFSET
-    j = ((packed >> _KEY_BITS) & _KEY_MASK) - _KEY_OFFSET
-    i = ((packed >> (2 * _KEY_BITS)) & _KEY_MASK) - _KEY_OFFSET
-    return (int(i), int(j), int(k))
+def unpack_keys(packed: np.ndarray) -> list[VoxelKey]:
+    """Inverse of pack_keys: packed scalars to voxel keys of Python ints."""
+    packed = np.asarray(packed, dtype=np.int64)
+    i, j, k = (
+        (((packed >> shift) & _KEY_MASK) - _KEY_OFFSET).tolist()
+        for shift in (2 * _KEY_BITS, _KEY_BITS, 0)
+    )
+    return list(zip(i, j, k))
 
 
 @dataclass
@@ -72,6 +76,16 @@ class OccupancyParams:
     p_miss: float = 0.4
     log_odds_min: float = -2.0
     log_odds_max: float = 3.5
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.p_hit < 1.0 and 0.0 < self.p_miss < 1.0):
+            raise ValueError(
+                f"p_hit and p_miss must lie in (0, 1), got {self.p_hit} and {self.p_miss}"
+            )
+        if not self.log_odds_min <= self.log_odds_max:
+            raise ValueError(
+                f"log_odds_min {self.log_odds_min} exceeds log_odds_max {self.log_odds_max}"
+            )
 
     @property
     def l_hit(self) -> float:

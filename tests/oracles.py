@@ -5,6 +5,8 @@ oracle sums the convergent series term by term with an analytic tail bound,
 clustering is a full O(n^2) pairwise construction, average precision is
 integrated directly from the precision-recall points, and map refinement
 rebuilds every footprint and scores every instance pair after each merge.
+Overlap scores, coarse-voxel filtering and geometric integration key every
+point as a tuple on its own, without packed keys.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from voxeland.fusion import (
     _ios_from_counts,
     _merge_instances,
 )
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, VoxelKey
+from voxeland.opinions import NOISE, ClusteringParams, SubjectiveOpinion, dbscan
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, InstanceRecord, MapState, VoxelKey
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -177,3 +180,64 @@ def oracle_refine(state: MapState, config: AssociationConfig) -> list[MergeEvent
                     break
         if not merged:
             return events
+
+
+def _point_key(point: np.ndarray, voxel_size: float) -> VoxelKey:
+    i, j, k = np.floor(point / voxel_size)
+    return (int(i), int(j), int(k))
+
+
+def oracle_voxel_counts(opinion: SubjectiveOpinion, voxel_size: float) -> dict[VoxelKey, int]:
+    """Per-voxel point counts, keying one point at a time, in sorted key order."""
+    counts: dict[VoxelKey, int] = {}
+    for point in opinion.points:
+        key = _point_key(point, voxel_size)
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def intersection_count(
+    opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState
+) -> int:
+    """Number of opinion points lying in voxels where the instance has evidence."""
+    total = 0
+    for point in opinion.points:
+        cell = state.cells.get(_point_key(point, state.voxel_size))
+        if cell is not None and cell.instance_counts.get(instance.id, 0) > 0:
+            total += 1
+    return total
+
+
+def iou(opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState) -> float:
+    """overlap / (points + instance voxels - overlap), clamped to 1."""
+    overlap = intersection_count(opinion, instance, state)
+    denominator = len(opinion.points) + instance.voxel_count - overlap
+    return min(1.0, overlap / denominator) if denominator > 0 else 0.0
+
+
+def ios(opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState) -> float:
+    """overlap / min(points, instance voxels), clamped to 1."""
+    overlap = intersection_count(opinion, instance, state)
+    smaller = min(len(opinion.points), instance.voxel_count)
+    return min(1.0, overlap / smaller) if smaller > 0 else 0.0
+
+
+def oracle_filter_geometric_opinion(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
+    """Largest-cluster filter with coarse keys made distinct row-wise by
+    ``np.unique(axis=0)`` rather than as packed scalars."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    keys = np.floor(points / params.coarse_voxel).astype(np.int64)
+    unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    centers = (unique_keys.astype(float) + 0.5) * params.coarse_voxel
+    labels = dbscan(centers, eps=params.eps, min_pts=params.min_pts)
+    if np.all(labels == NOISE):
+        return points[:0]
+    winner = int(np.argmax(np.bincount(labels[labels != NOISE])))
+    return points[(labels == winner)[inverse]]
+
+
+def oracle_integrate(opinion: SubjectiveOpinion, instance_id: int, state: MapState) -> None:
+    """Geometric integration one voxel at a time through the MapState methods."""
+    for key, count in oracle_voxel_counts(opinion, state.voxel_size).items():
+        state.add_instance_evidence(key, instance_id, count)
+        state.apply_occupancy(key, hit=True)

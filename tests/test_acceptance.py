@@ -25,8 +25,6 @@ from voxeland.fusion import (
     AssociationConfig,
     Pipeline,
     integrate_geometric,
-    iou,
-    ios,
     refine,
 )
 from voxeland.opinions import ClusteringParams, SubjectiveOpinion, build_opinions, dbscan
@@ -34,7 +32,14 @@ from voxeland.synthetic import generate_synthetic, scene_from_spec
 from voxeland.uncertainty import declare_categories, geometric_entropy_map, voxel_category_distribution
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState
 
-from oracles import brute_force_dbscan, canonical_clustering, oracle_digamma, oracle_expected_entropy
+from oracles import (
+    brute_force_dbscan,
+    canonical_clustering,
+    ios,
+    iou,
+    oracle_digamma,
+    oracle_expected_entropy,
+)
 
 
 def verdict(name: str, elapsed: float | None = None) -> None:

@@ -27,18 +27,22 @@ from voxeland.fusion import (
     associate,
     integrate_geometric,
     integrate_semantic,
-    intersection_count,
-    iou,
-    ios,
     opinion_voxel_counts,
     refine,
 )
 from voxeland.frames import load_frame, load_manifest
 from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams
 
-from oracles import oracle_refine
+from oracles import (
+    intersection_count,
+    ios,
+    iou,
+    oracle_integrate,
+    oracle_refine,
+    oracle_voxel_counts,
+)
 
 VOXEL = 0.1
 CFG = AssociationConfig()
@@ -182,6 +186,104 @@ class TestAssociate:
         outcome = associate([opinion(points)], state, CFG)
         assert len(outcome.matches) == 1
         assert outcome.matches[0][1] == b
+
+
+def voxel_point(cells):
+    """Points anywhere inside voxels drawn from ``cells``."""
+    offset = st.floats(0.0, 0.999)
+    return st.tuples(cells, offset, offset, offset).map(
+        lambda c: [(c[0][axis] + c[axis + 1]) * VOXEL for axis in range(3)]
+    )
+
+
+GRID_CELL = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def association_cases(draw):
+    """A map of 1-4 instances whose footprints share a small pool of cells
+    around the origin (negative keys included), opinions whose points fall in
+    pool cells or anywhere on the grid, dense enough that both scores clamp at
+    1, and random thresholds."""
+    state = MapState(voxel_size=VOXEL)
+    pool = draw(st.lists(GRID_CELL, min_size=1, max_size=12, unique=True))
+    for _ in range(draw(st.integers(1, 4))):
+        instance_id = state.new_instance()
+        for key in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True)):
+            state.add_instance_evidence(key, instance_id, draw(st.integers(1, 3)))
+    point = voxel_point(st.one_of(st.sampled_from(pool), GRID_CELL))
+    opinions = [
+        opinion(points)
+        for points in draw(st.lists(st.lists(point, min_size=1, max_size=30), min_size=1, max_size=3))
+    ]
+    threshold = st.floats(0.0, 1.0, exclude_min=True)
+    config = AssociationConfig(tau_iou=draw(threshold), tau_ios=draw(threshold))
+    return state, opinions, config
+
+
+class TestAssociateMatchesOracle:
+    @given(association_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_scores_equal_oracle(self, case):
+        state, opinions, config = case
+        candidates = [i for i in state.instances if i != UNKNOWN_INSTANCE_ID]
+        outcome = associate(opinions, state, config)
+        for index, instance_id, score_iou, score_ios in outcome.matches:
+            record = state.instances[instance_id]
+            assert (score_iou, score_ios) == (
+                iou(opinions[index], record, state),
+                ios(opinions[index], record, state),
+            )
+        for index, _ in outcome.spawned:
+            for instance_id in candidates:
+                record = state.instances[instance_id]
+                assert iou(opinions[index], record, state) < config.tau_iou
+                assert ios(opinions[index], record, state) < config.tau_ios
+
+
+@st.composite
+def integration_cases(draw):
+    """Opinion sequences on a small grid around the origin; instances repeat,
+    hits may lower the log-odds (p_hit below 0.5), and the band is narrow
+    enough for repeated hits to clamp at either end."""
+    n_instances = draw(st.integers(0, 3))
+    steps = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_instances), st.lists(voxel_point(GRID_CELL), min_size=1, max_size=25)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    occupancy = OccupancyParams(
+        p_hit=draw(st.floats(0.1, 0.9)),
+        log_odds_min=draw(st.floats(-3.5, -0.5)),
+        log_odds_max=draw(st.floats(0.5, 3.5)),
+    )
+    return n_instances, steps, occupancy
+
+
+class TestIntegrateMatchesOracle:
+    @given(integration_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_opinion_sequences(self, case):
+        n_instances, steps, occupancy = case
+        state = MapState(voxel_size=VOXEL, occupancy=occupancy)
+        reference = MapState(voxel_size=VOXEL, occupancy=occupancy)
+        for _ in range(n_instances):
+            state.new_instance()
+            reference.new_instance()
+        for instance_id, points in steps:
+            integrate_geometric(opinion(points), instance_id, state)
+            oracle_integrate(opinion(points), instance_id, reference)
+        assert list(state.cells) == list(reference.cells)
+        assert state.to_dict() == reference.to_dict()
+        state.audit_voxel_counts()
+
+    def test_unregistered_instance_rejected(self):
+        state = MapState(voxel_size=VOXEL)
+        with pytest.raises(KeyError, match="not registered"):
+            integrate_geometric(opinion([center(0)]), 7, state)
+        assert state.cells == {}
 
 
 class TestIntegrateGeometric:
@@ -448,6 +550,15 @@ class TestOpinionVoxelCounts:
         points = rng.uniform(-1, 1, (500, 3))
         counts = opinion_voxel_counts(opinion(points), VOXEL)
         assert sum(counts.values()) == 500
+
+    def test_memo_follows_voxel_size(self):
+        rng = np.random.default_rng(4)
+        op = opinion(rng.uniform(-1, 1, (300, 3)))
+        first = opinion_voxel_counts(op, VOXEL)
+        assert opinion_voxel_counts(op, VOXEL) is first
+        for size in (2 * VOXEL, VOXEL):
+            counts = opinion_voxel_counts(op, size)
+            assert list(counts.items()) == list(oracle_voxel_counts(op, size).items())
 
 
 def synthetic_frame(frame_id, predictions, depth_value=1500, shape=(40, 40)):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxeland.frames import (
     CameraIntrinsics,
@@ -20,9 +22,15 @@ from voxeland.opinions import (
     filter_geometric_opinion,
 )
 
-from oracles import brute_force_dbscan, canonical_clustering
+from oracles import brute_force_dbscan, canonical_clustering, oracle_filter_geometric_opinion
 
 PARAMS = ClusteringParams(coarse_voxel=0.08, eps=0.08 * 1.8, min_pts=4)
+
+# (i, j, k) coarse cell and (u, v, w) position inside it
+COARSE_POINT = st.tuples(
+    st.integers(-4, 3), st.integers(-4, 3), st.integers(-2, 1),
+    st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 0.999),
+)
 
 
 def make_frame(depth, predictions, fx=100.0, fy=100.0):
@@ -130,6 +138,28 @@ class TestFilterGeometricOpinion:
             for r in filter_geometric_opinion(points[rng.permutation(len(points))], PARAMS)
         }
         assert kept_a == kept_b
+
+    @given(
+        st.lists(COARSE_POINT, min_size=1, max_size=120),
+        st.lists(COARSE_POINT, min_size=1, max_size=30),
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_unique_filter(self, scattered, blob, shift):
+        # scattered points around the origin, so negative keys and adjacent
+        # clusters are common, plus a blob and a shifted copy of it, whose
+        # equal-sized clusters tie and leave the winner to center order
+        copy = [(i + shift[0], j + shift[1], k + shift[2], u, v, w) for i, j, k, u, v, w in blob]
+        points = np.array(
+            [
+                [(i + u) * PARAMS.coarse_voxel, (j + v) * PARAMS.coarse_voxel, (k + w) * PARAMS.coarse_voxel]
+                for i, j, k, u, v, w in scattered + blob + copy
+            ]
+        )
+        kept = filter_geometric_opinion(points, PARAMS)
+        expected = oracle_filter_geometric_opinion(points, PARAMS)
+        assert kept.shape == expected.shape
+        assert np.array_equal(kept, expected)
 
 
 class TestBuildOpinions:

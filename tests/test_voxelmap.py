@@ -13,7 +13,7 @@ from voxeland.voxelmap import (
     VoxelCell,
     pack_keys,
     points_to_keys,
-    unpack_key,
+    unpack_keys,
     update_occupancy,
     voxel_instance_distribution,
     world_to_key,
@@ -45,11 +45,49 @@ class TestWorldToKey:
         rng = np.random.default_rng(1)
         keys = rng.integers(-1000, 1000, (500, 3)).astype(np.int64)
         packed = pack_keys(keys)
-        for row, code in zip(keys, packed):
-            assert unpack_key(int(code)) == tuple(row)
+        unpacked = unpack_keys(packed)
+        assert len(unpacked) == len(keys)
+        for row, key in zip(keys, unpacked):
+            assert key == tuple(row)
+
+    def test_packed_order_is_key_order(self):
+        rng = np.random.default_rng(2)
+        keys = rng.integers(-(1 << 20), 1 << 20, (500, 3)).astype(np.int64)
+        keys[:4] = [[-(1 << 20)] * 3, [(1 << 20) - 1] * 3, [-1, 0, 0], [0, -1, (1 << 20) - 1]]
+        packed = pack_keys(keys)
+        assert unpack_keys(np.sort(packed)) == sorted(map(tuple, keys.tolist()))
+        with pytest.raises(ValueError, match="packable"):
+            pack_keys(np.array([[0, 0, 1 << 20]]))
 
 
 class TestOccupancy:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"p_hit": 1.0},
+            {"p_hit": 0.0},
+            {"p_hit": 1.5},
+            {"p_hit": float("nan")},
+            {"p_miss": 0.0},
+            {"p_miss": 1.0},
+            {"p_miss": -0.2},
+            {"log_odds_min": 1.0, "log_odds_max": 0.5},
+            {"log_odds_min": float("nan")},
+        ],
+    )
+    def test_invalid_params_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            OccupancyParams(**kwargs)
+        snapshot = MapState(voxel_size=0.05).to_dict()
+        snapshot["occupancy"].update(kwargs)
+        with pytest.raises(ValueError):
+            MapState.from_dict(snapshot)
+
+    def test_equal_clamp_bounds_accepted(self):
+        cell = VoxelCell()
+        update_occupancy(cell, hit=True, params=OccupancyParams(log_odds_min=0.5, log_odds_max=0.5))
+        assert cell.log_odds == 0.5
+
     def test_single_hit(self):
         cell = VoxelCell()
         params = OccupancyParams()
