@@ -95,7 +95,9 @@ from .voxelmap import (
     InstanceRecord,
     MapState,
     OccupancyParams,
+    SnapshotError,
     VoxelCell,
+    argmax_owner,
     world_to_key,
 )
 

@@ -9,6 +9,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .atomic import atomic_write
 from .config import PipelineConfig
 from .disambiguation import ArgmaxClient, HttpClient, MockClient, disambiguate_all
 from .evaluation import EvalConfig, evaluate
@@ -25,12 +26,12 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
     created = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        config = _load_config(args.config)
+        out_dir.mkdir(parents=True, exist_ok=True)
         records = load_manifest(dataset / "manifest.jsonl")
         state = MapState(voxel_size=config.voxel_size, occupancy=config.occupancy_params())
         pipeline = Pipeline(
@@ -54,15 +55,19 @@ def _cmd_build(args: argparse.Namespace) -> int:
         timing["merges"] = [
             {"frame_id": frame_id, **asdict(event)} for frame_id, event in pipeline.merges
         ]
-        (out_dir / "timing.json").write_text(json.dumps(timing, sort_keys=True), encoding="utf-8")
+        with atomic_write(out_dir / "timing.json") as handle:
+            handle.write(json.dumps(timing, sort_keys=True))
         for stage, entry in timing["stages"].items():
             print(f"{stage}: {entry['mean_ms']:.2f} ms over {entry['runs']} runs")
         print(f"Frame-rate: {timing['frame_rate_hz']:.2f} Hz over {timing['frames']} frames")
         return 0
-    except Exception as exc:
+    except (DatasetError, OSError, ValueError) as exc:
         _cleanup(out_dir, created)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BaseException:
+        _cleanup(out_dir, created)
+        raise
 
 
 def _cleanup(out_dir: Path, created_by_us: bool) -> None:
@@ -71,8 +76,8 @@ def _cleanup(out_dir: Path, created_by_us: bool) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     try:
+        config = _load_config(args.config)
         state = MapState.load_snapshot(args.snapshot)
         gt = load_ground_truth(args.gt)
         eval_config = EvalConfig(iou_threshold=config.iou_threshold, classes=config.eval_classes)
@@ -106,8 +111,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_disambiguate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     try:
+        config = _load_config(args.config)
         state = MapState.load_snapshot(args.snapshot)
         if args.client == "mock":
             if args.fixtures:

@@ -14,9 +14,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import atomic_write
 from .evidence import probabilities, shannon_entropy
 from .frames import GroundTruthScene
-from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, VoxelKey
+from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, VoxelKey, argmax_owner
 
 
 @dataclass
@@ -77,7 +78,8 @@ class EvalReport:
         }
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write(json.dumps(self.to_dict(), sort_keys=True))
 
 
 def predicted_instances(state: MapState) -> list[PredictedInstance]:
@@ -91,7 +93,7 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
     for key, cell in state.cells.items():
         if not cell.instance_counts:
             continue
-        owner = max(sorted(cell.instance_counts), key=lambda i: cell.instance_counts[i])
+        owner = argmax_owner(cell.instance_counts)
         if owner == UNKNOWN_INSTANCE_ID:
             continue
         footprints.setdefault(owner, set()).add(key)

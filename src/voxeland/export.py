@@ -4,28 +4,55 @@ Entropy layers use a blue (low) to red (high) colormap over [0, H_max],
 where H_max is the log of the relevant hypothesis-set size: the instance
 registry for the geometric layer, the category registry for the semantic
 one.  Instance and semantic maps color voxels by their argmax owner.
+Vertices are voxel centers in ascending (i, j, k) key order.
+
+Each export makes one pass over the cells (or the layer's values) and does
+the rest on arrays.  Rows are formatted and written in chunks, so no file's
+text is held whole, and no container is built per row: the map keeps
+hundreds of thousands of objects alive, and a burst of container
+allocations sets off full garbage collections over all of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .evidence import NoEvidenceError
 from .uncertainty import UncertaintyLayer, voxel_category_distribution
-from .voxelmap import MapState, VoxelKey
+from .voxelmap import MapState, VoxelKey, argmax_owner, pack_keys, sole_owner
+
+_PLY_ROW = "%s %s %s %d %d %d\n"
+_SIDECAR_ENTRY = '{"entropy": %s, "key": [%d, %d, %d]}'
+_CHUNK_ROWS = 1 << 16
+
+
+def entropy_colors(values: np.ndarray, h_max: float) -> np.ndarray:
+    """Linear blue-to-red ramp as (n, 3) uint8; values are clipped to [0, h_max], NaN to 0."""
+    values = np.asarray(values, dtype=float)
+    if h_max <= 0:
+        t = np.zeros_like(values)
+    else:
+        with np.errstate(over="ignore"):
+            t = values / h_max
+        t = np.where(np.isnan(t), 0.0, np.clip(t, 0.0, 1.0))
+    colors = np.zeros((len(values), 3), dtype=np.uint8)
+    # np.rint rounds half to even, like round().
+    colors[:, 0] = np.rint(255 * t)
+    colors[:, 2] = np.rint(255 * (1.0 - t))
+    return colors
 
 
 def entropy_color(value: float, h_max: float) -> tuple[int, int, int]:
-    """Linear blue-to-red ramp; values are clipped to [0, h_max]."""
-    if h_max <= 0:
-        t = 0.0
-    else:
-        t = min(1.0, max(0.0, value / h_max))
-    return (int(round(255 * t)), 0, int(round(255 * (1.0 - t))))
+    """The ramp of :func:`entropy_colors` for one value."""
+    red, green, blue = entropy_colors([value], h_max)[0].tolist()
+    return (red, green, blue)
 
 
 def _id_color(index: int) -> tuple[int, int, int]:
@@ -39,32 +66,52 @@ def _id_color(index: int) -> tuple[int, int, int]:
     return (int(64 + 191 * r), int(64 + 191 * g), int(64 + 191 * b))
 
 
+def _id_colors(ids: np.ndarray) -> np.ndarray:
+    """(n, 3) uint8 colors of an id array, computing each distinct id's color once."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    table = np.array([_id_color(i) for i in distinct.tolist()], dtype=np.uint8).reshape(-1, 3)
+    return table[inverse.reshape(-1)]
+
+
+def _format_each(values: np.ndarray, format_one: Callable[[float], str]) -> list[str]:
+    """``format_one`` of every float, called once per distinct bit pattern.
+
+    Voxel centers and entropies repeat a few values many times, and equal
+    bits (so also -0.0 apart from 0.0) always format the same.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(-1)].tolist()
+
+
 def write_ply(path: Path | str, points: np.ndarray, colors: np.ndarray) -> None:
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(points)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-        "end_header",
-    ]
-    for point, color in zip(points, colors):
-        lines.append(
-            f"{point[0]:.6f} {point[1]:.6f} {point[2]:.6f} {color[0]} {color[1]} {color[2]}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = (
+        "ply\nformat ascii 1.0\n"
+        f"element vertex {len(points)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        "end_header\n"
+    )
+    with atomic_write(path) as handle:
+        handle.write(header)
+        for start in range(0, len(points), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            columns = [_format_each(points[start:stop, axis], "%.6f".__mod__) for axis in range(3)]
+            columns += [colors[start:stop, axis].tolist() for axis in range(3)]
+            # A row is one of zip's recycled tuples, so formatting allocates no containers.
+            handle.write("".join(map(_PLY_ROW.__mod__, zip(*columns))))
 
 
-def _voxel_centers(keys: list[VoxelKey], voxel_size: float) -> np.ndarray:
-    if not keys:
-        return np.zeros((0, 3))
-    return (np.asarray(keys, dtype=float) + 0.5) * voxel_size
+def _key_array(keys: Iterable[VoxelKey], count: int) -> np.ndarray:
+    flat = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64, count=3 * count)
+    return flat.reshape(count, 3)
+
+
+def _voxel_centers(keys: np.ndarray, voxel_size: float) -> np.ndarray:
+    return (keys.astype(float) + 0.5) * voxel_size
 
 
 def layer_h_max(state: MapState, kind: str) -> float:
@@ -77,50 +124,73 @@ def export_entropy_layer(
 ) -> None:
     """Write the layer as a heat-colored PLY plus a raw-value JSON sidecar."""
     h_max = layer_h_max(state, layer.kind)
-    keys = sorted(layer.values)
-    centers = _voxel_centers(keys, state.voxel_size)
-    colors = np.array([entropy_color(layer.values[k], h_max) for k in keys], dtype=np.uint8)
-    write_ply(ply_path, centers, colors.reshape(-1, 3))
-    sidecar = {
+    count = len(layer.values)
+    keys = _key_array(layer.values, count)
+    values = np.fromiter(layer.values.values(), dtype=float, count=count)
+    order = np.argsort(pack_keys(keys))
+    keys, values = keys[order], values[order]
+    write_ply(ply_path, _voxel_centers(keys, state.voxel_size), entropy_colors(values, h_max))
+    header = {
         "kind": layer.kind,
         "unit": "nats",
         "h_max": h_max,
         "generated_at_frame": layer.generated_at_frame,
-        "values": [{"key": list(k), "entropy": layer.values[k]} for k in keys],
     }
-    Path(str(ply_path) + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True), encoding="utf-8"
-    )
+    # "values" sorts after every other field, so the sidecar is the sorted
+    # header with the values list streamed in before its closing brace.
+    with atomic_write(str(ply_path) + ".json") as handle:
+        handle.write(json.dumps(header, sort_keys=True)[:-1] + ', "values": [')
+        for start in range(0, count, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            columns = [_format_each(values[start:stop], json.dumps)]
+            columns += [keys[start:stop, axis].tolist() for axis in range(3)]
+            handle.write(", " if start else "")
+            handle.write(", ".join(map(_SIDECAR_ENTRY.__mod__, zip(*columns))))
+        handle.write("]}")
+
+
+def _write_cell_map(state: MapState, rows: list[int], ids: list[int], ply_path: Path | str) -> None:
+    """Write the cells at ``rows`` (positions in cell order) colored by ``ids``, in key order."""
+    keys = _key_array(state.cells, len(state.cells))[np.array(rows, dtype=np.int64)]
+    order = np.argsort(pack_keys(keys))
+    colors = _id_colors(np.array(ids, dtype=np.int64)[order])
+    write_ply(ply_path, _voxel_centers(keys[order], state.voxel_size), colors)
 
 
 def export_instance_map(state: MapState, ply_path: Path | str) -> None:
     """Color each evidence-bearing voxel by its argmax instance."""
-    keys = []
-    colors = []
-    for key in sorted(state.cells):
-        cell = state.cells[key]
-        if not cell.instance_counts:
-            continue
-        owner = max(sorted(cell.instance_counts), key=lambda i: cell.instance_counts[i])
-        keys.append(key)
-        colors.append(_id_color(owner))
-    write_ply(ply_path, _voxel_centers(keys, state.voxel_size), np.array(colors, dtype=np.uint8).reshape(-1, 3))
+    rows: list[int] = []
+    owners: list[int] = []
+    for row, cell in enumerate(state.cells.values()):
+        if cell.instance_counts:
+            rows.append(row)
+            owners.append(argmax_owner(cell.instance_counts))
+    _write_cell_map(state, rows, owners, ply_path)
 
 
 def export_semantic_map(state: MapState, ply_path: Path | str) -> None:
-    """Color each evidence-bearing voxel by its argmax mixed category."""
+    """Color each evidence-bearing voxel by its argmax mixed category.
+
+    A single-owner cell mixes to its owner's own distribution, so its
+    category is found once per owner.
+    """
     category_index = {label: i for i, label in enumerate(state.categories)}
-    keys = []
-    colors = []
-    for key in sorted(state.cells):
-        cell = state.cells[key]
+    rows: list[int] = []
+    labels: list[int] = []
+    by_owner: dict[int, int] = {}
+    for row, cell in enumerate(state.cells.values()):
         if not cell.instance_counts:
             continue
-        try:
-            dist = voxel_category_distribution(cell, state)
-        except NoEvidenceError:
-            continue
-        label = dist.argmax()
-        keys.append(key)
-        colors.append(_id_color(category_index.get(str(label), 0)))
-    write_ply(ply_path, _voxel_centers(keys, state.voxel_size), np.array(colors, dtype=np.uint8).reshape(-1, 3))
+        owner = sole_owner(cell.instance_counts)
+        label = by_owner.get(owner) if owner is not None else None
+        if label is None:
+            try:
+                dist = voxel_category_distribution(cell, state)
+            except NoEvidenceError:
+                continue
+            label = category_index.get(str(dist.argmax()), 0)
+            if owner is not None:
+                by_owner[owner] = label
+        rows.append(row)
+        labels.append(label)
+    _write_cell_map(state, rows, labels, ply_path)

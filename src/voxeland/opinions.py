@@ -122,6 +122,13 @@ def filter_geometric_opinion(points: np.ndarray, params: ClusteringParams) -> np
     return points[keep_center[inverse]]
 
 
+def pixel_bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """(u_min, v_min, u_max, v_max) of a non-empty boolean mask's set pixels."""
+    columns = np.flatnonzero(mask.any(axis=0))
+    rows = np.flatnonzero(mask.any(axis=1))
+    return (int(columns[0]), int(rows[0]), int(columns[-1]), int(rows[-1]))
+
+
 def build_opinions(
     frame: Frame,
     intrinsics: CameraIntrinsics,
@@ -152,8 +159,7 @@ def build_opinions(
         filtered = filter_geometric_opinion(points, params)
         if len(filtered) == 0:
             continue
-        mask_vs, mask_us = np.nonzero(mask)
-        bbox = (int(mask_us.min()), int(mask_vs.min()), int(mask_us.max()), int(mask_vs.max()))
+        bbox = pixel_bbox(mask)
         opinions.append(
             SubjectiveOpinion(
                 points=filtered,

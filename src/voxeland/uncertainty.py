@@ -25,7 +25,7 @@ from .evidence import (
     shannon_entropy,
 )
 from .opinions import UNKNOWN_CATEGORY
-from .voxelmap import InstanceRecord, MapState, VoxelCell, VoxelKey
+from .voxelmap import InstanceRecord, MapState, VoxelCell, VoxelKey, sole_owner
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
 
@@ -84,9 +84,17 @@ def voxel_category_distribution(cell: VoxelCell, state: MapState) -> Categorical
 
 
 def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
-    """Per-voxel geometric entropy over every evidence-bearing cell."""
+    """Per-voxel geometric entropy over every evidence-bearing cell, in cell order.
+
+    A cell with a single owner gets exactly 0.0, which is what
+    expected_entropy returns for it: digamma(m) - 1.0 * digamma(m).
+    """
     values = {
-        key: expected_entropy(cell.instance_counts)
+        key: (
+            0.0
+            if sole_owner(cell.instance_counts) is not None
+            else expected_entropy(cell.instance_counts)
+        )
         for key, cell in state.cells.items()
         if cell.instance_counts
     }
@@ -96,12 +104,23 @@ def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
 
 
 def semantic_entropy_map(state: MapState) -> UncertaintyLayer:
-    """Per-voxel Shannon entropy of the mixed category distribution."""
-    values = {
-        key: shannon_entropy(voxel_category_distribution(cell, state))
-        for key, cell in state.cells.items()
-        if cell.instance_counts
-    }
+    """Per-voxel Shannon entropy of the mixed category distribution, in cell order.
+
+    A single-owner cell mixes with weight exactly 1.0 to its owner's own
+    distribution, so its entropy is computed once per owner.
+    """
+    values: dict[VoxelKey, float] = {}
+    by_owner: dict[int, float] = {}
+    for key, cell in state.cells.items():
+        if not cell.instance_counts:
+            continue
+        owner = sole_owner(cell.instance_counts)
+        entropy = by_owner.get(owner) if owner is not None else None
+        if entropy is None:
+            entropy = shannon_entropy(voxel_category_distribution(cell, state))
+            if owner is not None:
+                by_owner[owner] = entropy
+        values[key] = entropy
     return UncertaintyLayer(
         kind="semantic", values=values, generated_at_frame=state.frames_integrated
     )

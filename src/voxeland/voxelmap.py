@@ -12,18 +12,24 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .evidence import CategoricalDistribution, EvidenceVector, NoEvidenceError, probabilities
 
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
 
 SNAPSHOT_SCHEMA_VERSION = 1
+
+
+class SnapshotError(ValueError):
+    """Raised when a snapshot is not a map of this schema version."""
+
 
 VoxelKey = tuple[int, int, int]
 
@@ -119,6 +125,25 @@ def voxel_instance_distribution(cell: VoxelCell) -> CategoricalDistribution:
     if not cell.instance_counts:
         raise NoEvidenceError("no evidence")
     return probabilities(cell.instance_counts)
+
+
+def argmax_owner(instance_counts: Mapping[int, int]) -> int:
+    """The instance with the most evidence in a non-empty cell; ties go to the smallest id."""
+    if len(instance_counts) == 1:
+        return next(iter(instance_counts))
+    return max(sorted(instance_counts), key=instance_counts.__getitem__)
+
+
+def sole_owner(instance_counts: Mapping[int, int]) -> int | None:
+    """The owner of a cell with exactly one instance and positive evidence, else None.
+
+    Such a cell's instance weights are exactly ``{owner: 1.0}``, so whatever
+    is derived from them depends on the owner alone.
+    """
+    if len(instance_counts) != 1:
+        return None
+    owner = next(iter(instance_counts))
+    return owner if instance_counts[owner] > 0 else None
 
 
 @dataclass
@@ -289,6 +314,24 @@ class MapState:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MapState":
+        """Rebuild a map from :meth:`to_dict` output.
+
+        Raises SnapshotError when the schema version is not
+        SNAPSHOT_SCHEMA_VERSION or the structure is malformed: a missing key,
+        a value of the wrong type, or invalid occupancy parameters.
+        """
+        version = obj.get("schema_version") if isinstance(obj, dict) else None
+        if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
+            raise SnapshotError(
+                f"snapshot schema_version {version!r} is not {SNAPSHOT_SCHEMA_VERSION}"
+            )
+        try:
+            return cls._from_snapshot_dict(obj)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _from_snapshot_dict(cls, obj: dict) -> "MapState":
         occupancy = OccupancyParams(
             p_hit=obj["occupancy"]["p_hit"],
             p_miss=obj["occupancy"]["p_miss"],
@@ -330,8 +373,13 @@ class MapState:
 
     def save_snapshot(self, path: Path | str) -> None:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        Path(path).write_text(payload, encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write(payload)
 
     @classmethod
     def load_snapshot(cls, path: Path | str) -> "MapState":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise SnapshotError(f"{path}: not a JSON snapshot: {exc}") from exc
+        return cls.from_dict(obj)

@@ -6,12 +6,20 @@ clustering is a full O(n^2) pairwise construction, average precision is
 integrated directly from the precision-recall points, and map refinement
 rebuilds every footprint and scores every instance pair after each merge.
 Overlap scores, coarse-voxel filtering and geometric integration key every
-point as a tuple on its own, without packed keys.
+point as a tuple on its own, without packed keys.  The entropy layers and
+the PLY exports compute every cell on its own and format every vertex with
+its own f-string.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
+
+from voxeland.evidence import NoEvidenceError, expected_entropy, shannon_entropy
+from voxeland.export import layer_h_max
 
 from voxeland.fusion import (
     AssociationConfig,
@@ -21,6 +29,7 @@ from voxeland.fusion import (
     _merge_instances,
 )
 from voxeland.opinions import NOISE, ClusteringParams, SubjectiveOpinion, dbscan
+from voxeland.uncertainty import UncertaintyLayer, voxel_category_distribution
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, InstanceRecord, MapState, VoxelKey
 
 EULER_GAMMA = 0.5772156649015328606
@@ -241,3 +250,132 @@ def oracle_integrate(opinion: SubjectiveOpinion, instance_id: int, state: MapSta
     for key, count in oracle_voxel_counts(opinion, state.voxel_size).items():
         state.add_instance_evidence(key, instance_id, count)
         state.apply_occupancy(key, hit=True)
+
+
+def oracle_argmax_owner(instance_counts: dict[int, int]) -> int:
+    return max(sorted(instance_counts), key=lambda i: instance_counts[i])
+
+
+def oracle_geometric_entropy_map(state: MapState) -> UncertaintyLayer:
+    values = {
+        key: expected_entropy(cell.instance_counts)
+        for key, cell in state.cells.items()
+        if cell.instance_counts
+    }
+    return UncertaintyLayer(
+        kind="geometric", values=values, generated_at_frame=state.frames_integrated
+    )
+
+
+def oracle_semantic_entropy_map(state: MapState) -> UncertaintyLayer:
+    values = {
+        key: shannon_entropy(voxel_category_distribution(cell, state))
+        for key, cell in state.cells.items()
+        if cell.instance_counts
+    }
+    return UncertaintyLayer(
+        kind="semantic", values=values, generated_at_frame=state.frames_integrated
+    )
+
+
+def oracle_entropy_color(value: float, h_max: float) -> tuple[int, int, int]:
+    if h_max <= 0:
+        t = 0.0
+    else:
+        t = min(1.0, max(0.0, value / h_max))
+    return (int(round(255 * t)), 0, int(round(255 * (1.0 - t))))
+
+
+def oracle_id_color(index: int) -> tuple[int, int, int]:
+    hue = (index * 0.61803398875) % 1.0
+    sector = hue * 6.0
+    x = 1.0 - abs(sector % 2.0 - 1.0)
+    r, g, b = [(1, x, 0), (x, 1, 0), (0, 1, x), (0, x, 1), (x, 0, 1), (1, 0, x)][
+        int(sector) % 6
+    ]
+    return (int(64 + 191 * r), int(64 + 191 * g), int(64 + 191 * b))
+
+
+def oracle_write_ply(path: Path | str, points: np.ndarray, colors: np.ndarray) -> None:
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(points)}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "property uchar red",
+        "property uchar green",
+        "property uchar blue",
+        "end_header",
+    ]
+    for point, color in zip(points, colors):
+        lines.append(
+            f"{point[0]:.6f} {point[1]:.6f} {point[2]:.6f} {color[0]} {color[1]} {color[2]}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _oracle_voxel_centers(keys: list[VoxelKey], voxel_size: float) -> np.ndarray:
+    if not keys:
+        return np.zeros((0, 3))
+    return (np.asarray(keys, dtype=float) + 0.5) * voxel_size
+
+
+def oracle_export_entropy_layer(
+    state: MapState, layer: UncertaintyLayer, ply_path: Path | str
+) -> None:
+    h_max = layer_h_max(state, layer.kind)
+    keys = sorted(layer.values)
+    centers = _oracle_voxel_centers(keys, state.voxel_size)
+    colors = np.array(
+        [oracle_entropy_color(layer.values[k], h_max) for k in keys], dtype=np.uint8
+    )
+    oracle_write_ply(ply_path, centers, colors.reshape(-1, 3))
+    sidecar = {
+        "kind": layer.kind,
+        "unit": "nats",
+        "h_max": h_max,
+        "generated_at_frame": layer.generated_at_frame,
+        "values": [{"key": list(k), "entropy": layer.values[k]} for k in keys],
+    }
+    Path(str(ply_path) + ".json").write_text(json.dumps(sidecar, sort_keys=True), encoding="utf-8")
+
+
+def oracle_export_instance_map(state: MapState, ply_path: Path | str) -> None:
+    keys = []
+    colors = []
+    for key in sorted(state.cells):
+        cell = state.cells[key]
+        if not cell.instance_counts:
+            continue
+        keys.append(key)
+        colors.append(oracle_id_color(oracle_argmax_owner(cell.instance_counts)))
+    oracle_write_ply(
+        ply_path,
+        _oracle_voxel_centers(keys, state.voxel_size),
+        np.array(colors, dtype=np.uint8).reshape(-1, 3),
+    )
+
+
+def oracle_export_semantic_map(state: MapState, ply_path: Path | str) -> None:
+    category_index = {label: i for i, label in enumerate(state.categories)}
+    keys = []
+    colors = []
+    for key in sorted(state.cells):
+        cell = state.cells[key]
+        if not cell.instance_counts:
+            continue
+        try:
+            dist = voxel_category_distribution(cell, state)
+        except NoEvidenceError:
+            continue
+        keys.append(key)
+        colors.append(oracle_id_color(category_index.get(str(dist.argmax()), 0)))
+    oracle_write_ply(
+        ply_path,
+        _oracle_voxel_centers(keys, state.voxel_size),
+        np.array(colors, dtype=np.uint8).reshape(-1, 3),
+    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from voxeland import cli
 from voxeland.cli import main
 from voxeland.voxelmap import MapState
 
@@ -130,6 +131,52 @@ class TestSynthBuildEval:
         code = main(["build", "--dataset", str(tmp_path / "nope"), "--out", str(out)])
         assert code != 0
         assert not out.exists()
+
+    def test_programming_error_propagates_and_removes_out_dir(self, built, tmp_path, monkeypatch):
+        _, dataset, _ = built
+
+        def broken(self, frame):
+            raise RuntimeError("bug in the pipeline")
+
+        monkeypatch.setattr(cli.Pipeline, "process_frame", broken)
+        out = tmp_path / "fresh_out"
+        with pytest.raises(RuntimeError, match="bug in the pipeline"):
+            main(["build", "--dataset", str(dataset), "--out", str(out)])
+        assert not out.exists()
+
+    def test_typed_error_is_one_line_and_removes_out_dir(self, built, tmp_path, capsys):
+        _, dataset, _ = built
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"p_hit": 1.0}))
+        out = tmp_path / "fresh_out"
+        code = main(["build", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda snapshot: snapshot.pop("cells"),
+            lambda snapshot: snapshot.update(schema_version=99),
+            lambda snapshot: snapshot["instances"][0].pop("id"),
+        ],
+    )
+    def test_eval_on_malformed_snapshot_prints_one_error_line(self, built, tmp_path, capsys, corrupt):
+        _, dataset, out = built
+        snapshot = json.loads((out / "map.json").read_text())
+        corrupt(snapshot)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(snapshot))
+        code = main(
+            ["eval", "--snapshot", str(path), "--gt", str(dataset / "ground_truth.json"),
+             "--out", str(tmp_path / "report.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snapshot" in err and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     def test_synth_failure_cleans_up(self, tmp_path, capsys):
         out = tmp_path / "ds"

@@ -20,6 +20,7 @@ from voxeland.opinions import (
     build_opinions,
     dbscan,
     filter_geometric_opinion,
+    pixel_bbox,
 )
 
 from oracles import brute_force_dbscan, canonical_clustering, oracle_filter_geometric_opinion
@@ -160,6 +161,43 @@ class TestFilterGeometricOpinion:
         expected = oracle_filter_geometric_opinion(points, PARAMS)
         assert kept.shape == expected.shape
         assert np.array_equal(kept, expected)
+
+
+def nonzero_bbox(mask):
+    """The bbox as build_opinions computed it from a full np.nonzero."""
+    vs, us = np.nonzero(mask)
+    return (int(us.min()), int(vs.min()), int(us.max()), int(vs.max()))
+
+
+class TestPixelBbox:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.floats(0.001, 1.0), st.integers(0, 2**32 - 1)
+    )
+    def test_random_masks(self, height, width, density, seed):
+        mask = np.random.default_rng(seed).random((height, width)) < density
+        if not mask.any():
+            mask[height // 2, width // 2] = True
+        assert pixel_bbox(mask) == nonzero_bbox(mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.data())
+    def test_single_pixel_masks(self, height, width, data):
+        v = data.draw(st.sampled_from([0, height - 1, data.draw(st.integers(0, height - 1))]))
+        u = data.draw(st.sampled_from([0, width - 1, data.draw(st.integers(0, width - 1))]))
+        mask = np.zeros((height, width), dtype=bool)
+        mask[v, u] = True
+        assert pixel_bbox(mask) == nonzero_bbox(mask) == (u, v, u, v)
+
+    @pytest.mark.parametrize(
+        "region",
+        [np.s_[:, :], np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1], np.s_[0, -1], np.s_[-3:, :2]],
+    )
+    def test_masks_touching_edges(self, region):
+        mask = np.zeros((48, 64), dtype=bool)
+        mask[region] = True
+        mask[20, 30] = True
+        assert pixel_bbox(mask) == nonzero_bbox(mask)
 
 
 class TestBuildOpinions:

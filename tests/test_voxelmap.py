@@ -1,16 +1,24 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxeland import atomic
+from voxeland.atomic import atomic_write
 from voxeland.evidence import NoEvidenceError
 from voxeland.voxelmap import (
+    SNAPSHOT_SCHEMA_VERSION,
     UNKNOWN_INSTANCE_ID,
     MapState,
+    Observation,
     OccupancyParams,
+    SnapshotError,
     VoxelCell,
+    argmax_owner,
     pack_keys,
     points_to_keys,
     unpack_keys,
@@ -255,6 +263,22 @@ class TestSparseExpansionAgainstDenseReference:
                 assert sparse_dist[instance_id] == 0.0
 
 
+def small_snapshot() -> dict:
+    """A valid snapshot with one of each kind of entry."""
+    state = MapState(voxel_size=0.05)
+    a = state.new_instance()
+    state.instances[a].category_evidence = {"chair": 1.5}
+    state.register_category("chair")
+    state.add_instance_evidence((0, -1, 2), a, 3)
+    state.add_instance_evidence((0, -1, 2), UNKNOWN_INSTANCE_ID, 1)
+    state.apply_occupancy((0, -1, 2), hit=True)
+    state.instances[a].observations.append(
+        Observation(frame_id=0, category="chair", confidence=0.9, pixel_bbox=(1, 2, 3, 4))
+    )
+    return state.to_dict()
+
+
+
 class TestSnapshot:
     def build_state(self, insertion_order):
         state = MapState(voxel_size=0.02)
@@ -287,8 +311,108 @@ class TestSnapshot:
         self.build_state("reverse").save_snapshot(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_wrong_schema_version_rejected(self, tmp_path):
+        snapshot = self.build_state("forward").to_dict()
+        for version in (SNAPSHOT_SCHEMA_VERSION + 98, 0, None, "1", True, 1.0):
+            snapshot["schema_version"] = version
+            with pytest.raises(SnapshotError, match="schema_version"):
+                MapState.from_dict(snapshot)
+        del snapshot["schema_version"]
+        with pytest.raises(SnapshotError, match="schema_version"):
+            MapState.from_dict(snapshot)
+
+    @pytest.mark.parametrize("path", [("cells",), ("occupancy", "p_hit"), ("instances", 0, "voxel_count")])
+    def test_missing_key_rejected(self, path):
+        snapshot = self.build_state("forward").to_dict()
+        parent = snapshot
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        with pytest.raises(SnapshotError, match=repr(path[-1])):
+            MapState.from_dict(snapshot)
+
+    def test_unreadable_snapshot_file_rejected(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text('{"schema_version": 1, "cells": [')
+        with pytest.raises(SnapshotError, match="not a JSON snapshot"):
+            MapState.load_snapshot(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_snapshot_parses_or_raises_snapshot_error(self, data):
+        """Replace or delete one value anywhere in a valid snapshot: loading
+        either succeeds or raises SnapshotError, never another exception."""
+        snapshot = small_snapshot()
+        parent, step = None, None
+        node = snapshot
+        while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+            parent = node
+            step = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[step]
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=5,
+        )
+        if parent is None:
+            snapshot = data.draw(json_values)
+        elif isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[step]
+        else:
+            parent[step] = data.draw(json_values)
+        try:
+            MapState.from_dict(snapshot)
+        except SnapshotError:
+            pass
+
     def test_unknown_instance_preexists(self):
         state = MapState(voxel_size=0.02)
         assert UNKNOWN_INSTANCE_ID in state.instances
         assert state.instances[UNKNOWN_INSTANCE_ID].category_evidence == {}
         assert "unknown" in state.categories
+
+
+class TestArgmaxOwner:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 8), st.integers(1, 3), min_size=1, max_size=6))
+    def test_matches_sorted_max_expression(self, counts):
+        assert argmax_owner(counts) == max(sorted(counts), key=lambda i: counts[i])
+
+    def test_ties_go_to_smallest_id(self):
+        assert argmax_owner({5: 2, 3: 2, 9: 1}) == 3
+        assert argmax_owner({7: 4}) == 7
+
+
+class TestAtomicWrite:
+    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_write(path) as handle:
+                handle.write("half of the new")
+                raise KeyboardInterrupt
+        assert path.read_text() == "previous"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_complete_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous")
+        with atomic_write(path) as handle:
+            handle.write("new")
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_snapshot_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(small_snapshot()))
+        before = path.read_bytes()
+        state = MapState(voxel_size=0.1)
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomic.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            state.save_snapshot(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["map.json"]
