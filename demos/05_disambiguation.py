@@ -23,8 +23,7 @@ def ambiguous_map():
     state.instances[instance_id].category_evidence = {"bed": 4.8, "couch": 4.6, "chair": 0.6}
     for label in ("bed", "couch", "chair"):
         state.register_category(label)
-    for i in range(8):
-        state.add_instance_evidence((i, 0, 0), instance_id, 3)
+    state.add_instance_evidence([(i, 0, 0) for i in range(8)], instance_id, 3)
     for frame in range(6):
         label = "bed" if frame % 2 == 0 else "couch"
         state.instances[instance_id].observations.append(
@@ -39,7 +38,7 @@ record = state.instances[instance_id]
 print(f"instance {instance_id} evidence: {record.category_evidence}")
 print(f"flagged for disambiguation: {record.flagged}")
 
-request = build_request(state, record)
+request = build_request(record)
 print(f"\ncandidates: {request.candidates}")
 print(f"views attached: {len(request.views)}")
 print("--- prompt ---")

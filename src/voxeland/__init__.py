@@ -34,7 +34,6 @@ from .evaluation import (
 )
 from .evidence import (
     CategoricalDistribution,
-    EvidenceVector,
     NoEvidenceError,
     digamma,
     expected_entropy,
@@ -49,7 +48,6 @@ from .frames import (
     GroundTruthScene,
     Pose,
     PredictionInstance,
-    backproject,
     decode_rle_mask,
     encode_rle_mask,
     load_frame,
@@ -84,7 +82,6 @@ from .synthetic import (
 from .uncertainty import (
     UncertaintyLayer,
     declare_categories,
-    geometric_entropy,
     geometric_entropy_map,
     semantic_entropy,
     semantic_entropy_map,
@@ -96,9 +93,6 @@ from .voxelmap import (
     MapState,
     OccupancyParams,
     SnapshotError,
-    VoxelCell,
-    argmax_owner,
-    world_to_key,
 )
 
 __version__ = "0.1.0"

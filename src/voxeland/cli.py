@@ -104,10 +104,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         generate_synthetic(scene, seed=args.seed, out_dir=out_dir)
         print(f"dataset written to {out_dir}")
         return 0
-    except Exception as exc:
+    except (DatasetError, OSError, ValueError) as exc:
         _cleanup(out_dir, created)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BaseException:
+        _cleanup(out_dir, created)
+        raise
 
 
 def _cmd_disambiguate(args: argparse.Namespace) -> int:

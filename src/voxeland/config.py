@@ -1,17 +1,38 @@
 """One structured configuration gathering every tunable of the pipeline.
 
 Every key has a documented default; a JSON file may override any subset.
+Values are checked when the configuration is built: a value of the wrong
+type or out of range, or a key the configuration does not have, is a
+ValueError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .evaluation import EvalConfig
 from .fusion import AssociationConfig
 from .opinions import ClusteringParams
 from .voxelmap import OccupancyParams
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# Checks of each field's declared type, keyed by its annotation.
+_TYPE_CHECKS = {
+    "float": _is_number,
+    "float | None": lambda value: value is None or _is_number(value),
+    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "bool": lambda value: isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+    "list[str] | None": lambda value: value is None
+    or (isinstance(value, list) and all(isinstance(item, str) for item in value)),
+}
 
 
 @dataclass
@@ -48,16 +69,35 @@ class PipelineConfig:
     model: str = ""
     timeout_s: float = 30.0
 
-    extras: dict = field(default_factory=dict, repr=False)
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not _TYPE_CHECKS[spec.type](value):
+                raise ValueError(f"config {spec.name} must be {spec.type}, got {value!r}")
+        for name in ("voxel_size", "max_range", "timeout_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"config {name} must be positive, got {getattr(self, name)!r}")
+        if self.carve_stride < 1:
+            raise ValueError(f"config carve_stride must be at least 1, got {self.carve_stride}")
+        if self.entropy_threshold < 0 or self.views_per_candidate < 0:
+            raise ValueError("config entropy_threshold and views_per_candidate must not be negative")
+        if not 0.0 <= self.min_prob <= 1.0:
+            raise ValueError(f"config min_prob must lie in [0, 1], got {self.min_prob}")
+        # the parameter objects check the ranges of the rest
+        self.clustering_params()
+        self.association_config()
+        self.occupancy_params()
+        EvalConfig(iou_threshold=self.iou_threshold)
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls) if f.name != "extras"}
-        kwargs = {key: value for key, value in obj.items() if key in known}
-        config = cls(**kwargs)
-        config.extras = {key: value for key, value in obj.items() if key not in known}
-        return config
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: a config file holds one JSON object")
+        unknown = sorted(set(obj) - {spec.name for spec in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
+        return cls(**obj)
 
     def clustering_params(self) -> ClusteringParams:
         coarse = self.coarse_voxel if self.coarse_voxel is not None else 4.0 * self.voxel_size

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .evidence import CategoricalDistribution, probabilities
-from .voxelmap import InstanceRecord, MapState, VoxelKey
+import numpy as np
+
+from .voxelmap import InstanceRecord, MapState, VoxelKey, unpack_key_array, unpack_keys
 
 PROMPT_TEMPLATE = (
     "Please, help me to disambiguate the correct category of this object. "
@@ -152,18 +154,17 @@ def select_views(
     return views
 
 
-def summarize_geometry(footprint: set[VoxelKey], cap: int = GEOMETRY_VOXEL_CAP) -> GeometrySummary:
-    footprint = sorted(footprint)
-    if not footprint:
+def summarize_geometry(keys: np.ndarray, cap: int = GEOMETRY_VOXEL_CAP) -> GeometrySummary:
+    """Bounds and an evenly strided sample of a footprint given as sorted packed keys."""
+    if not len(keys):
         return GeometrySummary(voxel_count=0, bbox_min=(0, 0, 0), bbox_max=(0, 0, 0), voxels=[])
-    lo = tuple(min(k[axis] for k in footprint) for axis in range(3))
-    hi = tuple(max(k[axis] for k in footprint) for axis in range(3))
-    stride = max(1, -(-len(footprint) // cap))
+    unpacked = unpack_key_array(keys)
+    stride = max(1, -(-len(keys) // cap))
     return GeometrySummary(
-        voxel_count=len(footprint),
-        bbox_min=lo,  # type: ignore[arg-type]
-        bbox_max=hi,  # type: ignore[arg-type]
-        voxels=footprint[::stride][:cap],
+        voxel_count=len(keys),
+        bbox_min=tuple(unpacked.min(axis=0).tolist()),  # type: ignore[arg-type]
+        bbox_max=tuple(unpacked.max(axis=0).tolist()),  # type: ignore[arg-type]
+        voxels=unpack_keys(keys[::stride][:cap]),
     )
 
 
@@ -188,14 +189,11 @@ def build_prompt(request: DisambiguationRequest) -> str:
 
 
 def build_request(
-    state: MapState,
     record: InstanceRecord,
     min_prob: float = DEFAULT_MIN_PROB,
     views_per_candidate: int = DEFAULT_VIEWS_PER_CANDIDATE,
-    footprint: set[VoxelKey] | None = None,
 ) -> DisambiguationRequest:
-    """Request for one instance; ``footprint`` saves a scan of the map when
-    the caller has already collected the instance's voxels."""
+    """Request for one instance: its candidates, geometry and views."""
     candidates = select_candidates(record, min_prob)
     if len(candidates) < 2:
         raise DisambiguationError(
@@ -206,9 +204,7 @@ def build_request(
         instance_id=record.id,
         evidence=CategoricalDistribution({str(k): v for k, v in dist.probs.items()}),
         candidates=candidates,
-        geometry=summarize_geometry(
-            state.instance_footprints([record.id])[record.id] if footprint is None else footprint
-        ),
+        geometry=summarize_geometry(record.keys),
         views=select_views(record, candidates, views_per_candidate),
     )
     request.prompt = build_prompt(request)
@@ -328,12 +324,9 @@ def disambiguate_all(
         for instance_id, record in sorted(state.instances.items())
         if not record.is_unknown and record.flagged
     ]
-    footprints = state.instance_footprints(instance_id for instance_id, _ in flagged)
     for instance_id, record in flagged:
         try:
-            request = build_request(
-                state, record, min_prob, views_per_candidate, footprint=footprints[instance_id]
-            )
+            request = build_request(record, min_prob, views_per_candidate)
         except DisambiguationError as exc:
             report.parse_failures.append((instance_id, str(exc)))
             continue

@@ -14,10 +14,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .atomic import atomic_write
 from .evidence import probabilities, shannon_entropy
 from .frames import GroundTruthScene
-from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, VoxelKey, argmax_owner
+from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, VoxelKey, unpack_keys
 
 
 @dataclass
@@ -89,25 +91,21 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
     skipped; voxels whose argmax owner is the unknown instance belong to no
     prediction.
     """
-    footprints: dict[int, set[VoxelKey]] = {}
-    for key, cell in state.cells.items():
-        if not cell.instance_counts:
-            continue
-        owner = argmax_owner(cell.instance_counts)
-        if owner == UNKNOWN_INSTANCE_ID:
-            continue
-        footprints.setdefault(owner, set()).add(key)
+    table = state.owner_table()
+    owners = table.argmax_owners()
+    keys = state.cells.keys[table.cell_rows]
+    footprints: dict[int, set[VoxelKey]] = {
+        owner: set(unpack_keys(keys[owners == owner]))
+        for owner in np.unique(owners).tolist()
+        if owner != UNKNOWN_INSTANCE_ID
+    }
     predictions = []
     for instance_id in sorted(state.instances):
         record = state.instances[instance_id]
         if record.is_unknown or not record.category_evidence:
             continue
         dist = probabilities(record.category_evidence)
-        category = record.final_category
-        if category is None:
-            category = min(
-                (label for label in dist.probs), key=lambda l: (-dist.probs[l], str(l))
-            )
+        category = record.final_category if record.final_category is not None else dist.argmax()
         predictions.append(
             PredictedInstance(
                 instance_id=instance_id,

@@ -1,4 +1,4 @@
-"""Sparse evidence vectors and the entropy quantities computed from them.
+"""Sparse evidence and the entropy quantities computed from them.
 
 Evidence accumulates as a sparse map from hypothesis id to non-negative mass
 (integer point counts for instance evidence, confidence sums for category
@@ -12,11 +12,7 @@ import math
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 
-EULER_GAMMA = 0.5772156649015328606
-
-# Recurrence lifts the argument above this point, where the asymptotic
-# expansion (terms through x**-14) is accurate to well below 1e-13.
-_ASYMPTOTIC_MIN = 10.0
+from scipy.special import digamma as _psi
 
 
 class NoEvidenceError(ValueError):
@@ -24,81 +20,12 @@ class NoEvidenceError(ValueError):
 
 
 def digamma(x: float) -> float:
-    """Digamma function for x > 0, absolute error below 1e-12 on (0, 1e6].
-
-    Uses the recurrence digamma(x) = digamma(x + 1) - 1/x to lift the
-    argument above a threshold, then the asymptotic series in 1/x**2.
-    Small integer arguments take the harmonic-number shortcut
-    digamma(n) = -gamma + sum_{k<n} 1/k, which keeps analytic identities
-    such as digamma(2) - digamma(1) = 1 exact in floating point.
-    """
+    """Digamma of a positive finite argument; any other is a ValueError
+    rather than the NaN or infinity ``scipy.special.digamma`` returns."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"digamma requires a positive finite argument, got {x!r}")
-    if x.is_integer() and x <= 64.0:
-        value = -EULER_GAMMA
-        for k in range(1, int(x)):
-            value += 1.0 / k
-        return value
-    acc = 0.0
-    while x < _ASYMPTOTIC_MIN:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = inv2 * (
-        1.0 / 12.0
-        - inv2 * (
-            1.0 / 120.0
-            - inv2 * (
-                1.0 / 252.0
-                - inv2 * (
-                    1.0 / 240.0
-                    - inv2 * (
-                        1.0 / 132.0
-                        - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0))
-                    )
-                )
-            )
-        )
-    )
-    return acc + math.log(x) - 0.5 * inv - tail
-
-
-@dataclass
-class EvidenceVector:
-    """Sparse non-negative evidence masses keyed by hypothesis id.
-
-    Absent keys mean zero mass.  Stored masses are strictly positive; adding
-    non-positive mass is rejected.
-    """
-
-    masses: dict[Hashable, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for key, mass in self.masses.items():
-            if not (mass > 0.0) or not math.isfinite(mass):
-                raise ValueError(f"evidence mass for {key!r} must be positive, got {mass!r}")
-
-    def add(self, key: Hashable, mass: float) -> None:
-        if not (mass > 0.0) or not math.isfinite(mass):
-            raise ValueError(f"evidence mass for {key!r} must be positive, got {mass!r}")
-        self.masses[key] = self.masses.get(key, 0.0) + mass
-
-    def total(self) -> float:
-        return sum(self.masses.values())
-
-    def support(self) -> set[Hashable]:
-        return set(self.masses)
-
-    def copy(self) -> "EvidenceVector":
-        return EvidenceVector(dict(self.masses))
-
-    def __len__(self) -> int:
-        return len(self.masses)
-
-    def __bool__(self) -> bool:
-        return bool(self.masses)
+    return float(_psi(x))
 
 
 @dataclass
@@ -129,24 +56,22 @@ class CategoricalDistribution:
         return len(self.probs)
 
 
-def probabilities(evidence: EvidenceVector | Mapping[Hashable, float]) -> CategoricalDistribution:
-    """Normalize an evidence vector into a categorical distribution."""
-    masses = evidence.masses if isinstance(evidence, EvidenceVector) else evidence
+def probabilities(masses: Mapping[Hashable, float]) -> CategoricalDistribution:
+    """Normalize evidence masses into a categorical distribution."""
     total = math.fsum(masses.values())
     if not masses or total <= 0.0:
         raise NoEvidenceError("no evidence")
     return CategoricalDistribution({key: mass / total for key, mass in masses.items()})
 
 
-def expected_entropy(evidence: EvidenceVector | Mapping[Hashable, float]) -> float:
-    """Digamma-based expected entropy of an evidence vector, in nats.
+def expected_entropy(masses: Mapping[Hashable, float]) -> float:
+    """Digamma-based expected entropy of evidence masses, in nats.
 
     Computes digamma(S) - sum_k (m_k / S) * digamma(m_k) over the positive
     support, with S the total mass.  Sums use fsum, so the result is exactly
     invariant under entry reordering and id relabeling; the weighted form
     makes a single-support vector evaluate to exactly 0.0.
     """
-    masses = evidence.masses if isinstance(evidence, EvidenceVector) else evidence
     total = math.fsum(masses.values())
     if not masses or total <= 0.0:
         raise NoEvidenceError("no evidence")

@@ -6,11 +6,11 @@ registry for the geometric layer, the category registry for the semantic
 one.  Instance and semantic maps color voxels by their argmax owner.
 Vertices are voxel centers in ascending (i, j, k) key order.
 
-Each export makes one pass over the cells (or the layer's values) and does
-the rest on arrays.  Rows are formatted and written in chunks, so no file's
-text is held whole, and no container is built per row: the map keeps
-hundreds of thousands of objects alive, and a burst of container
-allocations sets off full garbage collections over all of them.
+Each export reads the map's owner table (or the layer's values) and does
+the rest on arrays; only cells with two or more owners are mixed one by one.
+Rows are formatted and written in chunks, so no file's text is held whole,
+and no container is built per row: a burst of container allocations sets
+off full garbage collections over every object the process keeps alive.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .atomic import atomic_write
 from .evidence import NoEvidenceError
 from .uncertainty import UncertaintyLayer, voxel_category_distribution
-from .voxelmap import MapState, VoxelKey, argmax_owner, pack_keys, sole_owner
+from .voxelmap import MapState, pack_keys, unpack_key_array
 
 _PLY_ROW = "%s %s %s %d %d %d\n"
 _SIDECAR_ENTRY = '{"entropy": %s, "key": [%d, %d, %d]}'
@@ -47,12 +47,6 @@ def entropy_colors(values: np.ndarray, h_max: float) -> np.ndarray:
     colors[:, 0] = np.rint(255 * t)
     colors[:, 2] = np.rint(255 * (1.0 - t))
     return colors
-
-
-def entropy_color(value: float, h_max: float) -> tuple[int, int, int]:
-    """The ramp of :func:`entropy_colors` for one value."""
-    red, green, blue = entropy_colors([value], h_max)[0].tolist()
-    return (red, green, blue)
 
 
 def _id_color(index: int) -> tuple[int, int, int]:
@@ -105,11 +99,6 @@ def write_ply(path: Path | str, points: np.ndarray, colors: np.ndarray) -> None:
             handle.write("".join(map(_PLY_ROW.__mod__, zip(*columns))))
 
 
-def _key_array(keys: Iterable[VoxelKey], count: int) -> np.ndarray:
-    flat = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64, count=3 * count)
-    return flat.reshape(count, 3)
-
-
 def _voxel_centers(keys: np.ndarray, voxel_size: float) -> np.ndarray:
     return (keys.astype(float) + 0.5) * voxel_size
 
@@ -125,7 +114,9 @@ def export_entropy_layer(
     """Write the layer as a heat-colored PLY plus a raw-value JSON sidecar."""
     h_max = layer_h_max(state, layer.kind)
     count = len(layer.values)
-    keys = _key_array(layer.values, count)
+    keys = np.fromiter(
+        itertools.chain.from_iterable(layer.values), dtype=np.int64, count=3 * count
+    ).reshape(count, 3)
     values = np.fromiter(layer.values.values(), dtype=float, count=count)
     order = np.argsort(pack_keys(keys))
     keys, values = keys[order], values[order]
@@ -149,48 +140,34 @@ def export_entropy_layer(
         handle.write("]}")
 
 
-def _write_cell_map(state: MapState, rows: list[int], ids: list[int], ply_path: Path | str) -> None:
-    """Write the cells at ``rows`` (positions in cell order) colored by ``ids``, in key order."""
-    keys = _key_array(state.cells, len(state.cells))[np.array(rows, dtype=np.int64)]
-    order = np.argsort(pack_keys(keys))
-    colors = _id_colors(np.array(ids, dtype=np.int64)[order])
-    write_ply(ply_path, _voxel_centers(keys[order], state.voxel_size), colors)
+def _write_cell_map(state: MapState, rows: np.ndarray, ids: np.ndarray, ply_path: Path | str) -> None:
+    """Write the cells at ascending ``rows`` colored by ``ids``, in key order."""
+    keys = unpack_key_array(state.cells.keys[rows])
+    write_ply(ply_path, _voxel_centers(keys, state.voxel_size), _id_colors(ids))
 
 
 def export_instance_map(state: MapState, ply_path: Path | str) -> None:
     """Color each evidence-bearing voxel by its argmax instance."""
-    rows: list[int] = []
-    owners: list[int] = []
-    for row, cell in enumerate(state.cells.values()):
-        if cell.instance_counts:
-            rows.append(row)
-            owners.append(argmax_owner(cell.instance_counts))
-    _write_cell_map(state, rows, owners, ply_path)
+    table = state.owner_table()
+    _write_cell_map(state, table.cell_rows, table.argmax_owners(), ply_path)
 
 
 def export_semantic_map(state: MapState, ply_path: Path | str) -> None:
     """Color each evidence-bearing voxel by its argmax mixed category.
 
-    A single-owner cell mixes to its owner's own distribution, so its
-    category is found once per owner.
+    A cell whose mixture has no evidence (an owner's category evidence sums
+    to zero) is left out.
     """
     category_index = {label: i for i, label in enumerate(state.categories)}
-    rows: list[int] = []
-    labels: list[int] = []
-    by_owner: dict[int, int] = {}
-    for row, cell in enumerate(state.cells.values()):
-        if not cell.instance_counts:
-            continue
-        owner = sole_owner(cell.instance_counts)
-        label = by_owner.get(owner) if owner is not None else None
-        if label is None:
-            try:
-                dist = voxel_category_distribution(cell, state)
-            except NoEvidenceError:
-                continue
-            label = category_index.get(str(dist.argmax()), 0)
-            if owner is not None:
-                by_owner[owner] = label
-        rows.append(row)
-        labels.append(label)
-    _write_cell_map(state, rows, labels, ply_path)
+
+    def label(instance_counts: dict[int, int]) -> int:
+        try:
+            dist = voxel_category_distribution(instance_counts, state)
+        except NoEvidenceError:
+            return -1
+        return category_index.get(str(dist.argmax()), 0)
+
+    table = state.owner_table()
+    labels = table.cell_values(label, dtype=np.int64)
+    kept = labels >= 0
+    _write_cell_map(state, table.cell_rows[kept], labels[kept], ply_path)

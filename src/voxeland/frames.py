@@ -162,32 +162,6 @@ def encode_rle_mask(mask: np.ndarray) -> list[int]:
     return [int(r) for r in runs]
 
 
-def backproject(
-    u: int,
-    v: int,
-    depth_raw: int,
-    intrinsics: CameraIntrinsics,
-    pose: Pose,
-    max_range: float = 4.0,
-) -> np.ndarray | None:
-    """Lift one pixel to a world-frame point; None when the sample is invalid.
-
-    A sample is invalid when the raw depth is the zero sentinel or the metric
-    depth exceeds ``max_range``.
-    """
-    if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
-        raise ValueError(f"pixel ({u}, {v}) outside {intrinsics.width}x{intrinsics.height}")
-    if depth_raw == 0:
-        return None
-    z = depth_raw * intrinsics.depth_scale
-    if z > max_range:
-        return None
-    point_cam = np.array(
-        [(u - intrinsics.cx) * z / intrinsics.fx, (v - intrinsics.cy) * z / intrinsics.fy, z]
-    )
-    return pose.apply(point_cam)
-
-
 def backproject_pixels(
     us: np.ndarray,
     vs: np.ndarray,
@@ -212,17 +186,6 @@ def backproject_pixels(
     y = (vs[keep] - intrinsics.cy) * z / intrinsics.fy
     points_cam = np.stack([x, y, z], axis=1)
     return pose.apply(points_cam), keep
-
-
-def project(point_world: np.ndarray, intrinsics: CameraIntrinsics, pose: Pose) -> tuple[float, float, float]:
-    """Inverse of back-projection: world point to continuous (u, v, z_meters)."""
-    point_cam = pose.rotation.T @ (np.asarray(point_world, dtype=float) - pose.translation)
-    z = float(point_cam[2])
-    if z <= 0:
-        raise ValueError("point is behind the camera")
-    u = float(point_cam[0] * intrinsics.fx / z + intrinsics.cx)
-    v = float(point_cam[1] * intrinsics.fy / z + intrinsics.cy)
-    return u, v, z
 
 
 def _read_netpbm_header(data: bytes, magic: bytes, path: Path | str) -> tuple[int, int, int, int]:

@@ -13,16 +13,16 @@ spawns a new instance.  The reserved unknown opinion is always associated
 with the unknown map instance.  Every N integrated frames the map instances
 are associated against each other with the same criterion and merged, which
 heals over-segmentation from disjoint first observations.  Merge candidates
-come only from voxels that two or more instances share, so a refinement pass
-costs one scan of the map plus the footprints of the instances it merges;
-each merge takes the first passing pair in ascending (kept, retired) id order.
+come only from voxels that two or more instances share, found with one sort
+of all footprints; each merge takes the first passing pair in ascending
+(kept, retired) id order.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +33,10 @@ from .voxelmap import (
     UNKNOWN_INSTANCE_ID,
     MapState,
     Observation,
-    VoxelCell,
-    VoxelKey,
+    in_sorted,
     pack_keys,
     points_to_keys,
-    unpack_keys,
+    unpack_key_array,
 )
 
 STAGE_OPINIONS = "Opinions generation"
@@ -75,32 +74,37 @@ class MergeEvent:
     ios: float
 
 
-def opinion_voxel_counts(opinion: SubjectiveOpinion, voxel_size: float) -> dict[VoxelKey, int]:
-    """Per-voxel point counts for an opinion, in ascending (i, j, k) key order.
+def opinion_voxel_counts(
+    opinion: SubjectiveOpinion, voxel_size: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The opinion's voxels as sorted packed keys, with the point count of each.
 
     The points are keyed, packed and counted in one ``np.unique`` on the first
-    call; later calls with the same voxel size return the same dict, so
-    ``associate`` and ``integrate_geometric`` share it.  Callers must not
-    mutate it.
+    call; later calls with the same voxel size return the same arrays, so
+    ``associate`` and ``integrate_geometric`` share them.  Callers must not
+    mutate them.
     """
     if opinion._voxel_counts is None or opinion._voxel_counts[0] != voxel_size:
         packed = pack_keys(points_to_keys(opinion.points, voxel_size))
-        unique, counts = np.unique(packed, return_counts=True)
-        opinion._voxel_counts = (voxel_size, dict(zip(unpack_keys(unique), counts.tolist())))
+        opinion._voxel_counts = (voxel_size, np.unique(packed, return_counts=True))
     return opinion._voxel_counts[1]
 
 
-def _iou_from_counts(overlap: int, n_points: int, n_voxels: int) -> float:
-    # Opinion size is a point count while instance size is a voxel count, so
-    # the raw ratio can exceed 1 when a dense opinion falls entirely inside a
-    # small footprint; clamp to the declared [0, 1] range.
-    denominator = n_points + n_voxels - overlap
-    return min(1.0, overlap / denominator) if denominator > 0 else 0.0
+def _passing_scores(
+    overlap: int, size_a: int, size_b: int, config: AssociationConfig
+) -> tuple[float, float] | None:
+    """(iou, ios) of an overlap of two sizes when either score passes its threshold.
 
-
-def _ios_from_counts(overlap: int, n_points: int, n_voxels: int) -> float:
-    smaller = min(n_points, n_voxels)
-    return min(1.0, overlap / smaller) if smaller > 0 else 0.0
+    An opinion's size is a point count while an instance's is a voxel count,
+    so the raw ratios can exceed 1 when a dense opinion falls entirely inside
+    a small footprint; both are clamped to the declared [0, 1] range.
+    """
+    union, smaller = size_a + size_b - overlap, min(size_a, size_b)
+    score_iou = min(1.0, overlap / union) if union > 0 else 0.0
+    score_ios = min(1.0, overlap / smaller) if smaller > 0 else 0.0
+    if score_iou >= config.tau_iou or score_ios >= config.tau_ios:
+        return score_iou, score_ios
+    return None
 
 
 def associate(
@@ -115,28 +119,27 @@ def associate(
     unconditionally, and the unknown instance is never a candidate otherwise.
     """
     outcome = AssociationOutcome()
+    # instances spawned below own no voxel yet, so they are never candidates
+    candidates = [
+        record
+        for instance_id, record in state.instances.items()
+        if instance_id != UNKNOWN_INSTANCE_ID and record.voxel_count
+    ]
     for index, opinion in enumerate(opinions):
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
             continue
-        voxel_counts = opinion_voxel_counts(opinion, state.voxel_size)
-        overlaps: dict[int, int] = {}
-        for key, count in voxel_counts.items():
-            cell = state.cells.get(key)
-            if cell is None:
-                continue
-            for instance_id, evidence in cell.instance_counts.items():
-                if instance_id != UNKNOWN_INSTANCE_ID and evidence > 0:
-                    overlaps[instance_id] = overlaps.get(instance_id, 0) + count
+        keys, counts = opinion_voxel_counts(opinion, state.voxel_size)
         n_points = len(opinion.points)
         best: tuple[float, float, int] | None = None  # (iou, ios, -id) ordering helper
-        for instance_id in sorted(overlaps):
-            record = state.instances[instance_id]
-            score_iou = _iou_from_counts(overlaps[instance_id], n_points, record.voxel_count)
-            score_ios = _ios_from_counts(overlaps[instance_id], n_points, record.voxel_count)
-            if score_iou < config.tau_iou and score_ios < config.tau_ios:
+        for record in candidates:
+            if record.keys[0] > keys[-1] or record.keys[-1] < keys[0]:
                 continue
-            candidate = (score_iou, score_ios, -instance_id)
+            overlap = int(counts[in_sorted(record.keys, keys)].sum())
+            scores = _passing_scores(overlap, n_points, record.voxel_count, config)
+            if scores is None:
+                continue
+            candidate = (*scores, -record.id)
             if best is None or candidate > best:
                 best = candidate
         if best is None:
@@ -153,32 +156,14 @@ def integrate_geometric(
     """Register the opinion's per-voxel point counts as instance evidence.
 
     Each touched voxel also receives exactly one occupancy hit, so occupancy
-    tracks observation rather than point sampling density.  One pass over
-    ``opinion_voxel_counts`` creates missing cells, adds each count, counts
-    the voxels new to the instance into its ``voxel_count`` and applies the
-    clamped hit; the per-voxel effect equals ``MapState.add_instance_evidence``
-    followed by ``MapState.apply_occupancy``, in the same key order.
+    tracks observation rather than point sampling density.
     """
     record = state.instances.get(instance_id)
     if record is None:
         raise KeyError(f"instance {instance_id} is not registered")
-    params = state.occupancy
-    l_hit, low, high = params.l_hit, params.log_odds_min, params.log_odds_max
-    cells = state.cells
-    new_voxels = 0
-    for key, count in opinion_voxel_counts(opinion, state.voxel_size).items():
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = VoxelCell()
-        instance_counts = cell.instance_counts
-        previous = instance_counts.get(instance_id, 0)
-        if previous == 0:
-            new_voxels += 1
-        instance_counts[instance_id] = previous + count
-        # equals min(high, max(low, ...)), since OccupancyParams keeps low <= high
-        log_odds = cell.log_odds + l_hit
-        cell.log_odds = high if log_odds > high else low if log_odds < low else log_odds
-    record.voxel_count += new_voxels
+    keys, counts = opinion_voxel_counts(opinion, state.voxel_size)
+    state.integrate_occupancy(keys, hit=True)
+    record.add_evidence(keys, counts)
 
 
 def integrate_semantic(
@@ -216,44 +201,23 @@ def carve_free_space(
 ) -> None:
     """Optional occupancy misses along rays to observed surface voxels.
 
-    Rays are sampled at a coarse stride; the surface voxel itself is skipped.
-    Off by default in the pipeline because dense carving dominates frame cost.
+    Rays are sampled at a coarse stride; surface voxels are skipped.  Every
+    sampled voxel receives one miss.  Off by default in the pipeline because
+    dense carving dominates frame cost.
     """
     origin = np.asarray(camera_origin, dtype=float)
-    step = state.voxel_size * stride_voxels
-    surface_keys = {
-        tuple(k) for k in points_to_keys(opinion.points, state.voxel_size)
-    }
-    visited: set[VoxelKey] = set()
-    for key in surface_keys:
-        center = (np.asarray(key, dtype=float) + 0.5) * state.voxel_size
-        direction = center - origin
+    voxel = state.voxel_size
+    step = voxel * stride_voxels
+    surface = np.unique(pack_keys(points_to_keys(opinion.points, voxel)))
+    samples = [np.empty((0, 3))]
+    for key in unpack_key_array(surface):
+        direction = (key + 0.5) * voxel - origin
         distance = float(np.linalg.norm(direction))
-        if distance <= step:
-            continue
-        direction /= distance
-        for t in np.arange(step, distance - state.voxel_size, step):
-            sample = origin + direction * t
-            sample_key = (
-                int(np.floor(sample[0] / state.voxel_size)),
-                int(np.floor(sample[1] / state.voxel_size)),
-                int(np.floor(sample[2] / state.voxel_size)),
-            )
-            if sample_key in surface_keys or sample_key in visited:
-                continue
-            visited.add(sample_key)
-            state.apply_occupancy(sample_key, hit=False)
-
-
-def _passing_scores(
-    overlap: int, size_a: int, size_b: int, config: AssociationConfig
-) -> tuple[float, float] | None:
-    """(iou, ios) of two footprints when either score passes its threshold."""
-    score_iou = _iou_from_counts(overlap, size_a, size_b)
-    score_ios = _ios_from_counts(overlap, size_a, size_b)
-    if score_iou >= config.tau_iou or score_ios >= config.tau_ios:
-        return score_iou, score_ios
-    return None
+        if distance > step:
+            direction /= distance
+            samples.append(origin + direction * np.arange(step, distance - voxel, step)[:, None])
+    missed = np.unique(pack_keys(points_to_keys(np.concatenate(samples), voxel)))
+    state.integrate_occupancy(np.setdiff1d(missed, surface, assume_unique=True), hit=False)
 
 
 def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
@@ -266,40 +230,30 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
     in ascending (kept, retired) order.  The unknown instance never
     participates.
 
-    Both thresholds are positive, so only pairs sharing a voxel can pass.  One
-    scan of the cells collects every footprint and the shared-voxel count of
-    every pair from the cells with two or more owners.  A merge changes only
-    the pairs of the two instances it touches: those of the retired one go,
-    and those of the kept one are recounted from its merged footprint.
+    Both thresholds are positive, so only pairs sharing a voxel can pass.  The
+    map's owner table lists the owners of each voxel next to each other, in
+    ascending id order, which gives the shared-voxel count of every pair.  A
+    merge changes only the pairs of the two instances it touches: those of the
+    retired one go, and those of the kept one are recounted from its merged
+    footprint.
     """
-    footprints: dict[int, set[VoxelKey]] = {
-        instance_id: set()
-        for instance_id in state.instances
-        if instance_id != UNKNOWN_INSTANCE_ID
-    }
-    shared: dict[tuple[int, int], int] = {}
-    for key, cell in state.cells.items():
-        counts = cell.instance_counts
-        if len(counts) == 1:  # nearly every cell: no pair to count
-            for instance_id, count in counts.items():
-                if instance_id != UNKNOWN_INSTANCE_ID and count > 0:
-                    footprints[instance_id].add(key)
-            continue
-        owners = [
-            instance_id
-            for instance_id, count in counts.items()
-            if instance_id != UNKNOWN_INSTANCE_ID and count > 0
-        ]
-        for instance_id in owners:
-            footprints[instance_id].add(key)
-        if len(owners) > 1:  # most shared cells pair one object with the unknown instance
-            owners.sort()
-            for pair in combinations(owners, 2):
-                shared[pair] = shared.get(pair, 0) + 1
-
+    table = state.owner_table()
+    owned = table.ids != UNKNOWN_INSTANCE_ID
+    rows, owners = table.rows[owned], table.ids[owned]
+    # Entries i and i + gap own the same voxel when every row between them is
+    # equal; each such pair of owners shares that voxel.
+    same = rows[1:] == rows[:-1]
+    within, gap = same, 1
+    shared: Counter[tuple[int, int]] = Counter()
+    while within.any():
+        shared.update(zip(owners[:-gap][within].tolist(), owners[gap:][within].tolist()))
+        within = within[:-1] & same[gap:]
+        gap += 1
     passing: dict[tuple[int, int], tuple[float, float]] = {}
     for (a, b), overlap in shared.items():
-        scores = _passing_scores(overlap, len(footprints[a]), len(footprints[b]), config)
+        scores = _passing_scores(
+            overlap, state.instances[a].voxel_count, state.instances[b].voxel_count, config
+        )
         if scores is not None:
             passing[a, b] = scores
 
@@ -307,41 +261,33 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
     while passing:
         keep, retire = min(passing)
         score_iou, score_ios = passing[keep, retire]
-        _merge_instances(state, keep, retire, footprints[retire])
+        _merge_instances(state, keep, retire)
         events.append(MergeEvent(kept_id=keep, retired_id=retire, iou=score_iou, ios=score_ios))
-        footprints[keep] |= footprints.pop(retire)
         passing = {
             pair: scores
             for pair, scores in passing.items()
             if keep not in pair and retire not in pair
         }
-        overlaps: dict[int, int] = {}
-        for key in footprints[keep]:
-            counts = state.cells[key].instance_counts
-            if len(counts) > 1:
-                for other, count in counts.items():
-                    if other != keep and other != UNKNOWN_INSTANCE_ID and count > 0:
-                        overlaps[other] = overlaps.get(other, 0) + 1
-        for other, overlap in overlaps.items():
-            a, b = min(keep, other), max(keep, other)
-            scores = _passing_scores(overlap, len(footprints[a]), len(footprints[b]), config)
+        kept = state.instances[keep]
+        for other_id, other in state.instances.items():
+            if other_id in (keep, UNKNOWN_INSTANCE_ID):
+                continue
+            overlap = int(np.count_nonzero(in_sorted(other.keys, kept.keys)))
+            if overlap == 0:
+                continue
+            a, b = min(keep, other_id), max(keep, other_id)
+            scores = _passing_scores(
+                overlap, state.instances[a].voxel_count, state.instances[b].voxel_count, config
+            )
             if scores is not None:
                 passing[a, b] = scores
     return events
 
 
-def _merge_instances(
-    state: MapState, keep_id: int, retire_id: int, retire_footprint: set[VoxelKey]
-) -> None:
+def _merge_instances(state: MapState, keep_id: int, retire_id: int) -> None:
     keep = state.instances[keep_id]
     retire = state.instances[retire_id]
-    for key in retire_footprint:
-        cell = state.cells[key]
-        moved = cell.instance_counts.pop(retire_id)
-        previous = cell.instance_counts.get(keep_id, 0)
-        if previous == 0:
-            keep.voxel_count += 1
-        cell.instance_counts[keep_id] = previous + moved
+    keep.add_evidence(retire.keys, retire.counts)
     for category, mass in retire.category_evidence.items():
         keep.category_evidence[category] = keep.category_evidence.get(category, 0.0) + mass
     keep.observations.extend(retire.observations)

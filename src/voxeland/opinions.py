@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .frames import CameraIntrinsics, Frame, Pose, backproject_pixels
-from .voxelmap import UNKNOWN_CATEGORY, VoxelKey, pack_keys
+from .voxelmap import UNKNOWN_CATEGORY, pack_keys
 
 NOISE = -1
 
@@ -43,9 +43,9 @@ class SubjectiveOpinion:
     confidence: float
     source_frame: int
     pixel_bbox: tuple[int, int, int, int] | None
-    # (voxel_size, per-voxel point counts), filled by fusion.opinion_voxel_counts
+    # (voxel_size, (packed voxel keys, point counts)), filled by fusion.opinion_voxel_counts
     # so that association and integration key the points once.
-    _voxel_counts: tuple[float, dict[VoxelKey, int]] | None = field(
+    _voxel_counts: tuple[float, tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 

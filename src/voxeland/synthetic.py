@@ -370,4 +370,9 @@ def scene_from_spec(obj: dict) -> SyntheticScene:
 
 
 def load_scene_spec(path: Path | str) -> SyntheticScene:
-    return scene_from_spec(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a scene spec; a missing key or a value of the wrong shape is a ValueError."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return scene_from_spec(obj)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed scene spec: {type(exc).__name__}: {exc}") from exc

@@ -15,17 +15,17 @@ never-classified ones are flagged for external disambiguation.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from .evidence import (
     CategoricalDistribution,
-    NoEvidenceError,
     expected_entropy,
     probabilities,
     shannon_entropy,
 )
 from .opinions import UNKNOWN_CATEGORY
-from .voxelmap import InstanceRecord, MapState, VoxelCell, VoxelKey, sole_owner
+from .voxelmap import InstanceRecord, MapState, VoxelKey, unpack_keys
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
 
@@ -49,13 +49,6 @@ class CategoryDecision:
     entropy: float | None
 
 
-def geometric_entropy(cell: VoxelCell) -> float:
-    """Expected entropy of a cell's instance evidence, in nats."""
-    if not cell.instance_counts:
-        raise NoEvidenceError("no evidence")
-    return expected_entropy(cell.instance_counts)
-
-
 def semantic_entropy(record: InstanceRecord) -> float:
     """Expected entropy of an instance's category evidence, in nats."""
     if record.is_unknown or not record.category_evidence:
@@ -63,15 +56,18 @@ def semantic_entropy(record: InstanceRecord) -> float:
     return expected_entropy(record.category_evidence)
 
 
-def voxel_category_distribution(cell: VoxelCell, state: MapState) -> CategoricalDistribution:
+def voxel_category_distribution(
+    instance_counts: Mapping[int, int], state: MapState
+) -> CategoricalDistribution:
     """Category distribution of one voxel by the law of total probability.
 
-    Instance weights come from the cell's evidence; each instance contributes
+    Instance weights come from the voxel's evidence counts, keyed by instance
+    id; each instance contributes
     its category distribution scaled by its weight.  The unknown instance --
     and any instance without category evidence -- contributes its full weight
     to the reserved unknown category.
     """
-    weights = probabilities(cell.instance_counts)
+    weights = probabilities(instance_counts)
     mixed: dict[str, float] = {}
     for instance_id, weight in weights.probs.items():
         record = state.instances[instance_id]
@@ -83,46 +79,28 @@ def voxel_category_distribution(cell: VoxelCell, state: MapState) -> Categorical
     return CategoricalDistribution(mixed)
 
 
-def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
-    """Per-voxel geometric entropy over every evidence-bearing cell, in cell order.
-
-    A cell with a single owner gets exactly 0.0, which is what
-    expected_entropy returns for it: digamma(m) - 1.0 * digamma(m).
-    """
-    values = {
-        key: (
-            0.0
-            if sole_owner(cell.instance_counts) is not None
-            else expected_entropy(cell.instance_counts)
-        )
-        for key, cell in state.cells.items()
-        if cell.instance_counts
-    }
+def _layer(kind: str, state: MapState, value_of: Callable[[dict[int, int]], float]) -> UncertaintyLayer:
+    """``value_of`` the instance counts of every evidence-bearing cell, in key order."""
+    table = state.owner_table()
+    keys = unpack_keys(state.cells.keys[table.cell_rows])
+    values = table.cell_values(value_of).tolist()
     return UncertaintyLayer(
-        kind="geometric", values=values, generated_at_frame=state.frames_integrated
+        kind=kind, values=dict(zip(keys, values)), generated_at_frame=state.frames_integrated
     )
 
 
-def semantic_entropy_map(state: MapState) -> UncertaintyLayer:
-    """Per-voxel Shannon entropy of the mixed category distribution, in cell order.
+def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
+    """Per-voxel geometric entropy over every evidence-bearing cell, in key order.
 
-    A single-owner cell mixes with weight exactly 1.0 to its owner's own
-    distribution, so its entropy is computed once per owner.
+    A cell with a single owner gets exactly 0.0: digamma(m) - 1.0 * digamma(m).
     """
-    values: dict[VoxelKey, float] = {}
-    by_owner: dict[int, float] = {}
-    for key, cell in state.cells.items():
-        if not cell.instance_counts:
-            continue
-        owner = sole_owner(cell.instance_counts)
-        entropy = by_owner.get(owner) if owner is not None else None
-        if entropy is None:
-            entropy = shannon_entropy(voxel_category_distribution(cell, state))
-            if owner is not None:
-                by_owner[owner] = entropy
-        values[key] = entropy
-    return UncertaintyLayer(
-        kind="semantic", values=values, generated_at_frame=state.frames_integrated
+    return _layer("geometric", state, expected_entropy)
+
+
+def semantic_entropy_map(state: MapState) -> UncertaintyLayer:
+    """Per-voxel Shannon entropy of the mixed category distribution, in key order."""
+    return _layer(
+        "semantic", state, lambda counts: shannon_entropy(voxel_category_distribution(counts, state))
     )
 
 
@@ -142,44 +120,16 @@ def declare_categories(
         record = state.instances[instance_id]
         if record.is_unknown:
             continue
-        if not record.category_evidence:
-            record.final_category = None
-            record.flagged = True
-            decisions.append(
-                CategoryDecision(
-                    instance_id=instance_id, final_category=None, flagged=True, entropy=None
-                )
+        entropy = semantic_entropy(record) if record.category_evidence else None
+        declared = entropy is not None and entropy < entropy_threshold
+        record.final_category = record.category_distribution().argmax() if declared else None
+        record.flagged = not declared
+        decisions.append(
+            CategoryDecision(
+                instance_id=instance_id,
+                final_category=record.final_category,
+                flagged=record.flagged,
+                entropy=entropy,
             )
-            continue
-        entropy = semantic_entropy(record)
-        if entropy < entropy_threshold:
-            top = _argmax_category(record)
-            record.final_category = top
-            record.flagged = False
-            decisions.append(
-                CategoryDecision(
-                    instance_id=instance_id, final_category=top, flagged=False, entropy=entropy
-                )
-            )
-        else:
-            record.final_category = None
-            record.flagged = True
-            decisions.append(
-                CategoryDecision(
-                    instance_id=instance_id, final_category=None, flagged=True, entropy=entropy
-                )
-            )
+        )
     return decisions
-
-
-def _argmax_category(record: InstanceRecord) -> str:
-    dist = record.category_distribution()
-    best_label = None
-    best_p = -1.0
-    for label in sorted(dist.probs):
-        p = dist.probs[label]
-        if p > best_p:
-            best_label = label
-            best_p = p
-    assert best_label is not None
-    return best_label

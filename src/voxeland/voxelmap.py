@@ -1,25 +1,28 @@
-"""Sparse voxel-hashed volumetric map with per-voxel instance evidence.
+"""Sparse volumetric map with per-voxel instance evidence, stored as arrays.
 
-Every voxel cell carries occupancy log-odds (binary Bayes filter, clamped)
-and a sparse integer evidence vector counting how many 3D points of each map
-instance were registered in it.  Instances live in a registry that also
-accumulates per-category confidence mass and an observation log used later
-for view selection.  Instance id 0 is reserved for the ``unknown`` instance
-absorbing observed-but-unrecognized geometry.
+Voxels are addressed by packed int64 keys (:func:`pack_keys`), whose order
+is the (i, j, k) order of the keys.  The map's cells are one sorted key array
+with aligned occupancy log-odds (binary Bayes filter, clamped).  Each instance
+record holds its footprint: the sorted keys of the voxels where it has
+evidence, with the number of its 3D points registered in each.  A cell may
+have no owner (carved free space); every footprint key is a cell.  Instances
+also accumulate per-category confidence mass and an observation log used
+later for view selection.  Instance id 0 is reserved for the ``unknown``
+instance absorbing observed-but-unrecognized geometry.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
-from .evidence import CategoricalDistribution, EvidenceVector, NoEvidenceError, probabilities
+from .evidence import CategoricalDistribution, probabilities
 
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
@@ -34,23 +37,14 @@ class SnapshotError(ValueError):
 VoxelKey = tuple[int, int, int]
 
 # Key packing: each signed coordinate is offset into 21 bits, so packed keys
-# fit in an int64 and np.unique can sort them as scalars.
+# fit in an int64 and sort as scalars in (i, j, k) order.
 _KEY_OFFSET = 1 << 20
 _KEY_BITS = 21
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
 
-def world_to_key(point: np.ndarray, voxel_size: float) -> VoxelKey:
-    """Componentwise floor of point / voxel_size."""
-    point = np.asarray(point, dtype=float)
-    if not np.all(np.isfinite(point)):
-        raise ValueError(f"non-finite point {point!r}")
-    key = np.floor(point / voxel_size).astype(np.int64)
-    return (int(key[0]), int(key[1]), int(key[2]))
-
-
 def points_to_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Vectorized world_to_key: (n, 3) float points to (n, 3) int64 keys."""
+    """(n, 3) float points to (n, 3) int64 keys: the componentwise floor of point / voxel_size."""
     points = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite point in batch")
@@ -66,14 +60,52 @@ def pack_keys(keys: np.ndarray) -> np.ndarray:
     return (shifted[:, 0] << (2 * _KEY_BITS)) | (shifted[:, 1] << _KEY_BITS) | shifted[:, 2]
 
 
+def unpack_key_array(packed: np.ndarray) -> np.ndarray:
+    """Inverse of pack_keys: packed scalars to (n, 3) int64 keys."""
+    packed = np.asarray(packed, dtype=np.int64)
+    return np.stack(
+        [((packed >> shift) & _KEY_MASK) - _KEY_OFFSET for shift in (2 * _KEY_BITS, _KEY_BITS, 0)],
+        axis=1,
+    )
+
+
 def unpack_keys(packed: np.ndarray) -> list[VoxelKey]:
     """Inverse of pack_keys: packed scalars to voxel keys of Python ints."""
-    packed = np.asarray(packed, dtype=np.int64)
-    i, j, k = (
-        (((packed >> shift) & _KEY_MASK) - _KEY_OFFSET).tolist()
-        for shift in (2 * _KEY_BITS, _KEY_BITS, 0)
-    )
+    i, j, k = unpack_key_array(packed).T.tolist()
     return list(zip(i, j, k))
+
+
+def in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` found in the sorted array ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    rows = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[rows] == keys
+
+
+def _sorted_add(
+    keys: np.ndarray, values: np.ndarray, new_keys: np.ndarray, new_values=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge sorted unique ``new_keys`` into sorted unique ``keys``: insert
+    the missing ones with value 0, then add ``new_values`` (when given) at
+    each.  Returns the keys, the aligned values (possibly updated in place)
+    and the row of each new key.  Every write to cells and footprints goes
+    through here, so both stay sorted and unique.
+    """
+    rows = np.searchsorted(keys, new_keys)
+    missing = ~in_sorted(keys, new_keys)
+    if missing.any():
+        keys = np.insert(keys, rows[missing], new_keys[missing])
+        values = np.insert(values, rows[missing], 0)
+        # each new key moves down by the number of keys inserted before it
+        rows = rows + np.cumsum(missing) - missing
+    if new_values is not None:
+        values[rows] += new_values
+    return keys, values, rows
+
+
+def _no_keys() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -102,50 +134,6 @@ class OccupancyParams:
         return math.log(self.p_miss / (1.0 - self.p_miss))
 
 
-@dataclass(slots=True)
-class VoxelCell:
-    log_odds: float = 0.0
-    instance_counts: dict[int, int] = field(default_factory=dict)
-
-    def instance_evidence(self) -> EvidenceVector:
-        return EvidenceVector(dict(self.instance_counts))
-
-    def occupancy_probability(self) -> float:
-        return 1.0 / (1.0 + math.exp(-self.log_odds))
-
-
-def update_occupancy(cell: VoxelCell, hit: bool, params: OccupancyParams) -> None:
-    """One Bayes-filter increment, clamped to the configured log-odds band."""
-    delta = params.l_hit if hit else params.l_miss
-    cell.log_odds = min(params.log_odds_max, max(params.log_odds_min, cell.log_odds + delta))
-
-
-def voxel_instance_distribution(cell: VoxelCell) -> CategoricalDistribution:
-    """Normalized instance ownership probabilities for one cell."""
-    if not cell.instance_counts:
-        raise NoEvidenceError("no evidence")
-    return probabilities(cell.instance_counts)
-
-
-def argmax_owner(instance_counts: Mapping[int, int]) -> int:
-    """The instance with the most evidence in a non-empty cell; ties go to the smallest id."""
-    if len(instance_counts) == 1:
-        return next(iter(instance_counts))
-    return max(sorted(instance_counts), key=instance_counts.__getitem__)
-
-
-def sole_owner(instance_counts: Mapping[int, int]) -> int | None:
-    """The owner of a cell with exactly one instance and positive evidence, else None.
-
-    Such a cell's instance weights are exactly ``{owner: 1.0}``, so whatever
-    is derived from them depends on the owner alone.
-    """
-    if len(instance_counts) != 1:
-        return None
-    owner = next(iter(instance_counts))
-    return owner if instance_counts[owner] > 0 else None
-
-
 @dataclass
 class Observation:
     frame_id: int
@@ -157,19 +145,87 @@ class Observation:
 
 @dataclass
 class InstanceRecord:
+    """One map instance: its footprint, category evidence and observation log.
+
+    ``keys`` are the sorted packed keys of the voxels where the instance has
+    evidence and ``counts`` the number of its points registered in each,
+    every one at least 1.
+    """
+
     id: int
     category_evidence: dict[str, float] = field(default_factory=dict)
-    voxel_count: int = 0
     observations: list[Observation] = field(default_factory=list)
     final_category: str | None = None
     flagged: bool = False
+    keys: np.ndarray = field(default_factory=_no_keys, repr=False, compare=False)
+    counts: np.ndarray = field(default_factory=_no_keys, repr=False, compare=False)
 
     @property
     def is_unknown(self) -> bool:
         return self.id == UNKNOWN_INSTANCE_ID
 
+    @property
+    def voxel_count(self) -> int:
+        return len(self.keys)
+
+    def add_evidence(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts`` points at the sorted unique packed ``keys``, which must be map cells."""
+        self.keys, self.counts, _ = _sorted_add(self.keys, self.counts, keys, counts)
+
     def category_distribution(self) -> CategoricalDistribution:
         return probabilities(self.category_evidence)
+
+
+@dataclass
+class Cells:
+    """The map's cells: sorted unique packed keys with aligned occupancy log-odds."""
+
+    keys: np.ndarray = field(default_factory=_no_keys)
+    log_odds: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+class OwnerTable:
+    """A map's instance evidence as (cell row, instance id, count) entries,
+    sorted by row and then by id.
+
+    Each cell with evidence owns a run of entries: ``cell_rows`` holds its
+    row, ``starts`` its first entry and ``sizes`` its number of owners.
+    """
+
+    def __init__(self, rows: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> None:
+        self.rows, self.ids, self.counts = rows, ids, counts
+        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.sizes = np.diff(self.starts, append=len(rows))
+        self.cell_rows = rows[self.starts]
+
+    def cell_values(self, value_of: Callable[[dict[int, int]], float], dtype=float) -> np.ndarray:
+        """``value_of(counts by instance id)`` of each cell with evidence.
+
+        A cell with a single owner is passed ``{owner: 1}``, so its value is
+        computed once per owner: the values read here depend on the owners'
+        shares of the evidence, and a single owner's share is exactly 1.
+        Nearly every cell has one owner; the others are passed one by one.
+        """
+        values = np.empty(len(self.starts), dtype=dtype)
+        sole = self.sizes == 1
+        owners, inverse = np.unique(self.ids[self.starts[sole]], return_inverse=True)
+        by_owner = [value_of({owner: 1}) for owner in owners.tolist()]
+        values[sole] = np.array(by_owner, dtype=dtype)[inverse]
+        ids, counts = self.ids.tolist(), self.counts.tolist()
+        starts, sizes = self.starts[~sole].tolist(), self.sizes[~sole].tolist()
+        values[~sole] = [
+            value_of(dict(zip(ids[start : start + size], counts[start : start + size])))
+            for start, size in zip(starts, sizes)
+        ]
+        return values
+
+    def argmax_owners(self) -> np.ndarray:
+        """The instance with the most evidence in each cell with evidence; ties go to the smallest id."""
+        order = np.lexsort((self.ids, -self.counts, self.rows))
+        return self.ids[order][self.starts]
 
 
 class MapState:
@@ -184,7 +240,7 @@ class MapState:
             raise ValueError("voxel_size must be positive")
         self.voxel_size = float(voxel_size)
         self.occupancy = occupancy or OccupancyParams()
-        self.cells: dict[VoxelKey, VoxelCell] = {}
+        self.cells = Cells()
         self.instances: dict[int, InstanceRecord] = {
             UNKNOWN_INSTANCE_ID: InstanceRecord(id=UNKNOWN_INSTANCE_ID)
         }
@@ -208,70 +264,71 @@ class MapState:
 
     # -- cell updates -------------------------------------------------------
 
-    def cell(self, key: VoxelKey) -> VoxelCell:
-        found = self.cells.get(key)
-        if found is None:
-            found = VoxelCell()
-            self.cells[key] = found
-        return found
+    def add_instance_evidence(self, keys, instance_id: int, counts) -> None:
+        """Accumulate point-count evidence for an instance in a batch of voxels.
 
-    def add_instance_evidence(self, key: VoxelKey, instance_id: int, count: int) -> None:
-        """Accumulate point-count evidence for an instance in one voxel."""
-        if instance_id not in self.instances:
-            raise KeyError(f"instance {instance_id} is not registered")
-        if count < 1:
-            raise ValueError(f"count must be a positive integer, got {count}")
-        cell = self.cell(key)
-        previous = cell.instance_counts.get(instance_id, 0)
-        if previous == 0:
-            self.instances[instance_id].voxel_count += 1
-        cell.instance_counts[instance_id] = previous + int(count)
-
-    def apply_occupancy(self, key: VoxelKey, hit: bool) -> None:
-        update_occupancy(self.cell(key), hit, self.occupancy)
-
-    # -- integrity ----------------------------------------------------------
-
-    def audit_voxel_counts(self) -> dict[int, int]:
-        """Recompute per-instance voxel footprints from scratch.
-
-        Raises AssertionError when a maintained counter disagrees with the
-        recomputed truth; returns the recomputed counts otherwise.
+        ``keys`` are voxel keys, shape (n, 3), or one key; ``counts`` gives
+        one positive count per key, or one for all of them.  Counts of a key
+        given twice add up.  A voxel new to the map becomes a cell with
+        log-odds 0.
         """
-        recomputed = {instance_id: 0 for instance_id in self.instances}
-        for cell in self.cells.values():
-            for instance_id, count in cell.instance_counts.items():
-                if count > 0:
-                    recomputed[instance_id] += 1
-        for instance_id, record in self.instances.items():
-            if record.voxel_count != recomputed[instance_id]:
-                raise AssertionError(
-                    f"instance {instance_id}: maintained voxel_count {record.voxel_count} "
-                    f"!= recomputed {recomputed[instance_id]}"
-                )
-        return recomputed
+        record = self.instances.get(instance_id)
+        if record is None:
+            raise KeyError(f"instance {instance_id} is not registered")
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), len(keys))
+        if np.any(counts < 1):
+            raise ValueError(f"counts must be positive integers, got {counts.min()}")
+        packed, inverse = np.unique(pack_keys(keys), return_inverse=True)
+        summed = np.zeros(len(packed), dtype=np.int64)
+        np.add.at(summed, inverse, counts)
+        self.cells.keys, self.cells.log_odds, _ = _sorted_add(
+            self.cells.keys, self.cells.log_odds, packed
+        )
+        record.add_evidence(packed, summed)
 
-    def instance_footprints(self, instance_ids: Iterable[int]) -> dict[int, set[VoxelKey]]:
-        """Voxels where each requested instance has evidence, in one scan of the cells."""
-        footprints: dict[int, set[VoxelKey]] = {instance_id: set() for instance_id in instance_ids}
-        if not footprints:
-            return footprints
-        for key, cell in self.cells.items():
-            for instance_id, count in cell.instance_counts.items():
-                if count > 0 and instance_id in footprints:
-                    footprints[instance_id].add(key)
-        return footprints
+    def integrate_occupancy(self, keys: np.ndarray, hit: bool) -> None:
+        """One clamped Bayes-filter hit or miss in each voxel of the sorted
+        unique packed ``keys``; a voxel new to the map starts at log-odds 0."""
+        params = self.occupancy
+        delta = params.l_hit if hit else params.l_miss
+        self.cells.keys, log_odds, rows = _sorted_add(
+            self.cells.keys, self.cells.log_odds, keys, delta
+        )
+        log_odds[rows] = np.clip(log_odds[rows], params.log_odds_min, params.log_odds_max)
+        self.cells.log_odds = log_odds
+
+    # -- reading ------------------------------------------------------------
+
+    def owner_table(self) -> OwnerTable:
+        """The evidence of every footprint, keyed by cell row."""
+        ids = sorted(self.instances)
+        records = [self.instances[instance_id] for instance_id in ids]
+        keys = np.concatenate([_no_keys()] + [record.keys for record in records])
+        # footprints are concatenated in ascending id order and a stable sort
+        # keeps that order within each key
+        order = np.argsort(keys, kind="stable")
+        owners = np.repeat(np.array(ids, dtype=np.int64), [record.voxel_count for record in records])
+        counts = np.concatenate([_no_keys()] + [record.counts for record in records])
+        rows = np.searchsorted(self.cells.keys, keys[order])
+        return OwnerTable(rows, owners[order], counts[order])
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        table = self.owner_table()
+        instance_counts: list[dict[str, int]] = [{} for _ in range(len(self.cells))]
+        for row, instance_id, count in zip(
+            table.rows.tolist(), map(str, table.ids.tolist()), table.counts.tolist()
+        ):
+            instance_counts[row][instance_id] = count
         cells = [
-            {
-                "key": list(key),
-                "log_odds": cell.log_odds,
-                "instance_counts": {str(i): c for i, c in sorted(cell.instance_counts.items())},
-            }
-            for key, cell in sorted(self.cells.items())
+            {"key": key, "log_odds": log_odds, "instance_counts": counts}
+            for key, log_odds, counts in zip(
+                unpack_key_array(self.cells.keys).tolist(),
+                self.cells.log_odds.tolist(),
+                instance_counts,
+            )
         ]
         instances = [
             {
@@ -317,8 +374,12 @@ class MapState:
         """Rebuild a map from :meth:`to_dict` output.
 
         Raises SnapshotError when the schema version is not
-        SNAPSHOT_SCHEMA_VERSION or the structure is malformed: a missing key,
-        a value of the wrong type, or invalid occupancy parameters.
+        SNAPSHOT_SCHEMA_VERSION or the snapshot is malformed: a missing key,
+        a value of the wrong type, invalid occupancy parameters, a cell key
+        given twice or outside the packable range, an evidence count below
+        1 or for an instance the snapshot does not list, or a stored
+        ``voxel_count`` that differs from the instance's footprint in the
+        cells.
         """
         version = obj.get("schema_version") if isinstance(obj, dict) else None
         if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
@@ -327,6 +388,8 @@ class MapState:
             )
         try:
             return cls._from_snapshot_dict(obj)
+        except SnapshotError:
+            raise
         except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
 
@@ -344,11 +407,11 @@ class MapState:
         state.categories = [str(c) for c in obj["categories"]]
         state._category_set = set(state.categories)
         state.instances = {}
+        stored_voxel_counts: dict[int, int] = {}
         for inst in obj["instances"]:
             record = InstanceRecord(
                 id=int(inst["id"]),
                 category_evidence={k: float(v) for k, v in inst["category_evidence"].items()},
-                voxel_count=int(inst["voxel_count"]),
                 final_category=inst["final_category"],
                 flagged=bool(inst["flagged"]),
                 observations=[
@@ -362,13 +425,41 @@ class MapState:
                     for o in inst["observations"]
                 ],
             )
+            stored_voxel_counts[record.id] = int(inst["voxel_count"])
             state.instances[record.id] = record
-        for entry in obj["cells"]:
-            key = (int(entry["key"][0]), int(entry["key"][1]), int(entry["key"][2]))
-            state.cells[key] = VoxelCell(
-                log_odds=float(entry["log_odds"]),
-                instance_counts={int(i): int(c) for i, c in entry["instance_counts"].items()},
-            )
+
+        entries = obj["cells"]
+        keys = np.array([entry["key"] for entry in entries], dtype=np.int64)
+        if keys.shape != (len(entries), 3) and entries:
+            raise SnapshotError("a cell key is not three integers")
+        keys = pack_keys(keys.reshape(-1, 3))
+        log_odds = np.array([float(entry["log_odds"]) for entry in entries])
+        owned = [
+            (row, int(instance_id), int(count))
+            for row, entry in enumerate(entries)
+            for instance_id, count in entry["instance_counts"].items()
+        ]
+        rows, ids, counts = np.array(owned, dtype=np.int64).reshape(-1, 3).T
+        order = np.argsort(keys, kind="stable")
+        state.cells = Cells(keys[order], log_odds[order])
+        if np.any(np.diff(state.cells.keys) == 0):
+            raise SnapshotError("a cell key is listed twice")
+        if np.any(counts < 1):
+            raise SnapshotError(f"evidence count {counts.min()} is below 1")
+        if not set(ids.tolist()) <= set(state.instances):
+            raise SnapshotError("cells hold evidence of unlisted instances")
+        order = np.lexsort((keys[rows], ids))
+        keys, ids, counts = keys[rows][order], ids[order], counts[order]
+        if np.any((np.diff(ids) == 0) & (np.diff(keys) == 0)):
+            raise SnapshotError("an instance is listed twice in one cell")
+        for instance_id, record in state.instances.items():
+            start, stop = np.searchsorted(ids, [instance_id, instance_id + 1])
+            record.keys, record.counts = keys[start:stop], counts[start:stop]
+            if record.voxel_count != stored_voxel_counts[instance_id]:
+                raise SnapshotError(
+                    f"instance {instance_id}: stored voxel_count {stored_voxel_counts[instance_id]} "
+                    f"!= {record.voxel_count} voxels with its evidence"
+                )
         return state
 
     def save_snapshot(self, path: Path | str) -> None:

@@ -5,32 +5,47 @@ oracle sums the convergent series term by term with an analytic tail bound,
 clustering is a full O(n^2) pairwise construction, average precision is
 integrated directly from the precision-recall points, and map refinement
 rebuilds every footprint and scores every instance pair after each merge.
-Overlap scores, coarse-voxel filtering and geometric integration key every
-point as a tuple on its own, without packed keys.  The entropy layers and
-the PLY exports compute every cell on its own and format every vertex with
-its own f-string.
+The map itself is modelled as a dict of voxel cells, each holding its
+log-odds and a dict of instance counts (:class:`OracleMap`), the way the
+package stored it before its cells became sorted key arrays and per-instance
+footprints.  Overlap scores, coarse-voxel filtering and geometric
+integration key every point as a tuple on its own, without packed keys.  The
+entropy layers and the PLY exports compute every cell on its own and format
+every vertex with its own f-string.  Back-projection and voxel keying have
+one-point versions here.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from voxeland.evidence import NoEvidenceError, expected_entropy, shannon_entropy
-from voxeland.export import layer_h_max
-
-from voxeland.fusion import (
-    AssociationConfig,
-    MergeEvent,
-    _iou_from_counts,
-    _ios_from_counts,
-    _merge_instances,
+from voxeland.evidence import (
+    CategoricalDistribution,
+    NoEvidenceError,
+    expected_entropy,
+    probabilities,
+    shannon_entropy,
 )
-from voxeland.opinions import NOISE, ClusteringParams, SubjectiveOpinion, dbscan
-from voxeland.uncertainty import UncertaintyLayer, voxel_category_distribution
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, InstanceRecord, MapState, VoxelKey
+from voxeland.export import layer_h_max
+from voxeland.frames import CameraIntrinsics, Pose
+from voxeland.fusion import AssociationConfig, MergeEvent
+from voxeland.opinions import NOISE, UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion, dbscan
+from voxeland.uncertainty import UncertaintyLayer
+from voxeland.voxelmap import (
+    SNAPSHOT_SCHEMA_VERSION,
+    UNKNOWN_INSTANCE_ID,
+    MapState,
+    Observation,
+    OccupancyParams,
+    VoxelKey,
+    unpack_keys,
+)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -145,18 +160,291 @@ def brute_force_average_precision(ranked_tp_flags: list[bool], num_gt: int) -> f
     return ap
 
 
+def world_to_key(point: np.ndarray, voxel_size: float) -> VoxelKey:
+    """Componentwise floor of point / voxel_size."""
+    point = np.asarray(point, dtype=float)
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"non-finite point {point!r}")
+    key = np.floor(point / voxel_size).astype(np.int64)
+    return (int(key[0]), int(key[1]), int(key[2]))
+
+
+def backproject(
+    u: int,
+    v: int,
+    depth_raw: int,
+    intrinsics: CameraIntrinsics,
+    pose: Pose,
+    max_range: float = 4.0,
+) -> np.ndarray | None:
+    """Lift one pixel to a world-frame point; None when the sample is invalid.
+
+    A sample is invalid when the raw depth is the zero sentinel or the metric
+    depth exceeds ``max_range``.
+    """
+    if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
+        raise ValueError(f"pixel ({u}, {v}) outside {intrinsics.width}x{intrinsics.height}")
+    if depth_raw == 0:
+        return None
+    z = depth_raw * intrinsics.depth_scale
+    if z > max_range:
+        return None
+    point_cam = np.array(
+        [(u - intrinsics.cx) * z / intrinsics.fx, (v - intrinsics.cy) * z / intrinsics.fy, z]
+    )
+    return pose.apply(point_cam)
+
+
+def project(point_world: np.ndarray, intrinsics: CameraIntrinsics, pose: Pose) -> tuple[float, float, float]:
+    """Inverse of back-projection: world point to continuous (u, v, z_meters)."""
+    point_cam = pose.rotation.T @ (np.asarray(point_world, dtype=float) - pose.translation)
+    z = float(point_cam[2])
+    if z <= 0:
+        raise ValueError("point is behind the camera")
+    u = float(point_cam[0] * intrinsics.fx / z + intrinsics.cx)
+    v = float(point_cam[1] * intrinsics.fy / z + intrinsics.cy)
+    return u, v, z
+
+
+# -- the dict-of-cells map ------------------------------------------------------
+
+
+@dataclass(slots=True)
+class VoxelCell:
+    log_odds: float = 0.0
+    instance_counts: dict[int, int] = field(default_factory=dict)
+
+    def occupancy_probability(self) -> float:
+        return 1.0 / (1.0 + math.exp(-self.log_odds))
+
+
+def update_occupancy(cell: VoxelCell, hit: bool, params: OccupancyParams) -> None:
+    """One Bayes-filter increment, clamped to the configured log-odds band."""
+    delta = params.l_hit if hit else params.l_miss
+    cell.log_odds = min(params.log_odds_max, max(params.log_odds_min, cell.log_odds + delta))
+
+
+def argmax_owner(instance_counts: Mapping[int, int]) -> int:
+    """The instance with the most evidence in a non-empty cell; ties go to the smallest id."""
+    if len(instance_counts) == 1:
+        return next(iter(instance_counts))
+    return max(sorted(instance_counts), key=instance_counts.__getitem__)
+
+
+def sole_owner(instance_counts: Mapping[int, int]) -> int | None:
+    """The owner of a cell with exactly one instance and positive evidence, else None."""
+    if len(instance_counts) != 1:
+        return None
+    owner = next(iter(instance_counts))
+    return owner if instance_counts[owner] > 0 else None
+
+
+@dataclass
+class OracleRecord:
+    id: int
+    category_evidence: dict[str, float] = field(default_factory=dict)
+    voxel_count: int = 0
+    observations: list[Observation] = field(default_factory=list)
+    final_category: str | None = None
+    flagged: bool = False
+
+    @property
+    def is_unknown(self) -> bool:
+        return self.id == UNKNOWN_INSTANCE_ID
+
+    def category_distribution(self) -> CategoricalDistribution:
+        return probabilities(self.category_evidence)
+
+
+class OracleMap:
+    """The map as a dict of cells with a maintained ``voxel_count`` per instance."""
+
+    def __init__(self, voxel_size: float, occupancy: OccupancyParams | None = None) -> None:
+        self.voxel_size = float(voxel_size)
+        self.occupancy = occupancy or OccupancyParams()
+        self.cells: dict[VoxelKey, VoxelCell] = {}
+        self.instances: dict[int, OracleRecord] = {
+            UNKNOWN_INSTANCE_ID: OracleRecord(id=UNKNOWN_INSTANCE_ID)
+        }
+        self.categories: list[str] = [UNKNOWN_CATEGORY]
+        self.frames_integrated = 0
+        self._next_instance_id = 1
+
+    @classmethod
+    def from_state(cls, state: MapState) -> "OracleMap":
+        """A copy of ``state``, read from its cell arrays and footprints.
+
+        Each cell lists its owners in ascending id order.
+        """
+        model = cls(state.voxel_size, state.occupancy)
+        model.categories = list(state.categories)
+        model.frames_integrated = state.frames_integrated
+        model._next_instance_id = state._next_instance_id
+        for key, log_odds in zip(unpack_keys(state.cells.keys), state.cells.log_odds.tolist()):
+            model.cells[key] = VoxelCell(log_odds=log_odds)
+        model.instances = {}
+        for instance_id in sorted(state.instances):
+            record = state.instances[instance_id]
+            model.instances[instance_id] = OracleRecord(
+                id=instance_id,
+                category_evidence=dict(record.category_evidence),
+                observations=list(record.observations),
+                final_category=record.final_category,
+                flagged=record.flagged,
+            )
+            for key, count in zip(unpack_keys(record.keys), record.counts.tolist()):
+                model.add_instance_evidence(key, instance_id, count, new_cell=False)
+        return model
+
+    def new_instance(self) -> int:
+        instance_id = self._next_instance_id
+        self._next_instance_id += 1
+        self.instances[instance_id] = OracleRecord(id=instance_id)
+        return instance_id
+
+    def cell(self, key: VoxelKey) -> VoxelCell:
+        found = self.cells.get(key)
+        if found is None:
+            found = VoxelCell()
+            self.cells[key] = found
+        return found
+
+    def add_instance_evidence(
+        self, key: VoxelKey, instance_id: int, count: int, new_cell: bool = True
+    ) -> None:
+        """Accumulate point-count evidence for an instance in one voxel;
+        with ``new_cell`` false the voxel must already be a cell."""
+        if instance_id not in self.instances:
+            raise KeyError(f"instance {instance_id} is not registered")
+        if count < 1:
+            raise ValueError(f"count must be a positive integer, got {count}")
+        cell = self.cell(key) if new_cell else self.cells[key]
+        previous = cell.instance_counts.get(instance_id, 0)
+        if previous == 0:
+            self.instances[instance_id].voxel_count += 1
+        cell.instance_counts[instance_id] = previous + int(count)
+
+    def apply_occupancy(self, key: VoxelKey, hit: bool) -> None:
+        update_occupancy(self.cell(key), hit, self.occupancy)
+
+    def to_dict(self) -> dict:
+        cells = [
+            {
+                "key": list(key),
+                "log_odds": cell.log_odds,
+                "instance_counts": {str(i): c for i, c in sorted(cell.instance_counts.items())},
+            }
+            for key, cell in sorted(self.cells.items())
+        ]
+        instances = [
+            {
+                "id": record.id,
+                "category_evidence": {
+                    label: record.category_evidence[label]
+                    for label in sorted(record.category_evidence)
+                },
+                "voxel_count": record.voxel_count,
+                "final_category": record.final_category,
+                "flagged": record.flagged,
+                "observations": [
+                    {
+                        "frame_id": obs.frame_id,
+                        "category": obs.category,
+                        "confidence": obs.confidence,
+                        "pixel_bbox": list(obs.pixel_bbox) if obs.pixel_bbox else None,
+                        "view_path": obs.view_path,
+                    }
+                    for obs in record.observations
+                ],
+            }
+            for record in (self.instances[i] for i in sorted(self.instances))
+        ]
+        return {
+            "schema_version": SNAPSHOT_SCHEMA_VERSION,
+            "voxel_size": self.voxel_size,
+            "occupancy": {
+                "p_hit": self.occupancy.p_hit,
+                "p_miss": self.occupancy.p_miss,
+                "log_odds_min": self.occupancy.log_odds_min,
+                "log_odds_max": self.occupancy.log_odds_max,
+            },
+            "frames_integrated": self.frames_integrated,
+            "next_instance_id": self._next_instance_id,
+            "categories": list(self.categories),
+            "instances": instances,
+            "cells": cells,
+        }
+
+
+def cells_of(state: MapState) -> dict[VoxelKey, VoxelCell]:
+    """The cells of ``state`` as a dict keyed by voxel key, in key order."""
+    return OracleMap.from_state(state).cells
+
+
+def check_storage(state: MapState) -> None:
+    """Assert the invariants of the array storage: cell keys and every
+    footprint sorted and unique, counts at least 1, every footprint key a
+    cell, and arrays of the declared dtypes and lengths."""
+    keys = state.cells.keys
+    assert keys.dtype == np.int64 and state.cells.log_odds.dtype == np.float64
+    assert len(state.cells.log_odds) == len(keys)
+    assert np.all(keys[1:] > keys[:-1])
+    for record in state.instances.values():
+        assert record.keys.dtype == np.int64 and record.counts.dtype == np.int64
+        assert len(record.counts) == len(record.keys) == record.voxel_count
+        assert np.all(record.keys[1:] > record.keys[:-1])
+        assert np.all(record.counts >= 1)
+        assert np.all(np.isin(record.keys, keys))
+
+
+def oracle_voxel_category_distribution(cell: VoxelCell, state) -> CategoricalDistribution:
+    """Category distribution of one voxel by the law of total probability,
+    mixing the cell's owners in the order the cell lists them."""
+    weights = probabilities(cell.instance_counts)
+    mixed: dict[str, float] = {}
+    for instance_id, weight in weights.probs.items():
+        record = state.instances[instance_id]
+        if record.is_unknown or not record.category_evidence:
+            mixed[UNKNOWN_CATEGORY] = mixed.get(UNKNOWN_CATEGORY, 0.0) + weight
+            continue
+        for category, p in record.category_distribution().probs.items():
+            mixed[category] = mixed.get(category, 0.0) + weight * p
+    return CategoricalDistribution(mixed)
+
+
+def _oracle_merge_instances(
+    model: OracleMap, keep_id: int, retire_id: int, retire_footprint: set[VoxelKey]
+) -> None:
+    keep = model.instances[keep_id]
+    retire = model.instances[retire_id]
+    for key in retire_footprint:
+        cell = model.cells[key]
+        moved = cell.instance_counts.pop(retire_id)
+        previous = cell.instance_counts.get(keep_id, 0)
+        if previous == 0:
+            keep.voxel_count += 1
+        cell.instance_counts[keep_id] = previous + moved
+    for category, mass in retire.category_evidence.items():
+        keep.category_evidence[category] = keep.category_evidence.get(category, 0.0) + mass
+    keep.observations.extend(retire.observations)
+    keep.final_category = None
+    keep.flagged = False
+    del model.instances[retire_id]
+
+
 def _oracle_pair_scores(
     footprint_a: set[VoxelKey], footprint_b: set[VoxelKey]
 ) -> tuple[float, float]:
     overlap = len(footprint_a & footprint_b)
-    size_a, size_b = len(footprint_a), len(footprint_b)
+    union = len(footprint_a | footprint_b)
+    smaller = min(len(footprint_a), len(footprint_b))
     return (
-        _iou_from_counts(overlap, size_a, size_b),
-        _ios_from_counts(overlap, size_a, size_b),
+        min(1.0, overlap / union) if union > 0 else 0.0,
+        min(1.0, overlap / smaller) if smaller > 0 else 0.0,
     )
 
 
-def oracle_refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
+def oracle_refine(state: OracleMap, config: AssociationConfig) -> list[MergeEvent]:
     """Reference map refinement: after every merge, rebuild all footprints
     from all cells and score all instance pairs in ascending id order."""
     events: list[MergeEvent] = []
@@ -181,7 +469,7 @@ def oracle_refine(state: MapState, config: AssociationConfig) -> list[MergeEvent
                     footprints[keep], footprints[retire]
                 )
                 if score_iou >= config.tau_iou or score_ios >= config.tau_ios:
-                    _merge_instances(state, keep, retire, footprints[retire])
+                    _oracle_merge_instances(state, keep, retire, footprints[retire])
                     events.append(
                         MergeEvent(kept_id=keep, retired_id=retire, iou=score_iou, ios=score_ios)
                     )
@@ -205,29 +493,30 @@ def oracle_voxel_counts(opinion: SubjectiveOpinion, voxel_size: float) -> dict[V
     return dict(sorted(counts.items()))
 
 
-def intersection_count(
-    opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState
-) -> int:
+def intersection_count(opinion: SubjectiveOpinion, instance, state: MapState) -> int:
     """Number of opinion points lying in voxels where the instance has evidence."""
+    model = OracleMap.from_state(state)
     total = 0
     for point in opinion.points:
-        cell = state.cells.get(_point_key(point, state.voxel_size))
+        cell = model.cells.get(_point_key(point, state.voxel_size))
         if cell is not None and cell.instance_counts.get(instance.id, 0) > 0:
             total += 1
     return total
 
 
-def iou(opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState) -> float:
+def iou(opinion: SubjectiveOpinion, instance, state: MapState) -> float:
     """overlap / (points + instance voxels - overlap), clamped to 1."""
     overlap = intersection_count(opinion, instance, state)
-    denominator = len(opinion.points) + instance.voxel_count - overlap
+    voxels = OracleMap.from_state(state).instances[instance.id].voxel_count
+    denominator = len(opinion.points) + voxels - overlap
     return min(1.0, overlap / denominator) if denominator > 0 else 0.0
 
 
-def ios(opinion: SubjectiveOpinion, instance: InstanceRecord, state: MapState) -> float:
+def ios(opinion: SubjectiveOpinion, instance, state: MapState) -> float:
     """overlap / min(points, instance voxels), clamped to 1."""
     overlap = intersection_count(opinion, instance, state)
-    smaller = min(len(opinion.points), instance.voxel_count)
+    voxels = OracleMap.from_state(state).instances[instance.id].voxel_count
+    smaller = min(len(opinion.points), voxels)
     return min(1.0, overlap / smaller) if smaller > 0 else 0.0
 
 
@@ -245,18 +534,51 @@ def oracle_filter_geometric_opinion(points: np.ndarray, params: ClusteringParams
     return points[(labels == winner)[inverse]]
 
 
-def oracle_integrate(opinion: SubjectiveOpinion, instance_id: int, state: MapState) -> None:
-    """Geometric integration one voxel at a time through the MapState methods."""
+def oracle_integrate(opinion: SubjectiveOpinion, instance_id: int, state: OracleMap) -> None:
+    """Geometric integration one voxel at a time through the OracleMap methods."""
     for key, count in oracle_voxel_counts(opinion, state.voxel_size).items():
         state.add_instance_evidence(key, instance_id, count)
         state.apply_occupancy(key, hit=True)
+
+
+def oracle_carve_free_space(
+    opinion: SubjectiveOpinion,
+    state: OracleMap,
+    camera_origin: np.ndarray,
+    stride_voxels: int = 4,
+) -> None:
+    """Free-space carving one ray sample at a time, one miss per sampled voxel."""
+    origin = np.asarray(camera_origin, dtype=float)
+    step = state.voxel_size * stride_voxels
+    surface_keys = {
+        tuple(k) for k in np.floor(opinion.points / state.voxel_size).astype(np.int64)
+    }
+    visited: set[VoxelKey] = set()
+    for key in surface_keys:
+        center = (np.asarray(key, dtype=float) + 0.5) * state.voxel_size
+        direction = center - origin
+        distance = float(np.linalg.norm(direction))
+        if distance <= step:
+            continue
+        direction /= distance
+        for t in np.arange(step, distance - state.voxel_size, step):
+            sample = origin + direction * t
+            sample_key = (
+                int(np.floor(sample[0] / state.voxel_size)),
+                int(np.floor(sample[1] / state.voxel_size)),
+                int(np.floor(sample[2] / state.voxel_size)),
+            )
+            if sample_key in surface_keys or sample_key in visited:
+                continue
+            visited.add(sample_key)
+            state.apply_occupancy(sample_key, hit=False)
 
 
 def oracle_argmax_owner(instance_counts: dict[int, int]) -> int:
     return max(sorted(instance_counts), key=lambda i: instance_counts[i])
 
 
-def oracle_geometric_entropy_map(state: MapState) -> UncertaintyLayer:
+def oracle_geometric_entropy_map(state: OracleMap) -> UncertaintyLayer:
     values = {
         key: expected_entropy(cell.instance_counts)
         for key, cell in state.cells.items()
@@ -267,9 +589,9 @@ def oracle_geometric_entropy_map(state: MapState) -> UncertaintyLayer:
     )
 
 
-def oracle_semantic_entropy_map(state: MapState) -> UncertaintyLayer:
+def oracle_semantic_entropy_map(state: OracleMap) -> UncertaintyLayer:
     values = {
-        key: shannon_entropy(voxel_category_distribution(cell, state))
+        key: shannon_entropy(oracle_voxel_category_distribution(cell, state))
         for key, cell in state.cells.items()
         if cell.instance_counts
     }
@@ -344,7 +666,7 @@ def oracle_export_entropy_layer(
     Path(str(ply_path) + ".json").write_text(json.dumps(sidecar, sort_keys=True), encoding="utf-8")
 
 
-def oracle_export_instance_map(state: MapState, ply_path: Path | str) -> None:
+def oracle_export_instance_map(state: OracleMap, ply_path: Path | str) -> None:
     keys = []
     colors = []
     for key in sorted(state.cells):
@@ -360,7 +682,7 @@ def oracle_export_instance_map(state: MapState, ply_path: Path | str) -> None:
     )
 
 
-def oracle_export_semantic_map(state: MapState, ply_path: Path | str) -> None:
+def oracle_export_semantic_map(state: OracleMap, ply_path: Path | str) -> None:
     category_index = {label: i for i, label in enumerate(state.categories)}
     keys = []
     colors = []
@@ -369,7 +691,7 @@ def oracle_export_semantic_map(state: MapState, ply_path: Path | str) -> None:
         if not cell.instance_counts:
             continue
         try:
-            dist = voxel_category_distribution(cell, state)
+            dist = oracle_voxel_category_distribution(cell, state)
         except NoEvidenceError:
             continue
         keys.append(key)

@@ -35,6 +35,8 @@ from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState
 from oracles import (
     brute_force_dbscan,
     canonical_clustering,
+    cells_of,
+    check_storage,
     ios,
     iou,
     oracle_digamma,
@@ -142,10 +144,10 @@ def test_mixture_normalization_over_randomized_maps():
                     state.add_instance_evidence(key, instance_id, int(rng.integers(1, 30)))
             if rng.random() < 0.5:
                 state.add_instance_evidence(key, UNKNOWN_INSTANCE_ID, int(rng.integers(1, 30)))
-            cell = state.cells.get(key)
-            if cell is None or not cell.instance_counts:
+        for cell in cells_of(state).values():
+            if not cell.instance_counts:
                 continue
-            dist = voxel_category_distribution(cell, state)
+            dist = voxel_category_distribution(cell.instance_counts, state)
             total = sum(dist.probs.values())
             assert abs(total - 1.0) <= 1e-9, f"voxel distribution sums to {total}"
             checked += 1
@@ -173,8 +175,7 @@ def test_dbscan_brute_force_equivalence():
 def _fixture_with_footprint(n_voxels, points):
     state = MapState(voxel_size=0.1)
     instance_id = state.new_instance()
-    for i in range(n_voxels):
-        state.add_instance_evidence((i, 0, 0), instance_id, 1)
+    state.add_instance_evidence([(i, 0, 0) for i in range(n_voxels)], instance_id, 1)
     opinion = SubjectiveOpinion(
         points=np.asarray(points, dtype=float),
         category="x",
@@ -233,11 +234,11 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
     opinions = build_opinions(frame, frame.record.intrinsics, frame.record.pose, ClusteringParams(0.08, 0.144, 4))
     fresh = state.new_instance()
     before = {
-        key: dict(cell.instance_counts) for key, cell in state.cells.items()
+        key: dict(cell.instance_counts) for key, cell in cells_of(state).items()
     }
     integrate_geometric(opinions[0], fresh, state)
     gained = 0
-    for key, cell in state.cells.items():
+    for key, cell in cells_of(state).items():
         for instance_id, count in cell.instance_counts.items():
             gained += count - before.get(key, {}).get(instance_id, 0)
     assert gained == len(opinions[0].points), "alpha increments must equal the point count"
@@ -251,7 +252,7 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
     merge_state.instances[a].category_evidence = {"chair": 1.0, "bed": 0.5}
     merge_state.instances[b].category_evidence = {"chair": 0.25}
     alpha_before = sum(
-        sum(cell.instance_counts.values()) for cell in merge_state.cells.values()
+        sum(cell.instance_counts.values()) for cell in cells_of(merge_state).values()
     )
     beta_before = sum(
         sum(r.category_evidence.values()) for r in merge_state.instances.values()
@@ -260,7 +261,7 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
     events = refine(merge_state, config)
     assert len(events) == 1
     alpha_after = sum(
-        sum(cell.instance_counts.values()) for cell in merge_state.cells.values()
+        sum(cell.instance_counts.values()) for cell in cells_of(merge_state).values()
     )
     beta_after = sum(
         sum(r.category_evidence.values()) for r in merge_state.instances.values()
@@ -268,7 +269,7 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
     assert alpha_after == alpha_before
     assert beta_after == pytest.approx(beta_before, abs=1e-12)
     assert refine(merge_state, config) == []
-    merge_state.audit_voxel_counts()
+    check_storage(merge_state)
 
     # byte-identical snapshots across two fresh runs of the same sequence
     def run_once(path):
@@ -309,7 +310,7 @@ def test_end_to_end_noiseless_oracle(noiseless_run):
     assert len(declared) == 5 and all(declared)
 
     layer = geometric_entropy_map(state)
-    for key, cell in state.cells.items():
+    for key, cell in cells_of(state).items():
         if len(cell.instance_counts) == 1:
             assert layer.values[key] == 0.0
     verdict(f"end-to-end noiseless: mAP exactly 1.0 in {elapsed:.1f} s", elapsed)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -178,12 +179,46 @@ class TestSynthBuildEval:
         assert err.startswith("error: ") and "snapshot" in err and err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
+    def test_config_value_of_wrong_type_is_one_error_line(self, built, tmp_path, capsys):
+        _, dataset, _ = built
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"voxel_size": "0.02"}))
+        out = tmp_path / "fresh_out"
+        code = main(["build", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "voxel_size" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_synth_failure_cleans_up(self, tmp_path, capsys):
         out = tmp_path / "ds"
         spec = tmp_path / "bad.json"
         spec.write_text("{not json")
         code = main(["synth", "--spec", str(spec), "--out", str(out)])
         assert code != 0
+        assert not out.exists()
+
+    def test_spec_without_a_key_is_one_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps({key: value for key, value in SCENE_SPEC.items() if key != "intrinsics"}))
+        out = tmp_path / "ds"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "intrinsics" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_synth_programming_error_propagates_and_removes_out_dir(self, tmp_path, monkeypatch):
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(SCENE_SPEC))
+
+        def broken(scene, seed, out_dir):
+            Path(out_dir).mkdir(parents=True)
+            raise RuntimeError("bug in the renderer")
+
+        monkeypatch.setattr(cli, "generate_synthetic", broken)
+        out = tmp_path / "ds"
+        with pytest.raises(RuntimeError, match="bug in the renderer"):
+            main(["synth", "--spec", str(spec), "--out", str(out)])
         assert not out.exists()
 
 

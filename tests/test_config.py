@@ -5,9 +5,11 @@ import pytest
 
 from voxeland.config import PipelineConfig
 from voxeland.frames import write_ppm
-from voxeland.fusion import Pipeline, carve_free_space
+from voxeland.fusion import Pipeline, carve_free_space, integrate_geometric
 from voxeland.opinions import SubjectiveOpinion
 from voxeland.voxelmap import MapState
+
+from oracles import OracleMap, cells_of, oracle_carve_free_space, oracle_integrate
 
 
 class TestPipelineConfig:
@@ -32,12 +34,45 @@ class TestPipelineConfig:
 
     def test_from_file_overrides_and_extras(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"voxel_size": 0.05, "tau_iou": 0.3, "custom_key": 1}))
+        path.write_text(json.dumps({"voxel_size": 0.05, "tau_iou": 0.3}))
         config = PipelineConfig.from_file(path)
         assert config.voxel_size == 0.05
         assert config.tau_iou == 0.3
-        assert config.extras == {"custom_key": 1}
         assert config.clustering_params().coarse_voxel == pytest.approx(0.2)
+        path.write_text(json.dumps({"voxel_size": 0.05, "voxelsize": 0.1, "custom_key": 1}))
+        with pytest.raises(ValueError, match=r"unknown config keys \['custom_key', 'voxelsize'\]"):
+            PipelineConfig.from_file(path)
+        path.write_text(json.dumps([0.05]))
+        with pytest.raises(ValueError, match="one JSON object"):
+            PipelineConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"voxel_size": "0.02"},
+            {"voxel_size": 0},
+            {"voxel_size": float("nan")},
+            {"dbscan_min_pts": 4.0},
+            {"dbscan_min_pts": True},
+            {"refine_every": 0},
+            {"tau_ios": 1.5},
+            {"p_miss": 0.0},
+            {"log_odds_min": 1.0, "log_odds_max": 0.0},
+            {"carve_free_space": 1},
+            {"carve_stride": 0},
+            {"coarse_voxel": -0.1},
+            {"min_prob": 1.2},
+            {"views_per_candidate": -1},
+            {"iou_threshold": 0.0},
+            {"eval_classes": "chair"},
+            {"eval_classes": ["chair", 3]},
+            {"endpoint": None},
+            {"timeout_s": 0},
+        ],
+    )
+    def test_wrong_type_or_range_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            PipelineConfig(**overrides)
 
     def test_occupancy_params_derived(self):
         occupancy = PipelineConfig(p_hit=0.8, p_miss=0.3).occupancy_params()
@@ -54,10 +89,36 @@ class TestFreeSpaceCarving:
             points=surface, category="x", confidence=0.9, source_frame=0, pixel_bbox=(0, 0, 1, 1)
         )
         carve_free_space(opinion, state, camera_origin=np.array([0.05, 0.05, 0.05]), stride_voxels=2)
-        carved = [key for key, cell in state.cells.items() if cell.log_odds < 0]
+        cells = cells_of(state)
+        carved = [key for key, cell in cells.items() if cell.log_odds < 0]
         assert carved, "some voxels along the ray must receive misses"
+        assert all(cell.log_odds == state.occupancy.l_miss for cell in cells.values())
         assert all(key[0] < 20 for key in carved), "the surface voxel itself is spared"
-        assert (20, 0, 0) not in state.cells
+        assert (20, 0, 0) not in cells
+
+    def test_matches_per_sample_oracle(self):
+        """Integration and carving interleaved on random opinions give the
+        map the per-sample carving gives: same cells, same log-odds bits."""
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            voxel_size = float(rng.choice([0.02, 0.05, 0.1]))
+            state = MapState(voxel_size=voxel_size)
+            model = OracleMap(voxel_size=voxel_size)
+            instance_id = state.new_instance()
+            model.new_instance()
+            for _ in range(3):
+                points = rng.uniform(-1, 1, (int(rng.integers(1, 40)), 3))
+                origin, stride = rng.uniform(-3, 3, 3), int(rng.integers(1, 5))
+                for target, integrate, carve in (
+                    (state, integrate_geometric, carve_free_space),
+                    (model, oracle_integrate, oracle_carve_free_space),
+                ):
+                    opinion = SubjectiveOpinion(
+                        points=points, category="x", confidence=0.9, source_frame=0, pixel_bbox=None
+                    )
+                    integrate(opinion, instance_id, target)
+                    carve(opinion, target, origin, stride)
+            assert state.to_dict() == model.to_dict()
 
 
 class TestViewArchiving:

@@ -112,14 +112,14 @@ class TestSelectViews:
 class TestPrompt:
     def test_contains_template_and_answer_shape(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state, state.instances[instance_id])
+        request = build_request(state.instances[instance_id])
         assert "Please, help me to disambiguate the correct category of this object." in request.prompt
         assert 'The object category is <object_category>' in request.prompt
         assert request.prompt.startswith(PROMPT_TEMPLATE)
 
     def test_contains_every_candidate(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6, "chair": 2.0})
-        request = build_request(state, state.instances[instance_id], min_prob=0.05)
+        request = build_request(state.instances[instance_id], min_prob=0.05)
         for label in request.candidates:
             assert label in request.prompt
 
@@ -131,7 +131,7 @@ class TestPrompt:
             for j in range(40):
                 state.add_instance_evidence((i, j, 0), instance_id, 1)
         state.instances[instance_id].flagged = True
-        request = build_request(state, state.instances[instance_id])
+        request = build_request(state.instances[instance_id])
         assert request.geometry.voxel_count == 1600
         assert len(request.geometry.voxels) <= 512
         assert request.geometry.bbox_min == (0, 0, 0)
@@ -140,13 +140,13 @@ class TestPrompt:
     def test_single_candidate_rejected(self):
         state, instance_id = flagged_state({"bed": 4.8})
         with pytest.raises(DisambiguationError):
-            build_request(state, state.instances[instance_id])
+            build_request(state.instances[instance_id])
 
 
 class TestParseDecision:
     def request(self, candidates=("bed", "couch")):
         state, instance_id = flagged_state({c: 4.0 for c in candidates})
-        return build_request(state, state.instances[instance_id], min_prob=0.01)
+        return build_request(state.instances[instance_id], min_prob=0.01)
 
     def test_direct_match(self):
         request = self.request()
@@ -185,19 +185,19 @@ class TestClients:
         fixture.write_text(json.dumps({"1": "The object category is couch"}))
         client = MockClient.from_fixture_file(fixture)
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state, state.instances[instance_id])
+        request = build_request(state.instances[instance_id])
         assert client.query(request) == "The object category is couch"
 
     def test_mock_client_missing_key(self):
         client = MockClient({})
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state, state.instances[instance_id])
+        request = build_request(state.instances[instance_id])
         with pytest.raises(ClientError):
             client.query(request)
 
     def test_argmax_client_answers_top_candidate(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state, state.instances[instance_id])
+        request = build_request(state.instances[instance_id])
         assert ArgmaxClient().query(request) == "The object category is bed"
 
     def test_http_client(self, monkeypatch):
@@ -218,7 +218,7 @@ class TestClients:
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state, state.instances[instance_id])
+        request = build_request(state.instances[instance_id])
         client = HttpClient(endpoint="http://localhost:9/decide", model="m1", timeout_s=5.0)
         assert client.query(request) == "The object category is couch"
         assert captured["url"] == "http://localhost:9/decide"
@@ -232,7 +232,7 @@ class TestClients:
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state, state.instances[instance_id])
+        request = build_request(state.instances[instance_id])
         client = HttpClient(endpoint="http://localhost:9/decide")
         with pytest.raises(ClientError):
             client.query(request)
@@ -295,7 +295,7 @@ class TestDisambiguateAll:
         for i in range(3, 9):
             state.add_instance_evidence((i, 0, 0), second, 1)
         state.instances[second].flagged = True
-        expected = [build_request(state, state.instances[i]) for i in (first, second)]
+        expected = [build_request(state.instances[i]) for i in (first, second)]
 
         class RecordingClient:
             def __init__(self):

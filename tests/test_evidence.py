@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from voxeland.evidence import (
     CategoricalDistribution,
-    EvidenceVector,
     NoEvidenceError,
     digamma,
     expected_entropy,
@@ -48,7 +47,7 @@ class TestDigamma:
 
 class TestProbabilities:
     def test_two_hypotheses(self):
-        dist = probabilities(EvidenceVector({"a": 3.0, "b": 1.0}))
+        dist = probabilities({"a": 3.0, "b": 1.0})
         assert dist.probs == {"a": 0.75, "b": 0.25}
 
     def test_single_hypothesis(self):
@@ -60,7 +59,7 @@ class TestProbabilities:
 
     def test_empty_is_error(self):
         with pytest.raises(NoEvidenceError, match="no evidence"):
-            probabilities(EvidenceVector())
+            probabilities({})
 
     @given(
         st.dictionaries(
@@ -136,22 +135,6 @@ class TestShannonEntropy:
         dist = probabilities(masses)
         entropy = shannon_entropy(dist)
         assert 0.0 <= entropy <= math.log(len(dist.probs)) + 1e-12
-
-
-class TestEvidenceVector:
-    def test_rejects_non_positive_mass(self):
-        with pytest.raises(ValueError):
-            EvidenceVector({"a": 0.0})
-        vector = EvidenceVector({"a": 1.0})
-        with pytest.raises(ValueError):
-            vector.add("b", -2.0)
-
-    def test_accumulates(self):
-        vector = EvidenceVector()
-        vector.add("a", 2.0)
-        vector.add("a", 3.0)
-        assert vector.masses == {"a": 5.0}
-        assert vector.total() == 5.0
 
 
 class TestCategoricalDistribution:

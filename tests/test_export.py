@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxeland import export
-from voxeland.evidence import NoEvidenceError
 from voxeland.export import (
-    entropy_color,
+    entropy_colors,
     export_entropy_layer,
     export_instance_map,
     export_semantic_map,
@@ -20,9 +19,11 @@ from voxeland.export import (
     write_ply,
 )
 from voxeland.uncertainty import UncertaintyLayer, geometric_entropy_map, semantic_entropy_map
-from voxeland.voxelmap import MapState
+from voxeland.voxelmap import MapState, SnapshotError, pack_keys
 
 from oracles import (
+    OracleMap,
+    cells_of,
     oracle_entropy_color,
     oracle_export_entropy_layer,
     oracle_export_instance_map,
@@ -51,11 +52,10 @@ def small_state():
 
 class TestColormap:
     def test_blue_at_zero_red_at_max(self):
-        assert entropy_color(0.0, 1.0) == (0, 0, 255)
-        assert entropy_color(1.0, 1.0) == (255, 0, 0)
+        assert entropy_colors([0.0, 1.0], 1.0).tolist() == [[0, 0, 255], [255, 0, 0]]
 
     def test_clipped_above_max(self):
-        assert entropy_color(5.0, 1.0) == (255, 0, 0)
+        assert entropy_colors([5.0], 1.0).tolist() == [[255, 0, 0]]
 
     def test_h_max_is_log_of_support(self):
         state = small_state()
@@ -143,7 +143,7 @@ def export_maps(draw):
     for key in keys:
         owners = draw(st.dictionaries(st.sampled_from(ids), st.integers(1, 4), max_size=4))
         if not owners:
-            state.apply_occupancy(key, hit=False)  # a cell without evidence
+            state.integrate_occupancy(pack_keys(np.array([key])), hit=False)  # a cell without evidence
         for instance_id, count in owners.items():
             state.add_instance_evidence(key, instance_id, count)
     state.frames_integrated = draw(st.integers(0, 50))
@@ -156,22 +156,23 @@ def layer_items(layer):
 
 
 def assert_exports_match_oracle(state):
-    """Layers equal value for value in cell order; all six files equal byte for byte."""
+    """Layers equal value for value in key order; all six files equal byte for byte."""
+    model = OracleMap.from_state(state)
     layers = [geometric_entropy_map(state), semantic_entropy_map(state)]
-    expected = [oracle_geometric_entropy_map(state), oracle_semantic_entropy_map(state)]
+    expected = [oracle_geometric_entropy_map(model), oracle_semantic_entropy_map(model)]
     assert [layer_items(layer) for layer in layers] == [layer_items(layer) for layer in expected]
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new"), Path(tmp, "old")
         new.mkdir()
         old.mkdir()
-        for directory, entropy_export, instance_export, semantic_export in (
-            (new, export_entropy_layer, export_instance_map, export_semantic_map),
-            (old, oracle_export_entropy_layer, oracle_export_instance_map, oracle_export_semantic_map),
+        for directory, source, entropy_export, instance_export, semantic_export in (
+            (new, state, export_entropy_layer, export_instance_map, export_semantic_map),
+            (old, model, oracle_export_entropy_layer, oracle_export_instance_map, oracle_export_semantic_map),
         ):
-            entropy_export(state, layers[0], directory / "geom_entropy.ply")
-            entropy_export(state, layers[1], directory / "sem_entropy.ply")
-            instance_export(state, directory / "instances.ply")
-            semantic_export(state, directory / "semantics.ply")
+            entropy_export(source, layers[0], directory / "geom_entropy.ply")
+            entropy_export(source, layers[1], directory / "sem_entropy.ply")
+            instance_export(source, directory / "instances.ply")
+            semantic_export(source, directory / "semantics.ply")
         names = sorted(path.name for path in old.iterdir())
         assert sorted(path.name for path in new.iterdir()) == names
         assert len(names) == 6
@@ -198,7 +199,7 @@ class TestExportsMatchOracle:
     @pytest.mark.parametrize("chunk_rows", [export._CHUNK_ROWS, 7])
     def test_noisy_scene(self, noisy_state, chunk_rows, monkeypatch):
         monkeypatch.setattr(export, "_CHUNK_ROWS", chunk_rows)
-        assert sum(len(cell.instance_counts) > 1 for cell in noisy_state.cells.values()) >= 50
+        assert sum(len(cell.instance_counts) > 1 for cell in cells_of(noisy_state).values()) >= 50
         assert_exports_match_oracle(noisy_state)
 
     def test_signed_zeros_and_non_finite_values(self, tmp_path):
@@ -216,27 +217,13 @@ class TestExportsMatchOracle:
                 tmp_path / f"old_layer.{suffix}"
             ).read_bytes()
 
-    def test_cells_with_zero_evidence(self, tmp_path):
-        """A loaded snapshot may hold a zero count: the single-owner shortcuts
-        must not apply to it, so the layers raise and the semantic map skips
-        the cell exactly as the per-cell code does."""
-        state = small_state()
-        state.cells[(0, 0, 0)].instance_counts[1] = 0
-        for build, oracle in (
-            (geometric_entropy_map, oracle_geometric_entropy_map),
-            (semantic_entropy_map, oracle_semantic_entropy_map),
-        ):
-            with pytest.raises(NoEvidenceError):
-                oracle(state)
-            with pytest.raises(NoEvidenceError):
-                build(state)
-        for export_map, oracle_map in (
-            (export_instance_map, oracle_export_instance_map),
-            (export_semantic_map, oracle_export_semantic_map),
-        ):
-            export_map(state, tmp_path / "new.ply")
-            oracle_map(state, tmp_path / "old.ply")
-            assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
+    def test_cells_with_zero_evidence(self):
+        """Every count in the map is at least 1, so no reader needs a case
+        for a zero count: a snapshot holding one is rejected on load."""
+        snapshot = small_state().to_dict()
+        snapshot["cells"][0]["instance_counts"]["1"] = 0
+        with pytest.raises(SnapshotError, match="below 1"):
+            MapState.from_dict(snapshot)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -268,7 +255,7 @@ class TestExportsMatchOracle:
         st.sampled_from([0.0, -1.0, 0.5, math.log(2), math.log(3), 1.0]),
     )
     def test_entropy_color_and_ply_rows(self, values, h_max):
-        assert [entropy_color(v, h_max) for v in values] == [
+        assert [tuple(c) for c in entropy_colors(values, h_max).tolist()] == [
             oracle_entropy_color(v, h_max) for v in values
         ]
         points = np.array(values + [0.0] * (-len(values) % 3)).reshape(-1, 3)

@@ -9,7 +9,6 @@ from voxeland.frames import (
     DatasetError,
     DepthImage,
     Pose,
-    backproject,
     backproject_pixels,
     crop_bbox,
     decode_rle_mask,
@@ -17,12 +16,13 @@ from voxeland.frames import (
     load_ground_truth,
     load_manifest,
     load_predictions,
-    project,
     read_pgm,
     read_ppm,
     write_pgm,
     write_ppm,
 )
+
+from oracles import backproject, project
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480, depth_scale=0.001)
 IDENTITY = Pose(rotation=np.eye(3), translation=np.zeros(3))

@@ -33,9 +33,12 @@ from voxeland.fusion import (
 from voxeland.frames import load_frame, load_manifest
 from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams, unpack_keys
 
 from oracles import (
+    OracleMap,
+    cells_of,
+    check_storage,
     intersection_count,
     ios,
     iou,
@@ -268,30 +271,30 @@ class TestIntegrateMatchesOracle:
     def test_random_opinion_sequences(self, case):
         n_instances, steps, occupancy = case
         state = MapState(voxel_size=VOXEL, occupancy=occupancy)
-        reference = MapState(voxel_size=VOXEL, occupancy=occupancy)
+        reference = OracleMap(voxel_size=VOXEL, occupancy=occupancy)
         for _ in range(n_instances):
             state.new_instance()
             reference.new_instance()
         for instance_id, points in steps:
             integrate_geometric(opinion(points), instance_id, state)
             oracle_integrate(opinion(points), instance_id, reference)
-        assert list(state.cells) == list(reference.cells)
+        assert unpack_keys(state.cells.keys) == sorted(reference.cells)
         assert state.to_dict() == reference.to_dict()
-        state.audit_voxel_counts()
+        check_storage(state)
 
     def test_unregistered_instance_rejected(self):
         state = MapState(voxel_size=VOXEL)
         with pytest.raises(KeyError, match="not registered"):
             integrate_geometric(opinion([center(0)]), 7, state)
-        assert state.cells == {}
+        assert len(state.cells) == 0
 
 
 class TestIntegrateGeometric:
     def test_points_in_one_voxel(self):
         state, instance_id = state_with_instance(1)
-        before = state.cells[(0, 0, 0)].instance_counts[instance_id]
+        before = cells_of(state)[(0, 0, 0)].instance_counts[instance_id]
         integrate_geometric(opinion([center(0)] * 3), instance_id, state)
-        assert state.cells[(0, 0, 0)].instance_counts[instance_id] == before + 3
+        assert cells_of(state)[(0, 0, 0)].instance_counts[instance_id] == before + 3
 
     def test_point_mass_conserved_across_voxels(self):
         state = MapState(voxel_size=VOXEL)
@@ -299,7 +302,7 @@ class TestIntegrateGeometric:
         points = [center(0), center(1), center(1), center(2), center(3)]
         integrate_geometric(opinion(points), instance_id, state)
         total = sum(
-            cell.instance_counts.get(instance_id, 0) for cell in state.cells.values()
+            cell.instance_counts.get(instance_id, 0) for cell in cells_of(state).values()
         )
         assert total == len(points)
         assert state.instances[instance_id].voxel_count == 4
@@ -308,7 +311,7 @@ class TestIntegrateGeometric:
         state = MapState(voxel_size=VOXEL)
         instance_id = state.new_instance()
         integrate_geometric(opinion([center(0)] * 10), instance_id, state)
-        assert state.cells[(0, 0, 0)].log_odds == pytest.approx(
+        assert cells_of(state)[(0, 0, 0)].log_odds == pytest.approx(
             state.occupancy.l_hit, abs=1e-12
         )
 
@@ -316,7 +319,7 @@ class TestIntegrateGeometric:
         state, existing = state_with_instance(1)
         fresh = state.new_instance()
         integrate_geometric(opinion([center(0)]), fresh, state)
-        assert state.cells[(0, 0, 0)].instance_counts == {existing: 1, fresh: 1}
+        assert cells_of(state)[(0, 0, 0)].instance_counts == {existing: 1, fresh: 1}
 
 
 class TestIntegrateSemantic:
@@ -378,9 +381,9 @@ class TestRefine:
         assert events == [MergeEvent(kept_id=a, retired_id=b, iou=1.0, ios=1.0)]
         assert b not in state.instances
         assert state.instances[a].voxel_count == 5
-        assert state.cells[(0, 0, 0)].instance_counts == {a: 5}
+        assert cells_of(state)[(0, 0, 0)].instance_counts == {a: 5}
         assert state.instances[a].category_evidence == {"chair": 1.5}
-        state.audit_voxel_counts()
+        check_storage(state)
 
     def test_disjoint_instances_untouched(self):
         state, a, b = two_instance_state(
@@ -407,7 +410,7 @@ class TestRefine:
         assert len(events) == 2
         assert set(state.instances) == {UNKNOWN_INSTANCE_ID, ids[0]}
         assert state.instances[ids[0]].voxel_count == 24
-        state.audit_voxel_counts()
+        check_storage(state)
 
     def test_idempotent(self):
         keys = [(i, 0, 0) for i in range(5)]
@@ -422,7 +425,7 @@ class TestRefine:
         )
         alpha_total_before = sum(
             sum(c for i, c in cell.instance_counts.items() if i != UNKNOWN_INSTANCE_ID)
-            for cell in state.cells.values()
+            for cell in cells_of(state).values()
         )
         beta_total_before = sum(
             sum(r.category_evidence.values()) for r in state.instances.values()
@@ -430,7 +433,7 @@ class TestRefine:
         refine(state, CFG)
         alpha_total_after = sum(
             sum(c for i, c in cell.instance_counts.items() if i != UNKNOWN_INSTANCE_ID)
-            for cell in state.cells.values()
+            for cell in cells_of(state).values()
         )
         beta_total_after = sum(
             sum(r.category_evidence.values()) for r in state.instances.values()
@@ -526,18 +529,18 @@ class TestRefineMatchesOracle:
     @given(refine_cases())
     def test_random_maps(self, case):
         state, config = case
-        reference = copy.deepcopy(state)
+        reference = OracleMap.from_state(state)
         events = refine(state, config)
         expected = oracle_refine(reference, config)
         assert [(e.kept_id, e.retired_id, e.iou, e.ios) for e in events] == [
             (e.kept_id, e.retired_id, e.iou, e.ios) for e in expected
         ]
         assert state.to_dict() == reference.to_dict()
-        state.audit_voxel_counts()
+        check_storage(state)
 
     def test_noisy_scene(self, tmp_path):
         state = clutter_map_without_refinement(tmp_path)
-        reference = copy.deepcopy(state)
+        reference = OracleMap.from_state(state)
         events = refine(state, CFG)
         assert events == oracle_refine(reference, CFG)
         assert len(events) >= 3
@@ -548,8 +551,9 @@ class TestOpinionVoxelCounts:
     def test_counts_partition_points(self):
         rng = np.random.default_rng(3)
         points = rng.uniform(-1, 1, (500, 3))
-        counts = opinion_voxel_counts(opinion(points), VOXEL)
-        assert sum(counts.values()) == 500
+        keys, counts = opinion_voxel_counts(opinion(points), VOXEL)
+        assert counts.sum() == 500
+        assert np.all(keys[1:] > keys[:-1])
 
     def test_memo_follows_voxel_size(self):
         rng = np.random.default_rng(4)
@@ -557,8 +561,10 @@ class TestOpinionVoxelCounts:
         first = opinion_voxel_counts(op, VOXEL)
         assert opinion_voxel_counts(op, VOXEL) is first
         for size in (2 * VOXEL, VOXEL):
-            counts = opinion_voxel_counts(op, size)
-            assert list(counts.items()) == list(oracle_voxel_counts(op, size).items())
+            keys, counts = opinion_voxel_counts(op, size)
+            assert list(zip(unpack_keys(keys), counts.tolist())) == list(
+                oracle_voxel_counts(op, size).items()
+            )
 
 
 def synthetic_frame(frame_id, predictions, depth_value=1500, shape=(40, 40)):
@@ -603,7 +609,7 @@ class TestProcessFrame:
         empty = synthetic_frame(0, [], depth_value=0)
         pipeline.process_frame(empty)
         assert pipeline.state.frames_integrated == 1
-        assert pipeline.state.cells == {}
+        assert len(pipeline.state.cells) == 0
         assert set(pipeline.state.instances) == {UNKNOWN_INSTANCE_ID}
 
     def test_cold_start_spawns_and_feeds_unknown(self):
@@ -618,7 +624,7 @@ class TestProcessFrame:
         state = pipeline.state
         assert len(state.instances) == 3  # unknown + 2 spawned
         unknown_mass = sum(
-            cell.instance_counts.get(UNKNOWN_INSTANCE_ID, 0) for cell in state.cells.values()
+            cell.instance_counts.get(UNKNOWN_INSTANCE_ID, 0) for cell in cells_of(state).values()
         )
         assert unknown_mass > 0
         categories = {
@@ -627,7 +633,7 @@ class TestProcessFrame:
             for label in record.category_evidence
         }
         assert {"chair", "table"} <= categories
-        state.audit_voxel_counts()
+        check_storage(state)
 
     def test_replay_doubles_alpha_and_reassociates(self):
         shape = (40, 40)
@@ -638,7 +644,7 @@ class TestProcessFrame:
         frame = synthetic_frame(0, predictions, shape=shape)
         first = pipeline.process_frame(frame)
         counts_after_first = {
-            key: dict(cell.instance_counts) for key, cell in pipeline.state.cells.items()
+            key: dict(cell.instance_counts) for key, cell in cells_of(pipeline.state).items()
         }
         second = pipeline.process_frame(copy.deepcopy(frame))
         assert len(first.spawned) == 1
@@ -646,9 +652,10 @@ class TestProcessFrame:
         assert second.spawned == []
         matched = {instance_id for _, instance_id, _, _ in second.matches}
         assert matched == {spawned_id, UNKNOWN_INSTANCE_ID}
+        cells_after_second = cells_of(pipeline.state)
         for key, counts in counts_after_first.items():
             for instance_id, count in counts.items():
-                assert pipeline.state.cells[key].instance_counts[instance_id] == 2 * count
+                assert cells_after_second[key].instance_counts[instance_id] == 2 * count
 
     def test_refine_runs_on_schedule(self, monkeypatch):
         returned = []

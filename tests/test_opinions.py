@@ -10,7 +10,6 @@ from voxeland.frames import (
     FrameRecord,
     Pose,
     PredictionInstance,
-    backproject,
     encode_rle_mask,
 )
 from voxeland.opinions import (
@@ -23,7 +22,7 @@ from voxeland.opinions import (
     pixel_bbox,
 )
 
-from oracles import brute_force_dbscan, canonical_clustering, oracle_filter_geometric_opinion
+from oracles import backproject, brute_force_dbscan, canonical_clustering, oracle_filter_geometric_opinion
 
 PARAMS = ClusteringParams(coarse_voxel=0.08, eps=0.08 * 1.8, min_pts=4)
 

@@ -1,20 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
 from voxeland.evidence import expected_entropy, probabilities
 from voxeland.uncertainty import (
     NotClassifiableError,
     declare_categories,
-    geometric_entropy,
     geometric_entropy_map,
     semantic_entropy,
     semantic_entropy_map,
     voxel_category_distribution,
 )
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, InstanceRecord, MapState, VoxelCell
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, InstanceRecord, MapState, pack_keys
 
-from oracles import oracle_expected_entropy
+from oracles import cells_of, oracle_expected_entropy
 
 
 def make_state(instance_betas, cell_counts):
@@ -34,16 +34,26 @@ def make_state(instance_betas, cell_counts):
     return state, id_map
 
 
+def geometric_entropy(instance_counts: dict[int, int]) -> float:
+    """The geometric layer's value on a one-cell map whose cell holds ``instance_counts``."""
+    state = MapState(voxel_size=0.02)
+    while state._next_instance_id <= max(instance_counts):
+        state.new_instance()
+    for instance_id, count in instance_counts.items():
+        state.add_instance_evidence((0, 0, 0), instance_id, count)
+    (value,) = geometric_entropy_map(state).values.values()
+    return value
+
+
 class TestGeometricEntropy:
     def test_uniform_pair(self):
-        assert geometric_entropy(VoxelCell(instance_counts={1: 1, 2: 1})) == 1.0
+        assert geometric_entropy({1: 1, 2: 1}) == 1.0
 
     def test_single_instance(self):
-        assert geometric_entropy(VoxelCell(instance_counts={1: 40})) == 0.0
+        assert geometric_entropy({1: 40}) == 0.0
 
     def test_concentrated(self):
-        cell = VoxelCell(instance_counts={1: 100, 2: 1})
-        assert geometric_entropy(cell) == pytest.approx(0.0612611635409861, abs=1e-12)
+        assert geometric_entropy({1: 100, 2: 1}) == pytest.approx(0.0612611635409861, abs=1e-12)
 
 
 class TestSemanticEntropy:
@@ -75,7 +85,7 @@ class TestSemanticEntropy:
 class TestVoxelCategoryDistribution:
     def test_single_instance_single_class(self):
         state, ids = make_state({"k1": {"chair": 1.0}}, {(0, 0, 0): {"k1": 4}})
-        dist = voxel_category_distribution(state.cells[(0, 0, 0)], state)
+        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist.probs == {"chair": 1.0}
 
     def test_worked_mixture(self):
@@ -84,7 +94,7 @@ class TestVoxelCategoryDistribution:
             {"k1": {"chair": 1.7, "table": 0.6}},
             {(0, 0, 0): {"k1": 3, "unknown": 1}},
         )
-        dist = voxel_category_distribution(state.cells[(0, 0, 0)], state)
+        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist["chair"] == pytest.approx(0.75 * 1.7 / 2.3, abs=1e-9)
         assert dist["table"] == pytest.approx(0.75 * 0.6 / 2.3, abs=1e-9)
         assert dist["unknown"] == pytest.approx(0.25, abs=1e-9)
@@ -95,14 +105,14 @@ class TestVoxelCategoryDistribution:
 
     def test_unknown_only_cell(self):
         state, _ = make_state({}, {(0, 0, 0): {"unknown": 5}})
-        dist = voxel_category_distribution(state.cells[(0, 0, 0)], state)
+        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist.probs == {"unknown": 1.0}
 
     def test_evidence_free_instance_routes_to_unknown(self):
         state = MapState(voxel_size=0.02)
         bare = state.new_instance()
         state.add_instance_evidence((0, 0, 0), bare, 2)
-        dist = voxel_category_distribution(state.cells[(0, 0, 0)], state)
+        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist.probs == {"unknown": 1.0}
 
     def test_sums_to_one_on_random_maps(self):
@@ -123,7 +133,7 @@ class TestVoxelCategoryDistribution:
                 name: int(rng.integers(1, 20)) for name in list(betas) + ["unknown"]
             }
             state, _ = make_state(betas, {(0, 0, 0): counts})
-            dist = voxel_category_distribution(state.cells[(0, 0, 0)], state)
+            dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
             assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -150,7 +160,8 @@ class TestEntropyMaps:
 
     def test_geometric_layer_covers_evidence_voxels_only(self):
         state, ids = make_state({"k1": {"chair": 1.0}}, {(0, 0, 0): {"k1": 1}})
-        state.cell((5, 5, 5))  # occupancy-only cell, no evidence
+        state.integrate_occupancy(pack_keys(np.array([[5, 5, 5]])), hit=True)  # no evidence
+        assert len(state.cells) == 2
         layer = geometric_entropy_map(state)
         assert set(layer.values) == {(0, 0, 0)}
         assert layer.generated_at_frame == state.frames_integrated

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from voxeland import atomic
 from voxeland.atomic import atomic_write
-from voxeland.evidence import NoEvidenceError
+from voxeland.evidence import NoEvidenceError, probabilities
+from voxeland.uncertainty import voxel_category_distribution
 from voxeland.voxelmap import (
     SNAPSHOT_SCHEMA_VERSION,
     UNKNOWN_INSTANCE_ID,
@@ -17,15 +18,12 @@ from voxeland.voxelmap import (
     Observation,
     OccupancyParams,
     SnapshotError,
-    VoxelCell,
-    argmax_owner,
     pack_keys,
     points_to_keys,
     unpack_keys,
-    update_occupancy,
-    voxel_instance_distribution,
-    world_to_key,
 )
+
+from oracles import OracleMap, cells_of, check_storage, world_to_key
 
 
 class TestWorldToKey:
@@ -68,6 +66,16 @@ class TestWorldToKey:
             pack_keys(np.array([[0, 0, 1 << 20]]))
 
 
+def log_odds_after(hits, params: OccupancyParams) -> float:
+    """Log-odds of one voxel after a hit or a miss for each entry of ``hits``."""
+    state = MapState(voxel_size=0.1, occupancy=params)
+    key = pack_keys(np.array([[0, -1, 2]]))
+    for hit in hits:
+        state.integrate_occupancy(key, hit=bool(hit))
+    assert len(state.cells) == 1
+    return float(state.cells.log_odds[0])
+
+
 class TestOccupancy:
     @pytest.mark.parametrize(
         "kwargs",
@@ -92,40 +100,28 @@ class TestOccupancy:
             MapState.from_dict(snapshot)
 
     def test_equal_clamp_bounds_accepted(self):
-        cell = VoxelCell()
-        update_occupancy(cell, hit=True, params=OccupancyParams(log_odds_min=0.5, log_odds_max=0.5))
-        assert cell.log_odds == 0.5
+        params = OccupancyParams(log_odds_min=0.5, log_odds_max=0.5)
+        assert log_odds_after([True], params) == 0.5
 
     def test_single_hit(self):
-        cell = VoxelCell()
-        params = OccupancyParams()
-        update_occupancy(cell, hit=True, params=params)
-        assert cell.log_odds == pytest.approx(math.log(0.7 / 0.3), abs=1e-12)
-        assert cell.occupancy_probability() == pytest.approx(0.7, abs=1e-12)
+        log_odds = log_odds_after([True], OccupancyParams())
+        assert log_odds == pytest.approx(math.log(0.7 / 0.3), abs=1e-12)
+        assert 1.0 / (1.0 + math.exp(-log_odds)) == pytest.approx(0.7, abs=1e-12)
 
     def test_single_miss(self):
-        cell = VoxelCell()
-        params = OccupancyParams()
-        update_occupancy(cell, hit=False, params=params)
-        assert cell.log_odds == pytest.approx(math.log(0.4 / 0.6), abs=1e-12)
-        assert cell.occupancy_probability() == pytest.approx(0.4, abs=1e-12)
+        log_odds = log_odds_after([False], OccupancyParams())
+        assert log_odds == pytest.approx(math.log(0.4 / 0.6), abs=1e-12)
+        assert 1.0 / (1.0 + math.exp(-log_odds)) == pytest.approx(0.4, abs=1e-12)
 
     def test_clamped_at_max(self):
-        cell = VoxelCell(log_odds=3.5)
-        update_occupancy(cell, hit=True, params=OccupancyParams())
-        assert cell.log_odds == 3.5
+        assert log_odds_after([True] * 5, OccupancyParams()) == 3.5
 
     def test_order_independent_without_saturation(self):
         # narrow band disabled: use wide clamps so no update saturates
         params = OccupancyParams(log_odds_min=-1e9, log_odds_max=1e9)
         rng = np.random.default_rng(2)
         observations = rng.random(40) < 0.5
-        final = []
-        for _ in range(5):
-            cell = VoxelCell()
-            for hit in rng.permutation(observations):
-                update_occupancy(cell, hit=bool(hit), params=params)
-            final.append(cell.log_odds)
+        final = [log_odds_after(rng.permutation(observations), params) for _ in range(5)]
         # addition commutes up to rounding; require exact equality of the sum
         expected = math.fsum(
             params.l_hit if hit else params.l_miss for hit in observations
@@ -139,7 +135,8 @@ class TestInstanceEvidence:
         state = MapState(voxel_size=0.02)
         k2 = state.new_instance()
         state.add_instance_evidence((0, 0, 0), k2, 5)
-        assert state.cells[(0, 0, 0)].instance_counts == {k2: 5}
+        assert cells_of(state)[(0, 0, 0)].instance_counts == {k2: 5}
+        assert cells_of(state)[(0, 0, 0)].log_odds == 0.0
         assert state.instances[k2].voxel_count == 1
 
     def test_accumulation(self):
@@ -147,8 +144,21 @@ class TestInstanceEvidence:
         k2 = state.new_instance()
         state.add_instance_evidence((0, 0, 0), k2, 5)
         state.add_instance_evidence((0, 0, 0), k2, 3)
-        assert state.cells[(0, 0, 0)].instance_counts == {k2: 8}
+        assert cells_of(state)[(0, 0, 0)].instance_counts == {k2: 8}
         assert state.instances[k2].voxel_count == 1
+
+    def test_batch_adds_repeated_keys_and_broadcasts_one_count(self):
+        state = MapState(voxel_size=0.02)
+        k2 = state.new_instance()
+        state.add_instance_evidence([(1, 0, 0), (0, 0, 0), (1, 0, 0)], k2, [2, 5, 3])
+        state.add_instance_evidence([(0, 0, 0), (-4, 0, 0)], k2, 1)
+        assert {key: cell.instance_counts for key, cell in cells_of(state).items()} == {
+            (-4, 0, 0): {k2: 1},
+            (0, 0, 0): {k2: 6},
+            (1, 0, 0): {k2: 5},
+        }
+        assert state.instances[k2].voxel_count == 3
+        check_storage(state)
 
     def test_support_expansion(self):
         state = MapState(voxel_size=0.02)
@@ -156,9 +166,9 @@ class TestInstanceEvidence:
         k7 = state.new_instance()
         state.add_instance_evidence((0, 0, 0), k2, 5)
         state.add_instance_evidence((0, 0, 0), k7, 1)
-        cell = state.cells[(0, 0, 0)]
+        cell = cells_of(state)[(0, 0, 0)]
         assert cell.instance_counts == {k2: 5, k7: 1}
-        dist = voxel_instance_distribution(cell)
+        dist = probabilities(cell.instance_counts)
         assert dist[k7] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_unregistered_instance_rejected(self):
@@ -171,24 +181,39 @@ class TestInstanceEvidence:
         k = state.new_instance()
         with pytest.raises(ValueError):
             state.add_instance_evidence((0, 0, 0), k, 0)
+        with pytest.raises(ValueError):
+            state.add_instance_evidence([(1, 0, 0), (2, 0, 0)], k, [3, -1])
+        assert len(state.cells) == 0
+
+
+def weights_of(instance_counts: dict[int, int]) -> dict[str, float]:
+    """A voxel's instance weights, read from the category mixture of a map in
+    which instance i holds only category "c<i>" and the unknown instance none."""
+    state = MapState(voxel_size=0.02)
+    while state._next_instance_id <= max(instance_counts):
+        state.new_instance()
+    for instance_id in instance_counts:
+        if instance_id != UNKNOWN_INSTANCE_ID:
+            state.instances[instance_id].category_evidence = {f"c{instance_id}": 1.0}
+    for instance_id, count in instance_counts.items():
+        state.add_instance_evidence((0, 0, 0), instance_id, count)
+    (cell,) = cells_of(state).values()
+    return voxel_category_distribution(cell.instance_counts, state).probs
 
 
 class TestVoxelInstanceDistribution:
     def test_mixed_cell(self):
-        cell = VoxelCell(instance_counts={2: 3, 0: 1})
-        dist = voxel_instance_distribution(cell)
-        assert dist.probs == {2: 0.75, 0: 0.25}
+        assert weights_of({2: 3, 0: 1}) == {"c2": 0.75, "unknown": 0.25}
 
     def test_unknown_only(self):
-        assert voxel_instance_distribution(VoxelCell(instance_counts={0: 4})).probs == {0: 1.0}
+        assert weights_of({0: 4}) == {"unknown": 1.0}
 
     def test_three_way(self):
-        dist = voxel_instance_distribution(VoxelCell(instance_counts={1: 1, 2: 1, 3: 2}))
-        assert dist.probs == {1: 0.25, 2: 0.25, 3: 0.5}
+        assert weights_of({1: 1, 2: 1, 3: 2}) == {"c1": 0.25, "c2": 0.25, "c3": 0.5}
 
     def test_empty_cell_is_error(self):
         with pytest.raises(NoEvidenceError, match="no evidence"):
-            voxel_instance_distribution(VoxelCell())
+            voxel_category_distribution({}, MapState(voxel_size=0.02))
 
 
 @st.composite
@@ -215,25 +240,38 @@ class TestRegistryAudit:
     def test_voxel_counts_match_recomputation(self, case):
         n_instances, ops = case
         state = MapState(voxel_size=0.05)
+        batched = MapState(voxel_size=0.05)
+        model = OracleMap(voxel_size=0.05)
         ids = [state.new_instance() for _ in range(n_instances)]
+        for _ in ids:
+            batched.new_instance()
+            model.new_instance()
         for which, i, j, k, count in ops:
             state.add_instance_evidence((i, j, k), ids[which], count)
-        state.audit_voxel_counts()
-        footprints = state.instance_footprints(ids)
+            model.add_instance_evidence((i, j, k), ids[which], count)
+        for which, instance_id in enumerate(ids):
+            mine = [(op[1:4], op[4]) for op in ops if op[0] == which]
+            if mine:
+                batched.add_instance_evidence([key for key, _ in mine], instance_id, [c for _, c in mine])
+        check_storage(state)
+        assert state.to_dict() == model.to_dict()
+        assert batched.to_dict()["cells"] == model.to_dict()["cells"]
         for instance_id in ids:
-            assert footprints[instance_id] == {
+            assert set(unpack_keys(state.instances[instance_id].keys)) == {
                 key
-                for key, cell in state.cells.items()
+                for key, cell in model.cells.items()
                 if cell.instance_counts.get(instance_id, 0) > 0
             }
+            assert state.instances[instance_id].voxel_count == model.instances[instance_id].voxel_count
 
     def test_audit_detects_corruption(self):
         state = MapState(voxel_size=0.05)
         k = state.new_instance()
         state.add_instance_evidence((0, 0, 0), k, 1)
-        state.instances[k].voxel_count = 7
-        with pytest.raises(AssertionError):
-            state.audit_voxel_counts()
+        snapshot = state.to_dict()
+        snapshot["instances"][1]["voxel_count"] = 7
+        with pytest.raises(SnapshotError, match="voxel_count 7"):
+            MapState.from_dict(snapshot)
 
 
 class TestSparseExpansionAgainstDenseReference:
@@ -253,7 +291,7 @@ class TestSparseExpansionAgainstDenseReference:
             return
         fresh = state.new_instance()
         state.add_instance_evidence((0, 0, 0), fresh, new_count)
-        sparse_dist = voxel_instance_distribution(state.cells[(0, 0, 0)])
+        sparse_dist = probabilities(cells_of(state)[(0, 0, 0)].instance_counts)
         dense = dense_counts + [new_count]
         total = sum(dense)
         for instance_id, count in zip(ids + [fresh], dense):
@@ -271,7 +309,7 @@ def small_snapshot() -> dict:
     state.register_category("chair")
     state.add_instance_evidence((0, -1, 2), a, 3)
     state.add_instance_evidence((0, -1, 2), UNKNOWN_INSTANCE_ID, 1)
-    state.apply_occupancy((0, -1, 2), hit=True)
+    state.integrate_occupancy(pack_keys(np.array([[0, -1, 2]])), hit=True)
     state.instances[a].observations.append(
         Observation(frame_id=0, category="chair", confidence=0.9, pixel_bbox=(1, 2, 3, 4))
     )
@@ -293,7 +331,7 @@ class TestSnapshot:
             cells if insertion_order == "forward" else list(reversed(cells))
         ):
             state.add_instance_evidence(key, instance_id, count)
-            state.apply_occupancy(key, hit=True)
+            state.integrate_occupancy(pack_keys(np.array([key])), hit=True)
         state.frames_integrated = 4
         return state
 
@@ -329,6 +367,26 @@ class TestSnapshot:
             parent = parent[step]
         del parent[path[-1]]
         with pytest.raises(SnapshotError, match=repr(path[-1])):
+            MapState.from_dict(snapshot)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda s: s["cells"].append({**s["cells"][2], "instance_counts": {}}), "cell key is listed twice"),
+            (lambda s: s["cells"][0]["instance_counts"].update({"1": 0}), "below 1"),
+            (lambda s: s["cells"][0]["instance_counts"].update({"9": 1}), "unlisted instances"),
+            (lambda s: s["cells"][1].update(key=[0, 1 << 20, 0]), "packable"),
+            (lambda s: s["instances"][2].update(voxel_count=3), "voxel_count"),
+            (lambda s: s["cells"][0]["instance_counts"].update({"01": 1}), "instance is listed twice"),
+            (lambda s: s["cells"][0].update(key=[[0, 0, 0]]), "malformed"),
+            (lambda s: [cell.update(key=[cell["key"]]) for cell in s["cells"]], "three integers"),
+        ],
+    )
+    def test_inconsistent_cells_rejected(self, corrupt, message):
+        snapshot = self.build_state("forward").to_dict()
+        assert MapState.from_dict(snapshot).to_dict() == snapshot
+        corrupt(snapshot)
+        with pytest.raises(SnapshotError, match=message):
             MapState.from_dict(snapshot)
 
     def test_unreadable_snapshot_file_rejected(self, tmp_path):
@@ -372,15 +430,33 @@ class TestSnapshot:
         assert "unknown" in state.categories
 
 
+def argmax_owners(cells: list[dict[int, int]]) -> list[int]:
+    """The owner table's argmax owner of each cell, for cells (i, 0, 0) holding ``cells[i]``."""
+    state = MapState(voxel_size=0.1)
+    while state._next_instance_id <= max(max(counts) for counts in cells):
+        state.new_instance()
+    for i, counts in enumerate(cells):
+        for instance_id, count in counts.items():
+            state.add_instance_evidence((i, 0, 0), instance_id, count)
+    return state.owner_table().argmax_owners().tolist()
+
+
 class TestArgmaxOwner:
     @settings(max_examples=300, deadline=None)
-    @given(st.dictionaries(st.integers(0, 8), st.integers(1, 3), min_size=1, max_size=6))
-    def test_matches_sorted_max_expression(self, counts):
-        assert argmax_owner(counts) == max(sorted(counts), key=lambda i: counts[i])
+    @given(
+        st.lists(
+            st.dictionaries(st.integers(0, 8), st.integers(1, 3), min_size=1, max_size=6),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_matches_sorted_max_expression(self, cells):
+        assert argmax_owners(cells) == [
+            max(sorted(counts), key=lambda i: counts[i]) for counts in cells
+        ]
 
     def test_ties_go_to_smallest_id(self):
-        assert argmax_owner({5: 2, 3: 2, 9: 1}) == 3
-        assert argmax_owner({7: 4}) == 7
+        assert argmax_owners([{5: 2, 3: 2, 9: 1}, {7: 4}]) == [3, 7]
 
 
 class TestAtomicWrite:
