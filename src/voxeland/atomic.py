@@ -1,4 +1,5 @@
-"""Atomic text-file writes: a reader finds the old file or the new one, never a part.
+"""Text-file output: atomic writes, and the row chunking and float
+formatting the map's large writers share.
 
 Snapshots, PLY exports with their sidecars, ``timing.json`` and evaluation
 reports all go through :func:`atomic_write`.  The text is written to a
@@ -7,16 +8,25 @@ temporary file in the target's directory and moved over the target with
 the temporary file is removed and any previous file is left as it was.
 The temporary file is not fsynced, so this guards against a failed or
 interrupted process, not against a power loss.
+
+Snapshots, PLY files and sidecars are formatted and written
+``_CHUNK_ROWS`` rows at a time, so no file's text is held whole, and no
+container is built per row: a burst of container allocations sets off full
+garbage collections over every object the process keeps alive.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
+
+import numpy as np
+
+_CHUNK_ROWS = 1 << 16
 
 
 @contextmanager
@@ -31,3 +41,15 @@ def atomic_write(path: Path | str) -> Iterator[TextIO]:
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+def _format_each(values: np.ndarray, format_one: Callable[[float], str]) -> list[str]:
+    """``format_one`` of every float, called once per distinct bit pattern.
+
+    Voxel centers, entropies and log-odds repeat a few values many times, and
+    equal bits (so also -0.0 apart from 0.0) always format the same.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(-1)].tolist()

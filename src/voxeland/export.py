@@ -8,9 +8,7 @@ Vertices are voxel centers in ascending (i, j, k) key order.
 
 Each export reads the map's owner table (or the layer's values) and does
 the rest on arrays; only cells with two or more owners are mixed one by one.
-Rows are formatted and written in chunks, so no file's text is held whole,
-and no container is built per row: a burst of container allocations sets
-off full garbage collections over every object the process keeps alive.
+Rows are formatted and written in chunks (see :mod:`voxeland.atomic`).
 """
 
 from __future__ import annotations
@@ -18,19 +16,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import _CHUNK_ROWS, _format_each, atomic_write
 from .evidence import NoEvidenceError
 from .uncertainty import UncertaintyLayer, voxel_category_distribution
 from .voxelmap import MapState, pack_keys, unpack_key_array
 
 _PLY_ROW = "%s %s %s %d %d %d\n"
 _SIDECAR_ENTRY = '{"entropy": %s, "key": [%d, %d, %d]}'
-_CHUNK_ROWS = 1 << 16
 
 
 def entropy_colors(values: np.ndarray, h_max: float) -> np.ndarray:
@@ -65,18 +61,6 @@ def _id_colors(ids: np.ndarray) -> np.ndarray:
     distinct, inverse = np.unique(ids, return_inverse=True)
     table = np.array([_id_color(i) for i in distinct.tolist()], dtype=np.uint8).reshape(-1, 3)
     return table[inverse.reshape(-1)]
-
-
-def _format_each(values: np.ndarray, format_one: Callable[[float], str]) -> list[str]:
-    """``format_one`` of every float, called once per distinct bit pattern.
-
-    Voxel centers and entropies repeat a few values many times, and equal
-    bits (so also -0.0 apart from 0.0) always format the same.
-    """
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse.reshape(-1)].tolist()
 
 
 def write_ply(path: Path | str, points: np.ndarray, colors: np.ndarray) -> None:

@@ -57,6 +57,9 @@ class Pose:
         translation = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
+        # NaN fails no comparison below, so non-finite values are caught here
+        if not (np.all(np.isfinite(rotation)) and np.all(np.isfinite(translation))):
+            raise ValueError("pose holds a non-finite value")
         if np.max(np.abs(rotation.T @ rotation - np.eye(3))) > 1e-6:
             raise ValueError("rotation is not orthonormal")
         if abs(float(np.linalg.det(rotation)) - 1.0) > 1e-6:

@@ -13,21 +13,29 @@ instance absorbing observed-but-unrecognized geometry.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import _CHUNK_ROWS, _format_each, atomic_write
 from .evidence import CategoricalDistribution, probabilities
 
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
 
 SNAPSHOT_SCHEMA_VERSION = 1
+
+_COMPACT_SORTED = {"sort_keys": True, "separators": (",", ":")}
+_CELL_ROW = '{"instance_counts":%s,"key":[%d,%d,%d],"log_odds":%s}'
+# An instance-count entry of a cell, by 2 * (first in its cell) + (last in its cell).
+_ENTRY_FORMS = (",%s", ",%s}", "{%s", "{%s}")
 
 
 class SnapshotError(ValueError):
@@ -315,21 +323,8 @@ class MapState:
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        table = self.owner_table()
-        instance_counts: list[dict[str, int]] = [{} for _ in range(len(self.cells))]
-        for row, instance_id, count in zip(
-            table.rows.tolist(), map(str, table.ids.tolist()), table.counts.tolist()
-        ):
-            instance_counts[row][instance_id] = count
-        cells = [
-            {"key": key, "log_odds": log_odds, "instance_counts": counts}
-            for key, log_odds, counts in zip(
-                unpack_key_array(self.cells.keys).tolist(),
-                self.cells.log_odds.tolist(),
-                instance_counts,
-            )
-        ]
+    def _snapshot_fields(self) -> dict:
+        """Every field of the snapshot but its cells."""
         instances = [
             {
                 "id": record.id,
@@ -366,20 +361,83 @@ class MapState:
             "next_instance_id": self._next_instance_id,
             "categories": list(self.categories),
             "instances": instances,
-            "cells": cells,
         }
+
+    def _instance_counts_text(self) -> np.ndarray:
+        """The JSON text of each cell's instance counts, as ``json.dumps`` with
+        ``sort_keys`` writes the dict of counts by id string: owners in the
+        string order of their ids (so "10" before "2"), and "{}" for a cell
+        without evidence.
+
+        Each distinct (owner, count) entry is formatted once, in the four
+        forms it can take in a cell; the entries of a cell are then joined
+        by ``np.add.reduceat``, which leaves a cell with one entry as it is.
+        """
+        table = self.owner_table()
+        text = np.full(len(self.cells), "{}", dtype=object)
+        if not len(table.rows):
+            return text
+        # rank the owners by id string and order each cell's entries by rank;
+        # rows are already ascending, so entries stay within their cells
+        ids, owner = np.unique(table.ids, return_inverse=True)
+        by_name = np.argsort(ids.astype(str))
+        names = ids[by_name].astype(str).tolist()
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[by_name] = np.arange(len(ids))
+        owner = rank[owner.reshape(-1)]
+        order = np.lexsort((owner, table.rows))
+        values, value_of = np.unique(table.counts[order], return_inverse=True)
+        # both codes are below the number of entries, so their pair code cannot overflow
+        pairs, pair_of = np.unique(value_of.reshape(-1) * len(ids) + owner[order], return_inverse=True)
+        entries = [
+            '"%s":%d' % (names[name], value)
+            for name, value in zip((pairs % len(ids)).tolist(), values[pairs // len(ids)].tolist())
+        ]
+        forms = np.array([[form % entry for form in _ENTRY_FORMS] for entry in entries], dtype=object)
+        position = np.zeros(len(order), dtype=np.int64)
+        position[table.starts] += 2
+        position[table.starts + table.sizes - 1] += 1
+        text[table.cell_rows] = np.add.reduceat(forms[pair_of.reshape(-1), position], table.starts)
+        return text
+
+    def save_snapshot(self, path: Path | str) -> None:
+        """Write the map as schema-1 JSON.
+
+        The file holds the text ``json.dumps(snapshot, sort_keys=True,
+        separators=(",", ":"))`` gives for the snapshot dict, whose "cells"
+        list has one ``{"instance_counts", "key", "log_odds"}`` entry per
+        cell in key order.  "categories" sorts first and "cells" second, so
+        the cells are formatted from the arrays and streamed in between.
+        """
+        fields = self._snapshot_fields()
+        head = json.dumps({"categories": fields.pop("categories")}, **_COMPACT_SORTED)
+        tail = json.dumps(fields, **_COMPACT_SORTED)
+        counts = self._instance_counts_text()
+        with atomic_write(path) as handle:
+            handle.write(head[:-1] + ',"cells":[')
+            for start in range(0, len(self.cells), _CHUNK_ROWS):
+                stop = start + _CHUNK_ROWS
+                columns = [counts[start:stop].tolist()]
+                columns += unpack_key_array(self.cells.keys[start:stop]).T.tolist()
+                columns.append(_format_each(self.cells.log_odds[start:stop], json.dumps))
+                handle.write("," if start else "")
+                handle.write(",".join(map(_CELL_ROW.__mod__, zip(*columns))))
+            handle.write("]," + tail[1:])
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MapState":
-        """Rebuild a map from :meth:`to_dict` output.
+        """Rebuild a map from a parsed snapshot.
 
         Raises SnapshotError when the schema version is not
         SNAPSHOT_SCHEMA_VERSION or the snapshot is malformed: a missing key,
-        a value of the wrong type, invalid occupancy parameters, a cell key
-        given twice or outside the packable range, an evidence count below
-        1 or for an instance the snapshot does not list, or a stored
-        ``voxel_count`` that differs from the instance's footprint in the
-        cells.
+        a value of the wrong type, invalid occupancy parameters, an instance
+        registry without the unknown instance or whose ``next_instance_id``
+        is not above every listed id, a cell key that is not three integers
+        or is given twice or lies outside the packable range, a log-odds
+        that is not a finite number, an evidence count that is not an
+        integer of at least 1 or is for an instance the snapshot does not
+        list, or a stored ``voxel_count`` that differs from the instance's
+        footprint in the cells.
         """
         version = obj.get("schema_version") if isinstance(obj, dict) else None
         if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
@@ -427,26 +485,24 @@ class MapState:
             )
             stored_voxel_counts[record.id] = int(inst["voxel_count"])
             state.instances[record.id] = record
+        if len(state.instances) != len(obj["instances"]):
+            raise SnapshotError("an instance is listed twice")
+        if UNKNOWN_INSTANCE_ID not in state.instances:
+            raise SnapshotError(f"the unknown instance {UNKNOWN_INSTANCE_ID} is not listed")
+        if state._next_instance_id <= max(state.instances):
+            raise SnapshotError(
+                f"next_instance_id {state._next_instance_id} is not above every listed id"
+            )
 
-        entries = obj["cells"]
-        keys = np.array([entry["key"] for entry in entries], dtype=np.int64)
-        if keys.shape != (len(entries), 3) and entries:
-            raise SnapshotError("a cell key is not three integers")
-        keys = pack_keys(keys.reshape(-1, 3))
-        log_odds = np.array([float(entry["log_odds"]) for entry in entries])
-        owned = [
-            (row, int(instance_id), int(count))
-            for row, entry in enumerate(entries)
-            for instance_id, count in entry["instance_counts"].items()
-        ]
-        rows, ids, counts = np.array(owned, dtype=np.int64).reshape(-1, 3).T
+        keys, log_odds, rows, ids, counts = _cell_columns(obj["cells"])
+        keys = pack_keys(keys)
         order = np.argsort(keys, kind="stable")
         state.cells = Cells(keys[order], log_odds[order])
         if np.any(np.diff(state.cells.keys) == 0):
             raise SnapshotError("a cell key is listed twice")
         if np.any(counts < 1):
             raise SnapshotError(f"evidence count {counts.min()} is below 1")
-        if not set(ids.tolist()) <= set(state.instances):
+        if not set(np.unique(ids).tolist()) <= set(state.instances):
             raise SnapshotError("cells hold evidence of unlisted instances")
         order = np.lexsort((keys[rows], ids))
         keys, ids, counts = keys[rows][order], ids[order], counts[order]
@@ -462,15 +518,62 @@ class MapState:
                 )
         return state
 
-    def save_snapshot(self, path: Path | str) -> None:
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        with atomic_write(path) as handle:
-            handle.write(payload)
-
     @classmethod
     def load_snapshot(cls, path: Path | str) -> "MapState":
+        """Read a map written by :meth:`save_snapshot`; see :meth:`from_dict`.
+
+        The cyclic collector is paused while the file is parsed and
+        converted: parsing allocates a dict and a list per cell, and the
+        collections that would set off walk every one of them while none can
+        be garbage.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise SnapshotError(f"{path}: not a JSON snapshot: {exc}") from exc
-        return cls.from_dict(obj)
+            try:
+                obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise SnapshotError(f"{path}: not a JSON snapshot: {exc}") from exc
+            return cls.from_dict(obj)
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _cell_columns(entries: list) -> tuple[np.ndarray, ...]:
+    """The parsed cell list as arrays: (n, 3) keys and log-odds by entry, and
+    the (entry row, instance id, count) of every evidence entry.
+
+    Each column is gathered with ``map`` and ``itertools.chain`` over all
+    entries at once, and its Python types are checked before numpy converts
+    it, since the conversion would truncate a float key or count and parse
+    a string log-odds.
+    """
+    n = len(entries)
+    key_lists = list(map(itemgetter("key"), entries))
+    key_values = list(itertools.chain.from_iterable(key_lists))
+    if not set(map(len, key_lists)) <= {3} or not _all_of(key_values, int):
+        raise TypeError("a cell key is not three integers")
+    keys = np.fromiter(key_values, dtype=np.int64, count=3 * n).reshape(n, 3)
+    log_odds_values = list(map(itemgetter("log_odds"), entries))
+    if not _all_of(log_odds_values, int, float):
+        raise TypeError("a cell log_odds is not a number")
+    log_odds = np.fromiter(log_odds_values, dtype=float, count=n)
+    if not np.all(np.isfinite(log_odds)):
+        raise ValueError("a cell log_odds is not finite")
+    instance_counts = list(map(itemgetter("instance_counts"), entries))
+    sizes = np.fromiter(map(len, instance_counts), dtype=np.int64, count=n)
+    id_texts = list(itertools.chain.from_iterable(instance_counts))
+    id_of_text = {text: int(text) for text in set(id_texts)}
+    ids = np.fromiter(map(id_of_text.__getitem__, id_texts), dtype=np.int64, count=len(id_texts))
+    count_values = list(itertools.chain.from_iterable(map(dict.values, instance_counts)))
+    if not _all_of(count_values, int):
+        raise TypeError("an evidence count is not an integer")
+    counts = np.fromiter(count_values, dtype=np.int64, count=len(count_values))
+    rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    return keys, log_odds, rows, ids, counts
+
+
+def _all_of(values: list, *types: type) -> bool:
+    """Whether every value is exactly of one of ``types`` (so no bool passes for an int)."""
+    return set(map(type, values)) <= set(types)

@@ -12,7 +12,10 @@ footprints.  Overlap scores, coarse-voxel filtering and geometric
 integration key every point as a tuple on its own, without packed keys.  The
 entropy layers and the PLY exports compute every cell on its own and format
 every vertex with its own f-string.  Back-projection and voxel keying have
-one-point versions here.
+one-point versions here.  A snapshot is the dict :func:`oracle_snapshot_dict`
+builds, with a dict and a list per cell, dumped whole by ``json.dumps``; on
+load, :func:`oracle_snapshot_cells` reads the cell list one entry at a time
+into owned (row, id, count) tuples.
 """
 
 from __future__ import annotations
@@ -43,7 +46,10 @@ from voxeland.voxelmap import (
     MapState,
     Observation,
     OccupancyParams,
+    SnapshotError,
     VoxelKey,
+    pack_keys,
+    unpack_key_array,
     unpack_keys,
 )
 
@@ -395,6 +401,93 @@ def check_storage(state: MapState) -> None:
         assert np.all(record.keys[1:] > record.keys[:-1])
         assert np.all(record.counts >= 1)
         assert np.all(np.isin(record.keys, keys))
+
+
+def oracle_snapshot_dict(state: MapState) -> dict:
+    """The snapshot of ``state`` as a dict, built cell by cell; a snapshot
+    file is ``json.dumps(oracle_snapshot_dict(state), sort_keys=True,
+    separators=(",", ":"))``."""
+    table = state.owner_table()
+    instance_counts: list[dict[str, int]] = [{} for _ in range(len(state.cells))]
+    for row, instance_id, count in zip(
+        table.rows.tolist(), map(str, table.ids.tolist()), table.counts.tolist()
+    ):
+        instance_counts[row][instance_id] = count
+    cells = [
+        {"key": key, "log_odds": log_odds, "instance_counts": counts}
+        for key, log_odds, counts in zip(
+            unpack_key_array(state.cells.keys).tolist(),
+            state.cells.log_odds.tolist(),
+            instance_counts,
+        )
+    ]
+    instances = [
+        {
+            "id": record.id,
+            "category_evidence": {
+                label: record.category_evidence[label]
+                for label in sorted(record.category_evidence)
+            },
+            "voxel_count": record.voxel_count,
+            "final_category": record.final_category,
+            "flagged": record.flagged,
+            "observations": [
+                {
+                    "frame_id": obs.frame_id,
+                    "category": obs.category,
+                    "confidence": obs.confidence,
+                    "pixel_bbox": list(obs.pixel_bbox) if obs.pixel_bbox else None,
+                    "view_path": obs.view_path,
+                }
+                for obs in record.observations
+            ],
+        }
+        for record in (state.instances[i] for i in sorted(state.instances))
+    ]
+    return {
+        "schema_version": SNAPSHOT_SCHEMA_VERSION,
+        "voxel_size": state.voxel_size,
+        "occupancy": {
+            "p_hit": state.occupancy.p_hit,
+            "p_miss": state.occupancy.p_miss,
+            "log_odds_min": state.occupancy.log_odds_min,
+            "log_odds_max": state.occupancy.log_odds_max,
+        },
+        "frames_integrated": state.frames_integrated,
+        "next_instance_id": state._next_instance_id,
+        "categories": list(state.categories),
+        "instances": instances,
+        "cells": cells,
+    }
+
+
+def oracle_snapshot_cells(
+    obj: dict,
+) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """The cells of a valid parsed snapshot, read one entry at a time: the
+    sorted packed cell keys, their log-odds, and the footprint (sorted packed
+    keys, counts) of each instance id that has evidence."""
+    entries = obj["cells"]
+    keys = np.array([entry["key"] for entry in entries], dtype=np.int64)
+    if keys.shape != (len(entries), 3) and entries:
+        raise SnapshotError("a cell key is not three integers")
+    keys = pack_keys(keys.reshape(-1, 3))
+    log_odds = np.array([float(entry["log_odds"]) for entry in entries])
+    owned = [
+        (row, int(instance_id), int(count))
+        for row, entry in enumerate(entries)
+        for instance_id, count in entry["instance_counts"].items()
+    ]
+    rows, ids, counts = np.array(owned, dtype=np.int64).reshape(-1, 3).T
+    order = np.argsort(keys, kind="stable")
+    cell_keys, cell_log_odds = keys[order], log_odds[order]
+    order = np.lexsort((keys[rows], ids))
+    keys, ids, counts = keys[rows][order], ids[order], counts[order]
+    footprints = {}
+    for instance_id in np.unique(ids).tolist():
+        start, stop = np.searchsorted(ids, [instance_id, instance_id + 1])
+        footprints[instance_id] = (keys[start:stop], counts[start:stop])
+    return cell_keys, cell_log_odds, footprints
 
 
 def oracle_voxel_category_distribution(cell: VoxelCell, state) -> CategoricalDistribution:

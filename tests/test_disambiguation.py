@@ -21,6 +21,8 @@ from voxeland.disambiguation import (
 from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import InstanceRecord, MapState, Observation
 
+from oracles import oracle_snapshot_dict
+
 
 def record_with(beta, observations=()):
     record = InstanceRecord(id=1, category_evidence=dict(beta))
@@ -253,10 +255,10 @@ class TestDisambiguateAll:
         state.instances[instance_id].category_evidence = {"chair": 5.0}
         state.add_instance_evidence((0, 0, 0), instance_id, 1)
         declare_categories(state)
-        before = state.to_dict()
+        before = oracle_snapshot_dict(state)
         report = disambiguate_all(state, MockClient({}))
         assert report.decisions == [] and report.parse_failures == []
-        assert state.to_dict() == before
+        assert oracle_snapshot_dict(state) == before
 
     def test_garbage_response_keeps_flag(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
@@ -273,9 +275,9 @@ class TestDisambiguateAll:
 
     def test_evidence_never_mutated(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        before = state.to_dict()
+        before = oracle_snapshot_dict(state)
         disambiguate_all(state, MockClient({str(instance_id): "The object category is couch"}))
-        after = state.to_dict()
+        after = oracle_snapshot_dict(state)
         # the only differences are final_category and flagged on that instance
         for inst_before, inst_after in zip(before["instances"], after["instances"]):
             assert inst_before["category_evidence"] == inst_after["category_evidence"]

@@ -30,6 +30,7 @@ from oracles import (
     oracle_export_semantic_map,
     oracle_geometric_entropy_map,
     oracle_semantic_entropy_map,
+    oracle_snapshot_dict,
     oracle_write_ply,
 )
 from test_fusion import clutter_map_without_refinement
@@ -220,7 +221,7 @@ class TestExportsMatchOracle:
     def test_cells_with_zero_evidence(self):
         """Every count in the map is at least 1, so no reader needs a case
         for a zero count: a snapshot holding one is rejected on load."""
-        snapshot = small_state().to_dict()
+        snapshot = oracle_snapshot_dict(small_state())
         snapshot["cells"][0]["instance_counts"]["1"] = 0
         with pytest.raises(SnapshotError, match="below 1"):
             MapState.from_dict(snapshot)

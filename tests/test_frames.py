@@ -28,14 +28,14 @@ INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, heigh
 IDENTITY = Pose(rotation=np.eye(3), translation=np.zeros(3))
 
 
-def manifest_line(frame_id, depth="d.pgm", predictions="p.json", rotation=None):
+def manifest_line(frame_id, depth="d.pgm", predictions="p.json", rotation=None, translation=(0, 0, 0)):
     rotation = rotation if rotation is not None else np.eye(3)
     return json.dumps(
         {
             "frame_id": frame_id,
             "depth": depth,
             "predictions": predictions,
-            "pose": {"rotation": list(np.asarray(rotation).ravel()), "translation": [0, 0, 0]},
+            "pose": {"rotation": list(np.asarray(rotation).ravel()), "translation": list(translation)},
             "intrinsics": {
                 "fx": 500,
                 "fy": 500,
@@ -62,6 +62,22 @@ class TestManifest:
         reflection = np.diag([1.0, 1.0, -1.0])
         path.write_text(manifest_line(0) + "\n" + manifest_line(1, rotation=reflection) + "\n")
         with pytest.raises(DatasetError, match="line 2"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "pose",
+        [
+            {"rotation": np.diag([np.nan, 1.0, 1.0])},
+            {"rotation": np.full((3, 3), np.nan)},
+            {"translation": (0.0, np.inf, 0.0)},
+            {"translation": (np.nan, 0.0, 0.0)},
+        ],
+        ids=["nan-in-rotation", "all-nan-rotation", "inf-translation", "nan-translation"],
+    )
+    def test_non_finite_pose_rejected_with_line_number(self, tmp_path, pose):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(manifest_line(0) + "\n" + manifest_line(1, **pose) + "\n")
+        with pytest.raises(DatasetError, match="line 2: pose holds a non-finite value"):
             load_manifest(path)
 
     def test_empty_file_is_empty_list(self, tmp_path):

@@ -1,13 +1,16 @@
+import gc
 import json
 import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxeland import atomic
+from voxeland import atomic, voxelmap
 from voxeland.atomic import atomic_write
 from voxeland.evidence import NoEvidenceError, probabilities
 from voxeland.uncertainty import voxel_category_distribution
@@ -23,7 +26,15 @@ from voxeland.voxelmap import (
     unpack_keys,
 )
 
-from oracles import OracleMap, cells_of, check_storage, world_to_key
+from oracles import (
+    OracleMap,
+    cells_of,
+    check_storage,
+    oracle_snapshot_cells,
+    oracle_snapshot_dict,
+    world_to_key,
+)
+from test_fusion import clutter_map_without_refinement
 
 
 class TestWorldToKey:
@@ -94,7 +105,7 @@ class TestOccupancy:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OccupancyParams(**kwargs)
-        snapshot = MapState(voxel_size=0.05).to_dict()
+        snapshot = oracle_snapshot_dict(MapState(voxel_size=0.05))
         snapshot["occupancy"].update(kwargs)
         with pytest.raises(ValueError):
             MapState.from_dict(snapshot)
@@ -254,8 +265,8 @@ class TestRegistryAudit:
             if mine:
                 batched.add_instance_evidence([key for key, _ in mine], instance_id, [c for _, c in mine])
         check_storage(state)
-        assert state.to_dict() == model.to_dict()
-        assert batched.to_dict()["cells"] == model.to_dict()["cells"]
+        assert oracle_snapshot_dict(state) == model.to_dict()
+        assert oracle_snapshot_dict(batched)["cells"] == model.to_dict()["cells"]
         for instance_id in ids:
             assert set(unpack_keys(state.instances[instance_id].keys)) == {
                 key
@@ -268,7 +279,7 @@ class TestRegistryAudit:
         state = MapState(voxel_size=0.05)
         k = state.new_instance()
         state.add_instance_evidence((0, 0, 0), k, 1)
-        snapshot = state.to_dict()
+        snapshot = oracle_snapshot_dict(state)
         snapshot["instances"][1]["voxel_count"] = 7
         with pytest.raises(SnapshotError, match="voxel_count 7"):
             MapState.from_dict(snapshot)
@@ -313,7 +324,7 @@ def small_snapshot() -> dict:
     state.instances[a].observations.append(
         Observation(frame_id=0, category="chair", confidence=0.9, pixel_bbox=(1, 2, 3, 4))
     )
-    return state.to_dict()
+    return oracle_snapshot_dict(state)
 
 
 
@@ -340,7 +351,7 @@ class TestSnapshot:
         path = tmp_path / "map.json"
         state.save_snapshot(path)
         loaded = MapState.load_snapshot(path)
-        assert loaded.to_dict() == state.to_dict()
+        assert oracle_snapshot_dict(loaded) == oracle_snapshot_dict(state)
         loaded.save_snapshot(tmp_path / "map2.json")
         assert (tmp_path / "map.json").read_bytes() == (tmp_path / "map2.json").read_bytes()
 
@@ -350,7 +361,7 @@ class TestSnapshot:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_wrong_schema_version_rejected(self, tmp_path):
-        snapshot = self.build_state("forward").to_dict()
+        snapshot = oracle_snapshot_dict(self.build_state("forward"))
         for version in (SNAPSHOT_SCHEMA_VERSION + 98, 0, None, "1", True, 1.0):
             snapshot["schema_version"] = version
             with pytest.raises(SnapshotError, match="schema_version"):
@@ -361,7 +372,7 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("path", [("cells",), ("occupancy", "p_hit"), ("instances", 0, "voxel_count")])
     def test_missing_key_rejected(self, path):
-        snapshot = self.build_state("forward").to_dict()
+        snapshot = oracle_snapshot_dict(self.build_state("forward"))
         parent = snapshot
         for step in path[:-1]:
             parent = parent[step]
@@ -383,8 +394,8 @@ class TestSnapshot:
         ],
     )
     def test_inconsistent_cells_rejected(self, corrupt, message):
-        snapshot = self.build_state("forward").to_dict()
-        assert MapState.from_dict(snapshot).to_dict() == snapshot
+        snapshot = oracle_snapshot_dict(self.build_state("forward"))
+        assert oracle_snapshot_dict(MapState.from_dict(snapshot)) == snapshot
         corrupt(snapshot)
         with pytest.raises(SnapshotError, match=message):
             MapState.from_dict(snapshot)
@@ -423,11 +434,206 @@ class TestSnapshot:
         except SnapshotError:
             pass
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda s: s["cells"][0].update(key=[1.7, 2, 3]), "three integers"),
+            (lambda s: s["cells"][0].update(key=[True, 0, 0]), "three integers"),
+            (lambda s: s["cells"][0].update(key=["0", 0, 0]), "three integers"),
+            (lambda s: s["cells"][0].update(key=[0, 0, 0, 0]), "three integers"),
+            (lambda s: s["cells"][0].update(log_odds="0.5"), "not a number"),
+            (lambda s: s["cells"][0].update(log_odds=None), "not a number"),
+            (lambda s: s["cells"][0].update(log_odds=False), "not a number"),
+            (lambda s: s["cells"][0].update(log_odds=math.nan), "not finite"),
+            (lambda s: s["cells"][0].update(log_odds=-math.inf), "not finite"),
+            (lambda s: s["cells"][0]["instance_counts"].update({"1": 2.0}), "not an integer"),
+            (lambda s: s["cells"][0]["instance_counts"].update({"1": "2"}), "not an integer"),
+            (lambda s: s["cells"][0]["instance_counts"].update({"1": True}), "not an integer"),
+        ],
+        ids=[
+            "float-key", "bool-key", "string-key", "four-key", "string-log-odds", "null-log-odds",
+            "bool-log-odds", "nan-log-odds", "inf-log-odds", "float-count", "string-count",
+            "bool-count",
+        ],
+    )
+    def test_bad_cell_values_rejected(self, corrupt, message):
+        snapshot = oracle_snapshot_dict(self.build_state("forward"))
+        corrupt(snapshot)
+        with pytest.raises(SnapshotError, match=message):
+            MapState.from_dict(snapshot)
+
+    def test_integral_log_odds_accepted(self):
+        snapshot = oracle_snapshot_dict(self.build_state("forward"))
+        snapshot["cells"][0]["log_odds"] = 1
+        assert MapState.from_dict(snapshot).cells.log_odds[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda s: s.update(next_instance_id=2), "next_instance_id 2"),
+            (lambda s: s.update(next_instance_id=0), "next_instance_id 0"),
+            (lambda s: s["instances"].pop(0), "unknown instance"),
+            (lambda s: s["instances"].append(s["instances"][1]), "instance is listed twice"),
+        ],
+        ids=["next-id-taken", "next-id-zero", "no-unknown-instance", "instance-twice"],
+    )
+    def test_bad_instance_registry_rejected(self, corrupt, message):
+        snapshot = oracle_snapshot_dict(self.build_state("forward"))
+        corrupt(snapshot)
+        with pytest.raises(SnapshotError, match=message):
+            MapState.from_dict(snapshot)
+
+    def test_loaded_registry_hands_out_fresh_ids(self):
+        state = MapState.from_dict(oracle_snapshot_dict(self.build_state("forward")))
+        fresh = state.new_instance()
+        assert fresh == 3 and len(state.instances) == 4
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_load_restores_collector_state(self, tmp_path, enabled, valid):
+        path = tmp_path / "map.json"
+        if valid:
+            self.build_state("forward").save_snapshot(path)
+        else:
+            path.write_text('{"schema_version": 1, "cells": []}')
+        seen = []
+
+        def from_dict(obj):
+            seen.append(gc.isenabled())
+            return original(obj)
+
+        original = MapState.from_dict
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with mock.patch.object(MapState, "from_dict", side_effect=from_dict):
+                if valid:
+                    MapState.load_snapshot(path)
+                else:
+                    with pytest.raises(SnapshotError):
+                        MapState.load_snapshot(path)
+            assert seen == [False]
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_unknown_instance_preexists(self):
         state = MapState(voxel_size=0.02)
         assert UNKNOWN_INSTANCE_ID in state.instances
         assert state.instances[UNKNOWN_INSTANCE_ID].category_evidence == {}
         assert "unknown" in state.categories
+
+
+_SNAPSHOT_TEXT = st.text(
+    st.sampled_from(["a", "z", '"', "\\", "/", "\n", "\u00e9", "\u2603", "\U0001f600", " "]), max_size=4
+)
+_SNAPSHOT_KEY = st.tuples(*[st.integers(-3, 1)] * 3)
+
+
+@st.composite
+def snapshot_maps(draw):
+    """Maps whose snapshots hold every kind of row the writer formats: ids
+    of 10 or more sharing cells with smaller ids, negative keys, cells
+    without evidence, log-odds at both clamp bounds and at -0.0, and text
+    with quotes, escapes and non-ASCII characters."""
+    state = MapState(voxel_size=draw(st.sampled_from([0.05, 0.1, 1 / 3])))
+    ids = [UNKNOWN_INSTANCE_ID] + [state.new_instance() for _ in range(draw(st.integers(0, 13)))]
+    for instance_id in ids:
+        for key, count in draw(st.lists(st.tuples(_SNAPSHOT_KEY, st.integers(1, 10**12)), max_size=6)):
+            state.add_instance_evidence(key, instance_id, count)
+    # five hits reach log_odds_max and five misses log_odds_min
+    for key, hit, repeats in draw(
+        st.lists(st.tuples(_SNAPSHOT_KEY, st.booleans(), st.integers(1, 6)), max_size=12)
+    ):
+        for _ in range(repeats):
+            state.integrate_occupancy(pack_keys(np.array([key])), hit)
+    if len(state.cells) and draw(st.booleans()):
+        state.cells.log_odds[draw(st.integers(0, len(state.cells) - 1))] = -0.0
+    for category in draw(st.lists(_SNAPSHOT_TEXT, max_size=3)):
+        state.register_category(category)
+    observations = st.builds(
+        Observation,
+        frame_id=st.integers(0, 99),
+        category=_SNAPSHOT_TEXT,
+        confidence=st.floats(0.0, 1.0),
+        pixel_bbox=st.none() | st.tuples(*[st.integers(0, 640)] * 4),
+        view_path=st.none() | _SNAPSHOT_TEXT,
+    )
+    for instance_id in ids[1:]:
+        record = state.instances[instance_id]
+        record.category_evidence = draw(st.dictionaries(_SNAPSHOT_TEXT, st.floats(0.0, 10.0), max_size=2))
+        record.final_category = draw(st.none() | _SNAPSHOT_TEXT)
+        record.flagged = draw(st.booleans())
+        record.observations = draw(st.lists(observations, max_size=2))
+    state.frames_integrated = draw(st.integers(0, 50))
+    return state
+
+
+def oracle_snapshot_text(state: MapState) -> bytes:
+    return json.dumps(oracle_snapshot_dict(state), sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def assert_snapshot_round_trip(state: MapState, directory) -> None:
+    """The saved bytes equal the dumped oracle dict, loading gives the cells
+    and footprints the per-entry conversion gives, and a save after the
+    load writes the same bytes."""
+    path = os.path.join(directory, "map.json")
+    state.save_snapshot(path)
+    with open(path, "rb") as handle:
+        saved = handle.read()
+    assert saved == oracle_snapshot_text(state)
+    loaded = MapState.load_snapshot(path)
+    check_storage(loaded)
+    cell_keys, log_odds, footprints = oracle_snapshot_cells(json.loads(saved))
+    np.testing.assert_array_equal(loaded.cells.keys, cell_keys)
+    assert loaded.cells.log_odds.view(np.int64).tolist() == log_odds.view(np.int64).tolist()
+    assert sorted(loaded.instances) == sorted(state.instances)
+    for instance_id, record in loaded.instances.items():
+        keys, counts = footprints.get(instance_id, (np.empty(0, np.int64),) * 2)
+        np.testing.assert_array_equal(record.keys, keys)
+        np.testing.assert_array_equal(record.counts, counts)
+    loaded.save_snapshot(path)
+    with open(path, "rb") as handle:
+        assert handle.read() == saved
+
+
+@pytest.fixture(scope="module")
+def noisy_state(tmp_path_factory):
+    return clutter_map_without_refinement(tmp_path_factory.mktemp("noisy"))
+
+
+class TestSnapshotAgainstOracle:
+    """The chunked snapshot writer and the column-wise loader against the
+    dict-per-cell code they replace."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(snapshot_maps(), st.sampled_from([1, 2, 5, voxelmap._CHUNK_ROWS]))
+    def test_random_maps(self, state, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(voxelmap, "_CHUNK_ROWS", chunk_rows):
+            assert_snapshot_round_trip(state, tmp)
+
+    def test_empty_map(self, tmp_path):
+        state = MapState(voxel_size=0.05)
+        assert_snapshot_round_trip(state, tmp_path)
+        assert b'"cells":[]' in (tmp_path / "map.json").read_bytes()
+
+    def test_owners_in_string_order(self, tmp_path):
+        state = MapState(voxel_size=0.05)
+        ids = [state.new_instance() for _ in range(10)]
+        state.add_instance_evidence((0, 0, 0), ids[1], 4)
+        state.add_instance_evidence((0, 0, 0), ids[-1], 7)
+        state.add_instance_evidence((0, 0, 0), UNKNOWN_INSTANCE_ID, 1)
+        state.integrate_occupancy(pack_keys(np.array([[-1, 0, 0]])), hit=False)
+        assert_snapshot_round_trip(state, tmp_path)
+        text = (tmp_path / "map.json").read_text()
+        assert '"cells":[{"instance_counts":{},"key":[-1,0,0],"log_odds":-0.4054651081081643}' in text
+        assert '{"instance_counts":{"0":1,"10":7,"2":4},"key":[0,0,0],"log_odds":0.0}' in text
+
+    @pytest.mark.parametrize("chunk_rows", [voxelmap._CHUNK_ROWS, 7])
+    def test_noisy_scene(self, noisy_state, tmp_path, chunk_rows, monkeypatch):
+        assert len(noisy_state.cells) > 7 * 100 and len(noisy_state.instances) > 10
+        monkeypatch.setattr(voxelmap, "_CHUNK_ROWS", chunk_rows)
+        assert_snapshot_round_trip(noisy_state, tmp_path)
 
 
 def argmax_owners(cells: list[dict[int, int]]) -> list[int]:
