@@ -1,5 +1,5 @@
-"""Text-file output: atomic writes, and the row chunking and float
-formatting the map's large writers share.
+"""Text files: atomic writes, the row chunking and float formatting the
+map's large writers share, and the exact-type checks of the readers.
 
 Snapshots, PLY exports with their sidecars, ``timing.json`` and evaluation
 reports all go through :func:`atomic_write`.  The text is written to a
@@ -13,10 +13,14 @@ Snapshots, PLY files and sidecars are formatted and written
 ``_CHUNK_ROWS`` rows at a time, so no file's text is held whole, and no
 container is built per row: a burst of container allocations sets off full
 garbage collections over every object the process keeps alive.
+
+The snapshot and dataset readers check parsed JSON values by exact type,
+which ``int()`` or ``float()`` would not: they truncate or parse a string.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 from collections.abc import Callable, Iterator
@@ -53,3 +57,19 @@ def _format_each(values: np.ndarray, format_one: Callable[[float], str]) -> list
     distinct, inverse = np.unique(bits, return_inverse=True)
     text = np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     return text[inverse.reshape(-1)].tolist()
+
+
+def _all_of(values: list, *types: type) -> bool:
+    """Whether every value is exactly of one of ``types`` (so no bool passes for an int)."""
+    return set(map(type, values)) <= set(types)
+
+
+def _checked(value, name: str, *types: type):
+    """``value`` if it is exactly of one of ``types`` and, when a float, finite;
+    otherwise a ValueError naming ``name``."""
+    if not _all_of([value], *types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{name} {value!r} is not {expected}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{name} {value!r} is not finite")
+    return value

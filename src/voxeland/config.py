@@ -9,29 +9,24 @@ ValueError.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .atomic import _all_of, _checked
 from .evaluation import EvalConfig
 from .fusion import AssociationConfig
 from .opinions import ClusteringParams
 from .voxelmap import OccupancyParams
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-# Checks of each field's declared type, keyed by its annotation.
-_TYPE_CHECKS = {
-    "float": _is_number,
-    "float | None": lambda value: value is None or _is_number(value),
-    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "bool": lambda value: isinstance(value, bool),
-    "str": lambda value: isinstance(value, str),
-    "list[str] | None": lambda value: value is None
-    or (isinstance(value, list) and all(isinstance(item, str) for item in value)),
+# The JSON types each field's declared type admits, keyed by its annotation.
+_JSON_TYPES = {
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "int": (int,),
+    "bool": (bool,),
+    "str": (str,),
+    "list[str] | None": (list, type(None)),
 }
 
 
@@ -71,9 +66,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for spec in fields(self):
-            value = getattr(self, spec.name)
-            if not _TYPE_CHECKS[spec.type](value):
-                raise ValueError(f"config {spec.name} must be {spec.type}, got {value!r}")
+            value = _checked(getattr(self, spec.name), f"config {spec.name}", *_JSON_TYPES[spec.type])
+            if isinstance(value, list) and not _all_of(value, str):
+                raise ValueError(f"config {spec.name} holds a value that is not a string")
         for name in ("voxel_size", "max_range", "timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config {name} must be positive, got {getattr(self, name)!r}")

@@ -16,10 +16,13 @@ On-disk layout of a dataset directory:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import _all_of, _checked
 
 
 class DatasetError(ValueError):
@@ -37,6 +40,9 @@ class CameraIntrinsics:
     depth_scale: float
 
     def __post_init__(self) -> None:
+        # NaN fails no comparison below, so non-finite values are caught here
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy, self.depth_scale))):
+            raise ValueError("intrinsics hold a non-finite value")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -191,8 +197,12 @@ def backproject_pixels(
     return pose.apply(points_cam), keep
 
 
-def _read_netpbm_header(data: bytes, magic: bytes, path: Path | str) -> tuple[int, int, int, int]:
-    """Parse a netpbm header; returns (width, height, maxval, raster offset)."""
+def _read_netpbm(
+    path: Path | str, magic: bytes, maxval: int, sample_bytes: int
+) -> tuple[int, int, bytes]:
+    """Read a binary netpbm file with the given maxval; returns (width,
+    height, raster) with ``sample_bytes`` raster bytes per pixel."""
+    data = Path(path).read_bytes()
     tokens: list[bytes] = []
     pos = 0
     while len(tokens) < 4 and pos < len(data):
@@ -210,20 +220,22 @@ def _read_netpbm_header(data: bytes, magic: bytes, path: Path | str) -> tuple[in
             tokens.append(data[start:pos])
     if len(tokens) < 4 or tokens[0] != magic:
         raise DatasetError(f"{path}: not a binary {magic.decode()} netpbm file")
+    if not all(token.isdigit() for token in tokens[1:]):
+        raise DatasetError(f"{path}: netpbm size and maxval are not decimal digits: {tokens[1:]}")
+    width, height, found = map(int, tokens[1:])
+    if found != maxval:
+        raise DatasetError(f"{path}: expected maxval {maxval}, got {found}")
+    expected = width * height * sample_bytes
     # exactly one whitespace byte separates the maxval from the raster
-    return int(tokens[1]), int(tokens[2]), int(tokens[3]), pos + 1
+    raster = data[pos + 1 : pos + 1 + expected]
+    if len(raster) != expected:
+        raise DatasetError(f"{path}: truncated raster")
+    return width, height, raster
 
 
 def read_pgm(path: Path | str) -> DepthImage:
     """Read a binary 16-bit PGM (P5, maxval 65535, big-endian samples)."""
-    data = Path(path).read_bytes()
-    width, height, maxval, offset = _read_netpbm_header(data, b"P5", path)
-    if maxval != 65535:
-        raise DatasetError(f"{path}: expected 16-bit maxval 65535, got {maxval}")
-    expected = width * height * 2
-    raster = data[offset : offset + expected]
-    if len(raster) != expected:
-        raise DatasetError(f"{path}: truncated raster")
+    width, height, raster = _read_netpbm(path, b"P5", 65535, 2)
     values = np.frombuffer(raster, dtype=">u2").astype(np.uint16).reshape(height, width)
     return DepthImage(width=width, height=height, values=values)
 
@@ -237,14 +249,7 @@ def write_pgm(path: Path | str, values: np.ndarray) -> None:
 
 def read_ppm(path: Path | str) -> np.ndarray:
     """Read a binary 8-bit PPM (P6) into an (h, w, 3) uint8 array."""
-    data = Path(path).read_bytes()
-    width, height, maxval, offset = _read_netpbm_header(data, b"P6", path)
-    if maxval != 255:
-        raise DatasetError(f"{path}: expected 8-bit maxval 255, got {maxval}")
-    expected = width * height * 3
-    raster = data[offset : offset + expected]
-    if len(raster) != expected:
-        raise DatasetError(f"{path}: truncated raster")
+    width, height, raster = _read_netpbm(path, b"P6", 255, 3)
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
@@ -262,14 +267,27 @@ def _parse_pose(obj: dict) -> Pose:
 
 
 def _parse_intrinsics(obj: dict) -> CameraIntrinsics:
+    """Intrinsics with integer ``width`` and ``height`` and numbers for the rest."""
+    numbers = {
+        name: float(_checked(obj[name], name, int, float))
+        for name in ("fx", "fy", "cx", "cy", "depth_scale")
+    }
     return CameraIntrinsics(
-        fx=float(obj["fx"]),
-        fy=float(obj["fy"]),
-        cx=float(obj["cx"]),
-        cy=float(obj["cy"]),
-        width=int(obj["width"]),
-        height=int(obj["height"]),
-        depth_scale=float(obj["depth_scale"]),
+        width=_checked(obj["width"], "width", int),
+        height=_checked(obj["height"], "height", int),
+        **numbers,
+    )
+
+
+def _parse_prediction(obj: dict) -> PredictionInstance:
+    """A prediction with a string category, a numeric confidence and integer runs."""
+    rle = _checked(obj["rle"], "rle", list)
+    if not _all_of(rle, int):
+        raise TypeError("a run length is not an integer")
+    return PredictionInstance(
+        category=_checked(obj["category"], "category", str),
+        confidence=float(_checked(obj["confidence"], "confidence", int, float)),
+        rle=rle,
     )
 
 
@@ -292,14 +310,14 @@ def load_manifest(path: Path | str) -> list[FrameRecord]:
             try:
                 obj = json.loads(line)
                 record = FrameRecord(
-                    frame_id=int(obj["frame_id"]),
+                    frame_id=_checked(obj["frame_id"], "frame_id", int),
                     depth_path=root / obj["depth"],
                     predictions_path=root / obj["predictions"],
                     pose=_parse_pose(obj["pose"]),
                     intrinsics=_parse_intrinsics(obj["intrinsics"]),
                     rgb_path=(root / obj["rgb"]) if obj.get("rgb") else None,
                 )
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
             records.append(record)
     return records
@@ -311,15 +329,8 @@ def load_predictions(path: Path | str) -> list[PredictionInstance]:
         raise DatasetError(f"predictions file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-        return [
-            PredictionInstance(
-                category=str(inst["category"]),
-                confidence=float(inst["confidence"]),
-                rle=[int(r) for r in inst["rle"]],
-            )
-            for inst in obj["instances"]
-        ]
-    except (KeyError, ValueError, TypeError) as exc:
+        return list(map(_parse_prediction, obj["instances"]))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
 
@@ -327,8 +338,9 @@ def load_frame(record: FrameRecord) -> Frame:
     depth = read_pgm(record.depth_path)
     if (depth.width, depth.height) != (record.intrinsics.width, record.intrinsics.height):
         raise DatasetError(
-            f"frame {record.frame_id}: depth size {depth.width}x{depth.height} does not "
-            f"match intrinsics {record.intrinsics.width}x{record.intrinsics.height}"
+            f"{record.depth_path}: frame {record.frame_id}: depth size {depth.width}x"
+            f"{depth.height} does not match intrinsics "
+            f"{record.intrinsics.width}x{record.intrinsics.height}"
         )
     return Frame(record=record, depth=depth, predictions=load_predictions(record.predictions_path))
 

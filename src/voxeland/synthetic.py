@@ -11,19 +11,23 @@ Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
+from .atomic import _checked
 from .frames import (
     CameraIntrinsics,
     GroundTruthInstance,
     GroundTruthScene,
     Pose,
+    _parse_intrinsics,
+    _parse_pose,
     encode_rle_mask,
     save_ground_truth,
     write_pgm,
@@ -73,19 +77,14 @@ class SyntheticScene:
         if not self.trajectory:
             raise ValueError("trajectory must contain at least one pose")
         for scene_object in self.objects:
-            inside = np.all(scene_object.box_min >= self.room_min) and np.all(
-                scene_object.box_max <= self.room_max
-            )
-            if not inside:
+            box_min, box_max = scene_object.box_min, scene_object.box_max
+            if not (np.all(box_min >= self.room_min) and np.all(box_max <= self.room_max)):
                 raise ValueError(f"object {scene_object.instance_id} outside room bounds")
 
     @property
     def categories(self) -> list[str]:
-        seen: list[str] = []
-        for scene_object in self.objects:
-            if scene_object.category not in seen:
-                seen.append(scene_object.category)
-        return seen
+        """Object categories in order of first appearance."""
+        return list(dict.fromkeys(scene_object.category for scene_object in self.objects))
 
 
 def look_at_pose(eye: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0, 1.0)) -> Pose:
@@ -130,45 +129,35 @@ def _pixel_rays(intrinsics: CameraIntrinsics, pose: Pose) -> tuple[np.ndarray, n
     Directions are the rotated camera rays ((u-cx)/fx, (v-cy)/fy, 1), so the
     ray parameter t equals z-depth in the camera frame.
     """
-    us = np.arange(intrinsics.width, dtype=float)
-    vs = np.arange(intrinsics.height, dtype=float)
-    grid_u, grid_v = np.meshgrid(us, vs)
-    dirs_cam = np.stack(
-        [
-            (grid_u - intrinsics.cx) / intrinsics.fx,
-            (grid_v - intrinsics.cy) / intrinsics.fy,
-            np.ones_like(grid_u),
-        ],
-        axis=-1,
+    grid_u, grid_v = np.meshgrid(
+        np.arange(intrinsics.width, dtype=float), np.arange(intrinsics.height, dtype=float)
     )
-    dirs_world = dirs_cam @ pose.rotation.T
-    return dirs_world, pose.translation
+    x = (grid_u - intrinsics.cx) / intrinsics.fx
+    y = (grid_v - intrinsics.cy) / intrinsics.fy
+    dirs_cam = np.stack([x, y, np.ones_like(grid_u)], axis=-1)
+    return dirs_cam @ pose.rotation.T, pose.translation
 
 
-def _ray_box_entry(
+def _slab(
     origin: np.ndarray, dirs: np.ndarray, box_min: np.ndarray, box_max: np.ndarray
-) -> np.ndarray:
-    """Entry depth of each ray into the box; +inf where the ray misses."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        t_low = (box_min - origin) * inv
-        t_high = (box_max - origin) * inv
-    t_near = np.nanmax(np.minimum(t_low, t_high), axis=-1)
-    t_far = np.nanmin(np.maximum(t_low, t_high), axis=-1)
-    entry = np.where((t_near <= t_far) & (t_near > 1e-6), t_near, np.inf)
-    return entry
+) -> tuple[np.ndarray, np.ndarray]:
+    """Depths at which each ray enters and leaves the box's three slabs.
 
-
-def _ray_box_exit(
-    origin: np.ndarray, dirs: np.ndarray, box_min: np.ndarray, box_max: np.ndarray
-) -> np.ndarray:
-    """Exit depth of each ray out of the box (origin assumed inside)."""
+    A ray parallel to an axis gets infinite bounds on it, or NaN when it
+    starts on one of the axis's faces; ``np.fmax`` and ``np.fmin`` skip a
+    NaN, so that axis then bounds nothing.  The ray hits the box where
+    ``t_near <= t_far``.
+    """
+    t_near = np.full(dirs.shape[:-1], np.nan)
+    t_far = np.full(dirs.shape[:-1], np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        t_low = (box_min - origin) * inv
-        t_high = (box_max - origin) * inv
-    t_far = np.nanmin(np.maximum(t_low, t_high), axis=-1)
-    return np.where(t_far > 1e-6, t_far, np.inf)
+        for axis in range(3):
+            inv = 1.0 / dirs[..., axis]
+            t_low = (box_min[axis] - origin[axis]) * inv
+            t_high = (box_max[axis] - origin[axis]) * inv
+            t_near = np.fmax(t_near, np.minimum(t_low, t_high))
+            t_far = np.fmin(t_far, np.maximum(t_low, t_high))
+    return t_near, t_far
 
 
 def render_frame(
@@ -176,13 +165,14 @@ def render_frame(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render z-depth (meters) and per-pixel winning object index (-1 = room)."""
     dirs, origin = _pixel_rays(scene.intrinsics, pose)
-    depth = _ray_box_exit(origin, dirs, scene.room_min, scene.room_max)
+    _, room_exit = _slab(origin, dirs, scene.room_min, scene.room_max)
+    depth = np.where(room_exit > 1e-6, room_exit, np.inf)
     owner = np.full(depth.shape, -1, dtype=int)
     for index, scene_object in enumerate(scene.objects):
-        entry = _ray_box_entry(origin, dirs, scene_object.box_min, scene_object.box_max)
-        closer = entry < depth
-        depth = np.where(closer, entry, depth)
-        owner = np.where(closer, index, owner)
+        near, far = _slab(origin, dirs, scene_object.box_min, scene_object.box_max)
+        closer = (near <= far) & (near > 1e-6) & (near < depth)
+        depth[closer] = near[closer]
+        owner[closer] = index
     return depth, owner
 
 
@@ -192,19 +182,19 @@ def voxelize_box_shell(
     """Voxel keys overlapping the box surface (not its open interior).
 
     A key is included when its cube touches the closed box but is not
-    strictly inside it, matching what surface observations can register.
+    strictly inside it, matching what surface observations can register:
+    the keys spanning the box on each axis, minus the product of each
+    axis's keys whose cube lies strictly inside the box on that axis.
     """
-    lo = np.floor(np.asarray(box_min, dtype=float) / voxel_size).astype(int)
-    hi = np.floor(np.asarray(box_max, dtype=float) / voxel_size).astype(int)
-    shell = set()
-    for i in range(lo[0], hi[0] + 1):
-        for j in range(lo[1], hi[1] + 1):
-            for k in range(lo[2], hi[2] + 1):
-                cube_min = np.array([i, j, k], dtype=float) * voxel_size
-                cube_max = cube_min + voxel_size
-                interior = np.all(cube_min > box_min) and np.all(cube_max < box_max)
-                if not interior:
-                    shell.add((i, j, k))
+    spans, interiors = [], []
+    for low, high in zip(box_min, box_max):
+        span = np.arange(math.floor(low / voxel_size), math.floor(high / voxel_size) + 1)
+        cube_min = span * voxel_size
+        inside = (cube_min > low) & (cube_min + voxel_size < high)
+        spans.append(span.tolist())
+        interiors.append(span[inside].tolist())
+    shell = set(itertools.product(*spans))
+    shell.difference_update(itertools.product(*interiors))
     return shell
 
 
@@ -266,13 +256,8 @@ def generate_synthetic(scene: SyntheticScene, seed: int, out_dir: Path | str) ->
                     if others:
                         category = others[int(rng.integers(len(others)))]
                         confidence = noise.mislabel_confidence
-            instances.append(
-                {
-                    "category": category,
-                    "confidence": confidence,
-                    "rle": encode_rle_mask(mask),
-                }
-            )
+            rle = encode_rle_mask(mask)
+            instances.append({"category": category, "confidence": confidence, "rle": rle})
         predictions_name = f"predictions/{frame_id:05d}.json"
         (out_dir / predictions_name).write_text(
             json.dumps({"instances": instances}, sort_keys=True), encoding="utf-8"
@@ -285,18 +270,10 @@ def generate_synthetic(scene: SyntheticScene, seed: int, out_dir: Path | str) ->
                     "depth": depth_name,
                     "predictions": predictions_name,
                     "pose": {
-                        "rotation": [float(x) for x in pose.rotation.ravel()],
-                        "translation": [float(x) for x in pose.translation],
+                        "rotation": pose.rotation.ravel().tolist(),
+                        "translation": pose.translation.tolist(),
                     },
-                    "intrinsics": {
-                        "fx": intrinsics.fx,
-                        "fy": intrinsics.fy,
-                        "cx": intrinsics.cx,
-                        "cy": intrinsics.cy,
-                        "width": intrinsics.width,
-                        "height": intrinsics.height,
-                        "depth_scale": intrinsics.depth_scale,
-                    },
+                    "intrinsics": asdict(intrinsics),
                 },
                 sort_keys=True,
             )
@@ -313,43 +290,26 @@ def scene_from_spec(obj: dict) -> SyntheticScene:
     The trajectory is either an explicit pose list or an orbit shorthand
     ``{"orbit": {"center", "radius", "height", "frames", "target"?}}``.
     """
-    intrinsics = CameraIntrinsics(
-        fx=float(obj["intrinsics"]["fx"]),
-        fy=float(obj["intrinsics"]["fy"]),
-        cx=float(obj["intrinsics"]["cx"]),
-        cy=float(obj["intrinsics"]["cy"]),
-        width=int(obj["intrinsics"]["width"]),
-        height=int(obj["intrinsics"]["height"]),
-        depth_scale=float(obj["intrinsics"]["depth_scale"]),
-    )
+    intrinsics = _parse_intrinsics(obj["intrinsics"])
     trajectory_spec = obj["trajectory"]
     if isinstance(trajectory_spec, dict) and "orbit" in trajectory_spec:
         orbit = trajectory_spec["orbit"]
         trajectory = orbit_trajectory(
-            center=np.array(orbit["center"], dtype=float),
+            orbit["center"],
             radius=float(orbit["radius"]),
             height=float(orbit["height"]),
             frames=int(orbit["frames"]),
-            target=np.array(orbit["target"], dtype=float) if "target" in orbit else None,
+            target=orbit.get("target"),
         )
     else:
-        trajectory = [
-            Pose(
-                rotation=np.array(p["rotation"], dtype=float).reshape(3, 3),
-                translation=np.array(p["translation"], dtype=float),
-            )
-            for p in trajectory_spec
-        ]
-    noise_spec = obj.get("noise", {})
-    noise = NoiseSpec(
-        mask_dilation_px=int(noise_spec.get("mask_dilation_px", 0)),
-        depth_sigma=float(noise_spec.get("depth_sigma", 0.0)),
-        misclassification_rate=float(noise_spec.get("misclassification_rate", 0.0)),
-        mislabel_target=noise_spec.get("mislabel_target"),
-        mislabel_as=noise_spec.get("mislabel_as"),
-        confidence=float(noise_spec.get("confidence", 0.9)),
-        mislabel_confidence=float(noise_spec.get("mislabel_confidence", 0.9)),
-    )
+        trajectory = [_parse_pose(p) for p in trajectory_spec]
+    noise_spec = _checked(obj.get("noise", {}), "noise", dict)
+    # numeric fields take the type of their default; the two ids stay as given
+    noise = NoiseSpec(**{
+        f.name: noise_spec[f.name] if f.default is None else type(f.default)(noise_spec[f.name])
+        for f in fields(NoiseSpec)
+        if f.name in noise_spec
+    })
     return SyntheticScene(
         room_min=np.array(obj["room"]["min"], dtype=float),
         room_max=np.array(obj["room"]["max"], dtype=float),

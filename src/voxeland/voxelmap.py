@@ -18,13 +18,13 @@ import itertools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import _CHUNK_ROWS, _format_each, atomic_write
+from .atomic import _CHUNK_ROWS, _all_of, _checked, _format_each, atomic_write
 from .evidence import CategoricalDistribution, probabilities
 
 UNKNOWN_INSTANCE_ID = 0
@@ -351,12 +351,7 @@ class MapState:
         return {
             "schema_version": SNAPSHOT_SCHEMA_VERSION,
             "voxel_size": self.voxel_size,
-            "occupancy": {
-                "p_hit": self.occupancy.p_hit,
-                "p_miss": self.occupancy.p_miss,
-                "log_odds_min": self.occupancy.log_odds_min,
-                "log_odds_max": self.occupancy.log_odds_max,
-            },
+            "occupancy": asdict(self.occupancy),
             "frames_integrated": self.frames_integrated,
             "next_instance_id": self._next_instance_id,
             "categories": list(self.categories),
@@ -430,14 +425,14 @@ class MapState:
 
         Raises SnapshotError when the schema version is not
         SNAPSHOT_SCHEMA_VERSION or the snapshot is malformed: a missing key,
-        a value of the wrong type, invalid occupancy parameters, an instance
-        registry without the unknown instance or whose ``next_instance_id``
-        is not above every listed id, a cell key that is not three integers
-        or is given twice or lies outside the packable range, a log-odds
-        that is not a finite number, an evidence count that is not an
-        integer of at least 1 or is for an instance the snapshot does not
-        list, or a stored ``voxel_count`` that differs from the instance's
-        footprint in the cells.
+        a value not of its exact JSON type (a bool is not an int, and a
+        number where a float is expected must be finite), invalid occupancy
+        parameters, an instance registry without the unknown instance or
+        whose ``next_instance_id`` is not above every listed id, a cell key
+        that is not three integers or is given twice or lies outside the
+        packable range, an evidence count below 1 or for an instance the
+        snapshot does not list, or a stored ``voxel_count`` that differs
+        from the instance's footprint in the cells.
         """
         version = obj.get("schema_version") if isinstance(obj, dict) else None
         if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
@@ -453,37 +448,30 @@ class MapState:
 
     @classmethod
     def _from_snapshot_dict(cls, obj: dict) -> "MapState":
-        occupancy = OccupancyParams(
-            p_hit=obj["occupancy"]["p_hit"],
-            p_miss=obj["occupancy"]["p_miss"],
-            log_odds_min=obj["occupancy"]["log_odds_min"],
-            log_odds_max=obj["occupancy"]["log_odds_max"],
-        )
-        state = cls(voxel_size=obj["voxel_size"], occupancy=occupancy)
-        state.frames_integrated = int(obj["frames_integrated"])
-        state._next_instance_id = int(obj["next_instance_id"])
-        state.categories = [str(c) for c in obj["categories"]]
+        params = obj["occupancy"]
+        occupancy = OccupancyParams(**{
+            f.name: _checked(params[f.name], f.name, int, float)
+            for f in fields(OccupancyParams)
+        })
+        voxel_size = _checked(obj["voxel_size"], "voxel_size", int, float)
+        state = cls(voxel_size=voxel_size, occupancy=occupancy)
+        state.frames_integrated = _checked(obj["frames_integrated"], "frames_integrated", int)
+        state._next_instance_id = _checked(obj["next_instance_id"], "next_instance_id", int)
+        state.categories = list(_checked(obj["categories"], "categories", list))
+        if not _all_of(state.categories, str):
+            raise TypeError("a category is not a string")
         state._category_set = set(state.categories)
         state.instances = {}
         stored_voxel_counts: dict[int, int] = {}
         for inst in obj["instances"]:
             record = InstanceRecord(
-                id=int(inst["id"]),
-                category_evidence={k: float(v) for k, v in inst["category_evidence"].items()},
-                final_category=inst["final_category"],
-                flagged=bool(inst["flagged"]),
-                observations=[
-                    Observation(
-                        frame_id=int(o["frame_id"]),
-                        category=str(o["category"]),
-                        confidence=float(o["confidence"]),
-                        pixel_bbox=tuple(o["pixel_bbox"]) if o["pixel_bbox"] else None,
-                        view_path=o["view_path"],
-                    )
-                    for o in inst["observations"]
-                ],
+                id=_checked(inst["id"], "instance id", int),
+                category_evidence=_evidence(inst["category_evidence"]),
+                final_category=_checked(inst["final_category"], "final_category", str, type(None)),
+                flagged=_checked(inst["flagged"], "flagged", bool),
+                observations=list(map(_observation, inst["observations"])),
             )
-            stored_voxel_counts[record.id] = int(inst["voxel_count"])
+            stored_voxel_counts[record.id] = _checked(inst["voxel_count"], "voxel_count", int)
             state.instances[record.id] = record
         if len(state.instances) != len(obj["instances"]):
             raise SnapshotError("an instance is listed twice")
@@ -574,6 +562,23 @@ def _cell_columns(entries: list) -> tuple[np.ndarray, ...]:
     return keys, log_odds, rows, ids, counts
 
 
-def _all_of(values: list, *types: type) -> bool:
-    """Whether every value is exactly of one of ``types`` (so no bool passes for an int)."""
-    return set(map(type, values)) <= set(types)
+def _evidence(values: dict) -> dict[str, float]:
+    """A parsed ``category_evidence``: finite numbers by category, as floats."""
+    return {
+        label: float(_checked(value, "category evidence", int, float))
+        for label, value in _checked(values, "category_evidence", dict).items()
+    }
+
+
+def _observation(o: dict) -> Observation:
+    """A parsed observation, each field checked by exact type."""
+    bbox = _checked(o["pixel_bbox"], "pixel_bbox", list, type(None))
+    if bbox is not None and (len(bbox) != 4 or not _all_of(bbox, int)):
+        raise TypeError(f"pixel_bbox {bbox!r} is not four integers")
+    return Observation(
+        frame_id=_checked(o["frame_id"], "frame_id", int),
+        category=_checked(o["category"], "category", str),
+        confidence=float(_checked(o["confidence"], "confidence", int, float)),
+        pixel_bbox=tuple(bbox) if bbox else None,
+        view_path=_checked(o["view_path"], "view_path", str, type(None)),
+    )

@@ -15,7 +15,10 @@ every vertex with its own f-string.  Back-projection and voxel keying have
 one-point versions here.  A snapshot is the dict :func:`oracle_snapshot_dict`
 builds, with a dict and a list per cell, dumped whole by ``json.dumps``; on
 load, :func:`oracle_snapshot_cells` reads the cell list one entry at a time
-into owned (row, id, count) tuples.
+into owned (row, id, count) tuples.  The synthetic renderer's reference
+runs a separate slab test for the room's exit and for each box's entry, each
+over ``(h, w, 3)`` ``nanmax``/``nanmin`` temporaries, and the ground-truth
+shell tests every voxel of a box's span on its own.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from voxeland.export import layer_h_max
 from voxeland.frames import CameraIntrinsics, Pose
 from voxeland.fusion import AssociationConfig, MergeEvent
 from voxeland.opinions import NOISE, UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion, dbscan
+from voxeland.synthetic import SyntheticScene, _pixel_rays
 from voxeland.uncertainty import UncertaintyLayer
 from voxeland.voxelmap import (
     SNAPSHOT_SCHEMA_VERSION,
@@ -794,3 +798,64 @@ def oracle_export_semantic_map(state: OracleMap, ply_path: Path | str) -> None:
         _oracle_voxel_centers(keys, state.voxel_size),
         np.array(colors, dtype=np.uint8).reshape(-1, 3),
     )
+
+
+def oracle_ray_box_entry(
+    origin: np.ndarray, dirs: np.ndarray, box_min: np.ndarray, box_max: np.ndarray
+) -> np.ndarray:
+    """Entry depth of each ray into the box; +inf where the ray misses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t_low = (box_min - origin) * inv
+        t_high = (box_max - origin) * inv
+    t_near = np.nanmax(np.minimum(t_low, t_high), axis=-1)
+    t_far = np.nanmin(np.maximum(t_low, t_high), axis=-1)
+    entry = np.where((t_near <= t_far) & (t_near > 1e-6), t_near, np.inf)
+    return entry
+
+
+def oracle_ray_box_exit(
+    origin: np.ndarray, dirs: np.ndarray, box_min: np.ndarray, box_max: np.ndarray
+) -> np.ndarray:
+    """Exit depth of each ray out of the box (origin assumed inside)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t_low = (box_min - origin) * inv
+        t_high = (box_max - origin) * inv
+    t_far = np.nanmin(np.maximum(t_low, t_high), axis=-1)
+    return np.where(t_far > 1e-6, t_far, np.inf)
+
+
+def oracle_render_frame(scene: SyntheticScene, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Render z-depth (meters) and per-pixel winning object index (-1 = room)."""
+    dirs, origin = _pixel_rays(scene.intrinsics, pose)
+    depth = oracle_ray_box_exit(origin, dirs, scene.room_min, scene.room_max)
+    owner = np.full(depth.shape, -1, dtype=int)
+    for index, scene_object in enumerate(scene.objects):
+        entry = oracle_ray_box_entry(origin, dirs, scene_object.box_min, scene_object.box_max)
+        closer = entry < depth
+        depth = np.where(closer, entry, depth)
+        owner = np.where(closer, index, owner)
+    return depth, owner
+
+
+def oracle_voxelize_box_shell(
+    box_min: np.ndarray, box_max: np.ndarray, voxel_size: float
+) -> set[tuple[int, int, int]]:
+    """Voxel keys overlapping the box surface (not its open interior).
+
+    A key is included when its cube touches the closed box but is not
+    strictly inside it, matching what surface observations can register.
+    """
+    lo = np.floor(np.asarray(box_min, dtype=float) / voxel_size).astype(int)
+    hi = np.floor(np.asarray(box_max, dtype=float) / voxel_size).astype(int)
+    shell = set()
+    for i in range(lo[0], hi[0] + 1):
+        for j in range(lo[1], hi[1] + 1):
+            for k in range(lo[2], hi[2] + 1):
+                cube_min = np.array([i, j, k], dtype=float) * voxel_size
+                cube_max = cube_min + voxel_size
+                interior = np.all(cube_min > box_min) and np.all(cube_max < box_max)
+                if not interior:
+                    shell.add((i, j, k))
+    return shell

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,22 @@ class TestSynthBuildEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "voxel_size" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_intrinsics_fail_before_mapping(self, built, tmp_path, capsys):
+        _, dataset, _ = built
+        copy = tmp_path / "dataset"
+        shutil.copytree(dataset, copy)
+        lines = (copy / "manifest.jsonl").read_text().splitlines()
+        frame = json.loads(lines[3])
+        frame["intrinsics"]["fx"] = float("nan")
+        lines[3] = json.dumps(frame)
+        (copy / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fresh_out"
+        assert main(["build", "--dataset", str(copy), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest.jsonl: line 4: fx nan is not finite" in err
         assert not out.exists()
 
     def test_synth_failure_cleans_up(self, tmp_path, capsys):

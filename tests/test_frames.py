@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxeland.frames import (
     CameraIntrinsics,
@@ -22,31 +24,37 @@ from voxeland.frames import (
     write_ppm,
 )
 
+from fuzzing import mutate_one_value
 from oracles import backproject, project
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480, depth_scale=0.001)
 IDENTITY = Pose(rotation=np.eye(3), translation=np.zeros(3))
 
 
-def manifest_line(frame_id, depth="d.pgm", predictions="p.json", rotation=None, translation=(0, 0, 0)):
+def manifest_frame(frame_id, depth="d.pgm", predictions="p.json", rotation=None, translation=(0, 0, 0)):
     rotation = rotation if rotation is not None else np.eye(3)
-    return json.dumps(
-        {
-            "frame_id": frame_id,
-            "depth": depth,
-            "predictions": predictions,
-            "pose": {"rotation": list(np.asarray(rotation).ravel()), "translation": list(translation)},
-            "intrinsics": {
-                "fx": 500,
-                "fy": 500,
-                "cx": 320,
-                "cy": 240,
-                "width": 640,
-                "height": 480,
-                "depth_scale": 0.001,
-            },
-        }
-    )
+    return {
+        "frame_id": frame_id,
+        "depth": depth,
+        "predictions": predictions,
+        "pose": {
+            "rotation": [float(v) for v in np.asarray(rotation).ravel()],
+            "translation": list(translation),
+        },
+        "intrinsics": {
+            "fx": 500,
+            "fy": 500,
+            "cx": 320,
+            "cy": 240,
+            "width": 640,
+            "height": 480,
+            "depth_scale": 0.001,
+        },
+    }
+
+
+def manifest_line(frame_id, **kwargs):
+    return json.dumps(manifest_frame(frame_id, **kwargs))
 
 
 class TestManifest:
@@ -79,6 +87,68 @@ class TestManifest:
         path.write_text(manifest_line(0) + "\n" + manifest_line(1, **pose) + "\n")
         with pytest.raises(DatasetError, match="line 2: pose holds a non-finite value"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda f: f.update(frame_id=1.7), "frame_id 1.7 is not int"),
+            (lambda f: f.update(frame_id="3"), "frame_id '3' is not int"),
+            (lambda f: f.update(frame_id=True), "frame_id True is not int"),
+            (lambda f: f["intrinsics"].update(width=2.9), "width 2.9 is not int"),
+            (lambda f: f["intrinsics"].update(height="480"), "height '480' is not int"),
+            (lambda f: f["intrinsics"].update(fx="500"), "fx '500' is not int or float"),
+            (lambda f: f["intrinsics"].update(fx=math.nan), "fx nan is not finite"),
+            (lambda f: f["intrinsics"].update(fy=math.inf), "fy inf is not finite"),
+            (lambda f: f["intrinsics"].update(cx=-math.inf), "cx -inf is not finite"),
+            (lambda f: f["intrinsics"].update(depth_scale=math.nan), "depth_scale nan is not finite"),
+            (lambda f: f["intrinsics"].update(depth_scale=10**400), "int too large"),
+        ],
+        ids=[
+            "float-frame-id", "string-frame-id", "bool-frame-id", "float-width", "string-height",
+            "string-fx", "nan-fx", "inf-fy", "inf-cx", "nan-depth-scale", "huge-depth-scale",
+        ],
+    )
+    def test_bad_types_rejected_with_file_and_line(self, tmp_path, edit, message):
+        frame = manifest_frame(1)
+        edit(frame)
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(manifest_line(0) + "\n" + json.dumps(frame) + "\n")
+        with pytest.raises(DatasetError, match=f"manifest.jsonl: line 2: {message}"):
+            load_manifest(path)
+
+    def test_integral_intrinsics_read_as_floats(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(manifest_line(0) + "\n")
+        intrinsics = load_manifest(path)[0].intrinsics
+        assert type(intrinsics.fx) is float and type(intrinsics.width) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_line_parses_or_raises_dataset_error(self, tmp_path_factory, data):
+        """One value anywhere in a valid line replaced or deleted: the manifest
+        either loads, with the types it promises, or raises DatasetError."""
+        frame = mutate_one_value(data, manifest_frame(0))
+        path = tmp_path_factory.mktemp("manifest") / "manifest.jsonl"
+        path.write_text(json.dumps(frame) + "\n")
+        try:
+            records = load_manifest(path)
+        except DatasetError:
+            return
+        intrinsics = records[0].intrinsics
+        assert type(records[0].frame_id) is int
+        assert type(intrinsics.width) is int and type(intrinsics.height) is int
+        numbers = (intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy, intrinsics.depth_scale)
+        assert all(type(v) is float and math.isfinite(v) for v in numbers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40))
+    def test_fuzzed_text_parses_or_raises_dataset_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("manifest") / "manifest.jsonl"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_manifest(path)
+        except DatasetError:
+            pass
 
     def test_empty_file_is_empty_list(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
@@ -131,6 +201,19 @@ class TestRle:
             mask = rng.random((height, width)) < rng.random()
             runs = encode_rle_mask(mask)
             assert np.array_equal(decode_rle_mask(runs, width, height), mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 12) | st.integers(-(2**70), 2**70), max_size=8),
+        st.integers(0, 5),
+        st.integers(0, 5),
+    )
+    def test_fuzzed_runs_decode_or_raise_dataset_error(self, runs, width, height):
+        try:
+            mask = decode_rle_mask(runs, width, height)
+        except DatasetError:
+            return
+        assert mask.shape == (height, width) and mask.sum() == sum(runs[1::2])
 
 
 class TestBackproject:
@@ -187,6 +270,14 @@ class TestPoseAndIntrinsics:
         with pytest.raises(ValueError, match="orthonormal"):
             Pose(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
 
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "depth_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_intrinsics_rejected(self, field, value):
+        values = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10, depth_scale=0.001)
+        values[field] = value
+        with pytest.raises(ValueError, match="intrinsics hold a non-finite value"):
+            CameraIntrinsics(**values)
+
     def test_intrinsics_invariants(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=-1, fy=1, cx=0, cy=0, width=10, height=10, depth_scale=0.001)
@@ -210,6 +301,34 @@ class TestPgm:
         (tmp_path / "bad.pgm").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(DatasetError):
             read_pgm(tmp_path / "bad.pgm")
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\nab 2\n65535\n", b"P5\n-2 2\n65535\n", b"P5\n2 -2\n65535\n", b"P5\n2 2\n+65535\n"],
+        ids=["letters", "negative-width", "negative-height", "signed-maxval"],
+    )
+    def test_bad_header_numbers_rejected_with_file_name(self, tmp_path, header):
+        (tmp_path / "bad.pgm").write_bytes(header + bytes(8))
+        with pytest.raises(DatasetError, match="bad.pgm: netpbm size and maxval are not decimal digits"):
+            read_pgm(tmp_path / "bad.pgm")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([b"P5", b"P6", b" ", b"\n", b"\t", b"#", b"# c\n", b"-", b"+", b"0"])
+            | st.sampled_from([b"2", b"3", b"255", b"65535", b"1e3", b"0x10", b"\xff"])
+            | st.binary(max_size=3),
+            max_size=12,
+        ).map(b"".join)
+    )
+    def test_fuzzed_header_parses_or_raises_dataset_error(self, tmp_path_factory, header):
+        path = tmp_path_factory.mktemp("netpbm") / "image"
+        path.write_bytes(header + bytes(range(64)))
+        for reader in (read_pgm, read_ppm):
+            try:
+                reader(path)
+            except DatasetError:
+                pass
 
 
 class TestPpm:
@@ -237,6 +356,56 @@ class TestPredictionsAndGroundTruth:
         path.write_text(json.dumps(payload))
         with pytest.raises(DatasetError):
             load_predictions(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda i: i.update(rle=[2.5, 2.5]), "a run length is not an integer"),
+            (lambda i: i.update(rle=[True, 5]), "a run length is not an integer"),
+            (lambda i: i.update(rle="15"), "rle '15' is not list"),
+            (lambda i: i.update(confidence="0.5"), "confidence '0.5' is not int or float"),
+            (lambda i: i.update(confidence=math.nan), "confidence nan is not finite"),
+            (lambda i: i.update(category=5), "category 5 is not str"),
+            (lambda i: i.update(category=None), "category None is not str"),
+        ],
+        ids=[
+            "float-runs", "bool-run", "string-rle", "string-confidence", "nan-confidence",
+            "int-category", "null-category",
+        ],
+    )
+    def test_bad_types_rejected_with_file_name(self, tmp_path, edit, message):
+        instance = {"category": "chair", "confidence": 0.9, "rle": [5, 1]}
+        edit(instance)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"instances": [instance]}))
+        with pytest.raises(DatasetError, match=f"p.json: {message}"):
+            load_predictions(path)
+
+    def test_integral_confidence_read_as_float(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"instances": [{"category": "chair", "confidence": 1, "rle": [6]}]}))
+        assert type(load_predictions(path)[0].confidence) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_predictions_parse_or_raise_dataset_error(self, tmp_path_factory, data):
+        """One value anywhere in a valid file replaced or deleted: the file
+        either loads, with the types it promises, or raises DatasetError."""
+        payload = {
+            "instances": [
+                {"category": "chair", "confidence": 0.9, "rle": [5, 1]},
+                {"category": "table", "confidence": 0.6, "rle": [0, 3, 3]},
+            ]
+        }
+        path = tmp_path_factory.mktemp("predictions") / "p.json"
+        path.write_text(json.dumps(mutate_one_value(data, payload)))
+        try:
+            predictions = load_predictions(path)
+        except DatasetError:
+            return
+        for prediction in predictions:
+            assert type(prediction.category) is str and type(prediction.confidence) is float
+            assert type(prediction.rle) is list and all(type(r) is int for r in prediction.rle)
 
     def test_ground_truth_round_trip(self, tmp_path):
         payload = {

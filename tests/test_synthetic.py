@@ -1,21 +1,28 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxeland.frames import CameraIntrinsics, load_manifest, load_frame
 from voxeland.synthetic import (
     NoiseSpec,
     SceneObject,
     SyntheticScene,
+    _pixel_rays,
     generate_synthetic,
     ground_truth_scene,
+    load_scene_spec,
     look_at_pose,
     orbit_trajectory,
     render_frame,
     scene_from_spec,
     voxelize_box_shell,
 )
+
+from oracles import oracle_render_frame, oracle_voxelize_box_shell
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60, depth_scale=0.001)
 
@@ -123,6 +130,110 @@ class TestRenderer:
             assert payload["instances"] == []
 
 
+VOXEL = 0.02
+SMALL = CameraIntrinsics(fx=12.0, fy=12.0, cx=8.0, cy=6.0, width=16, height=12, depth_scale=0.001)
+# unit directions that look_at_pose turns into exact rotations, so the rays of
+# the principal row and column have exact zeros in their world directions
+AXIS_VIEWS = [
+    np.array(v, dtype=float)
+    for v in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+]
+
+
+@st.composite
+def grid_boxes(draw, max_voxels=12):
+    """Boxes in the room [-1, 1]^3 whose faces often lie on voxel boundaries
+    and which are often one voxel thin, or thinner, on some axis."""
+    low, high = [], []
+    for _ in range(3):
+        start = draw(st.integers(-50, 50 - max_voxels - 1))
+        offset = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+        size = draw(
+            st.sampled_from([1.0, 0.5, 0.01])
+            | st.integers(1, max_voxels).map(float)
+            | st.floats(0.001, max_voxels)
+        )
+        low.append((start + offset) * VOXEL)
+        high.append((start + offset + size) * VOXEL)
+    return np.array(low), np.array(high)
+
+
+def assert_same_render(scene, pose):
+    depth, owner = render_frame(scene, pose)
+    expected_depth, expected_owner = oracle_render_frame(scene, pose)
+    assert depth.dtype == expected_depth.dtype and depth.tobytes() == expected_depth.tobytes()
+    assert owner.dtype == expected_owner.dtype and np.array_equal(owner, expected_owner)
+
+
+def room_scene(boxes, intrinsics=SMALL):
+    objects = [SceneObject(f"o{n}", "crate", low, high) for n, (low, high) in enumerate(boxes)]
+    pose = look_at_pose(np.zeros(3), np.ones(3))
+    return SyntheticScene(
+        room_min=np.full(3, -1.0),
+        room_max=np.full(3, 1.0),
+        objects=objects,
+        trajectory=[pose],
+        intrinsics=intrinsics,
+        voxel_size=VOXEL,
+    )
+
+
+class TestRendererAgainstOracle:
+    """render_frame gives the bits of the reference's separate entry and exit
+    slab tests, over (h, w, 3) nanmax/nanmin temporaries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        boxes=st.lists(grid_boxes(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_bit_identical_to_oracle(self, boxes, data):
+        scene = room_scene(boxes)
+        # eyes on box face planes make rays parallel to a face start on it
+        faces = sorted({float(v) for low, high in boxes for v in (*low, *high)})
+        coordinate = st.sampled_from(faces) | st.floats(-0.9, 0.9)
+        eye = np.array([data.draw(coordinate) for _ in range(3)])
+        view = data.draw(
+            st.sampled_from(AXIS_VIEWS)
+            | st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+                lambda v: np.linalg.norm(v) > 0.1
+            )
+        )
+        assert_same_render(scene, look_at_pose(eye, eye + view))
+
+    def test_camera_on_face_plane(self):
+        """The principal column runs parallel to the box's x faces from the
+        plane of one of them: the x slab is 0 * inf = NaN there, which the
+        fmax/fmin of the slab test must skip as nanmax/nanmin did."""
+        box = (np.array([0.0, 0.2, 0.0]), np.array([0.2, 0.4, 0.2]))
+        scene = room_scene([box])
+        pose = look_at_pose(np.array([0.0, 0.0, 0.1]), np.array([0.0, 1.0, 0.1]))
+        dirs, origin = _pixel_rays(scene.intrinsics, pose)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_slab = (box[0][0] - origin[0]) / dirs[..., 0]
+        assert np.isnan(x_slab).any()
+        assert_same_render(scene, pose)
+        depth, owner = render_frame(scene, pose)
+        # the principal ray grazes the face x = 0 and enters at y = 0.2
+        assert owner[6, 8] == 0 and depth[6, 8] == pytest.approx(0.2)
+
+    def test_five_box_orbit_frames(self):
+        intrinsics = CameraIntrinsics(260.0, 260.0, 160.0, 120.0, 320, 240, 0.001)
+        boxes = [
+            (np.array(low), np.array(high))
+            for low, high in (
+                ((0.36, 0.36, 0.0), (0.66, 0.66, 0.5)),
+                ((-0.76, 0.20, 0.0), (-0.34, 0.50, 0.34)),
+                ((-0.50, -0.76, 0.0), (-0.20, -0.46, 0.5)),
+                ((0.34, -0.60, 0.0), (0.56, -0.50, 0.42)),
+                ((-0.18, -0.08, 0.0), (0.20, 0.18, 0.26)),
+            )
+        ]
+        scene = room_scene(boxes, intrinsics)
+        for pose in orbit_trajectory(np.zeros(3), 0.95, 0.9, 3, target=np.array([0.0, 0.0, 0.25])):
+            assert_same_render(scene, pose)
+
+
 class TestTargetedMislabel:
     def test_rate_and_target_respected(self):
         import tempfile, pathlib
@@ -163,6 +274,27 @@ class TestShellVoxelization:
         assert (1, 1, 1) not in shell
         assert (0, 0, 0) in shell and (4, 4, 4) in shell
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid_boxes())
+    def test_equals_oracle(self, box):
+        assert voxelize_box_shell(*box, VOXEL) == oracle_voxelize_box_shell(*box, VOXEL)
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            ((0.0, 0.0, 0.0), (0.08, 0.08, 0.08)),
+            ((-0.1, 0.02, 0.3), (0.14, 0.04, 0.5)),
+            ((0.02, 0.02, 0.02), (0.04, 0.04, 0.04)),
+            ((0.01, -0.03, 0.0), (0.015, 0.05, 0.02)),
+            ((0.03, 0.03, 0.03), (0.1, 0.1, 0.1)),
+        ],
+        ids=["faces-on-boundaries", "one-voxel-thin", "one-voxel-cube", "sub-voxel-thin", "off-grid"],
+    )
+    def test_boundary_and_thin_boxes_equal_oracle(self, low, high):
+        shell = voxelize_box_shell(np.array(low), np.array(high), VOXEL)
+        assert shell == oracle_voxelize_box_shell(np.array(low), np.array(high), VOXEL)
+        assert all(type(v) is int for key in shell for v in key)
+
     def test_ground_truth_uses_shell(self):
         scene = simple_scene()
         gt = ground_truth_scene(scene)
@@ -190,6 +322,31 @@ class TestSceneSpec:
         assert len(scene.trajectory) == 6
         assert scene.objects[0].category == "crate"
         assert scene.noise.misclassification_rate == 0.1
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("fx", math.nan, "fx nan is not finite"),
+            ("depth_scale", math.inf, "depth_scale inf is not finite"),
+            ("width", 80.5, "width 80.5 is not int"),
+            ("cy", "30", "cy '30' is not int or float"),
+        ],
+    )
+    def test_bad_intrinsics_rejected(self, tmp_path, field, value, message):
+        spec = {
+            "room": {"min": [-3, -3, 0], "max": [3, 3, 2.4]},
+            "intrinsics": {
+                "fx": 100, "fy": 100, "cx": 40, "cy": 30,
+                "width": 80, "height": 60, "depth_scale": 0.001,
+            },
+            "objects": [],
+            "trajectory": {"orbit": {"center": [0, 0, 0], "radius": 2.0, "height": 0.8, "frames": 2}},
+        }
+        spec["intrinsics"][field] = value
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ValueError, match=message):
+            load_scene_spec(path)
 
     def test_object_outside_room_rejected(self):
         with pytest.raises(ValueError, match="outside"):

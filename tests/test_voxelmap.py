@@ -26,6 +26,7 @@ from voxeland.voxelmap import (
     unpack_keys,
 )
 
+from fuzzing import mutate_one_value
 from oracles import (
     OracleMap,
     cells_of,
@@ -327,6 +328,10 @@ def small_snapshot() -> dict:
     return oracle_snapshot_dict(state)
 
 
+OBSERVATION = {
+    "frame_id": 12, "category": "chair", "confidence": 0.9, "pixel_bbox": [1, 2, 3, 4], "view_path": None,
+}
+
 
 class TestSnapshot:
     def build_state(self, insertion_order):
@@ -411,24 +416,7 @@ class TestSnapshot:
     def test_fuzzed_snapshot_parses_or_raises_snapshot_error(self, data):
         """Replace or delete one value anywhere in a valid snapshot: loading
         either succeeds or raises SnapshotError, never another exception."""
-        snapshot = small_snapshot()
-        parent, step = None, None
-        node = snapshot
-        while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
-            parent = node
-            step = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-            node = node[step]
-        json_values = st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-            max_leaves=5,
-        )
-        if parent is None:
-            snapshot = data.draw(json_values)
-        elif isinstance(parent, dict) and data.draw(st.booleans()):
-            del parent[step]
-        else:
-            parent[step] = data.draw(json_values)
+        snapshot = mutate_one_value(data, small_snapshot())
         try:
             MapState.from_dict(snapshot)
         except SnapshotError:
@@ -474,14 +462,61 @@ class TestSnapshot:
             (lambda s: s.update(next_instance_id=0), "next_instance_id 0"),
             (lambda s: s["instances"].pop(0), "unknown instance"),
             (lambda s: s["instances"].append(s["instances"][1]), "instance is listed twice"),
+            (lambda s: s["instances"][1].update(flagged="false"), "flagged 'false' is not bool"),
+            (lambda s: s["instances"][1].update(flagged=1), "flagged 1 is not bool"),
+            (lambda s: s["instances"][1].update(id=1.7), "instance id 1.7 is not int"),
+            (lambda s: s["instances"][1].update(id=True), "instance id True is not int"),
+            (lambda s: s["instances"][1].update(voxel_count=2.0), "voxel_count 2.0 is not int"),
+            (lambda s: s["instances"][1].update(final_category=5), "final_category 5 is not str"),
+            (lambda s: s["instances"][1]["observations"].append({**OBSERVATION, "frame_id": "12"}),
+             "frame_id '12' is not int"),
+            (lambda s: s["instances"][1]["observations"].append({**OBSERVATION, "pixel_bbox": "abcd"}),
+             "pixel_bbox 'abcd' is not list"),
+            (lambda s: s["instances"][1]["observations"].append({**OBSERVATION, "pixel_bbox": [1, 2, 3]}),
+             "not four integers"),
+            (lambda s: s["instances"][1]["observations"].append({**OBSERVATION, "pixel_bbox": [1, 2, 3, 4.0]}),
+             "not four integers"),
+            (lambda s: s["instances"][1]["observations"].append({**OBSERVATION, "confidence": "0.9"}),
+             "confidence '0.9' is not int or float"),
+            (lambda s: s["instances"][1]["observations"].append({**OBSERVATION, "view_path": 3}),
+             "view_path 3 is not str or NoneType"),
+            (lambda s: s["instances"][1]["category_evidence"].update(chair="0.9"),
+             "category evidence '0.9' is not int or float"),
+            (lambda s: s["instances"][1]["category_evidence"].update(chair=math.nan),
+             "category evidence nan is not finite"),
+            (lambda s: s["categories"].append(5), "category is not a string"),
+            (lambda s: s.update(categories="chair"), "categories 'chair' is not list"),
+            (lambda s: s.update(frames_integrated=2.5), "frames_integrated 2.5 is not int"),
+            (lambda s: s.update(next_instance_id=3.0), "next_instance_id 3.0 is not int"),
+            (lambda s: s.update(voxel_size=math.nan), "voxel_size nan is not finite"),
+            (lambda s: s["occupancy"].update(log_odds_max=math.inf), "log_odds_max inf is not finite"),
+            (lambda s: s["occupancy"].update(p_hit="0.7"), "p_hit '0.7' is not int or float"),
         ],
-        ids=["next-id-taken", "next-id-zero", "no-unknown-instance", "instance-twice"],
+        ids=[
+            "next-id-taken", "next-id-zero", "no-unknown-instance", "instance-twice",
+            "string-flagged", "int-flagged", "float-id", "bool-id", "float-voxel-count",
+            "int-final-category", "string-frame-id", "string-bbox", "three-bbox", "float-in-bbox",
+            "string-confidence", "int-view-path", "string-evidence", "nan-evidence", "int-category",
+            "string-categories", "float-frames-integrated", "float-next-id", "nan-voxel-size",
+            "inf-log-odds-max", "string-p-hit",
+        ],
     )
     def test_bad_instance_registry_rejected(self, corrupt, message):
         snapshot = oracle_snapshot_dict(self.build_state("forward"))
         corrupt(snapshot)
         with pytest.raises(SnapshotError, match=message):
             MapState.from_dict(snapshot)
+
+    def test_observations_round_trip(self):
+        snapshot = oracle_snapshot_dict(self.build_state("forward"))
+        snapshot["instances"][1]["observations"] += [
+            OBSERVATION,
+            {**OBSERVATION, "pixel_bbox": None, "view_path": "views/1.ppm", "confidence": 1},
+        ]
+        loaded = MapState.from_dict(snapshot)
+        assert loaded.instances[1].observations[0].pixel_bbox == (1, 2, 3, 4)
+        assert type(loaded.instances[1].observations[1].confidence) is float
+        assert oracle_snapshot_dict(loaded)["instances"][1]["observations"][0] == OBSERVATION
 
     def test_loaded_registry_hands_out_fresh_ids(self):
         state = MapState.from_dict(oracle_snapshot_dict(self.build_state("forward")))
