@@ -72,8 +72,18 @@ class Pose:
             raise ValueError("rotation determinant is not +1")
 
     def apply(self, points_cam: np.ndarray) -> np.ndarray:
+        """World coordinates of one ``(3,)`` camera point or of ``(n, 3)`` rows.
+
+        The product runs on the ``(3, n)`` transpose: one ``rotation @ cam``
+        and an in-place add of the translation, whose inner loop is then n
+        long rather than 3.  The ``(n, 3)`` result is the transpose of that
+        C-ordered ``(3, n)`` array, so ``.T`` gives the columns back without
+        a copy.
+        """
         points_cam = np.asarray(points_cam, dtype=float)
-        return points_cam @ self.rotation.T + self.translation
+        world = self.rotation @ points_cam.reshape(-1, 3).T
+        world += self.translation[:, None]
+        return world.T.reshape(points_cam.shape)
 
 
 @dataclass
@@ -183,18 +193,34 @@ def backproject_pixels(
 
     Returns ``(points, keep)`` where ``keep`` marks the input pixels that
     carried a valid in-range depth and ``points`` are their world-frame
-    coordinates, in input order.
+    coordinates, in input order.  ``points`` is ``(n, 3)`` and the transpose
+    of a C-ordered ``(3, n)`` array (see :meth:`Pose.apply`), so
+    ``points.T`` selects by column without a copy.
     """
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    us = np.asarray(us)
+    vs = np.asarray(vs)
     depth_raw = np.asarray(depth_raw)
     z = depth_raw.astype(float) * intrinsics.depth_scale
     keep = (depth_raw != 0) & (z <= max_range)
-    z = z[keep]
-    x = (us[keep] - intrinsics.cx) * z / intrinsics.fx
-    y = (vs[keep] - intrinsics.cy) * z / intrinsics.fy
-    points_cam = np.stack([x, y, z], axis=1)
-    return pose.apply(points_cam), keep
+    if not keep.all():
+        us, vs, z = us[keep], vs[keep], z[keep]
+    return pose.apply(camera_points(us, vs, z, intrinsics).T), keep
+
+
+def camera_points(
+    us: np.ndarray, vs: np.ndarray, z: np.ndarray, intrinsics: CameraIntrinsics
+) -> np.ndarray:
+    """C-ordered ``(3, n)`` camera-frame points of pixels ``(us, vs)`` at metric depths ``z``."""
+    points_cam = np.empty((3, len(z)))
+    x, y, _ = points_cam
+    np.subtract(us, intrinsics.cx, out=x, dtype=float)
+    x *= z
+    x /= intrinsics.fx
+    np.subtract(vs, intrinsics.cy, out=y, dtype=float)
+    y *= z
+    y /= intrinsics.fy
+    points_cam[2] = z
+    return points_cam
 
 
 def _read_netpbm(
@@ -284,6 +310,8 @@ def _parse_prediction(obj: dict) -> PredictionInstance:
     rle = _checked(obj["rle"], "rle", list)
     if not _all_of(rle, int):
         raise TypeError("a run length is not an integer")
+    if any(run < 0 for run in rle):
+        raise ValueError(f"negative run length in {rle!r}")
     return PredictionInstance(
         category=_checked(obj["category"], "category", str),
         confidence=float(_checked(obj["confidence"], "confidence", int, float)),
@@ -342,7 +370,16 @@ def load_frame(record: FrameRecord) -> Frame:
             f"{depth.height} does not match intrinsics "
             f"{record.intrinsics.width}x{record.intrinsics.height}"
         )
-    return Frame(record=record, depth=depth, predictions=load_predictions(record.predictions_path))
+    predictions = load_predictions(record.predictions_path)
+    for index, prediction in enumerate(predictions):
+        total = sum(prediction.rle)
+        if total != depth.width * depth.height:
+            raise DatasetError(
+                f"{record.predictions_path}: frame {record.frame_id}: instance {index}: run "
+                f"lengths sum to {total}, expected {depth.width * depth.height} for "
+                f"{depth.width}x{depth.height}"
+            )
+    return Frame(record=record, depth=depth, predictions=predictions)
 
 
 def load_ground_truth(path: Path | str) -> GroundTruthScene:
@@ -351,22 +388,25 @@ def load_ground_truth(path: Path | str) -> GroundTruthScene:
         raise DatasetError(f"ground truth file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-        voxel_size = float(obj["voxel_size"])
+        voxel_size = float(_checked(obj["voxel_size"], "voxel_size", int, float))
         instances = []
         seen: set[str] = set()
         for inst in obj["instances"]:
-            gt_id = str(inst["id"])
+            gt_id = _checked(inst["id"], "id", str)
             if gt_id in seen:
                 raise ValueError(f"duplicate ground-truth instance id {gt_id!r}")
             seen.add(gt_id)
-            voxels = {(int(i), int(j), int(k)) for i, j, k in inst["voxels"]}
+            voxels = set()
+            for voxel in _checked(inst["voxels"], "voxels", list):
+                if not (type(voxel) is list and len(voxel) == 3 and _all_of(voxel, int)):
+                    raise ValueError(f"ground-truth voxel {voxel!r} is not three integers")
+                voxels.add(tuple(voxel))
             if not voxels:
                 raise ValueError(f"ground-truth instance {gt_id!r} has no voxels")
-            instances.append(
-                GroundTruthInstance(id=gt_id, category=str(inst["category"]), voxels=voxels)
-            )
+            category = _checked(inst["category"], "category", str)
+            instances.append(GroundTruthInstance(id=gt_id, category=category, voxels=voxels))
         return GroundTruthScene(voxel_size=voxel_size, instances=instances)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
 

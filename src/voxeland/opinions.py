@@ -1,11 +1,13 @@
 """Turn one decoded frame into subjective opinions.
 
-Each surviving network prediction becomes an opinion: its masked pixels are
-back-projected to world-frame points, coarsely voxelized, and cleaned with
-density-based clustering so that stray background points leaking into the 2D
-mask do not pollute the map.  Valid depth not covered by any prediction mask
-becomes a single reserved ``unknown`` opinion, which skips the clustering
-filter (it is background by definition).
+The frame's valid pixels are back-projected to world-frame points once, as
+the columns of one ``(3, n)`` array.  Each surviving network prediction
+becomes an opinion: the columns of its masked pixels are selected, coarsely
+voxelized, and cleaned with density-based clustering so that stray
+background points leaking into the 2D mask do not pollute the map.  The
+columns of valid pixels not covered by any prediction mask become a single
+reserved ``unknown`` opinion, which skips the clustering filter (it is
+background by definition).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .frames import CameraIntrinsics, Frame, Pose, backproject_pixels
+from .frames import CameraIntrinsics, Frame, Pose, backproject_pixels, camera_points
 from .voxelmap import UNKNOWN_CATEGORY, pack_keys
 
 NOISE = -1
@@ -144,44 +146,56 @@ def build_opinions(
     are dropped.
     """
     depth = frame.depth.values
+    width, height = frame.depth.width, frame.depth.height
     valid = (depth != 0) & (depth.astype(float) * intrinsics.depth_scale <= max_range)
-    claimed = np.zeros_like(valid, dtype=bool)
+    pixels = np.flatnonzero(valid)
+    vs = pixels // width
+    us = pixels - vs * width
+    raw = depth.ravel()[pixels]
+    points, _ = backproject_pixels(us, vs, raw, intrinsics, pose, max_range)
+    world = points.T  # C-ordered (3, n): one column per valid pixel
+
+    def selected_points(selected: np.ndarray) -> np.ndarray:
+        """(m, 3) world points of the selected valid pixels."""
+        if np.count_nonzero(selected) == 1 < len(pixels):
+            # numpy transforms a lone point with a matrix-vector product, whose
+            # rounding can differ from the frame's matrix product by an ulp;
+            # transform it on its own, as its opinion's own pixels would be
+            one = np.flatnonzero(selected)
+            z = raw[one].astype(float) * intrinsics.depth_scale
+            return pose.apply(camera_points(us[one], vs[one], z, intrinsics).T)
+        return np.compress(selected, world, axis=1).T
+
+    claimed = np.zeros(len(pixels), dtype=bool)
     opinions: list[SubjectiveOpinion] = []
 
     for prediction in frame.predictions:
-        mask = prediction.mask(frame.depth.width, frame.depth.height)
-        claimed |= mask
-        selected = mask & valid
+        mask = prediction.mask(width, height)
+        selected = mask.ravel()[pixels]
+        claimed |= selected
         if not selected.any():
             continue
-        vs, us = np.nonzero(selected)
-        points, _ = backproject_pixels(us, vs, depth[vs, us], intrinsics, pose, max_range)
-        filtered = filter_geometric_opinion(points, params)
+        filtered = filter_geometric_opinion(selected_points(selected), params)
         if len(filtered) == 0:
             continue
-        bbox = pixel_bbox(mask)
         opinions.append(
             SubjectiveOpinion(
                 points=filtered,
                 category=prediction.category,
                 confidence=prediction.confidence,
                 source_frame=frame.frame_id,
-                pixel_bbox=bbox,
+                pixel_bbox=pixel_bbox(mask),
             )
         )
 
-    background = valid & ~claimed
-    if background.any():
-        vs, us = np.nonzero(background)
-        points, _ = backproject_pixels(us, vs, depth[vs, us], intrinsics, pose, max_range)
-        if len(points) > 0:
-            opinions.append(
-                SubjectiveOpinion(
-                    points=points,
-                    category=UNKNOWN_CATEGORY,
-                    confidence=1.0,
-                    source_frame=frame.frame_id,
-                    pixel_bbox=None,
-                )
+    if not claimed.all():
+        opinions.append(
+            SubjectiveOpinion(
+                points=selected_points(~claimed),
+                category=UNKNOWN_CATEGORY,
+                confidence=1.0,
+                source_frame=frame.frame_id,
+                pixel_bbox=None,
             )
+        )
     return opinions

@@ -101,7 +101,10 @@ def _sorted_add(
     through here, so both stay sorted and unique.
     """
     rows = np.searchsorted(keys, new_keys)
-    missing = ~in_sorted(keys, new_keys)
+    if len(keys):
+        missing = keys[np.minimum(rows, len(keys) - 1)] != new_keys
+    else:
+        missing = np.ones(len(new_keys), dtype=bool)
     if missing.any():
         keys = np.insert(keys, rows[missing], new_keys[missing])
         values = np.insert(values, rows[missing], 0)

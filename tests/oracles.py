@@ -12,7 +12,9 @@ footprints.  Overlap scores, coarse-voxel filtering and geometric
 integration key every point as a tuple on its own, without packed keys.  The
 entropy layers and the PLY exports compute every cell on its own and format
 every vertex with its own f-string.  Back-projection and voxel keying have
-one-point versions here.  A snapshot is the dict :func:`oracle_snapshot_dict`
+one-point versions here, and opinions are built one prediction at a time,
+each back-projecting its own pixels with the ``(n, 3)`` product
+``points @ rotation.T + translation``.  A snapshot is the dict :func:`oracle_snapshot_dict`
 builds, with a dict and a list per cell, dumped whole by ``json.dumps``; on
 load, :func:`oracle_snapshot_cells` reads the cell list one entry at a time
 into owned (row, id, count) tuples.  The synthetic renderer's reference
@@ -39,9 +41,17 @@ from voxeland.evidence import (
     shannon_entropy,
 )
 from voxeland.export import layer_h_max
-from voxeland.frames import CameraIntrinsics, Pose
+from voxeland.frames import CameraIntrinsics, Frame, Pose
 from voxeland.fusion import AssociationConfig, MergeEvent
-from voxeland.opinions import NOISE, UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion, dbscan
+from voxeland.opinions import (
+    NOISE,
+    UNKNOWN_CATEGORY,
+    ClusteringParams,
+    SubjectiveOpinion,
+    dbscan,
+    filter_geometric_opinion,
+    pixel_bbox,
+)
 from voxeland.synthetic import SyntheticScene, _pixel_rays
 from voxeland.uncertainty import UncertaintyLayer
 from voxeland.voxelmap import (
@@ -203,6 +213,79 @@ def backproject(
         [(u - intrinsics.cx) * z / intrinsics.fx, (v - intrinsics.cy) * z / intrinsics.fy, z]
     )
     return pose.apply(point_cam)
+
+
+def oracle_backproject_pixels(
+    us: np.ndarray,
+    vs: np.ndarray,
+    depth_raw: np.ndarray,
+    intrinsics: CameraIntrinsics,
+    pose: Pose,
+    max_range: float = 4.0,
+) -> np.ndarray:
+    """World points of the pixels with valid in-range depth, in input order,
+    from camera points stacked as ``(n, 3)`` rows."""
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    depth_raw = np.asarray(depth_raw)
+    z = depth_raw.astype(float) * intrinsics.depth_scale
+    keep = (depth_raw != 0) & (z <= max_range)
+    z = z[keep]
+    x = (us[keep] - intrinsics.cx) * z / intrinsics.fx
+    y = (vs[keep] - intrinsics.cy) * z / intrinsics.fy
+    points_cam = np.stack([x, y, z], axis=1)
+    return points_cam @ pose.rotation.T + pose.translation
+
+
+def oracle_build_opinions(
+    frame: Frame,
+    intrinsics: CameraIntrinsics,
+    pose: Pose,
+    params: ClusteringParams,
+    max_range: float = 4.0,
+) -> list[SubjectiveOpinion]:
+    """One ``np.nonzero`` and one back-projection per prediction, and one more
+    for the valid pixels that no prediction claims."""
+    depth = frame.depth.values
+    valid = (depth != 0) & (depth.astype(float) * intrinsics.depth_scale <= max_range)
+    claimed = np.zeros_like(valid, dtype=bool)
+    opinions: list[SubjectiveOpinion] = []
+
+    for prediction in frame.predictions:
+        mask = prediction.mask(frame.depth.width, frame.depth.height)
+        claimed |= mask
+        selected = mask & valid
+        if not selected.any():
+            continue
+        vs, us = np.nonzero(selected)
+        points = oracle_backproject_pixels(us, vs, depth[vs, us], intrinsics, pose, max_range)
+        filtered = filter_geometric_opinion(points, params)
+        if len(filtered) == 0:
+            continue
+        opinions.append(
+            SubjectiveOpinion(
+                points=filtered,
+                category=prediction.category,
+                confidence=prediction.confidence,
+                source_frame=frame.frame_id,
+                pixel_bbox=pixel_bbox(mask),
+            )
+        )
+
+    background = valid & ~claimed
+    if background.any():
+        vs, us = np.nonzero(background)
+        points = oracle_backproject_pixels(us, vs, depth[vs, us], intrinsics, pose, max_range)
+        opinions.append(
+            SubjectiveOpinion(
+                points=points,
+                category=UNKNOWN_CATEGORY,
+                confidence=1.0,
+                source_frame=frame.frame_id,
+                pixel_bbox=None,
+            )
+        )
+    return opinions
 
 
 def project(point_world: np.ndarray, intrinsics: CameraIntrinsics, pose: Pose) -> tuple[float, float, float]:

@@ -10,11 +10,13 @@ from voxeland.frames import (
     CameraIntrinsics,
     DatasetError,
     DepthImage,
+    FrameRecord,
     Pose,
     backproject_pixels,
     crop_bbox,
     decode_rle_mask,
     encode_rle_mask,
+    load_frame,
     load_ground_truth,
     load_manifest,
     load_predictions,
@@ -367,10 +369,12 @@ class TestPredictionsAndGroundTruth:
             (lambda i: i.update(confidence=math.nan), "confidence nan is not finite"),
             (lambda i: i.update(category=5), "category 5 is not str"),
             (lambda i: i.update(category=None), "category None is not str"),
+            (lambda i: i.update(rle=[-1, 7]), r"negative run length in \[-1, 7\]"),
+            (lambda i: i.update(rle=[3, -2, 5]), r"negative run length in \[3, -2, 5\]"),
         ],
         ids=[
             "float-runs", "bool-run", "string-rle", "string-confidence", "nan-confidence",
-            "int-category", "null-category",
+            "int-category", "null-category", "negative-first-run", "negative-later-run",
         ],
     )
     def test_bad_types_rejected_with_file_name(self, tmp_path, edit, message):
@@ -380,6 +384,26 @@ class TestPredictionsAndGroundTruth:
         path.write_text(json.dumps({"instances": [instance]}))
         with pytest.raises(DatasetError, match=f"p.json: {message}"):
             load_predictions(path)
+
+    @pytest.mark.parametrize("runs", [[5], [5, 2], [0, 7], []], ids=["short", "long", "long-ones", "empty"])
+    def test_runs_not_covering_the_depth_image_rejected_with_file_name(self, tmp_path, runs):
+        write_pgm(tmp_path / "d.pgm", np.full((2, 3), 1000, dtype=np.uint16))
+        path = tmp_path / "p.json"
+        instances = [
+            {"category": "chair", "confidence": 0.9, "rle": [6]},
+            {"category": "table", "confidence": 0.9, "rle": runs},
+        ]
+        path.write_text(json.dumps({"instances": instances}))
+        record = FrameRecord(
+            frame_id=4,
+            depth_path=tmp_path / "d.pgm",
+            predictions_path=path,
+            pose=IDENTITY,
+            intrinsics=CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=3, height=2, depth_scale=0.001),
+        )
+        message = f"p\\.json: frame 4: instance 1: run lengths sum to {sum(runs)}, expected 6 for 3x2"
+        with pytest.raises(DatasetError, match=message):
+            load_frame(record)
 
     def test_integral_confidence_read_as_float(self, tmp_path):
         path = tmp_path / "p.json"
@@ -406,6 +430,7 @@ class TestPredictionsAndGroundTruth:
         for prediction in predictions:
             assert type(prediction.category) is str and type(prediction.confidence) is float
             assert type(prediction.rle) is list and all(type(r) is int for r in prediction.rle)
+            assert min(prediction.rle, default=0) >= 0
 
     def test_ground_truth_round_trip(self, tmp_path):
         payload = {
@@ -434,3 +459,42 @@ class TestPredictionsAndGroundTruth:
         path.write_text(json.dumps(payload))
         with pytest.raises(DatasetError, match="duplicate"):
             load_ground_truth(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda g: g.update(voxel_size="0.02"), "voxel_size '0.02' is not int or float"),
+            (lambda g: g.update(voxel_size=math.nan), "voxel_size nan is not finite"),
+            (lambda g: g["instances"][0].update(id=5), "id 5 is not str"),
+            (lambda g: g["instances"][0].update(category=7), "category 7 is not str"),
+            (lambda g: g["instances"][0].update(voxels=[[1.7, 0, True]]), r"voxel \[1.7, 0, True\] is not three"),
+            (lambda g: g["instances"][0].update(voxels=[[1, 0, True]]), r"voxel \[1, 0, True\] is not three"),
+            (lambda g: g["instances"][0].update(voxels=[[1, 0]]), r"voxel \[1, 0\] is not three"),
+            (lambda g: g["instances"][0].update(voxels=[[1, 0, 0, 0]]), r"voxel \[1, 0, 0, 0\] is not three"),
+            (lambda g: g["instances"][0].update(voxels=["abc"]), "voxel 'abc' is not three"),
+            (lambda g: g["instances"][0].update(voxels="abc"), "voxels 'abc' is not list"),
+        ],
+        ids=[
+            "string-voxel-size", "nan-voxel-size", "int-id", "int-category", "float-and-bool-voxel",
+            "bool-voxel", "short-voxel", "long-voxel", "string-voxel", "string-voxels",
+        ],
+    )
+    def test_ground_truth_bad_types_rejected_with_file_name(self, tmp_path, edit, message):
+        payload = {
+            "voxel_size": 0.02,
+            "instances": [{"id": "a", "category": "chair", "voxels": [[0, 0, 0], [-1, 2, 3]]}],
+        }
+        edit(payload)
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match=f"gt.json: .*{message}"):
+            load_ground_truth(path)
+
+    def test_ground_truth_keys_are_python_ints(self, tmp_path):
+        payload = {"voxel_size": 1, "instances": [{"id": "a", "category": "chair", "voxels": [[0, -1, 2]]}]}
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(payload))
+        scene = load_ground_truth(path)
+        assert scene.voxel_size == 1.0 and type(scene.voxel_size) is float
+        assert scene.instances[0].voxels == {(0, -1, 2)}
+        assert all(type(i) is int for i in next(iter(scene.instances[0].voxels)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from voxeland.frames import (
     Pose,
     PredictionInstance,
     encode_rle_mask,
+    load_frame,
+    load_manifest,
 )
 from voxeland.opinions import (
     UNKNOWN_CATEGORY,
@@ -21,8 +25,15 @@ from voxeland.opinions import (
     filter_geometric_opinion,
     pixel_bbox,
 )
+from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
 
-from oracles import backproject, brute_force_dbscan, canonical_clustering, oracle_filter_geometric_opinion
+from oracles import (
+    backproject,
+    brute_force_dbscan,
+    canonical_clustering,
+    oracle_build_opinions,
+    oracle_filter_geometric_opinion,
+)
 
 PARAMS = ClusteringParams(coarse_voxel=0.08, eps=0.08 * 1.8, min_pts=4)
 
@@ -284,3 +295,256 @@ class TestBuildOpinions:
             SubjectiveOpinion(
                 points=np.zeros((0, 3)), category="x", confidence=0.5, source_frame=0, pixel_bbox=None
             )
+
+
+def rotation_about(axis, angle):
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    return np.eye(3) + math.sin(angle) * cross + (1 - math.cos(angle)) * cross @ cross
+
+
+TILTED = Pose(rotation=rotation_about([0.3, -1.0, 0.6], 2.1), translation=np.array([1.37, -0.45, 1.1]))
+
+
+def posed_frame(depth, masks, pose=TILTED, fx=90.0):
+    height, width = depth.shape
+    intr = CameraIntrinsics(
+        fx=fx, fy=fx * 1.1, cx=(width - 1) / 2, cy=height / 3, width=width, height=height, depth_scale=0.001
+    )
+    record = FrameRecord(frame_id=7, depth_path=None, predictions_path=None, pose=pose, intrinsics=intr)
+    predictions = [
+        PredictionInstance(f"c{index % 3}", 0.25 + 0.125 * index, encode_rle_mask(mask))
+        for index, mask in enumerate(masks)
+    ]
+    depth_image = DepthImage(width=width, height=height, values=depth)
+    return Frame(record=record, depth=depth_image, predictions=predictions), intr, pose
+
+
+def assert_same_opinions(opinions, expected):
+    assert len(opinions) == len(expected)
+    for opinion, oracle in zip(opinions, expected):
+        assert opinion.points.shape == oracle.points.shape
+        # equal bits, so -0.0 and 0.0 differ and no tolerance is allowed
+        assert opinion.points.tobytes() == oracle.points.tobytes()
+        assert opinion.category == oracle.category
+        assert opinion.confidence == oracle.confidence
+        assert opinion.source_frame == oracle.source_frame
+        assert opinion.pixel_bbox == oracle.pixel_bbox
+
+
+def box(shape, rows, columns):
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, columns] = True
+    return mask
+
+
+def two_planes(shape=(30, 40), near=1200, far=2600):
+    depth = np.full(shape, far, dtype=np.uint16)
+    depth[5:20, 8:30] = near
+    return depth
+
+
+def case_overlapping_masks():
+    depth = two_planes()
+    masks = [box(depth.shape, slice(4, 21), slice(6, 31)), box(depth.shape, slice(10, 28), slice(20, 38))]
+    assert (masks[0] & masks[1]).any()
+    return depth, masks, 4.0, ["c0", "c1", UNKNOWN_CATEGORY], None
+
+
+def case_mask_without_valid_depth():
+    depth = two_planes()
+    depth[20:, :10] = 0
+    masks = [box(depth.shape, slice(22, 30), slice(0, 9)), box(depth.shape, slice(5, 20), slice(8, 30))]
+    return depth, masks, 4.0, ["c1", UNKNOWN_CATEGORY], 30 * 40 - 10 * 10 - 15 * 22
+
+
+def case_all_noise_clusters():
+    depth = two_planes()
+    depth[0, 0], depth[29, 39] = 900, 3500
+    mask = np.zeros(depth.shape, dtype=bool)
+    mask[0, 0] = mask[29, 39] = True  # one coarse center each, below min_pts
+    return depth, [mask], 4.0, [UNKNOWN_CATEGORY], 30 * 40 - 2
+
+
+def case_no_prediction():
+    return two_planes(), [], 4.0, [UNKNOWN_CATEGORY], 30 * 40
+
+
+def case_every_valid_pixel_claimed():
+    depth = two_planes()
+    depth[:, 35:] = 0
+    masks = [box(depth.shape, slice(5, 20), slice(8, 30)), box(depth.shape, slice(None), slice(0, 35))]
+    return depth, masks, 4.0, ["c0", "c1"], None
+
+
+def case_no_valid_pixel():
+    depth = np.zeros((30, 40), dtype=np.uint16)
+    depth[:, 20:] = 5000  # beyond max_range
+    return depth, [box(depth.shape, slice(5, 20), slice(8, 30))], 4.0, [], None
+
+
+def case_depth_beyond_max_range():
+    depth = two_planes(near=1200, far=2600)
+    masks = [box(depth.shape, slice(5, 12), slice(0, 40))]
+    # only the near plane is in range; the mask claims 7 of its 15 rows
+    return depth, masks, 2.0, ["c0", UNKNOWN_CATEGORY], 8 * 22
+
+
+LISTED_CASES = {
+    "overlapping-masks": case_overlapping_masks,
+    "mask-without-valid-depth": case_mask_without_valid_depth,
+    "all-noise-clusters": case_all_noise_clusters,
+    "no-prediction": case_no_prediction,
+    "every-valid-pixel-claimed": case_every_valid_pixel_claimed,
+    "no-valid-pixel": case_no_valid_pixel,
+    "depth-beyond-max-range": case_depth_beyond_max_range,
+}
+
+
+@st.composite
+def posed_frames(draw):
+    """Small frames of a few depth patches with zero, near, far and beyond-range
+    depths, up to four masks that may overlap, cover everything or nothing, and
+    a random rigid pose."""
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 32))
+    raw = st.sampled_from([0, 0, 450, 1000, 1001, 1733, 2500, 3999, 4000, 4001, 9000, 65535])
+    depth = np.full((height, width), draw(raw), dtype=np.uint16)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 4))):
+        v0, u0 = rng.integers(0, height), rng.integers(0, width)
+        depth[v0 : v0 + rng.integers(1, height + 1), u0 : u0 + rng.integers(1, width + 1)] = draw(raw)
+    speckle = rng.random((height, width)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    depth[speckle] = rng.integers(0, 6000, size=int(speckle.sum()))
+    masks = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["box", "box", "random", "all", "none", "pixel"]))
+        mask = np.zeros((height, width), dtype=bool)
+        if kind == "box":
+            v0, u0 = rng.integers(0, height), rng.integers(0, width)
+            mask[v0 : v0 + rng.integers(1, height + 1), u0 : u0 + rng.integers(1, width + 1)] = True
+        elif kind == "random":
+            mask = rng.random((height, width)) < 0.4
+        elif kind == "all":
+            mask[:] = True
+        elif kind == "pixel":
+            mask[rng.integers(0, height), rng.integers(0, width)] = True
+        masks.append(mask)
+    quaternion = np.array([draw(st.floats(-1, 1)) for _ in range(4)])
+    if np.linalg.norm(quaternion) < 0.1:
+        quaternion = np.array([1.0, 0.0, 0.0, 0.0])
+    w, x, y, z = quaternion / np.linalg.norm(quaternion)
+    rotation = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    translation = [draw(st.floats(-50, 50, allow_subnormal=False)) for _ in range(3)]
+    pose = Pose(rotation=rotation, translation=np.array(translation))
+    fx = draw(st.sampled_from([20.0, 90.0, 525.0]))
+    max_range = draw(st.sampled_from([1.0, 2.5, 4.0, 70.0]))
+    coarse = draw(st.sampled_from([0.01, 0.08, 0.3]))
+    params = ClusteringParams(coarse_voxel=coarse, eps=1.8 * coarse, min_pts=draw(st.sampled_from([1, 2, 4])))
+    return (*posed_frame(depth, masks, pose, fx), params, max_range)
+
+
+class TestBuildOpinionsAgainstOracle:
+    """One back-projection per frame, selected by column, against one
+    back-projection per prediction with the ``(n, 3)`` product: the same
+    opinions in the same order, with bit-identical points."""
+
+    @pytest.mark.parametrize("case", LISTED_CASES.values(), ids=LISTED_CASES.keys())
+    def test_listed_cases(self, case):
+        depth, masks, max_range, categories, unknown_points = case()
+        frame, intr, pose = posed_frame(depth, masks)
+        opinions = build_opinions(frame, intr, pose, PARAMS, max_range)
+        assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, PARAMS, max_range))
+        assert [o.category for o in opinions] == categories
+        if unknown_points is not None:
+            assert len(opinions[-1].points) == unknown_points
+
+    @settings(max_examples=300, deadline=None)
+    @given(posed_frames())
+    def test_random_frames(self, posed):
+        frame, intr, pose, params, max_range = posed
+        opinions = build_opinions(frame, intr, pose, params, max_range)
+        assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, params, max_range))
+
+    def test_lone_points_transformed_on_their_own(self):
+        """A one-pixel selection in a frame of many valid pixels: numpy's
+        one-point product rounds differently from the frame's product for
+        about one pose in six, so many poses are tried."""
+        depth = two_planes()
+        mask = np.zeros(depth.shape, dtype=bool)
+        mask[12, 17] = True
+        claim_all_but_one = np.ones(depth.shape, dtype=bool)
+        claim_all_but_one[3, 33] = False
+        params = ClusteringParams(coarse_voxel=0.08, eps=0.144, min_pts=1)
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            pose = Pose(rotation_about(rng.normal(size=3), rng.uniform(0, 6)), rng.normal(size=3) * 3)
+            frame, intr, pose = posed_frame(depth, [mask, claim_all_but_one], pose)
+            opinions = build_opinions(frame, intr, pose, params)
+            assert [len(o.points) for o in opinions][::2] == [1, 1]
+            assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, params))
+
+    def test_rendered_orbit_frames(self, tmp_path):
+        """Rendered frames with dilated masks and depth noise, several of them
+        seen from poses whose rotation mixes all three axes."""
+        scene = simple_scene_with_noise()
+        generate_synthetic(scene, seed=5, out_dir=tmp_path)
+        params = ClusteringParams(coarse_voxel=0.08, eps=0.144, min_pts=4)
+        compared = 0
+        for record in load_manifest(tmp_path / "manifest.jsonl"):
+            frame = load_frame(record)
+            opinions = build_opinions(frame, record.intrinsics, record.pose, params, 3.0)
+            expected = oracle_build_opinions(frame, record.intrinsics, record.pose, params, 3.0)
+            assert_same_opinions(opinions, expected)
+            compared += len(opinions)
+        assert compared > len(scene.trajectory)
+
+
+def simple_scene_with_noise():
+    intrinsics = CameraIntrinsics(fx=130.0, fy=130.0, cx=80.0, cy=60.0, width=160, height=120, depth_scale=0.001)
+    objects = [
+        SceneObject(f"o{index}", category, np.array(low), np.array(high))
+        for index, (category, low, high) in enumerate(
+            [
+                ("crate", (0.36, 0.36, 0.0), (0.66, 0.66, 0.5)),
+                ("chair", (-0.76, 0.20, 0.0), (-0.34, 0.50, 0.34)),
+                ("table", (-0.50, -0.76, 0.0), (-0.20, -0.46, 0.5)),
+                ("crate", (-0.18, -0.08, 0.0), (0.20, 0.18, 0.26)),
+            ]
+        )
+    ]
+    return SyntheticScene(
+        room_min=np.array([-2.0, -2.0, 0.0]),
+        room_max=np.array([2.0, 2.0, 2.4]),
+        objects=objects,
+        trajectory=orbit_trajectory(np.zeros(3), 1.3, 1.1, 4, target=np.array([0.0, 0.0, 0.25])),
+        intrinsics=intrinsics,
+        noise=NoiseSpec(mask_dilation_px=2, depth_sigma=0.004, misclassification_rate=0.2),
+    )
+
+
+class TestPoseApply:
+    def test_one_point_keeps_its_shape(self):
+        point = np.array([0.25, -1.5, 2.0])
+        world = TILTED.apply(point)
+        assert world.shape == (3,)
+        assert world == pytest.approx(TILTED.rotation @ point + TILTED.translation, abs=1e-12)
+
+    def test_one_point_equals_a_one_row_array(self):
+        point = np.array([3.0, 0.5, -0.75])
+        assert TILTED.apply(point).tobytes() == TILTED.apply(point[None]).tobytes()
+
+    def test_empty_array(self):
+        world = TILTED.apply(np.zeros((0, 3)))
+        assert world.shape == (0, 3)
+
+    def test_rows_are_columns_of_a_c_ordered_product(self):
+        points = np.random.default_rng(3).normal(size=(50, 3))
+        world = TILTED.apply(points)
+        assert world.shape == (50, 3) and world.T.flags.c_contiguous
+        assert np.allclose(world, points @ TILTED.rotation.T + TILTED.translation, rtol=0, atol=1e-12)

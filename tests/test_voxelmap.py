@@ -733,3 +733,39 @@ class TestAtomicWrite:
             state.save_snapshot(path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["map.json"]
+
+
+SORTED_KEYS = st.lists(st.integers(-40, 40), max_size=30, unique=True).map(sorted)
+
+
+class TestSortedAdd:
+    """``_sorted_add`` against a dict of key to value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SORTED_KEYS, SORTED_KEYS, st.booleans())
+    def test_matches_dict_merge(self, old, new, with_values):
+        keys = np.array(old, dtype=np.int64)
+        values = np.arange(1, len(old) + 1, dtype=np.int64) * 10
+        new_keys = np.array(new, dtype=np.int64)
+        new_values = np.arange(1, len(new) + 1, dtype=np.int64) if with_values else None
+        expected = dict(zip(old, values.tolist()))
+        for position, key in enumerate(new):
+            expected[key] = expected.get(key, 0) + (position + 1 if with_values else 0)
+        merged, merged_values, rows = voxelmap._sorted_add(keys, values.copy(), new_keys, new_values)
+        assert merged.tolist() == sorted(expected)
+        assert merged_values.tolist() == [expected[key] for key in sorted(expected)]
+        assert merged[rows].tolist() == new
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [([], [3, 5]), ([1, 2], []), ([1, 2], [7, 9]), ([5, 9], [-3, 0]), ([1, 4], [1, 4])],
+        ids=["empty-map", "nothing-new", "all-after", "all-before", "all-present"],
+    )
+    def test_edges(self, old, new):
+        keys = np.array(old, dtype=np.int64)
+        merged, merged_values, rows = voxelmap._sorted_add(
+            keys, np.ones(len(old), dtype=np.int64), np.array(new, dtype=np.int64)
+        )
+        assert merged.tolist() == sorted(set(old) | set(new))
+        assert merged_values.tolist() == [int(key in old) for key in merged.tolist()]
+        assert merged[rows].tolist() == new
