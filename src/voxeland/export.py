@@ -7,7 +7,8 @@ one.  Instance and semantic maps color voxels by their argmax owner.
 Vertices are voxel centers in ascending (i, j, k) key order.
 
 Each export reads the map's owner table (or the layer's values) and does
-the rest on arrays; only cells with two or more owners are mixed one by one.
+the rest on arrays; the semantic map takes its argmax from the same
+category mixtures as the semantic layer (:class:`CategoryMixtures`).
 Rows are formatted and written in chunks (see :mod:`voxeland.atomic`).
 """
 
@@ -21,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import _CHUNK_ROWS, _format_each, atomic_write
-from .evidence import NoEvidenceError
-from .uncertainty import UncertaintyLayer, voxel_category_distribution
+from .uncertainty import CategoryMixtures, UncertaintyLayer
 from .voxelmap import MapState, pack_keys, unpack_key_array
 
 _PLY_ROW = "%s %s %s %d %d %d\n"
@@ -139,19 +139,14 @@ def export_instance_map(state: MapState, ply_path: Path | str) -> None:
 def export_semantic_map(state: MapState, ply_path: Path | str) -> None:
     """Color each evidence-bearing voxel by its argmax mixed category.
 
-    A cell whose mixture has no evidence (an owner's category evidence sums
-    to zero) is left out.
+    Ties go to the smallest label, and a label the map has not registered
+    colors as category 0.  A cell whose mixture has no evidence (an owner's
+    category evidence does not sum above zero) is left out.
     """
-    category_index = {label: i for i, label in enumerate(state.categories)}
-
-    def label(instance_counts: dict[int, int]) -> int:
-        try:
-            dist = voxel_category_distribution(instance_counts, state)
-        except NoEvidenceError:
-            return -1
-        return category_index.get(str(dist.argmax()), 0)
-
     table = state.owner_table()
-    labels = table.cell_values(label, dtype=np.int64)
-    kept = labels >= 0
+    mixtures = CategoryMixtures.of(state, table)
+    category_index = {label: i for i, label in enumerate(state.categories)}
+    index_of = np.array([category_index.get(label, 0) for label in mixtures.labels], dtype=np.int64)
+    labels = index_of[mixtures.argmax()][mixtures.row_of_cell]
+    kept = mixtures.valid[mixtures.row_of_cell]
     _write_cell_map(state, table.cell_rows[kept], labels[kept], ply_path)

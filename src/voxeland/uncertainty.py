@@ -11,21 +11,32 @@ Two layers are produced over the map:
 Per-instance semantic entropy also drives category declaration: confident
 instances are assigned their top category directly, ambiguous or
 never-classified ones are flagged for external disambiguation.
+
+Both layers are array passes over the map's owner table, bit for bit the
+per-voxel definitions: :func:`voxelmap.OwnerTable` lists each cell's owners
+in ascending id order, and every sum and mixture is taken in that order with
+the rounding of the scalar code (``math.fsum`` of three or more digamma terms,
+``math.log`` of each mixed probability).  :class:`CategoryMixtures` is the one
+category mixing pass; the semantic export reads its argmax.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.special import digamma as _psi
 
 from .evidence import (
     CategoricalDistribution,
+    NoEvidenceError,
     expected_entropy,
     probabilities,
-    shannon_entropy,
 )
 from .opinions import UNKNOWN_CATEGORY
-from .voxelmap import InstanceRecord, MapState, VoxelKey, unpack_keys
+from .voxelmap import InstanceRecord, MapState, OwnerTable, VoxelKey, unpack_keys
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
 
@@ -79,29 +90,149 @@ def voxel_category_distribution(
     return CategoricalDistribution(mixed)
 
 
-def _layer(kind: str, state: MapState, value_of: Callable[[dict[int, int]], float]) -> UncertaintyLayer:
-    """``value_of`` the instance counts of every evidence-bearing cell, in key order."""
-    table = state.owner_table()
+def _layer(kind: str, state: MapState, table: OwnerTable, values: np.ndarray) -> UncertaintyLayer:
+    """The ``values`` of the table's cells, keyed in key order."""
     keys = unpack_keys(state.cells.keys[table.cell_rows])
-    values = table.cell_values(value_of).tolist()
     return UncertaintyLayer(
-        kind=kind, values=dict(zip(keys, values)), generated_at_frame=state.frames_integrated
+        kind=kind, values=dict(zip(keys, values.tolist())), generated_at_frame=state.frames_integrated
     )
 
 
 def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
     """Per-voxel geometric entropy over every evidence-bearing cell, in key order.
 
-    A cell with a single owner gets exactly 0.0: digamma(m) - 1.0 * digamma(m).
+    Each value is :func:`expected_entropy` of the cell's counts: digamma(S)
+    minus the fsum of (c / S) * digamma(c) over its owners.  One or two
+    terms sum exactly in floating point, so only a cell with three or more
+    owners calls ``math.fsum``.  A cell with a single owner gets exactly 0.0:
+    digamma(c) - 1.0 * digamma(c).
     """
-    return _layer("geometric", state, expected_entropy)
+    table = state.owner_table()
+    totals, shares = table.shares()
+    terms = shares * _psi(table.counts.astype(float))
+    weighted = np.add.reduceat(terms, table.starts) if len(terms) else terms
+    many = np.flatnonzero(table.sizes > 2)
+    for cell, start, size in zip(many.tolist(), table.starts[many].tolist(), table.sizes[many].tolist()):
+        weighted[cell] = math.fsum(terms[start : start + size].tolist())
+    return _layer("geometric", state, table, _psi(totals) - weighted)
+
+
+@dataclass
+class CategoryMixtures:
+    """The category distribution that :func:`voxel_category_distribution`
+    mixes for each evidence-bearing cell, as rows of dense arrays.
+
+    A cell with one owner reads the row of that owner, whose share is exactly
+    1; each cell with two or more owners has its own row.  Columns are the
+    ``labels`` of every instance's category evidence and the unknown
+    category, in string order.  ``probs`` is accumulated owner by owner in
+    ascending id order, as the per-voxel mixture adds them, and
+    ``first_seen`` orders each row's labels as that mixture's dict lists
+    them (``NOT_SEEN`` where a label is absent).  A row is not ``valid``
+    when an owner's category evidence does not sum above zero.
+    """
+
+    NOT_SEEN = np.iinfo(np.int64).max
+
+    labels: list[str]
+    probs: np.ndarray
+    first_seen: np.ndarray
+    valid: np.ndarray
+    row_of_cell: np.ndarray
+
+    @classmethod
+    def of(cls, state: MapState, table: OwnerTable) -> "CategoryMixtures":
+        """The mixtures of the cells of ``table``, the owner table of ``state``."""
+        ids = sorted(state.instances)
+        distributions: list[dict | None] = []
+        for instance_id in ids:
+            record = state.instances[instance_id]
+            if record.is_unknown or not record.category_evidence:
+                # its whole share goes to the unknown category
+                distributions.append({UNKNOWN_CATEGORY: 1.0})
+                continue
+            try:
+                distributions.append(record.category_distribution().probs)
+            except NoEvidenceError:
+                distributions.append(None)
+        labels = sorted({label for dist in distributions if dist for label in dist})
+        column = {label: j for j, label in enumerate(labels)}
+        # each instance's probability and dict position of every label
+        probs_of = np.zeros((len(ids), len(labels)))
+        position_of = np.full((len(ids), len(labels)), cls.NOT_SEEN)
+        for i, dist in enumerate(distributions):
+            for position, (label, p) in enumerate((dist or {}).items()):
+                probs_of[i, column[label]] = p
+                position_of[i, column[label]] = position
+
+        # one entry of share 1 per distinct single owner, then the entries of shared cells
+        sole = table.sizes == 1
+        sole_owners = table.ids[table.starts[sole]]
+        is_owner = np.bincount(sole_owners, minlength=1) > 0
+        owners = np.flatnonzero(is_owner)
+        shared_cells = np.flatnonzero(~sole)
+        row_of_cell = np.empty(len(sole), dtype=np.int64)
+        row_of_cell[sole] = (np.cumsum(is_owner) - 1)[sole_owners]
+        row_of_cell[shared_cells] = len(owners) + np.arange(len(shared_cells))
+        sizes = table.sizes[shared_cells]
+        entries = np.flatnonzero(np.repeat(~sole, table.sizes))
+        entry_row = np.concatenate([np.arange(len(owners)), np.repeat(row_of_cell[shared_cells], sizes)])
+        entry_owner = np.searchsorted(ids, np.concatenate([owners, table.ids[entries]]))
+        entry_share = np.concatenate([np.ones(len(owners)), table.shares()[1][entries]])
+        entry_rank = np.concatenate(
+            [np.zeros(len(owners), dtype=np.int64), entries - np.repeat(table.starts[shared_cells], sizes)]
+        )
+
+        n_rows = len(owners) + len(shared_cells)
+        probs = np.zeros((n_rows, len(labels)))
+        first_seen = np.full((n_rows, len(labels)), cls.NOT_SEEN)
+        for owner_rank in range(int(table.sizes.max(initial=0))):
+            at = entry_rank == owner_rank
+            rows, owner = entry_row[at], entry_owner[at]
+            probs[rows] += entry_share[at, None] * probs_of[owner]
+            position = position_of[owner]
+            when = np.where(position == cls.NOT_SEEN, cls.NOT_SEEN, owner_rank * len(labels) + position)
+            first_seen[rows] = np.minimum(first_seen[rows], when)
+        valid = np.ones(n_rows, dtype=bool)
+        no_evidence = np.array([dist is None for dist in distributions], dtype=bool)
+        valid[entry_row[no_evidence[entry_owner]]] = False
+        return cls(labels, probs, first_seen, valid, row_of_cell)
+
+    def entropies(self) -> np.ndarray:
+        """:func:`evidence.shannon_entropy` of each row: ``p * log(p)`` subtracted in
+        first-seen order, with ``math.log`` taken once per distinct p."""
+        if not self.valid.all():
+            raise NoEvidenceError("no evidence")
+        seen = self.first_seen != self.NOT_SEEN
+        if np.any(seen & (self.probs < 0.0)):
+            raise ValueError("negative probability in a category mixture")
+        positive = seen & (self.probs > 0.0)
+        distinct, which = np.unique(self.probs[positive], return_inverse=True)
+        logs = np.zeros_like(self.probs)
+        distinct_logs = np.fromiter(map(math.log, distinct.tolist()), float, len(distinct))
+        logs[positive] = distinct_logs[which.reshape(-1)]
+        order = np.argsort(self.first_seen, axis=1, kind="stable")
+        terms = np.take_along_axis(self.probs * logs, order, axis=1)
+        positive = np.take_along_axis(positive, order, axis=1)
+        entropy = np.zeros(len(self.probs))
+        for j in range(int(seen.sum(axis=1).max(initial=0))):
+            entropy = np.where(positive[:, j], entropy - terms[:, j], entropy)
+        return np.where(entropy == 0.0, 0.0, entropy)
+
+    def argmax(self) -> np.ndarray:
+        """The column of each row's most probable label; ties go to the first in string order."""
+        return np.argmax(np.where(self.first_seen != self.NOT_SEEN, self.probs, -np.inf), axis=1)
 
 
 def semantic_entropy_map(state: MapState) -> UncertaintyLayer:
-    """Per-voxel Shannon entropy of the mixed category distribution, in key order."""
-    return _layer(
-        "semantic", state, lambda counts: shannon_entropy(voxel_category_distribution(counts, state))
-    )
+    """Per-voxel Shannon entropy of the mixed category distribution, in key order.
+
+    Raises NoEvidenceError when an owner of a cell has category evidence
+    that does not sum above zero.
+    """
+    table = state.owner_table()
+    mixtures = CategoryMixtures.of(state, table)
+    return _layer("semantic", state, table, mixtures.entropies()[mixtures.row_of_cell])
 
 
 def declare_categories(

@@ -17,7 +17,6 @@ import gc
 import itertools
 import json
 import math
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
@@ -212,26 +211,11 @@ class OwnerTable:
         self.sizes = np.diff(self.starts, append=len(rows))
         self.cell_rows = rows[self.starts]
 
-    def cell_values(self, value_of: Callable[[dict[int, int]], float], dtype=float) -> np.ndarray:
-        """``value_of(counts by instance id)`` of each cell with evidence.
-
-        A cell with a single owner is passed ``{owner: 1}``, so its value is
-        computed once per owner: the values read here depend on the owners'
-        shares of the evidence, and a single owner's share is exactly 1.
-        Nearly every cell has one owner; the others are passed one by one.
-        """
-        values = np.empty(len(self.starts), dtype=dtype)
-        sole = self.sizes == 1
-        owners, inverse = np.unique(self.ids[self.starts[sole]], return_inverse=True)
-        by_owner = [value_of({owner: 1}) for owner in owners.tolist()]
-        values[sole] = np.array(by_owner, dtype=dtype)[inverse]
-        ids, counts = self.ids.tolist(), self.counts.tolist()
-        starts, sizes = self.starts[~sole].tolist(), self.sizes[~sole].tolist()
-        values[~sole] = [
-            value_of(dict(zip(ids[start : start + size], counts[start : start + size])))
-            for start, size in zip(starts, sizes)
-        ]
-        return values
+    def shares(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's total count and each entry's share of it, count / total,
+        as floats.  Totals are exact: a map's counts sum far below 2**53."""
+        totals = np.add.reduceat(self.counts, self.starts).astype(float) if len(self.starts) else np.empty(0)
+        return totals, self.counts / np.repeat(totals, self.sizes)
 
     def argmax_owners(self) -> np.ndarray:
         """The instance with the most evidence in each cell with evidence; ties go to the smallest id."""
@@ -431,11 +415,12 @@ class MapState:
         a value not of its exact JSON type (a bool is not an int, and a
         number where a float is expected must be finite), invalid occupancy
         parameters, an instance registry without the unknown instance or
-        whose ``next_instance_id`` is not above every listed id, a cell key
-        that is not three integers or is given twice or lies outside the
-        packable range, an evidence count below 1 or for an instance the
-        snapshot does not list, or a stored ``voxel_count`` that differs
-        from the instance's footprint in the cells.
+        whose ``next_instance_id`` is not above every listed id, a category
+        evidence mass that is not above 0 (integration only adds confidences
+        in (0, 1]), a cell key that is not three integers or is given twice
+        or lies outside the packable range, an evidence count below 1 or for
+        an instance the snapshot does not list, or a stored ``voxel_count``
+        that differs from the instance's footprint in the cells.
         """
         version = obj.get("schema_version") if isinstance(obj, dict) else None
         if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
@@ -474,6 +459,11 @@ class MapState:
                 flagged=_checked(inst["flagged"], "flagged", bool),
                 observations=list(map(_observation, inst["observations"])),
             )
+            for label, mass in record.category_evidence.items():
+                if not mass > 0.0:
+                    raise SnapshotError(
+                        f"instance {record.id}: category evidence {label!r} of {mass!r} is not above 0"
+                    )
             stored_voxel_counts[record.id] = _checked(inst["voxel_count"], "voxel_count", int)
             state.instances[record.id] = record
         if len(state.instances) != len(obj["instances"]):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from voxeland import export
+from voxeland.evidence import NoEvidenceError, expected_entropy
 from voxeland.export import (
     entropy_colors,
     export_entropy_layer,
@@ -19,7 +21,7 @@ from voxeland.export import (
     write_ply,
 )
 from voxeland.uncertainty import UncertaintyLayer, geometric_entropy_map, semantic_entropy_map
-from voxeland.voxelmap import MapState, SnapshotError, pack_keys
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, SnapshotError, pack_keys
 
 from oracles import (
     OracleMap,
@@ -113,23 +115,26 @@ class TestPlyExports:
         assert by_key[(0, 0, 0)] == 0.0  # pure chair
 
 
-LABELS = ["chair", "table", "bed", "unknown", "ghost"]  # "ghost" is never registered
+LABELS = ["chair", "table", "bed", "lamp", "sofa", "desk", "unknown", "ghost"]  # "ghost" is never registered
+MASSES = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.7]), st.floats(1e-3, 50.0))
 
 
 @st.composite
 def export_maps(draw):
-    """Maps with negative and far keys, tied and multi-owner cells, cells
-    without evidence, and instances without category evidence."""
+    """Maps with negative and far keys, tied cells and cells of up to six
+    owners with counts up to 300, cells without evidence, float category
+    masses, instances without category evidence, an unknown instance with
+    some, and a label the map never registers."""
     state = MapState(voxel_size=draw(st.sampled_from([0.02, 0.05, 0.3, 1.0])))
-    for label in draw(st.lists(st.sampled_from(LABELS[:3]), unique=True)):
+    for label in draw(st.lists(st.sampled_from(LABELS[:6]), unique=True)):
         state.register_category(label)
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, 7))):
         instance_id = state.new_instance()
         state.instances[instance_id].category_evidence = draw(
-            st.dictionaries(st.sampled_from(LABELS), st.sampled_from([0.25, 0.5, 1.0, 2.7]), max_size=3)
+            st.dictionaries(st.sampled_from(LABELS), MASSES, max_size=4)
         )
     state.instances[0].category_evidence = draw(
-        st.dictionaries(st.sampled_from(LABELS), st.just(1.0), max_size=1)
+        st.dictionaries(st.sampled_from(LABELS), MASSES, max_size=1)
     )
     near = st.integers(-2, 2)
     anywhere = st.integers(-(2**20), 2**20 - 1)
@@ -142,7 +147,8 @@ def export_maps(draw):
     )
     ids = sorted(state.instances)
     for key in keys:
-        owners = draw(st.dictionaries(st.sampled_from(ids), st.integers(1, 4), max_size=4))
+        counts = st.integers(1, 4) | st.integers(1, 300)
+        owners = draw(st.dictionaries(st.sampled_from(ids), counts, max_size=6))
         if not owners:
             state.integrate_occupancy(pack_keys(np.array([key])), hit=False)  # a cell without evidence
         for instance_id, count in owners.items():
@@ -202,6 +208,50 @@ class TestExportsMatchOracle:
         monkeypatch.setattr(export, "_CHUNK_ROWS", chunk_rows)
         assert sum(len(cell.instance_counts) > 1 for cell in cells_of(noisy_state).values()) >= 50
         assert_exports_match_oracle(noisy_state)
+
+    def test_mixed_probability_108_of_187(self):
+        """A mixed probability whose np.log is one ulp from math.log on some
+        machines (AVX-512): the layer takes math.log, as shannon_entropy does."""
+        state = MapState(voxel_size=0.1)
+        chair = state.new_instance()
+        state.register_category("chair")
+        state.instances[chair].category_evidence = {"chair": 0.9}
+        state.add_instance_evidence((0, 0, 0), UNKNOWN_INSTANCE_ID, 79)
+        state.add_instance_evidence((0, 0, 0), chair, 108)
+        unknown, share = 79 / 187, 108 / 187
+        assert share == 0.5775401069518716
+        (value,) = semantic_entropy_map(state).values.values()
+        assert value.hex() == (0.0 - unknown * math.log(unknown) - share * math.log(share)).hex()
+        assert_exports_match_oracle(state)
+
+    def test_three_owners_sum_with_fsum(self):
+        """Counts (1, 5, 12), whose terms fsum to another float than a
+        left-to-right sum does."""
+        state = MapState(voxel_size=0.1)
+        for count in (1, 5, 12):
+            state.add_instance_evidence((0, 0, 0), state.new_instance(), count)
+        terms = [(count / 18) * float(digamma(count)) for count in (1, 5, 12)]
+        left_to_right = float(digamma(18)) - (terms[0] + terms[1] + terms[2])
+        (value,) = geometric_entropy_map(state).values.values()
+        assert value == expected_entropy({1: 1, 2: 5, 3: 12}) != left_to_right
+        assert_exports_match_oracle(state)
+
+    def test_instance_with_zero_sum_evidence(self, tmp_path):
+        """The semantic export leaves out every cell of an instance whose
+        category evidence sums to zero, and the semantic layer raises."""
+        state = small_state()
+        zero = state.new_instance()
+        state.instances[zero].category_evidence = {"chair": 0.0}
+        state.add_instance_evidence((1, 0, 0), zero, 2)  # shared with both other instances
+        state.add_instance_evidence((3, 0, 0), zero, 1)  # its own
+        with pytest.raises(NoEvidenceError):
+            semantic_entropy_map(state)
+        with pytest.raises(NoEvidenceError):
+            oracle_semantic_entropy_map(OracleMap.from_state(state))
+        export_semantic_map(state, tmp_path / "new.ply")
+        oracle_export_semantic_map(OracleMap.from_state(state), tmp_path / "old.ply")
+        assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
+        assert "element vertex 2\n" in (tmp_path / "new.ply").read_text()
 
     def test_signed_zeros_and_non_finite_values(self, tmp_path):
         points = np.array([[0.0, -0.0, 1e-7], [-0.0, 0.0, -1e-7], [np.nan, np.inf, -np.inf]])

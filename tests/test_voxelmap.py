@@ -484,6 +484,10 @@ class TestSnapshot:
              "category evidence '0.9' is not int or float"),
             (lambda s: s["instances"][1]["category_evidence"].update(chair=math.nan),
              "category evidence nan is not finite"),
+            (lambda s: s["instances"][1]["category_evidence"].update(chair=-5.0),
+             "instance 1: category evidence 'chair' of -5.0 is not above 0"),
+            (lambda s: s["instances"][1].update(category_evidence={"chair": 0.0, "table": 0}),
+             "instance 1: category evidence 'chair' of 0.0 is not above 0"),
             (lambda s: s["categories"].append(5), "category is not a string"),
             (lambda s: s.update(categories="chair"), "categories 'chair' is not list"),
             (lambda s: s.update(frames_integrated=2.5), "frames_integrated 2.5 is not int"),
@@ -496,7 +500,8 @@ class TestSnapshot:
             "next-id-taken", "next-id-zero", "no-unknown-instance", "instance-twice",
             "string-flagged", "int-flagged", "float-id", "bool-id", "float-voxel-count",
             "int-final-category", "string-frame-id", "string-bbox", "three-bbox", "float-in-bbox",
-            "string-confidence", "int-view-path", "string-evidence", "nan-evidence", "int-category",
+            "string-confidence", "int-view-path", "string-evidence", "nan-evidence",
+            "negative-evidence", "zero-sum-evidence", "int-category",
             "string-categories", "float-frames-integrated", "float-next-id", "nan-voxel-size",
             "inf-log-odds-max", "string-p-hit",
         ],
@@ -596,7 +601,7 @@ def snapshot_maps(draw):
     )
     for instance_id in ids[1:]:
         record = state.instances[instance_id]
-        record.category_evidence = draw(st.dictionaries(_SNAPSHOT_TEXT, st.floats(0.0, 10.0), max_size=2))
+        record.category_evidence = draw(st.dictionaries(_SNAPSHOT_TEXT, st.floats(0.0, 10.0, exclude_min=True), max_size=2))
         record.final_category = draw(st.none() | _SNAPSHOT_TEXT)
         record.flagged = draw(st.booleans())
         record.observations = draw(st.lists(observations, max_size=2))
