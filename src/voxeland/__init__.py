@@ -85,7 +85,6 @@ from .uncertainty import (
     geometric_entropy_map,
     semantic_entropy,
     semantic_entropy_map,
-    voxel_category_distribution,
 )
 from .voxelmap import (
     UNKNOWN_INSTANCE_ID,

@@ -34,14 +34,6 @@ class CategoricalDistribution:
 
     probs: dict[Hashable, float] = field(default_factory=dict)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        for key, p in self.probs.items():
-            if p < 0.0 or not math.isfinite(p):
-                raise ValueError(f"probability for {key!r} out of range: {p!r}")
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {tol}")
-
     def argmax(self) -> Hashable:
         """Highest-probability hypothesis; ties broken by smallest key."""
         if not self.probs:

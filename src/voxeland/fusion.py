@@ -10,18 +10,22 @@ candidate instance has evidence; from it two scores are derived:
 
 An opinion matches when either score passes its threshold; otherwise it
 spawns a new instance.  The reserved unknown opinion is always associated
-with the unknown map instance.  Every N integrated frames the map instances
-are associated against each other with the same criterion and merged, which
-heals over-segmentation from disjoint first observations.  Merge candidates
-come only from voxels that two or more instances share, found with one sort
-of all footprints; each merge takes the first passing pair in ascending
-(kept, retired) id order.
+with the unknown map instance.  The overlaps of a frame's opinions with
+every candidate come from one index of the candidates' footprints, built
+once per frame.  Before its opinions are integrated, the voxels of all of
+them become map cells in one insertion.  Every N integrated frames the map
+instances are associated against each other with the same criterion and
+merged, which heals over-segmentation from disjoint first observations.
+Merge candidates come only from voxels that two or more instances share,
+found with one sort of all footprints; each merge takes the first passing
+pair in ascending (kept, retired) id order, and rescores the merged instance
+only against the instances that shared a voxel with either part.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +37,7 @@ from .voxelmap import (
     UNKNOWN_INSTANCE_ID,
     MapState,
     Observation,
+    _no_keys,
     in_sorted,
     pack_keys,
     points_to_keys,
@@ -107,6 +112,36 @@ def _passing_scores(
     return None
 
 
+def _overlaps(
+    voxel_counts: list[tuple[np.ndarray, np.ndarray]], footprints: list[np.ndarray]
+) -> np.ndarray:
+    """The (opinion, footprint) matrix of the points of each opinion that fall
+    in each footprint, given each opinion's sorted unique keys with their
+    point counts and each footprint's sorted unique keys.
+
+    The footprints are indexed once: their keys concatenated and stably
+    sorted, each entry with its footprint's position.  Each opinion voxel
+    finds the run of index entries with its key from two ``searchsorted``
+    calls, and one ``bincount`` over all runs sums the points per pair.
+    """
+    index = np.concatenate([_no_keys(), *footprints])
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    owner = np.repeat(np.arange(len(footprints)), [len(keys) for keys in footprints])[order]
+    keys = np.concatenate([_no_keys(), *(keys for keys, _ in voxel_counts)])
+    counts = np.concatenate([_no_keys(), *(counts for _, counts in voxel_counts)])
+    opinion = np.repeat(np.arange(len(voxel_counts)), [len(keys) for keys, _ in voxel_counts])
+    first = np.searchsorted(index, keys, side="left")
+    runs = np.searchsorted(index, keys, side="right") - first
+    # entry e of a voxel's run is index entry first + e
+    entries = np.repeat(first - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+    pairs = np.repeat(opinion * len(footprints), runs) + owner[entries]
+    # the counts sum exactly in float64: a frame has far fewer than 2**53 points
+    shape = (len(voxel_counts), len(footprints))
+    summed = np.bincount(pairs, weights=np.repeat(counts, runs), minlength=shape[0] * shape[1])
+    return summed.astype(np.int64).reshape(shape)
+
+
 def associate(
     opinions: list[SubjectiveOpinion], state: MapState, config: AssociationConfig
 ) -> AssociationOutcome:
@@ -117,6 +152,8 @@ def associate(
     ones are marked for spawning, which registers a fresh instance id here.
     The unknown opinion is associated with the unknown instance
     unconditionally, and the unknown instance is never a candidate otherwise.
+    Both thresholds are positive, so only the candidates an opinion overlaps
+    are scored.
     """
     outcome = AssociationOutcome()
     # instances spawned below own no voxel yet, so they are never candidates
@@ -125,18 +162,23 @@ def associate(
         for instance_id, record in state.instances.items()
         if instance_id != UNKNOWN_INSTANCE_ID and record.voxel_count
     ]
+    semantic = [opinion for opinion in opinions if not opinion.is_unknown]
+    overlaps = iter(
+        _overlaps(
+            [opinion_voxel_counts(opinion, state.voxel_size) for opinion in semantic],
+            [record.keys for record in candidates],
+        )
+    )
     for index, opinion in enumerate(opinions):
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
             continue
-        keys, counts = opinion_voxel_counts(opinion, state.voxel_size)
+        row = next(overlaps)
         n_points = len(opinion.points)
         best: tuple[float, float, int] | None = None  # (iou, ios, -id) ordering helper
-        for record in candidates:
-            if record.keys[0] > keys[-1] or record.keys[-1] < keys[0]:
-                continue
-            overlap = int(counts[in_sorted(record.keys, keys)].sum())
-            scores = _passing_scores(overlap, n_points, record.voxel_count, config)
+        for position in np.flatnonzero(row).tolist():
+            record = candidates[position]
+            scores = _passing_scores(int(row[position]), n_points, record.voxel_count, config)
             if scores is None:
                 continue
             candidate = (*scores, -record.id)
@@ -235,7 +277,9 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
     ascending id order, which gives the shared-voxel count of every pair.  A
     merge changes only the pairs of the two instances it touches: those of the
     retired one go, and those of the kept one are recounted from its merged
-    footprint.
+    footprint.  The merged footprint shares a voxel only with the instances
+    that shared one with either part, so each instance keeps the set of its
+    neighbours, and the kept one is recounted against those alone.
     """
     table = state.owner_table()
     owned = table.ids != UNKNOWN_INSTANCE_ID
@@ -249,6 +293,10 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
         shared.update(zip(owners[:-gap][within].tolist(), owners[gap:][within].tolist()))
         within = within[:-1] & same[gap:]
         gap += 1
+    neighbours: defaultdict[int, set[int]] = defaultdict(set)
+    for a, b in shared:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
     passing: dict[tuple[int, int], tuple[float, float]] = {}
     for (a, b), overlap in shared.items():
         scores = _passing_scores(
@@ -269,12 +317,12 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
             if keep not in pair and retire not in pair
         }
         kept = state.instances[keep]
-        for other_id, other in state.instances.items():
-            if other_id in (keep, UNKNOWN_INSTANCE_ID):
-                continue
-            overlap = int(np.count_nonzero(in_sorted(other.keys, kept.keys)))
-            if overlap == 0:
-                continue
+        neighbours[keep] = (neighbours[keep] | neighbours.pop(retire)) - {keep, retire}
+        for other_id in neighbours[keep]:
+            linked = neighbours[other_id]
+            linked.discard(retire)
+            linked.add(keep)
+            overlap = int(np.count_nonzero(in_sorted(state.instances[other_id].keys, kept.keys)))
             a, b = min(keep, other_id), max(keep, other_id)
             scores = _passing_scores(
                 overlap, state.instances[a].voxel_count, state.instances[b].voxel_count, config
@@ -282,6 +330,15 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
             if scores is not None:
                 passing[a, b] = scores
     return events
+
+
+def _sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
+    """The sorted distinct keys of ``arrays``, by one sort and a neighbour
+    comparison (``np.unique`` may take a slower hash path for this)."""
+    keys = np.sort(np.concatenate([_no_keys(), *arrays]))
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
 
 
 def _merge_instances(state: MapState, keep_id: int, retire_id: int) -> None:
@@ -398,6 +455,10 @@ class Pipeline:
             (index, instance_id, 0.0, 0.0) for index, instance_id in outcome.spawned
         ]
         assignments.sort(key=lambda item: item[0])
+        # every voxel of the frame becomes a cell here, so integration finds
+        # each of its keys in the cells and inserts none
+        voxel = self.state.voxel_size
+        self.state.add_cells(_sorted_union([opinion_voxel_counts(o, voxel)[0] for o in opinions]))
         for index, instance_id, _, _ in assignments:
             opinion = opinions[index]
             integrate_geometric(opinion, instance_id, self.state)

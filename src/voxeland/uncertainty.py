@@ -23,18 +23,12 @@ category mixing pass; the semantic export reads its argmax.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma as _psi
 
-from .evidence import (
-    CategoricalDistribution,
-    NoEvidenceError,
-    expected_entropy,
-    probabilities,
-)
+from .evidence import NoEvidenceError, expected_entropy
 from .opinions import UNKNOWN_CATEGORY
 from .voxelmap import InstanceRecord, MapState, OwnerTable, VoxelKey, unpack_keys
 
@@ -67,29 +61,6 @@ def semantic_entropy(record: InstanceRecord) -> float:
     return expected_entropy(record.category_evidence)
 
 
-def voxel_category_distribution(
-    instance_counts: Mapping[int, int], state: MapState
-) -> CategoricalDistribution:
-    """Category distribution of one voxel by the law of total probability.
-
-    Instance weights come from the voxel's evidence counts, keyed by instance
-    id; each instance contributes
-    its category distribution scaled by its weight.  The unknown instance --
-    and any instance without category evidence -- contributes its full weight
-    to the reserved unknown category.
-    """
-    weights = probabilities(instance_counts)
-    mixed: dict[str, float] = {}
-    for instance_id, weight in weights.probs.items():
-        record = state.instances[instance_id]
-        if record.is_unknown or not record.category_evidence:
-            mixed[UNKNOWN_CATEGORY] = mixed.get(UNKNOWN_CATEGORY, 0.0) + weight
-            continue
-        for category, p in record.category_distribution().probs.items():
-            mixed[category] = mixed.get(category, 0.0) + weight * p
-    return CategoricalDistribution(mixed)
-
-
 def _layer(kind: str, state: MapState, table: OwnerTable, values: np.ndarray) -> UncertaintyLayer:
     """The ``values`` of the table's cells, keyed in key order."""
     keys = unpack_keys(state.cells.keys[table.cell_rows])
@@ -119,14 +90,19 @@ def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
 
 @dataclass
 class CategoryMixtures:
-    """The category distribution that :func:`voxel_category_distribution`
-    mixes for each evidence-bearing cell, as rows of dense arrays.
+    """The category distribution of each evidence-bearing cell, as rows of
+    dense arrays.
 
-    A cell with one owner reads the row of that owner, whose share is exactly
-    1; each cell with two or more owners has its own row.  Columns are the
-    ``labels`` of every instance's category evidence and the unknown
+    A cell's distribution mixes its owners' category distributions by the
+    law of total probability, each weighted by the owner's share of the
+    cell's counts; the unknown instance, and any instance without category
+    evidence, gives its whole share to the unknown category.
+
+    A cell with one owner reads the row of that owner, whose share is
+    exactly 1; each cell with two or more owners has its own row.  Columns
+    are the ``labels`` of every instance's category evidence and the unknown
     category, in string order.  ``probs`` is accumulated owner by owner in
-    ascending id order, as the per-voxel mixture adds them, and
+    ascending id order, as a per-voxel mixture adds them, and
     ``first_seen`` orders each row's labels as that mixture's dict lists
     them (``NOT_SEEN`` where a label is absent).  A row is not ``valid``
     when an owner's category evidence does not sum above zero.

@@ -277,10 +277,15 @@ class MapState:
         packed, inverse = np.unique(pack_keys(keys), return_inverse=True)
         summed = np.zeros(len(packed), dtype=np.int64)
         np.add.at(summed, inverse, counts)
-        self.cells.keys, self.cells.log_odds, _ = _sorted_add(
-            self.cells.keys, self.cells.log_odds, packed
-        )
+        self.add_cells(packed)
         record.add_evidence(packed, summed)
+
+    def add_cells(self, keys: np.ndarray) -> None:
+        """Make each voxel of the sorted unique packed ``keys`` a cell; a
+        voxel new to the map starts at log-odds 0."""
+        self.cells.keys, self.cells.log_odds, _ = _sorted_add(
+            self.cells.keys, self.cells.log_odds, keys
+        )
 
     def integrate_occupancy(self, keys: np.ndarray, hit: bool) -> None:
         """One clamped Bayes-filter hit or miss in each voxel of the sorted

@@ -3,7 +3,8 @@
 These deliberately avoid the algorithms used by the package: the digamma
 oracle sums the convergent series term by term with an analytic tail bound,
 clustering is a full O(n^2) pairwise construction, average precision is
-integrated directly from the precision-recall points, and map refinement
+integrated directly from the precision-recall points, association counts
+each opinion's overlap with each candidate on its own, and map refinement
 rebuilds every footprint and scores every instance pair after each merge.
 The map itself is modelled as a dict of voxel cells, each holding its
 log-odds and a dict of instance counts (:class:`OracleMap`), the way the
@@ -42,7 +43,13 @@ from voxeland.evidence import (
 )
 from voxeland.export import layer_h_max
 from voxeland.frames import CameraIntrinsics, Frame, Pose
-from voxeland.fusion import AssociationConfig, MergeEvent
+from voxeland.fusion import (
+    AssociationConfig,
+    AssociationOutcome,
+    MergeEvent,
+    _passing_scores,
+    opinion_voxel_counts,
+)
 from voxeland.opinions import (
     NOISE,
     UNKNOWN_CATEGORY,
@@ -62,6 +69,7 @@ from voxeland.voxelmap import (
     OccupancyParams,
     SnapshotError,
     VoxelKey,
+    in_sorted,
     pack_keys,
     unpack_key_array,
     unpack_keys,
@@ -577,10 +585,18 @@ def oracle_snapshot_cells(
     return cell_keys, cell_log_odds, footprints
 
 
-def oracle_voxel_category_distribution(cell: VoxelCell, state) -> CategoricalDistribution:
-    """Category distribution of one voxel by the law of total probability,
-    mixing the cell's owners in the order the cell lists them."""
-    weights = probabilities(cell.instance_counts)
+def oracle_voxel_category_distribution(
+    instance_counts: Mapping[int, int], state
+) -> CategoricalDistribution:
+    """Category distribution of one voxel by the law of total probability.
+
+    Instance weights come from the voxel's evidence counts, keyed by instance
+    id, and are mixed in the order the counts list them; each instance
+    contributes its category distribution scaled by its weight.  The unknown
+    instance -- and any instance without category evidence -- contributes
+    its full weight to the reserved unknown category.
+    """
+    weights = probabilities(instance_counts)
     mixed: dict[str, float] = {}
     for instance_id, weight in weights.probs.items():
         record = state.instances[instance_id]
@@ -590,6 +606,17 @@ def oracle_voxel_category_distribution(cell: VoxelCell, state) -> CategoricalDis
         for category, p in record.category_distribution().probs.items():
             mixed[category] = mixed.get(category, 0.0) + weight * p
     return CategoricalDistribution(mixed)
+
+
+def validate_distribution(dist: CategoricalDistribution, tol: float = 1e-9) -> None:
+    """Raise ValueError unless every probability is finite and non-negative
+    and they sum to 1 within ``tol``."""
+    for key, p in dist.probs.items():
+        if p < 0.0 or not math.isfinite(p):
+            raise ValueError(f"probability for {key!r} out of range: {p!r}")
+    total = sum(dist.probs.values())
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {tol}")
 
 
 def _oracle_merge_instances(
@@ -700,6 +727,42 @@ def ios(opinion: SubjectiveOpinion, instance, state: MapState) -> float:
     return min(1.0, overlap / smaller) if smaller > 0 else 0.0
 
 
+def oracle_associate(
+    opinions: list[SubjectiveOpinion], state: MapState, config: AssociationConfig
+) -> AssociationOutcome:
+    """Reference association: each opinion against each candidate on its own,
+    the overlap counted with one ``in_sorted`` per (opinion, candidate) pair."""
+    outcome = AssociationOutcome()
+    candidates = [
+        record
+        for instance_id, record in state.instances.items()
+        if instance_id != UNKNOWN_INSTANCE_ID and record.voxel_count
+    ]
+    for index, opinion in enumerate(opinions):
+        if opinion.is_unknown:
+            outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
+            continue
+        keys, counts = opinion_voxel_counts(opinion, state.voxel_size)
+        n_points = len(opinion.points)
+        best: tuple[float, float, int] | None = None  # (iou, ios, -id) ordering helper
+        for record in candidates:
+            if record.keys[0] > keys[-1] or record.keys[-1] < keys[0]:
+                continue
+            overlap = int(counts[in_sorted(record.keys, keys)].sum())
+            scores = _passing_scores(overlap, n_points, record.voxel_count, config)
+            if scores is None:
+                continue
+            candidate = (*scores, -record.id)
+            if best is None or candidate > best:
+                best = candidate
+        if best is None:
+            new_id = state.new_instance()
+            outcome.spawned.append((index, new_id))
+        else:
+            outcome.matches.append((index, -best[2], best[0], best[1]))
+    return outcome
+
+
 def oracle_filter_geometric_opinion(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
     """Largest-cluster filter with coarse keys made distinct row-wise by
     ``np.unique(axis=0)`` rather than as packed scalars."""
@@ -719,6 +782,25 @@ def oracle_integrate(opinion: SubjectiveOpinion, instance_id: int, state: Oracle
     for key, count in oracle_voxel_counts(opinion, state.voxel_size).items():
         state.add_instance_evidence(key, instance_id, count)
         state.apply_occupancy(key, hit=True)
+
+
+def oracle_integrate_semantic(opinion: SubjectiveOpinion, instance_id: int, state: OracleMap) -> None:
+    """The opinion's confidence added to the instance's category evidence, its
+    category registered and its observation logged without a view."""
+    record = state.instances[instance_id]
+    record.category_evidence[opinion.category] = (
+        record.category_evidence.get(opinion.category, 0.0) + opinion.confidence
+    )
+    if opinion.category not in state.categories:
+        state.categories.append(opinion.category)
+    record.observations.append(
+        Observation(
+            frame_id=opinion.source_frame,
+            category=opinion.category,
+            confidence=opinion.confidence,
+            pixel_bbox=opinion.pixel_bbox,
+        )
+    )
 
 
 def oracle_carve_free_space(
@@ -771,7 +853,7 @@ def oracle_geometric_entropy_map(state: OracleMap) -> UncertaintyLayer:
 
 def oracle_semantic_entropy_map(state: OracleMap) -> UncertaintyLayer:
     values = {
-        key: shannon_entropy(oracle_voxel_category_distribution(cell, state))
+        key: shannon_entropy(oracle_voxel_category_distribution(cell.instance_counts, state))
         for key, cell in state.cells.items()
         if cell.instance_counts
     }
@@ -871,7 +953,7 @@ def oracle_export_semantic_map(state: OracleMap, ply_path: Path | str) -> None:
         if not cell.instance_counts:
             continue
         try:
-            dist = oracle_voxel_category_distribution(cell, state)
+            dist = oracle_voxel_category_distribution(cell.instance_counts, state)
         except NoEvidenceError:
             continue
         keys.append(key)

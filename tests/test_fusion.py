@@ -31,7 +31,7 @@ from voxeland.fusion import (
     refine,
 )
 from voxeland.frames import load_frame, load_manifest
-from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion
+from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion, build_opinions
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams, unpack_keys
 
@@ -42,7 +42,10 @@ from oracles import (
     intersection_count,
     ios,
     iou,
+    oracle_associate,
+    oracle_carve_free_space,
     oracle_integrate,
+    oracle_integrate_semantic,
     oracle_refine,
     oracle_snapshot_dict,
     oracle_voxel_counts,
@@ -243,6 +246,96 @@ class TestAssociateMatchesOracle:
                 record = state.instances[instance_id]
                 assert iou(opinions[index], record, state) < config.tau_iou
                 assert ios(opinions[index], record, state) < config.tau_ios
+
+
+FAR_CELL = st.tuples(st.integers(6, 8), st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def association_frames(draw):
+    """A map of 1-5 instances on a small pool of cells around the origin, some
+    with the footprint of an earlier one (other counts), so that equal scores
+    tie, and evidence of the unknown instance; then one frame of 1-5
+    opinions.  An opinion is unknown, falls on pool or grid cells, has a
+    point in every instance's footprint, or lies on far cells no instance
+    owns, so it spawns an instance that later opinions must not match."""
+    state = MapState(voxel_size=VOXEL)
+    pool = draw(st.lists(GRID_CELL, min_size=1, max_size=10, unique=True))
+    footprints = []
+    for _ in range(draw(st.integers(1, 5))):
+        instance_id = state.new_instance()
+        if footprints and draw(st.booleans()):
+            keys = draw(st.sampled_from(footprints))
+        else:
+            keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True))
+        footprints.append(keys)
+        for key in keys:
+            state.add_instance_evidence(key, instance_id, draw(st.integers(1, 3)))
+    for key in draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)):
+        state.add_instance_evidence(key, UNKNOWN_INSTANCE_ID, draw(st.integers(1, 3)))
+    every = [key for keys in footprints for key in keys]
+    kinds = {
+        "near": st.lists(voxel_point(st.one_of(st.sampled_from(pool), GRID_CELL)), min_size=1, max_size=30),
+        "every": st.lists(voxel_point(st.sampled_from(every)), max_size=10).map(
+            lambda extra: [center(*key) for key in every] + extra
+        ),
+        "far": st.lists(voxel_point(FAR_CELL), min_size=1, max_size=10),
+        "unknown": st.lists(voxel_point(GRID_CELL), min_size=1, max_size=10),
+    }
+    opinions = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5)):
+        points = draw(kinds[kind])
+        opinions.append(opinion(points, category=UNKNOWN_CATEGORY if kind == "unknown" else "chair"))
+    threshold = st.floats(0.0, 1.0, exclude_min=True)
+    config = AssociationConfig(tau_iou=draw(threshold), tau_ios=draw(threshold))
+    return state, opinions, config
+
+
+class TestAssociateMatchesPerCandidateOracle:
+    """associate against the per-candidate reference: the same matches with
+    bit-equal scores, and the same spawned indices and ids."""
+
+    @given(association_frames())
+    @settings(max_examples=300, deadline=None)
+    def test_random_frames(self, case):
+        state, opinions, config = case
+        reference = copy.deepcopy(state)
+        assert associate(opinions, state, config) == oracle_associate(opinions, reference, config)
+        assert state._next_instance_id == reference._next_instance_id
+
+    def test_equal_scores_go_to_the_lower_id(self):
+        state = MapState(voxel_size=VOXEL)
+        ids = [state.new_instance() for _ in range(3)]
+        for instance_id, count in zip(ids, (2, 1, 3)):
+            for i in range(4):
+                state.add_instance_evidence((i, 0, 0), instance_id, count)
+        ops = [opinion([center(i) for i in range(4)]), opinion([center(i) for i in range(2)])]
+        reference = copy.deepcopy(state)
+        outcome = associate(ops, state, CFG)
+        assert outcome == oracle_associate(ops, reference, CFG)
+        assert outcome.matches == [(0, ids[0], 1.0, 1.0), (1, ids[0], 0.5, 1.0)]
+
+    def test_no_overlap_spawns_and_every_overlap_scores_all(self):
+        state = MapState(voxel_size=VOXEL)
+        ids = [state.new_instance() for _ in range(3)]
+        for n, instance_id in enumerate(ids):
+            for i in range(3 * n, 3 * n + 5):
+                state.add_instance_evidence((i, 0, 0), instance_id, 1)
+        ops = [
+            opinion([center(50), center(51)]),
+            opinion([center(i) for i in range(11)]),
+            opinion([center(52)]),
+            opinion([center(0)], category=UNKNOWN_CATEGORY),
+        ]
+        reference = copy.deepcopy(state)
+        config = AssociationConfig(tau_iou=0.3, tau_ios=0.9)
+        outcome = associate(ops, state, config)
+        assert outcome == oracle_associate(ops, reference, config)
+        # the second opinion scores (5/11, 1) on all three and the lowest id
+        # wins; instance 4, spawned by the first opinion, owns no voxel and is
+        # never a candidate
+        assert outcome.matches == [(1, ids[0], 5 / 11, 1.0), (3, UNKNOWN_INSTANCE_ID, 0.0, 0.0)]
+        assert outcome.spawned == [(0, 4), (2, 5)]
 
 
 @st.composite
@@ -487,6 +580,18 @@ def refine_cases(draw):
     return state, config
 
 
+def footprint_map(footprints):
+    """A map of instances 1, 2, ... with the given footprints, one point per voxel."""
+    state = MapState(voxel_size=VOXEL)
+    state.register_category("chair")
+    for keys in footprints:
+        instance_id = state.new_instance()
+        state.instances[instance_id].category_evidence = {"chair": 1.0}
+        for key in keys:
+            state.add_instance_evidence(key, instance_id, 1)
+    return state
+
+
 def clutter_map_without_refinement(tmp_path):
     """Nine nearby boxes seen through dilated masks and noisy depth, mapped
     with refinement off, so over-segmented instances are left to merge."""
@@ -526,10 +631,9 @@ class TestRefineMatchesOracle:
     """refine against the reference that rescans the map and scores every
     pair after each merge: same events in the same order, same final map."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(refine_cases())
-    def test_random_maps(self, case):
-        state, config = case
+    @staticmethod
+    def check(state, config):
+        """refine against the oracle; returns the (kept, retired) pairs."""
         reference = OracleMap.from_state(state)
         events = refine(state, config)
         expected = oracle_refine(reference, config)
@@ -538,6 +642,37 @@ class TestRefineMatchesOracle:
         ]
         assert oracle_snapshot_dict(state) == reference.to_dict()
         check_storage(state)
+        return [(e.kept_id, e.retired_id) for e in events]
+
+    @settings(max_examples=300, deadline=None)
+    @given(refine_cases())
+    def test_random_maps(self, case):
+        self.check(*case)
+
+    def test_chained_merge_rescored_through_the_retired_neighbours(self):
+        # 1 and 2 merge first; 3 overlaps only 2, so the merged 1 must be
+        # rescored against 3 through 2's neighbours
+        footprints = (
+            [(i, 0, 0) for i in range(10)],
+            [(i, 0, 0) for i in range(5, 15)],
+            [(i, 0, 0) for i in range(12, 16)],
+        )
+        config = AssociationConfig(tau_iou=0.3, tau_ios=0.7)
+        assert self.check(footprint_map(footprints), config) == [(1, 2), (1, 3)]
+
+    def test_neighbours_of_the_retired_point_at_the_kept(self):
+        # 1 absorbs 2; 3 and 4 each overlap only 2, too little to pass with
+        # the merged 1, but once 3 absorbs 4 their union passes with 1, which
+        # 3 and 4 know only through 2
+        shared = [(i, 1, 0) for i in range(8)]
+        footprints = (
+            [(8, 0, 0), (9, 0, 0)],
+            [(i, 0, 0) for i in range(10)],
+            [(i, 0, 0) for i in range(4)] + shared,
+            [(i, 0, 0) for i in range(4, 8)] + shared,
+        )
+        config = AssociationConfig(tau_iou=0.4, tau_ios=0.9)
+        assert self.check(footprint_map(footprints), config) == [(1, 2), (3, 4), (1, 3)]
 
     def test_noisy_scene(self, tmp_path):
         state = clutter_map_without_refinement(tmp_path)
@@ -568,7 +703,9 @@ class TestOpinionVoxelCounts:
             )
 
 
-def synthetic_frame(frame_id, predictions, depth_value=1500, shape=(40, 40)):
+def synthetic_frame(frame_id, predictions, depth_value=1500, shape=(40, 40), translation=(0, 0, 0)):
+    """A frame of the given predictions over ``depth_value`` (a scalar or an
+    array of the frame's shape), seen by a camera at ``translation``."""
     height, width = shape
     depth = np.full(shape, depth_value, dtype=np.uint16)
     intr = CameraIntrinsics(
@@ -578,7 +715,7 @@ def synthetic_frame(frame_id, predictions, depth_value=1500, shape=(40, 40)):
         frame_id=frame_id,
         depth_path=None,
         predictions_path=None,
-        pose=Pose(rotation=np.eye(3), translation=np.zeros(3)),
+        pose=Pose(rotation=np.eye(3), translation=np.array(translation, dtype=float)),
         intrinsics=intr,
     )
     return Frame(
@@ -709,3 +846,115 @@ class TestProcessFrame:
         run(tmp_path / "a.json")
         run(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+FRAME_SHAPE = (24, 24)
+BOX = st.tuples(st.integers(0, 16), st.integers(0, 16), st.integers(4, 10), st.integers(4, 10))
+
+
+def stepped_depth(box, near):
+    """Depth 1 m with a nearer box, so that rays to far voxels pass through near ones."""
+    row, col, rows, cols = box
+    depth = np.full(FRAME_SHAPE, 1000, dtype=np.uint16)
+    depth[row : row + rows, col : col + cols] = near
+    return depth
+
+
+@st.composite
+def overlapping_frames(draw):
+    """1-3 frames of 1-4 box masks that may overlap or repeat, so that
+    several opinions of one frame hit the same voxels, over a depth step
+    whose near box some masks cover; camera shifts between frames; a log-odds band that k hits may cross at
+    either end (p_hit below 0.5 lowers the log-odds); carving on or off."""
+    frames = []
+    for frame_id in range(draw(st.integers(1, 3))):
+        near_box = draw(BOX)
+        predictions = []
+        # masks of the near box may repeat under other labels
+        for row, col, rows, cols in draw(st.lists(st.one_of(st.just(near_box), BOX), min_size=1, max_size=4)):
+            mask = block_mask(FRAME_SHAPE, (row, row + rows), (col, col + cols))
+            label = draw(st.sampled_from(["chair", "table", "lamp"]))
+            predictions.append(PredictionInstance(label, draw(st.floats(0.1, 1.0)), encode_rle_mask(mask)))
+        depth = stepped_depth(near_box, draw(st.integers(500, 900)))
+        shift = (draw(st.integers(-2, 2)) * 0.005, draw(st.integers(-2, 2)) * 0.005, 0.0)
+        frames.append(synthetic_frame(frame_id, predictions, depth, FRAME_SHAPE, shift))
+    occupancy = OccupancyParams(
+        p_hit=draw(st.sampled_from([0.3, 0.7, 0.9])),
+        log_odds_min=draw(st.floats(-2.5, -0.5)),
+        log_odds_max=draw(st.floats(0.5, 2.5)),
+    )
+    carve = draw(st.booleans())
+    return frames, occupancy, carve, draw(st.integers(1, 4))
+
+
+def reference_pipeline_map(pipeline, frames, outcomes):
+    """The map the pipeline's frames and association outcomes give when every
+    opinion is integrated on its own, voxel by voxel, into an OracleMap."""
+    state = pipeline.state
+    model = OracleMap(voxel_size=state.voxel_size, occupancy=state.occupancy)
+    for frame, outcome in zip(frames, outcomes):
+        opinions = build_opinions(
+            frame, frame.record.intrinsics, frame.record.pose, pipeline.clustering, pipeline.max_range
+        )
+        for _, instance_id in outcome.spawned:
+            assert model.new_instance() == instance_id
+        spawned = [(index, instance_id, 0.0, 0.0) for index, instance_id in outcome.spawned]
+        for index, instance_id, _, _ in sorted(outcome.matches + spawned):
+            opinion = opinions[index]
+            oracle_integrate(opinion, instance_id, model)
+            if not opinion.is_unknown:
+                oracle_integrate_semantic(opinion, instance_id, model)
+            if pipeline.carve:
+                origin = frame.record.pose.translation
+                oracle_carve_free_space(opinion, model, origin, pipeline.carve_stride)
+        model.frames_integrated += 1
+    return model
+
+
+class TestPerFrameInsertion:
+    """A frame's voxels become cells in one insertion before its opinions are
+    integrated; the map must equal the one built opinion by opinion."""
+
+    def check(self, frames, occupancy, carve=False, stride=4):
+        pipeline = Pipeline(
+            MapState(voxel_size=0.02, occupancy=occupancy),
+            # coarse cells small enough that boxes of 4 pixels survive the filter
+            clustering=ClusteringParams(coarse_voxel=0.04, eps=0.04 * 1.8, min_pts=4),
+            carve=carve,
+            carve_stride=stride,
+        )
+        outcomes = [pipeline.process_frame(frame) for frame in frames]
+        reference = reference_pipeline_map(pipeline, frames, outcomes)
+        assert oracle_snapshot_dict(pipeline.state) == reference.to_dict()
+        check_storage(pipeline.state)
+        return pipeline.state
+
+    @given(overlapping_frames())
+    @settings(max_examples=60, deadline=None)
+    def test_random_frames(self, case):
+        frames, occupancy, carve, stride = case
+        self.check(frames, occupancy, carve, stride)
+
+    def test_k_hits_cross_the_upper_bound(self):
+        mask = encode_rle_mask(block_mask(FRAME_SHAPE, (4, 14), (4, 14)))
+        predictions = [PredictionInstance(label, 0.9, mask) for label in ("chair", "table", "lamp")]
+        frames = [synthetic_frame(0, predictions, depth_value=1000, shape=FRAME_SHAPE)]
+        occupancy = OccupancyParams(log_odds_max=2.0)
+        state = self.check(frames, occupancy)
+        # three opinions on one mask: three hits of l_hit = 0.847, the third clipped at 2.0
+        assert state.cells.log_odds.max() == 2.0
+
+    def test_carving_interleaves_misses_with_hits(self):
+        # near, far, near again: rays to far voxels pass through near ones,
+        # so in this frame 5 voxels get a miss before their first hit and 14
+        # a miss after one
+        near = block_mask(FRAME_SHAPE, (2, 12), (2, 12))
+        predictions = [
+            PredictionInstance("chair", 0.9, encode_rle_mask(near)),
+            PredictionInstance("table", 0.8, encode_rle_mask(block_mask(FRAME_SHAPE, (6, 22), (6, 22)))),
+            PredictionInstance("lamp", 0.7, encode_rle_mask(near)),
+        ]
+        depth = stepped_depth((2, 2, 10, 10), 600)
+        frames = [synthetic_frame(0, predictions, depth, FRAME_SHAPE, (0.01, 0.01, 0.0))]
+        state = self.check(frames, OccupancyParams(), carve=True, stride=1)
+        assert state.cells.log_odds.min() < 0.0

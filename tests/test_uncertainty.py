@@ -10,11 +10,10 @@ from voxeland.uncertainty import (
     geometric_entropy_map,
     semantic_entropy,
     semantic_entropy_map,
-    voxel_category_distribution,
 )
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, InstanceRecord, MapState, pack_keys
 
-from oracles import cells_of, oracle_expected_entropy
+from oracles import cells_of, oracle_expected_entropy, oracle_voxel_category_distribution
 
 
 def make_state(instance_betas, cell_counts):
@@ -85,7 +84,7 @@ class TestSemanticEntropy:
 class TestVoxelCategoryDistribution:
     def test_single_instance_single_class(self):
         state, ids = make_state({"k1": {"chair": 1.0}}, {(0, 0, 0): {"k1": 4}})
-        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
+        dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist.probs == {"chair": 1.0}
 
     def test_worked_mixture(self):
@@ -94,7 +93,7 @@ class TestVoxelCategoryDistribution:
             {"k1": {"chair": 1.7, "table": 0.6}},
             {(0, 0, 0): {"k1": 3, "unknown": 1}},
         )
-        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
+        dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist["chair"] == pytest.approx(0.75 * 1.7 / 2.3, abs=1e-9)
         assert dist["table"] == pytest.approx(0.75 * 0.6 / 2.3, abs=1e-9)
         assert dist["unknown"] == pytest.approx(0.25, abs=1e-9)
@@ -105,14 +104,14 @@ class TestVoxelCategoryDistribution:
 
     def test_unknown_only_cell(self):
         state, _ = make_state({}, {(0, 0, 0): {"unknown": 5}})
-        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
+        dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist.probs == {"unknown": 1.0}
 
     def test_evidence_free_instance_routes_to_unknown(self):
         state = MapState(voxel_size=0.02)
         bare = state.new_instance()
         state.add_instance_evidence((0, 0, 0), bare, 2)
-        dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
+        dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist.probs == {"unknown": 1.0}
 
     def test_sums_to_one_on_random_maps(self):
@@ -133,7 +132,7 @@ class TestVoxelCategoryDistribution:
                 name: int(rng.integers(1, 20)) for name in list(betas) + ["unknown"]
             }
             state, _ = make_state(betas, {(0, 0, 0): counts})
-            dist = voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
+            dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
             assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from voxeland import atomic, voxelmap
 from voxeland.atomic import atomic_write
 from voxeland.evidence import NoEvidenceError, probabilities
-from voxeland.uncertainty import voxel_category_distribution
 from voxeland.voxelmap import (
     SNAPSHOT_SCHEMA_VERSION,
     UNKNOWN_INSTANCE_ID,
@@ -33,6 +32,7 @@ from oracles import (
     check_storage,
     oracle_snapshot_cells,
     oracle_snapshot_dict,
+    oracle_voxel_category_distribution,
     world_to_key,
 )
 from test_fusion import clutter_map_without_refinement
@@ -210,7 +210,7 @@ def weights_of(instance_counts: dict[int, int]) -> dict[str, float]:
     for instance_id, count in instance_counts.items():
         state.add_instance_evidence((0, 0, 0), instance_id, count)
     (cell,) = cells_of(state).values()
-    return voxel_category_distribution(cell.instance_counts, state).probs
+    return oracle_voxel_category_distribution(cell.instance_counts, state).probs
 
 
 class TestVoxelInstanceDistribution:
@@ -225,7 +225,7 @@ class TestVoxelInstanceDistribution:
 
     def test_empty_cell_is_error(self):
         with pytest.raises(NoEvidenceError, match="no evidence"):
-            voxel_category_distribution({}, MapState(voxel_size=0.02))
+            oracle_voxel_category_distribution({}, MapState(voxel_size=0.02))
 
 
 @st.composite
