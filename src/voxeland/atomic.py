@@ -1,5 +1,5 @@
-"""Text files: atomic writes, the row chunking and float formatting the
-map's large writers share, and the exact-type checks of the readers.
+"""Text files: atomic writes, the row assembly the map's large writers
+share, and the exact-type checks of the readers.
 
 Snapshots, PLY exports with their sidecars, ``timing.json`` and evaluation
 reports all go through :func:`atomic_write`.  The text is written to a
@@ -9,10 +9,15 @@ the temporary file is removed and any previous file is left as it was.
 The temporary file is not fsynced, so this guards against a failed or
 interrupted process, not against a power loss.
 
-Snapshots, PLY files and sidecars are formatted and written
-``_CHUNK_ROWS`` rows at a time, so no file's text is held whole, and no
-container is built per row: a burst of container allocations sets off full
-garbage collections over every object the process keeps alive.
+Snapshots, PLY files and sidecars are assembled from columns of tokens
+(:func:`_column`, :func:`_row_chunks`).  A column formats each of its
+distinct values once, together with the fixed text around it, into a table
+of NUL-padded ASCII tokens; a row is one token of each column.  The text is
+built and written ``_CHUNK_ROWS`` rows at a time: each chunk gathers its
+tokens into one byte block and drops the padding, so no file's text is held
+whole and no container is built per row (a burst of container allocations
+sets off full garbage collections over every object the process keeps
+alive).
 
 The snapshot and dataset readers check parsed JSON values by exact type,
 which ``int()`` or ``float()`` would not: they truncate or parse a string.
@@ -47,16 +52,57 @@ def atomic_write(path: Path | str) -> Iterator[TextIO]:
         raise
 
 
-def _format_each(values: np.ndarray, format_one: Callable[[float], str]) -> list[str]:
-    """``format_one`` of every float, called once per distinct bit pattern.
+Column = tuple[np.ndarray, np.ndarray]
 
-    Voxel centers, entropies and log-odds repeat a few values many times, and
-    equal bits (so also -0.0 apart from 0.0) always format the same.
+
+def _token_table(tokens: list[str]) -> np.ndarray:
+    """The tokens as a ``(len(tokens), width)`` uint8 table, each row NUL-padded.
+
+    Padding is dropped by dropping NUL bytes, so a token must be ASCII
+    without a NUL byte; any other token is a ValueError.
     """
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse.reshape(-1)].tolist()
+    text = "".join(tokens)
+    if not text.isascii() or "\0" in text:
+        bad = next(token for token in tokens if not token.isascii() or "\0" in token)
+        raise ValueError(f"token {bad!r} is not ASCII text without NUL bytes")
+    table = np.array(tokens, dtype=bytes)
+    return table.view(np.uint8).reshape(len(tokens), table.dtype.itemsize)
+
+
+def _column(values: np.ndarray, form: Callable) -> Column:
+    """``values`` as rows of a token table that holds ``form`` of each
+    distinct value once.
+
+    Floats are told apart by their bits, so -0.0 keeps its own text apart
+    from 0.0.
+    """
+    values = np.ascontiguousarray(values)
+    bits = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, index = np.unique(bits, return_inverse=True)
+    return _token_table(list(map(form, distinct.view(values.dtype).tolist()))), index.reshape(-1)
+
+
+def _row_chunks(columns: list[Column], separator: str = "") -> Iterator[str]:
+    """The text of the rows, ``_CHUNK_ROWS`` rows at a time, with ``separator``
+    between rows.  Row r is each column's token ``table[index[r]]`` in turn."""
+    gap = np.frombuffer(separator.encode("ascii"), dtype=np.uint8)
+    count = len(columns[0][1])
+    for start in range(0, count, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, count))
+        # one expression, so no chunk's bytes outlive its text; the first
+        # row's separator is cut off
+        yield str(_chunk_bytes(columns, gap, rows)[0 if start else len(gap) :], "ascii")
+
+
+def _chunk_bytes(columns: list[Column], gap: np.ndarray, rows: slice) -> np.ndarray:
+    """The bytes of ``rows``: each row's tokens, behind the separator ``gap``,
+    gathered into one ``(rows, width)`` block whose padding one mask drops."""
+    bounds = np.cumsum([len(gap)] + [table.shape[1] for table, _ in columns]).tolist()
+    block = np.empty((rows.stop - rows.start, bounds[-1]), dtype=np.uint8)
+    block[:, : len(gap)] = gap
+    for (table, index), left, right in zip(columns, bounds, bounds[1:]):
+        block[:, left:right] = np.take(table, index[rows], axis=0)
+    return block[block != 0]
 
 
 def _all_of(values: list, *types: type) -> bool:

@@ -9,7 +9,13 @@ Vertices are voxel centers in ascending (i, j, k) key order.
 Each export reads the map's owner table (or the layer's values) and does
 the rest on arrays; the semantic map takes its argmax from the same
 category mixtures as the semantic layer (:class:`CategoryMixtures`).
-Rows are formatted and written in chunks (see :mod:`voxeland.atomic`).
+
+Rows are assembled from token tables (see :mod:`voxeland.atomic`).  A PLY
+row is an ``"%.6f "`` token of each coordinate, from one table of the
+axis's distinct coordinates, then a ``"%d %d %d\\n"`` token of its color,
+from a table of the distinct colors.  A sidecar entry is a
+``'{"entropy": %s, "key": ['`` token of its value, then ``"%d, "``,
+``"%d, "`` and ``"%d]}"`` tokens of its key.
 """
 
 from __future__ import annotations
@@ -21,12 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _CHUNK_ROWS, _format_each, atomic_write
+from .atomic import _column, _row_chunks, atomic_write
 from .uncertainty import CategoryMixtures, UncertaintyLayer
 from .voxelmap import MapState, pack_keys, unpack_key_array
-
-_PLY_ROW = "%s %s %s %d %d %d\n"
-_SIDECAR_ENTRY = '{"entropy": %s, "key": [%d, %d, %d]}'
 
 
 def entropy_colors(values: np.ndarray, h_max: float) -> np.ndarray:
@@ -63,9 +66,16 @@ def _id_colors(ids: np.ndarray) -> np.ndarray:
     return table[inverse.reshape(-1)]
 
 
+def _rgb_token(rgb: int) -> str:
+    return "%d %d %d\n" % (rgb >> 16, rgb >> 8 & 255, rgb & 255)
+
+
 def write_ply(path: Path | str, points: np.ndarray, colors: np.ndarray) -> None:
+    """Write one vertex per point, colored by the aligned row of ``colors``."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
+    if len(points) != len(colors):
+        raise ValueError(f"{path}: {len(points)} points but {len(colors)} colors")
     header = (
         "ply\nformat ascii 1.0\n"
         f"element vertex {len(points)}\n"
@@ -73,14 +83,11 @@ def write_ply(path: Path | str, points: np.ndarray, colors: np.ndarray) -> None:
         "property uchar red\nproperty uchar green\nproperty uchar blue\n"
         "end_header\n"
     )
+    rgb = (colors.astype(np.int64) << np.array([16, 8, 0])).sum(axis=1)
+    columns = [_column(axis, "%.6f ".__mod__) for axis in points.T] + [_column(rgb, _rgb_token)]
     with atomic_write(path) as handle:
         handle.write(header)
-        for start in range(0, len(points), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            columns = [_format_each(points[start:stop, axis], "%.6f".__mod__) for axis in range(3)]
-            columns += [colors[start:stop, axis].tolist() for axis in range(3)]
-            # A row is one of zip's recycled tuples, so formatting allocates no containers.
-            handle.write("".join(map(_PLY_ROW.__mod__, zip(*columns))))
+        handle.writelines(_row_chunks(columns))
 
 
 def _voxel_centers(keys: np.ndarray, voxel_size: float) -> np.ndarray:
@@ -111,16 +118,17 @@ def export_entropy_layer(
         "h_max": h_max,
         "generated_at_frame": layer.generated_at_frame,
     }
+    columns = [
+        _column(values, lambda value: '{"entropy": %s, "key": [' % json.dumps(value)),
+        _column(keys[:, 0], "%d, ".__mod__),
+        _column(keys[:, 1], "%d, ".__mod__),
+        _column(keys[:, 2], "%d]}".__mod__),
+    ]
     # "values" sorts after every other field, so the sidecar is the sorted
     # header with the values list streamed in before its closing brace.
     with atomic_write(str(ply_path) + ".json") as handle:
         handle.write(json.dumps(header, sort_keys=True)[:-1] + ', "values": [')
-        for start in range(0, count, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            columns = [_format_each(values[start:stop], json.dumps)]
-            columns += [keys[start:stop, axis].tolist() for axis in range(3)]
-            handle.write(", " if start else "")
-            handle.write(", ".join(map(_SIDECAR_ENTRY.__mod__, zip(*columns))))
+        handle.writelines(_row_chunks(columns, ", "))
         handle.write("]}")
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _CHUNK_ROWS, _all_of, _checked, _format_each, atomic_write
+from .atomic import Column, _all_of, _checked, _column, _row_chunks, _token_table, atomic_write
 from .evidence import CategoricalDistribution, probabilities
 
 UNKNOWN_INSTANCE_ID = 0
@@ -32,9 +32,10 @@ UNKNOWN_CATEGORY = "unknown"
 SNAPSHOT_SCHEMA_VERSION = 1
 
 _COMPACT_SORTED = {"sort_keys": True, "separators": (",", ":")}
-_CELL_ROW = '{"instance_counts":%s,"key":[%d,%d,%d],"log_odds":%s}'
-# An instance-count entry of a cell, by 2 * (first in its cell) + (last in its cell).
-_ENTRY_FORMS = (",%s", ",%s}", "{%s", "{%s}")
+# An instance-count entry of a cell, by 2 * (first in its cell) + (last in its
+# cell); the first entry opens the cell's row.
+_ENTRY_FORMS = (",%s", ",%s}", '{"instance_counts":{%s', '{"instance_counts":{%s}')
+_NO_ENTRIES = '{"instance_counts":{}'
 
 
 class SnapshotError(ValueError):
@@ -350,20 +351,20 @@ class MapState:
             "instances": instances,
         }
 
-    def _instance_counts_text(self) -> np.ndarray:
-        """The JSON text of each cell's instance counts, as ``json.dumps`` with
-        ``sort_keys`` writes the dict of counts by id string: owners in the
-        string order of their ids (so "10" before "2"), and "{}" for a cell
-        without evidence.
+    def _cell_tokens(self) -> list[Column]:
+        """The text of each cell of the snapshot as token columns: one slot
+        per owner of the cell with the most owners, ``',"key":[%d'`` and two
+        ``",%d"`` tokens of the key, and a ``'],"log_odds":%s}'`` token of
+        the log-odds.
 
-        Each distinct (owner, count) entry is formatted once, in the four
-        forms it can take in a cell; the entries of a cell are then joined
-        by ``np.add.reduceat``, which leaves a cell with one entry as it is.
+        The slots hold what ``json.dumps`` with ``sort_keys`` writes for the dict
+        of counts by id string: owners in the string order of their ids (so
+        "10" before "2"), and "{}" for a cell without evidence.  Each distinct
+        (owner, count) entry is formatted once in each of its ``_ENTRY_FORMS``;
+        a cell's first slot holds its first entry (or ``_NO_ENTRIES``), and
+        a slot past the cell's last entry holds an empty token.
         """
         table = self.owner_table()
-        text = np.full(len(self.cells), "{}", dtype=object)
-        if not len(table.rows):
-            return text
         # rank the owners by id string and order each cell's entries by rank;
         # rows are already ascending, so entries stay within their cells
         ids, owner = np.unique(table.ids, return_inverse=True)
@@ -380,12 +381,20 @@ class MapState:
             '"%s":%d' % (names[name], value)
             for name, value in zip((pairs % len(ids)).tolist(), values[pairs // len(ids)].tolist())
         ]
-        forms = np.array([[form % entry for form in _ENTRY_FORMS] for entry in entries], dtype=object)
-        position = np.zeros(len(order), dtype=np.int64)
-        position[table.starts] += 2
-        position[table.starts + table.sizes - 1] += 1
-        text[table.cell_rows] = np.add.reduceat(forms[pair_of.reshape(-1), position], table.starts)
-        return text
+        # the token of an entry in a slot is 2 * pair + (last in its cell)
+        slots = np.full((len(self.cells), table.sizes.max(initial=1)), 2 * len(entries))
+        position = np.arange(len(order)) - np.repeat(table.starts, table.sizes)
+        last = position == np.repeat(table.sizes, table.sizes) - 1
+        slots[table.rows, position] = 2 * pair_of.reshape(-1) + last
+        first = _token_table([form % entry for entry in entries for form in _ENTRY_FORMS[2:]] + [_NO_ENTRIES])
+        later = _token_table([form % entry for entry in entries for form in _ENTRY_FORMS[:2]] + [""])
+        i, j, k = unpack_key_array(self.cells.keys).T
+        return [(first, slots[:, 0])] + [(later, column) for column in slots[:, 1:].T] + [
+            _column(i, ',"key":[%d'.__mod__),
+            _column(j, ",%d".__mod__),
+            _column(k, ",%d".__mod__),
+            _column(self.cells.log_odds, lambda value: '],"log_odds":%s}' % json.dumps(value)),
+        ]
 
     def save_snapshot(self, path: Path | str) -> None:
         """Write the map as schema-1 JSON.
@@ -394,21 +403,16 @@ class MapState:
         separators=(",", ":"))`` gives for the snapshot dict, whose "cells"
         list has one ``{"instance_counts", "key", "log_odds"}`` entry per
         cell in key order.  "categories" sorts first and "cells" second, so
-        the cells are formatted from the arrays and streamed in between.
+        the cells are assembled from token columns (:meth:`_cell_tokens`)
+        and streamed in between.
         """
         fields = self._snapshot_fields()
         head = json.dumps({"categories": fields.pop("categories")}, **_COMPACT_SORTED)
         tail = json.dumps(fields, **_COMPACT_SORTED)
-        counts = self._instance_counts_text()
+        columns = self._cell_tokens()
         with atomic_write(path) as handle:
             handle.write(head[:-1] + ',"cells":[')
-            for start in range(0, len(self.cells), _CHUNK_ROWS):
-                stop = start + _CHUNK_ROWS
-                columns = [counts[start:stop].tolist()]
-                columns += unpack_key_array(self.cells.keys[start:stop]).T.tolist()
-                columns.append(_format_each(self.cells.log_odds[start:stop], json.dumps))
-                handle.write("," if start else "")
-                handle.write(",".join(map(_CELL_ROW.__mod__, zip(*columns))))
+            handle.writelines(_row_chunks(columns, ","))
             handle.write("]," + tail[1:])
 
     @classmethod

@@ -16,8 +16,9 @@ every vertex with its own f-string.  Back-projection and voxel keying have
 one-point versions here, and opinions are built one prediction at a time,
 each back-projecting its own pixels with the ``(n, 3)`` product
 ``points @ rotation.T + translation``.  A snapshot is the dict :func:`oracle_snapshot_dict`
-builds, with a dict and a list per cell, dumped whole by ``json.dumps``; on
-load, :func:`oracle_snapshot_cells` reads the cell list one entry at a time
+builds, with a dict and a list per cell, dumped whole by ``json.dumps``;
+:func:`oracle_save_snapshot` is the chunked writer of one ``%`` template call
+per cell that the token columns replaced.  On load, :func:`oracle_snapshot_cells` reads the cell list one entry at a time
 into owned (row, id, count) tuples.  The synthetic renderer's reference
 runs a separate slab test for the room's exit and for each box's entry, each
 over ``(h, w, 3)`` ``nanmax``/``nanmin`` temporaries, and the ground-truth
@@ -554,6 +555,67 @@ def oracle_snapshot_dict(state: MapState) -> dict:
         "instances": instances,
         "cells": cells,
     }
+
+
+_ORACLE_CELL_ROW = '{"instance_counts":%s,"key":[%d,%d,%d],"log_odds":%s}'
+_ORACLE_ENTRY_FORMS = (",%s", ",%s}", "{%s", "{%s}")
+
+
+def _oracle_format_each(values: np.ndarray, format_one) -> list[str]:
+    """``format_one`` of every float, called once per distinct bit pattern."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(-1)].tolist()
+
+
+def _oracle_instance_counts_text(state: MapState) -> np.ndarray:
+    """Each cell's instance-counts JSON, its entries joined by ``np.add.reduceat``
+    over object arrays of their four forms."""
+    table = state.owner_table()
+    text = np.full(len(state.cells), "{}", dtype=object)
+    if not len(table.rows):
+        return text
+    ids, owner = np.unique(table.ids, return_inverse=True)
+    by_name = np.argsort(ids.astype(str))
+    names = ids[by_name].astype(str).tolist()
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[by_name] = np.arange(len(ids))
+    owner = rank[owner.reshape(-1)]
+    order = np.lexsort((owner, table.rows))
+    values, value_of = np.unique(table.counts[order], return_inverse=True)
+    pairs, pair_of = np.unique(value_of.reshape(-1) * len(ids) + owner[order], return_inverse=True)
+    entries = [
+        '"%s":%d' % (names[name], value)
+        for name, value in zip((pairs % len(ids)).tolist(), values[pairs // len(ids)].tolist())
+    ]
+    forms = np.array([[form % entry for form in _ORACLE_ENTRY_FORMS] for entry in entries], dtype=object)
+    position = np.zeros(len(order), dtype=np.int64)
+    position[table.starts] += 2
+    position[table.starts + table.sizes - 1] += 1
+    text[table.cell_rows] = np.add.reduceat(forms[pair_of.reshape(-1), position], table.starts)
+    return text
+
+
+def oracle_save_snapshot(state: MapState, path: Path | str, chunk_rows: int) -> None:
+    """The snapshot writer the token columns replace: one ``%`` template call
+    per cell, ``chunk_rows`` cells at a time."""
+    fields = oracle_snapshot_dict(state)
+    del fields["cells"]
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    head = json.dumps({"categories": fields.pop("categories")}, **compact)
+    tail = json.dumps(fields, **compact)
+    counts = _oracle_instance_counts_text(state)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(head[:-1] + ',"cells":[')
+        for start in range(0, len(state.cells), chunk_rows):
+            stop = start + chunk_rows
+            columns = [counts[start:stop].tolist()]
+            columns += unpack_key_array(state.cells.keys[start:stop]).T.tolist()
+            columns.append(_oracle_format_each(state.cells.log_odds[start:stop], json.dumps))
+            handle.write("," if start else "")
+            handle.write(",".join(map(_ORACLE_CELL_ROW.__mod__, zip(*columns))))
+        handle.write("]," + tail[1:])
 
 
 def oracle_snapshot_cells(

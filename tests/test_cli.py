@@ -128,6 +128,24 @@ class TestSynthBuildEval:
             assert header[0] == "ply"
             assert any(line.startswith("element vertex") for line in header)
 
+    def test_rebuild_writes_the_same_files(self, built, tmp_path):
+        """A second build of the same dataset writes the snapshot, the four
+        PLY files and both sidecars byte for byte as the first."""
+        root, dataset, out = built
+        again = tmp_path / "again"
+        config = root / "config.json"
+        assert main(["build", "--dataset", str(dataset), "--config", str(config), "--out", str(again)]) == 0
+        for name in (
+            "map.json",
+            "geom_entropy.ply",
+            "geom_entropy.ply.json",
+            "sem_entropy.ply",
+            "sem_entropy.ply.json",
+            "instances.ply",
+            "semantics.ply",
+        ):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_build_failure_removes_created_out_dir(self, tmp_path, capsys):
         out = tmp_path / "fresh_out"
         code = main(["build", "--dataset", str(tmp_path / "nope"), "--out", str(out)])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
-from voxeland import export
+from voxeland import atomic, export
 from voxeland.evidence import NoEvidenceError, expected_entropy
 from voxeland.export import (
     entropy_colors,
@@ -21,7 +21,7 @@ from voxeland.export import (
     write_ply,
 )
 from voxeland.uncertainty import UncertaintyLayer, geometric_entropy_map, semantic_entropy_map
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, SnapshotError, pack_keys
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, SnapshotError, pack_keys, unpack_key_array
 
 from oracles import (
     OracleMap,
@@ -31,6 +31,7 @@ from oracles import (
     oracle_export_instance_map,
     oracle_export_semantic_map,
     oracle_geometric_entropy_map,
+    oracle_save_snapshot,
     oracle_semantic_entropy_map,
     oracle_snapshot_dict,
     oracle_write_ply,
@@ -162,12 +163,14 @@ def layer_items(layer):
     return layer.kind, layer.generated_at_frame, [(k, v.hex()) for k, v in layer.values.items()]
 
 
-def assert_exports_match_oracle(state):
-    """Layers equal value for value in key order; all six files equal byte for byte."""
+def assert_exports_match_oracle(state, layers=None):
+    """Layers equal value for value in key order, unless ``layers`` are
+    given; all six export files and the snapshot equal byte for byte."""
     model = OracleMap.from_state(state)
-    layers = [geometric_entropy_map(state), semantic_entropy_map(state)]
-    expected = [oracle_geometric_entropy_map(model), oracle_semantic_entropy_map(model)]
-    assert [layer_items(layer) for layer in layers] == [layer_items(layer) for layer in expected]
+    if layers is None:
+        layers = [geometric_entropy_map(state), semantic_entropy_map(state)]
+        expected = [oracle_geometric_entropy_map(model), oracle_semantic_entropy_map(model)]
+        assert [layer_items(layer) for layer in layers] == [layer_items(layer) for layer in expected]
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new"), Path(tmp, "old")
         new.mkdir()
@@ -180,9 +183,14 @@ def assert_exports_match_oracle(state):
             entropy_export(source, layers[1], directory / "sem_entropy.ply")
             instance_export(source, directory / "instances.ply")
             semantic_export(source, directory / "semantics.ply")
+        state.save_snapshot(new / "map.json")
+        oracle_save_snapshot(state, old / "map.json", atomic._CHUNK_ROWS)
+        assert (new / "map.json").read_bytes() == json.dumps(
+            oracle_snapshot_dict(state), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
         names = sorted(path.name for path in old.iterdir())
         assert sorted(path.name for path in new.iterdir()) == names
-        assert len(names) == 6
+        assert len(names) == 7
         for name in names:
             assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
@@ -203,9 +211,9 @@ class TestExportsMatchOracle:
     def test_empty_map(self):
         assert_exports_match_oracle(MapState(voxel_size=0.05))
 
-    @pytest.mark.parametrize("chunk_rows", [export._CHUNK_ROWS, 7])
+    @pytest.mark.parametrize("chunk_rows", [atomic._CHUNK_ROWS, 7])
     def test_noisy_scene(self, noisy_state, chunk_rows, monkeypatch):
-        monkeypatch.setattr(export, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(atomic, "_CHUNK_ROWS", chunk_rows)
         assert sum(len(cell.instance_counts) > 1 for cell in cells_of(noisy_state).values()) >= 50
         assert_exports_match_oracle(noisy_state)
 
@@ -317,6 +325,79 @@ class TestExportsMatchOracle:
             assert Path(tmp, "new.ply").read_bytes() == Path(tmp, "old.ply").read_bytes()
 
 
+def owners_state(cells: int, without_evidence: int = 0) -> MapState:
+    """``cells`` cells of 1 to 6 owners each, among them ids 2 and 10 to 13
+    (whose string order differs from their numeric order) and the unknown
+    instance, then ``without_evidence`` cells without evidence."""
+    state = MapState(voxel_size=0.05)
+    state.register_category("chair")
+    for instance_id in (state.new_instance() for _ in range(13)):
+        state.instances[instance_id].category_evidence = {"chair": 1.0, "unknown": instance_id / 10}
+    owners = [10, 2, UNKNOWN_INSTANCE_ID, 13, 11, 12]
+    for row in range(cells):
+        for position in range(row % 6 + 1):
+            state.add_instance_evidence((row - 3, -row, 2 * row), owners[position], 1 + (7 * row + position) % 11)
+    for row in range(without_evidence):
+        state.integrate_occupancy(pack_keys(np.array([[row, 1, -5]])), hit=row % 2 == 0)
+    return state
+
+
+class TestTokenRows:
+    """Every writer's rows, assembled from token tables, against the oracle writers."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [owners_state(0, 3), owners_state(2, 3), owners_state(12)],
+        ids=["no-evidence", "some-evidence", "owners-1-to-6"],
+    )
+    def test_maps(self, state):
+        assert_exports_match_oracle(state)
+
+    def test_signed_zeros_and_non_finite_values(self):
+        state = owners_state(7)
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, -2.5]
+        state.cells.log_odds[:] = special
+        keys = [tuple(key) for key in unpack_key_array(state.cells.keys).tolist()]
+        layers = [
+            UncertaintyLayer(kind=kind, values=dict(zip(keys, values)), generated_at_frame=3)
+            for kind, values in (("geometric", special), ("semantic", special[::-1]))
+        ]
+        assert_exports_match_oracle(state, layers)
+
+    @pytest.mark.parametrize("rows", [7, 8, 9], ids=["one-before", "on", "one-after"])
+    def test_rows_around_a_chunk_boundary(self, rows, monkeypatch):
+        """With chunks of 4 rows, the last row falls one before, on or one
+        after the second chunk's end: the ", " and "," separators between
+        chunks and an end of a chunk without a next one."""
+        monkeypatch.setattr(atomic, "_CHUNK_ROWS", 4)
+        assert_exports_match_oracle(owners_state(rows))
+
+    @pytest.mark.parametrize("token", ["a\0b", "ab\0", "\0", "caf\xe9", "\u2603"])
+    def test_token_table_rejects_what_it_would_drop_or_mangle(self, token):
+        """Padding is dropped as NUL bytes, so a NUL or non-ASCII token is an error."""
+        with pytest.raises(ValueError, match="not ASCII text without NUL bytes"):
+            atomic._token_table(["ok", token])
+
+    def test_write_ply_rejects_points_and_colors_of_different_lengths(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        path.write_text("previous")
+        with pytest.raises(ValueError, match="10 points but 5 colors"):
+            write_ply(path, np.zeros((10, 3)), np.zeros((5, 3), dtype=np.uint8))
+        assert path.read_text() == "previous"
+        assert os.listdir(tmp_path) == ["cloud.ply"]
+
+
+def interrupted_after_first_chunk(row_chunks):
+    """``row_chunks`` that raises KeyboardInterrupt once its first chunk is written."""
+
+    def interrupted(*args, **kwargs):
+        chunks = row_chunks(*args, **kwargs)
+        yield next(chunks)
+        raise KeyboardInterrupt
+
+    return interrupted
+
+
 def test_interrupted_ply_write_keeps_previous_files(tmp_path, monkeypatch):
     """An export stopped after its first chunk of rows leaves the earlier
     PLY and sidecar as they were and no temporary file behind."""
@@ -324,17 +405,8 @@ def test_interrupted_ply_write_keeps_previous_files(tmp_path, monkeypatch):
     layer = geometric_entropy_map(state)
     export_entropy_layer(state, layer, tmp_path / "geom.ply")
     before = {name: (tmp_path / name).read_bytes() for name in ("geom.ply", "geom.ply.json")}
-    monkeypatch.setattr(export, "_CHUNK_ROWS", 1)
-    original = export._format_each
-    calls = []
-
-    def interrupt_second_chunk(values, format_one):
-        calls.append(len(values))
-        if len(calls) > 3:
-            raise KeyboardInterrupt
-        return original(values, format_one)
-
-    monkeypatch.setattr(export, "_format_each", interrupt_second_chunk)
+    monkeypatch.setattr(atomic, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(export, "_row_chunks", interrupted_after_first_chunk(export._row_chunks))
     layer.values = {key: value + 0.5 for key, value in layer.values.items()}
     with pytest.raises(KeyboardInterrupt):
         export_entropy_layer(state, layer, tmp_path / "geom.ply")

@@ -35,6 +35,7 @@ from oracles import (
     oracle_voxel_category_distribution,
     world_to_key,
 )
+from test_export import interrupted_after_first_chunk
 from test_fusion import clutter_map_without_refinement
 
 
@@ -647,9 +648,9 @@ class TestSnapshotAgainstOracle:
     dict-per-cell code they replace."""
 
     @settings(max_examples=100, deadline=None)
-    @given(snapshot_maps(), st.sampled_from([1, 2, 5, voxelmap._CHUNK_ROWS]))
+    @given(snapshot_maps(), st.sampled_from([1, 2, 5, atomic._CHUNK_ROWS]))
     def test_random_maps(self, state, chunk_rows):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(voxelmap, "_CHUNK_ROWS", chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(atomic, "_CHUNK_ROWS", chunk_rows):
             assert_snapshot_round_trip(state, tmp)
 
     def test_empty_map(self, tmp_path):
@@ -669,10 +670,10 @@ class TestSnapshotAgainstOracle:
         assert '"cells":[{"instance_counts":{},"key":[-1,0,0],"log_odds":-0.4054651081081643}' in text
         assert '{"instance_counts":{"0":1,"10":7,"2":4},"key":[0,0,0],"log_odds":0.0}' in text
 
-    @pytest.mark.parametrize("chunk_rows", [voxelmap._CHUNK_ROWS, 7])
+    @pytest.mark.parametrize("chunk_rows", [atomic._CHUNK_ROWS, 7])
     def test_noisy_scene(self, noisy_state, tmp_path, chunk_rows, monkeypatch):
         assert len(noisy_state.cells) > 7 * 100 and len(noisy_state.instances) > 10
-        monkeypatch.setattr(voxelmap, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(atomic, "_CHUNK_ROWS", chunk_rows)
         assert_snapshot_round_trip(noisy_state, tmp_path)
 
 
@@ -735,6 +736,22 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(atomic.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
+            state.save_snapshot(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["map.json"]
+
+    def test_interrupted_snapshot_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        """A save stopped after its first chunk of cells leaves the earlier
+        snapshot as it was and no temporary file behind."""
+        state = MapState(voxel_size=0.1)
+        state.add_instance_evidence([(0, 0, 0), (1, 0, 0), (2, 0, 0)], UNKNOWN_INSTANCE_ID, 2)
+        path = tmp_path / "map.json"
+        state.save_snapshot(path)
+        before = path.read_bytes()
+        monkeypatch.setattr(atomic, "_CHUNK_ROWS", 1)
+        monkeypatch.setattr(voxelmap, "_row_chunks", interrupted_after_first_chunk(voxelmap._row_chunks))
+        state.add_instance_evidence((3, 0, 0), UNKNOWN_INSTANCE_ID, 1)
+        with pytest.raises(KeyboardInterrupt):
             state.save_snapshot(path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["map.json"]
