@@ -80,6 +80,7 @@ from .synthetic import (
     voxelize_box_shell,
 )
 from .uncertainty import (
+    LayerValues,
     UncertaintyLayer,
     declare_categories,
     geometric_entropy_map,

@@ -6,9 +6,10 @@ registry for the geometric layer, the category registry for the semantic
 one.  Instance and semantic maps color voxels by their argmax owner.
 Vertices are voxel centers in ascending (i, j, k) key order.
 
-Each export reads the map's owner table (or the layer's values) and does
-the rest on arrays; the semantic map takes its argmax from the same
-category mixtures as the semantic layer (:class:`CategoryMixtures`).
+Each export reads the map's owner table (or the layer's sorted packed keys
+and value array) and does the rest on arrays; the semantic map takes its
+argmax from the same category mixtures as the semantic layer
+(:class:`CategoryMixtures`).
 
 Rows are assembled from token tables (see :mod:`voxeland.atomic`).  A PLY
 row is an ``"%.6f "`` token of each coordinate, from one table of the
@@ -20,7 +21,6 @@ from a table of the distinct colors.  A sidecar entry is a
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
@@ -29,7 +29,7 @@ import numpy as np
 
 from .atomic import _column, _row_chunks, atomic_write
 from .uncertainty import CategoryMixtures, UncertaintyLayer
-from .voxelmap import MapState, pack_keys, unpack_key_array
+from .voxelmap import MapState, unpack_key_array
 
 
 def entropy_colors(values: np.ndarray, h_max: float) -> np.ndarray:
@@ -60,10 +60,13 @@ def _id_color(index: int) -> tuple[int, int, int]:
 
 
 def _id_colors(ids: np.ndarray) -> np.ndarray:
-    """(n, 3) uint8 colors of an id array, computing each distinct id's color once."""
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    table = np.array([_id_color(i) for i in distinct.tolist()], dtype=np.uint8).reshape(-1, 3)
-    return table[inverse.reshape(-1)]
+    """(n, 3) uint8 colors of an array of non-negative ids, computing each
+    occurring id's color once into a table indexed by id."""
+    counts = np.bincount(ids)
+    occurring = np.flatnonzero(counts)
+    table = np.zeros((len(counts), 3), dtype=np.uint8)
+    table[occurring] = np.array([_id_color(i) for i in occurring.tolist()], dtype=np.uint8).reshape(-1, 3)
+    return table[ids]
 
 
 def _rgb_token(rgb: int) -> str:
@@ -104,13 +107,7 @@ def export_entropy_layer(
 ) -> None:
     """Write the layer as a heat-colored PLY plus a raw-value JSON sidecar."""
     h_max = layer_h_max(state, layer.kind)
-    count = len(layer.values)
-    keys = np.fromiter(
-        itertools.chain.from_iterable(layer.values), dtype=np.int64, count=3 * count
-    ).reshape(count, 3)
-    values = np.fromiter(layer.values.values(), dtype=float, count=count)
-    order = np.argsort(pack_keys(keys))
-    keys, values = keys[order], values[order]
+    keys, values = unpack_key_array(layer.values.packed_keys), layer.values.entropies
     write_ply(ply_path, _voxel_centers(keys, state.voxel_size), entropy_colors(values, h_max))
     header = {
         "kind": layer.kind,

@@ -18,19 +18,25 @@ in ascending id order, and every sum and mixture is taken in that order with
 the rounding of the scalar code (``math.fsum`` of three or more digamma terms,
 ``math.log`` of each mixed probability).  :class:`CategoryMixtures` is the one
 category mixing pass; the semantic export reads its argmax.
+
+A layer keeps what those passes compute: the sorted packed keys of its cells
+and their values, as two read-only arrays (:class:`LayerValues`), read as a
+mapping from ``(i, j, k)`` keys to floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma as _psi
 
 from .evidence import NoEvidenceError, expected_entropy
 from .opinions import UNKNOWN_CATEGORY
-from .voxelmap import InstanceRecord, MapState, OwnerTable, VoxelKey, unpack_keys
+from .voxelmap import InstanceRecord, MapState, OwnerTable, VoxelKey, pack_keys, unpack_keys
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
 
@@ -39,10 +45,60 @@ class NotClassifiableError(ValueError):
     """Raised for instances without category evidence (or the unknown one)."""
 
 
+class LayerValues(Mapping):
+    """A layer's value of each cell, as a read-only mapping from ``(i, j, k)``
+    keys to floats over two aligned arrays: ``packed_keys``, the cells'
+    strictly increasing packed keys (:func:`voxelmap.pack_keys`), and
+    ``entropies``, their float64 values.
+
+    The arrays are the mapping's own read-only copies.  A key is looked up
+    with one ``searchsorted``; a key that is absent, not three integers or
+    outside the packable range raises ``KeyError``.  Iteration yields keys
+    of Python ints in key order, and ``values()`` is the list of floats in
+    that order.
+    """
+
+    def __init__(self, packed_keys: np.ndarray, entropies: np.ndarray) -> None:
+        packed_keys = np.array(packed_keys, copy=True)
+        entropies = np.array(entropies, dtype=np.float64, copy=True)
+        if packed_keys.dtype != np.int64 or packed_keys.ndim != 1:
+            raise ValueError(f"packed keys must be 1-d int64, not {packed_keys.dtype} {packed_keys.shape}")
+        if entropies.shape != packed_keys.shape:
+            raise ValueError(f"{len(packed_keys)} keys but values of shape {entropies.shape}")
+        if np.any(np.diff(packed_keys) <= 0):
+            raise ValueError("packed keys are not strictly increasing")
+        packed_keys.flags.writeable = entropies.flags.writeable = False
+        self.packed_keys, self.entropies = packed_keys, entropies
+
+    def __getitem__(self, key: VoxelKey) -> float:
+        try:
+            i, j, k = key
+            packed = pack_keys(np.array([[operator.index(i), operator.index(j), operator.index(k)]]))[0]
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(key) from None
+        row = int(np.searchsorted(self.packed_keys, packed))
+        if row == len(self.packed_keys) or self.packed_keys[row] != packed:
+            raise KeyError(key)
+        return float(self.entropies[row])
+
+    def __iter__(self) -> Iterator[VoxelKey]:
+        return iter(unpack_keys(self.packed_keys))
+
+    def __len__(self) -> int:
+        return len(self.packed_keys)
+
+    def values(self) -> list[float]:
+        return self.entropies.tolist()
+
+
 @dataclass
 class UncertaintyLayer:
-    kind: str  # "geometric" | "semantic"
-    values: dict[VoxelKey, float] = field(default_factory=dict)
+    """One uncertainty layer of a map: its ``kind`` ("geometric" or
+    "semantic"), the value of each evidence-bearing cell, and the number of
+    frames the map had integrated when the layer was computed."""
+
+    kind: str
+    values: LayerValues
     generated_at_frame: int = 0
 
 
@@ -62,10 +118,11 @@ def semantic_entropy(record: InstanceRecord) -> float:
 
 
 def _layer(kind: str, state: MapState, table: OwnerTable, values: np.ndarray) -> UncertaintyLayer:
-    """The ``values`` of the table's cells, keyed in key order."""
-    keys = unpack_keys(state.cells.keys[table.cell_rows])
+    """The layer of ``values``, one per cell of the table in key order."""
     return UncertaintyLayer(
-        kind=kind, values=dict(zip(keys, values.tolist())), generated_at_frame=state.frames_integrated
+        kind=kind,
+        values=LayerValues(state.cells.keys[table.cell_rows], values),
+        generated_at_frame=state.frames_integrated,
     )
 
 

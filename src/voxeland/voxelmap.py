@@ -219,9 +219,15 @@ class OwnerTable:
         return totals, self.counts / np.repeat(totals, self.sizes)
 
     def argmax_owners(self) -> np.ndarray:
-        """The instance with the most evidence in each cell with evidence; ties go to the smallest id."""
-        order = np.lexsort((self.ids, -self.counts, self.rows))
-        return self.ids[order][self.starts]
+        """The instance with the most evidence in each cell with evidence; ties go to the smallest id.
+
+        A cell's entries are in ascending id order, so its first entry that
+        reaches the cell's largest count is the one."""
+        if not len(self.starts):
+            return self.ids[:0]
+        most = np.repeat(np.maximum.reduceat(self.counts, self.starts), self.sizes)
+        entries = np.where(self.counts == most, np.arange(len(self.counts)), len(self.counts))
+        return self.ids[np.minimum.reduceat(entries, self.starts)]
 
 
 class MapState:

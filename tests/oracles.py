@@ -61,7 +61,7 @@ from voxeland.opinions import (
     pixel_bbox,
 )
 from voxeland.synthetic import SyntheticScene, _pixel_rays
-from voxeland.uncertainty import UncertaintyLayer
+from voxeland.uncertainty import LayerValues, UncertaintyLayer
 from voxeland.voxelmap import (
     SNAPSHOT_SCHEMA_VERSION,
     UNKNOWN_INSTANCE_ID,
@@ -922,6 +922,13 @@ def oracle_semantic_entropy_map(state: OracleMap) -> UncertaintyLayer:
     return UncertaintyLayer(
         kind="semantic", values=values, generated_at_frame=state.frames_integrated
     )
+
+
+def layer_of(kind: str, values: dict[VoxelKey, float], generated_at_frame: int = 0) -> UncertaintyLayer:
+    """A layer holding the dict ``values``, with its keys packed and sorted."""
+    keys = sorted(values)
+    packed = pack_keys(np.array(keys, dtype=np.int64).reshape(-1, 3))
+    return UncertaintyLayer(kind, LayerValues(packed, [values[key] for key in keys]), generated_at_frame)
 
 
 def oracle_entropy_color(value: float, h_max: float) -> tuple[int, int, int]:

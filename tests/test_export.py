@@ -20,12 +20,13 @@ from voxeland.export import (
     layer_h_max,
     write_ply,
 )
-from voxeland.uncertainty import UncertaintyLayer, geometric_entropy_map, semantic_entropy_map
+from voxeland.uncertainty import geometric_entropy_map, semantic_entropy_map
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, SnapshotError, pack_keys, unpack_key_array
 
 from oracles import (
     OracleMap,
     cells_of,
+    layer_of,
     oracle_entropy_color,
     oracle_export_entropy_layer,
     oracle_export_instance_map,
@@ -268,7 +269,7 @@ class TestExportsMatchOracle:
         oracle_write_ply(tmp_path / "old.ply", points, colors)
         assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
         values = {(0, 0, 0): 0.0, (0, 0, 1): -0.0, (1, 0, 0): math.nan, (2, 0, 0): -math.inf}
-        layer = UncertaintyLayer(kind="geometric", values=values)
+        layer = layer_of("geometric", values)
         export_entropy_layer(MapState(voxel_size=0.1), layer, tmp_path / "new_layer.ply")
         oracle_export_entropy_layer(MapState(voxel_size=0.1), layer, tmp_path / "old_layer.ply")
         for suffix in ("ply", "ply.json"):
@@ -295,7 +296,7 @@ class TestExportsMatchOracle:
     )
     def test_layers_of_any_values(self, values, kind):
         state = MapState(voxel_size=0.1)
-        layer = UncertaintyLayer(kind=kind, values=values, generated_at_frame=7)
+        layer = layer_of(kind, values, generated_at_frame=7)
         with tempfile.TemporaryDirectory() as tmp:
             export_entropy_layer(state, layer, Path(tmp, "new.ply"))
             oracle_export_entropy_layer(state, layer, Path(tmp, "old.ply"))
@@ -342,6 +343,29 @@ def owners_state(cells: int, without_evidence: int = 0) -> MapState:
     return state
 
 
+def test_layers_own_their_arrays(tmp_path):
+    """Evidence integrated after the layers are computed, into new and
+    existing cells, leaves their exports as they were."""
+    state = owners_state(12)
+    layers = [geometric_entropy_map(state), semantic_entropy_map(state)]
+
+    def exported(directory):
+        directory.mkdir()
+        for layer in layers:
+            export_entropy_layer(state, layer, directory / f"{layer.kind}.ply")
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    before = exported(tmp_path / "before")
+    instances = len(state.instances)
+    for row in range(12):
+        state.add_instance_evidence((row - 3, -row, 2 * row), 1 + row % 13, 5)  # an existing cell
+        state.add_instance_evidence((row, 7, -7), 1 + row % 13, 2)  # a new cell, among the old ones
+    state.integrate_occupancy(pack_keys(np.array([[0, 0, 0], [-3, 0, 0]])), hit=True)
+    assert len(state.instances) == instances  # the colormaps' h_max stay
+    assert len(geometric_entropy_map(state).values) == 24
+    assert exported(tmp_path / "after") == before
+
+
 class TestTokenRows:
     """Every writer's rows, assembled from token tables, against the oracle writers."""
 
@@ -359,7 +383,7 @@ class TestTokenRows:
         state.cells.log_odds[:] = special
         keys = [tuple(key) for key in unpack_key_array(state.cells.keys).tolist()]
         layers = [
-            UncertaintyLayer(kind=kind, values=dict(zip(keys, values)), generated_at_frame=3)
+            layer_of(kind, dict(zip(keys, values)), generated_at_frame=3)
             for kind, values in (("geometric", special), ("semantic", special[::-1]))
         ]
         assert_exports_match_oracle(state, layers)
@@ -407,7 +431,8 @@ def test_interrupted_ply_write_keeps_previous_files(tmp_path, monkeypatch):
     before = {name: (tmp_path / name).read_bytes() for name in ("geom.ply", "geom.ply.json")}
     monkeypatch.setattr(atomic, "_CHUNK_ROWS", 1)
     monkeypatch.setattr(export, "_row_chunks", interrupted_after_first_chunk(export._row_chunks))
-    layer.values = {key: value + 0.5 for key, value in layer.values.items()}
+    shifted = {key: value + 0.5 for key, value in layer.values.items()}
+    layer = layer_of(layer.kind, shifted, layer.generated_at_frame)
     with pytest.raises(KeyboardInterrupt):
         export_entropy_layer(state, layer, tmp_path / "geom.ply")
     assert sorted(os.listdir(tmp_path)) == sorted(before)

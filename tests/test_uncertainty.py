@@ -5,6 +5,7 @@ import pytest
 
 from voxeland.evidence import expected_entropy, probabilities
 from voxeland.uncertainty import (
+    LayerValues,
     NotClassifiableError,
     declare_categories,
     geometric_entropy_map,
@@ -172,6 +173,75 @@ class TestEntropyMaps:
         assert all(v == 0.0 for v in values)
         mixed = [expected_entropy({"a": float(n), "b": 1.0}) for n in range(1, 101)]
         assert all(b <= a for a, b in zip(mixed, mixed[1:]))
+
+
+KEYS = [(-3, 0, 7), (0, 0, 0), (0, 0, 1), (2**20 - 1, -(2**20), 5)]
+
+
+class TestLayerValues:
+    def test_mapping_view(self):
+        values = LayerValues(pack_keys(np.array(KEYS)), [0.5, -0.0, math.inf, 2.0])
+        assert len(values) == 4
+        assert list(values) == KEYS
+        assert all(type(c) is int for key in values for c in key)
+        assert values.values() == [0.5, -0.0, math.inf, 2.0]
+        assert values[(-3, 0, 7)] == 0.5 and type(values[(-3, 0, 7)]) is float
+        assert values[(np.int64(0), np.int64(0), np.int64(1))] == math.inf
+        assert str(values[(0, 0, 0)]) == "-0.0"
+        assert dict(values.items()) == dict(zip(KEYS, [0.5, -0.0, math.inf, 2.0]))
+        assert (0, 0, 2) not in values and values.get((0, 0, 2)) is None
+        assert len(LayerValues(np.zeros(0, dtype=np.int64), np.zeros(0))) == 0
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (0, 0, 2),
+            (-(2**20), -(2**20), -(2**20)),
+            (2**20 - 1, 2**20 - 1, 2**20 - 1),
+            (0, 0),
+            (0, 0, 0, 0),
+            (2**20, 0, 0),
+            (0, -(2**20) - 1, 0),
+            (0, 0, 2**70),
+            (0.0, 0, 0),
+            "abc",
+            7,
+            None,
+        ],
+        ids=["missing", "before-first", "after-last", "two", "four", "above", "below", "overflow", "float", "str",
+             "int", "none"],
+    )
+    def test_keys_not_held_raise_key_error(self, key):
+        values = LayerValues(pack_keys(np.array(KEYS)), [0.5, -0.0, math.inf, 2.0])
+        with pytest.raises(KeyError):
+            values[key]
+        assert key not in values
+
+    @pytest.mark.parametrize(
+        "keys, entropies",
+        [
+            (pack_keys(np.array(KEYS))[::-1], [0.0] * 4),
+            (pack_keys(np.array([KEYS[0], KEYS[1], KEYS[1]])), [0.0] * 3),
+            (pack_keys(np.array(KEYS)), [0.0] * 3),
+            (pack_keys(np.array(KEYS)), [0.0] * 5),
+            (pack_keys(np.array(KEYS)).astype(float), [0.0] * 4),
+            (pack_keys(np.array(KEYS)).reshape(2, 2), np.zeros((2, 2))),
+        ],
+        ids=["unsorted", "duplicate", "fewer-values", "more-values", "float-keys", "two-dimensional"],
+    )
+    def test_rejects_keys_not_strictly_increasing_int64_or_unaligned(self, keys, entropies):
+        with pytest.raises(ValueError):
+            LayerValues(keys, entropies)
+
+    def test_holds_read_only_copies(self):
+        keys, entropies = pack_keys(np.array(KEYS)), np.array([0.5, 1.0, 1.5, 2.0])
+        values = LayerValues(keys, entropies)
+        keys[0], entropies[0] = -1, 9.0
+        assert list(values) == KEYS and values.values() == [0.5, 1.0, 1.5, 2.0]
+        with pytest.raises(ValueError):
+            values.entropies[0] = 9.0
+        with pytest.raises(ValueError):
+            values.packed_keys[0] = -1
 
 
 class TestDeclareCategories:

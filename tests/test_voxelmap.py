@@ -30,6 +30,7 @@ from oracles import (
     OracleMap,
     cells_of,
     check_storage,
+    oracle_argmax_owner,
     oracle_snapshot_cells,
     oracle_snapshot_dict,
     oracle_voxel_category_distribution,
@@ -704,6 +705,25 @@ class TestArgmaxOwner:
 
     def test_ties_go_to_smallest_id(self):
         assert argmax_owners([{5: 2, 3: 2, 9: 1}, {7: 4}]) == [3, 7]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from([0, 1, 2, 9, 10, 11, 12, 20, 100]), st.integers(1, 3), min_size=1, max_size=6
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_oracle_with_ids_out_of_string_order(self, cells):
+        """1 to 6 owners per cell with many equal counts, among ids such as 2,
+        10 and 100 whose order as strings is not their numeric order."""
+        assert argmax_owners(cells) == [oracle_argmax_owner(counts) for counts in cells]
+
+    def test_equal_counts_of_ids_out_of_string_order(self):
+        cells = [{10: 3, 2: 3}, {100: 1, 20: 1, 9: 1}, {12: 2, 11: 5, 100: 5}, {0: 1, 10: 2, 2: 2, 11: 2}]
+        assert argmax_owners(cells) == [oracle_argmax_owner(counts) for counts in cells] == [2, 9, 11, 2]
 
 
 class TestAtomicWrite:
