@@ -1,15 +1,15 @@
-"""Text files: atomic writes, the row assembly the map's large writers
+"""Files: atomic writes, the row assembly the map's large text writers
 share, and the exact-type checks of the readers.
 
 Snapshots, PLY exports with their sidecars, ``timing.json`` and evaluation
-reports all go through :func:`atomic_write`.  The text is written to a
+reports all go through :func:`atomic_write`.  The contents are written to a
 temporary file in the target's directory and moved over the target with
-``os.replace`` only once it is complete; if writing fails or is interrupted,
-the temporary file is removed and any previous file is left as it was.
-The temporary file is not fsynced, so this guards against a failed or
+``os.replace`` only once complete; if writing fails or is interrupted, the
+temporary file is removed and any previous file is left as it was.  The
+temporary file is not fsynced, so this guards against a failed or
 interrupted process, not against a power loss.
 
-Snapshots, PLY files and sidecars are assembled from columns of tokens
+PLY files and sidecars are assembled from columns of tokens
 (:func:`_column`, :func:`_row_chunks`).  A column formats each of its
 distinct values once, together with the fixed text around it, into a table
 of NUL-padded ASCII tokens; a row is one token of each column.  The text is
@@ -31,7 +31,7 @@ import secrets
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TextIO
+from typing import IO
 
 import numpy as np
 
@@ -39,12 +39,13 @@ _CHUNK_ROWS = 1 << 16
 
 
 @contextmanager
-def atomic_write(path: Path | str) -> Iterator[TextIO]:
-    """Yield a UTF-8 text handle whose contents replace ``path`` when the block exits."""
+def atomic_write(path: Path | str, binary: bool = False) -> Iterator[IO]:
+    """Yield a handle whose contents replace ``path`` when the block exits:
+    a UTF-8 text handle, or a byte handle if ``binary``."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(temporary, "x", encoding="utf-8") as handle:
+        with open(temporary, "xb") if binary else open(temporary, "x", encoding="utf-8") as handle:
             yield handle
         os.replace(temporary, path)
     except BaseException:

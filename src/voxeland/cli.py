@@ -6,6 +6,8 @@ import argparse
 import json
 import shutil
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,8 +30,7 @@ def _load_config(path: str | None) -> PipelineConfig:
 def _cmd_build(args: argparse.Namespace) -> int:
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
-    created = not out_dir.exists()
-    try:
+    with _removed_on_failure(out_dir):
         config = _load_config(args.config)
         out_dir.mkdir(parents=True, exist_ok=True)
         records = load_manifest(dataset / "manifest.jsonl")
@@ -46,7 +47,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         for record in records:
             pipeline.process_frame(load_frame(record))
         declare_categories(state, config.entropy_threshold)
-        state.save_snapshot(out_dir / "map.json")
+        state.save_snapshot(out_dir / "map.vxl")
         export_entropy_layer(state, geometric_entropy_map(state), out_dir / "geom_entropy.ply")
         export_entropy_layer(state, semantic_entropy_map(state), out_dir / "sem_entropy.ply")
         export_instance_map(state, out_dir / "instances.ply")
@@ -57,116 +58,96 @@ def _cmd_build(args: argparse.Namespace) -> int:
         ]
         with atomic_write(out_dir / "timing.json") as handle:
             handle.write(json.dumps(timing, sort_keys=True))
-        for stage, entry in timing["stages"].items():
-            print(f"{stage}: {entry['mean_ms']:.2f} ms over {entry['runs']} runs")
-        print(f"Frame-rate: {timing['frame_rate_hz']:.2f} Hz over {timing['frames']} frames")
-        return 0
-    except (DatasetError, OSError, ValueError) as exc:
-        _cleanup(out_dir, created)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for stage, entry in timing["stages"].items():
+        print(f"{stage}: {entry['mean_ms']:.2f} ms over {entry['runs']} runs")
+    print(f"Frame-rate: {timing['frame_rate_hz']:.2f} Hz over {timing['frames']} frames")
+    return 0
+
+
+@contextmanager
+def _removed_on_failure(out_dir: Path) -> Iterator[None]:
+    """Remove ``out_dir`` when the block raises anything, if the block created it."""
+    created = not out_dir.exists()
+    try:
+        yield
     except BaseException:
-        _cleanup(out_dir, created)
+        if created:
+            shutil.rmtree(out_dir, ignore_errors=True)
         raise
 
 
-def _cleanup(out_dir: Path, created_by_us: bool) -> None:
-    if created_by_us and out_dir.exists():
-        shutil.rmtree(out_dir, ignore_errors=True)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-        state = MapState.load_snapshot(args.snapshot)
-        gt = load_ground_truth(args.gt)
-        eval_config = EvalConfig(iou_threshold=config.iou_threshold, classes=config.eval_classes)
-        timing = None
-        timing_path = Path(args.snapshot).parent / "timing.json"
-        if timing_path.is_file():
-            timing = json.loads(timing_path.read_text(encoding="utf-8"))
-        report = evaluate(state, gt, eval_config, timing=timing)
-        report.save(args.out)
-        for category in sorted(report.per_class_ap):
-            print(f"AP[{category}] = {report.per_class_ap[category]:.4f}")
-        print(f"mAP = {report.map_score:.4f}")
-        return 0
-    except (DatasetError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = _load_config(args.config)
+    state = MapState.load_snapshot(args.snapshot)
+    gt = load_ground_truth(args.gt)
+    eval_config = EvalConfig(iou_threshold=config.iou_threshold, classes=config.eval_classes)
+    timing = None
+    timing_path = Path(args.snapshot).parent / "timing.json"
+    if timing_path.is_file():
+        timing = json.loads(timing_path.read_text(encoding="utf-8"))
+    report = evaluate(state, gt, eval_config, timing=timing)
+    report.save(args.out)
+    for category in sorted(report.per_class_ap):
+        print(f"AP[{category}] = {report.per_class_ap[category]:.4f}")
+    print(f"mAP = {report.map_score:.4f}")
+    return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    created = not out_dir.exists()
-    try:
+    with _removed_on_failure(out_dir):
         scene = load_scene_spec(args.spec)
         generate_synthetic(scene, seed=args.seed, out_dir=out_dir)
-        print(f"dataset written to {out_dir}")
-        return 0
-    except (DatasetError, OSError, ValueError) as exc:
-        _cleanup(out_dir, created)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BaseException:
-        _cleanup(out_dir, created)
-        raise
+    print(f"dataset written to {out_dir}")
+    return 0
 
 
 def _cmd_disambiguate(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-        state = MapState.load_snapshot(args.snapshot)
-        if args.client == "mock":
-            if args.fixtures:
-                client = MockClient.from_fixture_file(args.fixtures)
-            else:
-                client = ArgmaxClient()
+    config = _load_config(args.config)
+    state = MapState.load_snapshot(args.snapshot)
+    if args.client == "mock":
+        if args.fixtures:
+            client = MockClient.from_fixture_file(args.fixtures)
         else:
-            if not config.endpoint:
-                raise ValueError("http client requires 'endpoint' in the config file")
-            client = HttpClient(
-                endpoint=config.endpoint,
-                api_key_env=config.api_key_env,
-                model=config.model,
-                timeout_s=config.timeout_s,
-            )
-        report = disambiguate_all(
-            state, client, min_prob=config.min_prob, views_per_candidate=config.views_per_candidate
+            client = ArgmaxClient()
+    else:
+        if not config.endpoint:
+            raise ValueError("http client requires 'endpoint' in the config file")
+        client = HttpClient(
+            endpoint=config.endpoint,
+            api_key_env=config.api_key_env,
+            model=config.model,
+            timeout_s=config.timeout_s,
         )
-        out = args.out or args.snapshot
-        state.save_snapshot(out)
-        summary = {
-            "decisions": [
-                {"instance_id": d.instance_id, "chosen_category": d.chosen_category}
-                for d in report.decisions
-            ],
-            "parse_failures": [list(item) for item in report.parse_failures],
-            "client_failures": [list(item) for item in report.client_failures],
-        }
-        print(json.dumps(summary, sort_keys=True))
-        return 0
-    except (DatasetError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = disambiguate_all(
+        state, client, min_prob=config.min_prob, views_per_candidate=config.views_per_candidate
+    )
+    out = args.out or args.snapshot
+    state.save_snapshot(out)
+    summary = {
+        "decisions": [
+            {"instance_id": d.instance_id, "chosen_category": d.chosen_category}
+            for d in report.decisions
+        ],
+        "parse_failures": [list(item) for item in report.parse_failures],
+        "client_failures": [list(item) for item in report.client_failures],
+    }
+    print(json.dumps(summary, sort_keys=True))
+    return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        state = MapState.load_snapshot(args.snapshot)
-        if args.layer == "instances":
-            export_instance_map(state, args.out)
-        elif args.layer == "semantics":
-            export_semantic_map(state, args.out)
-        elif args.layer == "geom-entropy":
-            export_entropy_layer(state, geometric_entropy_map(state), args.out)
-        elif args.layer == "sem-entropy":
-            export_entropy_layer(state, semantic_entropy_map(state), args.out)
-        print(f"wrote {args.out}")
-        return 0
-    except (DatasetError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    state = MapState.load_snapshot(args.snapshot)
+    if args.layer == "instances":
+        export_instance_map(state, args.out)
+    elif args.layer == "semantics":
+        export_semantic_map(state, args.out)
+    elif args.layer == "geom-entropy":
+        export_entropy_layer(state, geometric_entropy_map(state), args.out)
+    elif args.layer == "sem-entropy":
+        export_entropy_layer(state, semantic_entropy_map(state), args.out)
+    print(f"wrote {args.out}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,8 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a dataset, file or value error is one ``error:`` line on stderr and exit code 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DatasetError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

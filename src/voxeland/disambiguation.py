@@ -22,7 +22,7 @@ from pathlib import Path
 from .evidence import CategoricalDistribution, probabilities
 import numpy as np
 
-from .voxelmap import InstanceRecord, MapState, VoxelKey, unpack_key_array, unpack_keys
+from .voxelmap import InstanceRecord, MapState, Observation, VoxelKey, unpack_key_array, unpack_keys
 
 PROMPT_TEMPLATE = (
     "Please, help me to disambiguate the correct category of this object. "
@@ -118,30 +118,22 @@ def select_views(
 ) -> list[ViewRef]:
     """Per candidate, the highest-confidence observations of that category.
 
-    Prefers distinct source frames; same-frame duplicates are used only when
-    no alternative frames remain.  Returns fewer views when fewer exist.
+    Observations are ranked by confidence, then frame id.  The first of each
+    source frame comes before any same-frame duplicate, so duplicates are
+    used only when no other frame remains.  Returns fewer views when fewer
+    exist, and none for a negative ``views_per_candidate``.
     """
     views: list[ViewRef] = []
     for candidate in candidates:
         matching = [obs for obs in record.observations if obs.category == candidate]
         matching.sort(key=lambda obs: (-obs.confidence, obs.frame_id))
-        chosen: list = []
-        chosen_ids: set[int] = set()
-        used_frames: set[int] = set()
+        firsts: list[Observation] = []
+        duplicates: list[Observation] = []
+        frames: set[int] = set()
         for obs in matching:
-            if len(chosen) >= views_per_candidate:
-                break
-            if obs.frame_id not in used_frames:
-                chosen.append(obs)
-                chosen_ids.add(id(obs))
-                used_frames.add(obs.frame_id)
-        if len(chosen) < views_per_candidate:
-            for obs in matching:
-                if len(chosen) >= views_per_candidate:
-                    break
-                if id(obs) not in chosen_ids:
-                    chosen.append(obs)
-                    chosen_ids.add(id(obs))
+            (duplicates if obs.frame_id in frames else firsts).append(obs)
+            frames.add(obs.frame_id)
+        chosen = (firsts + duplicates)[: max(views_per_candidate, 0)]
         views.extend(
             ViewRef(
                 image_ref=obs.view_path or f"frame:{obs.frame_id}",

@@ -9,33 +9,37 @@ have no owner (carved free space); every footprint key is a cell.  Instances
 also accumulate per-category confidence mass and an observation log used
 later for view selection.  Instance id 0 is reserved for the ``unknown``
 instance absorbing observed-but-unrecognized geometry.
+
+A snapshot file holds these arrays as they are, as ``.npy`` records behind
+one JSON header for the registries; loading checks every invariant above.
 """
 
 from __future__ import annotations
 
-import gc
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from operator import itemgetter
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
-from .atomic import Column, _all_of, _checked, _column, _row_chunks, _token_table, atomic_write
+from .atomic import _all_of, _checked, atomic_write
 from .evidence import CategoricalDistribution, probabilities
 
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
 
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
-_COMPACT_SORTED = {"sort_keys": True, "separators": (",", ":")}
-# An instance-count entry of a cell, by 2 * (first in its cell) + (last in its
-# cell); the first entry opens the cell's row.
-_ENTRY_FORMS = (",%s", ",%s}", '{"instance_counts":{%s', '{"instance_counts":{%s}')
-_NO_ENTRIES = '{"instance_counts":{}'
+# The records of a snapshot file, in file order, with their dtypes.
+_SNAPSHOT_RECORDS = {
+    "header": np.dtype("u1"),
+    "cell keys": np.dtype("<i8"),
+    "cell log-odds": np.dtype("<f8"),
+    "footprint keys": np.dtype("<i8"),
+    "footprint counts": np.dtype("<i8"),
+}
 
 
 class SnapshotError(ValueError):
@@ -323,7 +327,7 @@ class MapState:
     # -- serialization ------------------------------------------------------
 
     def _snapshot_fields(self) -> dict:
-        """Every field of the snapshot but its cells."""
+        """The snapshot's header: every field but the cell and footprint arrays."""
         instances = [
             {
                 "id": record.id,
@@ -357,100 +361,83 @@ class MapState:
             "instances": instances,
         }
 
-    def _cell_tokens(self) -> list[Column]:
-        """The text of each cell of the snapshot as token columns: one slot
-        per owner of the cell with the most owners, ``',"key":[%d'`` and two
-        ``",%d"`` tokens of the key, and a ``'],"log_odds":%s}'`` token of
-        the log-odds.
-
-        The slots hold what ``json.dumps`` with ``sort_keys`` writes for the dict
-        of counts by id string: owners in the string order of their ids (so
-        "10" before "2"), and "{}" for a cell without evidence.  Each distinct
-        (owner, count) entry is formatted once in each of its ``_ENTRY_FORMS``;
-        a cell's first slot holds its first entry (or ``_NO_ENTRIES``), and
-        a slot past the cell's last entry holds an empty token.
-        """
-        table = self.owner_table()
-        # rank the owners by id string and order each cell's entries by rank;
-        # rows are already ascending, so entries stay within their cells
-        ids, owner = np.unique(table.ids, return_inverse=True)
-        by_name = np.argsort(ids.astype(str))
-        names = ids[by_name].astype(str).tolist()
-        rank = np.empty(len(ids), dtype=np.int64)
-        rank[by_name] = np.arange(len(ids))
-        owner = rank[owner.reshape(-1)]
-        order = np.lexsort((owner, table.rows))
-        values, value_of = np.unique(table.counts[order], return_inverse=True)
-        # both codes are below the number of entries, so their pair code cannot overflow
-        pairs, pair_of = np.unique(value_of.reshape(-1) * len(ids) + owner[order], return_inverse=True)
-        entries = [
-            '"%s":%d' % (names[name], value)
-            for name, value in zip((pairs % len(ids)).tolist(), values[pairs // len(ids)].tolist())
-        ]
-        # the token of an entry in a slot is 2 * pair + (last in its cell)
-        slots = np.full((len(self.cells), table.sizes.max(initial=1)), 2 * len(entries))
-        position = np.arange(len(order)) - np.repeat(table.starts, table.sizes)
-        last = position == np.repeat(table.sizes, table.sizes) - 1
-        slots[table.rows, position] = 2 * pair_of.reshape(-1) + last
-        first = _token_table([form % entry for entry in entries for form in _ENTRY_FORMS[2:]] + [_NO_ENTRIES])
-        later = _token_table([form % entry for entry in entries for form in _ENTRY_FORMS[:2]] + [""])
-        i, j, k = unpack_key_array(self.cells.keys).T
-        return [(first, slots[:, 0])] + [(later, column) for column in slots[:, 1:].T] + [
-            _column(i, ',"key":[%d'.__mod__),
-            _column(j, ",%d".__mod__),
-            _column(k, ",%d".__mod__),
-            _column(self.cells.log_odds, lambda value: '],"log_odds":%s}' % json.dumps(value)),
-        ]
-
     def save_snapshot(self, path: Path | str) -> None:
-        """Write the map as schema-1 JSON.
+        """Write the map as a schema-2 snapshot: the ``_SNAPSHOT_RECORDS`` as
+        ``.npy`` records, one after another in one file.
 
-        The file holds the text ``json.dumps(snapshot, sort_keys=True,
-        separators=(",", ":"))`` gives for the snapshot dict, whose "cells"
-        list has one ``{"instance_counts", "key", "log_odds"}`` entry per
-        cell in key order.  "categories" sorts first and "cells" second, so
-        the cells are assembled from token columns (:meth:`_cell_tokens`)
-        and streamed in between.
+        The header is :meth:`_snapshot_fields` as compact, sorted-key JSON
+        in UTF-8.  The footprints are concatenated in the header's instance
+        order (ascending id), each as long as its ``voxel_count``.  The same
+        map always gives the same bytes.
         """
-        fields = self._snapshot_fields()
-        head = json.dumps({"categories": fields.pop("categories")}, **_COMPACT_SORTED)
-        tail = json.dumps(fields, **_COMPACT_SORTED)
-        columns = self._cell_tokens()
-        with atomic_write(path) as handle:
-            handle.write(head[:-1] + ',"cells":[')
-            handle.writelines(_row_chunks(columns, ","))
-            handle.write("]," + tail[1:])
+        header = json.dumps(self._snapshot_fields(), sort_keys=True, separators=(",", ":"))
+        records = [self.instances[i] for i in sorted(self.instances)]
+        arrays = [
+            np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+            self.cells.keys,
+            self.cells.log_odds,
+            np.concatenate([_no_keys()] + [record.keys for record in records]),
+            np.concatenate([_no_keys()] + [record.counts for record in records]),
+        ]
+        with atomic_write(path, binary=True) as handle:
+            for array, dtype in zip(arrays, _SNAPSHOT_RECORDS.values()):
+                np.lib.format.write_array(handle, array.astype(dtype, copy=False), allow_pickle=False)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "MapState":
-        """Rebuild a map from a parsed snapshot.
+    def load_snapshot(cls, path: Path | str) -> "MapState":
+        """Read a map written by :meth:`save_snapshot`.
 
-        Raises SnapshotError when the schema version is not
-        SNAPSHOT_SCHEMA_VERSION or the snapshot is malformed: a missing key,
-        a value not of its exact JSON type (a bool is not an int, and a
-        number where a float is expected must be finite), invalid occupancy
-        parameters, an instance registry without the unknown instance or
-        whose ``next_instance_id`` is not above every listed id, a category
-        evidence mass that is not above 0 (integration only adds confidences
-        in (0, 1]), a cell key that is not three integers or is given twice
-        or lies outside the packable range, an evidence count below 1 or for
-        an instance the snapshot does not list, or a stored ``voxel_count``
-        that differs from the instance's footprint in the cells.
+        Raises SnapshotError, naming ``path``, when the file is not a
+        schema-2 snapshot or holds a malformed map; see :meth:`_from_records`.
+        A file that opens with ``{`` is a schema-1 JSON snapshot, which is no
+        longer read.
         """
+        try:
+            with open(path, "rb") as handle:
+                if handle.peek(1).startswith(b"{"):
+                    raise SnapshotError("schema-1 JSON snapshots are no longer read; rebuild the map")
+                records = [np.lib.format.read_array(handle, allow_pickle=False) for _ in _SNAPSHOT_RECORDS]
+                if handle.read(1):
+                    raise SnapshotError("trailing bytes after the last record")
+            return cls._from_records(records)
+        except SnapshotError as exc:
+            raise SnapshotError(f"{path}: {exc}") from None
+        # numpy's parser of a corrupt record header may also raise a
+        # SyntaxError or a tokenize.TokenError
+        except (
+            KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError, SyntaxError, TokenError
+        ) as exc:
+            raise SnapshotError(f"{path}: malformed snapshot: {type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _from_records(cls, records: list[np.ndarray]) -> "MapState":
+        """Rebuild a map from the records of a snapshot file.
+
+        Raises SnapshotError, or one of the errors :meth:`load_snapshot`
+        turns into one, when a record is not a 1-d array of its dtype or the
+        map is malformed: a header that is not UTF-8 JSON of schema version
+        SNAPSHOT_SCHEMA_VERSION, a missing header key, a value not of its
+        exact JSON type (a bool is not an int, and a number where a float is
+        expected must be finite), invalid occupancy parameters, an instance
+        registry without the unknown instance or whose ``next_instance_id``
+        is not above every listed id, a category evidence mass that is not
+        above 0 (integration only adds confidences in (0, 1]), a negative
+        ``voxel_count`` or ``voxel_count``s that do not sum to the footprint
+        length, cell keys that are negative or not strictly increasing, a
+        log-odds that is not finite, an evidence count below 1, a footprint
+        whose keys are not strictly increasing, or a footprint key that is
+        not a cell.  Every non-negative int64 is a packed key.
+        """
+        for record, (name, dtype) in zip(records, _SNAPSHOT_RECORDS.items()):
+            if record.ndim != 1 or record.dtype != dtype:
+                raise SnapshotError(f"the {name} record is not a 1-d {dtype.str} array")
+        header, cell_keys, log_odds, footprint_keys, footprint_counts = records
+        obj = json.loads(header.tobytes().decode("utf-8"))
         version = obj.get("schema_version") if isinstance(obj, dict) else None
         if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
             raise SnapshotError(
                 f"snapshot schema_version {version!r} is not {SNAPSHOT_SCHEMA_VERSION}"
             )
-        try:
-            return cls._from_snapshot_dict(obj)
-        except SnapshotError:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise SnapshotError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
-
-    @classmethod
-    def _from_snapshot_dict(cls, obj: dict) -> "MapState":
         params = obj["occupancy"]
         occupancy = OccupancyParams(**{
             f.name: _checked(params[f.name], f.name, int, float)
@@ -465,7 +452,7 @@ class MapState:
             raise TypeError("a category is not a string")
         state._category_set = set(state.categories)
         state.instances = {}
-        stored_voxel_counts: dict[int, int] = {}
+        voxel_counts: list[int] = []
         for inst in obj["instances"]:
             record = InstanceRecord(
                 id=_checked(inst["id"], "instance id", int),
@@ -479,7 +466,10 @@ class MapState:
                     raise SnapshotError(
                         f"instance {record.id}: category evidence {label!r} of {mass!r} is not above 0"
                     )
-            stored_voxel_counts[record.id] = _checked(inst["voxel_count"], "voxel_count", int)
+            voxel_count = _checked(inst["voxel_count"], "voxel_count", int)
+            if voxel_count < 0:
+                raise SnapshotError(f"instance {record.id}: voxel_count {voxel_count} is negative")
+            voxel_counts.append(voxel_count)
             state.instances[record.id] = record
         if len(state.instances) != len(obj["instances"]):
             raise SnapshotError("an instance is listed twice")
@@ -490,84 +480,30 @@ class MapState:
                 f"next_instance_id {state._next_instance_id} is not above every listed id"
             )
 
-        keys, log_odds, rows, ids, counts = _cell_columns(obj["cells"])
-        keys = pack_keys(keys)
-        order = np.argsort(keys, kind="stable")
-        state.cells = Cells(keys[order], log_odds[order])
-        if np.any(np.diff(state.cells.keys) == 0):
-            raise SnapshotError("a cell key is listed twice")
-        if np.any(counts < 1):
-            raise SnapshotError(f"evidence count {counts.min()} is below 1")
-        if not set(np.unique(ids).tolist()) <= set(state.instances):
-            raise SnapshotError("cells hold evidence of unlisted instances")
-        order = np.lexsort((keys[rows], ids))
-        keys, ids, counts = keys[rows][order], ids[order], counts[order]
-        if np.any((np.diff(ids) == 0) & (np.diff(keys) == 0)):
-            raise SnapshotError("an instance is listed twice in one cell")
-        for instance_id, record in state.instances.items():
-            start, stop = np.searchsorted(ids, [instance_id, instance_id + 1])
-            record.keys, record.counts = keys[start:stop], counts[start:stop]
-            if record.voxel_count != stored_voxel_counts[instance_id]:
-                raise SnapshotError(
-                    f"instance {instance_id}: stored voxel_count {stored_voxel_counts[instance_id]} "
-                    f"!= {record.voxel_count} voxels with its evidence"
-                )
+        if len(log_odds) != len(cell_keys) or len(footprint_counts) != len(footprint_keys):
+            raise SnapshotError("the log-odds or the counts are not as many as their keys")
+        if np.any(cell_keys[1:] <= cell_keys[:-1]):
+            raise SnapshotError("the cell keys are not strictly increasing")
+        if len(cell_keys) and cell_keys[0] < 0:
+            raise SnapshotError(f"cell key {cell_keys[0]} is negative, outside the packable range")
+        if not np.all(np.isfinite(log_odds)):
+            raise SnapshotError("a cell log-odds is not finite")
+        if np.any(footprint_counts < 1):
+            raise SnapshotError(f"evidence count {footprint_counts.min()} is below 1")
+        if not np.all(in_sorted(cell_keys, footprint_keys)):
+            raise SnapshotError("a footprint key is not a cell")
+        if sum(voxel_counts) != len(footprint_keys):
+            raise SnapshotError(
+                f"the voxel_counts sum to {sum(voxel_counts)}, not to the {len(footprint_keys)} footprint keys"
+            )
+        state.cells = Cells(cell_keys, log_odds)
+        stop = 0
+        for record, voxel_count in zip(state.instances.values(), voxel_counts):
+            start, stop = stop, stop + voxel_count
+            record.keys, record.counts = footprint_keys[start:stop], footprint_counts[start:stop]
+            if np.any(record.keys[1:] <= record.keys[:-1]):
+                raise SnapshotError(f"instance {record.id}: its footprint keys are not strictly increasing")
         return state
-
-    @classmethod
-    def load_snapshot(cls, path: Path | str) -> "MapState":
-        """Read a map written by :meth:`save_snapshot`; see :meth:`from_dict`.
-
-        The cyclic collector is paused while the file is parsed and
-        converted: parsing allocates a dict and a list per cell, and the
-        collections that would set off walk every one of them while none can
-        be garbage.
-        """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            try:
-                obj = json.loads(Path(path).read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise SnapshotError(f"{path}: not a JSON snapshot: {exc}") from exc
-            return cls.from_dict(obj)
-        finally:
-            if enabled:
-                gc.enable()
-
-
-def _cell_columns(entries: list) -> tuple[np.ndarray, ...]:
-    """The parsed cell list as arrays: (n, 3) keys and log-odds by entry, and
-    the (entry row, instance id, count) of every evidence entry.
-
-    Each column is gathered with ``map`` and ``itertools.chain`` over all
-    entries at once, and its Python types are checked before numpy converts
-    it, since the conversion would truncate a float key or count and parse
-    a string log-odds.
-    """
-    n = len(entries)
-    key_lists = list(map(itemgetter("key"), entries))
-    key_values = list(itertools.chain.from_iterable(key_lists))
-    if not set(map(len, key_lists)) <= {3} or not _all_of(key_values, int):
-        raise TypeError("a cell key is not three integers")
-    keys = np.fromiter(key_values, dtype=np.int64, count=3 * n).reshape(n, 3)
-    log_odds_values = list(map(itemgetter("log_odds"), entries))
-    if not _all_of(log_odds_values, int, float):
-        raise TypeError("a cell log_odds is not a number")
-    log_odds = np.fromiter(log_odds_values, dtype=float, count=n)
-    if not np.all(np.isfinite(log_odds)):
-        raise ValueError("a cell log_odds is not finite")
-    instance_counts = list(map(itemgetter("instance_counts"), entries))
-    sizes = np.fromiter(map(len, instance_counts), dtype=np.int64, count=n)
-    id_texts = list(itertools.chain.from_iterable(instance_counts))
-    id_of_text = {text: int(text) for text in set(id_texts)}
-    ids = np.fromiter(map(id_of_text.__getitem__, id_texts), dtype=np.int64, count=len(id_texts))
-    count_values = list(itertools.chain.from_iterable(map(dict.values, instance_counts)))
-    if not _all_of(count_values, int):
-        raise TypeError("an evidence count is not an integer")
-    counts = np.fromiter(count_values, dtype=np.int64, count=len(count_values))
-    rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    return keys, log_odds, rows, ids, counts
 
 
 def _evidence(values: dict) -> dict[str, float]:

@@ -15,11 +15,9 @@ entropy layers and the PLY exports compute every cell on its own and format
 every vertex with its own f-string.  Back-projection and voxel keying have
 one-point versions here, and opinions are built one prediction at a time,
 each back-projecting its own pixels with the ``(n, 3)`` product
-``points @ rotation.T + translation``.  A snapshot is the dict :func:`oracle_snapshot_dict`
-builds, with a dict and a list per cell, dumped whole by ``json.dumps``;
-:func:`oracle_save_snapshot` is the chunked writer of one ``%`` template call
-per cell that the token columns replaced.  On load, :func:`oracle_snapshot_cells` reads the cell list one entry at a time
-into owned (row, id, count) tuples.  The synthetic renderer's reference
+``points @ rotation.T + translation``.  A map's contents, for equality
+checks, are the dict :func:`oracle_snapshot_dict` builds, with a dict and a
+list per cell.  The synthetic renderer's reference
 runs a separate slab test for the room's exit and for each box's entry, each
 over ``(h, w, 3)`` ``nanmax``/``nanmin`` temporaries, and the ground-truth
 shell tests every voxel of a box's span on its own.
@@ -35,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from voxeland.disambiguation import ViewRef
 from voxeland.evidence import (
     CategoricalDistribution,
     NoEvidenceError,
@@ -68,7 +67,6 @@ from voxeland.voxelmap import (
     MapState,
     Observation,
     OccupancyParams,
-    SnapshotError,
     VoxelKey,
     in_sorted,
     pack_keys,
@@ -500,9 +498,9 @@ def check_storage(state: MapState) -> None:
 
 
 def oracle_snapshot_dict(state: MapState) -> dict:
-    """The snapshot of ``state`` as a dict, built cell by cell; a snapshot
-    file is ``json.dumps(oracle_snapshot_dict(state), sort_keys=True,
-    separators=(",", ":"))``."""
+    """The contents of ``state`` as a dict, built cell by cell: the snapshot
+    header's fields and a "cells" list of each cell's key, log-odds and
+    counts by instance id string."""
     table = state.owner_table()
     instance_counts: list[dict[str, int]] = [{} for _ in range(len(state.cells))]
     for row, instance_id, count in zip(
@@ -555,96 +553,6 @@ def oracle_snapshot_dict(state: MapState) -> dict:
         "instances": instances,
         "cells": cells,
     }
-
-
-_ORACLE_CELL_ROW = '{"instance_counts":%s,"key":[%d,%d,%d],"log_odds":%s}'
-_ORACLE_ENTRY_FORMS = (",%s", ",%s}", "{%s", "{%s}")
-
-
-def _oracle_format_each(values: np.ndarray, format_one) -> list[str]:
-    """``format_one`` of every float, called once per distinct bit pattern."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse.reshape(-1)].tolist()
-
-
-def _oracle_instance_counts_text(state: MapState) -> np.ndarray:
-    """Each cell's instance-counts JSON, its entries joined by ``np.add.reduceat``
-    over object arrays of their four forms."""
-    table = state.owner_table()
-    text = np.full(len(state.cells), "{}", dtype=object)
-    if not len(table.rows):
-        return text
-    ids, owner = np.unique(table.ids, return_inverse=True)
-    by_name = np.argsort(ids.astype(str))
-    names = ids[by_name].astype(str).tolist()
-    rank = np.empty(len(ids), dtype=np.int64)
-    rank[by_name] = np.arange(len(ids))
-    owner = rank[owner.reshape(-1)]
-    order = np.lexsort((owner, table.rows))
-    values, value_of = np.unique(table.counts[order], return_inverse=True)
-    pairs, pair_of = np.unique(value_of.reshape(-1) * len(ids) + owner[order], return_inverse=True)
-    entries = [
-        '"%s":%d' % (names[name], value)
-        for name, value in zip((pairs % len(ids)).tolist(), values[pairs // len(ids)].tolist())
-    ]
-    forms = np.array([[form % entry for form in _ORACLE_ENTRY_FORMS] for entry in entries], dtype=object)
-    position = np.zeros(len(order), dtype=np.int64)
-    position[table.starts] += 2
-    position[table.starts + table.sizes - 1] += 1
-    text[table.cell_rows] = np.add.reduceat(forms[pair_of.reshape(-1), position], table.starts)
-    return text
-
-
-def oracle_save_snapshot(state: MapState, path: Path | str, chunk_rows: int) -> None:
-    """The snapshot writer the token columns replace: one ``%`` template call
-    per cell, ``chunk_rows`` cells at a time."""
-    fields = oracle_snapshot_dict(state)
-    del fields["cells"]
-    compact = {"sort_keys": True, "separators": (",", ":")}
-    head = json.dumps({"categories": fields.pop("categories")}, **compact)
-    tail = json.dumps(fields, **compact)
-    counts = _oracle_instance_counts_text(state)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(head[:-1] + ',"cells":[')
-        for start in range(0, len(state.cells), chunk_rows):
-            stop = start + chunk_rows
-            columns = [counts[start:stop].tolist()]
-            columns += unpack_key_array(state.cells.keys[start:stop]).T.tolist()
-            columns.append(_oracle_format_each(state.cells.log_odds[start:stop], json.dumps))
-            handle.write("," if start else "")
-            handle.write(",".join(map(_ORACLE_CELL_ROW.__mod__, zip(*columns))))
-        handle.write("]," + tail[1:])
-
-
-def oracle_snapshot_cells(
-    obj: dict,
-) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """The cells of a valid parsed snapshot, read one entry at a time: the
-    sorted packed cell keys, their log-odds, and the footprint (sorted packed
-    keys, counts) of each instance id that has evidence."""
-    entries = obj["cells"]
-    keys = np.array([entry["key"] for entry in entries], dtype=np.int64)
-    if keys.shape != (len(entries), 3) and entries:
-        raise SnapshotError("a cell key is not three integers")
-    keys = pack_keys(keys.reshape(-1, 3))
-    log_odds = np.array([float(entry["log_odds"]) for entry in entries])
-    owned = [
-        (row, int(instance_id), int(count))
-        for row, entry in enumerate(entries)
-        for instance_id, count in entry["instance_counts"].items()
-    ]
-    rows, ids, counts = np.array(owned, dtype=np.int64).reshape(-1, 3).T
-    order = np.argsort(keys, kind="stable")
-    cell_keys, cell_log_odds = keys[order], log_odds[order]
-    order = np.lexsort((keys[rows], ids))
-    keys, ids, counts = keys[rows][order], ids[order], counts[order]
-    footprints = {}
-    for instance_id in np.unique(ids).tolist():
-        start, stop = np.searchsorted(ids, [instance_id, instance_id + 1])
-        footprints[instance_id] = (keys[start:stop], counts[start:stop])
-    return cell_keys, cell_log_odds, footprints
 
 
 def oracle_voxel_category_distribution(
@@ -1093,3 +1001,39 @@ def oracle_voxelize_box_shell(
                 if not interior:
                     shell.add((i, j, k))
     return shell
+
+
+def oracle_select_views(record, candidates: list[str], views_per_candidate: int) -> list[ViewRef]:
+    """View selection in two passes: per candidate, the best observation of
+    each unused frame up to the budget, then the rest in rank order."""
+    views: list[ViewRef] = []
+    for candidate in candidates:
+        matching = [obs for obs in record.observations if obs.category == candidate]
+        matching.sort(key=lambda obs: (-obs.confidence, obs.frame_id))
+        chosen: list = []
+        chosen_ids: set[int] = set()
+        used_frames: set[int] = set()
+        for obs in matching:
+            if len(chosen) >= views_per_candidate:
+                break
+            if obs.frame_id not in used_frames:
+                chosen.append(obs)
+                chosen_ids.add(id(obs))
+                used_frames.add(obs.frame_id)
+        if len(chosen) < views_per_candidate:
+            for obs in matching:
+                if len(chosen) >= views_per_candidate:
+                    break
+                if id(obs) not in chosen_ids:
+                    chosen.append(obs)
+                    chosen_ids.add(id(obs))
+        views.extend(
+            ViewRef(
+                image_ref=obs.view_path or f"frame:{obs.frame_id}",
+                frame_id=obs.frame_id,
+                category=obs.category,
+                confidence=obs.confidence,
+            )
+            for obs in chosen
+        )
+    return views

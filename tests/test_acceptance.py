@@ -86,7 +86,7 @@ def noiseless_run(tmp_path_factory):
         main(
             [
                 "eval",
-                "--snapshot", str(out / "map.json"),
+                "--snapshot", str(out / "map.vxl"),
                 "--gt", str(dataset / "ground_truth.json"),
                 "--out", str(report_path),
             ]
@@ -285,9 +285,9 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
         declare_categories(run_state)
         run_state.save_snapshot(path)
 
-    run_once(tmp_path / "run_a.json")
-    run_once(tmp_path / "run_b.json")
-    assert (tmp_path / "run_a.json").read_bytes() == (tmp_path / "run_b.json").read_bytes()
+    run_once(tmp_path / "run_a.vxl")
+    run_once(tmp_path / "run_b.vxl")
+    assert (tmp_path / "run_a.vxl").read_bytes() == (tmp_path / "run_b.vxl").read_bytes()
     elapsed = time.perf_counter() - start
     verdict("fusion conservation, refine idempotence, byte-identical reruns", elapsed)
 
@@ -301,7 +301,7 @@ def test_end_to_end_noiseless_oracle(noiseless_run):
     assert set(report["per_class_ap"]) == {"chair", "table", "screen"}
     assert all(ap == 1.0 for ap in report["per_class_ap"].values())
 
-    state = MapState.load_snapshot(out / "map.json")
+    state = MapState.load_snapshot(out / "map.vxl")
     gt = load_ground_truth(dataset / "ground_truth.json")
     gt_by_id = {g.id: g for g in gt.instances}
     for match in report["matches"]:

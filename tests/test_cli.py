@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -7,6 +8,9 @@ import pytest
 from voxeland import cli
 from voxeland.cli import main
 from voxeland.voxelmap import MapState
+
+from oracles import oracle_snapshot_dict
+from snapshot_records import corrupted_snapshot
 
 SCENE_SPEC = {
     "room": {"min": [-3, -3, 0], "max": [3, 3, 2.4]},
@@ -43,7 +47,7 @@ class TestSynthBuildEval:
     def test_build_artifacts_exist(self, built):
         _, _, out = built
         for name in (
-            "map.json",
+            "map.vxl",
             "timing.json",
             "geom_entropy.ply",
             "geom_entropy.ply.json",
@@ -60,7 +64,7 @@ class TestSynthBuildEval:
         code = main(
             [
                 "eval",
-                "--snapshot", str(out / "map.json"),
+                "--snapshot", str(out / "map.vxl"),
                 "--gt", str(dataset / "ground_truth.json"),
                 "--out", str(report_path),
             ]
@@ -77,7 +81,7 @@ class TestSynthBuildEval:
             main(
                 [
                     "eval",
-                    "--snapshot", str(out / "map.json"),
+                    "--snapshot", str(out / "map.vxl"),
                     "--gt", str(dataset / "ground_truth.json"),
                     "--out", str(report_path),
                 ]
@@ -108,7 +112,7 @@ class TestSynthBuildEval:
         code = main(
             [
                 "eval",
-                "--snapshot", str(out / "map.json"),
+                "--snapshot", str(out / "map.vxl"),
                 "--gt", str(root / "missing.json"),
                 "--out", str(root / "r.json"),
             ]
@@ -121,7 +125,7 @@ class TestSynthBuildEval:
         for layer in ("instances", "semantics", "geom-entropy", "sem-entropy"):
             target = root / f"{layer}.ply"
             code = main(
-                ["export", "--snapshot", str(out / "map.json"), "--layer", layer, "--out", str(target)]
+                ["export", "--snapshot", str(out / "map.vxl"), "--layer", layer, "--out", str(target)]
             )
             assert code == 0
             header = target.read_text().splitlines()
@@ -136,7 +140,7 @@ class TestSynthBuildEval:
         config = root / "config.json"
         assert main(["build", "--dataset", str(dataset), "--config", str(config), "--out", str(again)]) == 0
         for name in (
-            "map.json",
+            "map.vxl",
             "geom_entropy.ply",
             "geom_entropy.ply.json",
             "sem_entropy.ply",
@@ -175,28 +179,37 @@ class TestSynthBuildEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda snapshot: snapshot.pop("cells"),
-            lambda snapshot: snapshot.update(schema_version=99),
-            lambda snapshot: snapshot["instances"][0].pop("id"),
-        ],
-    )
-    def test_eval_on_malformed_snapshot_prints_one_error_line(self, built, tmp_path, capsys, corrupt):
+    @pytest.mark.parametrize("command", ["eval", "export", "disambiguate"])
+    @pytest.mark.parametrize("bad", ["schema-1", "truncated", "wrong-version", "no-instance-id"])
+    def test_bad_snapshot_is_one_error_line(self, built, tmp_path, capsys, command, bad):
+        """A schema-1 JSON snapshot, a truncated file or a bad header fails
+        with one error line and exit code 1, and nothing is written."""
         _, dataset, out = built
-        snapshot = json.loads((out / "map.json").read_text())
-        corrupt(snapshot)
-        path = tmp_path / "map.json"
-        path.write_text(json.dumps(snapshot))
-        code = main(
-            ["eval", "--snapshot", str(path), "--gt", str(dataset / "ground_truth.json"),
-             "--out", str(tmp_path / "report.json")]
-        )
-        assert code == 1
+        path = tmp_path / "map.vxl"
+        if bad == "schema-1":
+            path = tmp_path / "map.json"
+            schema_1 = {**oracle_snapshot_dict(MapState.load_snapshot(out / "map.vxl")), "schema_version": 1}
+            path.write_text(json.dumps(schema_1, sort_keys=True, separators=(",", ":")))
+        elif bad == "truncated":
+            saved = (out / "map.vxl").read_bytes()
+            path.write_bytes(saved[: len(saved) // 2])
+        else:
+            corrupt = {
+                "wrong-version": lambda header: header.update(schema_version=99),
+                "no-instance-id": lambda header: header["instances"][0].pop("id"),
+            }[bad]
+            corrupted_snapshot(path, MapState.load_snapshot(out / "map.vxl"), lambda r: corrupt(r["header"]))
+        before = path.read_bytes()
+        argv = {
+            "eval": ["--gt", str(dataset / "ground_truth.json"), "--out", str(tmp_path / "report.json")],
+            "export": ["--layer", "instances", "--out", str(tmp_path / "instances.ply")],
+            "disambiguate": ["--client", "mock"],
+        }[command]
+        assert main([command, "--snapshot", str(path), *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snapshot" in err and err.count("\n") == 1
-        assert not (tmp_path / "report.json").exists()
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == [path.name] and path.read_bytes() == before
 
     def test_config_value_of_wrong_type_is_one_error_line(self, built, tmp_path, capsys):
         _, dataset, _ = built
@@ -267,7 +280,7 @@ class TestDisambiguateCommand:
         for i in range(4):
             state.add_instance_evidence((i, 0, 0), instance_id, 2)
         state.instances[instance_id].flagged = True
-        snapshot = tmp_path / "map.json"
+        snapshot = tmp_path / "map.vxl"
         state.save_snapshot(snapshot)
         return snapshot, instance_id
 
@@ -275,7 +288,7 @@ class TestDisambiguateCommand:
         snapshot, instance_id = self.make_flagged_snapshot(tmp_path)
         fixtures = tmp_path / "fixtures.json"
         fixtures.write_text(json.dumps({str(instance_id): "The object category is couch"}))
-        out = tmp_path / "updated.json"
+        out = tmp_path / "updated.vxl"
         code = main(
             [
                 "disambiguate",

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxeland.disambiguation import (
     ANSWER_PHRASE,
@@ -21,7 +23,7 @@ from voxeland.disambiguation import (
 from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import InstanceRecord, MapState, Observation
 
-from oracles import oracle_snapshot_dict
+from oracles import oracle_select_views, oracle_snapshot_dict
 
 
 def record_with(beta, observations=()):
@@ -109,6 +111,30 @@ class TestSelectViews:
         # with no alternative frames, same-frame duplicates fill the budget
         views = select_views(record, ["bed"], views_per_candidate=3)
         assert [v.frame_id for v in views] == [0, 1, 0]
+        assert select_views(record, ["bed"], views_per_candidate=0) == []
+        assert select_views(record, ["bed"], views_per_candidate=-1) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(["bed", "couch"]), st.sampled_from([0.2, 0.5, 0.9])),
+            max_size=12,
+        ),
+        st.lists(st.sampled_from(["bed", "couch", "chair"]), max_size=3),
+        st.integers(-2, 8),
+    )
+    def test_matches_two_pass_oracle(self, observations, candidates, views_per_candidate):
+        """Few frames and confidences, so same-frame duplicates and ties are
+        common; each observation has its own view path, so the views tell
+        apart observations of equal frame and confidence."""
+        record = record_with({}, [
+            Observation(frame_id=frame_id, category=category, confidence=confidence, pixel_bbox=None,
+                        view_path=f"views/{index}.ppm")
+            for index, (frame_id, category, confidence) in enumerate(observations)
+        ])
+        assert select_views(record, candidates, views_per_candidate) == oracle_select_views(
+            record, candidates, views_per_candidate
+        )
 
 
 class TestPrompt:

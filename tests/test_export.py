@@ -32,11 +32,10 @@ from oracles import (
     oracle_export_instance_map,
     oracle_export_semantic_map,
     oracle_geometric_entropy_map,
-    oracle_save_snapshot,
     oracle_semantic_entropy_map,
-    oracle_snapshot_dict,
     oracle_write_ply,
 )
+from snapshot_records import corrupted_snapshot
 from test_fusion import clutter_map_without_refinement
 
 
@@ -166,7 +165,7 @@ def layer_items(layer):
 
 def assert_exports_match_oracle(state, layers=None):
     """Layers equal value for value in key order, unless ``layers`` are
-    given; all six export files and the snapshot equal byte for byte."""
+    given; all six export files equal byte for byte."""
     model = OracleMap.from_state(state)
     if layers is None:
         layers = [geometric_entropy_map(state), semantic_entropy_map(state)]
@@ -184,14 +183,9 @@ def assert_exports_match_oracle(state, layers=None):
             entropy_export(source, layers[1], directory / "sem_entropy.ply")
             instance_export(source, directory / "instances.ply")
             semantic_export(source, directory / "semantics.ply")
-        state.save_snapshot(new / "map.json")
-        oracle_save_snapshot(state, old / "map.json", atomic._CHUNK_ROWS)
-        assert (new / "map.json").read_bytes() == json.dumps(
-            oracle_snapshot_dict(state), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
         names = sorted(path.name for path in old.iterdir())
         assert sorted(path.name for path in new.iterdir()) == names
-        assert len(names) == 7
+        assert len(names) == 6
         for name in names:
             assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
@@ -277,13 +271,12 @@ class TestExportsMatchOracle:
                 tmp_path / f"old_layer.{suffix}"
             ).read_bytes()
 
-    def test_cells_with_zero_evidence(self):
+    def test_cells_with_zero_evidence(self, tmp_path):
         """Every count in the map is at least 1, so no reader needs a case
         for a zero count: a snapshot holding one is rejected on load."""
-        snapshot = oracle_snapshot_dict(small_state())
-        snapshot["cells"][0]["instance_counts"]["1"] = 0
+        path = corrupted_snapshot(tmp_path / "map.vxl", small_state(), lambda r: r["footprint counts"].fill(0))
         with pytest.raises(SnapshotError, match="below 1"):
-            MapState.from_dict(snapshot)
+            MapState.load_snapshot(path)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -843,9 +843,9 @@ class TestProcessFrame:
                 pipeline.process_frame(synthetic_frame(frame_id, predictions, shape=shape))
             pipeline.state.save_snapshot(path)
 
-        run(tmp_path / "a.json")
-        run(tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        run(tmp_path / "a.vxl")
+        run(tmp_path / "b.vxl")
+        assert (tmp_path / "a.vxl").read_bytes() == (tmp_path / "b.vxl").read_bytes()
 
 
 FRAME_SHAPE = (24, 24)

@@ -1,9 +1,11 @@
-import gc
+import functools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +33,11 @@ from oracles import (
     cells_of,
     check_storage,
     oracle_argmax_owner,
-    oracle_snapshot_cells,
     oracle_snapshot_dict,
     oracle_voxel_category_distribution,
     world_to_key,
 )
-from test_export import interrupted_after_first_chunk
+from snapshot_records import RECORD_NAMES, corrupted_snapshot, read_records
 from test_fusion import clutter_map_without_refinement
 
 
@@ -105,13 +106,11 @@ class TestOccupancy:
             {"log_odds_min": float("nan")},
         ],
     )
-    def test_invalid_params_rejected(self, kwargs):
+    def test_invalid_params_rejected(self, tmp_path, kwargs):
         with pytest.raises(ValueError):
             OccupancyParams(**kwargs)
-        snapshot = oracle_snapshot_dict(MapState(voxel_size=0.05))
-        snapshot["occupancy"].update(kwargs)
-        with pytest.raises(ValueError):
-            MapState.from_dict(snapshot)
+        with pytest.raises(SnapshotError):
+            load_corrupted(tmp_path, MapState(voxel_size=0.05), lambda r: r["header"]["occupancy"].update(kwargs))
 
     def test_equal_clamp_bounds_accepted(self):
         params = OccupancyParams(log_odds_min=0.5, log_odds_max=0.5)
@@ -278,14 +277,12 @@ class TestRegistryAudit:
             }
             assert state.instances[instance_id].voxel_count == model.instances[instance_id].voxel_count
 
-    def test_audit_detects_corruption(self):
+    def test_audit_detects_corruption(self, tmp_path):
         state = MapState(voxel_size=0.05)
         k = state.new_instance()
         state.add_instance_evidence((0, 0, 0), k, 1)
-        snapshot = oracle_snapshot_dict(state)
-        snapshot["instances"][1]["voxel_count"] = 7
-        with pytest.raises(SnapshotError, match="voxel_count 7"):
-            MapState.from_dict(snapshot)
+        with pytest.raises(SnapshotError, match="voxel_counts sum to 7"):
+            load_corrupted(tmp_path, state, lambda r: r["header"]["instances"][1].update(voxel_count=7))
 
 
 class TestSparseExpansionAgainstDenseReference:
@@ -315,8 +312,8 @@ class TestSparseExpansionAgainstDenseReference:
                 assert sparse_dist[instance_id] == 0.0
 
 
-def small_snapshot() -> dict:
-    """A valid snapshot with one of each kind of entry."""
+def small_state() -> MapState:
+    """A valid map with one of each kind of entry."""
     state = MapState(voxel_size=0.05)
     a = state.new_instance()
     state.instances[a].category_evidence = {"chair": 1.5}
@@ -327,12 +324,33 @@ def small_snapshot() -> dict:
     state.instances[a].observations.append(
         Observation(frame_id=0, category="chair", confidence=0.9, pixel_bbox=(1, 2, 3, 4))
     )
-    return oracle_snapshot_dict(state)
+    return state
 
 
 OBSERVATION = {
     "frame_id": 12, "category": "chair", "confidence": 0.9, "pixel_bbox": [1, 2, 3, 4], "view_path": None,
 }
+
+
+def load_corrupted(tmp_path, state: MapState, corrupt) -> MapState:
+    """Load ``state``'s snapshot after ``corrupt`` has changed its records."""
+    return MapState.load_snapshot(corrupted_snapshot(tmp_path / "map.vxl", state, corrupt))
+
+
+def replaced(name, change):
+    """A corruption that replaces record ``name`` with ``change`` of it."""
+    return lambda records: records.update({name: change(records[name])})
+
+
+def both_cell_records(change):
+    """A corruption that applies ``change`` to the cell keys and their log-odds."""
+    return lambda records: records.update(
+        {name: change(records[name]) for name in ("cell keys", "cell log-odds")}
+    )
+
+
+def swapped_first_two(array):
+    return np.concatenate([array[1::-1], array[2:]])
 
 
 class TestSnapshot:
@@ -350,112 +368,168 @@ class TestSnapshot:
         ):
             state.add_instance_evidence(key, instance_id, count)
             state.integrate_occupancy(pack_keys(np.array([key])), hit=True)
+        state.integrate_occupancy(pack_keys(np.array([[-1, 0, 0]])), hit=False)
         state.frames_integrated = 4
         return state
 
     def test_save_load_identity(self, tmp_path):
         state = self.build_state("forward")
-        path = tmp_path / "map.json"
+        path = tmp_path / "map.vxl"
         state.save_snapshot(path)
         loaded = MapState.load_snapshot(path)
         assert oracle_snapshot_dict(loaded) == oracle_snapshot_dict(state)
-        loaded.save_snapshot(tmp_path / "map2.json")
-        assert (tmp_path / "map.json").read_bytes() == (tmp_path / "map2.json").read_bytes()
+        loaded.save_snapshot(tmp_path / "map2.vxl")
+        assert (tmp_path / "map.vxl").read_bytes() == (tmp_path / "map2.vxl").read_bytes()
 
     def test_snapshot_independent_of_insertion_order(self, tmp_path):
-        self.build_state("forward").save_snapshot(tmp_path / "a.json")
-        self.build_state("reverse").save_snapshot(tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        self.build_state("forward").save_snapshot(tmp_path / "a.vxl")
+        self.build_state("reverse").save_snapshot(tmp_path / "b.vxl")
+        assert (tmp_path / "a.vxl").read_bytes() == (tmp_path / "b.vxl").read_bytes()
+
+    def test_same_bytes_from_another_process(self, tmp_path):
+        """A save in a fresh interpreter, with its own hash seed, writes the same bytes."""
+        script = "import sys; import test_voxelmap; test_voxelmap.small_state().save_snapshot(sys.argv[1])"
+        tests = Path(__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        env["PYTHONHASHSEED"] = "random"
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "other.vxl")], check=True, env=env)
+        small_state().save_snapshot(tmp_path / "here.vxl")
+        assert (tmp_path / "other.vxl").read_bytes() == (tmp_path / "here.vxl").read_bytes()
 
     def test_wrong_schema_version_rejected(self, tmp_path):
-        snapshot = oracle_snapshot_dict(self.build_state("forward"))
-        for version in (SNAPSHOT_SCHEMA_VERSION + 98, 0, None, "1", True, 1.0):
-            snapshot["schema_version"] = version
+        for version in (SNAPSHOT_SCHEMA_VERSION + 98, 1, 0, None, "2", True, 2.0):
             with pytest.raises(SnapshotError, match="schema_version"):
-                MapState.from_dict(snapshot)
-        del snapshot["schema_version"]
+                load_corrupted(
+                    tmp_path, self.build_state("forward"), lambda r: r["header"].update(schema_version=version)
+                )
         with pytest.raises(SnapshotError, match="schema_version"):
-            MapState.from_dict(snapshot)
+            load_corrupted(tmp_path, self.build_state("forward"), lambda r: r["header"].pop("schema_version"))
 
-    @pytest.mark.parametrize("path", [("cells",), ("occupancy", "p_hit"), ("instances", 0, "voxel_count")])
-    def test_missing_key_rejected(self, path):
-        snapshot = oracle_snapshot_dict(self.build_state("forward"))
-        parent = snapshot
-        for step in path[:-1]:
-            parent = parent[step]
-        del parent[path[-1]]
+    @pytest.mark.parametrize("path", [("categories",), ("occupancy", "p_hit"), ("instances", 0, "voxel_count")])
+    def test_missing_key_rejected(self, tmp_path, path):
+        def corrupt(records):
+            parent = records["header"]
+            for step in path[:-1]:
+                parent = parent[step]
+            del parent[path[-1]]
+
         with pytest.raises(SnapshotError, match=repr(path[-1])):
-            MapState.from_dict(snapshot)
+            load_corrupted(tmp_path, self.build_state("forward"), corrupt)
 
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda s: s["cells"].append({**s["cells"][2], "instance_counts": {}}), "cell key is listed twice"),
-            (lambda s: s["cells"][0]["instance_counts"].update({"1": 0}), "below 1"),
-            (lambda s: s["cells"][0]["instance_counts"].update({"9": 1}), "unlisted instances"),
-            (lambda s: s["cells"][1].update(key=[0, 1 << 20, 0]), "packable"),
-            (lambda s: s["instances"][2].update(voxel_count=3), "voxel_count"),
-            (lambda s: s["cells"][0]["instance_counts"].update({"01": 1}), "instance is listed twice"),
-            (lambda s: s["cells"][0].update(key=[[0, 0, 0]]), "malformed"),
-            (lambda s: [cell.update(key=[cell["key"]]) for cell in s["cells"]], "three integers"),
+            (replaced("header", lambda h: np.arange(3)), "header record is not a 1-d \\|u1 array"),
+            (replaced("header", lambda h: np.frombuffer(b'{"schema_version":', np.uint8)), "JSONDecodeError"),
+            (replaced("header", lambda h: np.frombuffer(b"\xff\xfe", np.uint8)), "UnicodeDecodeError"),
+            (replaced("header", lambda h: np.frombuffer(b"[2]", np.uint8)), "schema_version None"),
+            (replaced("cell keys", lambda k: k.astype(float)), "cell keys record is not a 1-d <i8 array"),
+            (replaced("cell keys", lambda k: k.astype(np.int32)), "cell keys record is not a 1-d <i8 array"),
+            (replaced("cell keys", lambda k: k.astype(">i8")), "cell keys record is not a 1-d <i8 array"),
+            (replaced("cell keys", lambda k: k > 0), "cell keys record is not a 1-d <i8 array"),
+            (replaced("cell keys", lambda k: k.astype(str)), "cell keys record is not a 1-d <i8 array"),
+            (replaced("cell keys", lambda k: k.reshape(-1, 1)), "cell keys record is not a 1-d <i8 array"),
+            (replaced("cell keys", lambda k: k - k[1]), "cell key -\\d+ is negative"),
+            (both_cell_records(lambda a: np.repeat(a, 2)), "cell keys are not strictly increasing"),
+            (both_cell_records(lambda a: a[::-1]), "cell keys are not strictly increasing"),
+            (replaced("cell keys", lambda k: k[:-1]), "not as many as their keys"),
+            (replaced("cell log-odds", lambda v: v.astype(np.float32)), "log-odds record is not a 1-d <f8"),
+            (replaced("cell log-odds", lambda v: v.astype(np.int64)), "log-odds record is not a 1-d <f8"),
+            (replaced("cell log-odds", lambda v: v.astype(str)), "log-odds record is not a 1-d <f8"),
+            (replaced("cell log-odds", lambda v: v > 0), "log-odds record is not a 1-d <f8"),
+            (replaced("cell log-odds", lambda v: np.append(v, 0.0)), "not as many as their keys"),
+            (replaced("cell log-odds", lambda v: np.where(v > 0, np.nan, v)), "log-odds is not finite"),
+            (replaced("cell log-odds", lambda v: np.where(v > 0, -np.inf, v)), "log-odds is not finite"),
+            (replaced("footprint keys", lambda k: k.astype(float)), "footprint keys record is not a 1-d <i8"),
+            (replaced("footprint keys", swapped_first_two), "instance 1: its footprint keys are not strictly"),
+            (replaced("footprint keys", lambda k: k[[0, 0, 2, 3]]), "instance 1: its footprint keys are not strictly"),
+            (replaced("footprint keys", lambda k: k + 1), "footprint key is not a cell"),
+            (replaced("footprint counts", lambda c: c.astype(float)), "counts record is not a 1-d <i8"),
+            (replaced("footprint counts", lambda c: c.astype(str)), "counts record is not a 1-d <i8"),
+            (replaced("footprint counts", lambda c: c > 0), "counts record is not a 1-d <i8"),
+            (replaced("footprint counts", lambda c: np.where(c == c.max(), 0, c)), "evidence count 0 is below 1"),
+            (replaced("footprint counts", lambda c: c - c.max() - 1), "is below 1"),
+            (replaced("footprint counts", lambda c: c[:-1]), "not as many as their keys"),
+            (lambda r: r["header"]["instances"][1].update(voxel_count=-1), "voxel_count -1 is negative"),
+            (lambda r: r["header"]["instances"][1].update(voxel_count=3), "voxel_counts sum to 5, not to the 4"),
+            (lambda r: r.pop("footprint counts"), "EOF: reading magic string"),
+            (lambda r: r.update(extra=np.zeros(1)), "trailing bytes after the last record"),
+            (replaced("footprint counts", lambda c: c.astype(object)), "Object arrays cannot be loaded"),
+        ],
+        ids=[
+            "int-header", "truncated-json", "not-utf-8", "json-list", "float-keys", "int32-keys",
+            "big-endian-keys", "bool-keys", "string-keys", "2d-keys", "negative-key", "key-twice",
+            "keys-unsorted", "keys-short", "float32-log-odds", "int-log-odds", "string-log-odds",
+            "bool-log-odds", "log-odds-long", "nan-log-odds", "inf-log-odds", "float-footprint-keys",
+            "footprint-unsorted", "key-twice-in-footprint", "footprint-key-not-a-cell", "float-counts",
+            "string-counts", "bool-counts", "zero-count", "negative-count", "counts-short",
+            "negative-voxel-count", "voxel-counts-sum", "missing-record", "extra-record", "pickled-counts",
         ],
     )
-    def test_inconsistent_cells_rejected(self, corrupt, message):
-        snapshot = oracle_snapshot_dict(self.build_state("forward"))
-        assert oracle_snapshot_dict(MapState.from_dict(snapshot)) == snapshot
-        corrupt(snapshot)
+    def test_bad_records_rejected(self, tmp_path, corrupt, message):
+        state = self.build_state("forward")
+        assert oracle_snapshot_dict(load_corrupted(tmp_path, state, lambda r: None)) == oracle_snapshot_dict(state)
         with pytest.raises(SnapshotError, match=message):
-            MapState.from_dict(snapshot)
+            load_corrupted(tmp_path, state, corrupt)
 
-    def test_unreadable_snapshot_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda data: b"", "EOF: reading magic string"),
+            (lambda data: b"\x93NUMPX" + data[6:], "magic string is not correct"),
+            (lambda data: data[: len(data) // 2], "malformed snapshot: ValueError"),
+            (lambda data: data[:-1], "malformed snapshot: ValueError"),
+            (lambda data: data + b"\0", "trailing bytes after the last record"),
+            (lambda data: data.replace(b"'<f8'", b"'<q9'"), "malformed snapshot: ValueError"),
+            (lambda data: b'{"schema_version": 1, "cells": [', "schema-1 JSON snapshots are no longer read"),
+        ],
+        ids=["empty", "bad-magic", "truncated", "one-byte-short", "trailing-byte", "bad-descr", "schema-1"],
+    )
+    def test_bad_files_rejected(self, tmp_path, corrupt, message):
+        path = tmp_path / "map.vxl"
+        self.build_state("forward").save_snapshot(path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(SnapshotError, match=message) as raised:
+            MapState.load_snapshot(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    def test_schema_1_snapshot_rejected(self, tmp_path):
         path = tmp_path / "map.json"
-        path.write_text('{"schema_version": 1, "cells": [')
-        with pytest.raises(SnapshotError, match="not a JSON snapshot"):
+        path.write_text(json.dumps({**oracle_snapshot_dict(small_state()), "schema_version": 1}))
+        with pytest.raises(SnapshotError, match="schema-1 JSON snapshots are no longer read; rebuild the map"):
             MapState.load_snapshot(path)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_fuzzed_snapshot_parses_or_raises_snapshot_error(self, data):
-        """Replace or delete one value anywhere in a valid snapshot: loading
-        either succeeds or raises SnapshotError, never another exception."""
-        snapshot = mutate_one_value(data, small_snapshot())
-        try:
-            MapState.from_dict(snapshot)
-        except SnapshotError:
-            pass
+    def test_fuzzed_header_loads_or_raises_snapshot_error(self, data):
+        """Replace or delete one value anywhere in a valid snapshot's header:
+        loading either succeeds or raises SnapshotError, never another exception."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = corrupted_snapshot(
+                Path(tmp, "map.vxl"), small_state(), lambda r: r.update(header=mutate_one_value(data, r["header"]))
+            )
+            try:
+                MapState.load_snapshot(path)
+            except SnapshotError:
+                pass
 
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            (lambda s: s["cells"][0].update(key=[1.7, 2, 3]), "three integers"),
-            (lambda s: s["cells"][0].update(key=[True, 0, 0]), "three integers"),
-            (lambda s: s["cells"][0].update(key=["0", 0, 0]), "three integers"),
-            (lambda s: s["cells"][0].update(key=[0, 0, 0, 0]), "three integers"),
-            (lambda s: s["cells"][0].update(log_odds="0.5"), "not a number"),
-            (lambda s: s["cells"][0].update(log_odds=None), "not a number"),
-            (lambda s: s["cells"][0].update(log_odds=False), "not a number"),
-            (lambda s: s["cells"][0].update(log_odds=math.nan), "not finite"),
-            (lambda s: s["cells"][0].update(log_odds=-math.inf), "not finite"),
-            (lambda s: s["cells"][0]["instance_counts"].update({"1": 2.0}), "not an integer"),
-            (lambda s: s["cells"][0]["instance_counts"].update({"1": "2"}), "not an integer"),
-            (lambda s: s["cells"][0]["instance_counts"].update({"1": True}), "not an integer"),
-        ],
-        ids=[
-            "float-key", "bool-key", "string-key", "four-key", "string-log-odds", "null-log-odds",
-            "bool-log-odds", "nan-log-odds", "inf-log-odds", "float-count", "string-count",
-            "bool-count",
-        ],
-    )
-    def test_bad_cell_values_rejected(self, corrupt, message):
-        snapshot = oracle_snapshot_dict(self.build_state("forward"))
-        corrupt(snapshot)
-        with pytest.raises(SnapshotError, match=message):
-            MapState.from_dict(snapshot)
-
-    def test_integral_log_odds_accepted(self):
-        snapshot = oracle_snapshot_dict(self.build_state("forward"))
-        snapshot["cells"][0]["log_odds"] = 1
-        assert MapState.from_dict(snapshot).cells.log_odds[0] == 1.0
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_flipped_or_truncated_bytes_load_or_raise_snapshot_error(self, data):
+        """Flip up to three bytes of a valid file and maybe cut it short:
+        loading either succeeds or raises SnapshotError, never another exception."""
+        saved = bytearray(small_state_bytes())
+        for _ in range(data.draw(st.integers(0, 3))):
+            position = data.draw(st.integers(0, len(saved) - 1))
+            saved[position] ^= data.draw(st.integers(1, 255))
+        saved = saved[: data.draw(st.integers(0, len(saved)))] if data.draw(st.booleans()) else saved
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "map.vxl")
+            path.write_bytes(saved)
+            try:
+                MapState.load_snapshot(path)
+            except SnapshotError:
+                pass
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -508,62 +582,40 @@ class TestSnapshot:
             "inf-log-odds-max", "string-p-hit",
         ],
     )
-    def test_bad_instance_registry_rejected(self, corrupt, message):
-        snapshot = oracle_snapshot_dict(self.build_state("forward"))
-        corrupt(snapshot)
+    def test_bad_instance_registry_rejected(self, tmp_path, corrupt, message):
         with pytest.raises(SnapshotError, match=message):
-            MapState.from_dict(snapshot)
+            load_corrupted(tmp_path, self.build_state("forward"), lambda r: corrupt(r["header"]))
 
-    def test_observations_round_trip(self):
-        snapshot = oracle_snapshot_dict(self.build_state("forward"))
-        snapshot["instances"][1]["observations"] += [
+    def test_observations_round_trip(self, tmp_path):
+        observations = [
             OBSERVATION,
             {**OBSERVATION, "pixel_bbox": None, "view_path": "views/1.ppm", "confidence": 1},
         ]
-        loaded = MapState.from_dict(snapshot)
+        loaded = load_corrupted(
+            tmp_path, self.build_state("forward"), lambda r: r["header"]["instances"][1].update(observations=observations)
+        )
         assert loaded.instances[1].observations[0].pixel_bbox == (1, 2, 3, 4)
         assert type(loaded.instances[1].observations[1].confidence) is float
         assert oracle_snapshot_dict(loaded)["instances"][1]["observations"][0] == OBSERVATION
 
-    def test_loaded_registry_hands_out_fresh_ids(self):
-        state = MapState.from_dict(oracle_snapshot_dict(self.build_state("forward")))
+    def test_loaded_registry_hands_out_fresh_ids(self, tmp_path):
+        state = load_corrupted(tmp_path, self.build_state("forward"), lambda r: None)
         fresh = state.new_instance()
         assert fresh == 3 and len(state.instances) == 4
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("valid", [True, False])
-    def test_load_restores_collector_state(self, tmp_path, enabled, valid):
-        path = tmp_path / "map.json"
-        if valid:
-            self.build_state("forward").save_snapshot(path)
-        else:
-            path.write_text('{"schema_version": 1, "cells": []}')
-        seen = []
-
-        def from_dict(obj):
-            seen.append(gc.isenabled())
-            return original(obj)
-
-        original = MapState.from_dict
-        was_enabled = gc.isenabled()
-        try:
-            (gc.enable if enabled else gc.disable)()
-            with mock.patch.object(MapState, "from_dict", side_effect=from_dict):
-                if valid:
-                    MapState.load_snapshot(path)
-                else:
-                    with pytest.raises(SnapshotError):
-                        MapState.load_snapshot(path)
-            assert seen == [False]
-            assert gc.isenabled() == enabled
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
 
     def test_unknown_instance_preexists(self):
         state = MapState(voxel_size=0.02)
         assert UNKNOWN_INSTANCE_ID in state.instances
         assert state.instances[UNKNOWN_INSTANCE_ID].category_evidence == {}
         assert "unknown" in state.categories
+
+
+@functools.cache
+def small_state_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "map.vxl")
+        small_state().save_snapshot(path)
+        return path.read_bytes()
 
 
 _SNAPSHOT_TEXT = st.text(
@@ -611,29 +663,30 @@ def snapshot_maps(draw):
     return state
 
 
-def oracle_snapshot_text(state: MapState) -> bytes:
-    return json.dumps(oracle_snapshot_dict(state), sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def assert_snapshot_round_trip(state: MapState, directory) -> None:
-    """The saved bytes equal the dumped oracle dict, loading gives the cells
-    and footprints the per-entry conversion gives, and a save after the
-    load writes the same bytes."""
-    path = os.path.join(directory, "map.json")
+    """The saved records are the map's header and arrays, loading gives the
+    same map with the same log-odds bits, and a save after the load writes
+    the same bytes."""
+    path = os.path.join(directory, "map.vxl")
     state.save_snapshot(path)
     with open(path, "rb") as handle:
         saved = handle.read()
-    assert saved == oracle_snapshot_text(state)
+    records = read_records(path)
+    expected = oracle_snapshot_dict(state)
+    del expected["cells"]
+    assert records["header"] == expected
+    footprints = [state.instances[instance_id] for instance_id in sorted(state.instances)]
+    for name, array in [
+        ("cell keys", state.cells.keys),
+        ("cell log-odds", state.cells.log_odds),
+        ("footprint keys", np.concatenate([np.empty(0, np.int64)] + [record.keys for record in footprints])),
+        ("footprint counts", np.concatenate([np.empty(0, np.int64)] + [record.counts for record in footprints])),
+    ]:
+        assert records[name].tobytes() == array.tobytes(), name
     loaded = MapState.load_snapshot(path)
     check_storage(loaded)
-    cell_keys, log_odds, footprints = oracle_snapshot_cells(json.loads(saved))
-    np.testing.assert_array_equal(loaded.cells.keys, cell_keys)
-    assert loaded.cells.log_odds.view(np.int64).tolist() == log_odds.view(np.int64).tolist()
-    assert sorted(loaded.instances) == sorted(state.instances)
-    for instance_id, record in loaded.instances.items():
-        keys, counts = footprints.get(instance_id, (np.empty(0, np.int64),) * 2)
-        np.testing.assert_array_equal(record.keys, keys)
-        np.testing.assert_array_equal(record.counts, counts)
+    assert oracle_snapshot_dict(loaded) == oracle_snapshot_dict(state)
+    assert loaded.cells.log_odds.tobytes() == state.cells.log_odds.tobytes()
     loaded.save_snapshot(path)
     with open(path, "rb") as handle:
         assert handle.read() == saved
@@ -644,37 +697,21 @@ def noisy_state(tmp_path_factory):
     return clutter_map_without_refinement(tmp_path_factory.mktemp("noisy"))
 
 
-class TestSnapshotAgainstOracle:
-    """The chunked snapshot writer and the column-wise loader against the
-    dict-per-cell code they replace."""
-
+class TestSnapshotRoundTrip:
     @settings(max_examples=100, deadline=None)
-    @given(snapshot_maps(), st.sampled_from([1, 2, 5, atomic._CHUNK_ROWS]))
-    def test_random_maps(self, state, chunk_rows):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(atomic, "_CHUNK_ROWS", chunk_rows):
+    @given(snapshot_maps())
+    def test_random_maps(self, state):
+        with tempfile.TemporaryDirectory() as tmp:
             assert_snapshot_round_trip(state, tmp)
 
     def test_empty_map(self, tmp_path):
         state = MapState(voxel_size=0.05)
         assert_snapshot_round_trip(state, tmp_path)
-        assert b'"cells":[]' in (tmp_path / "map.json").read_bytes()
+        records = read_records(tmp_path / "map.vxl")
+        assert [len(records[name]) for name in RECORD_NAMES[1:]] == [0, 0, 0, 0]
 
-    def test_owners_in_string_order(self, tmp_path):
-        state = MapState(voxel_size=0.05)
-        ids = [state.new_instance() for _ in range(10)]
-        state.add_instance_evidence((0, 0, 0), ids[1], 4)
-        state.add_instance_evidence((0, 0, 0), ids[-1], 7)
-        state.add_instance_evidence((0, 0, 0), UNKNOWN_INSTANCE_ID, 1)
-        state.integrate_occupancy(pack_keys(np.array([[-1, 0, 0]])), hit=False)
-        assert_snapshot_round_trip(state, tmp_path)
-        text = (tmp_path / "map.json").read_text()
-        assert '"cells":[{"instance_counts":{},"key":[-1,0,0],"log_odds":-0.4054651081081643}' in text
-        assert '{"instance_counts":{"0":1,"10":7,"2":4},"key":[0,0,0],"log_odds":0.0}' in text
-
-    @pytest.mark.parametrize("chunk_rows", [atomic._CHUNK_ROWS, 7])
-    def test_noisy_scene(self, noisy_state, tmp_path, chunk_rows, monkeypatch):
+    def test_noisy_scene(self, noisy_state, tmp_path):
         assert len(noisy_state.cells) > 7 * 100 and len(noisy_state.instances) > 10
-        monkeypatch.setattr(atomic, "_CHUNK_ROWS", chunk_rows)
         assert_snapshot_round_trip(noisy_state, tmp_path)
 
 
@@ -727,27 +764,29 @@ class TestArgmaxOwner:
 
 
 class TestAtomicWrite:
-    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, binary):
         path = tmp_path / "out.txt"
         path.write_text("previous")
         with pytest.raises(KeyboardInterrupt):
-            with atomic_write(path) as handle:
-                handle.write("half of the new")
+            with atomic_write(path, binary) as handle:
+                handle.write(b"half of the new" if binary else "half of the new")
                 raise KeyboardInterrupt
         assert path.read_text() == "previous"
         assert os.listdir(tmp_path) == ["out.txt"]
 
-    def test_complete_write_replaces_file(self, tmp_path):
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_complete_write_replaces_file(self, tmp_path, binary):
         path = tmp_path / "out.txt"
         path.write_text("previous")
-        with atomic_write(path) as handle:
-            handle.write("new")
+        with atomic_write(path, binary) as handle:
+            handle.write(b"new" if binary else "new")
         assert path.read_text() == "new"
         assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_failed_snapshot_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
-        path = tmp_path / "map.json"
-        path.write_text(json.dumps(small_snapshot()))
+        path = tmp_path / "map.vxl"
+        small_state().save_snapshot(path)
         before = path.read_bytes()
         state = MapState(voxel_size=0.1)
 
@@ -758,23 +797,31 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="disk full"):
             state.save_snapshot(path)
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["map.json"]
+        assert os.listdir(tmp_path) == ["map.vxl"]
 
     def test_interrupted_snapshot_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
-        """A save stopped after its first chunk of cells leaves the earlier
-        snapshot as it was and no temporary file behind."""
+        """A save stopped after its first record leaves the earlier snapshot
+        as it was and no temporary file behind."""
         state = MapState(voxel_size=0.1)
         state.add_instance_evidence([(0, 0, 0), (1, 0, 0), (2, 0, 0)], UNKNOWN_INSTANCE_ID, 2)
-        path = tmp_path / "map.json"
+        path = tmp_path / "map.vxl"
         state.save_snapshot(path)
         before = path.read_bytes()
-        monkeypatch.setattr(atomic, "_CHUNK_ROWS", 1)
-        monkeypatch.setattr(voxelmap, "_row_chunks", interrupted_after_first_chunk(voxelmap._row_chunks))
+        write_array = np.lib.format.write_array
+        written = []
+
+        def interrupted_after_first_record(*args, **kwargs):
+            if written:
+                raise KeyboardInterrupt
+            written.append(write_array(*args, **kwargs))
+
+        monkeypatch.setattr(np.lib.format, "write_array", interrupted_after_first_record)
         state.add_instance_evidence((3, 0, 0), UNKNOWN_INSTANCE_ID, 1)
         with pytest.raises(KeyboardInterrupt):
             state.save_snapshot(path)
+        assert written
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["map.json"]
+        assert os.listdir(tmp_path) == ["map.vxl"]
 
 
 SORTED_KEYS = st.lists(st.integers(-40, 40), max_size=30, unique=True).map(sorted)
