@@ -1,16 +1,21 @@
 """Instance-level evaluation against pre-voxelized ground truth.
 
-A map instance's predicted footprint is the set of voxels it owns by argmax
-evidence; its claimed category is the declared final category when one was
-set, otherwise the top-probability category (the plain top-1 baseline).
-Predictions are greedily matched to same-category ground-truth instances at
-a voxel IoU threshold, ranked by the map's own belief in the claimed
-category, and per-class all-point average precision is aggregated into mAP.
+A map instance's predicted footprint is the sorted packed keys of the voxels
+it owns by argmax evidence; its claimed category is the declared final
+category when one was set, otherwise the top-probability category (the
+plain top-1 baseline).  Predictions are greedily matched to same-category
+ground-truth instances at a voxel IoU threshold, ranked by the map's own
+belief in the claimed category, and per-class all-point average precision
+is aggregated into mAP.  Every prediction's overlap with every ground-truth
+instance comes from one :func:`voxelmap.overlap_counts` call, the kernel
+association and refinement use.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +24,7 @@ import numpy as np
 from .atomic import atomic_write
 from .evidence import probabilities, shannon_entropy
 from .frames import GroundTruthScene
-from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, VoxelKey, unpack_keys
+from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, _no_keys, overlap_counts
 
 
 @dataclass
@@ -37,8 +42,8 @@ class PredictedInstance:
     instance_id: int
     category: str
     confidence: float
-    voxels: set[VoxelKey]
     semantic_entropy: float
+    keys: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -93,12 +98,10 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
     """
     table = state.owner_table()
     owners = table.argmax_owners()
-    keys = state.cells.keys[table.cell_rows]
-    footprints: dict[int, set[VoxelKey]] = {
-        owner: set(unpack_keys(keys[owners == owner]))
-        for owner in np.unique(owners).tolist()
-        if owner != UNKNOWN_INSTANCE_ID
-    }
+    # a stable sort by owner keeps each footprint's keys in cell order
+    order = np.argsort(owners, kind="stable")
+    ids, starts = np.unique(owners[order], return_index=True)
+    footprints = dict(zip(ids.tolist(), np.split(state.cells.keys[table.cell_rows][order], starts[1:])))
     predictions = []
     for instance_id in sorted(state.instances):
         record = state.instances[instance_id]
@@ -111,18 +114,11 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
                 instance_id=instance_id,
                 category=str(category),
                 confidence=dist[category],
-                voxels=footprints.get(instance_id, set()),
+                keys=footprints.get(instance_id, _no_keys()),
                 semantic_entropy=shannon_entropy(dist),
             )
         )
     return predictions
-
-
-def _voxel_iou(a: set[VoxelKey], b: set[VoxelKey]) -> float:
-    if not a or not b:
-        return 0.0
-    overlap = len(a & b)
-    return overlap / (len(a) + len(b) - overlap)
 
 
 def match_to_ground_truth(
@@ -135,22 +131,26 @@ def match_to_ground_truth(
     ground-truth instance matches at most once.  Equal-confidence ties rank
     by lower instance id.
     """
-    config = config or EvalConfig()
-    predictions = sorted(
-        predicted_instances(state), key=lambda p: (-p.confidence, p.instance_id)
-    )
+    return _match(predicted_instances(state), gt, config or EvalConfig())
+
+
+def _match(
+    predictions: list[PredictedInstance], gt: GroundTruthScene, config: EvalConfig
+) -> list[MatchRecord]:
+    """:func:`match_to_ground_truth` of the given predictions."""
+    predictions = sorted(predictions, key=lambda p: (-p.confidence, p.instance_id))
+    overlap = overlap_counts([p.keys for p in predictions], [g.keys for g in gt.instances])
+    sizes = [np.array([len(x.keys) for x in items], dtype=np.int64) for items in (predictions, gt.instances)]
+    union = np.add.outer(*sizes) - overlap
+    ious = np.divide(overlap, union, out=np.zeros(overlap.shape), where=union > 0).tolist()
     matched_gt: set[str] = set()
     records = []
-    for prediction in predictions:
-        best_iou = 0.0
-        best_gt = None
-        for gt_instance in gt.instances:
-            if gt_instance.category != prediction.category or gt_instance.id in matched_gt:
-                continue
-            overlap_iou = _voxel_iou(prediction.voxels, gt_instance.voxels)
-            if overlap_iou > best_iou:
-                best_iou = overlap_iou
-                best_gt = gt_instance.id
+    for prediction, row in zip(predictions, ious):
+        best_iou, best_gt = 0.0, None
+        for gt_instance, overlap_iou in zip(gt.instances, row):
+            eligible = gt_instance.category == prediction.category and gt_instance.id not in matched_gt
+            if eligible and overlap_iou > best_iou:
+                best_iou, best_gt = overlap_iou, gt_instance.id
         is_tp = best_gt is not None and best_iou >= config.iou_threshold
         if is_tp:
             matched_gt.add(best_gt)
@@ -175,22 +175,13 @@ def average_precision(ranked_tp_flags: list[bool], num_gt: int) -> float | None:
     """
     if num_gt <= 0:
         return None
-    if not ranked_tp_flags:
-        return 0.0
-    precisions = []
-    recalls = []
-    tp = 0
-    for rank, flag in enumerate(ranked_tp_flags, start=1):
-        if flag:
-            tp += 1
-        precisions.append(tp / rank)
-        recalls.append(tp / num_gt)
+    true_positives = list(itertools.accumulate(map(int, ranked_tp_flags)))
+    precisions = [tp / rank for rank, tp in enumerate(true_positives, start=1)]
     # right-max interpolation
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    ap = 0.0
-    previous_recall = 0.0
-    for precision, recall in zip(precisions, recalls):
+    precisions = list(itertools.accumulate(reversed(precisions), max))[::-1]
+    ap = previous_recall = 0.0
+    for tp, precision in zip(true_positives, precisions):
+        recall = tp / num_gt
         if recall > previous_recall:
             ap += (recall - previous_recall) * precision
             previous_recall = recall
@@ -211,15 +202,11 @@ def evaluate(
     """
     config = config or EvalConfig()
     matches = match_to_ground_truth(state, gt, config)
-    gt_counts: dict[str, int] = {}
-    for gt_instance in gt.instances:
-        gt_counts[gt_instance.category] = gt_counts.get(gt_instance.category, 0) + 1
+    gt_counts = Counter(gt_instance.category for gt_instance in gt.instances)
     classes = config.classes if config.classes is not None else sorted(gt_counts)
     per_class_ap: dict[str, float] = {}
     for category in classes:
-        num_gt = gt_counts.get(category, 0)
-        flags = [m.is_tp for m in matches if m.category == category]
-        ap = average_precision(flags, num_gt)
+        ap = average_precision([m.is_tp for m in matches if m.category == category], gt_counts[category])
         if ap is not None:
             per_class_ap[category] = ap
     map_score = sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else 0.0
@@ -239,13 +226,12 @@ def precision_vs_entropy(
     Thresholds admitting no prediction yield no curve point.  Correctness is
     the TP/FP outcome of the standard matching.
     """
-    matches = match_to_ground_truth(state, gt, config)
-    entropy_by_id = {p.instance_id: p.semantic_entropy for p in predicted_instances(state)}
+    predictions = predicted_instances(state)
+    matches = _match(predictions, gt, config or EvalConfig())
+    entropy_by_id = {p.instance_id: p.semantic_entropy for p in predictions}
     points = []
     for threshold in thresholds:
-        subset = [m for m in matches if entropy_by_id[m.instance_id] < threshold]
-        if not subset:
-            continue
-        precision = sum(1 for m in subset if m.is_tp) / len(subset)
-        points.append((threshold, precision))
+        subset = [m.is_tp for m in matches if entropy_by_id[m.instance_id] < threshold]
+        if subset:
+            points.append((threshold, sum(subset) / len(subset)))
     return points

@@ -10,7 +10,8 @@ On-disk layout of a dataset directory:
 * ``predictions/<frame>.json`` -- ``{"instances": [{"category", "confidence",
   "rle"}]}`` with uncompressed run-length masks (runs alternate starting with
   the zero run, filling the image row-major).
-* ``ground_truth.json`` -- pre-voxelized instances at map resolution.
+* ``ground_truth.json`` -- pre-voxelized instances at map resolution,
+  loaded as sorted packed voxel keys (see :mod:`voxelmap`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import _all_of, _checked
+from .voxelmap import pack_keys, unpack_key_array
 
 
 class DatasetError(ValueError):
@@ -114,9 +116,11 @@ class PredictionInstance:
 
 @dataclass
 class GroundTruthInstance:
+    """One ground-truth object: ``keys`` are the sorted unique packed keys of its voxels."""
+
     id: str
     category: str
-    voxels: set[tuple[int, int, int]]
+    keys: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -396,15 +400,16 @@ def load_ground_truth(path: Path | str) -> GroundTruthScene:
             if gt_id in seen:
                 raise ValueError(f"duplicate ground-truth instance id {gt_id!r}")
             seen.add(gt_id)
-            voxels = set()
-            for voxel in _checked(inst["voxels"], "voxels", list):
+            voxels = _checked(inst["voxels"], "voxels", list)
+            for voxel in voxels:
                 if not (type(voxel) is list and len(voxel) == 3 and _all_of(voxel, int)):
                     raise ValueError(f"ground-truth voxel {voxel!r} is not three integers")
-                voxels.add(tuple(voxel))
             if not voxels:
                 raise ValueError(f"ground-truth instance {gt_id!r} has no voxels")
             category = _checked(inst["category"], "category", str)
-            instances.append(GroundTruthInstance(id=gt_id, category=category, voxels=voxels))
+            # packed once, here; a voxel listed twice counts once
+            keys = np.unique(pack_keys(np.array(voxels, dtype=np.int64)))
+            instances.append(GroundTruthInstance(id=gt_id, category=category, keys=keys))
         return GroundTruthScene(voxel_size=voxel_size, instances=instances)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise DatasetError(f"{path}: {exc}") from exc
@@ -417,7 +422,7 @@ def save_ground_truth(path: Path | str, scene: GroundTruthScene) -> None:
             {
                 "id": inst.id,
                 "category": inst.category,
-                "voxels": sorted([list(v) for v in inst.voxels]),
+                "voxels": unpack_key_array(inst.keys).tolist(),
             }
             for inst in scene.instances
         ],

@@ -10,22 +10,24 @@ candidate instance has evidence; from it two scores are derived:
 
 An opinion matches when either score passes its threshold; otherwise it
 spawns a new instance.  The reserved unknown opinion is always associated
-with the unknown map instance.  The overlaps of a frame's opinions with
-every candidate come from one index of the candidates' footprints, built
-once per frame.  Before its opinions are integrated, the voxels of all of
-them become map cells in one insertion.  Every N integrated frames the map
-instances are associated against each other with the same criterion and
-merged, which heals over-segmentation from disjoint first observations.
-Merge candidates come only from voxels that two or more instances share,
-found with one sort of all footprints; each merge takes the first passing
-pair in ascending (kept, retired) id order, and rescores the merged instance
-only against the instances that shared a voxel with either part.
+with the unknown map instance.  Before its opinions are integrated, the
+voxels of all of them become map cells in one insertion.  Every N integrated
+frames the map instances are associated against each other with the same
+criterion and merged, which heals over-segmentation from disjoint first
+observations; each merge takes the first passing pair in ascending (kept,
+retired) id order, and rescores the merged instance only against the
+instances that shared a voxel with either part.
+
+Both count overlaps with :func:`voxelmap.overlap_counts`, which indexes a
+list of footprints once: association counts a frame's opinions against
+every candidate in one call, and refinement counts every pair of footprints
+in one call and each merged instance against its neighbours in one more.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +40,7 @@ from .voxelmap import (
     MapState,
     Observation,
     _no_keys,
-    in_sorted,
+    overlap_counts,
     pack_keys,
     points_to_keys,
     unpack_key_array,
@@ -112,36 +114,6 @@ def _passing_scores(
     return None
 
 
-def _overlaps(
-    voxel_counts: list[tuple[np.ndarray, np.ndarray]], footprints: list[np.ndarray]
-) -> np.ndarray:
-    """The (opinion, footprint) matrix of the points of each opinion that fall
-    in each footprint, given each opinion's sorted unique keys with their
-    point counts and each footprint's sorted unique keys.
-
-    The footprints are indexed once: their keys concatenated and stably
-    sorted, each entry with its footprint's position.  Each opinion voxel
-    finds the run of index entries with its key from two ``searchsorted``
-    calls, and one ``bincount`` over all runs sums the points per pair.
-    """
-    index = np.concatenate([_no_keys(), *footprints])
-    order = np.argsort(index, kind="stable")
-    index = index[order]
-    owner = np.repeat(np.arange(len(footprints)), [len(keys) for keys in footprints])[order]
-    keys = np.concatenate([_no_keys(), *(keys for keys, _ in voxel_counts)])
-    counts = np.concatenate([_no_keys(), *(counts for _, counts in voxel_counts)])
-    opinion = np.repeat(np.arange(len(voxel_counts)), [len(keys) for keys, _ in voxel_counts])
-    first = np.searchsorted(index, keys, side="left")
-    runs = np.searchsorted(index, keys, side="right") - first
-    # entry e of a voxel's run is index entry first + e
-    entries = np.repeat(first - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
-    pairs = np.repeat(opinion * len(footprints), runs) + owner[entries]
-    # the counts sum exactly in float64: a frame has far fewer than 2**53 points
-    shape = (len(voxel_counts), len(footprints))
-    summed = np.bincount(pairs, weights=np.repeat(counts, runs), minlength=shape[0] * shape[1])
-    return summed.astype(np.int64).reshape(shape)
-
-
 def associate(
     opinions: list[SubjectiveOpinion], state: MapState, config: AssociationConfig
 ) -> AssociationOutcome:
@@ -162,32 +134,24 @@ def associate(
         for instance_id, record in state.instances.items()
         if instance_id != UNKNOWN_INSTANCE_ID and record.voxel_count
     ]
-    semantic = [opinion for opinion in opinions if not opinion.is_unknown]
-    overlaps = iter(
-        _overlaps(
-            [opinion_voxel_counts(opinion, state.voxel_size) for opinion in semantic],
-            [record.keys for record in candidates],
-        )
-    )
+    voxel_counts = [opinion_voxel_counts(o, state.voxel_size) for o in opinions if not o.is_unknown]
+    queries, counts = [keys for keys, _ in voxel_counts], [counts for _, counts in voxel_counts]
+    overlaps = iter(overlap_counts(queries, [record.keys for record in candidates], counts))
     for index, opinion in enumerate(opinions):
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
             continue
         row = next(overlaps)
-        n_points = len(opinion.points)
-        best: tuple[float, float, int] | None = None  # (iou, ios, -id) ordering helper
+        passing = []  # (iou, ios, -id) of each candidate passing a threshold; the largest wins
         for position in np.flatnonzero(row).tolist():
             record = candidates[position]
-            scores = _passing_scores(int(row[position]), n_points, record.voxel_count, config)
-            if scores is None:
-                continue
-            candidate = (*scores, -record.id)
-            if best is None or candidate > best:
-                best = candidate
-        if best is None:
-            new_id = state.new_instance()
-            outcome.spawned.append((index, new_id))
+            scores = _passing_scores(int(row[position]), len(opinion.points), record.voxel_count, config)
+            if scores is not None:
+                passing.append((*scores, -record.id))
+        if not passing:
+            outcome.spawned.append((index, state.new_instance()))
         else:
+            best = max(passing)
             outcome.matches.append((index, -best[2], best[0], best[1]))
     return outcome
 
@@ -272,63 +236,49 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
     in ascending (kept, retired) order.  The unknown instance never
     participates.
 
-    Both thresholds are positive, so only pairs sharing a voxel can pass.  The
-    map's owner table lists the owners of each voxel next to each other, in
-    ascending id order, which gives the shared-voxel count of every pair.  A
-    merge changes only the pairs of the two instances it touches: those of the
-    retired one go, and those of the kept one are recounted from its merged
-    footprint.  The merged footprint shares a voxel only with the instances
-    that shared one with either part, so each instance keeps the set of its
-    neighbours, and the kept one is recounted against those alone.
+    Both thresholds are positive, so only pairs sharing a voxel can pass.  One
+    :func:`overlap_counts` call over every footprint gives the shared-voxel
+    count of every pair.  A merge changes only the pairs of the two instances
+    it touches: those of the retired one go, and those of the kept one are
+    recounted from its merged footprint.  The merged footprint shares a voxel
+    only with the instances that shared one with either part, so each
+    instance keeps the set of its neighbours, and the kept one is recounted
+    against those alone, in one more call.
     """
-    table = state.owner_table()
-    owned = table.ids != UNKNOWN_INSTANCE_ID
-    rows, owners = table.rows[owned], table.ids[owned]
-    # Entries i and i + gap own the same voxel when every row between them is
-    # equal; each such pair of owners shares that voxel.
-    same = rows[1:] == rows[:-1]
-    within, gap = same, 1
-    shared: Counter[tuple[int, int]] = Counter()
-    while within.any():
-        shared.update(zip(owners[:-gap][within].tolist(), owners[gap:][within].tolist()))
-        within = within[:-1] & same[gap:]
-        gap += 1
-    neighbours: defaultdict[int, set[int]] = defaultdict(set)
-    for a, b in shared:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
+    ids = [instance_id for instance_id in sorted(state.instances) if instance_id != UNKNOWN_INSTANCE_ID]
+    footprints = [state.instances[instance_id].keys for instance_id in ids]
     passing: dict[tuple[int, int], tuple[float, float]] = {}
-    for (a, b), overlap in shared.items():
+
+    def score(a: int, b: int, overlap: int) -> None:
         scores = _passing_scores(
             overlap, state.instances[a].voxel_count, state.instances[b].voxel_count, config
         )
         if scores is not None:
             passing[a, b] = scores
 
+    shared = overlap_counts(footprints, footprints)
+    neighbours: defaultdict[int, set[int]] = defaultdict(set)
+    for a_pos, b_pos in np.argwhere(np.triu(shared, 1)).tolist():
+        a, b = ids[a_pos], ids[b_pos]
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+        score(a, b, int(shared[a_pos, b_pos]))
+
     events: list[MergeEvent] = []
     while passing:
         keep, retire = min(passing)
-        score_iou, score_ios = passing[keep, retire]
+        score_iou, score_ios = passing.pop((keep, retire))
         _merge_instances(state, keep, retire)
         events.append(MergeEvent(kept_id=keep, retired_id=retire, iou=score_iou, ios=score_ios))
-        passing = {
-            pair: scores
-            for pair, scores in passing.items()
-            if keep not in pair and retire not in pair
-        }
-        kept = state.instances[keep]
+        for pair in [pair for pair in passing if keep in pair or retire in pair]:
+            del passing[pair]
         neighbours[keep] = (neighbours[keep] | neighbours.pop(retire)) - {keep, retire}
-        for other_id in neighbours[keep]:
-            linked = neighbours[other_id]
-            linked.discard(retire)
-            linked.add(keep)
-            overlap = int(np.count_nonzero(in_sorted(state.instances[other_id].keys, kept.keys)))
-            a, b = min(keep, other_id), max(keep, other_id)
-            scores = _passing_scores(
-                overlap, state.instances[a].voxel_count, state.instances[b].voxel_count, config
-            )
-            if scores is not None:
-                passing[a, b] = scores
+        others = sorted(neighbours[keep])
+        for other_id in others:
+            neighbours[other_id] = neighbours[other_id] - {retire} | {keep}
+        overlaps = overlap_counts([state.instances[keep].keys], [state.instances[i].keys for i in others])
+        for other_id, overlap in zip(others, overlaps[0].tolist()):
+            score(min(keep, other_id), max(keep, other_id), overlap)
     return events
 
 

@@ -11,7 +11,6 @@ Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -32,6 +31,7 @@ from .frames import (
     save_ground_truth,
     write_pgm,
 )
+from .voxelmap import pack_keys
 
 
 @dataclass
@@ -178,24 +178,25 @@ def render_frame(
 
 def voxelize_box_shell(
     box_min: np.ndarray, box_max: np.ndarray, voxel_size: float
-) -> set[tuple[int, int, int]]:
-    """Voxel keys overlapping the box surface (not its open interior).
+) -> np.ndarray:
+    """Sorted packed keys of the voxels overlapping the box surface (not its
+    open interior).
 
     A key is included when its cube touches the closed box but is not
     strictly inside it, matching what surface observations can register:
     the keys spanning the box on each axis, minus the product of each
     axis's keys whose cube lies strictly inside the box on that axis.
     """
-    spans, interiors = [], []
+    spans, insides = [], []
     for low, high in zip(box_min, box_max):
         span = np.arange(math.floor(low / voxel_size), math.floor(high / voxel_size) + 1)
         cube_min = span * voxel_size
-        inside = (cube_min > low) & (cube_min + voxel_size < high)
-        spans.append(span.tolist())
-        interiors.append(span[inside].tolist())
-    shell = set(itertools.product(*spans))
-    shell.difference_update(itertools.product(*interiors))
-    return shell
+        spans.append(span)
+        insides.append((cube_min > low) & (cube_min + voxel_size < high))
+    # the grid is in (i, j, k) order, so its packed keys are sorted
+    grid = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1)
+    interior = np.logical_and.reduce(np.meshgrid(*insides, indexing="ij"))
+    return pack_keys(grid[~interior])
 
 
 def ground_truth_scene(scene: SyntheticScene) -> GroundTruthScene:
@@ -203,7 +204,7 @@ def ground_truth_scene(scene: SyntheticScene) -> GroundTruthScene:
         GroundTruthInstance(
             id=scene_object.instance_id,
             category=scene_object.category,
-            voxels=voxelize_box_shell(scene_object.box_min, scene_object.box_max, scene.voxel_size),
+            keys=voxelize_box_shell(scene_object.box_min, scene_object.box_max, scene.voxel_size),
         )
         for scene_object in scene.objects
     ]

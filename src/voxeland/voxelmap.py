@@ -8,7 +8,9 @@ evidence, with the number of its 3D points registered in each.  A cell may
 have no owner (carved free space); every footprint key is a cell.  Instances
 also accumulate per-category confidence mass and an observation log used
 later for view selection.  Instance id 0 is reserved for the ``unknown``
-instance absorbing observed-but-unrecognized geometry.
+instance absorbing observed-but-unrecognized geometry.  Association,
+refinement and evaluation count the voxels footprints share with one
+kernel, :func:`overlap_counts`.
 
 A snapshot file holds these arrays as they are, as ``.npy`` records behind
 one JSON header for the registries; loading checks every invariant above.
@@ -18,9 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from tokenize import TokenError
+from typing import BinaryIO
 
 import numpy as np
 
@@ -93,6 +97,36 @@ def in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
         return np.zeros(len(keys), dtype=bool)
     rows = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     return sorted_keys[rows] == keys
+
+
+def overlap_counts(
+    queries: list[np.ndarray], footprints: list[np.ndarray], counts: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """The (query, footprint) matrix of the voxels each query shares with
+    each footprint, all given as sorted unique packed keys.  With ``counts``,
+    one array aligned with each query's keys, an entry sums the counts of the
+    shared voxels instead.
+
+    The footprints are indexed once: their keys concatenated and stably
+    sorted, each entry with its footprint's position.  Each query voxel
+    finds the run of index entries with its key from two ``searchsorted``
+    calls, and one ``bincount`` over all runs sums the pairs.
+    """
+    index = np.concatenate([_no_keys(), *footprints])
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    owner = np.repeat(np.arange(len(footprints)), [len(keys) for keys in footprints])[order]
+    keys = np.concatenate([_no_keys(), *queries])
+    query = np.repeat(np.arange(len(queries)), [len(keys) for keys in queries])
+    first = np.searchsorted(index, keys, side="left")
+    runs = np.searchsorted(index, keys, side="right") - first
+    # entry e of a voxel's run is index entry first + e
+    entries = np.repeat(first - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+    pairs = np.repeat(query * len(footprints), runs) + owner[entries]
+    # weighted counts sum exactly in float64 while they stay far below 2**53
+    weights = None if counts is None else np.repeat(np.concatenate([_no_keys(), *counts]), runs)
+    summed = np.bincount(pairs, weights=weights, minlength=len(queries) * len(footprints))
+    return summed.astype(np.int64).reshape(len(queries), len(footprints))
 
 
 def _sorted_add(
@@ -389,6 +423,8 @@ class MapState:
 
         Raises SnapshotError, naming ``path``, when the file is not a
         schema-2 snapshot or holds a malformed map; see :meth:`_from_records`.
+        A record whose header declares more bytes than the file has left is
+        rejected before anything is allocated for it.
         A file that opens with ``{`` is a schema-1 JSON snapshot, which is no
         longer read.
         """
@@ -396,7 +432,7 @@ class MapState:
             with open(path, "rb") as handle:
                 if handle.peek(1).startswith(b"{"):
                     raise SnapshotError("schema-1 JSON snapshots are no longer read; rebuild the map")
-                records = [np.lib.format.read_array(handle, allow_pickle=False) for _ in _SNAPSHOT_RECORDS]
+                records = [_read_record(handle, name) for name in _SNAPSHOT_RECORDS]
                 if handle.read(1):
                     raise SnapshotError("trailing bytes after the last record")
             return cls._from_records(records)
@@ -504,6 +540,24 @@ class MapState:
             if np.any(record.keys[1:] <= record.keys[:-1]):
                 raise SnapshotError(f"instance {record.id}: its footprint keys are not strictly increasing")
         return state
+
+
+def _read_record(handle: BinaryIO, name: str) -> np.ndarray:
+    """The next ``.npy`` record of a snapshot file, read only once the size
+    its header declares is known to fit in the bytes left in the file."""
+    start = handle.tell()
+    version = np.lib.format.read_magic(handle)
+    # any version but 1.0 is read as 2.0: read_array then rejects a version
+    # other than 1.0, 2.0 and 3.0, and 3.0 differs from 2.0 only in encoding
+    formats = np.lib.format
+    read_header = formats.read_array_header_1_0 if version == (1, 0) else formats.read_array_header_2_0
+    shape, _, dtype = read_header(handle)
+    size = math.prod(shape) * dtype.itemsize
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    if size > left:
+        raise SnapshotError(f"the {name} record declares {size} bytes, but {left} are left in the file")
+    handle.seek(start)
+    return np.lib.format.read_array(handle, allow_pickle=False)
 
 
 def _evidence(values: dict) -> dict[str, float]:

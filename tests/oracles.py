@@ -3,7 +3,8 @@
 These deliberately avoid the algorithms used by the package: the digamma
 oracle sums the convergent series term by term with an analytic tail bound,
 clustering is a full O(n^2) pairwise construction, average precision is
-integrated directly from the precision-recall points, association counts
+integrated directly from the precision-recall points, evaluation matching
+intersects sets of voxel tuples pair by pair, association counts
 each opinion's overlap with each candidate on its own, and map refinement
 rebuilds every footprint and scores every instance pair after each merge.
 The map itself is modelled as a dict of voxel cells, each holding its
@@ -41,8 +42,9 @@ from voxeland.evidence import (
     probabilities,
     shannon_entropy,
 )
+from voxeland.evaluation import EvalConfig, MatchRecord
 from voxeland.export import layer_h_max
-from voxeland.frames import CameraIntrinsics, Frame, Pose
+from voxeland.frames import CameraIntrinsics, Frame, GroundTruthScene, Pose
 from voxeland.fusion import (
     AssociationConfig,
     AssociationOutcome,
@@ -185,6 +187,59 @@ def brute_force_average_precision(ranked_tp_flags: list[bool], num_gt: int) -> f
         if flag:
             ap += max(precisions[rank:]) / num_gt
     return ap
+
+
+def oracle_match_to_ground_truth(
+    state: MapState, gt: GroundTruthScene, config: EvalConfig | None = None
+) -> list[MatchRecord]:
+    """Reference matching: every footprint a set of voxel tuples, and each
+    (prediction, ground truth) IoU from a set intersection of its own."""
+    config = config or EvalConfig()
+    table = state.owner_table()
+    owners = table.argmax_owners()
+    keys = state.cells.keys[table.cell_rows]
+    footprints: dict[int, set[VoxelKey]] = {
+        owner: set(unpack_keys(keys[owners == owner]))
+        for owner in np.unique(owners).tolist()
+        if owner != UNKNOWN_INSTANCE_ID
+    }
+    predictions = []
+    for instance_id in sorted(state.instances):
+        record = state.instances[instance_id]
+        if record.is_unknown or not record.category_evidence:
+            continue
+        dist = probabilities(record.category_evidence)
+        category = record.final_category if record.final_category is not None else dist.argmax()
+        predictions.append((-dist[category], instance_id, str(category), footprints.get(instance_id, set())))
+    predictions.sort(key=lambda p: p[:2])
+    gt_voxels = [set(unpack_keys(gt_instance.keys)) for gt_instance in gt.instances]
+    matched_gt: set[str] = set()
+    records = []
+    for negative_confidence, instance_id, category, voxels in predictions:
+        best_iou = 0.0
+        best_gt = None
+        for gt_instance, truth in zip(gt.instances, gt_voxels):
+            if gt_instance.category != category or gt_instance.id in matched_gt:
+                continue
+            overlap = len(voxels & truth)
+            overlap_iou = overlap / (len(voxels) + len(truth) - overlap) if voxels and truth else 0.0
+            if overlap_iou > best_iou:
+                best_iou = overlap_iou
+                best_gt = gt_instance.id
+        is_tp = best_gt is not None and best_iou >= config.iou_threshold
+        if is_tp:
+            matched_gt.add(best_gt)
+        records.append(
+            MatchRecord(
+                instance_id=instance_id,
+                category=category,
+                confidence=-negative_confidence,
+                is_tp=is_tp,
+                matched_gt=best_gt if is_tp else None,
+                iou=best_iou,
+            )
+        )
+    return records
 
 
 def world_to_key(point: np.ndarray, voxel_size: float) -> VoxelKey:

@@ -41,3 +41,17 @@ def corrupted_snapshot(path: Path | str, state: MapState, corrupt) -> Path:
     corrupt(records)
     write_records(path, records)
     return Path(path)
+
+
+def declare_shape(path: Path | str, name: str, shape: tuple[int, ...]) -> None:
+    """Rewrite the snapshot file at ``path`` so that the ``.npy`` header of
+    record ``name`` declares ``shape``; every record keeps its data bytes."""
+    with open(path, "rb") as handle:
+        arrays = {record: np.lib.format.read_array(handle, allow_pickle=False) for record in RECORD_NAMES}
+    with open(path, "wb") as handle:
+        for record, array in arrays.items():
+            header = np.lib.format.header_data_from_array_1_0(array)
+            if record == name:
+                header["shape"] = shape
+            np.lib.format.write_array_header_1_0(handle, header)
+            handle.write(array.tobytes())

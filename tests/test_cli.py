@@ -10,7 +10,7 @@ from voxeland.cli import main
 from voxeland.voxelmap import MapState
 
 from oracles import oracle_snapshot_dict
-from snapshot_records import corrupted_snapshot
+from snapshot_records import corrupted_snapshot, declare_shape
 
 SCENE_SPEC = {
     "room": {"min": [-3, -3, 0], "max": [3, 3, 2.4]},
@@ -180,10 +180,11 @@ class TestSynthBuildEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "export", "disambiguate"])
-    @pytest.mark.parametrize("bad", ["schema-1", "truncated", "wrong-version", "no-instance-id"])
+    @pytest.mark.parametrize("bad", ["schema-1", "truncated", "huge-shape", "wrong-version", "no-instance-id"])
     def test_bad_snapshot_is_one_error_line(self, built, tmp_path, capsys, command, bad):
-        """A schema-1 JSON snapshot, a truncated file or a bad header fails
-        with one error line and exit code 1, and nothing is written."""
+        """A schema-1 JSON snapshot, a truncated file, a record declaring far
+        more bytes than the file holds or a bad header fails with one error
+        line and exit code 1, and nothing is written."""
         _, dataset, out = built
         path = tmp_path / "map.vxl"
         if bad == "schema-1":
@@ -193,6 +194,9 @@ class TestSynthBuildEval:
         elif bad == "truncated":
             saved = (out / "map.vxl").read_bytes()
             path.write_bytes(saved[: len(saved) // 2])
+        elif bad == "huge-shape":
+            shutil.copyfile(out / "map.vxl", path)
+            declare_shape(path, "footprint keys", (9999999999999,))
         else:
             corrupt = {
                 "wrong-version": lambda header: header.update(schema_version=99),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxeland.evaluation import (
     EvalConfig,
@@ -10,9 +12,9 @@ from voxeland.evaluation import (
     predicted_instances,
 )
 from voxeland.frames import GroundTruthInstance, GroundTruthScene
-from voxeland.voxelmap import MapState
+from voxeland.voxelmap import MapState, pack_keys, unpack_keys
 
-from oracles import brute_force_average_precision
+from oracles import brute_force_average_precision, oracle_match_to_ground_truth
 
 
 def build_map(instance_specs):
@@ -35,7 +37,7 @@ def gt_scene(instances):
     return GroundTruthScene(
         voxel_size=0.02,
         instances=[
-            GroundTruthInstance(id=f"g{i}", category=cat, voxels=set(keys))
+            GroundTruthInstance(id=f"g{i}", category=cat, keys=np.unique(pack_keys(np.array(keys))))
             for i, (keys, cat) in enumerate(instances)
         ],
     )
@@ -139,6 +141,61 @@ class TestMatching:
         assert loose[0].is_tp
 
 
+GRID = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]
+CATEGORIES = ["chair", "table", "lamp"]
+
+
+@st.composite
+def maps_with_ground_truth(draw):
+    """1-8 instances on an 18-voxel grid, sharing voxels with each other, the
+    unknown instance and the ground truth.  Masses come from a few values, so
+    confidences tie and IoUs land on the thresholds; an instance may have no
+    category evidence, no voxel it owns by argmax, or a final category that
+    differs from its evidence or from every ground-truth category.  Ground
+    truth may list the same voxels under two ids."""
+    state = MapState(voxel_size=0.02)
+    for key in draw(st.lists(st.sampled_from(GRID), max_size=6, unique=True)):
+        state.add_instance_evidence(key, 0, draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(1, 8))):
+        record = state.instances[state.new_instance()]
+        for key in draw(st.lists(st.sampled_from(GRID), max_size=8, unique=True)):
+            state.add_instance_evidence(key, record.id, draw(st.integers(1, 3)))
+        masses = st.sampled_from([0.5, 1.0, 2.0])
+        record.category_evidence = draw(st.dictionaries(st.sampled_from(CATEGORIES), masses, max_size=2))
+        record.final_category = draw(st.none() | st.sampled_from(CATEGORIES))
+        for label in record.category_evidence:
+            state.register_category(label)
+    truth = []
+    for _ in range(draw(st.integers(1, 4))):
+        # a ground-truth instance may repeat another's voxels, so IoUs tie across them
+        if truth and draw(st.booleans()):
+            voxels = draw(st.sampled_from(truth))[0]
+        else:
+            voxels = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=8, unique=True))
+        truth.append((voxels, draw(st.sampled_from(CATEGORIES[:2]))))
+    threshold = draw(st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3, 1.0]))
+    return state, gt_scene(truth), EvalConfig(iou_threshold=threshold)
+
+
+class TestMatchAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(maps_with_ground_truth())
+    def test_equals_set_based_matching(self, case):
+        state, gt, config = case
+        matches = match_to_ground_truth(state, gt, config)
+        expected = oracle_match_to_ground_truth(state, gt, config)
+        assert matches == expected
+        assert [m.iou.hex() for m in matches] == [m.iou.hex() for m in expected]
+
+    def test_iou_exactly_at_threshold_is_a_match(self):
+        # 2 shared voxels of a union of 4: IoU is exactly 0.5
+        state, _ = build_map([(block(0, 3), {"chair": 1.0}, None)])
+        gt = gt_scene([(block(1, 3), "chair")])
+        (match,) = match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.5))
+        assert match.iou == 0.5 and match.is_tp
+        assert [match] == oracle_match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.5))
+
+
 class TestEvaluate:
     def test_map_is_mean_of_present_class_aps(self):
         keys_a, keys_b = block(0), block(100)
@@ -201,7 +258,7 @@ class TestPredictedInstances:
         state.add_instance_evidence((1, 0, 0), instance_id, 1)
         state.add_instance_evidence((1, 0, 0), 0, 9)  # unknown dominates
         predictions = predicted_instances(state)
-        assert predictions[0].voxels == {(0, 0, 0)}
+        assert unpack_keys(predictions[0].keys) == [(0, 0, 0)]
 
     def test_final_category_fallback_is_argmax(self):
         state = MapState(voxel_size=0.02)
@@ -246,6 +303,14 @@ class TestPrecisionVsEntropy:
         assert points[0] == (0.05, 1.0)
         assert points[-1][1] == pytest.approx(2.0 / 3.0)
         assert points[0][1] >= points[-1][1]
+
+    def test_owner_table_built_once(self, monkeypatch):
+        state, gt = self.build_corrupted()
+        built = []
+        owner_table = MapState.owner_table
+        monkeypatch.setattr(MapState, "owner_table", lambda self: built.append(1) or owner_table(self))
+        assert precision_vs_entropy(state, gt, [2.0]) == [(2.0, pytest.approx(2.0 / 3.0))]
+        assert len(built) == 1
 
     def test_thresholds_below_all_entropies_give_empty_curve(self):
         state, gt = self.build_corrupted()

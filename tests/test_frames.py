@@ -22,9 +22,11 @@ from voxeland.frames import (
     load_predictions,
     read_pgm,
     read_ppm,
+    save_ground_truth,
     write_pgm,
     write_ppm,
 )
+from voxeland.voxelmap import pack_keys, unpack_keys
 
 from fuzzing import mutate_one_value
 from oracles import backproject, project
@@ -445,7 +447,7 @@ class TestPredictionsAndGroundTruth:
         scene = load_ground_truth(path)
         assert scene.voxel_size == 0.02
         assert {i.id for i in scene.instances} == {"a", "b"}
-        assert (0, 1, 0) in scene.instances[0].voxels
+        assert unpack_keys(scene.instances[0].keys) == [(0, 0, 0), (0, 1, 0)]
 
     def test_duplicate_ids_rejected(self, tmp_path):
         payload = {
@@ -490,11 +492,45 @@ class TestPredictionsAndGroundTruth:
         with pytest.raises(DatasetError, match=f"gt.json: .*{message}"):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize(
+        "voxel",
+        [[2**20, 0, 0], [0, -(2**20) - 1, 0], [0, 0, 2**40], [0, 0, 2**63]],
+        ids=["one-above", "one-below", "far-above", "beyond-int64"],
+    )
+    def test_ground_truth_voxel_outside_packable_range_rejected(self, tmp_path, voxel):
+        """No map voxel can lie outside the packable range, so a ground-truth
+        voxel there is an error, not a voxel that can never match."""
+        payload = {"voxel_size": 0.02, "instances": [{"id": "a", "category": "chair", "voxels": [[0, 0, 0], voxel]}]}
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match="gt.json: "):
+            load_ground_truth(path)
+
+    def test_ground_truth_packable_range_limits_accepted(self, tmp_path):
+        voxels = [[2**20 - 1, -(2**20), 0], [-(2**20), 2**20 - 1, 2**20 - 1]]
+        payload = {"voxel_size": 0.02, "instances": [{"id": "a", "category": "chair", "voxels": voxels}]}
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(payload))
+        assert unpack_keys(load_ground_truth(path).instances[0].keys) == sorted(map(tuple, voxels))
+
+    def test_ground_truth_voxel_listed_twice_counts_once(self, tmp_path):
+        payload = {
+            "voxel_size": 0.02,
+            "instances": [{"id": "a", "category": "chair", "voxels": [[1, 2, 3], [0, 0, 0], [1, 2, 3]]}],
+        }
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(payload))
+        scene = load_ground_truth(path)
+        assert scene.instances[0].keys.tolist() == pack_keys(np.array([[0, 0, 0], [1, 2, 3]])).tolist()
+        save_ground_truth(tmp_path / "saved.json", scene)
+        assert json.loads((tmp_path / "saved.json").read_text())["instances"][0]["voxels"] == [[0, 0, 0], [1, 2, 3]]
+
     def test_ground_truth_keys_are_python_ints(self, tmp_path):
         payload = {"voxel_size": 1, "instances": [{"id": "a", "category": "chair", "voxels": [[0, -1, 2]]}]}
         path = tmp_path / "gt.json"
         path.write_text(json.dumps(payload))
         scene = load_ground_truth(path)
         assert scene.voxel_size == 1.0 and type(scene.voxel_size) is float
-        assert scene.instances[0].voxels == {(0, -1, 2)}
-        assert all(type(i) is int for i in next(iter(scene.instances[0].voxels)))
+        assert scene.instances[0].keys.dtype == np.int64
+        assert unpack_keys(scene.instances[0].keys) == [(0, -1, 2)]
+        assert all(type(i) is int for i in unpack_keys(scene.instances[0].keys)[0])

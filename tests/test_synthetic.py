@@ -21,6 +21,7 @@ from voxeland.synthetic import (
     scene_from_spec,
     voxelize_box_shell,
 )
+from voxeland.voxelmap import pack_keys, unpack_keys
 
 from oracles import oracle_render_frame, oracle_voxelize_box_shell
 
@@ -257,17 +258,23 @@ class TestTargetedMislabel:
             assert 5 <= wrong <= 25  # rate 0.5 over 30 frames
 
 
+def packed_oracle_shell(box_min: np.ndarray, box_max: np.ndarray) -> np.ndarray:
+    """The oracle's shell of a box at VOXEL as sorted packed keys."""
+    shell = sorted(oracle_voxelize_box_shell(box_min, box_max, VOXEL))
+    return pack_keys(np.array(shell, dtype=np.int64).reshape(-1, 3))
+
+
 class TestShellVoxelization:
     def test_two_voxel_cube_has_no_interior(self):
-        shell = voxelize_box_shell(np.zeros(3), np.full(3, 0.04), 0.02)
+        shell = unpack_keys(voxelize_box_shell(np.zeros(3), np.full(3, 0.04), 0.02))
         # 0.04 boundary starts a new cell: span covers keys 0..2 per axis, and
-        # only the центrral (1,1,1) cube would be interior -- but it touches the
+        # only the central (1,1,1) cube would be interior -- but it touches the
         # closed box boundary region, check the definition directly
         assert (0, 0, 0) in shell
 
     def test_four_voxel_cube_interior_removed(self):
         # box [0, 0.08)^3 at 0.02: keys 0..4 per axis (boundary 0.08 opens key 4)
-        shell = voxelize_box_shell(np.zeros(3), np.full(3, 0.08), 0.02)
+        shell = unpack_keys(voxelize_box_shell(np.zeros(3), np.full(3, 0.08), 0.02))
         # strictly interior cubes: those with cube_min > 0 and cube_max < 0.08
         # -> keys 1..2 per axis = 8 interior cubes out of 125
         assert len(shell) == 125 - 8
@@ -277,7 +284,7 @@ class TestShellVoxelization:
     @settings(max_examples=200, deadline=None)
     @given(grid_boxes())
     def test_equals_oracle(self, box):
-        assert voxelize_box_shell(*box, VOXEL) == oracle_voxelize_box_shell(*box, VOXEL)
+        assert np.array_equal(voxelize_box_shell(*box, VOXEL), packed_oracle_shell(*box))
 
     @pytest.mark.parametrize(
         "low, high",
@@ -292,15 +299,15 @@ class TestShellVoxelization:
     )
     def test_boundary_and_thin_boxes_equal_oracle(self, low, high):
         shell = voxelize_box_shell(np.array(low), np.array(high), VOXEL)
-        assert shell == oracle_voxelize_box_shell(np.array(low), np.array(high), VOXEL)
-        assert all(type(v) is int for key in shell for v in key)
+        assert shell.dtype == np.int64
+        assert np.array_equal(shell, packed_oracle_shell(np.array(low), np.array(high)))
 
     def test_ground_truth_uses_shell(self):
         scene = simple_scene()
         gt = ground_truth_scene(scene)
         assert gt.voxel_size == 0.02
         box = scene.objects[0]
-        assert gt.instances[0].voxels == voxelize_box_shell(box.box_min, box.box_max, 0.02)
+        assert np.array_equal(gt.instances[0].keys, voxelize_box_shell(box.box_min, box.box_max, 0.02))
 
 
 class TestSceneSpec:

@@ -37,7 +37,7 @@ from oracles import (
     oracle_voxel_category_distribution,
     world_to_key,
 )
-from snapshot_records import RECORD_NAMES, corrupted_snapshot, read_records
+from snapshot_records import RECORD_NAMES, corrupted_snapshot, declare_shape, read_records
 from test_fusion import clutter_map_without_refinement
 
 
@@ -477,8 +477,8 @@ class TestSnapshot:
         [
             (lambda data: b"", "EOF: reading magic string"),
             (lambda data: b"\x93NUMPX" + data[6:], "magic string is not correct"),
-            (lambda data: data[: len(data) // 2], "malformed snapshot: ValueError"),
-            (lambda data: data[:-1], "malformed snapshot: ValueError"),
+            (lambda data: data[: len(data) // 2], "the header record declares 560 bytes, but 544 are left"),
+            (lambda data: data[:-1], "the footprint counts record declares 32 bytes, but 31 are left"),
             (lambda data: data + b"\0", "trailing bytes after the last record"),
             (lambda data: data.replace(b"'<f8'", b"'<q9'"), "malformed snapshot: ValueError"),
             (lambda data: b'{"schema_version": 1, "cells": [', "schema-1 JSON snapshots are no longer read"),
@@ -490,6 +490,17 @@ class TestSnapshot:
         self.build_state("forward").save_snapshot(path)
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(SnapshotError, match=message) as raised:
+            MapState.load_snapshot(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_record_larger_than_file_rejected_before_allocation(self, tmp_path, name):
+        """A header declaring far more elements than the file holds fails
+        with SnapshotError, not with numpy's MemoryError."""
+        path = tmp_path / "map.vxl"
+        self.build_state("forward").save_snapshot(path)
+        declare_shape(path, name, (9999999999999,))
+        with pytest.raises(SnapshotError, match=f"the {name} record declares [1-9]\\d{{12,}} bytes") as raised:
             MapState.load_snapshot(path)
         assert str(raised.value).startswith(f"{path}: ")
 
