@@ -6,9 +6,10 @@ category when one was set, otherwise the top-probability category (the
 plain top-1 baseline).  Predictions are greedily matched to same-category
 ground-truth instances at a voxel IoU threshold, ranked by the map's own
 belief in the claimed category, and per-class all-point average precision
-is aggregated into mAP.  Every prediction's overlap with every ground-truth
-instance comes from one :func:`voxelmap.overlap_counts` call, the kernel
-association and refinement use.
+is aggregated into mAP.  The argmax footprints come from the map's owner
+table, and every prediction's overlap with every ground-truth instance from
+one :func:`voxelmap.overlap_counts` call, the kernel association and
+refinement use.  Ground truth at another voxel size is rejected.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
     # a stable sort by owner keeps each footprint's keys in cell order
     order = np.argsort(owners, kind="stable")
     ids, starts = np.unique(owners[order], return_index=True)
-    footprints = dict(zip(ids.tolist(), np.split(state.cells.keys[table.cell_rows][order], starts[1:])))
+    footprints = dict(zip(ids.tolist(), np.split(table.keys[order], starts[1:])))
     predictions = []
     for instance_id in sorted(state.instances):
         record = state.instances[instance_id]
@@ -129,15 +130,19 @@ def match_to_ground_truth(
     A prediction is a true positive when its voxel IoU with some not yet
     matched same-category ground-truth instance reaches the threshold; each
     ground-truth instance matches at most once.  Equal-confidence ties rank
-    by lower instance id.
+    by lower instance id.  Raises ValueError when the ground truth's voxel
+    size is not the map's.
     """
-    return _match(predicted_instances(state), gt, config or EvalConfig())
+    return _match(state, predicted_instances(state), gt, config or EvalConfig())
 
 
 def _match(
-    predictions: list[PredictedInstance], gt: GroundTruthScene, config: EvalConfig
+    state: MapState, predictions: list[PredictedInstance], gt: GroundTruthScene, config: EvalConfig
 ) -> list[MatchRecord]:
-    """:func:`match_to_ground_truth` of the given predictions."""
+    """:func:`match_to_ground_truth` of the given predictions of ``state``."""
+    # ground-truth keys index the map's voxels only at the map's voxel size
+    if gt.voxel_size != state.voxel_size:
+        raise ValueError(f"the ground truth's voxel size {gt.voxel_size} is not the map's {state.voxel_size}")
     predictions = sorted(predictions, key=lambda p: (-p.confidence, p.instance_id))
     overlap = overlap_counts([p.keys for p in predictions], [g.keys for g in gt.instances])
     sizes = [np.array([len(x.keys) for x in items], dtype=np.int64) for items in (predictions, gt.instances)]
@@ -198,7 +203,8 @@ def evaluate(
 
     Classes evaluated are the configured list when given, otherwise every
     class present in the ground truth; classes with predictions but no ground
-    truth are excluded (reported as absent).
+    truth are excluded (reported as absent).  Raises ValueError as
+    :func:`match_to_ground_truth` does.
     """
     config = config or EvalConfig()
     matches = match_to_ground_truth(state, gt, config)
@@ -224,10 +230,11 @@ def precision_vs_entropy(
     """Precision over predictions with semantic entropy below each threshold.
 
     Thresholds admitting no prediction yield no curve point.  Correctness is
-    the TP/FP outcome of the standard matching.
+    the TP/FP outcome of the standard matching, which raises ValueError as
+    there.
     """
     predictions = predicted_instances(state)
-    matches = _match(predictions, gt, config or EvalConfig())
+    matches = _match(state, predictions, gt, config or EvalConfig())
     entropy_by_id = {p.instance_id: p.semantic_entropy for p in predictions}
     points = []
     for threshold in thresholds:

@@ -129,16 +129,15 @@ def export_entropy_layer(
         handle.write("]}")
 
 
-def _write_cell_map(state: MapState, rows: np.ndarray, ids: np.ndarray, ply_path: Path | str) -> None:
-    """Write the cells at ascending ``rows`` colored by ``ids``, in key order."""
-    keys = unpack_key_array(state.cells.keys[rows])
-    write_ply(ply_path, _voxel_centers(keys, state.voxel_size), _id_colors(ids))
+def _write_cell_map(state: MapState, keys: np.ndarray, ids: np.ndarray, ply_path: Path | str) -> None:
+    """Write the voxels of the ascending packed ``keys`` colored by ``ids``, in key order."""
+    write_ply(ply_path, _voxel_centers(unpack_key_array(keys), state.voxel_size), _id_colors(ids))
 
 
 def export_instance_map(state: MapState, ply_path: Path | str) -> None:
     """Color each evidence-bearing voxel by its argmax instance."""
     table = state.owner_table()
-    _write_cell_map(state, table.cell_rows, table.argmax_owners(), ply_path)
+    _write_cell_map(state, table.keys, table.argmax_owners(), ply_path)
 
 
 def export_semantic_map(state: MapState, ply_path: Path | str) -> None:
@@ -154,4 +153,4 @@ def export_semantic_map(state: MapState, ply_path: Path | str) -> None:
     index_of = np.array([category_index.get(label, 0) for label in mixtures.labels], dtype=np.int64)
     labels = index_of[mixtures.argmax()][mixtures.row_of_cell]
     kept = mixtures.valid[mixtures.row_of_cell]
-    _write_cell_map(state, table.cell_rows[kept], labels[kept], ply_path)
+    _write_cell_map(state, table.keys[kept], labels[kept], ply_path)

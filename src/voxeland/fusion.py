@@ -18,8 +18,8 @@ observations; each merge takes the first passing pair in ascending (kept,
 retired) id order, and rescores the merged instance only against the
 instances that shared a voxel with either part.
 
-Both count overlaps with :func:`voxelmap.overlap_counts`, which indexes a
-list of footprints once: association counts a frame's opinions against
+Both count overlaps with :func:`voxelmap.overlap_counts` over one owner
+table of the footprints: association counts a frame's opinions against
 every candidate in one call, and refinement counts every pair of footprints
 in one call and each merged instance against its neighbours in one more.
 """
@@ -39,7 +39,7 @@ from .voxelmap import (
     UNKNOWN_INSTANCE_ID,
     MapState,
     Observation,
-    _no_keys,
+    OwnerTable,
     overlap_counts,
     pack_keys,
     points_to_keys,
@@ -282,15 +282,6 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
     return events
 
 
-def _sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
-    """The sorted distinct keys of ``arrays``, by one sort and a neighbour
-    comparison (``np.unique`` may take a slower hash path for this)."""
-    keys = np.sort(np.concatenate([_no_keys(), *arrays]))
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    return keys[distinct]
-
-
 def _merge_instances(state: MapState, keep_id: int, retire_id: int) -> None:
     keep = state.instances[keep_id]
     retire = state.instances[retire_id]
@@ -407,8 +398,8 @@ class Pipeline:
         assignments.sort(key=lambda item: item[0])
         # every voxel of the frame becomes a cell here, so integration finds
         # each of its keys in the cells and inserts none
-        voxel = self.state.voxel_size
-        self.state.add_cells(_sorted_union([opinion_voxel_counts(o, voxel)[0] for o in opinions]))
+        voxel_keys = [opinion_voxel_counts(o, self.state.voxel_size)[0] for o in opinions]
+        self.state.add_cells(OwnerTable(voxel_keys, range(len(voxel_keys))).keys)
         for index, instance_id, _, _ in assignments:
             opinion = opinions[index]
             integrate_geometric(opinion, instance_id, self.state)

@@ -13,11 +13,12 @@ instances are assigned their top category directly, ambiguous or
 never-classified ones are flagged for external disambiguation.
 
 Both layers are array passes over the map's owner table, bit for bit the
-per-voxel definitions: :func:`voxelmap.OwnerTable` lists each cell's owners
-in ascending id order, and every sum and mixture is taken in that order with
-the rounding of the scalar code (``math.fsum`` of three or more digamma terms,
-``math.log`` of each mixed probability).  :class:`CategoryMixtures` is the one
-category mixing pass; the semantic export reads its argmax.
+per-voxel definitions: :class:`voxelmap.OwnerTable` holds the cells' keys
+and lists each cell's owners in ascending id order, and every sum and
+mixture is taken in that order with the rounding of the scalar code
+(``math.fsum`` of three or more digamma terms, ``math.log`` of each mixed
+probability).  :class:`CategoryMixtures` is the one category mixing pass;
+the semantic export reads its argmax.
 
 A layer keeps what those passes compute: the sorted packed keys of its cells
 and their values, as two read-only arrays (:class:`LayerValues`), read as a
@@ -121,7 +122,7 @@ def _layer(kind: str, state: MapState, table: OwnerTable, values: np.ndarray) ->
     """The layer of ``values``, one per cell of the table in key order."""
     return UncertaintyLayer(
         kind=kind,
-        values=LayerValues(state.cells.keys[table.cell_rows], values),
+        values=LayerValues(table.keys, values),
         generated_at_frame=state.frames_integrated,
     )
 

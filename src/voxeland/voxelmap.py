@@ -8,9 +8,10 @@ evidence, with the number of its 3D points registered in each.  A cell may
 have no owner (carved free space); every footprint key is a cell.  Instances
 also accumulate per-category confidence mass and an observation log used
 later for view selection.  Instance id 0 is reserved for the ``unknown``
-instance absorbing observed-but-unrecognized geometry.  Association,
-refinement and evaluation count the voxels footprints share with one
-kernel, :func:`overlap_counts`.
+instance absorbing observed-but-unrecognized geometry.  A list of
+footprints has one index, :class:`OwnerTable`: the layers, exports and
+evaluation read the map's, keys included, and :func:`overlap_counts`, the
+kernel of association, refinement and evaluation, builds one of its own.
 
 A snapshot file holds these arrays as they are, as ``.npy`` records behind
 one JSON header for the registries; loading checks every invariant above.
@@ -107,22 +108,21 @@ def overlap_counts(
     one array aligned with each query's keys, an entry sums the counts of the
     shared voxels instead.
 
-    The footprints are indexed once: their keys concatenated and stably
-    sorted, each entry with its footprint's position.  Each query voxel
-    finds the run of index entries with its key from two ``searchsorted``
-    calls, and one ``bincount`` over all runs sums the pairs.
+    The footprints are indexed once, as an :class:`OwnerTable` whose ids are
+    their positions.  Each query voxel finds its cell's run of owners with
+    one ``searchsorted`` over the table's keys, and one ``bincount`` over
+    all runs sums the pairs.
     """
-    index = np.concatenate([_no_keys(), *footprints])
-    order = np.argsort(index, kind="stable")
-    index = index[order]
-    owner = np.repeat(np.arange(len(footprints)), [len(keys) for keys in footprints])[order]
+    table = OwnerTable(footprints, np.arange(len(footprints)))
     keys = np.concatenate([_no_keys(), *queries])
     query = np.repeat(np.arange(len(queries)), [len(keys) for keys in queries])
-    first = np.searchsorted(index, keys, side="left")
-    runs = np.searchsorted(index, keys, side="right") - first
-    # entry e of a voxel's run is index entry first + e
+    cell = np.searchsorted(table.keys, keys)
+    # a key past the last cell reads an empty run appended after it
+    runs = np.append(table.sizes, 0)[cell] * (np.append(table.keys, -1)[cell] == keys)
+    first = np.append(table.starts, 0)[cell]
+    # entry e of a voxel's run is table entry first + e
     entries = np.repeat(first - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
-    pairs = np.repeat(query * len(footprints), runs) + owner[entries]
+    pairs = np.repeat(query * len(footprints), runs) + table.ids[entries]
     # weighted counts sum exactly in float64 while they stay far below 2**53
     weights = None if counts is None else np.repeat(np.concatenate([_no_keys(), *counts]), runs)
     summed = np.bincount(pairs, weights=weights, minlength=len(queries) * len(footprints))
@@ -237,18 +237,25 @@ class Cells:
 
 
 class OwnerTable:
-    """A map's instance evidence as (cell row, instance id, count) entries,
-    sorted by row and then by id.
+    """The index of a list of footprints, built from the footprints alone.
 
-    Each cell with evidence owns a run of entries: ``cell_rows`` holds its
-    row, ``starts`` its first entry and ``sizes`` its number of owners.
+    ``keys`` are their distinct keys in ascending order, one per cell with
+    evidence.  Each cell owns the run of entries from ``starts`` on, ``sizes``
+    long: the ``ids`` of the footprints holding it, in the footprints' order,
+    and their ``counts`` there when the footprints' counts are given.
     """
 
-    def __init__(self, rows: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> None:
-        self.rows, self.ids, self.counts = rows, ids, counts
-        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        self.sizes = np.diff(self.starts, append=len(rows))
-        self.cell_rows = rows[self.starts]
+    def __init__(self, footprints: list[np.ndarray], ids, counts: list[np.ndarray] | None = None) -> None:
+        keys = np.concatenate([_no_keys(), *footprints])
+        # a stable sort keeps the footprints' order within each key
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        self.ids = np.repeat(np.asarray(ids, dtype=np.int64), list(map(len, footprints)))[order]
+        self.counts = None if counts is None else np.concatenate([_no_keys(), *counts])[order]
+        # packed keys are non-negative, so the first entry differs from -1
+        self.starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.sizes = np.diff(self.starts, append=len(keys))
+        self.keys = keys[self.starts]
 
     def shares(self) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's total count and each entry's share of it, count / total,
@@ -276,8 +283,8 @@ class MapState:
     """
 
     def __init__(self, voxel_size: float, occupancy: OccupancyParams | None = None) -> None:
-        if voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        if not (math.isfinite(voxel_size) and voxel_size > 0):
+            raise ValueError(f"voxel_size must be finite and positive, got {voxel_size}")
         self.voxel_size = float(voxel_size)
         self.occupancy = occupancy or OccupancyParams()
         self.cells = Cells()
@@ -346,17 +353,9 @@ class MapState:
     # -- reading ------------------------------------------------------------
 
     def owner_table(self) -> OwnerTable:
-        """The evidence of every footprint, keyed by cell row."""
-        ids = sorted(self.instances)
-        records = [self.instances[instance_id] for instance_id in ids]
-        keys = np.concatenate([_no_keys()] + [record.keys for record in records])
-        # footprints are concatenated in ascending id order and a stable sort
-        # keeps that order within each key
-        order = np.argsort(keys, kind="stable")
-        owners = np.repeat(np.array(ids, dtype=np.int64), [record.voxel_count for record in records])
-        counts = np.concatenate([_no_keys()] + [record.counts for record in records])
-        rows = np.searchsorted(self.cells.keys, keys[order])
-        return OwnerTable(rows, owners[order], counts[order])
+        """The evidence of every footprint, with each cell's owners in ascending id order."""
+        records = [self.instances[instance_id] for instance_id in sorted(self.instances)]
+        return OwnerTable([r.keys for r in records], [r.id for r in records], [r.counts for r in records])
 
     # -- serialization ------------------------------------------------------
 

@@ -72,7 +72,6 @@ from voxeland.voxelmap import (
     VoxelKey,
     in_sorted,
     pack_keys,
-    unpack_key_array,
     unpack_keys,
 )
 
@@ -193,16 +192,15 @@ def oracle_match_to_ground_truth(
     state: MapState, gt: GroundTruthScene, config: EvalConfig | None = None
 ) -> list[MatchRecord]:
     """Reference matching: every footprint a set of voxel tuples, and each
-    (prediction, ground truth) IoU from a set intersection of its own."""
+    (prediction, ground truth) IoU from a set intersection of its own.  A
+    voxel belongs to the argmax owner of its counts, gathered cell by cell
+    from the instance footprints."""
     config = config or EvalConfig()
-    table = state.owner_table()
-    owners = table.argmax_owners()
-    keys = state.cells.keys[table.cell_rows]
-    footprints: dict[int, set[VoxelKey]] = {
-        owner: set(unpack_keys(keys[owners == owner]))
-        for owner in np.unique(owners).tolist()
-        if owner != UNKNOWN_INSTANCE_ID
-    }
+    footprints: dict[int, set[VoxelKey]] = {}
+    for key, instance_counts in _footprint_cells(state).items():
+        owner = oracle_argmax_owner(instance_counts)
+        if owner != UNKNOWN_INSTANCE_ID:
+            footprints.setdefault(owner, set()).add(key)
     predictions = []
     for instance_id in sorted(state.instances):
         record = state.instances[instance_id]
@@ -552,24 +550,31 @@ def check_storage(state: MapState) -> None:
         assert np.all(np.isin(record.keys, keys))
 
 
+def _footprint_cells(state: MapState) -> dict[VoxelKey, dict[int, int]]:
+    """Each voxel of some footprint of ``state`` with its counts by instance
+    id, read from the footprints one voxel at a time in ascending id order."""
+    cells: dict[VoxelKey, dict[int, int]] = {}
+    for instance_id in sorted(state.instances):
+        record = state.instances[instance_id]
+        for key, count in zip(unpack_keys(record.keys), record.counts.tolist()):
+            cells.setdefault(key, {})[instance_id] = count
+    return cells
+
+
 def oracle_snapshot_dict(state: MapState) -> dict:
     """The contents of ``state`` as a dict, built cell by cell: the snapshot
     header's fields and a "cells" list of each cell's key, log-odds and
-    counts by instance id string."""
-    table = state.owner_table()
-    instance_counts: list[dict[str, int]] = [{} for _ in range(len(state.cells))]
-    for row, instance_id, count in zip(
-        table.rows.tolist(), map(str, table.ids.tolist()), table.counts.tolist()
-    ):
-        instance_counts[row][instance_id] = count
+    counts by instance id string, read from the instance footprints."""
+    footprint_cells = _footprint_cells(state)
     cells = [
-        {"key": key, "log_odds": log_odds, "instance_counts": counts}
-        for key, log_odds, counts in zip(
-            unpack_key_array(state.cells.keys).tolist(),
-            state.cells.log_odds.tolist(),
-            instance_counts,
-        )
+        {
+            "key": list(key),
+            "log_odds": log_odds,
+            "instance_counts": {str(i): c for i, c in footprint_cells.pop(key, {}).items()},
+        }
+        for key, log_odds in zip(unpack_keys(state.cells.keys), state.cells.log_odds.tolist())
     ]
+    assert not footprint_cells, "a footprint voxel is not a cell"
     instances = [
         {
             "id": record.id,

@@ -215,6 +215,19 @@ class TestSynthBuildEval:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == [path.name] and path.read_bytes() == before
 
+    def test_ground_truth_of_another_voxel_size_is_one_error_line(self, built, tmp_path, capsys):
+        _, dataset, out = built
+        gt = json.loads((dataset / "ground_truth.json").read_text())
+        gt["voxel_size"] = 0.04
+        (tmp_path / "ground_truth.json").write_text(json.dumps(gt))
+        report = tmp_path / "report.json"
+        argv = ["eval", "--snapshot", str(out / "map.vxl"), "--gt", str(tmp_path / "ground_truth.json")]
+        assert main([*argv, "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "voxel size 0.04 is not the map's 0.02" in err
+        assert not report.exists()
+
     def test_config_value_of_wrong_type_is_one_error_line(self, built, tmp_path, capsys):
         _, dataset, _ = built
         config = tmp_path / "config.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,28 @@ class TestMatchAgainstOracle:
         (match,) = match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.5))
         assert match.iou == 0.5 and match.is_tp
         assert [match] == oracle_match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.5))
+
+
+
+class TestVoxelSizeMismatch:
+    """Ground truth at another voxel size indexes other voxels, so every
+    entry point rejects it instead of reporting no overlap."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            match_to_ground_truth,
+            evaluate,
+            lambda state, gt: precision_vs_entropy(state, gt, [2.0]),
+        ],
+        ids=["match_to_ground_truth", "evaluate", "precision_vs_entropy"],
+    )
+    def test_rejected_naming_both_sizes(self, entry):
+        keys = block(0)
+        state, _ = build_map([(keys, {"chair": 5.0}, "chair")])
+        gt = dataclasses.replace(gt_scene([(keys, "chair")]), voxel_size=0.04)
+        with pytest.raises(ValueError, match=r"voxel size 0\.04 is not the map's 0\.02"):
+            entry(state, gt)
 
 
 class TestEvaluate:

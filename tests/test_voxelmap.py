@@ -21,7 +21,9 @@ from voxeland.voxelmap import (
     MapState,
     Observation,
     OccupancyParams,
+    OwnerTable,
     SnapshotError,
+    overlap_counts,
     pack_keys,
     points_to_keys,
     unpack_keys,
@@ -79,6 +81,13 @@ class TestWorldToKey:
         assert unpack_keys(np.sort(packed)) == sorted(map(tuple, keys.tolist()))
         with pytest.raises(ValueError, match="packable"):
             pack_keys(np.array([[0, 0, 1 << 20]]))
+
+
+
+@pytest.mark.parametrize("voxel_size", [float("nan"), float("inf"), float("-inf"), 0.0, -0.02])
+def test_voxel_size_must_be_finite_and_positive(voxel_size):
+    with pytest.raises(ValueError, match="voxel_size must be finite and positive"):
+        MapState(voxel_size=voxel_size)
 
 
 def log_odds_after(hits, params: OccupancyParams) -> float:
@@ -772,6 +781,101 @@ class TestArgmaxOwner:
     def test_equal_counts_of_ids_out_of_string_order(self):
         cells = [{10: 3, 2: 3}, {100: 1, 20: 1, 9: 1}, {12: 2, 11: 5, 100: 5}, {0: 1, 10: 2, 2: 2, 11: 2}]
         assert argmax_owners(cells) == [oracle_argmax_owner(counts) for counts in cells] == [2, 9, 11, 2]
+
+
+
+# packed keys: a small range, so footprints share voxels, and the largest packed key
+PACKED_KEY = st.integers(0, 40) | st.just((1 << 63) - 1)
+
+
+@st.composite
+def footprint_lists(draw):
+    """0-6 footprints of sorted unique packed keys, any of them empty, with
+    ascending ids and a positive count for each key."""
+    ids = sorted(draw(st.lists(st.integers(0, 30), max_size=6, unique=True)))
+    footprints = [np.array(sorted(draw(st.sets(PACKED_KEY, max_size=12))), dtype=np.int64) for _ in ids]
+    counts = [
+        np.array(draw(st.lists(st.integers(1, 4), min_size=len(keys), max_size=len(keys))), dtype=np.int64)
+        for keys in footprints
+    ]
+    return ids, footprints, counts
+
+
+def cells_by_key(ids, footprints, counts) -> dict[int, dict[int, int]]:
+    """Each key of some footprint with its count by footprint id."""
+    cells: dict[int, dict[int, int]] = {}
+    for instance_id, keys, values in zip(ids, footprints, counts):
+        for key, count in zip(keys.tolist(), values.tolist()):
+            cells.setdefault(key, {})[instance_id] = count
+    return cells
+
+
+class TestOwnerTableAgainstDict:
+    """The owner table and ``overlap_counts`` against a dict of cell to
+    {id: count} and against set intersections."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(footprint_lists())
+    def test_layout_shares_and_argmax(self, case):
+        ids, footprints, counts = case
+        cells = cells_by_key(ids, footprints, counts)
+        table = OwnerTable(footprints, ids, counts)
+        assert table.keys.tolist() == sorted(cells)
+        assert table.starts.tolist() == (np.cumsum(table.sizes) - table.sizes).tolist()
+        assert int(table.sizes.sum()) == len(table.ids) == len(table.counts)
+        runs = [slice(start, start + size) for start, size in zip(table.starts.tolist(), table.sizes.tolist())]
+        assert [table.ids[run].tolist() for run in runs] == [sorted(cells[key]) for key in sorted(cells)]
+        assert [table.counts[run].tolist() for run in runs] == [
+            [cells[key][i] for i in sorted(cells[key])] for key in sorted(cells)
+        ]
+        totals, shares = table.shares()
+        assert totals.tolist() == [sum(cells[key].values()) for key in sorted(cells)]
+        assert shares.tolist() == [
+            cells[key][i] / sum(cells[key].values()) for key in sorted(cells) for i in sorted(cells[key])
+        ]
+        assert table.argmax_owners().tolist() == [oracle_argmax_owner(cells[key]) for key in sorted(cells)]
+        without_counts = OwnerTable(footprints, ids)
+        assert without_counts.counts is None
+        assert without_counts.keys.tolist() == table.keys.tolist()
+        assert without_counts.ids.tolist() == table.ids.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(footprint_lists(), footprint_lists())
+    def test_overlap_counts_match_set_intersections(self, indexed, queried):
+        _, footprints, _ = indexed
+        _, queries, counts = queried
+        shared = [[set(query.tolist()) & set(keys.tolist()) for keys in footprints] for query in queries]
+        plain = overlap_counts(queries, footprints)
+        assert plain.dtype == np.int64 and plain.tolist() == [[len(s) for s in row] for row in shared]
+        weights = [dict(zip(query.tolist(), values.tolist())) for query, values in zip(queries, counts)]
+        weighted = overlap_counts(queries, footprints, counts)
+        assert weighted.dtype == np.int64
+        assert weighted.tolist() == [
+            [sum(weight[key] for key in keys) for keys in row] for row, weight in zip(shared, weights)
+        ]
+
+    @pytest.mark.parametrize(
+        "queries, footprints, expected",
+        [
+            ([], [], np.zeros((0, 0))),
+            ([[1, 2]], [], np.zeros((1, 0))),
+            ([], [[1, 2]], np.zeros((0, 1))),
+            ([[]], [[], [1]], [[0, 0]]),
+            ([[1, 5], []], [[], [0, 1, 5]], [[0, 2], [0, 0]]),
+        ],
+        ids=["no-footprints-no-queries", "no-footprints", "no-queries", "empty-keys", "empty-beside-full"],
+    )
+    def test_overlap_counts_edges(self, queries, footprints, expected):
+        queries = [np.array(keys, dtype=np.int64) for keys in queries]
+        footprints = [np.array(keys, dtype=np.int64) for keys in footprints]
+        counts = [np.full(len(keys), 3, dtype=np.int64) for keys in queries]
+        assert np.array_equal(overlap_counts(queries, footprints), expected)
+        assert np.array_equal(overlap_counts(queries, footprints, counts), 3 * np.asarray(expected))
+
+    def test_empty_table(self):
+        table = OwnerTable([], [], [])
+        assert table.keys.tolist() == table.starts.tolist() == table.sizes.tolist() == table.ids.tolist() == []
+        assert table.argmax_owners().tolist() == [] and [a.tolist() for a in table.shares()] == [[], []]
 
 
 class TestAtomicWrite:
