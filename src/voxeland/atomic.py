@@ -9,15 +9,17 @@ temporary file is removed and any previous file is left as it was.  The
 temporary file is not fsynced, so this guards against a failed or
 interrupted process, not against a power loss.
 
-PLY files and sidecars are assembled from columns of tokens
-(:func:`_column`, :func:`_row_chunks`).  A column formats each of its
-distinct values once, together with the fixed text around it, into a table
-of NUL-padded ASCII tokens; a row is one token of each column.  The text is
-built and written ``_CHUNK_ROWS`` rows at a time: each chunk gathers its
-tokens into one byte block and drops the padding, so no file's text is held
-whole and no container is built per row (a burst of container allocations
-sets off full garbage collections over every object the process keeps
-alive).
+PLY files and sidecars are assembled from columns of tokens.  A column is
+a table of NUL-padded ASCII tokens (:func:`_token_table`), each the text of
+one distinct value together with the fixed text around it, and each row's
+index into that table; a row is one token of each column.  An integer
+column's distinct values and row indices come from :func:`_dense_ranks`,
+a presence mask over the column's span, with no sort.  The bytes are built
+and written ``_CHUNK_ROWS`` rows at a time (:func:`_row_chunks`): each chunk
+gathers its tokens into one byte block and drops the padding, so no file's
+text is held whole, nothing is decoded or re-encoded, and no container is
+built per row (a burst of container allocations sets off full garbage
+collections over every object the process keeps alive).
 
 The snapshot and dataset readers check parsed JSON values by exact type,
 which ``int()`` or ``float()`` would not: they truncate or parse a string.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 import secrets
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO
@@ -70,29 +72,32 @@ def _token_table(tokens: list[str]) -> np.ndarray:
     return table.view(np.uint8).reshape(len(tokens), table.dtype.itemsize)
 
 
-def _column(values: np.ndarray, form: Callable) -> Column:
-    """``values`` as rows of a token table that holds ``form`` of each
-    distinct value once.
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integers of ``values`` in ascending order, and each
+    value's index among them.
 
-    Floats are told apart by their bits, so -0.0 keeps its own text apart
-    from 0.0.
+    They come from a presence mask over the values' span, the distinct
+    values by ``flatnonzero`` and the indices by the mask's running count,
+    so the cost is O(n + span) with no sort; the caller bounds the span.
     """
-    values = np.ascontiguousarray(values)
-    bits = values.view(np.int64) if values.dtype == np.float64 else values
-    distinct, index = np.unique(bits, return_inverse=True)
-    return _token_table(list(map(form, distinct.view(values.dtype).tolist()))), index.reshape(-1)
+    if not len(values):
+        return values[:0], np.zeros(0, dtype=np.intp)
+    low = values.min()
+    offsets = values - low
+    present = np.zeros(offsets.max() + 1, dtype=bool)
+    present[offsets] = True
+    return np.flatnonzero(present) + low, np.cumsum(present)[offsets] - 1
 
 
-def _row_chunks(columns: list[Column], separator: str = "") -> Iterator[str]:
-    """The text of the rows, ``_CHUNK_ROWS`` rows at a time, with ``separator``
+def _row_chunks(columns: list[Column], separator: str = "") -> Iterator[np.ndarray]:
+    """The bytes of the rows, ``_CHUNK_ROWS`` rows at a time, with ``separator``
     between rows.  Row r is each column's token ``table[index[r]]`` in turn."""
     gap = np.frombuffer(separator.encode("ascii"), dtype=np.uint8)
     count = len(columns[0][1])
     for start in range(0, count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, count))
-        # one expression, so no chunk's bytes outlive its text; the first
-        # row's separator is cut off
-        yield str(_chunk_bytes(columns, gap, rows)[0 if start else len(gap) :], "ascii")
+        # the first row's separator is cut off
+        yield _chunk_bytes(columns, gap, rows)[0 if start else len(gap) :]
 
 
 def _chunk_bytes(columns: list[Column], gap: np.ndarray, rows: slice) -> np.ndarray:

@@ -11,12 +11,18 @@ and value array) and does the rest on arrays; the semantic map takes its
 argmax from the same category mixtures as the semantic layer
 (:class:`CategoryMixtures`).
 
-Rows are assembled from token tables (see :mod:`voxeland.atomic`).  A PLY
-row is an ``"%.6f "`` token of each coordinate, from one table of the
-axis's distinct coordinates, then a ``"%d %d %d\\n"`` token of its color,
-from a table of the distinct colors.  A sidecar entry is a
-``'{"entropy": %s, "key": ['`` token of its value, then ``"%d, "``,
-``"%d, "`` and ``"%d]}"`` tokens of its key.
+Rows are assembled from token tables (see :mod:`voxeland.atomic`) built
+from the integer voxel keys, not from float centers.  Each axis's distinct
+keys come from a presence mask over its span (:func:`atomic._dense_ranks`,
+no sort), and only those are formatted: as the ``"%.6f "`` token of the
+voxel center in a PLY row, and as the ``"%d, "``, ``"%d, "`` or
+``"%d]}"`` token of the key in a sidecar entry.  Colors come from a
+palette, one ``"%d %d %d\\n"`` token per entry, and each vertex's shade
+indexes it.  An entropy layer's palette is the ramp color of each of its
+distinct values (one ``np.unique`` over their bits, so -0.0 stays apart
+from 0.0), and the same shade indexes the sidecar's
+``'{"entropy": %s, "key": ['`` tokens; a cell map's palette holds the id
+color of each id that occurs, and the shade is the id's rank among them.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _column, _row_chunks, atomic_write
+from .atomic import _dense_ranks, _row_chunks, _token_table, atomic_write
 from .uncertainty import CategoryMixtures, UncertaintyLayer
-from .voxelmap import MapState, unpack_key_array
+from .voxelmap import _KEY_OFFSET, MapState, unpack_key_array
 
 
 def entropy_colors(values: np.ndarray, h_max: float) -> np.ndarray:
@@ -59,37 +65,53 @@ def _id_color(index: int) -> tuple[int, int, int]:
     return (int(64 + 191 * r), int(64 + 191 * g), int(64 + 191 * b))
 
 
-def _id_colors(ids: np.ndarray) -> np.ndarray:
-    """(n, 3) uint8 colors of an array of non-negative ids, computing each
-    occurring id's color once into a table indexed by id."""
-    counts = np.bincount(ids)
-    occurring = np.flatnonzero(counts)
-    table = np.zeros((len(counts), 3), dtype=np.uint8)
-    table[occurring] = np.array([_id_color(i) for i in occurring.tolist()], dtype=np.uint8).reshape(-1, 3)
-    return table[ids]
+def _tokens(form, values: np.ndarray) -> np.ndarray:
+    """The token table of ``form`` applied to each of ``values``."""
+    return _token_table(list(map(form, values.tolist())))
 
 
-def _rgb_token(rgb: int) -> str:
-    return "%d %d %d\n" % (rgb >> 16, rgb >> 8 & 255, rgb & 255)
+def _checked_vertices(path, keys, palette, shade) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``write_ply``'s arguments as arrays, or a ValueError naming ``path``
+    and the sizes that do not fit."""
+    keys, palette, shade = np.asarray(keys), np.asarray(palette, dtype=np.uint8), np.asarray(shade)
+    if keys.ndim != 2 or keys.shape[1] != 3 or keys.dtype.kind not in "iu":
+        raise ValueError(f"{path}: keys of shape {keys.shape} and dtype {keys.dtype} are not (n, 3) integers")
+    if keys.size and (keys.min() < -_KEY_OFFSET or keys.max() >= _KEY_OFFSET):
+        raise ValueError(f"{path}: keys from {keys.min()} to {keys.max()} leave the packable range")
+    if palette.ndim != 2 or palette.shape[1] != 3:
+        raise ValueError(f"{path}: a palette of shape {palette.shape} is not (d, 3)")
+    if shade.shape != (len(keys),) or shade.dtype.kind not in "iu":
+        raise ValueError(f"{path}: {len(keys)} keys but shades of shape {shade.shape} and dtype {shade.dtype}")
+    if shade.size and (shade.min() < 0 or shade.max() >= len(palette)):
+        raise ValueError(
+            f"{path}: shades from {shade.min()} to {shade.max()} leave a palette of {len(palette)} colors"
+        )
+    return keys, palette, shade
 
 
-def write_ply(path: Path | str, points: np.ndarray, colors: np.ndarray) -> None:
-    """Write one vertex per point, colored by the aligned row of ``colors``."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
-    if len(points) != len(colors):
-        raise ValueError(f"{path}: {len(points)} points but {len(colors)} colors")
+def write_ply(
+    path: Path | str, keys: np.ndarray, voxel_size: float, palette: np.ndarray, shade: np.ndarray
+) -> None:
+    """Write vertex r at the center of voxel ``keys[r]``, colored ``palette[shade[r]]``.
+
+    The arguments are checked before any file is opened: a ValueError
+    leaves any previous file at ``path`` as it was.
+    """
+    keys, palette, shade = _checked_vertices(path, keys, palette, shade)
     header = (
         "ply\nformat ascii 1.0\n"
-        f"element vertex {len(points)}\n"
+        f"element vertex {len(keys)}\n"
         "property float x\nproperty float y\nproperty float z\n"
         "property uchar red\nproperty uchar green\nproperty uchar blue\n"
         "end_header\n"
     )
-    rgb = (colors.astype(np.int64) << np.array([16, 8, 0])).sum(axis=1)
-    columns = [_column(axis, "%.6f ".__mod__) for axis in points.T] + [_column(rgb, _rgb_token)]
-    with atomic_write(path) as handle:
-        handle.write(header)
+    columns = [
+        (_tokens("%.6f ".__mod__, _voxel_centers(distinct, voxel_size)), index)
+        for distinct, index in map(_dense_ranks, keys.T)
+    ]
+    columns.append((_token_table(["%d %d %d\n" % tuple(rgb) for rgb in palette.tolist()]), shade))
+    with atomic_write(path, binary=True) as handle:
+        handle.write(header.encode("ascii"))
         handle.writelines(_row_chunks(columns))
 
 
@@ -108,30 +130,33 @@ def export_entropy_layer(
     """Write the layer as a heat-colored PLY plus a raw-value JSON sidecar."""
     h_max = layer_h_max(state, layer.kind)
     keys, values = unpack_key_array(layer.values.packed_keys), layer.values.entropies
-    write_ply(ply_path, _voxel_centers(keys, state.voxel_size), entropy_colors(values, h_max))
+    bits, shade = np.unique(values.view(np.int64), return_inverse=True)
+    distinct, shade = bits.view(np.float64), shade.reshape(-1)
+    write_ply(ply_path, keys, state.voxel_size, entropy_colors(distinct, h_max), shade)
     header = {
         "kind": layer.kind,
         "unit": "nats",
         "h_max": h_max,
         "generated_at_frame": layer.generated_at_frame,
     }
-    columns = [
-        _column(values, lambda value: '{"entropy": %s, "key": [' % json.dumps(value)),
-        _column(keys[:, 0], "%d, ".__mod__),
-        _column(keys[:, 1], "%d, ".__mod__),
-        _column(keys[:, 2], "%d]}".__mod__),
+    columns = [(_tokens(lambda value: '{"entropy": %s, "key": [' % json.dumps(value), distinct), shade)]
+    columns += [
+        (_tokens(form.__mod__, axis), index)
+        for form, (axis, index) in zip(("%d, ", "%d, ", "%d]}"), map(_dense_ranks, keys.T))
     ]
     # "values" sorts after every other field, so the sidecar is the sorted
     # header with the values list streamed in before its closing brace.
-    with atomic_write(str(ply_path) + ".json") as handle:
-        handle.write(json.dumps(header, sort_keys=True)[:-1] + ', "values": [')
+    with atomic_write(str(ply_path) + ".json", binary=True) as handle:
+        handle.write((json.dumps(header, sort_keys=True)[:-1] + ', "values": [').encode("ascii"))
         handle.writelines(_row_chunks(columns, ", "))
-        handle.write("]}")
+        handle.write(b"]}")
 
 
 def _write_cell_map(state: MapState, keys: np.ndarray, ids: np.ndarray, ply_path: Path | str) -> None:
     """Write the voxels of the ascending packed ``keys`` colored by ``ids``, in key order."""
-    write_ply(ply_path, _voxel_centers(unpack_key_array(keys), state.voxel_size), _id_colors(ids))
+    occurring, shade = _dense_ranks(ids)
+    palette = np.array([_id_color(i) for i in occurring.tolist()], dtype=np.uint8).reshape(-1, 3)
+    write_ply(ply_path, unpack_key_array(keys), state.voxel_size, palette, shade)
 
 
 def export_instance_map(state: MapState, ply_path: Path | str) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
@@ -99,9 +99,8 @@ class TestPlyExports:
         assert (tmp_path / "sem.ply").read_text().startswith("ply")
 
     def test_write_ply_counts(self, tmp_path):
-        points = np.zeros((2, 3))
-        colors = np.array([[255, 0, 0], [0, 0, 255]], dtype=np.uint8)
-        write_ply(tmp_path / "two.ply", points, colors)
+        palette = np.array([[255, 0, 0], [0, 0, 255]], dtype=np.uint8)
+        write_ply(tmp_path / "two.ply", np.zeros((2, 3), dtype=np.int64), 0.1, palette, np.array([0, 1]))
         text = (tmp_path / "two.ply").read_text()
         assert "element vertex 2" in text
         assert text.strip().splitlines()[-1].endswith("0 0 255")
@@ -190,6 +189,24 @@ def assert_exports_match_oracle(state, layers=None):
             assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
+ANY_KEY = st.one_of(
+    st.integers(-2, 2), st.integers(-(2**20), 2**20 - 1), st.sampled_from([-(2**20), 2**20 - 1])
+)
+FEW_COLORS = st.sampled_from([(0, 0, 255), (255, 0, 0), (64, 255, 64)])
+
+
+@st.composite
+def vertices(draw):
+    """Keys anywhere in the packable range on every axis, unsorted and
+    possibly repeated, a palette whose colors often repeat, and a shade
+    into it for each key."""
+    keys = draw(st.lists(st.tuples(ANY_KEY, ANY_KEY, ANY_KEY), max_size=30))
+    colors = FEW_COLORS | st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
+    palette = draw(st.lists(colors, min_size=1, max_size=6))
+    shade = draw(st.lists(st.integers(0, len(palette) - 1), min_size=len(keys), max_size=len(keys)))
+    return keys, draw(st.sampled_from([0.02, 0.05, 0.3, 1.0, 0.123456789])), palette, shade
+
+
 @pytest.fixture(scope="module")
 def noisy_state(tmp_path_factory):
     return clutter_map_without_refinement(tmp_path_factory.mktemp("noisy"))
@@ -257,12 +274,15 @@ class TestExportsMatchOracle:
         assert "element vertex 2\n" in (tmp_path / "new.ply").read_text()
 
     def test_signed_zeros_and_non_finite_values(self, tmp_path):
-        points = np.array([[0.0, -0.0, 1e-7], [-0.0, 0.0, -1e-7], [np.nan, np.inf, -np.inf]])
-        colors = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]], dtype=np.uint8)
-        write_ply(tmp_path / "new.ply", points, colors)
-        oracle_write_ply(tmp_path / "old.ply", points, colors)
-        assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
-        values = {(0, 0, 0): 0.0, (0, 0, 1): -0.0, (1, 0, 0): math.nan, (2, 0, 0): -math.inf}
+        values = {
+            (0, 0, 0): 0.0,
+            (0, 0, 1): -0.0,
+            (0, 1, 0): 1e-7,
+            (0, 1, 1): -1e-7,
+            (1, 0, 0): math.nan,
+            (1, 0, 1): math.inf,
+            (2, 0, 0): -math.inf,
+        }
         layer = layer_of("geometric", values)
         export_entropy_layer(MapState(voxel_size=0.1), layer, tmp_path / "new_layer.ply")
         oracle_export_entropy_layer(MapState(voxel_size=0.1), layer, tmp_path / "old_layer.ply")
@@ -311,11 +331,27 @@ class TestExportsMatchOracle:
         assert [tuple(c) for c in entropy_colors(values, h_max).tolist()] == [
             oracle_entropy_color(v, h_max) for v in values
         ]
-        points = np.array(values + [0.0] * (-len(values) % 3)).reshape(-1, 3)
-        colors = np.arange(points.size, dtype=np.uint8).reshape(-1, 3)
+        keys = np.stack([np.arange(len(values)), -np.arange(len(values)), np.zeros(len(values), int)], axis=1)
+        colors = np.array([oracle_entropy_color(v, h_max) for v in values], dtype=np.uint8).reshape(-1, 3)
         with tempfile.TemporaryDirectory() as tmp:
-            write_ply(Path(tmp, "new.ply"), points, colors)
-            oracle_write_ply(Path(tmp, "old.ply"), points, colors)
+            write_ply(Path(tmp, "new.ply"), keys, 0.05, entropy_colors(values, h_max), np.arange(len(values)))
+            oracle_write_ply(Path(tmp, "old.ply"), (keys + 0.5) * 0.05, colors)
+            assert Path(tmp, "new.ply").read_bytes() == Path(tmp, "old.ply").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(vertices())
+    @example(([], 0.05, [(1, 2, 3)], []))
+    @example(([(-(2**20), 2**20 - 1, 0)] * 2, 0.3, [(9, 9, 9), (9, 9, 9)], [1, 0]))
+    def test_write_ply_against_oracle(self, drawn):
+        """Vertex r is the center of keys[r] colored palette[shade[r]],
+        for unsorted and repeated keys and palettes with repeated colors."""
+        keys, voxel_size, palette, shade = drawn
+        keys = np.array(keys, dtype=np.int64).reshape(-1, 3)
+        palette = np.array(palette, dtype=np.uint8).reshape(-1, 3)
+        shade = np.array(shade, dtype=np.int64)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_ply(Path(tmp, "new.ply"), keys, voxel_size, palette, shade)
+            oracle_write_ply(Path(tmp, "old.ply"), (keys.astype(float) + 0.5) * voxel_size, palette[shade])
             assert Path(tmp, "new.ply").read_bytes() == Path(tmp, "old.ply").read_bytes()
 
 
@@ -395,11 +431,50 @@ class TestTokenRows:
         with pytest.raises(ValueError, match="not ASCII text without NUL bytes"):
             atomic._token_table(["ok", token])
 
-    def test_write_ply_rejects_points_and_colors_of_different_lengths(self, tmp_path):
+    @pytest.mark.parametrize(
+        "keys, palette, shade, message",
+        [
+            pytest.param(
+                np.zeros((10, 3), int), np.zeros((2, 3)), np.zeros(5, int), r"10 keys but shades of shape \(5,\)",
+                id="fewer-shades",
+            ),
+            pytest.param(
+                np.zeros((3, 3), int), np.zeros((2, 3)), np.array([0, 2, 1]), "shades from 0 to 2 leave a palette of 2",
+                id="shade-past-palette",
+            ),
+            pytest.param(
+                np.zeros((3, 3), int), np.zeros((2, 3)), np.array([0, -1, 1]), "shades from -1 to 1 leave a palette",
+                id="negative-shade",
+            ),
+            pytest.param(
+                np.zeros((0, 3), int), np.zeros((2, 3)), np.zeros(0), r"shades of shape \(0,\) and dtype float64",
+                id="float-shades",
+            ),
+            pytest.param(
+                np.zeros((3, 2), int), np.zeros((2, 3)), np.zeros(3, int), r"keys of shape \(3, 2\) and dtype int64",
+                id="two-axes",
+            ),
+            pytest.param(
+                np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(3, int), r"keys of shape \(3, 3\) and dtype float64",
+                id="float-keys",
+            ),
+            pytest.param(
+                np.full((3, 3), 2**20), np.zeros((2, 3)), np.zeros(3, int), "keys from 1048576 to 1048576 leave",
+                id="far-key",
+            ),
+            pytest.param(
+                np.zeros((3, 3), int), np.zeros((2, 4)), np.zeros(3, int), r"palette of shape \(2, 4\) is not",
+                id="four-channels",
+            ),
+        ],
+    )
+    def test_write_ply_rejects_arguments_that_do_not_fit(self, tmp_path, keys, palette, shade, message):
+        """A ValueError naming the path and sizes, before any file is opened."""
         path = tmp_path / "cloud.ply"
         path.write_text("previous")
-        with pytest.raises(ValueError, match="10 points but 5 colors"):
-            write_ply(path, np.zeros((10, 3)), np.zeros((5, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match=message) as raised:
+            write_ply(path, keys, 0.05, palette, shade)
+        assert str(raised.value).startswith(f"{path}: ")
         assert path.read_text() == "previous"
         assert os.listdir(tmp_path) == ["cloud.ply"]
 
