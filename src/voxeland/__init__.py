@@ -69,7 +69,7 @@ from .opinions import (
     SubjectiveOpinion,
     build_opinions,
     dbscan,
-    filter_geometric_opinion,
+    filter_geometric_opinions,
 )
 from .synthetic import (
     NoiseSpec,

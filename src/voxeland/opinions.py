@@ -2,12 +2,12 @@
 
 The frame's valid pixels are back-projected to world-frame points once, as
 the columns of one ``(3, n)`` array.  Each surviving network prediction
-becomes an opinion: the columns of its masked pixels are selected, coarsely
-voxelized, and cleaned with density-based clustering so that stray
-background points leaking into the 2D mask do not pollute the map.  The
-columns of valid pixels not covered by any prediction mask become a single
-reserved ``unknown`` opinion, which skips the clustering filter (it is
-background by definition).
+becomes an opinion of its masked pixels' points, cleaned so that stray
+background points leaking into the 2D mask do not pollute the map: one
+DBSCAN per frame clusters the coarse-voxel centers of every prediction, each
+prediction a group of its own, and each keeps its largest cluster.  The
+valid pixels no prediction mask covers become a single reserved ``unknown``
+opinion, which is not clustered (it is background by definition).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .frames import CameraIntrinsics, Frame, Pose, backproject_pixels, camera_points
@@ -61,67 +63,70 @@ class SubjectiveOpinion:
         return self.category == UNKNOWN_CATEGORY
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+def dbscan(points: np.ndarray, eps: float, min_pts: int, groups: np.ndarray | None = None) -> np.ndarray:
     """Density-based clustering; returns one label per point, -1 for noise.
 
-    Core points have at least ``min_pts`` neighbors within ``eps`` (inclusive,
-    counting the point itself).  Cluster ids follow discovery order over the
-    input, so a border point reachable from several clusters deterministically
-    joins the lowest cluster id.
+    Neighbours lie within ``eps`` (inclusive) and in the same one of
+    ``groups``, if given.  A point with at least ``min_pts`` neighbours,
+    itself counted, is core.  Clusters are the connected components of the
+    core points, numbered in the order of their smallest core point, and a
+    border point joins the lowest cluster among its core neighbours.  So a
+    group of consecutive points gets consecutive ids, in the order a call on
+    the group alone gives them.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
     labels = np.full(n, NOISE, dtype=int)
     if n == 0:
         return labels
-    tree = cKDTree(points)
-    neighborhoods = tree.query_ball_point(points, r=eps)
-    core = np.array([len(nb) >= min_pts for nb in neighborhoods])
-    visited = np.zeros(n, dtype=bool)
-    cluster_id = 0
-    for seed in range(n):
-        if visited[seed] or not core[seed]:
-            continue
-        # breadth-first expansion from this core point
-        queue = [seed]
-        visited[seed] = True
-        labels[seed] = cluster_id
-        while queue:
-            current = queue.pop()
-            if not core[current]:
-                continue
-            for neighbor in neighborhoods[current]:
-                if labels[neighbor] == NOISE:
-                    labels[neighbor] = cluster_id
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    queue.append(neighbor)
-        cluster_id += 1
-    return labels
+    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
+    if groups is not None:
+        pairs = pairs[groups[pairs[:, 0]] == groups[pairs[:, 1]]]
+    ends, others = np.concatenate([pairs, pairs[:, ::-1]]).T  # each pair both ways
+    core = np.bincount(ends, minlength=n) + 1 >= min_pts
+    linked = core[ends] & core[others]
+    graph = coo_matrix((np.ones(np.count_nonzero(linked)), (ends[linked], others[linked])), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    _, smallest, cluster = np.unique(component[core], return_index=True, return_inverse=True)
+    labels[core] = np.argsort(np.argsort(smallest))[cluster]
+    border = ~core[ends] & core[others]
+    lowest = np.full(n, n)
+    np.minimum.at(lowest, ends[border], labels[others[border]])
+    return np.where(lowest < n, lowest, labels)
 
 
-def filter_geometric_opinion(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
-    """Keep only the points whose coarse voxel belongs to the largest cluster.
+def filter_geometric_opinions(point_sets: list[np.ndarray], params: ClusteringParams) -> list[np.ndarray]:
+    """Keep, of each ``(m, 3)`` point set, the points whose coarse voxel is in
+    the set's largest cluster; ties go to the lowest cluster id.
 
-    Points are downsampled to distinct coarse-voxel centers, taken in the
-    order of their packed keys, which is (i, j, k) order.  DBSCAN runs on the
-    centers, and the winning cluster is the largest one (ties broken by the
-    lowest cluster id).  Returns an empty array when every center is noise,
-    which the caller treats as a rejected opinion.
+    Each set's distinct coarse-voxel centers are taken in the order of their
+    packed keys, which is (i, j, k) order, and one DBSCAN clusters the
+    centers of every set, each set a group.  A set whose centers are all
+    noise comes back empty, which the caller treats as a rejected opinion.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(points) == 0:
-        raise ValueError("cannot filter an empty point set")
-    keys = np.floor(points / params.coarse_voxel).astype(np.int64)
-    _, first, inverse = np.unique(pack_keys(keys), return_index=True, return_inverse=True)
-    centers = (keys[first].astype(float) + 0.5) * params.coarse_voxel
-    labels = dbscan(centers, eps=params.eps, min_pts=params.min_pts)
-    if np.all(labels == NOISE):
-        return points[:0]
-    counts = np.bincount(labels[labels != NOISE])
-    winner = int(np.argmax(counts))  # argmax returns the lowest id on ties
-    keep_center = labels == winner
-    return points[keep_center[inverse]]
+    if not point_sets:
+        return []
+    coarse, inverses = [], []
+    for points in point_sets:
+        keys = np.floor(points / params.coarse_voxel).astype(np.int64)
+        _, first, inverse = np.unique(pack_keys(keys), return_index=True, return_inverse=True)
+        coarse.append(keys[first])
+        inverses.append(inverse)
+    counts = [len(keys) for keys in coarse]
+    groups = np.repeat(np.arange(len(point_sets)), counts)
+    centers = (np.concatenate(coarse).astype(float) + 0.5) * params.coarse_voxel
+    labels = dbscan(centers, params.eps, params.min_pts, groups)
+    members = np.flatnonzero(labels != NOISE)
+    _, first_members, sizes = np.unique(labels[members], return_index=True, return_counts=True)
+    cluster_groups = groups[members[first_members]]
+    # by group, then by descending size; the stable sort keeps ties in id order
+    ranked = np.lexsort((-sizes, cluster_groups))
+    _, best = np.unique(cluster_groups[ranked], return_index=True)
+    kept = np.isin(labels, ranked[best])
+    return [
+        points[set_kept[inverse]]
+        for points, set_kept, inverse in zip(point_sets, np.split(kept, np.cumsum(counts)[:-1]), inverses)
+    ]
 
 
 def pixel_bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -167,35 +172,22 @@ def build_opinions(
         return np.compress(selected, world, axis=1).T
 
     claimed = np.zeros(len(pixels), dtype=bool)
-    opinions: list[SubjectiveOpinion] = []
-
+    masked = []  # (prediction, pixel bbox, points) of each prediction covering valid depth
     for prediction in frame.predictions:
         mask = prediction.mask(width, height)
         selected = mask.ravel()[pixels]
         claimed |= selected
-        if not selected.any():
-            continue
-        filtered = filter_geometric_opinion(selected_points(selected), params)
-        if len(filtered) == 0:
-            continue
-        opinions.append(
-            SubjectiveOpinion(
-                points=filtered,
-                category=prediction.category,
-                confidence=prediction.confidence,
-                source_frame=frame.frame_id,
-                pixel_bbox=pixel_bbox(mask),
-            )
-        )
+        if selected.any():
+            masked.append((prediction, pixel_bbox(mask), selected_points(selected)))
+
+    filtered = filter_geometric_opinions([points for _, _, points in masked], params)
+    opinions = [
+        SubjectiveOpinion(points, prediction.category, prediction.confidence, frame.frame_id, bbox)
+        for (prediction, bbox, _), points in zip(masked, filtered)
+        if len(points)
+    ]
 
     if not claimed.all():
-        opinions.append(
-            SubjectiveOpinion(
-                points=selected_points(~claimed),
-                category=UNKNOWN_CATEGORY,
-                confidence=1.0,
-                source_frame=frame.frame_id,
-                pixel_bbox=None,
-            )
-        )
+        unknown = SubjectiveOpinion(selected_points(~claimed), UNKNOWN_CATEGORY, 1.0, frame.frame_id, None)
+        opinions.append(unknown)
     return opinions

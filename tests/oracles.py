@@ -2,7 +2,9 @@
 
 These deliberately avoid the algorithms used by the package: the digamma
 oracle sums the convergent series term by term with an analytic tail bound,
-clustering is a full O(n^2) pairwise construction, average precision is
+clustering is a full O(n^2) pairwise construction or the breadth-first
+search the package ran once per prediction before it clustered each frame
+in one connected-components pass, average precision is
 integrated directly from the precision-recall points, evaluation matching
 intersects sets of voxel tuples pair by pair, association counts
 each opinion's overlap with each candidate on its own, and map refinement
@@ -16,7 +18,7 @@ entropy layers and the PLY exports compute every cell on its own and format
 every vertex with its own f-string.  Back-projection and voxel keying have
 one-point versions here, and opinions are built one prediction at a time,
 each back-projecting its own pixels with the ``(n, 3)`` product
-``points @ rotation.T + translation``.  A map's contents, for equality
+``points @ rotation.T + translation`` and clustering its own centers.  A map's contents, for equality
 checks, are the dict :func:`oracle_snapshot_dict` builds, with a dict and a
 list per cell.  The synthetic renderer's reference
 runs a separate slab test for the room's exit and for each box's entry, each
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from voxeland.disambiguation import ViewRef
 from voxeland.evidence import (
@@ -57,8 +60,6 @@ from voxeland.opinions import (
     UNKNOWN_CATEGORY,
     ClusteringParams,
     SubjectiveOpinion,
-    dbscan,
-    filter_geometric_opinion,
     pixel_bbox,
 )
 from voxeland.synthetic import SyntheticScene, _pixel_rays
@@ -106,6 +107,42 @@ def oracle_digamma(x: float, terms: int = 10_000) -> float:
 def oracle_expected_entropy(masses: list[float]) -> float:
     total = sum(masses)
     return oracle_digamma(total) - sum(m * oracle_digamma(m) for m in masses) / total
+
+
+def bfs_dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Reference DBSCAN by breadth-first expansion from each unvisited core
+    point in input order, over ``query_ball_point`` neighborhoods.
+
+    Cluster ids follow discovery order, so a border point reachable from
+    several clusters joins the lowest cluster id: the first to reach it.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(points)
+    labels = np.full(n, NOISE, dtype=int)
+    if n == 0:
+        return labels
+    neighborhoods = cKDTree(points).query_ball_point(points, r=eps)
+    core = np.array([len(nb) >= min_pts for nb in neighborhoods])
+    visited = np.zeros(n, dtype=bool)
+    cluster_id = 0
+    for seed in range(n):
+        if visited[seed] or not core[seed]:
+            continue
+        queue = [seed]
+        visited[seed] = True
+        labels[seed] = cluster_id
+        while queue:
+            current = queue.pop()
+            if not core[current]:
+                continue
+            for neighbor in neighborhoods[current]:
+                if labels[neighbor] == NOISE:
+                    labels[neighbor] = cluster_id
+                if not visited[neighbor]:
+                    visited[neighbor] = True
+                    queue.append(neighbor)
+        cluster_id += 1
+    return labels
 
 
 def brute_force_dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -319,7 +356,7 @@ def oracle_build_opinions(
             continue
         vs, us = np.nonzero(selected)
         points = oracle_backproject_pixels(us, vs, depth[vs, us], intrinsics, pose, max_range)
-        filtered = filter_geometric_opinion(points, params)
+        filtered = oracle_filter_geometric_opinion(points, params)
         if len(filtered) == 0:
             continue
         opinions.append(
@@ -794,13 +831,14 @@ def oracle_associate(
 
 
 def oracle_filter_geometric_opinion(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
-    """Largest-cluster filter with coarse keys made distinct row-wise by
-    ``np.unique(axis=0)`` rather than as packed scalars."""
+    """Largest-cluster filter of one point set on its own, with coarse keys
+    made distinct row-wise by ``np.unique(axis=0)`` rather than as packed
+    scalars, and clustered by :func:`bfs_dbscan`."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     keys = np.floor(points / params.coarse_voxel).astype(np.int64)
     unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
     centers = (unique_keys.astype(float) + 0.5) * params.coarse_voxel
-    labels = dbscan(centers, eps=params.eps, min_pts=params.min_pts)
+    labels = bfs_dbscan(centers, eps=params.eps, min_pts=params.min_pts)
     if np.all(labels == NOISE):
         return points[:0]
     winner = int(np.argmax(np.bincount(labels[labels != NOISE])))

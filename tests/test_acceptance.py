@@ -165,9 +165,12 @@ def test_dbscan_brute_force_equivalence():
         points = rng.uniform(-1, 1, (n, 3))
         eps = float(rng.uniform(0.05, 0.7))
         min_pts = int(rng.integers(1, 9))
-        mine = canonical_clustering(dbscan(points, eps, min_pts))
-        reference = canonical_clustering(brute_force_dbscan(points, eps, min_pts))
-        assert np.array_equal(mine, reference), f"trial {trial}: n={n} eps={eps} min_pts={min_pts}"
+        labels = dbscan(points, eps, min_pts)
+        reference = brute_force_dbscan(points, eps, min_pts)
+        mine = canonical_clustering(labels)
+        assert np.array_equal(mine, canonical_clustering(reference)), f"trial {trial}: n={n} eps={eps} min_pts={min_pts}"
+        # both number clusters by their smallest core point, so the ids agree too
+        assert np.array_equal(labels, reference), f"trial {trial}: n={n} eps={eps} min_pts={min_pts}"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"dbscan equivalence took {elapsed:.2f} s"
     verdict("dbscan identical to O(n^2) oracle on 100 random point sets", elapsed)

@@ -14,7 +14,10 @@ from voxeland.frames import (
     FrameRecord,
     Pose,
     PredictionInstance,
+    crop_bbox,
     encode_rle_mask,
+    read_ppm,
+    write_ppm,
 )
 from voxeland.fusion import (
     STAGE_ASSOCIATION,
@@ -825,6 +828,41 @@ class TestProcessFrame:
             assert stage in report["stages"]
         assert report["frames"] == 1
         assert report["frame_rate_hz"] > 0
+
+    def test_archived_views_read_the_image_once_per_frame(self, tmp_path, monkeypatch):
+        shape = (40, 40)
+        image = np.random.default_rng(8).integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+        write_ppm(tmp_path / "rgb.ppm", image)
+        reads = []
+
+        def counting_read_ppm(path):
+            reads.append(path)
+            return read_ppm(path)
+
+        monkeypatch.setattr(fusion, "read_ppm", counting_read_ppm)
+        predictions = [
+            PredictionInstance("chair", 0.9, encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))),
+            PredictionInstance("table", 0.8, encode_rle_mask(block_mask(shape, (24, 36), (20, 33)))),
+        ]
+        pipeline = Pipeline(
+            MapState(voxel_size=0.02), clustering=ClusteringParams(0.08, 0.144, 4), view_store=tmp_path / "views"
+        )
+        frame = synthetic_frame(3, predictions, shape=shape)
+        frame.record.rgb_path = tmp_path / "rgb.ppm"
+        pipeline.process_frame(frame)
+        assert reads == [tmp_path / "rgb.ppm"]
+        observations = [
+            observation for record in pipeline.state.instances.values() for observation in record.observations
+        ]
+        assert [o.pixel_bbox for o in observations] == [(2, 2, 13, 13), (20, 24, 32, 35)]
+        for observation in observations:
+            assert np.array_equal(read_ppm(observation.view_path), crop_bbox(image, observation.pixel_bbox))
+
+        # a frame whose opinions are all unknown archives nothing and reads nothing
+        frame = synthetic_frame(4, [], shape=shape)
+        frame.record.rgb_path = tmp_path / "rgb.ppm"
+        pipeline.process_frame(frame)
+        assert len(reads) == 1
 
     def test_determinism_byte_identical_snapshots(self, tmp_path):
         shape = (40, 40)

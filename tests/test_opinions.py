@@ -22,13 +22,14 @@ from voxeland.opinions import (
     SubjectiveOpinion,
     build_opinions,
     dbscan,
-    filter_geometric_opinion,
+    filter_geometric_opinions,
     pixel_bbox,
 )
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
 
 from oracles import (
     backproject,
+    bfs_dbscan,
     brute_force_dbscan,
     canonical_clustering,
     oracle_build_opinions,
@@ -97,6 +98,9 @@ class TestDbscan:
             assert np.array_equal(
                 canonical_clustering(mine), canonical_clustering(reference)
             ), f"n={n} eps={eps} min_pts={min_pts}"
+            # the filter's tie-break reads the ids, so they must match exactly
+            assert np.array_equal(mine, reference), f"n={n} eps={eps} min_pts={min_pts}"
+            assert np.array_equal(mine, bfs_dbscan(points, eps, min_pts)), f"n={n} eps={eps} min_pts={min_pts}"
 
     def test_permutation_invariance_up_to_renaming(self):
         rng = np.random.default_rng(9)
@@ -111,30 +115,98 @@ class TestDbscan:
             assert len(set(members.tolist())) == 1
 
 
+def per_group_labels(points, eps, min_pts, sizes):
+    """Each run of ``sizes`` consecutive points clustered by a call of its
+    own, its cluster ids shifted past those of the runs before it."""
+    labels, offset = [], 0
+    for run in np.split(points, np.cumsum(sizes)[:-1]):
+        run_labels = dbscan(run, eps, min_pts)
+        labels.append(np.where(run_labels == -1, -1, run_labels + offset))
+        offset += int(run_labels.max(initial=-1)) + 1
+    return np.concatenate([np.full(0, -1), *labels])
+
+
+def grouped_labels(points, eps, min_pts, sizes):
+    return dbscan(points, eps, min_pts, groups=np.repeat(np.arange(len(sizes)), sizes))
+
+
+class TestGroupedDbscan:
+    """One call over consecutive runs of points, each run a group, against
+    one call per run."""
+
+    def test_matches_per_group_calls_on_random_inputs(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            sizes = rng.integers(1, 60, size=int(rng.integers(1, 6)))
+            sizes[rng.random(len(sizes)) < 0.2] = 1
+            points = rng.uniform(-1, 1, (int(sizes.sum()), 3))
+            # groups overlap in space, so one tree over all of them finds pairs across groups
+            eps = float(rng.uniform(0.05, 0.6))
+            min_pts = int(rng.integers(1, 8))
+            expected = per_group_labels(points, eps, min_pts, sizes)
+            assert np.array_equal(grouped_labels(points, eps, min_pts, sizes), expected), (
+                f"sizes={sizes.tolist()} eps={eps} min_pts={min_pts}"
+            )
+
+    @pytest.mark.parametrize("min_pts", [1, 2, 4])
+    def test_groups_of_one_point(self, min_pts):
+        points = np.zeros((5, 3))
+        points[3:] = 0.01
+        labels = grouped_labels(points, 0.1, min_pts, [1] * 5)
+        assert np.array_equal(labels, per_group_labels(points, 0.1, min_pts, [1] * 5))
+        assert labels.tolist() == ([0, 1, 2, 3, 4] if min_pts == 1 else [-1] * 5)
+
+    def test_min_pts_one_makes_every_point_core(self):
+        rng = np.random.default_rng(44)
+        points = rng.uniform(-1, 1, (80, 3))
+        sizes = [30, 1, 49]
+        labels = grouped_labels(points, 0.2, 1, sizes)
+        assert np.array_equal(labels, per_group_labels(points, 0.2, 1, sizes))
+        assert (labels != -1).all()
+
+    def test_identical_points_in_two_groups_are_not_neighbours(self):
+        # three points per group; with the copies as neighbours each would
+        # have six and be core, on their own they are noise
+        blob = np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.0, 0.05, 0.0]])
+        points = np.vstack([blob, blob])
+        assert grouped_labels(points, 0.1, 4, [3, 3]).tolist() == [-1] * 6
+        assert dbscan(points, 0.1, 4).tolist() == [0] * 6
+        assert grouped_labels(points, 0.1, 3, [3, 3]).tolist() == [0, 0, 0, 1, 1, 1]
+
+    def test_zero_points(self):
+        labels = dbscan(np.zeros((0, 3)), 0.1, 4, groups=np.zeros(0, dtype=int))
+        assert labels.shape == (0,)
+
+
+def keep_largest(points, params=PARAMS):
+    """The frame filter on one point set."""
+    return filter_geometric_opinions([points], params)[0]
+
+
 class TestFilterGeometricOpinion:
     def test_main_blob_survives_strays(self):
         rng = np.random.default_rng(2)
         blob = rng.uniform(0, 0.3, (500, 3))
         strays = rng.uniform(0, 0.05, (5, 3)) + np.array([2.0, 2.0, 2.0])
         points = np.vstack([blob, strays])
-        kept = filter_geometric_opinion(points, PARAMS)
+        kept = keep_largest(points)
         assert len(kept) == 500
         assert np.all(kept.max(axis=0) < 1.0)
 
     def test_single_blob_fully_retained(self):
         rng = np.random.default_rng(3)
         points = rng.uniform(0, 0.2, (200, 3))
-        kept = filter_geometric_opinion(points, PARAMS)
+        kept = keep_largest(points)
         assert len(kept) == 200
 
     def test_all_noise_rejected(self):
         points = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
-        assert len(filter_geometric_opinion(points, PARAMS)) == 0
+        assert len(keep_largest(points)) == 0
 
     def test_output_subset_of_input(self):
         rng = np.random.default_rng(4)
         points = rng.uniform(-1, 1, (300, 3))
-        kept = filter_geometric_opinion(points, PARAMS)
+        kept = keep_largest(points)
         input_rows = {tuple(row) for row in points}
         assert all(tuple(row) in input_rows for row in kept)
 
@@ -143,11 +215,8 @@ class TestFilterGeometricOpinion:
         points = np.vstack(
             [rng.uniform(0, 0.3, (80, 3)), rng.uniform(0, 0.1, (20, 3)) + 3.0]
         )
-        kept_a = {tuple(r) for r in filter_geometric_opinion(points, PARAMS)}
-        kept_b = {
-            tuple(r)
-            for r in filter_geometric_opinion(points[rng.permutation(len(points))], PARAMS)
-        }
+        kept_a = {tuple(r) for r in keep_largest(points)}
+        kept_b = {tuple(r) for r in keep_largest(points[rng.permutation(len(points))])}
         assert kept_a == kept_b
 
     @given(
@@ -167,10 +236,36 @@ class TestFilterGeometricOpinion:
                 for i, j, k, u, v, w in scattered + blob + copy
             ]
         )
-        kept = filter_geometric_opinion(points, PARAMS)
+        kept = keep_largest(points)
         expected = oracle_filter_geometric_opinion(points, PARAMS)
         assert kept.shape == expected.shape
         assert np.array_equal(kept, expected)
+
+    @given(
+        st.lists(st.lists(COARSE_POINT, min_size=1, max_size=60), min_size=1, max_size=5),
+        st.sampled_from([1, 2, 4]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sets_filtered_as_one_at_a_time(self, sets, min_pts, data):
+        # sets are drawn over the same few coarse cells, and some are copies of
+        # others, so centers of different sets coincide or neighbour each other
+        copies = [sets[data.draw(st.integers(0, len(sets) - 1))] for _ in range(data.draw(st.integers(0, 2)))]
+        params = ClusteringParams(coarse_voxel=PARAMS.coarse_voxel, eps=PARAMS.eps, min_pts=min_pts)
+        point_sets = [
+            np.array([[(i + u) * params.coarse_voxel, (j + v) * params.coarse_voxel, (k + w) * params.coarse_voxel]
+                      for i, j, k, u, v, w in points])
+            for points in sets + copies
+        ]
+        kept = filter_geometric_opinions(point_sets, params)
+        assert len(kept) == len(point_sets)
+        for points, set_kept in zip(point_sets, kept):
+            expected = oracle_filter_geometric_opinion(points, params)
+            assert set_kept.shape == expected.shape
+            assert set_kept.tobytes() == expected.tobytes()
+
+    def test_no_sets(self):
+        assert filter_geometric_opinions([], PARAMS) == []
 
 
 def nonzero_bbox(mask):
