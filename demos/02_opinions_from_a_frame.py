@@ -2,7 +2,8 @@
 
 Builds a toy frame where a prediction mask leaks onto a wall far behind the
 object, then shows the clustering filter stripping the leaked points and the
-leftover depth becoming the reserved unknown opinion.
+leftover depth becoming the reserved unknown opinion.  Each opinion is keyed
+at the voxel size of the map it is meant for.
 """
 
 import numpy as np
@@ -41,14 +42,14 @@ frame = Frame(
 )
 
 params = ClusteringParams(coarse_voxel=0.08, eps=0.144, min_pts=4)
-opinions = build_opinions(frame, intr, record.pose, params)
+opinions = build_opinions(frame, intr, record.pose, params, voxel_size=0.02)
 
 print(f"mask covers {int(mask.sum())} pixels ({int((depth[mask] == 3000).sum())} on the wall)")
 for opinion in opinions:
     kind = "unknown background" if opinion.is_unknown else f"prediction '{opinion.category}'"
     z = opinion.points[:, 2]
     print(
-        f"- {kind}: {len(opinion.points)} points, depth range "
-        f"{z.min():.2f} .. {z.max():.2f} m"
+        f"- {kind}: {len(opinion.points)} points in {len(opinion.keys)} voxels of "
+        f"{opinion.voxel_size} m, depth range {z.min():.2f} .. {z.max():.2f} m"
     )
 print("the leaked wall points were dropped from the object's geometric opinion")

@@ -23,6 +23,15 @@ from .uncertainty import declare_categories, geometric_entropy_map, semantic_ent
 from .voxelmap import MapState
 
 
+# Each layer's `export --layer` name, with the file `build` writes it to, in this order, and its writer.
+LAYERS = {
+    "geom-entropy": ("geom_entropy.ply", lambda s, p: export_entropy_layer(s, geometric_entropy_map(s), p)),
+    "sem-entropy": ("sem_entropy.ply", lambda s, p: export_entropy_layer(s, semantic_entropy_map(s), p)),
+    "instances": ("instances.ply", export_instance_map),
+    "semantics": ("semantics.ply", export_semantic_map),
+}
+
+
 def _load_config(path: str | None) -> PipelineConfig:
     return PipelineConfig.from_file(path) if path else PipelineConfig()
 
@@ -48,10 +57,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
             pipeline.process_frame(load_frame(record))
         declare_categories(state, config.entropy_threshold)
         state.save_snapshot(out_dir / "map.vxl")
-        export_entropy_layer(state, geometric_entropy_map(state), out_dir / "geom_entropy.ply")
-        export_entropy_layer(state, semantic_entropy_map(state), out_dir / "sem_entropy.ply")
-        export_instance_map(state, out_dir / "instances.ply")
-        export_semantic_map(state, out_dir / "semantics.ply")
+        for file_name, write in LAYERS.values():
+            write(state, out_dir / file_name)
         timing = pipeline.timer.report()
         timing["merges"] = [
             {"frame_id": frame_id, **asdict(event)} for frame_id, event in pipeline.merges
@@ -138,14 +145,7 @@ def _cmd_disambiguate(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     state = MapState.load_snapshot(args.snapshot)
-    if args.layer == "instances":
-        export_instance_map(state, args.out)
-    elif args.layer == "semantics":
-        export_semantic_map(state, args.out)
-    elif args.layer == "geom-entropy":
-        export_entropy_layer(state, geometric_entropy_map(state), args.out)
-    elif args.layer == "sem-entropy":
-        export_entropy_layer(state, semantic_entropy_map(state), args.out)
+    LAYERS[args.layer][1](state, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -185,11 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="export a snapshot layer as PLY")
     p_export.add_argument("--snapshot", required=True)
-    p_export.add_argument(
-        "--layer",
-        choices=["instances", "semantics", "geom-entropy", "sem-entropy"],
-        required=True,
-    )
+    p_export.add_argument("--layer", choices=list(LAYERS), required=True)
     p_export.add_argument("--out", required=True)
     p_export.set_defaults(func=_cmd_export)
 

@@ -2,7 +2,8 @@
 
 Incoming opinions are matched to existing map instances by 3D overlap.  The
 overlap count is the number of opinion points falling in voxels where the
-candidate instance has evidence; from it two scores are derived:
+candidate instance has evidence, both keyed at the map's voxel size; from
+it two scores are derived:
 
 * ``iou``  -- overlap / (points + instance voxels - overlap)
 * ``ios``  -- overlap / min(points, instance voxels), which rescues matches
@@ -82,20 +83,9 @@ class MergeEvent:
     ios: float
 
 
-def opinion_voxel_counts(
-    opinion: SubjectiveOpinion, voxel_size: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The opinion's voxels as sorted packed keys, with the point count of each.
-
-    The points are keyed, packed and counted in one ``np.unique`` on the first
-    call; later calls with the same voxel size return the same arrays, so
-    ``associate`` and ``integrate_geometric`` share them.  Callers must not
-    mutate them.
-    """
-    if opinion._voxel_counts is None or opinion._voxel_counts[0] != voxel_size:
-        packed = pack_keys(points_to_keys(opinion.points, voxel_size))
-        opinion._voxel_counts = (voxel_size, np.unique(packed, return_counts=True))
-    return opinion._voxel_counts[1]
+def _check_voxel_size(opinion: SubjectiveOpinion, state: MapState) -> None:
+    if opinion.voxel_size != state.voxel_size:
+        raise ValueError(f"opinion voxel size {opinion.voxel_size} differs from the map's {state.voxel_size}")
 
 
 def _passing_scores(
@@ -126,8 +116,10 @@ def associate(
     The unknown opinion is associated with the unknown instance
     unconditionally, and the unknown instance is never a candidate otherwise.
     Both thresholds are positive, so only the candidates an opinion overlaps
-    are scored.
+    are scored.  An opinion keyed at another voxel size is a ValueError.
     """
+    for opinion in opinions:
+        _check_voxel_size(opinion, state)
     outcome = AssociationOutcome()
     # instances spawned below own no voxel yet, so they are never candidates
     candidates = [
@@ -135,9 +127,9 @@ def associate(
         for instance_id, record in state.instances.items()
         if instance_id != UNKNOWN_INSTANCE_ID and record.voxel_count
     ]
-    voxel_counts = [opinion_voxel_counts(o, state.voxel_size) for o in opinions if not o.is_unknown]
-    queries, counts = [keys for keys, _ in voxel_counts], [counts for _, counts in voxel_counts]
-    overlaps = iter(overlap_counts(queries, [record.keys for record in candidates], counts))
+    semantic = [o for o in opinions if not o.is_unknown]
+    keys, counts = [o.keys for o in semantic], [o.counts for o in semantic]
+    overlaps = iter(overlap_counts(keys, [record.keys for record in candidates], counts))
     for index, opinion in enumerate(opinions):
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
@@ -163,14 +155,15 @@ def integrate_geometric(
     """Register the opinion's per-voxel point counts as instance evidence.
 
     Each touched voxel also receives exactly one occupancy hit, so occupancy
-    tracks observation rather than point sampling density.
+    tracks observation rather than point sampling density.  An opinion keyed
+    at another voxel size than the map's is a ValueError.
     """
     record = state.instances.get(instance_id)
     if record is None:
         raise KeyError(f"instance {instance_id} is not registered")
-    keys, counts = opinion_voxel_counts(opinion, state.voxel_size)
-    state.integrate_occupancy(keys, hit=True)
-    record.add_evidence(keys, counts)
+    _check_voxel_size(opinion, state)
+    state.integrate_occupancy(opinion.keys, hit=True)
+    record.add_evidence(opinion.keys, opinion.counts)
 
 
 def integrate_semantic(
@@ -210,21 +203,22 @@ def carve_free_space(
 
     Rays are sampled at a coarse stride; surface voxels are skipped.  Every
     sampled voxel receives one miss.  Off by default in the pipeline because
-    dense carving dominates frame cost.
+    dense carving dominates frame cost.  An opinion keyed at another voxel
+    size than the map's is a ValueError.
     """
+    _check_voxel_size(opinion, state)
     origin = np.asarray(camera_origin, dtype=float)
     voxel = state.voxel_size
     step = voxel * stride_voxels
-    surface = np.unique(pack_keys(points_to_keys(opinion.points, voxel)))
     samples = [np.empty((0, 3))]
-    for key in unpack_key_array(surface):
+    for key in unpack_key_array(opinion.keys):
         direction = (key + 0.5) * voxel - origin
         distance = float(np.linalg.norm(direction))
         if distance > step:
             direction /= distance
             samples.append(origin + direction * np.arange(step, distance - voxel, step)[:, None])
     missed = np.unique(pack_keys(points_to_keys(np.concatenate(samples), voxel)))
-    state.integrate_occupancy(np.setdiff1d(missed, surface, assume_unique=True), hit=False)
+    state.integrate_occupancy(np.setdiff1d(missed, opinion.keys, assume_unique=True), hit=False)
 
 
 def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
@@ -384,7 +378,8 @@ class Pipeline:
         """build opinions -> associate -> integrate -> refine when due."""
         start = time.perf_counter()
         opinions = build_opinions(
-            frame, frame.record.intrinsics, frame.record.pose, self.clustering, self.max_range
+            frame, frame.record.intrinsics, frame.record.pose, self.clustering, self.max_range,
+            voxel_size=self.state.voxel_size,
         )
         mark = time.perf_counter()
         self.timer.record(STAGE_OPINIONS, mark - start)
@@ -400,10 +395,9 @@ class Pipeline:
         assignments.sort(key=lambda item: item[0])
         # every voxel of the frame becomes a cell here, so integration finds
         # each of its keys in the cells and inserts none
-        voxel_keys = [opinion_voxel_counts(o, self.state.voxel_size)[0] for o in opinions]
         # a stable sort merges the opinions' sorted runs, far faster than np.unique's
         # sort; packed keys are non-negative, so the first key differs from -1
-        keys = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *voxel_keys]), kind="stable")
+        keys = np.sort(np.concatenate([np.empty(0, np.int64), *(o.keys for o in opinions)]), kind="stable")
         self.state.add_cells(keys[np.diff(keys, prepend=-1) != 0])
         rgb = functools.cache(lambda: read_ppm(frame.record.rgb_path))
         for index, instance_id, _, _ in assignments:

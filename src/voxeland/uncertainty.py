@@ -156,14 +156,15 @@ class CategoryMixtures:
     cell's counts; the unknown instance, and any instance without category
     evidence, gives its whole share to the unknown category.
 
-    A cell with one owner reads the row of that owner, whose share is
-    exactly 1; each cell with two or more owners has its own row.  Columns
-    are the ``labels`` of every instance's category evidence and the unknown
-    category, in string order.  ``probs`` is accumulated owner by owner in
-    ascending id order, as a per-voxel mixture adds them, and
-    ``first_seen`` orders each row's labels as that mixture's dict lists
-    them (``NOT_SEEN`` where a label is absent).  A row is not ``valid``
-    when an owner's category evidence does not sum above zero.
+    Each instance's distribution is a row, in ascending id order, read by
+    the cells it owns alone (with a share of exactly 1); each cell with two
+    or more owners has a row of its own after them.  Columns are the
+    ``labels`` of every instance's category evidence and the unknown
+    category, in string order.  A shared cell's ``probs`` are accumulated
+    owner by owner in ascending id order, as a per-voxel mixture adds them,
+    and ``first_seen`` orders each row's labels as that mixture's dict lists
+    them (``NOT_SEEN`` where a label is absent).  A row is not ``valid`` when
+    an owner's category evidence does not sum above zero; only read rows count.
     """
 
     NOT_SEEN = np.iinfo(np.int64).max
@@ -191,53 +192,43 @@ class CategoryMixtures:
                 distributions.append(None)
         labels = sorted({label for dist in distributions if dist for label in dist})
         column = {label: j for j, label in enumerate(labels)}
-        # each instance's probability and dict position of every label
-        probs_of = np.zeros((len(ids), len(labels)))
-        position_of = np.full((len(ids), len(labels)), cls.NOT_SEEN)
-        for i, dist in enumerate(distributions):
-            for position, (label, p) in enumerate((dist or {}).items()):
-                probs_of[i, column[label]] = p
-                position_of[i, column[label]] = position
-
-        # one entry of share 1 per distinct single owner, then the entries of shared cells
-        sole = table.sizes == 1
-        sole_owners = table.ids[table.starts[sole]]
-        is_owner = np.bincount(sole_owners, minlength=1) > 0
-        owners = np.flatnonzero(is_owner)
-        shared_cells = np.flatnonzero(~sole)
-        row_of_cell = np.empty(len(sole), dtype=np.int64)
-        row_of_cell[sole] = (np.cumsum(is_owner) - 1)[sole_owners]
-        row_of_cell[shared_cells] = len(owners) + np.arange(len(shared_cells))
-        sizes = table.sizes[shared_cells]
-        entries = np.flatnonzero(np.repeat(~sole, table.sizes))
-        entry_row = np.concatenate([np.arange(len(owners)), np.repeat(row_of_cell[shared_cells], sizes)])
-        entry_owner = np.searchsorted(ids, np.concatenate([owners, table.ids[entries]]))
-        entry_share = np.concatenate([np.ones(len(owners)), table.shares()[1][entries]])
-        entry_rank = np.concatenate(
-            [np.zeros(len(owners), dtype=np.int64), entries - np.repeat(table.starts[shared_cells], sizes)]
-        )
-
-        n_rows = len(owners) + len(shared_cells)
+        shared_cells = np.flatnonzero(table.sizes > 1)
+        row_of_cell = np.searchsorted(ids, table.ids[table.starts])
+        row_of_cell[shared_cells] = len(ids) + np.arange(len(shared_cells))
+        n_rows = len(ids) + len(shared_cells)
         probs = np.zeros((n_rows, len(labels)))
         first_seen = np.full((n_rows, len(labels)), cls.NOT_SEEN)
-        for owner_rank in range(int(table.sizes.max(initial=0))):
+        for i, dist in enumerate(distributions):
+            for position, (label, p) in enumerate((dist or {}).items()):
+                probs[i, column[label]] = p
+                first_seen[i, column[label]] = position
+
+        sizes = table.sizes[shared_cells]
+        entries = np.flatnonzero(np.repeat(table.sizes > 1, table.sizes))
+        entry_row = np.repeat(row_of_cell[shared_cells], sizes)
+        entry_owner = np.searchsorted(ids, table.ids[entries])
+        entry_share = table.shares()[1][entries]
+        entry_rank = entries - np.repeat(table.starts[shared_cells], sizes)
+        for owner_rank in range(int(sizes.max(initial=0))):
             at = entry_rank == owner_rank
             rows, owner = entry_row[at], entry_owner[at]
-            probs[rows] += entry_share[at, None] * probs_of[owner]
-            position = position_of[owner]
+            probs[rows] += entry_share[at, None] * probs[owner]
+            position = first_seen[owner]
             when = np.where(position == cls.NOT_SEEN, cls.NOT_SEEN, owner_rank * len(labels) + position)
             first_seen[rows] = np.minimum(first_seen[rows], when)
         valid = np.ones(n_rows, dtype=bool)
-        no_evidence = np.array([dist is None for dist in distributions], dtype=bool)
-        valid[entry_row[no_evidence[entry_owner]]] = False
+        valid[: len(ids)] = [dist is not None for dist in distributions]
+        valid[entry_row[~valid[entry_owner]]] = False
         return cls(labels, probs, first_seen, valid, row_of_cell)
 
     def entropies(self) -> np.ndarray:
-        """:func:`evidence.shannon_entropy` of each row: ``p * log(p)`` subtracted in
-        first-seen order, with ``math.log`` taken once per distinct p."""
-        if not self.valid.all():
+        """:func:`evidence.shannon_entropy` of each row a cell reads, else 0: ``p * log(p)``
+        subtracted in first-seen order, with ``math.log`` taken once per distinct p."""
+        read = np.zeros(len(self.probs), dtype=bool)
+        read[self.row_of_cell] = True
+        if not self.valid[read].all():
             raise NoEvidenceError("no evidence")
-        seen = self.first_seen != self.NOT_SEEN
+        seen = (self.first_seen != self.NOT_SEEN) & read[:, None]
         if np.any(seen & (self.probs < 0.0)):
             raise ValueError("negative probability in a category mixture")
         positive = seen & (self.probs > 0.0)

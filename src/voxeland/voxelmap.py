@@ -292,7 +292,6 @@ class MapState:
             UNKNOWN_INSTANCE_ID: InstanceRecord(id=UNKNOWN_INSTANCE_ID)
         }
         self.categories: list[str] = [UNKNOWN_CATEGORY]
-        self._category_set: set[str] = set(self.categories)
         self.frames_integrated = 0
         self._next_instance_id = 1
 
@@ -305,9 +304,8 @@ class MapState:
         return instance_id
 
     def register_category(self, category: str) -> None:
-        if category not in self._category_set:
+        if category not in self.categories:
             self.categories.append(category)
-            self._category_set.add(category)
 
     # -- cell updates -------------------------------------------------------
 
@@ -364,23 +362,11 @@ class MapState:
         instances = [
             {
                 "id": record.id,
-                "category_evidence": {
-                    label: record.category_evidence[label]
-                    for label in sorted(record.category_evidence)
-                },
+                "category_evidence": record.category_evidence,
                 "voxel_count": record.voxel_count,
                 "final_category": record.final_category,
                 "flagged": record.flagged,
-                "observations": [
-                    {
-                        "frame_id": obs.frame_id,
-                        "category": obs.category,
-                        "confidence": obs.confidence,
-                        "pixel_bbox": list(obs.pixel_bbox) if obs.pixel_bbox else None,
-                        "view_path": obs.view_path,
-                    }
-                    for obs in record.observations
-                ],
+                "observations": list(map(vars, record.observations)),
             }
             for record in (self.instances[i] for i in sorted(self.instances))
         ]
@@ -448,20 +434,21 @@ class MapState:
     def _from_records(cls, records: list[np.ndarray]) -> "MapState":
         """Rebuild a map from the records of a snapshot file.
 
-        Raises SnapshotError, or one of the errors :meth:`load_snapshot`
-        turns into one, when a record is not a 1-d array of its dtype or the
-        map is malformed: a header that is not UTF-8 JSON of schema version
+        Raises SnapshotError, or one of the errors :meth:`load_snapshot` turns
+        into one, when a record is not a 1-d array of its dtype or the map is
+        malformed: a header that is not UTF-8 JSON of schema version
         SNAPSHOT_SCHEMA_VERSION, a missing header key, a value not of its
         exact JSON type (a bool is not an int, and a number where a float is
-        expected must be finite), invalid occupancy parameters, an instance
-        registry without the unknown instance or whose ``next_instance_id``
-        is not above every listed id, a category evidence mass that is not
-        above 0 (integration only adds confidences in (0, 1]), a negative
-        ``voxel_count`` or ``voxel_count``s that do not sum to the footprint
-        length, cell keys that are negative or not strictly increasing, a
-        log-odds that is not finite, an evidence count below 1, a footprint
-        whose keys are not strictly increasing, or a footprint key that is
-        not a cell.  Every non-negative int64 is a packed key.
+        expected must be finite), invalid occupancy parameters, a category
+        registry that does not begin with the unknown category or lists one
+        twice, an instance registry without the unknown instance or whose
+        ``next_instance_id`` is not above every listed id, a category evidence
+        mass that is not above 0 (integration only adds confidences in (0,
+        1]), a negative ``voxel_count`` or ``voxel_count``s that do not sum to
+        the footprint length, cell keys that are negative or not strictly
+        increasing, a log-odds that is not finite, an evidence count below 1,
+        a footprint whose keys are not strictly increasing, or a footprint key
+        that is not a cell.  Every non-negative int64 is a packed key.
         """
         for record, (name, dtype) in zip(records, _SNAPSHOT_RECORDS.items()):
             if record.ndim != 1 or record.dtype != dtype:
@@ -485,7 +472,10 @@ class MapState:
         state.categories = list(_checked(obj["categories"], "categories", list))
         if not _all_of(state.categories, str):
             raise TypeError("a category is not a string")
-        state._category_set = set(state.categories)
+        if state.categories[:1] != [UNKNOWN_CATEGORY]:
+            raise SnapshotError(f"the category registry does not begin with {UNKNOWN_CATEGORY!r}")
+        if len(set(state.categories)) != len(state.categories):
+            raise SnapshotError("a category is listed twice")
         state.instances = {}
         voxel_counts: list[int] = []
         for inst in obj["instances"]:

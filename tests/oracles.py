@@ -53,7 +53,6 @@ from voxeland.fusion import (
     AssociationOutcome,
     MergeEvent,
     _passing_scores,
-    opinion_voxel_counts,
 )
 from voxeland.opinions import (
     NOISE,
@@ -340,6 +339,8 @@ def oracle_build_opinions(
     pose: Pose,
     params: ClusteringParams,
     max_range: float = 4.0,
+    *,
+    voxel_size: float,
 ) -> list[SubjectiveOpinion]:
     """One ``np.nonzero`` and one back-projection per prediction, and one more
     for the valid pixels that no prediction claims."""
@@ -366,6 +367,7 @@ def oracle_build_opinions(
                 confidence=prediction.confidence,
                 source_frame=frame.frame_id,
                 pixel_bbox=pixel_bbox(mask),
+                voxel_size=voxel_size,
             )
         )
 
@@ -380,6 +382,7 @@ def oracle_build_opinions(
                 confidence=1.0,
                 source_frame=frame.frame_id,
                 pixel_bbox=None,
+                voxel_size=voxel_size,
             )
         )
     return opinions
@@ -798,7 +801,8 @@ def oracle_associate(
     opinions: list[SubjectiveOpinion], state: MapState, config: AssociationConfig
 ) -> AssociationOutcome:
     """Reference association: each opinion against each candidate on its own,
-    the overlap counted with one ``in_sorted`` per (opinion, candidate) pair."""
+    the overlap counted with one ``in_sorted`` per (opinion, candidate) pair,
+    over the opinion's voxels as :func:`oracle_voxel_counts` keys them."""
     outcome = AssociationOutcome()
     candidates = [
         record
@@ -809,7 +813,9 @@ def oracle_associate(
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
             continue
-        keys, counts = opinion_voxel_counts(opinion, state.voxel_size)
+        voxels = oracle_voxel_counts(opinion, state.voxel_size)
+        keys = pack_keys(np.array(list(voxels), dtype=np.int64))
+        counts = np.array(list(voxels.values()))
         n_points = len(opinion.points)
         best: tuple[float, float, int] | None = None  # (iou, ios, -id) ordering helper
         for record in candidates:

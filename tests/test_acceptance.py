@@ -186,6 +186,7 @@ def _fixture_with_footprint(n_voxels, points):
         confidence=0.9,
         source_frame=0,
         pixel_bbox=(0, 0, 1, 1),
+        voxel_size=state.voxel_size,
     )
     return state, state.instances[instance_id], opinion
 
@@ -235,7 +236,9 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
     pipeline.process_frame(load_frame(records[0]))
 
     frame = load_frame(records[1])
-    opinions = build_opinions(frame, frame.record.intrinsics, frame.record.pose, ClusteringParams(0.08, 0.144, 4))
+    opinions = build_opinions(
+        frame, frame.record.intrinsics, frame.record.pose, ClusteringParams(0.08, 0.144, 4), voxel_size=0.02
+    )
     fresh = state.new_instance()
     before = {
         key: dict(cell.instance_counts) for key, cell in cells_of(state).items()

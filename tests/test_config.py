@@ -86,7 +86,7 @@ class TestFreeSpaceCarving:
         instance_id = state.new_instance()
         surface = np.array([[2.05, 0.05, 0.05]])
         opinion = SubjectiveOpinion(
-            points=surface, category="x", confidence=0.9, source_frame=0, pixel_bbox=(0, 0, 1, 1)
+            points=surface, category="x", confidence=0.9, source_frame=0, pixel_bbox=(0, 0, 1, 1), voxel_size=0.1
         )
         carve_free_space(opinion, state, camera_origin=np.array([0.05, 0.05, 0.05]), stride_voxels=2)
         cells = cells_of(state)
@@ -114,7 +114,8 @@ class TestFreeSpaceCarving:
                     (model, oracle_integrate, oracle_carve_free_space),
                 ):
                     opinion = SubjectiveOpinion(
-                        points=points, category="x", confidence=0.9, source_frame=0, pixel_bbox=None
+                        points=points, category="x", confidence=0.9, source_frame=0, pixel_bbox=None,
+                        voxel_size=voxel_size,
                     )
                     integrate(opinion, instance_id, target)
                     carve(opinion, target, origin, stride)

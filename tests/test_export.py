@@ -273,6 +273,15 @@ class TestExportsMatchOracle:
         assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
         assert "element vertex 2\n" in (tmp_path / "new.ply").read_text()
 
+    @pytest.mark.parametrize("evidence", [{"chair": 0.0}, {"chair": 2.0, "table": -1.0}], ids=["zero-sum", "negative"])
+    def test_instance_without_evidence_or_cells(self, evidence):
+        """An instance whose category evidence gives no distribution, or a
+        negative probability, and that owns no cell is read by no cell: both
+        layers and every export equal the per-cell oracle's, and none raises."""
+        state = small_state()
+        state.instances[state.new_instance()].category_evidence = evidence
+        assert_exports_match_oracle(state)
+
     def test_signed_zeros_and_non_finite_values(self, tmp_path):
         values = {
             (0, 0, 0): 0.0,

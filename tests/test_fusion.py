@@ -28,9 +28,9 @@ from voxeland.fusion import (
     MergeEvent,
     Pipeline,
     associate,
+    carve_free_space,
     integrate_geometric,
     integrate_semantic,
-    opinion_voxel_counts,
     refine,
 )
 from voxeland.frames import load_frame, load_manifest
@@ -62,13 +62,14 @@ def center(i, j=0, k=0):
     return np.array([(i + 0.5) * VOXEL, (j + 0.5) * VOXEL, (k + 0.5) * VOXEL])
 
 
-def opinion(points, category="chair", confidence=0.9, frame=0):
+def opinion(points, category="chair", confidence=0.9, frame=0, voxel_size=VOXEL):
     return SubjectiveOpinion(
         points=np.asarray(points, dtype=float),
         category=category,
         confidence=confidence,
         source_frame=frame,
         pixel_bbox=None if category == UNKNOWN_CATEGORY else (0, 0, 1, 1),
+        voxel_size=voxel_size,
     )
 
 
@@ -686,24 +687,28 @@ class TestRefineMatchesOracle:
         assert oracle_snapshot_dict(state) == reference.to_dict()
 
 
-class TestOpinionVoxelCounts:
-    def test_counts_partition_points(self):
-        rng = np.random.default_rng(3)
-        points = rng.uniform(-1, 1, (500, 3))
-        keys, counts = opinion_voxel_counts(opinion(points), VOXEL)
-        assert counts.sum() == 500
-        assert np.all(keys[1:] > keys[:-1])
-
-    def test_memo_follows_voxel_size(self):
+class TestOpinionKeys:
+    @pytest.mark.parametrize("voxel_size", [VOXEL, 2 * VOXEL, 0.02])
+    def test_keys_and_counts_match_oracle(self, voxel_size):
         rng = np.random.default_rng(4)
-        op = opinion(rng.uniform(-1, 1, (300, 3)))
-        first = opinion_voxel_counts(op, VOXEL)
-        assert opinion_voxel_counts(op, VOXEL) is first
-        for size in (2 * VOXEL, VOXEL):
-            keys, counts = opinion_voxel_counts(op, size)
-            assert list(zip(unpack_keys(keys), counts.tolist())) == list(
-                oracle_voxel_counts(op, size).items()
-            )
+        op = opinion(rng.uniform(-1, 1, (500, 3)), voxel_size=voxel_size)
+        assert np.all(op.keys[1:] > op.keys[:-1])
+        assert op.counts.sum() == 500
+        voxels = list(zip(unpack_keys(op.keys), op.counts.tolist()))
+        assert voxels == list(oracle_voxel_counts(op, voxel_size).items())
+
+    def test_map_of_another_voxel_size_is_refused(self):
+        state, instance_id = state_with_instance(3)
+        op = opinion([center(0), center(1)], voxel_size=2 * VOXEL)
+        before = oracle_snapshot_dict(state)
+        for call in (
+            lambda: associate([op], state, CFG),
+            lambda: integrate_geometric(op, instance_id, state),
+            lambda: carve_free_space(op, state, np.zeros(3)),
+        ):
+            with pytest.raises(ValueError, match=f"{2 * VOXEL}.*{VOXEL}"):
+                call()
+        assert oracle_snapshot_dict(state) == before
 
 
 def synthetic_frame(frame_id, predictions, depth_value=1500, shape=(40, 40), translation=(0, 0, 0)):
@@ -932,7 +937,8 @@ def reference_pipeline_map(pipeline, frames, outcomes):
     model = OracleMap(voxel_size=state.voxel_size, occupancy=state.occupancy)
     for frame, outcome in zip(frames, outcomes):
         opinions = build_opinions(
-            frame, frame.record.intrinsics, frame.record.pose, pipeline.clustering, pipeline.max_range
+            frame, frame.record.intrinsics, frame.record.pose, pipeline.clustering, pipeline.max_range,
+            voxel_size=state.voxel_size,
         )
         for _, instance_id in outcome.spawned:
             assert model.new_instance() == instance_id

@@ -26,6 +26,7 @@ from voxeland.opinions import (
     pixel_bbox,
 )
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
+from voxeland.voxelmap import unpack_keys
 
 from oracles import (
     backproject,
@@ -34,9 +35,11 @@ from oracles import (
     canonical_clustering,
     oracle_build_opinions,
     oracle_filter_geometric_opinion,
+    oracle_voxel_counts,
 )
 
 PARAMS = ClusteringParams(coarse_voxel=0.08, eps=0.08 * 1.8, min_pts=4)
+VOXEL = 0.02
 
 # (i, j, k) coarse cell and (u, v, w) position inside it
 COARSE_POINT = st.tuples(
@@ -319,7 +322,7 @@ class TestBuildOpinions:
                 PredictionInstance("table", 0.8, encode_rle_mask(mask_b)),
             ],
         )
-        opinions = build_opinions(frame, intr, pose, PARAMS)
+        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
         assert len(opinions) == 3
         assert [o.category for o in opinions] == ["chair", "table", UNKNOWN_CATEGORY]
         assert opinions[0].pixel_bbox == (5, 5, 14, 14)
@@ -331,7 +334,7 @@ class TestBuildOpinions:
         mask = np.zeros((20, 20), dtype=bool)
         mask[:10, :10] = True
         frame, intr, pose = make_frame(depth, [PredictionInstance("chair", 0.9, encode_rle_mask(mask))])
-        opinions = build_opinions(frame, intr, pose, PARAMS)
+        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
         assert [o.category for o in opinions] == [UNKNOWN_CATEGORY]
         # background pixel count: everything valid and unclaimed
         assert len(opinions[0].points) == 20 * 20 - 100
@@ -345,7 +348,7 @@ class TestBuildOpinions:
         mask[15:45, 15:45] = True
         mask[20:30, 45:49] = True  # leak: 10x4 px on the wall
         frame, intr, pose = make_frame(depth, [PredictionInstance("box", 0.9, encode_rle_mask(mask))])
-        opinions = build_opinions(frame, intr, pose, PARAMS)
+        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
         semantic = [o for o in opinions if not o.is_unknown]
         assert len(semantic) == 1
         assert semantic[0].points[:, 2].max() < 1.5, "wall points must not survive"
@@ -364,7 +367,7 @@ class TestBuildOpinions:
                 PredictionInstance("b", 0.9, encode_rle_mask(mask_b)),
             ],
         )
-        opinions = build_opinions(frame, intr, pose, PARAMS)
+        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
         unknown = next(o for o in opinions if o.is_unknown)
         semantic = [o for o in opinions if not o.is_unknown]
         claimed_points = {tuple(p) for o in semantic for p in o.points}
@@ -383,12 +386,24 @@ class TestBuildOpinions:
     def test_empty_frame_yields_nothing(self):
         depth = np.zeros((10, 10), dtype=np.uint16)
         frame, intr, pose = make_frame(depth, [])
-        assert build_opinions(frame, intr, pose, PARAMS) == []
+        assert build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL) == []
+
+    def test_voxel_size_is_keyword_only(self):
+        """A call that passes the voxel size where max_range goes, or leaves
+        it out, is a TypeError rather than a map keyed at the wrong size."""
+        frame, intr, pose = make_frame(np.full((10, 10), 1000, dtype=np.uint16), [])
+        with pytest.raises(TypeError):
+            build_opinions(frame, intr, pose, PARAMS, 4.0, VOXEL)
+        with pytest.raises(TypeError):
+            build_opinions(frame, intr, pose, PARAMS, VOXEL)
+        [unknown] = build_opinions(frame, intr, pose, PARAMS, 4.0, voxel_size=VOXEL)
+        assert unknown.voxel_size == VOXEL
 
     def test_opinion_requires_points(self):
         with pytest.raises(ValueError):
             SubjectiveOpinion(
-                points=np.zeros((0, 3)), category="x", confidence=0.5, source_frame=0, pixel_bbox=None
+                points=np.zeros((0, 3)), category="x", confidence=0.5, source_frame=0, pixel_bbox=None,
+                voxel_size=VOXEL,
             )
 
 
@@ -425,6 +440,9 @@ def assert_same_opinions(opinions, expected):
         assert opinion.confidence == oracle.confidence
         assert opinion.source_frame == oracle.source_frame
         assert opinion.pixel_bbox == oracle.pixel_bbox
+        assert opinion.voxel_size == oracle.voxel_size
+        voxels = list(zip(unpack_keys(opinion.keys), opinion.counts.tolist()))
+        assert voxels == list(oracle_voxel_counts(oracle, oracle.voxel_size).items())
 
 
 def box(shape, rows, columns):
@@ -553,8 +571,9 @@ class TestBuildOpinionsAgainstOracle:
     def test_listed_cases(self, case):
         depth, masks, max_range, categories, unknown_points = case()
         frame, intr, pose = posed_frame(depth, masks)
-        opinions = build_opinions(frame, intr, pose, PARAMS, max_range)
-        assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, PARAMS, max_range))
+        opinions = build_opinions(frame, intr, pose, PARAMS, max_range, voxel_size=VOXEL)
+        expected = oracle_build_opinions(frame, intr, pose, PARAMS, max_range, voxel_size=VOXEL)
+        assert_same_opinions(opinions, expected)
         assert [o.category for o in opinions] == categories
         if unknown_points is not None:
             assert len(opinions[-1].points) == unknown_points
@@ -563,8 +582,9 @@ class TestBuildOpinionsAgainstOracle:
     @given(posed_frames())
     def test_random_frames(self, posed):
         frame, intr, pose, params, max_range = posed
-        opinions = build_opinions(frame, intr, pose, params, max_range)
-        assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, params, max_range))
+        opinions = build_opinions(frame, intr, pose, params, max_range, voxel_size=VOXEL)
+        expected = oracle_build_opinions(frame, intr, pose, params, max_range, voxel_size=VOXEL)
+        assert_same_opinions(opinions, expected)
 
     def test_lone_points_transformed_on_their_own(self):
         """A one-pixel selection in a frame of many valid pixels: numpy's
@@ -580,9 +600,9 @@ class TestBuildOpinionsAgainstOracle:
         for _ in range(60):
             pose = Pose(rotation_about(rng.normal(size=3), rng.uniform(0, 6)), rng.normal(size=3) * 3)
             frame, intr, pose = posed_frame(depth, [mask, claim_all_but_one], pose)
-            opinions = build_opinions(frame, intr, pose, params)
+            opinions = build_opinions(frame, intr, pose, params, voxel_size=VOXEL)
             assert [len(o.points) for o in opinions][::2] == [1, 1]
-            assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, params))
+            assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, params, voxel_size=VOXEL))
 
     def test_rendered_orbit_frames(self, tmp_path):
         """Rendered frames with dilated masks and depth noise, several of them
@@ -593,8 +613,8 @@ class TestBuildOpinionsAgainstOracle:
         compared = 0
         for record in load_manifest(tmp_path / "manifest.jsonl"):
             frame = load_frame(record)
-            opinions = build_opinions(frame, record.intrinsics, record.pose, params, 3.0)
-            expected = oracle_build_opinions(frame, record.intrinsics, record.pose, params, 3.0)
+            opinions = build_opinions(frame, record.intrinsics, record.pose, params, 3.0, voxel_size=VOXEL)
+            expected = oracle_build_opinions(frame, record.intrinsics, record.pose, params, 3.0, voxel_size=VOXEL)
             assert_same_opinions(opinions, expected)
             compared += len(opinions)
         assert compared > len(scene.trajectory)

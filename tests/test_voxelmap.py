@@ -586,6 +586,9 @@ class TestSnapshot:
              "instance 1: category evidence 'chair' of 0.0 is not above 0"),
             (lambda s: s["categories"].append(5), "category is not a string"),
             (lambda s: s.update(categories="chair"), "categories 'chair' is not list"),
+            (lambda s: s["categories"].reverse(), "the category registry does not begin with 'unknown'"),
+            (lambda s: s.update(categories=[]), "the category registry does not begin with 'unknown'"),
+            (lambda s: s["categories"].append(s["categories"][1]), "category is listed twice"),
             (lambda s: s.update(frames_integrated=2.5), "frames_integrated 2.5 is not int"),
             (lambda s: s.update(next_instance_id=3.0), "next_instance_id 3.0 is not int"),
             (lambda s: s.update(voxel_size=math.nan), "voxel_size nan is not finite"),
@@ -598,7 +601,7 @@ class TestSnapshot:
             "int-final-category", "string-frame-id", "string-bbox", "three-bbox", "float-in-bbox",
             "string-confidence", "int-view-path", "string-evidence", "nan-evidence",
             "negative-evidence", "zero-sum-evidence", "int-category",
-            "string-categories", "float-frames-integrated", "float-next-id", "nan-voxel-size",
+            "string-categories", "unknown-category-not-first", "no-categories", "category-twice", "float-frames-integrated", "float-next-id", "nan-voxel-size",
             "inf-log-odds-max", "string-p-hit",
         ],
     )
