@@ -4,6 +4,11 @@ Scenes are axis-aligned boxes inside a room; depth is rendered per pose by
 ray/box intersection with z-buffering (the room's interior walls provide
 background depth), and each visible object yields a run-length mask plus a
 category/confidence prediction, optionally corrupted by the noise spec.
+Each box is slab-tested only against the rays of its window: the bounding
+pixel rectangle of its projected corners, widened by one pixel and clipped
+to the image, or the whole image when a corner is not in front of the
+camera.  A mask is dilated only over its bounding rectangle padded by the
+dilation radius.  Both give the bits of the full-image computation.
 Ground truth stores the surface-shell voxelization of every box at map
 resolution, which is what a depth-based reconstruction can actually observe.
 Everything is deterministic given the seed.
@@ -17,7 +22,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .atomic import _checked
 from .frames import (
@@ -59,6 +63,24 @@ class NoiseSpec:
     mislabel_as: str | None = None
     confidence: float = 0.9
     mislabel_confidence: float = 0.9
+
+    def __post_init__(self) -> None:
+        """Refuse values that the dataset could not carry: a confidence that
+        ``load_frame`` rejects, or a negative size or rate that would be
+        silently ignored or saturate."""
+        pixels = self.mask_dilation_px
+        if isinstance(pixels, bool) or not isinstance(pixels, (int, np.integer)) or pixels < 0:
+            raise ValueError(f"mask_dilation_px must be a non-negative int, got {pixels!r}")
+        if not (math.isfinite(self.depth_sigma) and self.depth_sigma >= 0):
+            raise ValueError(f"depth_sigma must be finite and >= 0, got {self.depth_sigma!r}")
+        if not 0 <= self.misclassification_rate <= 1:
+            raise ValueError(
+                f"misclassification_rate must be in [0, 1], got {self.misclassification_rate!r}"
+            )
+        for name in ("confidence", "mislabel_confidence"):
+            value = getattr(self, name)
+            if not 0 < value <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {value!r}")
 
 
 @dataclass
@@ -160,19 +182,64 @@ def _slab(
     return t_near, t_far
 
 
+# each corner of a box picks, per axis, its high (True) or its low bound
+_CORNERS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=bool)
+
+
+def _box_windows(scene: SyntheticScene, pose: Pose) -> list[tuple[slice, slice]]:
+    """Rows and columns of the pixels whose rays can meet each box.
+
+    A box wholly in front of the camera projects inside the hull of its
+    projected corners; its window is that hull's bounding rectangle, widened
+    by one pixel against rounding in the projection and the slab test, and
+    clipped to the image.  It may be empty.  When a corner lies at or behind
+    the camera plane the window is the whole image.
+    """
+    intrinsics = scene.intrinsics
+    lows = np.array([o.box_min for o in scene.objects]).reshape(-1, 1, 3)
+    highs = np.array([o.box_max for o in scene.objects]).reshape(-1, 1, 3)
+    # (p - t) @ R is R^T (p - t): each corner in the camera frame
+    camera = (np.where(_CORNERS, highs, lows) - pose.translation) @ pose.rotation
+    x, y, z = np.moveaxis(camera, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intrinsics.fx * x / z + intrinsics.cx
+        v = intrinsics.fy * y / z + intrinsics.cy
+    # clip before the integer cast: a corner just in front of the camera
+    # projects arbitrarily far outside the image
+    bounds = np.stack([
+        np.clip(np.floor(v.min(axis=1)) - 1, 0, intrinsics.height),
+        np.clip(np.ceil(v.max(axis=1)) + 2, 0, intrinsics.height),
+        np.clip(np.floor(u.min(axis=1)) - 1, 0, intrinsics.width),
+        np.clip(np.ceil(u.max(axis=1)) + 2, 0, intrinsics.width),
+    ], axis=1)
+    bounds[(z <= 1e-6).any(axis=1)] = [0, intrinsics.height, 0, intrinsics.width]
+    return [
+        (slice(row_start, row_stop), slice(col_start, col_stop))
+        for row_start, row_stop, col_start, col_stop in bounds.astype(int).tolist()
+    ]
+
+
 def render_frame(
     scene: SyntheticScene, pose: Pose
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Render z-depth (meters) and per-pixel winning object index (-1 = room)."""
+    """Render z-depth (meters) and per-pixel winning object index (-1 = room).
+
+    Each box is tested only against the rays of its window (``_box_windows``);
+    those rays get the same elementwise arithmetic as over the whole image.
+    """
     dirs, origin = _pixel_rays(scene.intrinsics, pose)
     _, room_exit = _slab(origin, dirs, scene.room_min, scene.room_max)
     depth = np.where(room_exit > 1e-6, room_exit, np.inf)
     owner = np.full(depth.shape, -1, dtype=int)
-    for index, scene_object in enumerate(scene.objects):
-        near, far = _slab(origin, dirs, scene_object.box_min, scene_object.box_max)
-        closer = (near <= far) & (near > 1e-6) & (near < depth)
-        depth[closer] = near[closer]
-        owner[closer] = index
+    windows = _box_windows(scene, pose)
+    for index, (scene_object, window) in enumerate(zip(scene.objects, windows)):
+        window_depth, window_owner = depth[window], owner[window]
+        if window_depth.size == 0:
+            continue
+        near, far = _slab(origin, dirs[window], scene_object.box_min, scene_object.box_max)
+        closer = (near <= far) & (near > 1e-6) & (near < window_depth)
+        window_depth[closer] = near[closer]
+        window_owner[closer] = index
     return depth, owner
 
 
@@ -211,6 +278,27 @@ def ground_truth_scene(scene: SyntheticScene) -> GroundTruthScene:
     return GroundTruthScene(voxel_size=scene.voxel_size, instances=instances)
 
 
+def _dilate_mask(mask: np.ndarray, pixels: int) -> None:
+    """Set, in place, every pixel within Manhattan distance ``pixels`` of the
+    mask: ``pixels`` rounds of OR with the four one-pixel shifts.
+
+    Only the mask's bounding rectangle padded by ``pixels`` and clipped to
+    the image is touched; every pixel in reach lies inside it.
+    """
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    window = mask[
+        max(rows[0] - pixels, 0) : rows[-1] + pixels + 1,
+        max(cols[0] - pixels, 0) : cols[-1] + pixels + 1,
+    ]
+    for _ in range(pixels):
+        grown = window.copy()
+        grown[1:] |= window[:-1]
+        grown[:-1] |= window[1:]
+        grown[:, 1:] |= window[:, :-1]
+        grown[:, :-1] |= window[:, 1:]
+        window[...] = grown
+
+
 def generate_synthetic(scene: SyntheticScene, seed: int, out_dir: Path | str) -> Path:
     """Write a full dataset directory; byte-identical for a fixed seed."""
     out_dir = Path(out_dir)
@@ -238,10 +326,10 @@ def generate_synthetic(scene: SyntheticScene, seed: int, out_dir: Path | str) ->
         instances = []
         for index, scene_object in enumerate(scene.objects):
             mask = owner == index
-            if noise.mask_dilation_px > 0 and mask.any():
-                mask = ndimage.binary_dilation(mask, iterations=noise.mask_dilation_px)
             if not mask.any():
                 continue
+            if noise.mask_dilation_px > 0:
+                _dilate_mask(mask, noise.mask_dilation_px)
             category = scene_object.category
             confidence = noise.confidence
             if (
@@ -305,9 +393,10 @@ def scene_from_spec(obj: dict) -> SyntheticScene:
     else:
         trajectory = [_parse_pose(p) for p in trajectory_spec]
     noise_spec = _checked(obj.get("noise", {}), "noise", dict)
-    # numeric fields take the type of their default; the two ids stay as given
+    # float fields take a JSON int as a float; the rest stay as given, so a
+    # fractional mask_dilation_px is refused, not truncated
     noise = NoiseSpec(**{
-        f.name: noise_spec[f.name] if f.default is None else type(f.default)(noise_spec[f.name])
+        f.name: float(noise_spec[f.name]) if isinstance(f.default, float) else noise_spec[f.name]
         for f in fields(NoiseSpec)
         if f.name in noise_spec
     })

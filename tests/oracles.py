@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from voxeland.disambiguation import ViewRef
@@ -1083,6 +1084,12 @@ def oracle_render_frame(scene: SyntheticScene, pose: Pose) -> tuple[np.ndarray, 
         depth = np.where(closer, entry, depth)
         owner = np.where(closer, index, owner)
     return depth, owner
+
+
+def oracle_dilate_mask(mask: np.ndarray, pixels: int) -> np.ndarray:
+    """The mask after ``pixels`` >= 1 dilations by the 4-connected cross over
+    the whole image, pixels beyond its edges counting as unset."""
+    return ndimage.binary_dilation(mask, iterations=pixels)
 
 
 def oracle_voxelize_box_shell(

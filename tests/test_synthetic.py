@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxeland.frames import CameraIntrinsics, load_manifest, load_frame
+from voxeland import synthetic
+from voxeland.cli import main
 from voxeland.synthetic import (
     NoiseSpec,
     SceneObject,
     SyntheticScene,
+    _box_windows as box_windows,
+    _dilate_mask as dilate_mask,
     _pixel_rays,
     generate_synthetic,
     ground_truth_scene,
@@ -23,7 +31,7 @@ from voxeland.synthetic import (
 )
 from voxeland.voxelmap import pack_keys, unpack_keys
 
-from oracles import oracle_render_frame, oracle_voxelize_box_shell
+from oracles import oracle_dilate_mask, oracle_render_frame, oracle_voxelize_box_shell
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60, depth_scale=0.001)
 
@@ -179,6 +187,52 @@ def room_scene(boxes, intrinsics=SMALL):
     )
 
 
+FULL_WINDOW = (slice(0, SMALL.height), slice(0, SMALL.width))
+
+FIVE_BOXES = [
+    (np.array(low), np.array(high))
+    for low, high in (
+        ((0.36, 0.36, 0.0), (0.66, 0.66, 0.5)),
+        ((-0.76, 0.20, 0.0), (-0.34, 0.50, 0.34)),
+        ((-0.50, -0.76, 0.0), (-0.20, -0.46, 0.5)),
+        ((0.34, -0.60, 0.0), (0.56, -0.50, 0.42)),
+        ((-0.18, -0.08, 0.0), (0.20, 0.18, 0.26)),
+    )
+]
+
+
+def clutter_boxes(count=48, seed=20241113):
+    """``count`` boxes of varied size and height, one in each of ``count``
+    cells of an 8x8 grid of 0.4 m cells, so no two touch."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for index in sorted(int(c) for c in rng.choice(64, size=count, replace=False)):
+        x0, y0 = -1.6 + 0.4 * (index % 8), -1.6 + 0.4 * (index // 8)
+        sx, sy = rng.uniform(0.14, 0.30, size=2)
+        sz = rng.uniform(0.12, 0.6)
+        ox = x0 + 0.05 + rng.uniform(0.0, 0.3 - sx)
+        oy = y0 + 0.05 + rng.uniform(0.0, 0.3 - sy)
+        boxes.append((np.array([ox, oy, 0.0]), np.array([ox + sx, oy + sy, sz])))
+    return boxes
+
+
+def desk_scene(boxes, intrinsics, noise=None, trajectory=()):
+    """The boxes on the floor of a 6 x 6 x 2.4 m room."""
+    objects = [
+        SceneObject(f"o{n}", ("crate", "chair", "table")[n % 3], low, high)
+        for n, (low, high) in enumerate(boxes)
+    ]
+    return SyntheticScene(
+        room_min=np.array([-3.0, -3.0, 0.0]),
+        room_max=np.array([3.0, 3.0, 2.4]),
+        objects=objects,
+        trajectory=list(trajectory) or [look_at_pose(np.array([2.0, 0.0, 1.0]), np.zeros(3))],
+        intrinsics=intrinsics,
+        voxel_size=VOXEL,
+        noise=noise or NoiseSpec(),
+    )
+
+
 class TestRendererAgainstOracle:
     """render_frame gives the bits of the reference's separate entry and exit
     slab tests, over (h, w, 3) nanmax/nanmin temporaries."""
@@ -220,19 +274,232 @@ class TestRendererAgainstOracle:
 
     def test_five_box_orbit_frames(self):
         intrinsics = CameraIntrinsics(260.0, 260.0, 160.0, 120.0, 320, 240, 0.001)
-        boxes = [
-            (np.array(low), np.array(high))
-            for low, high in (
-                ((0.36, 0.36, 0.0), (0.66, 0.66, 0.5)),
-                ((-0.76, 0.20, 0.0), (-0.34, 0.50, 0.34)),
-                ((-0.50, -0.76, 0.0), (-0.20, -0.46, 0.5)),
-                ((0.34, -0.60, 0.0), (0.56, -0.50, 0.42)),
-                ((-0.18, -0.08, 0.0), (0.20, 0.18, 0.26)),
-            )
-        ]
-        scene = room_scene(boxes, intrinsics)
+        scene = room_scene(FIVE_BOXES, intrinsics)
         for pose in orbit_trajectory(np.zeros(3), 0.95, 0.9, 3, target=np.array([0.0, 0.0, 0.25])):
             assert_same_render(scene, pose)
+
+    # The camera sits at the origin looking along +x: image columns grow
+    # toward -y and image rows toward -z.
+    FORWARD = look_at_pose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+
+    def test_boxes_behind_camera(self):
+        boxes = [
+            (np.array([-0.6, -0.2, -0.2]), np.array([-0.3, 0.2, 0.2])),
+            (np.array([-0.9, 0.3, -0.5]), np.array([-0.05, 0.5, -0.1])),
+        ]
+        scene = room_scene(boxes)
+        assert box_windows(scene, self.FORWARD) == [FULL_WINDOW] * len(boxes)
+        assert_same_render(scene, self.FORWARD)
+        assert (render_frame(scene, self.FORWARD)[1] == -1).all()
+
+    def test_boxes_straddling_image_plane(self):
+        """Some corners in front of the camera, some behind: the window is the
+        whole image, and the front part of each box is drawn."""
+        boxes = [
+            (np.array([-0.2, 0.1, -0.1]), np.array([0.3, 0.3, 0.1])),
+            (np.array([-0.5, -0.4, -0.4]), np.array([0.6, -0.2, -0.1])),
+            (np.array([0.0, -0.05, 0.2]), np.array([0.4, 0.05, 0.4])),
+        ]
+        scene = room_scene(boxes)
+        assert box_windows(scene, self.FORWARD) == [FULL_WINDOW] * len(boxes)
+        assert_same_render(scene, self.FORWARD)
+        assert set(np.unique(render_frame(scene, self.FORWARD)[1])) == {-1, 0, 1, 2}
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            ((0.3, 0.6, -0.1), (0.5, 0.8, 0.1)),  # left of the view
+            ((0.3, -0.8, -0.1), (0.5, -0.6, 0.1)),  # right
+            ((0.3, -0.1, 0.5), (0.5, 0.1, 0.7)),  # above
+            ((0.3, -0.1, -0.7), (0.5, 0.1, -0.5)),  # below
+        ],
+    )
+    def test_box_outside_view_has_empty_window(self, low, high):
+        scene = room_scene([(np.array(low), np.array(high))])
+        [(rows, cols)] = box_windows(scene, self.FORWARD)
+        assert rows.start == rows.stop or cols.start == cols.stop
+        assert_same_render(scene, self.FORWARD)
+        assert (render_frame(scene, self.FORWARD)[1] == -1).all()
+
+    @pytest.mark.parametrize(
+        "low, high, edge",
+        [
+            ((0.5, 0.2, -0.05), (0.7, 0.6, 0.05), (slice(None), 0)),  # left
+            ((0.5, -0.6, -0.05), (0.7, -0.2, 0.05), (slice(None), -1)),  # right
+            ((0.5, -0.05, 0.2), (0.7, 0.05, 0.5), (0, slice(None))),  # top
+            ((0.5, -0.05, -0.5), (0.7, 0.05, -0.2), (-1, slice(None))),  # bottom
+            ((0.5, 0.2, 0.2), (0.7, 0.6, 0.5), (0, 0)),  # top-left corner
+            ((0.2, -0.9, -0.9), (0.9, 0.9, 0.9), (slice(None), slice(None))),  # whole view
+        ],
+    )
+    def test_box_cut_by_image_edge(self, low, high, edge):
+        scene = room_scene([(np.array(low), np.array(high))])
+        assert_same_render(scene, self.FORWARD)
+        assert (render_frame(scene, self.FORWARD)[1][edge] == 0).any()
+
+    @pytest.mark.parametrize(
+        "boxes, intrinsics, radius, height, target_z",
+        [
+            (FIVE_BOXES, CameraIntrinsics(520.0, 520.0, 320.0, 240.0, 640, 480, 0.001), 1.9, 1.1, 0.25),
+            (clutter_boxes(), CameraIntrinsics(260.0, 260.0, 160.0, 120.0, 320, 240, 0.001), 2.5, 1.5, 0.2),
+        ],
+        ids=["five-box-vga", "clutter-qvga"],
+    )
+    def test_desk_orbits(self, boxes, intrinsics, radius, height, target_z):
+        scene = desk_scene(boxes, intrinsics)
+        target = np.array([0.0, 0.0, target_z])
+        for pose in orbit_trajectory(np.zeros(3), radius, height, 4, target=target):
+            assert_same_render(scene, pose)
+
+
+def edge_masks():
+    """Random masks, masks with one pixel on an edge or in a corner, a full
+    mask and a one-row image."""
+    rng = np.random.default_rng(5)
+    masks = [rng.random((13, 17)) < density for density in (0.01, 0.05, 0.3)]
+    for row, col in ((0, 8), (12, 8), (6, 0), (6, 16), (0, 0), (12, 16), (0, 16), (12, 0)):
+        mask = np.zeros((13, 17), dtype=bool)
+        mask[row, col] = True
+        masks.append(mask)
+    masks.append(np.ones((13, 17), dtype=bool))
+    one_row = np.zeros((1, 9), dtype=bool)
+    one_row[0, 4] = True
+    masks.append(one_row)
+    return masks
+
+
+class TestMaskDilation:
+    @pytest.mark.parametrize("pixels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mask", edge_masks())
+    def test_equals_full_frame_dilation(self, mask, pixels):
+        dilated = mask.copy()
+        dilate_mask(dilated, pixels)
+        assert np.array_equal(dilated, oracle_dilate_mask(mask, pixels))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        pixels=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_random_masks(self, shape, pixels, data):
+        size = shape[0] * shape[1]
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        mask = mask.reshape(shape)
+        if not mask.any():  # generate_synthetic never dilates an empty mask
+            mask[data.draw(st.integers(0, shape[0] - 1)), data.draw(st.integers(0, shape[1] - 1))] = True
+        dilated = mask.copy()
+        dilate_mask(dilated, pixels)
+        assert np.array_equal(dilated, oracle_dilate_mask(mask, pixels))
+
+
+def dataset_bytes(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestGenerationAgainstReference:
+    def test_byte_identical_to_full_frame_reference(self, tmp_path, monkeypatch):
+        """A noisy scene with wide dilation, seen from close enough that boxes
+        are cut by every image edge, written once as it is and once with the
+        full-frame reference renderer and dilation swapped in."""
+        intrinsics = CameraIntrinsics(96.0, 96.0, 64.0, 48.0, 128, 96, 0.001)
+        noise = NoiseSpec(
+            mask_dilation_px=3, depth_sigma=0.004, misclassification_rate=0.2, mislabel_confidence=0.7
+        )
+        trajectory = orbit_trajectory(np.zeros(3), 1.2, 0.5, 6, target=np.array([0.0, 0.0, 0.3]))
+        scene = desk_scene(clutter_boxes(), intrinsics, noise, trajectory)
+        generate_synthetic(scene, seed=11, out_dir=tmp_path / "fast")
+
+        def full_frame_dilation(mask, pixels):
+            mask[...] = oracle_dilate_mask(mask, pixels)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(synthetic, "render_frame", oracle_render_frame)
+            patch.setattr(synthetic, "_dilate_mask", full_frame_dilation)
+            generate_synthetic(scene, seed=11, out_dir=tmp_path / "reference")
+        assert dataset_bytes(tmp_path / "fast") == dataset_bytes(tmp_path / "reference")
+
+        edges = set()
+        for record in load_manifest(tmp_path / "fast" / "manifest.jsonl"):
+            for prediction in load_frame(record).predictions:
+                mask = prediction.mask(intrinsics.width, intrinsics.height)
+                edges.update(
+                    name
+                    for name, line in (
+                        ("top", mask[0]), ("bottom", mask[-1]), ("left", mask[:, 0]), ("right", mask[:, -1])
+                    )
+                    if line.any()
+                )
+        assert edges == {"top", "bottom", "left", "right"}
+
+
+def test_import_leaves_out_scipy_ndimage():
+    """Nothing in the package needs scipy.ndimage, which costs tens of
+    milliseconds to import in every process."""
+    src = Path(synthetic.__file__).resolve().parents[1]
+    code = "import sys, voxeland, voxeland.cli; print('scipy.ndimage' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mask_dilation_px", -1),
+            ("mask_dilation_px", 1.5),
+            ("mask_dilation_px", 2.0),
+            ("mask_dilation_px", True),
+            ("depth_sigma", -0.001),
+            ("depth_sigma", math.nan),
+            ("depth_sigma", math.inf),
+            ("misclassification_rate", -0.1),
+            ("misclassification_rate", 3.0),
+            ("misclassification_rate", math.nan),
+            ("confidence", 0.0),
+            ("confidence", 1.5),
+            ("confidence", math.nan),
+            ("mislabel_confidence", -0.2),
+            ("mislabel_confidence", 1.0000001),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            NoiseSpec(**{field: value})
+
+    def test_bounds_accepted(self):
+        NoiseSpec(mask_dilation_px=0, depth_sigma=0.0, misclassification_rate=0.0, confidence=1.0)
+        NoiseSpec(mask_dilation_px=np.int64(3), misclassification_rate=1.0, mislabel_confidence=1e-9)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [{"confidence": 1.5}, {"mask_dilation_px": 1.5}, {"misclassification_rate": 3}],
+    )
+    def test_spec_refused_before_any_file_is_written(self, tmp_path, noise):
+        spec = {
+            "room": {"min": [-3, -3, 0], "max": [3, 3, 2.4]},
+            "intrinsics": {
+                "fx": 100, "fy": 100, "cx": 40, "cy": 30,
+                "width": 80, "height": 60, "depth_scale": 0.001,
+            },
+            "objects": [],
+            "trajectory": {"orbit": {"center": [0, 0, 0], "radius": 2.0, "height": 0.8, "frames": 2}},
+            "noise": noise,
+        }
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ValueError, match=f"{next(iter(noise))} must be"):
+            load_scene_spec(path)
+        out = tmp_path / "dataset"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestTargetedMislabel:
