@@ -7,12 +7,12 @@ mixed categorical distribution.
 
 import math
 
-from voxeland import expected_entropy, probabilities, shannon_entropy
+from voxeland.evidence import expected_entropy, probabilities, shannon_entropy
 
 print("=== Normalizing evidence ===")
 evidence = {"chair": 3.0, "table": 1.0}
 dist = probabilities(evidence)
-print(f"evidence {evidence} -> probabilities {dist.probs}")
+print(f"evidence {evidence} -> probabilities {dist}")
 
 print()
 print("=== Expected entropy shrinks as evidence concentrates ===")

@@ -8,7 +8,6 @@ at the voxel size of the map it is meant for.
 
 import numpy as np
 
-from voxeland import ClusteringParams, build_opinions
 from voxeland.frames import (
     CameraIntrinsics,
     DepthImage,
@@ -18,6 +17,7 @@ from voxeland.frames import (
     PredictionInstance,
     encode_rle_mask,
 )
+from voxeland.opinions import ClusteringParams, build_opinions
 
 width = height = 60
 depth = np.full((height, width), 3000, dtype=np.uint16)  # wall at 3 m

@@ -8,17 +8,13 @@ timings, and the evaluation against ground truth.
 import tempfile
 from pathlib import Path
 
-from voxeland import (
-    AssociationConfig,
-    ClusteringParams,
-    EvalConfig,
-    MapState,
-    Pipeline,
-    evaluate,
-)
+from voxeland.evaluation import EvalConfig, evaluate
 from voxeland.frames import load_frame, load_ground_truth, load_manifest
+from voxeland.fusion import AssociationConfig, Pipeline
+from voxeland.opinions import ClusteringParams
 from voxeland.synthetic import generate_synthetic, scene_from_spec
 from voxeland.uncertainty import declare_categories
+from voxeland.voxelmap import MapState
 
 SPEC = {
     "room": {"min": [-3, -3, 0], "max": [3, 3, 2.4]},

@@ -8,15 +8,17 @@ and both layers are exported as heat-colored PLY point clouds.
 import tempfile
 from pathlib import Path
 
-from voxeland import ClusteringParams, MapState, Pipeline
 from voxeland.export import export_entropy_layer
 from voxeland.frames import load_frame, load_manifest
+from voxeland.fusion import Pipeline
+from voxeland.opinions import ClusteringParams
 from voxeland.synthetic import generate_synthetic, scene_from_spec
 from voxeland.uncertainty import (
     declare_categories,
     geometric_entropy_map,
     semantic_entropy_map,
 )
+from voxeland.voxelmap import MapState
 
 SPEC = {
     "room": {"min": [-3, -3, 0], "max": [3, 3, 2.4]},

@@ -6,15 +6,9 @@ answers like an external vision-language service would.  Picking the plain
 argmax would label it bed; the second opinion corrects it to couch.
 """
 
-from voxeland import (
-    ArgmaxClient,
-    MapState,
-    MockClient,
-    build_request,
-    disambiguate_all,
-)
+from voxeland.disambiguation import ArgmaxClient, MockClient, build_request, disambiguate_all
 from voxeland.uncertainty import declare_categories
-from voxeland.voxelmap import Observation
+from voxeland.voxelmap import MapState, Observation
 
 
 def ambiguous_map():

@@ -19,9 +19,9 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .evidence import CategoricalDistribution, probabilities
 import numpy as np
 
+from .evidence import probabilities
 from .voxelmap import InstanceRecord, MapState, Observation, VoxelKey, unpack_key_array, unpack_keys
 
 PROMPT_TEMPLATE = (
@@ -73,7 +73,7 @@ class GeometrySummary:
 @dataclass
 class DisambiguationRequest:
     instance_id: int
-    evidence: CategoricalDistribution
+    evidence: dict[str, float]  # the category distribution, over every label with evidence
     candidates: list[str]  # descending probability, >= 2 entries
     geometry: GeometrySummary
     views: list[ViewRef]
@@ -103,8 +103,8 @@ def select_candidates(record: InstanceRecord, min_prob: float = DEFAULT_MIN_PROB
     if not record.category_evidence:
         raise DisambiguationError("nothing to disambiguate")
     dist = probabilities(record.category_evidence)
-    ranked = sorted(dist.probs, key=lambda label: (-dist.probs[label], str(label)))
-    selected = [label for label in ranked if dist.probs[label] >= min_prob]
+    ranked = sorted(dist, key=lambda label: (-dist[label], str(label)))
+    selected = [label for label in ranked if dist[label] >= min_prob]
     floor = min(2, len(ranked))
     if len(selected) < floor:
         selected = ranked[:floor]
@@ -191,10 +191,9 @@ def build_request(
         raise DisambiguationError(
             f"instance {record.id} has a single candidate category; nothing to disambiguate"
         )
-    dist = probabilities(record.category_evidence)
     request = DisambiguationRequest(
         instance_id=record.id,
-        evidence=CategoricalDistribution({str(k): v for k, v in dist.probs.items()}),
+        evidence=probabilities(record.category_evidence),
         candidates=candidates,
         geometry=summarize_geometry(record.keys),
         views=select_views(record, candidates, views_per_candidate),
@@ -236,7 +235,15 @@ class MockClient:
 
     @classmethod
     def from_fixture_file(cls, path: Path | str) -> "MockClient":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The client of a JSON object from instance ids to response strings;
+        any other file content is a ValueError naming the file."""
+        try:
+            responses = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from exc
+        if not isinstance(responses, dict) or not all(isinstance(value, str) for value in responses.values()):
+            raise ValueError(f"{path}: fixtures must be a JSON object from instance ids to response strings")
+        return cls(responses)
 
     def query(self, request: DisambiguationRequest) -> str:
         key = str(request.instance_id)
@@ -293,9 +300,9 @@ class HttpClient:
                 payload = json.loads(response.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise ClientError(str(exc)) from exc
-        if "text" not in payload:
-            raise ClientError(f"response missing 'text': {payload!r}")
-        return str(payload["text"])
+        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
+            raise ClientError(f"response is not an object with a string 'text': {payload!r}")
+        return payload["text"]
 
 
 def disambiguate_all(
@@ -326,6 +333,9 @@ def disambiguate_all(
             response = client.query(request)
         except Exception as exc:  # transport failures are never fatal to the batch
             report.client_failures.append((instance_id, str(exc)))
+            continue
+        if not isinstance(response, str):
+            report.client_failures.append((instance_id, f"response is not a string: {response!r}"))
             continue
         try:
             decision = parse_decision(response, request)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .evidence import probabilities, shannon_entropy
+from .evidence import probabilities, shannon_entropy, top_category
 from .frames import GroundTruthScene
 from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, _no_keys, overlap_counts
 
@@ -109,12 +109,12 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
         if record.is_unknown or not record.category_evidence:
             continue
         dist = probabilities(record.category_evidence)
-        category = record.final_category if record.final_category is not None else dist.argmax()
+        category = record.final_category if record.final_category is not None else top_category(dist)
         predictions.append(
             PredictedInstance(
                 instance_id=instance_id,
-                category=str(category),
-                confidence=dist[category],
+                category=category,
+                confidence=dist.get(category, 0.0),
                 keys=footprints.get(instance_id, _no_keys()),
                 semantic_entropy=shannon_entropy(dist),
             )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Mapping
-from dataclasses import dataclass, field
 
 from scipy.special import digamma as _psi
 
@@ -28,32 +27,17 @@ def digamma(x: float) -> float:
     return float(_psi(x))
 
 
-@dataclass
-class CategoricalDistribution:
-    """Discrete distribution over hypothesis ids; entries sum to 1."""
-
-    probs: dict[Hashable, float] = field(default_factory=dict)
-
-    def argmax(self) -> Hashable:
-        """Highest-probability hypothesis; ties broken by smallest key."""
-        if not self.probs:
-            raise NoEvidenceError("no evidence")
-        best = max(sorted(self.probs, key=str), key=lambda k: self.probs[k])
-        return best
-
-    def __getitem__(self, key: Hashable) -> float:
-        return self.probs.get(key, 0.0)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
-def probabilities(masses: Mapping[Hashable, float]) -> CategoricalDistribution:
-    """Normalize evidence masses into a categorical distribution."""
+def probabilities(masses: Mapping[Hashable, float]) -> dict[Hashable, float]:
+    """Normalize evidence masses into a categorical distribution, keyed as ``masses``."""
     total = math.fsum(masses.values())
     if not masses or total <= 0.0:
         raise NoEvidenceError("no evidence")
-    return CategoricalDistribution({key: mass / total for key, mass in masses.items()})
+    return {key: mass / total for key, mass in masses.items()}
+
+
+def top_category(probs: Mapping[str, float]) -> str:
+    """The most probable label of a distribution; ties go to the smallest label."""
+    return max(sorted(probs), key=probs.__getitem__)
 
 
 def expected_entropy(masses: Mapping[Hashable, float]) -> float:
@@ -71,9 +55,8 @@ def expected_entropy(masses: Mapping[Hashable, float]) -> float:
     return digamma(total) - weighted
 
 
-def shannon_entropy(dist: CategoricalDistribution | Mapping[Hashable, float]) -> float:
+def shannon_entropy(probs: Mapping[Hashable, float]) -> float:
     """Shannon entropy in nats with the convention 0 * ln 0 = 0."""
-    probs = dist.probs if isinstance(dist, CategoricalDistribution) else dist
     entropy = 0.0
     for p in probs.values():
         if p < 0.0:

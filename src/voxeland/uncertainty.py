@@ -35,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma as _psi
 
-from .evidence import NoEvidenceError, expected_entropy
-from .opinions import UNKNOWN_CATEGORY
-from .voxelmap import InstanceRecord, MapState, OwnerTable, VoxelKey, pack_keys, unpack_keys
+from .evidence import NoEvidenceError, expected_entropy, probabilities, top_category
+from .voxelmap import UNKNOWN_CATEGORY, InstanceRecord, MapState, OwnerTable, VoxelKey, pack_keys, unpack_keys
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
 
@@ -187,7 +186,7 @@ class CategoryMixtures:
                 distributions.append({UNKNOWN_CATEGORY: 1.0})
                 continue
             try:
-                distributions.append(record.category_distribution().probs)
+                distributions.append(probabilities(record.category_evidence))
             except NoEvidenceError:
                 distributions.append(None)
         labels = sorted({label for dist in distributions if dist for label in dist})
@@ -278,7 +277,7 @@ def declare_categories(
             continue
         entropy = semantic_entropy(record) if record.category_evidence else None
         declared = entropy is not None and entropy < entropy_threshold
-        record.final_category = record.category_distribution().argmax() if declared else None
+        record.final_category = top_category(probabilities(record.category_evidence)) if declared else None
         record.flagged = not declared
         decisions.append(
             CategoryDecision(

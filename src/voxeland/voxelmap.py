@@ -30,7 +30,6 @@ from typing import BinaryIO
 import numpy as np
 
 from .atomic import _all_of, _checked, atomic_write
-from .evidence import CategoricalDistribution, probabilities
 
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
@@ -220,9 +219,6 @@ class InstanceRecord:
     def add_evidence(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Add ``counts`` points at the sorted unique packed ``keys``, which must be map cells."""
         self.keys, self.counts, _ = _sorted_add(self.keys, self.counts, keys, counts)
-
-    def category_distribution(self) -> CategoricalDistribution:
-        return probabilities(self.category_evidence)
 
 
 @dataclass

@@ -40,11 +40,11 @@ from scipy.spatial import cKDTree
 
 from voxeland.disambiguation import ViewRef
 from voxeland.evidence import (
-    CategoricalDistribution,
     NoEvidenceError,
     expected_entropy,
     probabilities,
     shannon_entropy,
+    top_category,
 )
 from voxeland.evaluation import EvalConfig, MatchRecord
 from voxeland.export import layer_h_max
@@ -244,8 +244,8 @@ def oracle_match_to_ground_truth(
         if record.is_unknown or not record.category_evidence:
             continue
         dist = probabilities(record.category_evidence)
-        category = record.final_category if record.final_category is not None else dist.argmax()
-        predictions.append((-dist[category], instance_id, str(category), footprints.get(instance_id, set())))
+        category = record.final_category if record.final_category is not None else top_category(dist)
+        predictions.append((-dist.get(category, 0.0), instance_id, str(category), footprints.get(instance_id, set())))
     predictions.sort(key=lambda p: p[:2])
     gt_voxels = [set(unpack_keys(gt_instance.keys)) for gt_instance in gt.instances]
     matched_gt: set[str] = set()
@@ -445,9 +445,6 @@ class OracleRecord:
     @property
     def is_unknown(self) -> bool:
         return self.id == UNKNOWN_INSTANCE_ID
-
-    def category_distribution(self) -> CategoricalDistribution:
-        return probabilities(self.category_evidence)
 
 
 class OracleMap:
@@ -658,7 +655,7 @@ def oracle_snapshot_dict(state: MapState) -> dict:
 
 def oracle_voxel_category_distribution(
     instance_counts: Mapping[int, int], state
-) -> CategoricalDistribution:
+) -> dict[str, float]:
     """Category distribution of one voxel by the law of total probability.
 
     Instance weights come from the voxel's evidence counts, keyed by instance
@@ -669,23 +666,23 @@ def oracle_voxel_category_distribution(
     """
     weights = probabilities(instance_counts)
     mixed: dict[str, float] = {}
-    for instance_id, weight in weights.probs.items():
+    for instance_id, weight in weights.items():
         record = state.instances[instance_id]
         if record.is_unknown or not record.category_evidence:
             mixed[UNKNOWN_CATEGORY] = mixed.get(UNKNOWN_CATEGORY, 0.0) + weight
             continue
-        for category, p in record.category_distribution().probs.items():
+        for category, p in probabilities(record.category_evidence).items():
             mixed[category] = mixed.get(category, 0.0) + weight * p
-    return CategoricalDistribution(mixed)
+    return mixed
 
 
-def validate_distribution(dist: CategoricalDistribution, tol: float = 1e-9) -> None:
+def validate_distribution(dist: Mapping[str, float], tol: float = 1e-9) -> None:
     """Raise ValueError unless every probability is finite and non-negative
     and they sum to 1 within ``tol``."""
-    for key, p in dist.probs.items():
+    for key, p in dist.items():
         if p < 0.0 or not math.isfinite(p):
             raise ValueError(f"probability for {key!r} out of range: {p!r}")
-    total = sum(dist.probs.values())
+    total = sum(dist.values())
     if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {tol}")
 
@@ -1039,7 +1036,7 @@ def oracle_export_semantic_map(state: OracleMap, ply_path: Path | str) -> None:
         except NoEvidenceError:
             continue
         keys.append(key)
-        colors.append(oracle_id_color(category_index.get(str(dist.argmax()), 0)))
+        colors.append(oracle_id_color(category_index.get(top_category(dist), 0)))
     oracle_write_ply(
         ply_path,
         _oracle_voxel_centers(keys, state.voxel_size),

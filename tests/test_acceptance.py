@@ -149,7 +149,7 @@ def test_mixture_normalization_over_randomized_maps():
             if not cell.instance_counts:
                 continue
             dist = oracle_voxel_category_distribution(cell.instance_counts, state)
-            total = sum(dist.probs.values())
+            total = sum(dist.values())
             assert abs(total - 1.0) <= 1e-9, f"voxel distribution sums to {total}"
             checked += 1
     elapsed = time.perf_counter() - start

@@ -323,6 +323,20 @@ class TestDisambiguateCommand:
             {"chosen_category": "couch", "instance_id": instance_id}
         ]
 
+    @pytest.mark.parametrize("content", ["[]", '{"1": null}', "{"])
+    def test_bad_fixture_file_is_one_error_line(self, tmp_path, capsys, content):
+        snapshot, _ = self.make_flagged_snapshot(tmp_path)
+        before = snapshot.read_bytes()
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(content)
+        code = main(["disambiguate", "--snapshot", str(snapshot), "--client", "mock", "--fixtures", str(fixtures)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(fixtures) in line
+        assert snapshot.read_bytes() == before
+
     def test_mock_without_fixtures_is_identity_baseline(self, tmp_path):
         snapshot, instance_id = self.make_flagged_snapshot(tmp_path)
         code = main(["disambiguate", "--snapshot", str(snapshot), "--client", "mock"])

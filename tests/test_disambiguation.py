@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -265,8 +266,84 @@ class TestClients:
         with pytest.raises(ClientError):
             client.query(request)
 
+    @pytest.mark.parametrize(
+        "content", ["[]", '["The object category is couch"]', '{"1": 5}', '{"1": null}', '"text"', "not json", ""]
+    )
+    def test_fixture_file_that_is_not_an_object_of_strings(self, tmp_path, content):
+        fixture = tmp_path / "fixtures.json"
+        fixture.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(str(fixture))):
+            MockClient.from_fixture_file(fixture)
+
+    @pytest.mark.parametrize(
+        "payload", [{"text": None}, {"text": 5}, {"text": ["a"]}, {}, {"answer": "x"}, [], "text", None, 3]
+    )
+    def test_http_client_payload_without_string_text(self, monkeypatch, payload):
+        class FakeResponse(io.BytesIO):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *args):
+                return False
+
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda request, timeout: FakeResponse(json.dumps(payload).encode())
+        )
+        state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
+        request = build_request(state.instances[instance_id])
+        with pytest.raises(ClientError, match="string 'text'"):
+            HttpClient(endpoint="http://localhost:9/decide").query(request)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+MISSING = object()
+
 
 class TestDisambiguateAll:
+    @pytest.mark.parametrize("response", [5, None, 1.5, True, ["The object category is couch"], {"text": "x"}])
+    def test_non_string_response_is_client_failure(self, response):
+        state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
+        report = disambiguate_all(state, MockClient({str(instance_id): response}))
+        assert report.decisions == [] and report.parse_failures == []
+        assert report.client_failures == [(instance_id, f"response is not a string: {response!r}")]
+        assert state.instances[instance_id].flagged
+        assert state.instances[instance_id].final_category is None
+
+    @given(
+        st.lists(
+            st.just(MISSING)
+            | st.sampled_from(["The object category is bed", "the object category is couch.", "bed"])
+            | JSON_VALUES,
+            min_size=3,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_json_response_ends_decided_or_failed_once(self, responses):
+        state, first = flagged_state({"bed": 4.8, "couch": 4.6})
+        flagged = [first]
+        for i in range(2):
+            instance_id = state.new_instance()
+            state.instances[instance_id].category_evidence = {"bed": 3.0, "couch": 2.9}
+            state.add_instance_evidence((10 + i, 0, 0), instance_id, 1)
+            state.instances[instance_id].flagged = True
+            flagged.append(instance_id)
+        scripted = {str(i): r for i, r in zip(flagged, responses) if r is not MISSING}
+        report = disambiguate_all(state, MockClient(scripted))
+        decided = [d.instance_id for d in report.decisions]
+        failed = [i for i, _ in report.parse_failures + report.client_failures]
+        assert sorted(decided + failed) == flagged
+        for instance_id, response in zip(flagged, responses):
+            record = state.instances[instance_id]
+            assert record.flagged == (instance_id in failed)
+            assert (record.final_category is None) == (instance_id in failed)
+            if not isinstance(response, str):
+                assert instance_id in [i for i, _ in report.client_failures]
+
     def test_scripted_override_of_argmax(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
         client = MockClient({str(instance_id): "The object category is couch"})

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxeland.evidence import (
-    CategoricalDistribution,
     NoEvidenceError,
     digamma,
     expected_entropy,
     probabilities,
     shannon_entropy,
+    top_category,
 )
 
 from oracles import oracle_digamma, validate_distribution
@@ -48,14 +48,14 @@ class TestDigamma:
 class TestProbabilities:
     def test_two_hypotheses(self):
         dist = probabilities({"a": 3.0, "b": 1.0})
-        assert dist.probs == {"a": 0.75, "b": 0.25}
+        assert dist == {"a": 0.75, "b": 0.25}
 
     def test_single_hypothesis(self):
-        assert probabilities({"a": 5.0}).probs == {"a": 1.0}
+        assert probabilities({"a": 5.0}) == {"a": 1.0}
 
     def test_three_hypotheses(self):
         dist = probabilities({"a": 2.0, "b": 2.0, "c": 4.0})
-        assert dist.probs == {"a": 0.25, "b": 0.25, "c": 0.5}
+        assert dist == {"a": 0.25, "b": 0.25, "c": 0.5}
 
     def test_empty_is_error(self):
         with pytest.raises(NoEvidenceError, match="no evidence"):
@@ -71,7 +71,7 @@ class TestProbabilities:
     )
     def test_sums_to_one(self, masses):
         dist = probabilities(masses)
-        assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
         validate_distribution(dist)
 
 
@@ -134,13 +134,13 @@ class TestShannonEntropy:
     def test_bounds(self, masses):
         dist = probabilities(masses)
         entropy = shannon_entropy(dist)
-        assert 0.0 <= entropy <= math.log(len(dist.probs)) + 1e-12
+        assert 0.0 <= entropy <= math.log(len(dist)) + 1e-12
 
 
-class TestCategoricalDistribution:
+class TestDistribution:
     def test_validate_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            validate_distribution(CategoricalDistribution({"a": 0.7}))
+            validate_distribution({"a": 0.7})
 
-    def test_argmax_tie_breaks_by_key(self):
-        assert CategoricalDistribution({"b": 0.5, "a": 0.5}).argmax() == "a"
+    def test_top_category_tie_breaks_by_label(self):
+        assert top_category({"b": 0.5, "a": 0.5}) == "a"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from voxeland import fusion
 from voxeland.config import PipelineConfig
+from voxeland.evidence import probabilities
 from voxeland.frames import (
     CameraIntrinsics,
     DepthImage,
@@ -438,7 +439,7 @@ class TestIntegrateSemantic:
         integrate_semantic(opinion([center(0)], "chair", 0.9), instance_id, state)
         integrate_semantic(opinion([center(0)], "chair", 0.8), instance_id, state)
         integrate_semantic(opinion([center(0)], "table", 0.6), instance_id, state)
-        dist = state.instances[instance_id].category_distribution()
+        dist = probabilities(state.instances[instance_id].category_evidence)
         assert dist["chair"] == pytest.approx(1.7 / 2.3)
 
     def test_unknown_instance_rejected(self):

@@ -437,16 +437,36 @@ class TestGenerationAgainstReference:
         assert edges == {"top", "bottom", "left", "right"}
 
 
-def test_import_leaves_out_scipy_ndimage():
-    """Nothing in the package needs scipy.ndimage, which costs tens of
-    milliseconds to import in every process."""
+@pytest.mark.parametrize(
+    "module, left_out",
+    [
+        ("voxeland.synthetic", "scipy"),
+        ("voxeland.frames", "scipy"),
+        ("voxeland.voxelmap", "scipy"),
+        ("voxeland.uncertainty", "scipy.spatial"),
+        ("voxeland.uncertainty", "scipy.sparse"),
+        ("voxeland.export", "scipy.spatial"),
+        ("voxeland.export", "scipy.sparse"),
+        ("voxeland.evaluation", "scipy.spatial"),
+        ("voxeland.evaluation", "scipy.sparse"),
+        ("voxeland.cli", "scipy.ndimage"),
+    ],
+)
+def test_import_leaves_out_scipy_ndimage(module, left_out):
+    """Importing a module, in a fresh interpreter, loads no module of the
+    scipy package it does not use: synthesis and the map need no scipy, the
+    layers, exports and evaluation no clustering, and nothing scipy.ndimage,
+    each of which costs tens to hundreds of milliseconds in every process."""
     src = Path(synthetic.__file__).resolve().parents[1]
-    code = "import sys, voxeland, voxeland.cli; print('scipy.ndimage' in sys.modules)"
+    code = (
+        f"import sys, {module}; "
+        f"print(sorted(m for m in sys.modules if m == {left_out!r} or m.startswith({left_out + '.'!r})))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 class TestNoiseSpec:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from voxeland.evidence import expected_entropy, probabilities
+from voxeland.evidence import expected_entropy, probabilities, top_category
 from voxeland.uncertainty import (
     LayerValues,
     NotClassifiableError,
@@ -86,7 +86,7 @@ class TestVoxelCategoryDistribution:
     def test_single_instance_single_class(self):
         state, ids = make_state({"k1": {"chair": 1.0}}, {(0, 0, 0): {"k1": 4}})
         dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
-        assert dist.probs == {"chair": 1.0}
+        assert dist == {"chair": 1.0}
 
     def test_worked_mixture(self):
         # instance weights 0.75 / 0.25(unknown); k1 categories 1.7 / 0.6
@@ -98,7 +98,7 @@ class TestVoxelCategoryDistribution:
         assert dist["chair"] == pytest.approx(0.75 * 1.7 / 2.3, abs=1e-9)
         assert dist["table"] == pytest.approx(0.75 * 0.6 / 2.3, abs=1e-9)
         assert dist["unknown"] == pytest.approx(0.25, abs=1e-9)
-        assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
         # rounded anchors: 0.554 / 0.196 / 0.25
         assert dist["chair"] == pytest.approx(0.554, abs=5e-4)
         assert dist["table"] == pytest.approx(0.196, abs=5e-4)
@@ -106,14 +106,14 @@ class TestVoxelCategoryDistribution:
     def test_unknown_only_cell(self):
         state, _ = make_state({}, {(0, 0, 0): {"unknown": 5}})
         dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
-        assert dist.probs == {"unknown": 1.0}
+        assert dist == {"unknown": 1.0}
 
     def test_evidence_free_instance_routes_to_unknown(self):
         state = MapState(voxel_size=0.02)
         bare = state.new_instance()
         state.add_instance_evidence((0, 0, 0), bare, 2)
         dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
-        assert dist.probs == {"unknown": 1.0}
+        assert dist == {"unknown": 1.0}
 
     def test_sums_to_one_on_random_maps(self):
         import numpy as np
@@ -134,7 +134,7 @@ class TestVoxelCategoryDistribution:
             }
             state, _ = make_state(betas, {(0, 0, 0): counts})
             dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
-            assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
+            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEntropyMaps:
@@ -278,7 +278,7 @@ class TestDeclareCategories:
         for scale in (0.5, 1.0, 7.0):
             beta = {"bed": 0.48 * scale, "couch": 0.46 * scale, "chair": 0.06 * scale}
             dist = probabilities(beta)
-            assert dist.argmax() == "bed"
+            assert top_category(dist) == "bed"
             assert dist["bed"] == pytest.approx(0.48, abs=1e-12)
 
     def test_entropy_threshold_boundary_is_flagging(self):

@@ -220,7 +220,7 @@ def weights_of(instance_counts: dict[int, int]) -> dict[str, float]:
     for instance_id, count in instance_counts.items():
         state.add_instance_evidence((0, 0, 0), instance_id, count)
     (cell,) = cells_of(state).values()
-    return oracle_voxel_category_distribution(cell.instance_counts, state).probs
+    return oracle_voxel_category_distribution(cell.instance_counts, state)
 
 
 class TestVoxelInstanceDistribution:
@@ -318,7 +318,7 @@ class TestSparseExpansionAgainstDenseReference:
             if count > 0:
                 assert sparse_dist[instance_id] == pytest.approx(count / total, abs=1e-12)
             else:
-                assert sparse_dist[instance_id] == 0.0
+                assert sparse_dist.get(instance_id, 0.0) == 0.0
 
 
 def small_state() -> MapState:
