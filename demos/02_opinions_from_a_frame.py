@@ -10,7 +10,6 @@ import numpy as np
 
 from voxeland.frames import (
     CameraIntrinsics,
-    DepthImage,
     Frame,
     FrameRecord,
     Pose,
@@ -35,14 +34,10 @@ record = FrameRecord(
     pose=Pose(rotation=np.eye(3), translation=np.zeros(3)),
     intrinsics=intr,
 )
-frame = Frame(
-    record=record,
-    depth=DepthImage(width=width, height=height, values=depth),
-    predictions=[PredictionInstance("box", 0.9, encode_rle_mask(mask))],
-)
+frame = Frame(record=record, depth=depth, predictions=[PredictionInstance("box", 0.9, encode_rle_mask(mask))])
 
 params = ClusteringParams(coarse_voxel=0.08, eps=0.144, min_pts=4)
-opinions = build_opinions(frame, intr, record.pose, params, voxel_size=0.02)
+opinions = build_opinions(frame, params, voxel_size=0.02)
 
 print(f"mask covers {int(mask.sum())} pixels ({int((depth[mask] == 3000).sum())} on the wall)")
 for opinion in opinions:

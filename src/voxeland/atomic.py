@@ -125,3 +125,15 @@ def _checked(value, name: str, *types: type):
     if type(value) is float and not math.isfinite(value):
         raise ValueError(f"{name} {value!r} is not finite")
     return value
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float, checked by :func:`_checked`."""
+    return float(_checked(value, name, int, float))
+
+
+def _numbers(values: list, name: str, count: int) -> list[float]:
+    """A list of ``count`` JSON numbers as floats."""
+    if type(values) is not list or len(values) != count:
+        raise ValueError(f"{name} {values!r} is not a list of {count} numbers")
+    return [_number(value, name) for value in values]

@@ -8,8 +8,9 @@ ground-truth instances at a voxel IoU threshold, ranked by the map's own
 belief in the claimed category, and per-class all-point average precision
 is aggregated into mAP.  The argmax footprints come from the map's owner
 table, and every prediction's overlap with every ground-truth instance from
-one :func:`voxelmap.overlap_counts` call, the kernel association and
-refinement use.  Ground truth at another voxel size is rejected.
+one :func:`voxelmap.overlap_counts` call, scored by
+:func:`voxelmap.overlap_scores`, as association and refinement do.  Ground
+truth at another voxel size is rejected.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .atomic import atomic_write
 from .evidence import probabilities, shannon_entropy, top_category
 from .frames import GroundTruthScene
-from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, _no_keys, overlap_counts
+from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, _no_keys, overlap_counts, overlap_scores
 
 
 @dataclass
@@ -145,12 +146,11 @@ def _match(
         raise ValueError(f"the ground truth's voxel size {gt.voxel_size} is not the map's {state.voxel_size}")
     predictions = sorted(predictions, key=lambda p: (-p.confidence, p.instance_id))
     overlap = overlap_counts([p.keys for p in predictions], [g.keys for g in gt.instances])
-    sizes = [np.array([len(x.keys) for x in items], dtype=np.int64) for items in (predictions, gt.instances)]
-    union = np.add.outer(*sizes) - overlap
-    ious = np.divide(overlap, union, out=np.zeros(overlap.shape), where=union > 0).tolist()
+    predicted_sizes = np.array([len(p.keys) for p in predictions], dtype=np.int64)
+    ious, _ = overlap_scores(overlap, predicted_sizes[:, None], [len(g.keys) for g in gt.instances])
     matched_gt: set[str] = set()
     records = []
-    for prediction, row in zip(predictions, ious):
+    for prediction, row in zip(predictions, ious.tolist()):
         best_iou, best_gt = 0.0, None
         for gt_instance, overlap_iou in zip(gt.instances, row):
             eligible = gt_instance.category == prediction.category and gt_instance.id not in matched_gt

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _all_of, _checked
+from .atomic import _all_of, _checked, _number, _numbers
 from .voxelmap import pack_keys, unpack_key_array
 
 
@@ -89,18 +89,6 @@ class Pose:
 
 
 @dataclass
-class DepthImage:
-    width: int
-    height: int
-    values: np.ndarray  # uint16, shape (height, width); 0 = invalid
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.uint16)
-        if self.values.shape != (self.height, self.width):
-            raise ValueError("depth value count does not match width*height")
-
-
-@dataclass
 class PredictionInstance:
     category: str
     confidence: float
@@ -141,10 +129,11 @@ class FrameRecord:
 
 @dataclass
 class Frame:
-    """One fully decoded frame."""
+    """One fully decoded frame: ``depth`` is the raw ``(height, width)``
+    uint16 image, 0 where invalid, in units of the intrinsics' depth scale."""
 
     record: FrameRecord
-    depth: DepthImage
+    depth: np.ndarray
     predictions: list[PredictionInstance] = field(default_factory=list)
 
     @property
@@ -263,11 +252,11 @@ def _read_netpbm(
     return width, height, raster
 
 
-def read_pgm(path: Path | str) -> DepthImage:
-    """Read a binary 16-bit PGM (P5, maxval 65535, big-endian samples)."""
+def read_pgm(path: Path | str) -> np.ndarray:
+    """Read a binary 16-bit PGM (P5, maxval 65535, big-endian samples) into
+    a ``(height, width)`` uint16 array."""
     width, height, raster = _read_netpbm(path, b"P5", 65535, 2)
-    values = np.frombuffer(raster, dtype=">u2").astype(np.uint16).reshape(height, width)
-    return DepthImage(width=width, height=height, values=values)
+    return np.frombuffer(raster, dtype=">u2").astype(np.uint16).reshape(height, width)
 
 
 def write_pgm(path: Path | str, values: np.ndarray) -> None:
@@ -291,16 +280,17 @@ def write_ppm(path: Path | str, pixels: np.ndarray) -> None:
 
 
 def _parse_pose(obj: dict) -> Pose:
-    rotation = np.array(obj["rotation"], dtype=float).reshape(3, 3)
-    translation = np.array(obj["translation"], dtype=float)
-    return Pose(rotation=rotation, translation=translation)
+    """A pose of 9 row-major rotation numbers and 3 translation numbers."""
+    return Pose(
+        rotation=_numbers(obj["rotation"], "rotation", 9),
+        translation=_numbers(obj["translation"], "translation", 3),
+    )
 
 
 def _parse_intrinsics(obj: dict) -> CameraIntrinsics:
     """Intrinsics with integer ``width`` and ``height`` and numbers for the rest."""
     numbers = {
-        name: float(_checked(obj[name], name, int, float))
-        for name in ("fx", "fy", "cx", "cy", "depth_scale")
+        name: _number(obj[name], name) for name in ("fx", "fy", "cx", "cy", "depth_scale")
     }
     return CameraIntrinsics(
         width=_checked(obj["width"], "width", int),
@@ -318,7 +308,7 @@ def _parse_prediction(obj: dict) -> PredictionInstance:
         raise ValueError(f"negative run length in {rle!r}")
     return PredictionInstance(
         category=_checked(obj["category"], "category", str),
-        confidence=float(_checked(obj["confidence"], "confidence", int, float)),
+        confidence=_number(obj["confidence"], "confidence"),
         rle=rle,
     )
 
@@ -368,20 +358,19 @@ def load_predictions(path: Path | str) -> list[PredictionInstance]:
 
 def load_frame(record: FrameRecord) -> Frame:
     depth = read_pgm(record.depth_path)
-    if (depth.width, depth.height) != (record.intrinsics.width, record.intrinsics.height):
+    width, height = record.intrinsics.width, record.intrinsics.height
+    if depth.shape != (height, width):
         raise DatasetError(
-            f"{record.depth_path}: frame {record.frame_id}: depth size {depth.width}x"
-            f"{depth.height} does not match intrinsics "
-            f"{record.intrinsics.width}x{record.intrinsics.height}"
+            f"{record.depth_path}: frame {record.frame_id}: depth size {depth.shape[1]}x"
+            f"{depth.shape[0]} does not match intrinsics {width}x{height}"
         )
     predictions = load_predictions(record.predictions_path)
     for index, prediction in enumerate(predictions):
         total = sum(prediction.rle)
-        if total != depth.width * depth.height:
+        if total != width * height:
             raise DatasetError(
                 f"{record.predictions_path}: frame {record.frame_id}: instance {index}: run "
-                f"lengths sum to {total}, expected {depth.width * depth.height} for "
-                f"{depth.width}x{depth.height}"
+                f"lengths sum to {total}, expected {width * height} for {width}x{height}"
             )
     return Frame(record=record, depth=depth, predictions=predictions)
 
@@ -392,7 +381,7 @@ def load_ground_truth(path: Path | str) -> GroundTruthScene:
         raise DatasetError(f"ground truth file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-        voxel_size = float(_checked(obj["voxel_size"], "voxel_size", int, float))
+        voxel_size = _number(obj["voxel_size"], "voxel_size")
         instances = []
         seen: set[str] = set()
         for inst in obj["instances"]:

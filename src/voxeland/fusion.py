@@ -3,7 +3,7 @@
 Incoming opinions are matched to existing map instances by 3D overlap.  The
 overlap count is the number of opinion points falling in voxels where the
 candidate instance has evidence, both keyed at the map's voxel size; from
-it two scores are derived:
+it :func:`voxelmap.overlap_scores` derives two scores:
 
 * ``iou``  -- overlap / (points + instance voxels - overlap)
 * ``ios``  -- overlap / min(points, instance voxels), which rescues matches
@@ -20,16 +20,16 @@ retired) id order, and rescores the merged instance only against the
 instances that shared a voxel with either part.
 
 Both count overlaps with :func:`voxelmap.overlap_counts` over one owner
-table of the footprints: association counts a frame's opinions against
-every candidate in one call, and refinement counts every pair of footprints
-in one call and each merged instance against its neighbours in one more.
+table of the footprints and score them as arrays: association counts a
+frame's opinions against every candidate in one call, and refinement counts
+every pair of footprints in one call and each merged instance against its
+neighbours in one more.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +43,7 @@ from .voxelmap import (
     MapState,
     Observation,
     overlap_counts,
+    overlap_scores,
     pack_keys,
     points_to_keys,
     unpack_key_array,
@@ -66,6 +67,10 @@ class AssociationConfig:
         if self.refine_every < 1:
             raise ValueError("refine_every must be at least 1")
 
+    def passes(self, iou: np.ndarray, ios: np.ndarray) -> np.ndarray:
+        """Where either score reaches its threshold."""
+        return (iou >= self.tau_iou) | (ios >= self.tau_ios)
+
 
 @dataclass
 class AssociationOutcome:
@@ -86,23 +91,6 @@ class MergeEvent:
 def _check_voxel_size(opinion: SubjectiveOpinion, state: MapState) -> None:
     if opinion.voxel_size != state.voxel_size:
         raise ValueError(f"opinion voxel size {opinion.voxel_size} differs from the map's {state.voxel_size}")
-
-
-def _passing_scores(
-    overlap: int, size_a: int, size_b: int, config: AssociationConfig
-) -> tuple[float, float] | None:
-    """(iou, ios) of an overlap of two sizes when either score passes its threshold.
-
-    An opinion's size is a point count while an instance's is a voxel count,
-    so the raw ratios can exceed 1 when a dense opinion falls entirely inside
-    a small footprint; both are clamped to the declared [0, 1] range.
-    """
-    union, smaller = size_a + size_b - overlap, min(size_a, size_b)
-    score_iou = min(1.0, overlap / union) if union > 0 else 0.0
-    score_ios = min(1.0, overlap / smaller) if smaller > 0 else 0.0
-    if score_iou >= config.tau_iou or score_ios >= config.tau_ios:
-        return score_iou, score_ios
-    return None
 
 
 def associate(
@@ -129,23 +117,25 @@ def associate(
     ]
     semantic = [o for o in opinions if not o.is_unknown]
     keys, counts = [o.keys for o in semantic], [o.counts for o in semantic]
-    overlaps = iter(overlap_counts(keys, [record.keys for record in candidates], counts))
+    overlap = overlap_counts(keys, [record.keys for record in candidates], counts)
+    points = np.array([len(o.points) for o in semantic], dtype=np.int64)
+    ids = np.array([record.id for record in candidates], dtype=np.int64)
+    iou, ios = overlap_scores(overlap, points[:, None], [record.voxel_count for record in candidates])
+    rows, columns = np.nonzero(config.passes(iou, ios))
+    # each row's largest (iou, ios, -id) of a passing candidate, which wins
+    best: dict[int, tuple[float, float, int]] = {}
+    passing = zip(iou[rows, columns].tolist(), ios[rows, columns].tolist(), (-ids[columns]).tolist())
+    for row, scored in zip(rows.tolist(), passing):
+        best[row] = max(best.get(row, scored), scored)
+    semantic_rows = iter(range(len(semantic)))
     for index, opinion in enumerate(opinions):
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
-            continue
-        row = next(overlaps)
-        passing = []  # (iou, ios, -id) of each candidate passing a threshold; the largest wins
-        for position in np.flatnonzero(row).tolist():
-            record = candidates[position]
-            scores = _passing_scores(int(row[position]), len(opinion.points), record.voxel_count, config)
-            if scores is not None:
-                passing.append((*scores, -record.id))
-        if not passing:
+        elif (scored := best.get(next(semantic_rows))) is None:
             outcome.spawned.append((index, state.new_instance()))
         else:
-            best = max(passing)
-            outcome.matches.append((index, -best[2], best[0], best[1]))
+            best_iou, best_ios, negated_id = scored
+            outcome.matches.append((index, -negated_id, best_iou, best_ios))
     return outcome
 
 
@@ -233,47 +223,39 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
 
     Both thresholds are positive, so only pairs sharing a voxel can pass.  One
     :func:`overlap_counts` call over every footprint gives the shared-voxel
-    count of every pair.  A merge changes only the pairs of the two instances
-    it touches: those of the retired one go, and those of the kept one are
-    recounted from its merged footprint.  The merged footprint shares a voxel
-    only with the instances that shared one with either part, so each
-    instance keeps the set of its neighbours, and the kept one is recounted
-    against those alone, in one more call.
+    count of every pair, kept as an upper-triangular matrix over the ids in
+    ascending order with the pairs' iou, ios and passing matrices beside it;
+    the first passing entry in row-major order is the next merge.  A merge
+    changes only the pairs of the two instances it touches: the retired
+    one's row and column are cleared, and the kept one is recounted from its
+    merged footprint.  The merged footprint shares a voxel only with the
+    instances that shared one with either part, so the kept one is recounted
+    and rescored against those alone, in one more call.
     """
     ids = [instance_id for instance_id in sorted(state.instances) if instance_id != UNKNOWN_INSTANCE_ID]
-    footprints = [state.instances[instance_id].keys for instance_id in ids]
-    passing: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def score(a: int, b: int, overlap: int) -> None:
-        scores = _passing_scores(
-            overlap, state.instances[a].voxel_count, state.instances[b].voxel_count, config
-        )
-        if scores is not None:
-            passing[a, b] = scores
-
-    shared = overlap_counts(footprints, footprints)
-    neighbours: defaultdict[int, set[int]] = defaultdict(set)
-    for a_pos, b_pos in np.argwhere(np.triu(shared, 1)).tolist():
-        a, b = ids[a_pos], ids[b_pos]
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-        score(a, b, int(shared[a_pos, b_pos]))
+    records = [state.instances[instance_id] for instance_id in ids]
+    footprints = [record.keys for record in records]
+    sizes = np.array([record.voxel_count for record in records], dtype=np.int64)
+    shared = np.triu(overlap_counts(footprints, footprints), 1)
+    iou, ios = overlap_scores(shared, sizes[:, None], sizes)
+    passing = config.passes(iou, ios)
 
     events: list[MergeEvent] = []
-    while passing:
-        keep, retire = min(passing)
-        score_iou, score_ios = passing.pop((keep, retire))
-        _merge_instances(state, keep, retire)
-        events.append(MergeEvent(kept_id=keep, retired_id=retire, iou=score_iou, ios=score_ios))
-        for pair in [pair for pair in passing if keep in pair or retire in pair]:
-            del passing[pair]
-        neighbours[keep] = (neighbours[keep] | neighbours.pop(retire)) - {keep, retire}
-        others = sorted(neighbours[keep])
-        for other_id in others:
-            neighbours[other_id] = neighbours[other_id] - {retire} | {keep}
-        overlaps = overlap_counts([state.instances[keep].keys], [state.instances[i].keys for i in others])
-        for other_id, overlap in zip(others, overlaps[0].tolist()):
-            score(min(keep, other_id), max(keep, other_id), overlap)
+    while passing.any():
+        keep, retire = divmod(int(np.argmax(passing)), len(ids))
+        scores = float(iou[keep, retire]), float(ios[keep, retire])
+        events.append(MergeEvent(ids[keep], ids[retire], *scores))
+        _merge_instances(state, ids[keep], ids[retire])
+        touching = shared[keep] + shared[:, keep] + shared[retire] + shared[:, retire]
+        touching[[keep, retire]] = 0
+        others = np.flatnonzero(touching)
+        shared[retire] = shared[:, retire] = 0
+        passing[retire] = passing[:, retire] = False
+        sizes[keep] = records[keep].voxel_count
+        pairs = np.minimum(others, keep), np.maximum(others, keep)
+        shared[pairs] = overlap_counts([records[keep].keys], [records[other].keys for other in others])[0]
+        iou[pairs], ios[pairs] = overlap_scores(shared[pairs], sizes[pairs[0]], sizes[pairs[1]])
+        passing[pairs] = config.passes(iou[pairs], ios[pairs])
     return events
 
 
@@ -377,10 +359,7 @@ class Pipeline:
     def process_frame(self, frame: Frame) -> AssociationOutcome:
         """build opinions -> associate -> integrate -> refine when due."""
         start = time.perf_counter()
-        opinions = build_opinions(
-            frame, frame.record.intrinsics, frame.record.pose, self.clustering, self.max_range,
-            voxel_size=self.state.voxel_size,
-        )
+        opinions = build_opinions(frame, self.clustering, self.max_range, voxel_size=self.state.voxel_size)
         mark = time.perf_counter()
         self.timer.record(STAGE_OPINIONS, mark - start)
 

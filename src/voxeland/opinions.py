@@ -20,7 +20,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .frames import CameraIntrinsics, Frame, Pose, backproject_pixels, camera_points
+from .frames import Frame, backproject_pixels, camera_points
 from .voxelmap import UNKNOWN_CATEGORY, pack_keys, points_to_keys, unpack_key_array
 
 NOISE = -1
@@ -138,23 +138,17 @@ def pixel_bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def build_opinions(
-    frame: Frame,
-    intrinsics: CameraIntrinsics,
-    pose: Pose,
-    params: ClusteringParams,
-    max_range: float = 4.0,
-    *,
-    voxel_size: float,
+    frame: Frame, params: ClusteringParams, max_range: float = 4.0, *, voxel_size: float
 ) -> list[SubjectiveOpinion]:
     """Build one opinion per surviving prediction plus one unknown opinion, keyed at ``voxel_size``.
 
-    Prediction masks may overlap; a pixel claimed by several predictions
-    contributes to each of them, but never to the unknown opinion.  Opinions
-    whose masks cover no valid depth, or whose coarse clusters are all noise,
-    are dropped.
+    The camera is the frame record's intrinsics and pose.  Prediction masks
+    may overlap; a pixel claimed by several predictions contributes to each
+    of them, but never to the unknown opinion.  Opinions whose masks cover no
+    valid depth, or whose coarse clusters are all noise, are dropped.
     """
-    depth = frame.depth.values
-    width, height = frame.depth.width, frame.depth.height
+    depth, intrinsics, pose = frame.depth, frame.record.intrinsics, frame.record.pose
+    height, width = depth.shape
     valid = (depth != 0) & (depth.astype(float) * intrinsics.depth_scale <= max_range)
     pixels = np.flatnonzero(valid)
     vs = pixels // width

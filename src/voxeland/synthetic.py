@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _checked
+from .atomic import _checked, _number, _numbers
 from .frames import (
     CameraIntrinsics,
     GroundTruthInstance,
@@ -96,6 +96,8 @@ class SyntheticScene:
     def __post_init__(self) -> None:
         self.room_min = np.asarray(self.room_min, dtype=float)
         self.room_max = np.asarray(self.room_max, dtype=float)
+        if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size!r}")
         if not self.trajectory:
             raise ValueError("trajectory must contain at least one pose")
         for scene_object in self.objects:
@@ -172,7 +174,7 @@ def _slab(
     """
     t_near = np.full(dirs.shape[:-1], np.nan)
     t_far = np.full(dirs.shape[:-1], np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for axis in range(3):
             inv = 1.0 / dirs[..., axis]
             t_low = (box_min[axis] - origin[axis]) * inv
@@ -201,7 +203,7 @@ def _box_windows(scene: SyntheticScene, pose: Pose) -> list[tuple[slice, slice]]
     # (p - t) @ R is R^T (p - t): each corner in the camera frame
     camera = (np.where(_CORNERS, highs, lows) - pose.translation) @ pose.rotation
     x, y, z = np.moveaxis(camera, -1, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = intrinsics.fx * x / z + intrinsics.cx
         v = intrinsics.fy * y / z + intrinsics.cy
     # clip before the integer cast: a corner just in front of the camera
@@ -383,12 +385,14 @@ def scene_from_spec(obj: dict) -> SyntheticScene:
     trajectory_spec = obj["trajectory"]
     if isinstance(trajectory_spec, dict) and "orbit" in trajectory_spec:
         orbit = trajectory_spec["orbit"]
+        target = orbit.get("target")
+        # frames below 1 give no pose, which the scene refuses
         trajectory = orbit_trajectory(
-            orbit["center"],
-            radius=float(orbit["radius"]),
-            height=float(orbit["height"]),
-            frames=int(orbit["frames"]),
-            target=orbit.get("target"),
+            _numbers(orbit["center"], "center", 3),
+            radius=_number(orbit["radius"], "radius"),
+            height=_number(orbit["height"], "height"),
+            frames=_checked(orbit["frames"], "frames", int),
+            target=None if target is None else _numbers(target, "target", 3),
         )
     else:
         trajectory = [_parse_pose(p) for p in trajectory_spec]
@@ -396,25 +400,25 @@ def scene_from_spec(obj: dict) -> SyntheticScene:
     # float fields take a JSON int as a float; the rest stay as given, so a
     # fractional mask_dilation_px is refused, not truncated
     noise = NoiseSpec(**{
-        f.name: float(noise_spec[f.name]) if isinstance(f.default, float) else noise_spec[f.name]
+        f.name: _number(noise_spec[f.name], f.name) if isinstance(f.default, float) else noise_spec[f.name]
         for f in fields(NoiseSpec)
         if f.name in noise_spec
     })
     return SyntheticScene(
-        room_min=np.array(obj["room"]["min"], dtype=float),
-        room_max=np.array(obj["room"]["max"], dtype=float),
+        room_min=_numbers(obj["room"]["min"], "room min", 3),
+        room_max=_numbers(obj["room"]["max"], "room max", 3),
         objects=[
             SceneObject(
-                instance_id=str(o["id"]),
-                category=str(o["category"]),
-                box_min=np.array(o["min"], dtype=float),
-                box_max=np.array(o["max"], dtype=float),
+                instance_id=_checked(o["id"], "id", str),
+                category=_checked(o["category"], "category", str),
+                box_min=_numbers(o["min"], "min", 3),
+                box_max=_numbers(o["max"], "max", 3),
             )
             for o in obj["objects"]
         ],
         trajectory=trajectory,
         intrinsics=intrinsics,
-        voxel_size=float(obj.get("voxel_size", 0.02)),
+        voxel_size=_number(obj.get("voxel_size", 0.02), "voxel_size"),
         noise=noise,
     )
 
@@ -424,5 +428,5 @@ def load_scene_spec(path: Path | str) -> SyntheticScene:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         return scene_from_spec(obj)
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed scene spec: {type(exc).__name__}: {exc}") from exc

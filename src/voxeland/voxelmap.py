@@ -11,7 +11,8 @@ later for view selection.  Instance id 0 is reserved for the ``unknown``
 instance absorbing observed-but-unrecognized geometry.  A list of
 footprints has one index, :class:`OwnerTable`: the layers, exports and
 evaluation read the map's, keys included, and :func:`overlap_counts`, the
-kernel of association, refinement and evaluation, builds one of its own.
+kernel of association, refinement and evaluation, builds one of its own;
+:func:`overlap_scores` turns its counts into their iou and ios.
 
 A snapshot file holds these arrays as they are, as ``.npy`` records behind
 one JSON header for the registries; loading checks every invariant above.
@@ -29,7 +30,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .atomic import _all_of, _checked, atomic_write
+from .atomic import _all_of, _checked, _number, atomic_write
 
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
@@ -126,6 +127,25 @@ def overlap_counts(
     weights = None if counts is None else np.repeat(np.concatenate([_no_keys(), *counts]), runs)
     summed = np.bincount(pairs, weights=weights, minlength=len(queries) * len(footprints))
     return summed.astype(np.int64).reshape(len(queries), len(footprints))
+
+
+def overlap_scores(overlap, size_a, size_b) -> tuple[np.ndarray, np.ndarray]:
+    """The iou, overlap / (size_a + size_b - overlap), and the ios, overlap /
+    min(size_a, size_b), of overlaps between items of the given sizes, all
+    broadcast together.
+
+    A score is 0 where its denominator is not positive.  Both are clamped to
+    at most 1: an opinion's size is a point count while an instance's is a
+    voxel count, so a dense opinion inside a small footprint has raw ratios
+    above 1.
+    """
+    union = np.add(size_a, size_b) - overlap  # of the shape of the scores
+    scores = []
+    for denominator in (union, np.minimum(size_a, size_b)):
+        score = np.divide(overlap, denominator, out=np.zeros(union.shape), where=denominator > 0)
+        scores.append(np.minimum(score, 1.0, out=score))
+    iou, ios = scores
+    return iou, ios
 
 
 def _sorted_add(
@@ -548,7 +568,7 @@ def _read_record(handle: BinaryIO, name: str) -> np.ndarray:
 def _evidence(values: dict) -> dict[str, float]:
     """A parsed ``category_evidence``: finite numbers by category, as floats."""
     return {
-        label: float(_checked(value, "category evidence", int, float))
+        label: _number(value, "category evidence")
         for label, value in _checked(values, "category_evidence", dict).items()
     }
 
@@ -561,7 +581,7 @@ def _observation(o: dict) -> Observation:
     return Observation(
         frame_id=_checked(o["frame_id"], "frame_id", int),
         category=_checked(o["category"], "category", str),
-        confidence=float(_checked(o["confidence"], "confidence", int, float)),
+        confidence=_number(o["confidence"], "confidence"),
         pixel_bbox=tuple(bbox) if bbox else None,
         view_path=_checked(o["view_path"], "view_path", str, type(None)),
     )

@@ -49,12 +49,7 @@ from voxeland.evidence import (
 from voxeland.evaluation import EvalConfig, MatchRecord
 from voxeland.export import layer_h_max
 from voxeland.frames import CameraIntrinsics, Frame, GroundTruthScene, Pose
-from voxeland.fusion import (
-    AssociationConfig,
-    AssociationOutcome,
-    MergeEvent,
-    _passing_scores,
-)
+from voxeland.fusion import AssociationConfig, AssociationOutcome, MergeEvent
 from voxeland.opinions import (
     NOISE,
     UNKNOWN_CATEGORY,
@@ -335,23 +330,17 @@ def oracle_backproject_pixels(
 
 
 def oracle_build_opinions(
-    frame: Frame,
-    intrinsics: CameraIntrinsics,
-    pose: Pose,
-    params: ClusteringParams,
-    max_range: float = 4.0,
-    *,
-    voxel_size: float,
+    frame: Frame, params: ClusteringParams, max_range: float = 4.0, *, voxel_size: float
 ) -> list[SubjectiveOpinion]:
     """One ``np.nonzero`` and one back-projection per prediction, and one more
     for the valid pixels that no prediction claims."""
-    depth = frame.depth.values
+    depth, intrinsics, pose = frame.depth, frame.record.intrinsics, frame.record.pose
     valid = (depth != 0) & (depth.astype(float) * intrinsics.depth_scale <= max_range)
     claimed = np.zeros_like(valid, dtype=bool)
     opinions: list[SubjectiveOpinion] = []
 
     for prediction in frame.predictions:
-        mask = prediction.mask(frame.depth.width, frame.depth.height)
+        mask = prediction.mask(depth.shape[1], depth.shape[0])
         claimed |= mask
         selected = mask & valid
         if not selected.any():
@@ -795,6 +784,15 @@ def ios(opinion: SubjectiveOpinion, instance, state: MapState) -> float:
     return min(1.0, overlap / smaller) if smaller > 0 else 0.0
 
 
+def oracle_overlap_scores(overlap: int, size_a: int, size_b: int) -> tuple[float, float]:
+    """(iou, ios) of one overlap of two sizes, each 0 where its denominator
+    is not positive and clamped to 1."""
+    union, smaller = size_a + size_b - overlap, min(size_a, size_b)
+    score_iou = min(1.0, overlap / union) if union > 0 else 0.0
+    score_ios = min(1.0, overlap / smaller) if smaller > 0 else 0.0
+    return score_iou, score_ios
+
+
 def oracle_associate(
     opinions: list[SubjectiveOpinion], state: MapState, config: AssociationConfig
 ) -> AssociationOutcome:
@@ -820,10 +818,10 @@ def oracle_associate(
             if record.keys[0] > keys[-1] or record.keys[-1] < keys[0]:
                 continue
             overlap = int(counts[in_sorted(record.keys, keys)].sum())
-            scores = _passing_scores(overlap, n_points, record.voxel_count, config)
-            if scores is None:
+            score_iou, score_ios = oracle_overlap_scores(overlap, n_points, record.voxel_count)
+            if score_iou < config.tau_iou and score_ios < config.tau_ios:
                 continue
-            candidate = (*scores, -record.id)
+            candidate = (score_iou, score_ios, -record.id)
             if best is None or candidate > best:
                 best = candidate
         if best is None:
@@ -1048,7 +1046,7 @@ def oracle_ray_box_entry(
     origin: np.ndarray, dirs: np.ndarray, box_min: np.ndarray, box_max: np.ndarray
 ) -> np.ndarray:
     """Entry depth of each ray into the box; +inf where the ray misses."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / dirs
         t_low = (box_min - origin) * inv
         t_high = (box_max - origin) * inv
@@ -1062,7 +1060,7 @@ def oracle_ray_box_exit(
     origin: np.ndarray, dirs: np.ndarray, box_min: np.ndarray, box_max: np.ndarray
 ) -> np.ndarray:
     """Exit depth of each ray out of the box (origin assumed inside)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / dirs
         t_low = (box_min - origin) * inv
         t_high = (box_max - origin) * inv

@@ -236,9 +236,7 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
     pipeline.process_frame(load_frame(records[0]))
 
     frame = load_frame(records[1])
-    opinions = build_opinions(
-        frame, frame.record.intrinsics, frame.record.pose, ClusteringParams(0.08, 0.144, 4), voxel_size=0.02
-    )
+    opinions = build_opinions(frame, ClusteringParams(0.08, 0.144, 4), voxel_size=0.02)
     fresh = state.new_instance()
     before = {
         key: dict(cell.instance_counts) for key, cell in cells_of(state).items()

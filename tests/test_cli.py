@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -27,6 +29,8 @@ SCENE_SPEC = {
         "orbit": {"center": [0, 0, 0], "radius": 1.9, "height": 1.1, "frames": 8, "target": [0, 0, 0.25]}
     },
 }
+
+IDENTITY_ROTATION = [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +274,47 @@ class TestSynthBuildEval:
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "intrinsics" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda spec: spec["objects"][0].update(category=None), "category None is not str"),
+            (lambda spec: spec["objects"][0].update(id=7), "id 7 is not str"),
+            (lambda spec: spec["trajectory"]["orbit"].update(frames=2.9), "frames 2.9 is not int"),
+            (lambda spec: spec["trajectory"]["orbit"].update(frames=0), "at least one pose"),
+            (lambda spec: spec["trajectory"]["orbit"].update(radius="1.5"), "radius '1.5' is not int or float"),
+            (lambda spec: spec["trajectory"]["orbit"].update(height=True), "height True is not int or float"),
+            (lambda spec: spec["trajectory"]["orbit"].update(radius=10**400), "int too large"),
+            (lambda spec: spec["trajectory"]["orbit"].update(center=[0, 0]), "center .* is not a list of 3"),
+            (lambda spec: spec["trajectory"]["orbit"].update(target=[0, "0", 0]), "target '0' is not int"),
+            (lambda spec: spec.update(voxel_size="0.02"), "voxel_size '0.02' is not int or float"),
+            (lambda spec: spec.update(voxel_size=0), "voxel_size must be finite and positive, got 0.0"),
+            (lambda spec: spec.update(voxel_size=-0.02), "voxel_size must be finite and positive"),
+            (lambda spec: spec["room"].update(min=[-3, -3, "0"]), "room min '0' is not int or float"),
+            (lambda spec: spec["objects"][1].update(max=[-0.31, -0.11, False]), "max False is not int"),
+            (lambda spec: spec.update(noise={"depth_sigma": "0.01"}), "depth_sigma '0.01' is not int"),
+            (
+                lambda spec: spec.update(trajectory=[{"rotation": IDENTITY_ROTATION, "translation": ["0", 0, 1]}]),
+                "translation '0' is not int or float",
+            ),
+        ],
+        ids=[
+            "null-category", "int-id", "float-frames", "zero-frames", "string-radius", "bool-height",
+            "huge-radius", "short-center", "string-in-target", "string-voxel-size", "zero-voxel-size",
+            "negative-voxel-size", "string-in-room", "bool-in-box", "string-noise", "string-in-pose",
+        ],
+    )
+    def test_spec_value_of_wrong_type_is_one_error_line(self, tmp_path, capsys, edit, message):
+        spec = copy.deepcopy(SCENE_SPEC)
+        edit(spec)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "ds"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(message, err)
         assert not out.exists()
 
     def test_synth_programming_error_propagates_and_removes_out_dir(self, tmp_path, monkeypatch):

@@ -126,7 +126,6 @@ class TestViewArchiving:
     def test_crops_written_and_logged(self, tmp_path):
         from voxeland.frames import (
             CameraIntrinsics,
-            DepthImage,
             Frame,
             FrameRecord,
             Pose,
@@ -154,7 +153,7 @@ class TestViewArchiving:
         )
         frame = Frame(
             record=record,
-            depth=DepthImage(width=width, height=height, values=depth),
+            depth=depth,
             predictions=[PredictionInstance("chair", 0.9, encode_rle_mask(mask))],
         )
         state = MapState(voxel_size=0.02)

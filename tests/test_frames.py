@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from voxeland.frames import (
     CameraIntrinsics,
     DatasetError,
-    DepthImage,
     FrameRecord,
     Pose,
     backproject_pixels,
@@ -77,19 +76,19 @@ class TestManifest:
             load_manifest(path)
 
     @pytest.mark.parametrize(
-        "pose",
+        "pose, message",
         [
-            {"rotation": np.diag([np.nan, 1.0, 1.0])},
-            {"rotation": np.full((3, 3), np.nan)},
-            {"translation": (0.0, np.inf, 0.0)},
-            {"translation": (np.nan, 0.0, 0.0)},
+            ({"rotation": np.diag([np.nan, 1.0, 1.0])}, "rotation nan is not finite"),
+            ({"rotation": np.full((3, 3), np.nan)}, "rotation nan is not finite"),
+            ({"translation": (0.0, np.inf, 0.0)}, "translation inf is not finite"),
+            ({"translation": (np.nan, 0.0, 0.0)}, "translation nan is not finite"),
         ],
         ids=["nan-in-rotation", "all-nan-rotation", "inf-translation", "nan-translation"],
     )
-    def test_non_finite_pose_rejected_with_line_number(self, tmp_path, pose):
+    def test_non_finite_pose_rejected_with_line_number(self, tmp_path, pose, message):
         path = tmp_path / "manifest.jsonl"
         path.write_text(manifest_line(0) + "\n" + manifest_line(1, **pose) + "\n")
-        with pytest.raises(DatasetError, match="line 2: pose holds a non-finite value"):
+        with pytest.raises(DatasetError, match=f"line 2: {message}"):
             load_manifest(path)
 
     @pytest.mark.parametrize(
@@ -106,10 +105,30 @@ class TestManifest:
             (lambda f: f["intrinsics"].update(cx=-math.inf), "cx -inf is not finite"),
             (lambda f: f["intrinsics"].update(depth_scale=math.nan), "depth_scale nan is not finite"),
             (lambda f: f["intrinsics"].update(depth_scale=10**400), "int too large"),
+            (lambda f: f["pose"]["rotation"].__setitem__(0, "1"), "rotation '1' is not int or float"),
+            (lambda f: f["pose"]["rotation"].__setitem__(4, True), "rotation True is not int or float"),
+            (lambda f: f["pose"]["translation"].__setitem__(0, "0.5"), "translation '0.5' is not int or float"),
+            (lambda f: f["pose"]["translation"].__setitem__(1, False), "translation False is not int or float"),
+            (lambda f: f["pose"]["rotation"].pop(), "rotation .* is not a list of 9 numbers"),
+            (lambda f: f["pose"]["translation"].append(0), "translation .* is not a list of 3 numbers"),
+            (
+                lambda f: f["pose"].update(rotation=np.eye(3).tolist()),
+                "rotation .* is not a list of 9 numbers",
+            ),
+            (lambda f: f["pose"].update(translation="0 0 0"), "translation '0 0 0' is not a list of 3 numbers"),
+            (
+                lambda f: f["pose"].update(
+                    rotation=["1", "0", "0", "0", True, "0", 0, 0, "1e0"], translation=["0.5", False, 1]
+                ),
+                "rotation '1' is not int or float",
+            ),
         ],
         ids=[
             "float-frame-id", "string-frame-id", "bool-frame-id", "float-width", "string-height",
             "string-fx", "nan-fx", "inf-fy", "inf-cx", "nan-depth-scale", "huge-depth-scale",
+            "string-rotation", "bool-rotation", "string-translation", "bool-translation",
+            "eight-rotation-values", "four-translation-values", "nested-rotation", "string-translation-list",
+            "strings-and-bools-for-identity",
         ],
     )
     def test_bad_types_rejected_with_file_and_line(self, tmp_path, edit, message):
@@ -288,18 +307,14 @@ class TestPoseAndIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1, fy=1, cx=20, cy=0, width=10, height=10, depth_scale=0.001)
 
-    def test_depth_image_shape_checked(self):
-        with pytest.raises(ValueError):
-            DepthImage(width=3, height=2, values=np.zeros((3, 3), dtype=np.uint16))
-
 
 class TestPgm:
     def test_round_trip(self, tmp_path):
         values = np.arange(12, dtype=np.uint16).reshape(3, 4) * 1000
         write_pgm(tmp_path / "d.pgm", values)
         image = read_pgm(tmp_path / "d.pgm")
-        assert image.width == 4 and image.height == 3
-        assert np.array_equal(image.values, values)
+        assert image.dtype == np.uint16 and image.shape == (3, 4)
+        assert np.array_equal(image, values)
 
     def test_rejects_non_pgm(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
@@ -404,6 +419,21 @@ class TestPredictionsAndGroundTruth:
             intrinsics=CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=3, height=2, depth_scale=0.001),
         )
         message = f"p\\.json: frame 4: instance 1: run lengths sum to {sum(runs)}, expected 6 for 3x2"
+        with pytest.raises(DatasetError, match=message):
+            load_frame(record)
+
+    def test_depth_size_not_matching_the_intrinsics_rejected(self, tmp_path):
+        write_pgm(tmp_path / "d.pgm", np.full((3, 2), 1000, dtype=np.uint16))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"instances": []}))
+        record = FrameRecord(
+            frame_id=4,
+            depth_path=tmp_path / "d.pgm",
+            predictions_path=path,
+            pose=IDENTITY,
+            intrinsics=CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=3, height=2, depth_scale=0.001),
+        )
+        message = "d\\.pgm: frame 4: depth size 2x3 does not match intrinsics 3x2"
         with pytest.raises(DatasetError, match=message):
             load_frame(record)
 

@@ -10,7 +10,6 @@ from voxeland.config import PipelineConfig
 from voxeland.evidence import probabilities
 from voxeland.frames import (
     CameraIntrinsics,
-    DepthImage,
     Frame,
     FrameRecord,
     Pose,
@@ -729,7 +728,7 @@ def synthetic_frame(frame_id, predictions, depth_value=1500, shape=(40, 40), tra
     )
     return Frame(
         record=record,
-        depth=DepthImage(width=width, height=height, values=depth),
+        depth=depth,
         predictions=predictions,
     )
 
@@ -937,10 +936,7 @@ def reference_pipeline_map(pipeline, frames, outcomes):
     state = pipeline.state
     model = OracleMap(voxel_size=state.voxel_size, occupancy=state.occupancy)
     for frame, outcome in zip(frames, outcomes):
-        opinions = build_opinions(
-            frame, frame.record.intrinsics, frame.record.pose, pipeline.clustering, pipeline.max_range,
-            voxel_size=state.voxel_size,
-        )
+        opinions = build_opinions(frame, pipeline.clustering, pipeline.max_range, voxel_size=state.voxel_size)
         for _, instance_id in outcome.spawned:
             assert model.new_instance() == instance_id
         spawned = [(index, instance_id, 0.0, 0.0) for index, instance_id in outcome.spawned]

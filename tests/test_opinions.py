@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from voxeland.frames import (
     CameraIntrinsics,
-    DepthImage,
     Frame,
     FrameRecord,
     Pose,
@@ -62,7 +61,7 @@ def make_frame(depth, predictions, fx=100.0, fy=100.0):
     )
     return Frame(
         record=record,
-        depth=DepthImage(width=width, height=height, values=depth),
+        depth=depth,
         predictions=predictions,
     ), intr, record.pose
 
@@ -322,7 +321,7 @@ class TestBuildOpinions:
                 PredictionInstance("table", 0.8, encode_rle_mask(mask_b)),
             ],
         )
-        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
+        opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
         assert len(opinions) == 3
         assert [o.category for o in opinions] == ["chair", "table", UNKNOWN_CATEGORY]
         assert opinions[0].pixel_bbox == (5, 5, 14, 14)
@@ -334,7 +333,7 @@ class TestBuildOpinions:
         mask = np.zeros((20, 20), dtype=bool)
         mask[:10, :10] = True
         frame, intr, pose = make_frame(depth, [PredictionInstance("chair", 0.9, encode_rle_mask(mask))])
-        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
+        opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
         assert [o.category for o in opinions] == [UNKNOWN_CATEGORY]
         # background pixel count: everything valid and unclaimed
         assert len(opinions[0].points) == 20 * 20 - 100
@@ -348,7 +347,7 @@ class TestBuildOpinions:
         mask[15:45, 15:45] = True
         mask[20:30, 45:49] = True  # leak: 10x4 px on the wall
         frame, intr, pose = make_frame(depth, [PredictionInstance("box", 0.9, encode_rle_mask(mask))])
-        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
+        opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
         semantic = [o for o in opinions if not o.is_unknown]
         assert len(semantic) == 1
         assert semantic[0].points[:, 2].max() < 1.5, "wall points must not survive"
@@ -367,7 +366,7 @@ class TestBuildOpinions:
                 PredictionInstance("b", 0.9, encode_rle_mask(mask_b)),
             ],
         )
-        opinions = build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL)
+        opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
         unknown = next(o for o in opinions if o.is_unknown)
         semantic = [o for o in opinions if not o.is_unknown]
         claimed_points = {tuple(p) for o in semantic for p in o.points}
@@ -386,17 +385,17 @@ class TestBuildOpinions:
     def test_empty_frame_yields_nothing(self):
         depth = np.zeros((10, 10), dtype=np.uint16)
         frame, intr, pose = make_frame(depth, [])
-        assert build_opinions(frame, intr, pose, PARAMS, voxel_size=VOXEL) == []
+        assert build_opinions(frame, PARAMS, voxel_size=VOXEL) == []
 
     def test_voxel_size_is_keyword_only(self):
         """A call that passes the voxel size where max_range goes, or leaves
         it out, is a TypeError rather than a map keyed at the wrong size."""
         frame, intr, pose = make_frame(np.full((10, 10), 1000, dtype=np.uint16), [])
         with pytest.raises(TypeError):
-            build_opinions(frame, intr, pose, PARAMS, 4.0, VOXEL)
+            build_opinions(frame, PARAMS, 4.0, VOXEL)
         with pytest.raises(TypeError):
-            build_opinions(frame, intr, pose, PARAMS, VOXEL)
-        [unknown] = build_opinions(frame, intr, pose, PARAMS, 4.0, voxel_size=VOXEL)
+            build_opinions(frame, PARAMS, VOXEL)
+        [unknown] = build_opinions(frame, PARAMS, 4.0, voxel_size=VOXEL)
         assert unknown.voxel_size == VOXEL
 
     def test_opinion_requires_points(self):
@@ -426,8 +425,7 @@ def posed_frame(depth, masks, pose=TILTED, fx=90.0):
         PredictionInstance(f"c{index % 3}", 0.25 + 0.125 * index, encode_rle_mask(mask))
         for index, mask in enumerate(masks)
     ]
-    depth_image = DepthImage(width=width, height=height, values=depth)
-    return Frame(record=record, depth=depth_image, predictions=predictions), intr, pose
+    return Frame(record=record, depth=depth, predictions=predictions), intr, pose
 
 
 def assert_same_opinions(opinions, expected):
@@ -571,8 +569,8 @@ class TestBuildOpinionsAgainstOracle:
     def test_listed_cases(self, case):
         depth, masks, max_range, categories, unknown_points = case()
         frame, intr, pose = posed_frame(depth, masks)
-        opinions = build_opinions(frame, intr, pose, PARAMS, max_range, voxel_size=VOXEL)
-        expected = oracle_build_opinions(frame, intr, pose, PARAMS, max_range, voxel_size=VOXEL)
+        opinions = build_opinions(frame, PARAMS, max_range, voxel_size=VOXEL)
+        expected = oracle_build_opinions(frame, PARAMS, max_range, voxel_size=VOXEL)
         assert_same_opinions(opinions, expected)
         assert [o.category for o in opinions] == categories
         if unknown_points is not None:
@@ -582,8 +580,8 @@ class TestBuildOpinionsAgainstOracle:
     @given(posed_frames())
     def test_random_frames(self, posed):
         frame, intr, pose, params, max_range = posed
-        opinions = build_opinions(frame, intr, pose, params, max_range, voxel_size=VOXEL)
-        expected = oracle_build_opinions(frame, intr, pose, params, max_range, voxel_size=VOXEL)
+        opinions = build_opinions(frame, params, max_range, voxel_size=VOXEL)
+        expected = oracle_build_opinions(frame, params, max_range, voxel_size=VOXEL)
         assert_same_opinions(opinions, expected)
 
     def test_lone_points_transformed_on_their_own(self):
@@ -600,9 +598,9 @@ class TestBuildOpinionsAgainstOracle:
         for _ in range(60):
             pose = Pose(rotation_about(rng.normal(size=3), rng.uniform(0, 6)), rng.normal(size=3) * 3)
             frame, intr, pose = posed_frame(depth, [mask, claim_all_but_one], pose)
-            opinions = build_opinions(frame, intr, pose, params, voxel_size=VOXEL)
+            opinions = build_opinions(frame, params, voxel_size=VOXEL)
             assert [len(o.points) for o in opinions][::2] == [1, 1]
-            assert_same_opinions(opinions, oracle_build_opinions(frame, intr, pose, params, voxel_size=VOXEL))
+            assert_same_opinions(opinions, oracle_build_opinions(frame, params, voxel_size=VOXEL))
 
     def test_rendered_orbit_frames(self, tmp_path):
         """Rendered frames with dilated masks and depth noise, several of them
@@ -613,8 +611,8 @@ class TestBuildOpinionsAgainstOracle:
         compared = 0
         for record in load_manifest(tmp_path / "manifest.jsonl"):
             frame = load_frame(record)
-            opinions = build_opinions(frame, record.intrinsics, record.pose, params, 3.0, voxel_size=VOXEL)
-            expected = oracle_build_opinions(frame, record.intrinsics, record.pose, params, 3.0, voxel_size=VOXEL)
+            opinions = build_opinions(frame, params, 3.0, voxel_size=VOXEL)
+            expected = oracle_build_opinions(frame, params, 3.0, voxel_size=VOXEL)
             assert_same_opinions(opinions, expected)
             compared += len(opinions)
         assert compared > len(scene.trajectory)

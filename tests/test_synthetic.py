@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from voxeland.synthetic import (
     _box_windows as box_windows,
     _dilate_mask as dilate_mask,
     _pixel_rays,
+    _slab as slab,
     generate_synthetic,
     ground_truth_scene,
     load_scene_spec,
@@ -86,7 +88,7 @@ class TestRenderer:
             records = load_manifest(pathlib.Path(tmp) / "manifest.jsonl")
             frame = load_frame(records[0])
             mask = frame.predictions[0].mask(INTR.width, INTR.height)
-            depth = frame.depth.values
+            depth = frame.depth
             from voxeland.frames import backproject_pixels
 
             vs, us = np.nonzero(mask & (depth != 0))
@@ -304,6 +306,20 @@ class TestRendererAgainstOracle:
         assert box_windows(scene, self.FORWARD) == [FULL_WINDOW] * len(boxes)
         assert_same_render(scene, self.FORWARD)
         assert set(np.unique(render_frame(scene, self.FORWARD)[1])) == {-1, 0, 1, 2}
+
+    def test_subnormal_depths_overflow_without_a_warning(self):
+        """A corner at subnormal camera depth projects to infinity, and so does
+        a ray's subnormal component in the slab test: no RuntimeWarning, the
+        window is the whole image, and the slab bounds are those of a zero
+        component."""
+        scene = room_scene([(np.array([1e-310, 0.1, 0.1]), np.array([0.5, 0.3, 0.3]))])
+        rays = np.array([[1e-310, 0.5, 1.0], [0.0, 0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert box_windows(scene, self.FORWARD) == [FULL_WINDOW]
+            t_near, t_far = slab(np.zeros(3), rays, np.array([-1.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+            assert_same_render(scene, self.FORWARD)
+        assert t_near.tolist() == [2.0, 2.0] and t_far.tolist() == [3.0, 3.0]
 
     @pytest.mark.parametrize(
         "low, high",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxeland import atomic, voxelmap
@@ -24,6 +24,7 @@ from voxeland.voxelmap import (
     OwnerTable,
     SnapshotError,
     overlap_counts,
+    overlap_scores,
     pack_keys,
     points_to_keys,
     unpack_keys,
@@ -35,6 +36,7 @@ from oracles import (
     cells_of,
     check_storage,
     oracle_argmax_owner,
+    oracle_overlap_scores,
     oracle_snapshot_dict,
     oracle_voxel_category_distribution,
     world_to_key,
@@ -879,6 +881,50 @@ class TestOwnerTableAgainstDict:
         table = OwnerTable([], [], [])
         assert table.keys.tolist() == table.starts.tolist() == table.sizes.tolist() == table.ids.tolist() == []
         assert table.argmax_owners().tolist() == [] and [a.tolist() for a in table.shares()] == [[], []]
+
+
+@st.composite
+def scored_overlaps(draw):
+    """Sizes of a column and a row of items, and an overlap of each pair,
+    drawn often at a zero union, above the smaller size or past the union."""
+    sizes = st.lists(st.integers(0, 40) | st.integers(0, 2**40), max_size=5)
+    column, row = draw(sizes), draw(sizes)
+    overlap = [
+        [draw(st.sampled_from([0, a + b, min(a, b) + 1, a + b + 2]) | st.integers(0, a + b + 2)) for b in row]
+        for a in column
+    ]
+    return overlap, column, row
+
+
+class TestOverlapScores:
+    """``overlap_scores`` against the scalar reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_overlaps())
+    @example(([[5, 0, 4], [0, 0, 0]], [2, 0], [3, 0, 2]))  # zero unions, zero sizes, ratios above 1
+    def test_equals_scalar_reference(self, case):
+        overlap, column, row = case
+        matrix = np.array(overlap, dtype=np.int64).reshape(len(column), len(row))
+        sizes_a, sizes_b = np.array(column, dtype=np.int64)[:, None], np.array(row, dtype=np.int64)
+        iou, ios = overlap_scores(matrix, sizes_a, sizes_b)
+        expected = [[oracle_overlap_scores(o, a, b) for o, b in zip(line, row)] for line, a in zip(overlap, column)]
+        expected = np.array(expected, dtype=float).reshape(len(column), len(row), 2)
+        assert iou.dtype == ios.dtype == np.float64
+        assert iou.tobytes() == expected[..., 0].tobytes() and ios.tobytes() == expected[..., 1].tobytes()
+
+    @pytest.mark.parametrize(
+        "overlap, size_a, size_b, expected",
+        [
+            (0, 0, 0, (0.0, 0.0)),
+            (5, 2, 3, (0.0, 1.0)),
+            (1, 0, 4, (1 / 3, 0.0)),
+            (4, 2, 3, (1.0, 1.0)),
+            (2, 4, 6, (0.25, 0.5)),
+        ],
+        ids=["all-zero", "zero-union", "zero-size", "ratios-above-one", "plain"],
+    )
+    def test_scalars(self, overlap, size_a, size_b, expected):
+        assert tuple(map(float, overlap_scores(overlap, size_a, size_b))) == expected
 
 
 class TestAtomicWrite:
