@@ -3,7 +3,8 @@
 Evidence accumulates as a sparse map from hypothesis id to non-negative mass
 (integer point counts for instance evidence, confidence sums for category
 evidence).  Hypotheses never observed are simply absent; all probability and
-entropy computations run over the strictly positive support only.
+entropy computations run over the strictly positive support only, and
+:func:`probabilities` refuses a negative mass.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ def digamma(x: float) -> float:
 
 
 def probabilities(masses: Mapping[Hashable, float]) -> dict[Hashable, float]:
-    """Normalize evidence masses into a categorical distribution, keyed as ``masses``."""
+    """Normalize evidence masses into a categorical distribution, keyed as ``masses``.
+
+    Raises ValueError, naming its key, for a negative mass, and
+    NoEvidenceError when the masses do not sum above zero.
+    """
+    for key, mass in masses.items():
+        if mass < 0.0:
+            raise ValueError(f"negative evidence mass {mass!r} for {key!r}")
     total = math.fsum(masses.values())
     if not masses or total <= 0.0:
         raise NoEvidenceError("no evidence")
@@ -56,9 +64,14 @@ def expected_entropy(masses: Mapping[Hashable, float]) -> float:
 
 
 def shannon_entropy(probs: Mapping[Hashable, float]) -> float:
-    """Shannon entropy in nats with the convention 0 * ln 0 = 0."""
+    """Shannon entropy in nats with the convention 0 * ln 0 = 0.
+
+    The terms are subtracted in key order, ``sorted(probs)``, so the value
+    does not depend on the order the mapping lists them; for a category
+    distribution that is the column order of :class:`uncertainty.CategoryMixtures`.
+    """
     entropy = 0.0
-    for p in probs.values():
+    for p in map(probs.__getitem__, sorted(probs)):
         if p < 0.0:
             raise ValueError(f"negative probability {p!r}")
         if p > 0.0:

@@ -169,13 +169,12 @@ def export_semantic_map(state: MapState, ply_path: Path | str) -> None:
     """Color each evidence-bearing voxel by its argmax mixed category.
 
     Ties go to the smallest label, and a label the map has not registered
-    colors as category 0.  A cell whose mixture has no evidence (an owner's
-    category evidence does not sum above zero) is left out.
+    colors as category 0.  Raises, before any file is opened, as
+    :func:`uncertainty.semantic_entropy_map` does: when an instance's
+    category evidence gives no distribution.
     """
     table = state.owner_table()
     mixtures = CategoryMixtures.of(state, table)
     category_index = {label: i for i, label in enumerate(state.categories)}
     index_of = np.array([category_index.get(label, 0) for label in mixtures.labels], dtype=np.int64)
-    labels = index_of[mixtures.argmax()][mixtures.row_of_cell]
-    kept = mixtures.valid[mixtures.row_of_cell]
-    _write_cell_map(state, table.keys[kept], labels[kept], ply_path)
+    _write_cell_map(state, table.keys, index_of[mixtures.argmax()][mixtures.row_of_cell], ply_path)

@@ -53,6 +53,8 @@ class SubjectiveOpinion:
     counts: np.ndarray = field(init=False, repr=False, compare=False)  # the number of points in each
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.confidence <= 1.0:
+            raise ValueError(f"confidence must be in (0, 1], got {self.confidence}")
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if len(self.points) == 0:
             raise ValueError("an opinion needs at least one point")

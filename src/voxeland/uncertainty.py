@@ -18,7 +18,10 @@ and lists each cell's owners in ascending id order, and every sum and
 mixture is taken in that order with the rounding of the scalar code
 (``math.fsum`` of three or more digamma terms, ``math.log`` of each mixed
 probability).  :class:`CategoryMixtures` is the one category mixing pass;
-the semantic export reads its argmax.
+the semantic export reads its argmax.  Entropies subtract their terms in
+label order, whatever order category evidence lists its labels in, and
+every instance's evidence is checked, read by a cell or not, so both
+semantic readers raise alike for evidence that gives no distribution.
 
 A layer keeps what those passes compute: the sorted packed keys of its cells
 and their values, as two read-only arrays (:class:`LayerValues`), read as a
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma as _psi
 
-from .evidence import NoEvidenceError, expected_entropy, probabilities, top_category
+from .evidence import expected_entropy, probabilities, top_category
 from .voxelmap import UNKNOWN_CATEGORY, InstanceRecord, MapState, OwnerTable, VoxelKey, pack_keys, unpack_keys
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
@@ -159,48 +162,41 @@ class CategoryMixtures:
     the cells it owns alone (with a share of exactly 1); each cell with two
     or more owners has a row of its own after them.  Columns are the
     ``labels`` of every instance's category evidence and the unknown
-    category, in string order.  A shared cell's ``probs`` are accumulated
-    owner by owner in ascending id order, as a per-voxel mixture adds them,
-    and ``first_seen`` orders each row's labels as that mixture's dict lists
-    them (``NOT_SEEN`` where a label is absent).  A row is not ``valid`` when
-    an owner's category evidence does not sum above zero; only read rows count.
+    category, in string order, and a label a row does not hold has
+    probability 0.  A shared cell's ``probs`` are accumulated owner by owner
+    in ascending id order, as a per-voxel mixture adds them.
     """
-
-    NOT_SEEN = np.iinfo(np.int64).max
 
     labels: list[str]
     probs: np.ndarray
-    first_seen: np.ndarray
-    valid: np.ndarray
     row_of_cell: np.ndarray
 
     @classmethod
     def of(cls, state: MapState, table: OwnerTable) -> "CategoryMixtures":
-        """The mixtures of the cells of ``table``, the owner table of ``state``."""
+        """The mixtures of the cells of ``table``, the owner table of ``state``.
+
+        Raises what :func:`evidence.probabilities` raises for an instance's
+        category evidence: NoEvidenceError when it sums to 0, ValueError
+        for a negative mass.
+        """
         ids = sorted(state.instances)
-        distributions: list[dict | None] = []
+        distributions = []
         for instance_id in ids:
             record = state.instances[instance_id]
             if record.is_unknown or not record.category_evidence:
                 # its whole share goes to the unknown category
                 distributions.append({UNKNOWN_CATEGORY: 1.0})
-                continue
-            try:
+            else:
                 distributions.append(probabilities(record.category_evidence))
-            except NoEvidenceError:
-                distributions.append(None)
-        labels = sorted({label for dist in distributions if dist for label in dist})
+        labels = sorted({label for dist in distributions for label in dist})
         column = {label: j for j, label in enumerate(labels)}
         shared_cells = np.flatnonzero(table.sizes > 1)
         row_of_cell = np.searchsorted(ids, table.ids[table.starts])
         row_of_cell[shared_cells] = len(ids) + np.arange(len(shared_cells))
-        n_rows = len(ids) + len(shared_cells)
-        probs = np.zeros((n_rows, len(labels)))
-        first_seen = np.full((n_rows, len(labels)), cls.NOT_SEEN)
+        probs = np.zeros((len(ids) + len(shared_cells), len(labels)))
         for i, dist in enumerate(distributions):
-            for position, (label, p) in enumerate((dist or {}).items()):
+            for label, p in dist.items():
                 probs[i, column[label]] = p
-                first_seen[i, column[label]] = position
 
         sizes = table.sizes[shared_cells]
         entries = np.flatnonzero(np.repeat(table.sizes > 1, table.sizes))
@@ -210,49 +206,32 @@ class CategoryMixtures:
         entry_rank = entries - np.repeat(table.starts[shared_cells], sizes)
         for owner_rank in range(int(sizes.max(initial=0))):
             at = entry_rank == owner_rank
-            rows, owner = entry_row[at], entry_owner[at]
-            probs[rows] += entry_share[at, None] * probs[owner]
-            position = first_seen[owner]
-            when = np.where(position == cls.NOT_SEEN, cls.NOT_SEEN, owner_rank * len(labels) + position)
-            first_seen[rows] = np.minimum(first_seen[rows], when)
-        valid = np.ones(n_rows, dtype=bool)
-        valid[: len(ids)] = [dist is not None for dist in distributions]
-        valid[entry_row[~valid[entry_owner]]] = False
-        return cls(labels, probs, first_seen, valid, row_of_cell)
+            probs[entry_row[at]] += entry_share[at, None] * probs[entry_owner[at]]
+        return cls(labels, probs, row_of_cell)
 
     def entropies(self) -> np.ndarray:
-        """:func:`evidence.shannon_entropy` of each row a cell reads, else 0: ``p * log(p)``
-        subtracted in first-seen order, with ``math.log`` taken once per distinct p."""
-        read = np.zeros(len(self.probs), dtype=bool)
-        read[self.row_of_cell] = True
-        if not self.valid[read].all():
-            raise NoEvidenceError("no evidence")
-        seen = (self.first_seen != self.NOT_SEEN) & read[:, None]
-        if np.any(seen & (self.probs < 0.0)):
-            raise ValueError("negative probability in a category mixture")
-        positive = seen & (self.probs > 0.0)
+        """:func:`evidence.shannon_entropy` of each row: ``p * log(p)`` subtracted
+        in label order, with ``math.log`` taken once per distinct positive p."""
+        positive = self.probs > 0.0
         distinct, which = np.unique(self.probs[positive], return_inverse=True)
         logs = np.zeros_like(self.probs)
-        distinct_logs = np.fromiter(map(math.log, distinct.tolist()), float, len(distinct))
-        logs[positive] = distinct_logs[which.reshape(-1)]
-        order = np.argsort(self.first_seen, axis=1, kind="stable")
-        terms = np.take_along_axis(self.probs * logs, order, axis=1)
-        positive = np.take_along_axis(positive, order, axis=1)
+        logs[positive] = np.fromiter(map(math.log, distinct.tolist()), float, len(distinct))[which.reshape(-1)]
         entropy = np.zeros(len(self.probs))
-        for j in range(int(seen.sum(axis=1).max(initial=0))):
-            entropy = np.where(positive[:, j], entropy - terms[:, j], entropy)
+        # a label a row does not hold subtracts 0 * 0.0, which leaves the sum as it is
+        for terms in (self.probs * logs).T:
+            entropy -= terms
         return np.where(entropy == 0.0, 0.0, entropy)
 
     def argmax(self) -> np.ndarray:
         """The column of each row's most probable label; ties go to the first in string order."""
-        return np.argmax(np.where(self.first_seen != self.NOT_SEEN, self.probs, -np.inf), axis=1)
+        return np.argmax(self.probs, axis=1)
 
 
 def semantic_entropy_map(state: MapState) -> UncertaintyLayer:
     """Per-voxel Shannon entropy of the mixed category distribution, in key order.
 
-    Raises NoEvidenceError when an owner of a cell has category evidence
-    that does not sum above zero.
+    Raises as :meth:`CategoryMixtures.of` does when an instance's category
+    evidence gives no distribution.
     """
     table = state.owner_table()
     mixtures = CategoryMixtures.of(state, table)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from tokenize import TokenError
@@ -430,7 +431,8 @@ class MapState:
         longer read.
         """
         try:
-            with open(path, "rb") as handle:
+            with open(path, "rb") as handle, warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning while numpy reads a record is an error
                 if handle.peek(1).startswith(b"{"):
                     raise SnapshotError("schema-1 JSON snapshots are no longer read; rebuild the map")
                 records = [_read_record(handle, name) for name in _SNAPSHOT_RECORDS]
@@ -440,9 +442,10 @@ class MapState:
         except SnapshotError as exc:
             raise SnapshotError(f"{path}: {exc}") from None
         # numpy's parser of a corrupt record header may also raise a
-        # SyntaxError or a tokenize.TokenError
+        # SyntaxError, a tokenize.TokenError or a warning
         except (
-            KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError, SyntaxError, TokenError
+            KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError, SyntaxError, TokenError,
+            Warning,
         ) as exc:
             raise SnapshotError(f"{path}: malformed snapshot: {type(exc).__name__}: {exc}") from exc
 

@@ -40,7 +40,6 @@ from scipy.spatial import cKDTree
 
 from voxeland.disambiguation import ViewRef
 from voxeland.evidence import (
-    NoEvidenceError,
     expected_entropy,
     probabilities,
     shannon_entropy,
@@ -1029,10 +1028,7 @@ def oracle_export_semantic_map(state: OracleMap, ply_path: Path | str) -> None:
         cell = state.cells[key]
         if not cell.instance_counts:
             continue
-        try:
-            dist = oracle_voxel_category_distribution(cell.instance_counts, state)
-        except NoEvidenceError:
-            continue
+        dist = oracle_voxel_category_distribution(cell.instance_counts, state)
         keys.append(key)
         colors.append(oracle_id_color(category_index.get(top_category(dist), 0)))
     oracle_write_ply(

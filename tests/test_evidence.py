@@ -61,6 +61,10 @@ class TestProbabilities:
         with pytest.raises(NoEvidenceError, match="no evidence"):
             probabilities({})
 
+    def test_negative_mass_is_error_naming_its_key(self):
+        with pytest.raises(ValueError, match="negative evidence mass -1.0 for 'b'"):
+            probabilities({"a": 2.0, "b": -1.0})
+
     @given(
         st.dictionaries(
             st.integers(min_value=0, max_value=50),

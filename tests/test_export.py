@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from voxeland import atomic, export
+from voxeland.evaluation import predicted_instances
 from voxeland.evidence import NoEvidenceError, expected_entropy
 from voxeland.export import (
     entropy_colors,
@@ -157,6 +158,61 @@ def export_maps(draw):
     return state
 
 
+@st.composite
+def label_permuted_maps(draw):
+    """The category evidence of two to four instances, each holding three to
+    five labels; the owners of up to ten cells, the first of them shared;
+    and a permutation of each instance's labels."""
+    evidence = draw(
+        st.lists(st.dictionaries(st.sampled_from(LABELS), MASSES, min_size=3, max_size=5), min_size=2, max_size=4)
+    )
+    ids, counts = st.integers(0, len(evidence)), st.integers(1, 300)  # 0 is the unknown instance
+    cells = [draw(st.dictionaries(ids, counts, min_size=2, max_size=4))]
+    cells += draw(st.lists(st.dictionaries(ids, counts, min_size=1, max_size=4), max_size=9))
+    orders = [draw(st.permutations(sorted(masses))) for masses in evidence]
+    return evidence, cells, orders
+
+
+def map_of(evidence, cells):
+    """A map whose instances 1, 2, ... hold ``evidence`` and whose cell
+    (i, 0, 0) holds the counts ``cells[i]``."""
+    state = MapState(voxel_size=0.05)
+    for label in LABELS[:6]:
+        state.register_category(label)
+    for masses in evidence:
+        state.instances[state.new_instance()].category_evidence = masses
+    for i, owners in enumerate(cells):
+        for instance_id, count in owners.items():
+            state.add_instance_evidence((i, 0, 0), instance_id, count)
+    return state
+
+
+def semantic_outputs(state):
+    """The semantic layer's exact values, the bytes of its export and of the
+    semantic map, and each prediction's exact semantic entropy."""
+    layer = semantic_entropy_map(state)
+    with tempfile.TemporaryDirectory() as tmp:
+        export_entropy_layer(state, layer, Path(tmp, "sem_entropy.ply"))
+        export_semantic_map(state, Path(tmp, "semantics.ply"))
+        files = {path.name: path.read_bytes() for path in sorted(Path(tmp).iterdir())}
+    predictions = [(p.instance_id, p.semantic_entropy.hex()) for p in predicted_instances(state)]
+    return layer_items(layer), files, predictions
+
+
+class TestLabelOrder:
+    """Entropies subtract their terms in label order, so the order in which
+    category evidence lists its labels changes no output."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_permuted_maps())
+    # subtracted in the order each dict lists them, these two orders differ by an ulp
+    @example(([{"chair": 0.5, "table": 1.0, "bed": 0.9}], [{0: 2, 1: 3}, {1: 1}], [["bed", "table", "chair"]]))
+    def test_outputs_do_not_depend_on_the_order_of_labels(self, drawn):
+        evidence, cells, orders = drawn
+        permuted = [{label: masses[label] for label in order} for masses, order in zip(evidence, orders)]
+        assert semantic_outputs(map_of(permuted, cells)) == semantic_outputs(map_of(evidence, cells))
+
+
 def layer_items(layer):
     """A layer's values in order, with each float's exact bits."""
     return layer.kind, layer.generated_at_frame, [(k, v.hex()) for k, v in layer.values.items()]
@@ -256,31 +312,33 @@ class TestExportsMatchOracle:
         assert value == expected_entropy({1: 1, 2: 5, 3: 12}) != left_to_right
         assert_exports_match_oracle(state)
 
-    def test_instance_with_zero_sum_evidence(self, tmp_path):
-        """The semantic export leaves out every cell of an instance whose
-        category evidence sums to zero, and the semantic layer raises."""
+    @pytest.mark.parametrize(
+        "evidence, error, message",
+        [({"chair": 0.0}, NoEvidenceError, "no evidence"), ({"chair": 2.0, "table": -1.0}, ValueError, "'table'")],
+        ids=["zero-sum", "negative"],
+    )
+    @pytest.mark.parametrize("owns_cells", [True, False], ids=["owning-cells", "owning-none"])
+    def test_instance_with_bad_evidence_raises(self, tmp_path, evidence, error, message, owns_cells):
+        """Category evidence that sums to 0 or holds a negative mass makes
+        both semantic readers raise, whether or not a cell reads it, and the
+        export leaves no file."""
         state = small_state()
-        zero = state.new_instance()
-        state.instances[zero].category_evidence = {"chair": 0.0}
-        state.add_instance_evidence((1, 0, 0), zero, 2)  # shared with both other instances
-        state.add_instance_evidence((3, 0, 0), zero, 1)  # its own
-        with pytest.raises(NoEvidenceError):
+        bad = state.new_instance()
+        state.instances[bad].category_evidence = evidence
+        if owns_cells:
+            state.add_instance_evidence((1, 0, 0), bad, 2)  # shared with both other instances
+            state.add_instance_evidence((3, 0, 0), bad, 1)  # its own
+        with pytest.raises(error, match=message):
             semantic_entropy_map(state)
-        with pytest.raises(NoEvidenceError):
-            oracle_semantic_entropy_map(OracleMap.from_state(state))
-        export_semantic_map(state, tmp_path / "new.ply")
-        oracle_export_semantic_map(OracleMap.from_state(state), tmp_path / "old.ply")
-        assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
-        assert "element vertex 2\n" in (tmp_path / "new.ply").read_text()
-
-    @pytest.mark.parametrize("evidence", [{"chair": 0.0}, {"chair": 2.0, "table": -1.0}], ids=["zero-sum", "negative"])
-    def test_instance_without_evidence_or_cells(self, evidence):
-        """An instance whose category evidence gives no distribution, or a
-        negative probability, and that owns no cell is read by no cell: both
-        layers and every export equal the per-cell oracle's, and none raises."""
-        state = small_state()
-        state.instances[state.new_instance()].category_evidence = evidence
-        assert_exports_match_oracle(state)
+        with pytest.raises(error, match=message):
+            export_semantic_map(state, tmp_path / "semantics.ply")
+        if owns_cells:  # the per-cell oracles read it too
+            model = OracleMap.from_state(state)
+            with pytest.raises(error, match=message):
+                oracle_semantic_entropy_map(model)
+            with pytest.raises(error, match=message):
+                oracle_export_semantic_map(model, tmp_path / "old.ply")
+        assert list(tmp_path.iterdir()) == []
 
     def test_signed_zeros_and_non_finite_values(self, tmp_path):
         values = {

@@ -405,6 +405,15 @@ class TestBuildOpinions:
                 voxel_size=VOXEL,
             )
 
+    @pytest.mark.parametrize("confidence", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_opinion_confidence_outside_zero_to_one_rejected(self, confidence):
+        """A confidence becomes category evidence mass, which must lie in (0, 1]."""
+        with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\]"):
+            SubjectiveOpinion(
+                points=np.zeros((1, 3)), category="x", confidence=confidence, source_frame=0, pixel_bbox=None,
+                voxel_size=VOXEL,
+            )
+
 
 def rotation_about(axis, angle):
     axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)

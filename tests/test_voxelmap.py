@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,26 @@ class TestSnapshot:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(SnapshotError, match=message) as raised:
             MapState.load_snapshot(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("action", ["always", "error"])
+    @pytest.mark.parametrize(
+        "old, new", [(b"'descr'", b"'d\\oscr'"), (b"'|u1'", b"'|a1'")], ids=["invalid-escape", "dtype-alias-a"]
+    )
+    def test_header_warning_is_one_snapshot_error(self, tmp_path, action, old, new):
+        """numpy parses a record header as a Python literal, which warns of an
+        invalid escape sequence (a DeprecationWarning, from Python 3.12 a
+        SyntaxWarning, shown by default), and numpy 2 warns of the dtype
+        alias 'a'; whatever the warning filters, the file is one
+        SnapshotError and no warning is shown."""
+        path = tmp_path / "map.vxl"
+        self.build_state("forward").save_snapshot(path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(SnapshotError) as raised:
+                MapState.load_snapshot(path)
+        assert caught == []
         assert str(raised.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("name", RECORD_NAMES)
