@@ -50,8 +50,11 @@ def atomic_write(path: Path | str, binary: bool = False) -> Iterator[IO]:
         with open(temporary, "xb") if binary else open(temporary, "x", encoding="utf-8") as handle:
             yield handle
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temporary):
+            # opening or replacing the temporary failed: name the file asked for
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -1,4 +1,7 @@
-"""Command-line driver: synth / build / eval / disambiguate / export."""
+"""Command-line driver: synth / build / eval / disambiguate / export.
+
+Each command imports its modules when it runs, so ``synth`` and ``--help`` load no scipy.
+"""
 
 from __future__ import annotations
 
@@ -10,41 +13,49 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .atomic import atomic_write
-from .config import PipelineConfig
-from .disambiguation import ArgmaxClient, HttpClient, MockClient, disambiguate_all
-from .evaluation import EvalConfig, evaluate
-from .export import export_entropy_layer, export_instance_map, export_semantic_map
-from .frames import DatasetError, load_frame, load_ground_truth, load_manifest
-from .fusion import Pipeline
-from .synthetic import generate_synthetic, load_scene_spec
-from .uncertainty import declare_categories, geometric_entropy_map, semantic_entropy_map
-from .voxelmap import MapState
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+    from .voxelmap import MapState
 
-
-# Each layer's `export --layer` name, with the file `build` writes it to, in this order, and its writer.
+# Each layer's `export --layer` name with the file `build` writes it to, in this order.
 LAYERS = {
-    "geom-entropy": ("geom_entropy.ply", lambda s, p: export_entropy_layer(s, geometric_entropy_map(s), p)),
-    "sem-entropy": ("sem_entropy.ply", lambda s, p: export_entropy_layer(s, semantic_entropy_map(s), p)),
-    "instances": ("instances.ply", export_instance_map),
-    "semantics": ("semantics.ply", export_semantic_map),
+    "geom-entropy": "geom_entropy.ply",
+    "sem-entropy": "sem_entropy.ply",
+    "instances": "instances.ply",
+    "semantics": "semantics.ply",
 }
 
 
+def _write_layer(layer: str, state: MapState, path: Path | str) -> None:
+    """Export the map layer named ``layer`` to ``path``."""
+    from . import export, uncertainty
+    if layer == "geom-entropy":
+        export.export_entropy_layer(state, uncertainty.geometric_entropy_map(state), path)
+    elif layer == "sem-entropy":
+        export.export_entropy_layer(state, uncertainty.semantic_entropy_map(state), path)
+    elif layer == "instances":
+        export.export_instance_map(state, path)
+    else:
+        export.export_semantic_map(state, path)
+
+
 def _load_config(path: str | None) -> PipelineConfig:
+    from .config import PipelineConfig
     return PipelineConfig.from_file(path) if path else PipelineConfig()
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from . import atomic, frames, fusion, uncertainty, voxelmap
     dataset = Path(args.dataset)
     out_dir = Path(args.out)
     with _removed_on_failure(out_dir):
         config = _load_config(args.config)
         out_dir.mkdir(parents=True, exist_ok=True)
-        records = load_manifest(dataset / "manifest.jsonl")
-        state = MapState(voxel_size=config.voxel_size, occupancy=config.occupancy_params())
-        pipeline = Pipeline(
+        records = frames.load_manifest(dataset / "manifest.jsonl")
+        state = voxelmap.MapState(voxel_size=config.voxel_size, occupancy=config.occupancy_params())
+        pipeline = fusion.Pipeline(
             state,
             clustering=config.clustering_params(),
             association=config.association_config(),
@@ -54,16 +65,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
             view_store=(out_dir / "views") if config.archive_views else None,
         )
         for record in records:
-            pipeline.process_frame(load_frame(record))
-        declare_categories(state, config.entropy_threshold)
+            pipeline.process_frame(frames.load_frame(record))
+        uncertainty.declare_categories(state, config.entropy_threshold)
         state.save_snapshot(out_dir / "map.vxl")
-        for file_name, write in LAYERS.values():
-            write(state, out_dir / file_name)
+        for layer, file_name in LAYERS.items():
+            _write_layer(layer, state, out_dir / file_name)
         timing = pipeline.timer.report()
         timing["merges"] = [
             {"frame_id": frame_id, **asdict(event)} for frame_id, event in pipeline.merges
         ]
-        with atomic_write(out_dir / "timing.json") as handle:
+        with atomic.atomic_write(out_dir / "timing.json") as handle:
             handle.write(json.dumps(timing, sort_keys=True))
     for stage, entry in timing["stages"].items():
         print(f"{stage}: {entry['mean_ms']:.2f} ms over {entry['runs']} runs")
@@ -84,15 +95,16 @@ def _removed_on_failure(out_dir: Path) -> Iterator[None]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation, frames, voxelmap
     config = _load_config(args.config)
-    state = MapState.load_snapshot(args.snapshot)
-    gt = load_ground_truth(args.gt)
-    eval_config = EvalConfig(iou_threshold=config.iou_threshold, classes=config.eval_classes)
+    state = voxelmap.MapState.load_snapshot(args.snapshot)
+    gt = frames.load_ground_truth(args.gt)
+    eval_config = evaluation.EvalConfig(iou_threshold=config.iou_threshold, classes=config.eval_classes)
     timing = None
     timing_path = Path(args.snapshot).parent / "timing.json"
     if timing_path.is_file():
         timing = json.loads(timing_path.read_text(encoding="utf-8"))
-    report = evaluate(state, gt, eval_config, timing=timing)
+    report = evaluation.evaluate(state, gt, eval_config, timing=timing)
     report.save(args.out)
     for category in sorted(report.per_class_ap):
         print(f"AP[{category}] = {report.per_class_ap[category]:.4f}")
@@ -101,32 +113,34 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synthetic
     out_dir = Path(args.out)
     with _removed_on_failure(out_dir):
-        scene = load_scene_spec(args.spec)
-        generate_synthetic(scene, seed=args.seed, out_dir=out_dir)
+        scene = synthetic.load_scene_spec(args.spec)
+        synthetic.generate_synthetic(scene, seed=args.seed, out_dir=out_dir)
     print(f"dataset written to {out_dir}")
     return 0
 
 
 def _cmd_disambiguate(args: argparse.Namespace) -> int:
+    from . import disambiguation, voxelmap
     config = _load_config(args.config)
-    state = MapState.load_snapshot(args.snapshot)
+    state = voxelmap.MapState.load_snapshot(args.snapshot)
     if args.client == "mock":
         if args.fixtures:
-            client = MockClient.from_fixture_file(args.fixtures)
+            client = disambiguation.MockClient.from_fixture_file(args.fixtures)
         else:
-            client = ArgmaxClient()
+            client = disambiguation.ArgmaxClient()
     else:
         if not config.endpoint:
             raise ValueError("http client requires 'endpoint' in the config file")
-        client = HttpClient(
+        client = disambiguation.HttpClient(
             endpoint=config.endpoint,
             api_key_env=config.api_key_env,
             model=config.model,
             timeout_s=config.timeout_s,
         )
-    report = disambiguate_all(
+    report = disambiguation.disambiguate_all(
         state, client, min_prob=config.min_prob, views_per_candidate=config.views_per_candidate
     )
     out = args.out or args.snapshot
@@ -144,8 +158,9 @@ def _cmd_disambiguate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    state = MapState.load_snapshot(args.snapshot)
-    LAYERS[args.layer][1](state, args.out)
+    from . import voxelmap
+    state = voxelmap.MapState.load_snapshot(args.snapshot)
+    _write_layer(args.layer, state, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -197,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a DatasetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -74,18 +74,15 @@ class Pose:
             raise ValueError("rotation determinant is not +1")
 
     def apply(self, points_cam: np.ndarray) -> np.ndarray:
-        """World coordinates of one ``(3,)`` camera point or of ``(n, 3)`` rows.
+        """World coordinates of camera points given as the columns of a ``(3, n)`` array.
 
-        The product runs on the ``(3, n)`` transpose: one ``rotation @ cam``
-        and an in-place add of the translation, whose inner loop is then n
-        long rather than 3.  The ``(n, 3)`` result is the transpose of that
-        C-ordered ``(3, n)`` array, so ``.T`` gives the columns back without
-        a copy.
+        The result is C-ordered ``(3, n)``: one ``rotation @ points_cam`` and
+        an in-place add of the translation, whose inner loop is n long rather
+        than 3.
         """
-        points_cam = np.asarray(points_cam, dtype=float)
-        world = self.rotation @ points_cam.reshape(-1, 3).T
+        world = self.rotation @ points_cam
         world += self.translation[:, None]
-        return world.T.reshape(points_cam.shape)
+        return world
 
 
 @dataclass
@@ -175,45 +172,24 @@ def encode_rle_mask(mask: np.ndarray) -> list[int]:
 
 
 def backproject_pixels(
-    us: np.ndarray,
-    vs: np.ndarray,
-    depth_raw: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    pose: Pose,
-    max_range: float = 4.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized back-projection.
-
-    Returns ``(points, keep)`` where ``keep`` marks the input pixels that
-    carried a valid in-range depth and ``points`` are their world-frame
-    coordinates, in input order.  ``points`` is ``(n, 3)`` and the transpose
-    of a C-ordered ``(3, n)`` array (see :meth:`Pose.apply`), so
-    ``points.T`` selects by column without a copy.
-    """
-    us = np.asarray(us)
-    vs = np.asarray(vs)
-    depth_raw = np.asarray(depth_raw)
-    z = depth_raw.astype(float) * intrinsics.depth_scale
-    keep = (depth_raw != 0) & (z <= max_range)
-    if not keep.all():
-        us, vs, z = us[keep], vs[keep], z[keep]
-    return pose.apply(camera_points(us, vs, z, intrinsics).T), keep
-
-
-def camera_points(
-    us: np.ndarray, vs: np.ndarray, z: np.ndarray, intrinsics: CameraIntrinsics
+    us: np.ndarray, vs: np.ndarray, depth_raw: np.ndarray, intrinsics: CameraIntrinsics, pose: Pose
 ) -> np.ndarray:
-    """C-ordered ``(3, n)`` camera-frame points of pixels ``(us, vs)`` at metric depths ``z``."""
-    points_cam = np.empty((3, len(z)))
-    x, y, _ = points_cam
+    """World points of the pixels ``(us, vs)`` at raw depths ``depth_raw``, as
+    the columns of a C-ordered ``(3, n)`` array in input order.
+
+    Every pixel given is back-projected; which depths are valid is the
+    caller's decision (see :func:`voxeland.opinions.build_opinions`).
+    """
+    points_cam = np.empty((3, len(depth_raw)))
+    x, y, z = points_cam
+    np.multiply(depth_raw, intrinsics.depth_scale, out=z, dtype=float)
     np.subtract(us, intrinsics.cx, out=x, dtype=float)
     x *= z
     x /= intrinsics.fx
     np.subtract(vs, intrinsics.cy, out=y, dtype=float)
     y *= z
     y /= intrinsics.fy
-    points_cam[2] = z
-    return points_cam
+    return pose.apply(points_cam)
 
 
 def _read_netpbm(

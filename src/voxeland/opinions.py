@@ -20,7 +20,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .frames import Frame, backproject_pixels, camera_points
+from .frames import Frame, backproject_pixels
 from .voxelmap import UNKNOWN_CATEGORY, pack_keys, points_to_keys, unpack_key_array
 
 NOISE = -1
@@ -111,7 +111,7 @@ def filter_geometric_opinions(point_sets: list[np.ndarray], params: ClusteringPa
         return []
     coarse, inverses = [], []
     for points in point_sets:
-        keys = pack_keys(np.floor(points / params.coarse_voxel).astype(np.int64))
+        keys = pack_keys(points_to_keys(points, params.coarse_voxel))
         distinct, inverse = np.unique(keys, return_inverse=True)
         coarse.append(unpack_key_array(distinct))
         inverses.append(inverse)
@@ -156,8 +156,7 @@ def build_opinions(
     vs = pixels // width
     us = pixels - vs * width
     raw = depth.ravel()[pixels]
-    points, _ = backproject_pixels(us, vs, raw, intrinsics, pose, max_range)
-    world = points.T  # C-ordered (3, n): one column per valid pixel
+    world = backproject_pixels(us, vs, raw, intrinsics, pose)  # one column per valid pixel
 
     def selected_points(selected: np.ndarray) -> np.ndarray:
         """(m, 3) world points of the selected valid pixels."""
@@ -166,8 +165,7 @@ def build_opinions(
             # rounding can differ from the frame's matrix product by an ulp;
             # transform it on its own, as its opinion's own pixels would be
             one = np.flatnonzero(selected)
-            z = raw[one].astype(float) * intrinsics.depth_scale
-            return pose.apply(camera_points(us[one], vs[one], z, intrinsics).T)
+            return backproject_pixels(us[one], vs[one], raw[one], intrinsics, pose).T
         return np.compress(selected, world, axis=1).T
 
     claimed = np.zeros(len(pixels), dtype=bool)
@@ -181,7 +179,7 @@ def build_opinions(
 
     unknown = None if claimed.all() else selected_points(~claimed)
     # freed before the opinions key their points: keyed beside them, 640x480 frames took 2-3 ms in page faults
-    del pixels, vs, us, raw, points, world
+    del pixels, vs, us, raw, world
     filtered = filter_geometric_opinions([points for _, _, points in masked], params)
     opinions = [
         SubjectiveOpinion(points, prediction.category, prediction.confidence, frame.frame_id, bbox, voxel_size)

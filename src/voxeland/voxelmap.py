@@ -62,11 +62,16 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 
 
 def points_to_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """(n, 3) float points to (n, 3) int64 keys: the componentwise floor of point / voxel_size."""
-    points = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("non-finite point in batch")
-    return np.floor(points / voxel_size).astype(np.int64)
+    """(n, 3) float points to (n, 3) int64 keys: the componentwise floor of point / voxel_size.
+
+    The floored quotients are checked against the packable range [-2^20, 2^20),
+    which NaN fails too, before the integer cast: a non-finite point or an
+    out-of-range voxel is one ValueError naming the size, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        keys = np.floor(np.asarray(points, dtype=float) / voxel_size)
+    if keys.size and not (keys.min() >= -_KEY_OFFSET and keys.max() < _KEY_OFFSET):
+        raise ValueError(f"a point is not finite or its voxel of size {voxel_size} is outside [-2^20, 2^20)")
+    return keys.astype(np.int64)
 
 
 def pack_keys(keys: np.ndarray) -> np.ndarray:

@@ -303,7 +303,7 @@ def backproject(
     point_cam = np.array(
         [(u - intrinsics.cx) * z / intrinsics.fx, (v - intrinsics.cy) * z / intrinsics.fy, z]
     )
-    return pose.apply(point_cam)
+    return pose.apply(point_cam[:, None])[:, 0]
 
 
 def oracle_backproject_pixels(

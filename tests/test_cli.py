@@ -3,11 +3,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from voxeland import cli
+from voxeland import fusion, synthetic
 from voxeland.cli import main
 from voxeland.voxelmap import MapState
 
@@ -166,7 +169,7 @@ class TestSynthBuildEval:
         def broken(self, frame):
             raise RuntimeError("bug in the pipeline")
 
-        monkeypatch.setattr(cli.Pipeline, "process_frame", broken)
+        monkeypatch.setattr(fusion.Pipeline, "process_frame", broken)
         out = tmp_path / "fresh_out"
         with pytest.raises(RuntimeError, match="bug in the pipeline"):
             main(["build", "--dataset", str(dataset), "--out", str(out)])
@@ -242,6 +245,40 @@ class TestSynthBuildEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "voxel_size" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1e-300, 1e-30, 1e-9, 1e-3, 0.02, 1, 1e3, 1e30, 1e300])
+    @pytest.mark.parametrize("key", ["voxel_size", "coarse_voxel", "max_range"])
+    def test_extreme_sizes_build_or_fail_with_one_error_line(self, built, tmp_path, capsys, key, value):
+        """A voxel size or range far from the scene's scale either maps
+        silently or fails with one error line, and no numpy warning: a voxel
+        outside the packable range is caught before its key is cast."""
+        _, dataset, _ = built
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["build", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        assert [str(warning.message) for warning in caught] == []
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["export", "eval"])
+    def test_out_in_a_missing_directory_names_the_out_file(self, built, tmp_path, capsys, command):
+        """The error names the file asked for, not the temporary file beside it."""
+        _, dataset, out = built
+        target = tmp_path / "missing" / "result"
+        argv = {
+            "export": ["--layer", "instances"],
+            "eval": ["--gt", str(dataset / "ground_truth.json")],
+        }[command]
+        assert main([command, "--snapshot", str(out / "map.vxl"), *argv, "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"No such file or directory: '{target}'" in err and ".tmp" not in err
 
     def test_non_finite_intrinsics_fail_before_mapping(self, built, tmp_path, capsys):
         _, dataset, _ = built
@@ -325,7 +362,7 @@ class TestSynthBuildEval:
             Path(out_dir).mkdir(parents=True)
             raise RuntimeError("bug in the renderer")
 
-        monkeypatch.setattr(cli, "generate_synthetic", broken)
+        monkeypatch.setattr(synthetic, "generate_synthetic", broken)
         out = tmp_path / "ds"
         with pytest.raises(RuntimeError, match="bug in the renderer"):
             main(["synth", "--spec", str(spec), "--out", str(out)])
@@ -388,3 +425,24 @@ class TestDisambiguateCommand:
         assert code == 0
         updated = MapState.load_snapshot(snapshot)
         assert updated.instances[instance_id].final_category == "bed"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synth", "--spec", "{spec}", "--out", "{out}"]], ids=["help", "synth"])
+def test_command_loads_no_scipy(tmp_path, argv):
+    """In a fresh interpreter, ``voxeland --help`` and ``voxeland synth``
+    load no scipy module: each command imports only the modules it uses."""
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps(SCENE_SPEC))
+    argv = [arg.format(spec=spec, out=tmp_path / "ds") for arg in argv]
+    code = (
+        "import contextlib, io, sys\n"
+        "from voxeland.cli import main\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(synthetic.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+    assert argv == ["--help"] or (tmp_path / "ds" / "manifest.jsonl").is_file()

@@ -279,13 +279,17 @@ class TestBackproject:
             assert abs(z2 - raw * INTR.depth_scale) < 1e-3
 
     def test_batch_matches_scalar(self):
-        us = np.array([320, 420, 100])
-        vs = np.array([240, 240, 50])
-        raws = np.array([2000, 2000, 0])
-        points, keep = backproject_pixels(us, vs, raws, INTR, IDENTITY)
-        assert keep.tolist() == [True, True, False]
-        assert points[0] == pytest.approx([0.0, 0.0, 2.0])
-        assert points[1] == pytest.approx([0.4, 0.0, 2.0])
+        """Every pixel given is back-projected, in input order: a zero depth
+        lands on the camera centre and a depth past the default range stays."""
+        us = np.array([320, 420, 100, 200])
+        vs = np.array([240, 240, 50, 300])
+        raws = np.array([2000, 2000, 0, 4500], dtype=np.uint16)
+        points = backproject_pixels(us, vs, raws, INTR, IDENTITY)
+        assert points.shape == (3, 4) and points.flags.c_contiguous
+        assert points[:, 0] == pytest.approx([0.0, 0.0, 2.0])
+        assert points[:, 1] == pytest.approx([0.4, 0.0, 2.0])
+        assert points[:, 2].tolist() == [0.0, 0.0, 0.0]
+        assert points[:, 3] == pytest.approx(backproject(200, 300, 4500, INTR, IDENTITY, max_range=5.0))
 
 
 class TestPoseAndIntrinsics:

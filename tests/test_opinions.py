@@ -11,6 +11,7 @@ from voxeland.frames import (
     FrameRecord,
     Pose,
     PredictionInstance,
+    backproject_pixels,
     encode_rle_mask,
     load_frame,
     load_manifest,
@@ -651,22 +652,22 @@ def simple_scene_with_noise():
 
 
 class TestPoseApply:
-    def test_one_point_keeps_its_shape(self):
-        point = np.array([0.25, -1.5, 2.0])
-        world = TILTED.apply(point)
-        assert world.shape == (3,)
-        assert world == pytest.approx(TILTED.rotation @ point + TILTED.translation, abs=1e-12)
-
-    def test_one_point_equals_a_one_row_array(self):
-        point = np.array([3.0, 0.5, -0.75])
-        assert TILTED.apply(point).tobytes() == TILTED.apply(point[None]).tobytes()
-
-    def test_empty_array(self):
-        world = TILTED.apply(np.zeros((0, 3)))
-        assert world.shape == (0, 3)
-
-    def test_rows_are_columns_of_a_c_ordered_product(self):
-        points = np.random.default_rng(3).normal(size=(50, 3))
+    def test_columns_are_a_c_ordered_product(self):
+        points = np.random.default_rng(3).normal(size=(3, 50))
         world = TILTED.apply(points)
-        assert world.shape == (50, 3) and world.T.flags.c_contiguous
-        assert np.allclose(world, points @ TILTED.rotation.T + TILTED.translation, rtol=0, atol=1e-12)
+        assert world.shape == (3, 50) and world.flags.c_contiguous
+        expected = TILTED.rotation @ points + TILTED.translation[:, None]
+        assert np.allclose(world, expected, rtol=0, atol=1e-12)
+
+    def test_no_columns(self):
+        assert TILTED.apply(np.zeros((3, 0))).shape == (3, 0)
+
+    def test_one_column_gives_the_scalar_oracle_bits(self):
+        """A pixel back-projected alone goes through ``apply`` as one ``(3, 1)``
+        column, and its point has the bits of the oracle's scalar lift."""
+        _, intr, _ = posed_frame(np.zeros((30, 40), dtype=np.uint16), [])
+        rng = np.random.default_rng(11)
+        for u, v, raw in zip(rng.integers(0, 40, 50), rng.integers(0, 30, 50), rng.integers(1, 4000, 50)):
+            column = backproject_pixels(np.array([u]), np.array([v]), np.array([raw], dtype=np.uint16), intr, TILTED)
+            assert column.shape == (3, 1)
+            assert column[:, 0].tobytes() == backproject(int(u), int(v), int(raw), intr, TILTED).tobytes()

@@ -67,6 +67,26 @@ class TestWorldToKey:
         for point, key in zip(points, keys):
             assert world_to_key(point, 0.02) == tuple(key)
 
+    def test_unkeyable_points_raise_without_a_warning(self):
+        """A NaN or infinite point, or one whose quotient overflows to inf, is
+        one ValueError naming the voxel size, with no numpy warning."""
+        for point in ([math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf], [1e300, 0, 0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="voxel of size 1e-10"):
+                    points_to_keys(np.array([point]), 1e-10)
+
+    def test_keys_at_the_packable_limits(self):
+        """Keys at both limits of [-2^20, 2^20) are accepted, and one step outside raises."""
+        low, high = -(1 << 20), (1 << 20) - 1
+        keys = points_to_keys(np.array([[low * 0.5, high * 0.5, 0.25]]), 0.5)
+        assert keys.tolist() == [[low, high, 0]]
+        for outside in (low - 1, high + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="voxel of size 0.5"):
+                    points_to_keys(np.array([[0.0, outside * 0.5, 0.0]]), 0.5)
+
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(1)
         keys = rng.integers(-1000, 1000, (500, 3)).astype(np.int64)
