@@ -95,11 +95,15 @@ class PipelineConfig:
         return cls(**obj)
 
     def clustering_params(self) -> ClusteringParams:
-        coarse = self.coarse_voxel if self.coarse_voxel is not None else 4.0 * self.voxel_size
+        if self.coarse_voxel is None:
+            coarse, origin = 4.0 * self.voxel_size, "4 x voxel_size"
+        else:
+            coarse, origin = self.coarse_voxel, "coarse_voxel"
         return ClusteringParams(
             coarse_voxel=coarse,
             eps=self.dbscan_eps_factor * coarse,
             min_pts=self.dbscan_min_pts,
+            origin=origin,
         )
 
     def association_config(self) -> AssociationConfig:

@@ -13,6 +13,7 @@ opinion's points are keyed once, as it is built, at the map's voxel size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +29,27 @@ NOISE = -1
 
 @dataclass
 class ClusteringParams:
-    """Coarse-grid DBSCAN parameters for geometric opinion filtering."""
+    """Coarse-grid DBSCAN parameters for geometric opinion filtering.
+
+    ``origin`` names the setting the coarse voxel came from, for errors.
+    """
 
     coarse_voxel: float
     eps: float
     min_pts: int
+    origin: str = "coarse_voxel"
 
     def __post_init__(self) -> None:
         if self.coarse_voxel <= 0 or self.eps <= 0 or self.min_pts <= 0:
             raise ValueError("clustering parameters must be positive")
+        # coarse keys span at most 2^21 voxels per axis, so the squared
+        # distances DBSCAN takes stay below 3 * (2^21 * coarse_voxel)^2 + eps^2
+        span = float(1 << 21) * self.coarse_voxel
+        if not math.isfinite(3.0 * span * span + self.eps * self.eps):
+            raise ValueError(
+                f"coarse voxel {self.coarse_voxel} ({self.origin}) or DBSCAN radius {self.eps} is too large:"
+                " squared distances between coarse voxel centers overflow"
+            )
 
 
 @dataclass
@@ -111,7 +124,10 @@ def filter_geometric_opinions(point_sets: list[np.ndarray], params: ClusteringPa
         return []
     coarse, inverses = [], []
     for points in point_sets:
-        keys = pack_keys(points_to_keys(points, params.coarse_voxel))
+        try:
+            keys = pack_keys(points_to_keys(points, params.coarse_voxel))
+        except ValueError as exc:
+            raise ValueError(f"coarse voxel {params.coarse_voxel} ({params.origin}): {exc}") from None
         distinct, inverse = np.unique(keys, return_inverse=True)
         coarse.append(unpack_key_array(distinct))
         inverses.append(inverse)

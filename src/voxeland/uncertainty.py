@@ -17,7 +17,11 @@ per-voxel definitions: :class:`voxelmap.OwnerTable` holds the cells' keys
 and lists each cell's owners in ascending id order, and every sum and
 mixture is taken in that order with the rounding of the scalar code
 (``math.fsum`` of three or more digamma terms, ``math.log`` of each mixed
-probability).  :class:`CategoryMixtures` is the one category mixing pass;
+probability).  A cell with one owner is that owner's alone: its geometric
+entropy is exactly 0 and its category distribution is the owner's, so the
+per-owner work of both layers runs only over the contested cells, those of
+two or more owners (:meth:`voxelmap.OwnerTable.contested`).
+:class:`CategoryMixtures` is the one category mixing pass;
 the semantic export reads its argmax.  Entropies subtract their terms in
 label order, whatever order category evidence lists its labels in, and
 every instance's evidence is checked, read by a cell or not, so both
@@ -133,19 +137,22 @@ def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
     """Per-voxel geometric entropy over every evidence-bearing cell, in key order.
 
     Each value is :func:`expected_entropy` of the cell's counts: digamma(S)
-    minus the fsum of (c / S) * digamma(c) over its owners.  One or two
-    terms sum exactly in floating point, so only a cell with three or more
-    owners calls ``math.fsum``.  A cell with a single owner gets exactly 0.0:
-    digamma(c) - 1.0 * digamma(c).
+    minus the fsum of (c / S) * digamma(c) over its owners.  A cell with a
+    single owner is exactly 0.0, digamma(c) - 1.0 * digamma(c), so digamma
+    is taken only over the contested cells (:meth:`OwnerTable.contested`).
+    One or two terms sum exactly in floating point, so only a cell with
+    three or more owners calls ``math.fsum``.
     """
     table = state.owner_table()
-    totals, shares = table.shares()
-    terms = shares * _psi(table.counts.astype(float))
-    weighted = np.add.reduceat(terms, table.starts) if len(terms) else terms
-    many = np.flatnonzero(table.sizes > 2)
-    for cell, start, size in zip(many.tolist(), table.starts[many].tolist(), table.sizes[many].tolist()):
+    contested = table.contested()
+    terms = contested.shares * _psi(contested.counts.astype(float))
+    weighted = np.add.reduceat(terms, contested.starts) if len(terms) else terms
+    many = np.flatnonzero(contested.sizes > 2)
+    for cell, start, size in zip(many.tolist(), contested.starts[many].tolist(), contested.sizes[many].tolist()):
         weighted[cell] = math.fsum(terms[start : start + size].tolist())
-    return _layer("geometric", state, table, _psi(totals) - weighted)
+    entropies = np.zeros(len(table.keys))
+    entropies[contested.cells] = _psi(contested.totals) - weighted
+    return _layer("geometric", state, table, entropies)
 
 
 @dataclass
@@ -164,7 +171,8 @@ class CategoryMixtures:
     ``labels`` of every instance's category evidence and the unknown
     category, in string order, and a label a row does not hold has
     probability 0.  A shared cell's ``probs`` are accumulated owner by owner
-    in ascending id order, as a per-voxel mixture adds them.
+    in ascending id order, as a per-voxel mixture adds them: each rank of
+    owner in one pass over the contested entries of that rank.
     """
 
     labels: list[str]
@@ -190,23 +198,21 @@ class CategoryMixtures:
                 distributions.append(probabilities(record.category_evidence))
         labels = sorted({label for dist in distributions for label in dist})
         column = {label: j for j, label in enumerate(labels)}
-        shared_cells = np.flatnonzero(table.sizes > 1)
+        contested = table.contested()
         row_of_cell = np.searchsorted(ids, table.ids[table.starts])
-        row_of_cell[shared_cells] = len(ids) + np.arange(len(shared_cells))
-        probs = np.zeros((len(ids) + len(shared_cells), len(labels)))
+        row_of_cell[contested.cells] = len(ids) + np.arange(len(contested.cells))
+        probs = np.zeros((len(ids) + len(contested.cells), len(labels)))
         for i, dist in enumerate(distributions):
             for label, p in dist.items():
                 probs[i, column[label]] = p
 
-        sizes = table.sizes[shared_cells]
-        entries = np.flatnonzero(np.repeat(table.sizes > 1, table.sizes))
-        entry_row = np.repeat(row_of_cell[shared_cells], sizes)
-        entry_owner = np.searchsorted(ids, table.ids[entries])
-        entry_share = table.shares()[1][entries]
-        entry_rank = entries - np.repeat(table.starts[shared_cells], sizes)
-        for owner_rank in range(int(sizes.max(initial=0))):
-            at = entry_rank == owner_rank
-            probs[entry_row[at]] += entry_share[at, None] * probs[entry_owner[at]]
+        entry_row = np.repeat(row_of_cell[contested.cells], contested.sizes)
+        entry_owner = np.searchsorted(ids, contested.ids)
+        entry_rank = np.arange(len(contested.ids)) - np.repeat(contested.starts, contested.sizes)
+        # the entries of each rank, in entry order, one slice of a stable sort after another
+        by_rank = np.argsort(entry_rank, kind="stable")
+        for at in np.split(by_rank, np.cumsum(np.bincount(entry_rank))[:-1]):
+            probs[entry_row[at]] += contested.shares[at, None] * probs[entry_owner[at]]
         return cls(labels, probs, row_of_cell)
 
     def entropies(self) -> np.ndarray:

@@ -258,13 +258,35 @@ class Cells:
         return len(self.keys)
 
 
+@dataclass
+class ContestedCells:
+    """The cells of an :class:`OwnerTable` with two or more owners, in key order.
+
+    ``cells`` are their indices in the table and ``sizes`` their numbers of
+    owners.  Their runs of entries are laid end to end, each cell's from
+    ``starts`` on: the ``ids`` and ``counts`` of its owners in ascending id
+    order, and each one's share of the cell's total, count / total, as
+    floats.  ``totals`` are exact: a map's counts sum far below 2**53.
+    """
+
+    cells: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+    shares: np.ndarray
+
+
 class OwnerTable:
     """The index of a list of footprints, built from the footprints alone.
 
     ``keys`` are their distinct keys in ascending order, one per cell with
     evidence.  Each cell owns the run of entries from ``starts`` on, ``sizes``
     long: the ``ids`` of the footprints holding it, in the footprints' order,
-    and their ``counts`` there when the footprints' counts are given.
+    and their ``counts`` there when the footprints' counts are given.  Most
+    cells of a map have one owner, which holds all of their evidence, so the
+    readers of the counts do per-entry work only on :meth:`contested`.
     """
 
     def __init__(self, footprints: list[np.ndarray], ids, counts: list[np.ndarray] | None = None) -> None:
@@ -279,22 +301,33 @@ class OwnerTable:
         self.sizes = np.diff(self.starts, append=len(keys))
         self.keys = keys[self.starts]
 
-    def shares(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each cell's total count and each entry's share of it, count / total,
-        as floats.  Totals are exact: a map's counts sum far below 2**53."""
-        totals = np.add.reduceat(self.counts, self.starts).astype(float) if len(self.starts) else np.empty(0)
-        return totals, self.counts / np.repeat(totals, self.sizes)
+    def contested(self) -> ContestedCells:
+        """The cells with two or more owners and their entries, read from
+        ``starts`` and ``sizes`` without a pass over the other cells' entries."""
+        cells = np.flatnonzero(self.sizes > 1)
+        sizes = self.sizes[cells]
+        starts = np.cumsum(sizes) - sizes
+        # entry e of a cell's run is table entry first + e
+        entries = np.repeat(self.starts[cells] - starts, sizes) + np.arange(sizes.sum())
+        counts = self.counts[entries]
+        totals = np.add.reduceat(counts, starts).astype(float) if len(cells) else np.empty(0)
+        shares = counts / np.repeat(totals, sizes)
+        return ContestedCells(cells, sizes, starts, self.ids[entries], counts, totals, shares)
 
     def argmax_owners(self) -> np.ndarray:
         """The instance with the most evidence in each cell with evidence; ties go to the smallest id.
 
-        A cell's entries are in ascending id order, so its first entry that
-        reaches the cell's largest count is the one."""
-        if not len(self.starts):
-            return self.ids[:0]
-        most = np.repeat(np.maximum.reduceat(self.counts, self.starts), self.sizes)
-        entries = np.where(self.counts == most, np.arange(len(self.counts)), len(self.counts))
-        return self.ids[np.minimum.reduceat(entries, self.starts)]
+        A cell's one owner is its argmax.  A contested cell's entries are in
+        ascending id order, so its first entry that reaches the cell's
+        largest count is the one."""
+        owners = self.ids[self.starts]
+        contested = self.contested()
+        if len(contested.cells):
+            counts = contested.counts
+            most = np.repeat(np.maximum.reduceat(counts, contested.starts), contested.sizes)
+            entries = np.where(counts == most, np.arange(len(counts)), len(counts))
+            owners[contested.cells] = contested.ids[np.minimum.reduceat(entries, contested.starts)]
+        return owners
 
 
 class MapState:

@@ -250,8 +250,10 @@ class TestSynthBuildEval:
     @pytest.mark.parametrize("key", ["voxel_size", "coarse_voxel", "max_range"])
     def test_extreme_sizes_build_or_fail_with_one_error_line(self, built, tmp_path, capsys, key, value):
         """A voxel size or range far from the scene's scale either maps
-        silently or fails with one error line, and no numpy warning: a voxel
-        outside the packable range is caught before its key is cast."""
+        silently or fails with one error line naming the key that was set,
+        and no numpy warning: a voxel outside the packable range is caught
+        before its key is cast, and a coarse voxel whose squared distances
+        overflow when the config is read."""
         _, dataset, _ = built
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}))
@@ -265,6 +267,7 @@ class TestSynthBuildEval:
             assert err == ""
         else:
             assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+            assert key in err, err
 
     @pytest.mark.parametrize("command", ["export", "eval"])
     def test_out_in_a_missing_directory_names_the_out_file(self, built, tmp_path, capsys, command):

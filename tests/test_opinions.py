@@ -270,6 +270,30 @@ class TestFilterGeometricOpinion:
     def test_no_sets(self):
         assert filter_geometric_opinions([], PARAMS) == []
 
+    def test_largest_coarse_voxel_clusters_the_whole_packable_range(self):
+        """At the largest coarse voxel the parameters accept, DBSCAN runs
+        over centers at both ends of the packable range (two clusters of one
+        point, the first kept); a coarse voxel one step larger, or a radius
+        whose square overflows, is refused naming the coarse voxel and its
+        origin."""
+        low, high = 1e147, 1e148
+        while np.nextafter(low, high) < high:
+            middle = low + (high - low) / 2
+            try:
+                ClusteringParams(middle, 1.8 * middle, 1)
+                low = middle
+            except ValueError:
+                high = middle
+        points = np.array([[-(2.0**20) * low] * 3, [(2.0**20 - 0.5) * low] * 3])
+        assert [len(kept) for kept in filter_geometric_opinions([points], ClusteringParams(low, 1.8 * low, 1))] == [1]
+        for coarse, eps in [(high, 1.8 * high), (0.08, 1e155)]:
+            with pytest.raises(ValueError, match=r"coarse voxel .* \(4 x voxel_size\) .* overflow"):
+                ClusteringParams(coarse, eps, 1, origin="4 x voxel_size")
+
+    def test_coarse_voxel_outside_the_packable_range_is_named(self):
+        with pytest.raises(ValueError, match=r"^coarse voxel 1e-30 \(coarse_voxel\): .*outside \[-2\^20, 2\^20\)"):
+            filter_geometric_opinions([np.ones((4, 3))], ClusteringParams(1e-30, 1.8e-30, 1))
+
 
 def nonzero_bbox(mask):
     """The bbox as build_opinions computed it from a full np.nonzero."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from voxeland import uncertainty
 from voxeland.evidence import expected_entropy, probabilities, top_category
 from voxeland.uncertainty import (
     LayerValues,
@@ -165,6 +166,26 @@ class TestEntropyMaps:
         layer = geometric_entropy_map(state)
         assert set(layer.values) == {(0, 0, 0)}
         assert layer.generated_at_frame == state.frames_integrated
+
+    def test_digamma_reads_only_the_contested_cells(self, monkeypatch):
+        """On a map of 300 single-owner cells and 3 contested ones, digamma
+        sees the contested cells' 7 counts and their 3 totals, nothing else;
+        every single-owner cell is exactly 0.0."""
+        state = MapState(voxel_size=0.02)
+        a, b, c = (state.new_instance() for _ in range(3))
+        for i, owner in enumerate((a, b, c, UNKNOWN_INSTANCE_ID)):
+            state.add_instance_evidence([(x, i, 0) for x in range(75)], owner, range(1, 76))
+        contested = {(0, 0, 9): {a: 2, b: 3}, (5, 5, 5): {a: 1, b: 1, c: 4}, (9, 9, 9): {UNKNOWN_INSTANCE_ID: 7, c: 1}}
+        for key, counts in contested.items():
+            for instance_id, count in counts.items():
+                state.add_instance_evidence(key, instance_id, count)
+        digamma, arguments = uncertainty._psi, []
+        monkeypatch.setattr(uncertainty, "_psi", lambda x: arguments.append(sorted(np.ravel(x).tolist())) or digamma(x))
+        layer = geometric_entropy_map(state)
+        assert sorted(arguments) == [[1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 7.0], [5.0, 6.0, 8.0]]
+        assert len(layer.values) == 303
+        for key, value in layer.values.items():
+            assert value.hex() == (expected_entropy(contested[key]) if key in contested else 0.0).hex()
 
     def test_repeated_single_instance_integration_never_raises_entropy(self):
         values = []

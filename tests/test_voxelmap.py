@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -862,7 +863,7 @@ class TestOwnerTableAgainstDict:
 
     @settings(max_examples=300, deadline=None)
     @given(footprint_lists())
-    def test_layout_shares_and_argmax(self, case):
+    def test_layout_contested_and_argmax(self, case):
         ids, footprints, counts = case
         cells = cells_by_key(ids, footprints, counts)
         table = OwnerTable(footprints, ids, counts)
@@ -874,10 +875,17 @@ class TestOwnerTableAgainstDict:
         assert [table.counts[run].tolist() for run in runs] == [
             [cells[key][i] for i in sorted(cells[key])] for key in sorted(cells)
         ]
-        totals, shares = table.shares()
-        assert totals.tolist() == [sum(cells[key].values()) for key in sorted(cells)]
-        assert shares.tolist() == [
-            cells[key][i] / sum(cells[key].values()) for key in sorted(cells) for i in sorted(cells[key])
+        contested = table.contested()
+        shared = [key for key in sorted(cells) if len(cells[key]) > 1]
+        assert table.keys[contested.cells].tolist() == shared
+        assert contested.sizes.tolist() == [len(cells[key]) for key in shared]
+        assert contested.starts.tolist() == (np.cumsum(contested.sizes) - contested.sizes).tolist()
+        assert contested.ids.tolist() == [i for key in shared for i in sorted(cells[key])]
+        assert contested.counts.tolist() == [cells[key][i] for key in shared for i in sorted(cells[key])]
+        assert contested.totals.dtype == np.float64
+        assert contested.totals.tolist() == [sum(cells[key].values()) for key in shared]
+        assert contested.shares.tolist() == [
+            cells[key][i] / sum(cells[key].values()) for key in shared for i in sorted(cells[key])
         ]
         assert table.argmax_owners().tolist() == [oracle_argmax_owner(cells[key]) for key in sorted(cells)]
         without_counts = OwnerTable(footprints, ids)
@@ -921,7 +929,9 @@ class TestOwnerTableAgainstDict:
     def test_empty_table(self):
         table = OwnerTable([], [], [])
         assert table.keys.tolist() == table.starts.tolist() == table.sizes.tolist() == table.ids.tolist() == []
-        assert table.argmax_owners().tolist() == [] and [a.tolist() for a in table.shares()] == [[], []]
+        assert table.argmax_owners().tolist() == []
+        contested = table.contested()
+        assert [getattr(contested, f.name).tolist() for f in fields(contested)] == [[]] * 7
 
 
 @st.composite
