@@ -6,9 +6,11 @@ answers like an external vision-language service would.  Picking the plain
 argmax would label it bed; the second opinion corrects it to couch.
 """
 
+import numpy as np
+
 from voxeland.disambiguation import ArgmaxClient, MockClient, build_request, disambiguate_all
 from voxeland.uncertainty import declare_categories
-from voxeland.voxelmap import MapState, Observation
+from voxeland.voxelmap import MapState, Observation, pack_keys
 
 
 def ambiguous_map():
@@ -17,7 +19,9 @@ def ambiguous_map():
     state.instances[instance_id].category_evidence = {"bed": 4.8, "couch": 4.6, "chair": 0.6}
     for label in ("bed", "couch", "chair"):
         state.register_category(label)
-    state.add_instance_evidence([(i, 0, 0) for i in range(8)], instance_id, 3)
+    keys = pack_keys(np.array([(i, 0, 0) for i in range(8)]))
+    state.add_cells(keys)
+    state.instances[instance_id].add_evidence(keys, np.full(8, 3))
     for frame in range(6):
         label = "bed" if frame % 2 == 0 else "couch"
         state.instances[instance_id].observations.append(

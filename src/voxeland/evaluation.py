@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .evidence import probabilities, shannon_entropy, top_category
+from .evidence import expected_entropy, probabilities, top_category
 from .frames import GroundTruthScene
 from .voxelmap import UNKNOWN_INSTANCE_ID, MapState, _no_keys, overlap_counts, overlap_scores
 
@@ -96,7 +96,8 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
 
     Instances without any category evidence cannot claim a class and are
     skipped; voxels whose argmax owner is the unknown instance belong to no
-    prediction.
+    prediction.  A prediction's ``semantic_entropy`` is the expected entropy
+    of its category evidence, the quantity that flags an instance.
     """
     table = state.owner_table()
     owners = table.argmax_owners()
@@ -104,20 +105,21 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
     order = np.argsort(owners, kind="stable")
     ids, starts = np.unique(owners[order], return_index=True)
     footprints = dict(zip(ids.tolist(), np.split(table.keys[order], starts[1:])))
+    records = [state.instances[i] for i in sorted(state.instances) if i != UNKNOWN_INSTANCE_ID]
+    records = [record for record in records if record.category_evidence]
+    dists = [probabilities(record.category_evidence) for record in records]
+    masses = [mass for record in records for mass in record.category_evidence.values()]
+    entropies = expected_entropy(masses, list(map(len, dists))).tolist()
     predictions = []
-    for instance_id in sorted(state.instances):
-        record = state.instances[instance_id]
-        if record.is_unknown or not record.category_evidence:
-            continue
-        dist = probabilities(record.category_evidence)
+    for record, dist, entropy in zip(records, dists, entropies):
         category = record.final_category if record.final_category is not None else top_category(dist)
         predictions.append(
             PredictedInstance(
-                instance_id=instance_id,
+                instance_id=record.id,
                 category=category,
                 confidence=dist.get(category, 0.0),
-                keys=footprints.get(instance_id, _no_keys()),
-                semantic_entropy=shannon_entropy(dist),
+                keys=footprints.get(record.id, _no_keys()),
+                semantic_entropy=entropy,
             )
         )
     return predictions
@@ -227,7 +229,8 @@ def precision_vs_entropy(
     thresholds: list[float],
     config: EvalConfig | None = None,
 ) -> list[tuple[float, float]]:
-    """Precision over predictions with semantic entropy below each threshold.
+    """Precision over predictions whose category evidence has an expected
+    entropy below each threshold, as declaration ranks them.
 
     Thresholds admitting no prediction yield no curve point.  Correctness is
     the TP/FP outcome of the standard matching, which raises ValueError as

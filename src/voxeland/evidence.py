@@ -1,10 +1,12 @@
-"""Sparse evidence and the entropy quantities computed from them.
+"""Sparse evidence and the expected entropy computed from it.
 
 Evidence accumulates as a sparse map from hypothesis id to non-negative mass
 (integer point counts for instance evidence, confidence sums for category
-evidence).  Hypotheses never observed are simply absent; all probability and
-entropy computations run over the strictly positive support only, and
-:func:`probabilities` refuses a negative mass.
+evidence).  Hypotheses never observed are simply absent, and
+:func:`probabilities` refuses a negative mass.  :func:`expected_entropy` is
+the one expected-entropy pass, over groups of masses laid end to end: the
+contested cells of the geometric layer, or the category evidence of every
+instance at once.
 """
 
 from __future__ import annotations
@@ -12,20 +14,12 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Mapping
 
+import numpy as np
 from scipy.special import digamma as _psi
 
 
 class NoEvidenceError(ValueError):
     """Raised when a probability or entropy is requested from empty evidence."""
-
-
-def digamma(x: float) -> float:
-    """Digamma of a positive finite argument; any other is a ValueError
-    rather than the NaN or infinity ``scipy.special.digamma`` returns."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"digamma requires a positive finite argument, got {x!r}")
-    return float(_psi(x))
 
 
 def probabilities(masses: Mapping[Hashable, float]) -> dict[Hashable, float]:
@@ -48,32 +42,38 @@ def top_category(probs: Mapping[str, float]) -> str:
     return max(sorted(probs), key=probs.__getitem__)
 
 
-def expected_entropy(masses: Mapping[Hashable, float]) -> float:
-    """Digamma-based expected entropy of evidence masses, in nats.
+def _group_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each group's sum: one or two values in floating point, which is exact
+    rounding, and three or more with ``math.fsum``."""
+    sums = np.add.reduceat(values, starts)
+    many = sizes > 2
+    if many.any():
+        flat = values[np.repeat(many, sizes)].tolist()
+        ends = np.cumsum(sizes[many]).tolist()
+        sums[many] = [math.fsum(flat[end - size : end]) for end, size in zip(ends, sizes[many].tolist())]
+    return sums
 
-    Computes digamma(S) - sum_k (m_k / S) * digamma(m_k) over the positive
-    support, with S the total mass.  Sums use fsum, so the result is exactly
-    invariant under entry reordering and id relabeling; the weighted form
-    makes a single-support vector evaluate to exactly 0.0.
+
+def expected_entropy(masses, sizes) -> np.ndarray:
+    """Digamma-based expected entropy of each group of evidence masses, in nats.
+
+    The groups are laid end to end in ``masses``, ``sizes[g]`` masses for
+    group g.  Each value is digamma(S) - sum_k (m_k / S) * digamma(m_k) over
+    its group, with S the group's total; both sums are correctly rounded,
+    so a value does not depend on the order of its group's masses, and a
+    group of one mass is exactly 0.0.  The sizes must sum to the number of
+    masses.  Every mass must be positive and finite (ValueError otherwise),
+    and a group with no mass raises NoEvidenceError.
     """
-    total = math.fsum(masses.values())
-    if not masses or total <= 0.0:
+    masses = np.asarray(masses, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if not np.all((masses > 0.0) & (masses < math.inf)):
+        raise ValueError("evidence masses must be positive and finite")
+    if np.any(sizes < 1):
         raise NoEvidenceError("no evidence")
-    weighted = math.fsum((mass / total) * digamma(mass) for mass in masses.values())
-    return digamma(total) - weighted
-
-
-def shannon_entropy(probs: Mapping[Hashable, float]) -> float:
-    """Shannon entropy in nats with the convention 0 * ln 0 = 0.
-
-    The terms are subtracted in key order, ``sorted(probs)``, so the value
-    does not depend on the order the mapping lists them; for a category
-    distribution that is the column order of :class:`uncertainty.CategoryMixtures`.
-    """
-    entropy = 0.0
-    for p in map(probs.__getitem__, sorted(probs)):
-        if p < 0.0:
-            raise ValueError(f"negative probability {p!r}")
-        if p > 0.0:
-            entropy -= p * math.log(p)
-    return 0.0 if entropy == 0.0 else entropy
+    if not len(sizes):
+        return np.empty(0)
+    starts = np.cumsum(sizes) - sizes
+    totals = _group_sums(masses, starts, sizes)
+    terms = masses / np.repeat(totals, sizes) * _psi(masses)
+    return _psi(totals) - _group_sums(terms, starts, sizes)

@@ -8,19 +8,20 @@ Two layers are produced over the map:
   by total-probability mixing of per-instance category beliefs with the
   voxel's instance weights.
 
-Per-instance semantic entropy also drives category declaration: confident
-instances are assigned their top category directly, ambiguous or
-never-classified ones are flagged for external disambiguation.
+The expected entropy of each instance's category evidence drives category
+declaration: confident instances are assigned their top category directly,
+ambiguous or never-classified ones are flagged for external disambiguation.
+It and the geometric layer are one :func:`evidence.expected_entropy` call
+each, over groups of masses laid end to end.
 
 Both layers are array passes over the map's owner table, bit for bit the
 per-voxel definitions: :class:`voxelmap.OwnerTable` holds the cells' keys
-and lists each cell's owners in ascending id order, and every sum and
-mixture is taken in that order with the rounding of the scalar code
-(``math.fsum`` of three or more digamma terms, ``math.log`` of each mixed
-probability).  A cell with one owner is that owner's alone: its geometric
-entropy is exactly 0 and its category distribution is the owner's, so the
-per-owner work of both layers runs only over the contested cells, those of
-two or more owners (:meth:`voxelmap.OwnerTable.contested`).
+and lists each cell's owners in ascending id order, and every mixture is
+taken in that order with the rounding of the per-voxel code (``math.log``
+of each mixed probability).  A cell with one owner is that owner's alone:
+its geometric entropy is exactly 0 and its category distribution is the
+owner's, so the per-owner work of both layers runs only over the contested
+cells, those of two or more owners (:meth:`voxelmap.OwnerTable.contested`).
 :class:`CategoryMixtures` is the one category mixing pass;
 the semantic export reads its argmax.  Entropies subtract their terms in
 label order, whatever order category evidence lists its labels in, and
@@ -40,16 +41,11 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma as _psi
 
 from .evidence import expected_entropy, probabilities, top_category
-from .voxelmap import UNKNOWN_CATEGORY, InstanceRecord, MapState, OwnerTable, VoxelKey, pack_keys, unpack_keys
+from .voxelmap import UNKNOWN_CATEGORY, UNKNOWN_INSTANCE_ID, MapState, OwnerTable, VoxelKey, pack_keys, unpack_keys
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
-
-
-class NotClassifiableError(ValueError):
-    """Raised for instances without category evidence (or the unknown one)."""
 
 
 class LayerValues(Mapping):
@@ -117,13 +113,6 @@ class CategoryDecision:
     entropy: float | None
 
 
-def semantic_entropy(record: InstanceRecord) -> float:
-    """Expected entropy of an instance's category evidence, in nats."""
-    if record.is_unknown or not record.category_evidence:
-        raise NotClassifiableError(f"instance {record.id} is not classifiable")
-    return expected_entropy(record.category_evidence)
-
-
 def _layer(kind: str, state: MapState, table: OwnerTable, values: np.ndarray) -> UncertaintyLayer:
     """The layer of ``values``, one per cell of the table in key order."""
     return UncertaintyLayer(
@@ -136,22 +125,14 @@ def _layer(kind: str, state: MapState, table: OwnerTable, values: np.ndarray) ->
 def geometric_entropy_map(state: MapState) -> UncertaintyLayer:
     """Per-voxel geometric entropy over every evidence-bearing cell, in key order.
 
-    Each value is :func:`expected_entropy` of the cell's counts: digamma(S)
-    minus the fsum of (c / S) * digamma(c) over its owners.  A cell with a
-    single owner is exactly 0.0, digamma(c) - 1.0 * digamma(c), so digamma
-    is taken only over the contested cells (:meth:`OwnerTable.contested`).
-    One or two terms sum exactly in floating point, so only a cell with
-    three or more owners calls ``math.fsum``.
+    Each value is :func:`evidence.expected_entropy` of the cell's counts.  A
+    cell with a single owner is exactly 0.0, so only the contested cells
+    (:meth:`OwnerTable.contested`) are passed to it.
     """
     table = state.owner_table()
     contested = table.contested()
-    terms = contested.shares * _psi(contested.counts.astype(float))
-    weighted = np.add.reduceat(terms, contested.starts) if len(terms) else terms
-    many = np.flatnonzero(contested.sizes > 2)
-    for cell, start, size in zip(many.tolist(), contested.starts[many].tolist(), contested.sizes[many].tolist()):
-        weighted[cell] = math.fsum(terms[start : start + size].tolist())
     entropies = np.zeros(len(table.keys))
-    entropies[contested.cells] = _psi(contested.totals) - weighted
+    entropies[contested.cells] = expected_entropy(contested.counts, contested.sizes)
     return _layer("geometric", state, table, entropies)
 
 
@@ -216,8 +197,9 @@ class CategoryMixtures:
         return cls(labels, probs, row_of_cell)
 
     def entropies(self) -> np.ndarray:
-        """:func:`evidence.shannon_entropy` of each row: ``p * log(p)`` subtracted
-        in label order, with ``math.log`` taken once per distinct positive p."""
+        """The Shannon entropy of each row, in nats: ``p * log(p)`` subtracted
+        in label order, with ``math.log`` taken once per distinct positive p,
+        and 0 * log 0 taken as 0."""
         positive = self.probs > 0.0
         distinct, which = np.unique(self.probs[positive], return_inverse=True)
         logs = np.zeros_like(self.probs)
@@ -249,24 +231,26 @@ def declare_categories(
 ) -> list[CategoryDecision]:
     """Assign final categories to confident instances, flag the rest.
 
-    Instances whose semantic entropy is below the threshold get the
-    highest-probability category; instances at or above it -- and instances
-    with no category evidence at all -- are flagged for disambiguation.  The
-    unknown instance is never declared.  Updates the records in place and
-    returns one decision per non-unknown instance, ordered by id.
+    Instances whose category evidence has an expected entropy below the
+    threshold get the highest-probability category; instances at or above
+    it -- and instances with no category evidence at all -- are flagged for
+    disambiguation.  The unknown instance is never declared.  Updates the
+    records in place and returns one decision per non-unknown instance,
+    ordered by id.
     """
+    records = [state.instances[i] for i in sorted(state.instances) if i != UNKNOWN_INSTANCE_ID]
+    evidence = [record.category_evidence for record in records if record.category_evidence]
+    masses = [mass for beta in evidence for mass in beta.values()]
+    entropies = iter(expected_entropy(masses, list(map(len, evidence))).tolist())
     decisions: list[CategoryDecision] = []
-    for instance_id in sorted(state.instances):
-        record = state.instances[instance_id]
-        if record.is_unknown:
-            continue
-        entropy = semantic_entropy(record) if record.category_evidence else None
+    for record in records:
+        entropy = next(entropies) if record.category_evidence else None
         declared = entropy is not None and entropy < entropy_threshold
         record.final_category = top_category(probabilities(record.category_evidence)) if declared else None
         record.flagged = not declared
         decisions.append(
             CategoryDecision(
-                instance_id=instance_id,
+                instance_id=record.id,
                 final_category=record.final_category,
                 flagged=record.flagged,
                 entropy=entropy,

@@ -266,7 +266,7 @@ class ContestedCells:
     owners.  Their runs of entries are laid end to end, each cell's from
     ``starts`` on: the ``ids`` and ``counts`` of its owners in ascending id
     order, and each one's share of the cell's total, count / total, as
-    floats.  ``totals`` are exact: a map's counts sum far below 2**53.
+    floats.  The totals are exact: a map's counts sum far below 2**53.
     """
 
     cells: np.ndarray
@@ -274,7 +274,6 @@ class ContestedCells:
     starts: np.ndarray
     ids: np.ndarray
     counts: np.ndarray
-    totals: np.ndarray
     shares: np.ndarray
 
 
@@ -312,7 +311,7 @@ class OwnerTable:
         counts = self.counts[entries]
         totals = np.add.reduceat(counts, starts).astype(float) if len(cells) else np.empty(0)
         shares = counts / np.repeat(totals, sizes)
-        return ContestedCells(cells, sizes, starts, self.ids[entries], counts, totals, shares)
+        return ContestedCells(cells, sizes, starts, self.ids[entries], counts, shares)
 
     def argmax_owners(self) -> np.ndarray:
         """The instance with the most evidence in each cell with evidence; ties go to the smallest id.
@@ -363,27 +362,6 @@ class MapState:
             self.categories.append(category)
 
     # -- cell updates -------------------------------------------------------
-
-    def add_instance_evidence(self, keys, instance_id: int, counts) -> None:
-        """Accumulate point-count evidence for an instance in a batch of voxels.
-
-        ``keys`` are voxel keys, shape (n, 3), or one key; ``counts`` gives
-        one positive count per key, or one for all of them.  Counts of a key
-        given twice add up.  A voxel new to the map becomes a cell with
-        log-odds 0.
-        """
-        record = self.instances.get(instance_id)
-        if record is None:
-            raise KeyError(f"instance {instance_id} is not registered")
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), len(keys))
-        if np.any(counts < 1):
-            raise ValueError(f"counts must be positive integers, got {counts.min()}")
-        packed, inverse = np.unique(pack_keys(keys), return_inverse=True)
-        summed = np.zeros(len(packed), dtype=np.int64)
-        np.add.at(summed, inverse, counts)
-        self.add_cells(packed)
-        record.add_evidence(packed, summed)
 
     def add_cells(self, keys: np.ndarray) -> None:
         """Make each voxel of the sorted unique packed ``keys`` a cell; a

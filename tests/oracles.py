@@ -2,6 +2,7 @@
 
 These deliberately avoid the algorithms used by the package: the digamma
 oracle sums the convergent series term by term with an analytic tail bound,
+expected and Shannon entropies are taken one evidence mapping at a time,
 clustering is a full O(n^2) pairwise construction or the breadth-first
 search the package ran once per prediction before it clustered each frame
 in one connected-components pass, average precision is
@@ -37,14 +38,10 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 from voxeland.disambiguation import ViewRef
-from voxeland.evidence import (
-    expected_entropy,
-    probabilities,
-    shannon_entropy,
-    top_category,
-)
+from voxeland.evidence import NoEvidenceError, probabilities, top_category
 from voxeland.evaluation import EvalConfig, MatchRecord
 from voxeland.export import layer_h_max
 from voxeland.frames import CameraIntrinsics, Frame, GroundTruthScene, Pose
@@ -101,6 +98,32 @@ def oracle_digamma(x: float, terms: int = 10_000) -> float:
 def oracle_expected_entropy(masses: list[float]) -> float:
     total = sum(masses)
     return oracle_digamma(total) - sum(m * oracle_digamma(m) for m in masses) / total
+
+
+def scalar_expected_entropy(masses: Mapping) -> float:
+    """The expected entropy of one evidence mapping on its own, as the
+    package computed it before its one grouped pass: scipy's digamma of each
+    positive finite mass, ``math.fsum`` of the total and of the weighted terms."""
+    for mass in masses.values():
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ValueError(f"digamma requires a positive finite argument, got {mass!r}")
+    if not masses:
+        raise NoEvidenceError("no evidence")
+    total = math.fsum(masses.values())
+    weighted = math.fsum((mass / total) * float(digamma(float(mass))) for mass in masses.values())
+    return float(digamma(total)) - weighted
+
+
+def scalar_shannon_entropy(probs: Mapping) -> float:
+    """Shannon entropy of one distribution in nats, 0 * ln 0 taken as 0, its
+    terms subtracted in key order (the column order of a category mixture)."""
+    entropy = 0.0
+    for p in map(probs.__getitem__, sorted(probs)):
+        if p < 0.0:
+            raise ValueError(f"negative probability {p!r}")
+        if p > 0.0:
+            entropy -= p * math.log(p)
+    return 0.0 if entropy == 0.0 else entropy
 
 
 def bfs_dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -911,7 +934,7 @@ def oracle_argmax_owner(instance_counts: dict[int, int]) -> int:
 
 def oracle_geometric_entropy_map(state: OracleMap) -> UncertaintyLayer:
     values = {
-        key: expected_entropy(cell.instance_counts)
+        key: scalar_expected_entropy(cell.instance_counts)
         for key, cell in state.cells.items()
         if cell.instance_counts
     }
@@ -922,7 +945,7 @@ def oracle_geometric_entropy_map(state: OracleMap) -> UncertaintyLayer:
 
 def oracle_semantic_entropy_map(state: OracleMap) -> UncertaintyLayer:
     values = {
-        key: shannon_entropy(oracle_voxel_category_distribution(cell.instance_counts, state))
+        key: scalar_shannon_entropy(oracle_voxel_category_distribution(cell.instance_counts, state))
         for key, cell in state.cells.items()
         if cell.instance_counts
     }

@@ -15,7 +15,7 @@ import pytest
 from voxeland.cli import main
 from voxeland.disambiguation import ArgmaxClient, MockClient, disambiguate_all
 from voxeland.evaluation import precision_vs_entropy
-from voxeland.evidence import digamma, expected_entropy
+from voxeland.evidence import expected_entropy
 from voxeland.frames import load_frame, load_ground_truth, load_manifest
 from voxeland.fusion import (
     STAGE_ASSOCIATION,
@@ -32,6 +32,7 @@ from voxeland.synthetic import generate_synthetic, scene_from_spec
 from voxeland.uncertainty import declare_categories, geometric_entropy_map
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState
 
+from maps import add_evidence
 from oracles import (
     brute_force_dbscan,
     canonical_clustering,
@@ -39,7 +40,6 @@ from oracles import (
     check_storage,
     ios,
     iou,
-    oracle_digamma,
     oracle_expected_entropy,
     oracle_voxel_category_distribution,
 )
@@ -108,16 +108,21 @@ def test_evidence_math_oracle_suite():
         ]
     )
     assert len(xs) == 1000
-    worst = max(abs(digamma(float(x)) - oracle_digamma(float(x))) for x in xs)
-    assert worst <= 1e-11, f"digamma deviates from the series oracle by {worst}"
+    # the 1000 masses in groups of one to four, each against the series oracle
+    sizes = [1, 2, 3, 4] * 100
+    groups = np.split(xs, np.cumsum(sizes)[:-1])
+    values = expected_entropy(xs, sizes)
+    worst = max(abs(value - oracle_expected_entropy(group.tolist())) for value, group in zip(values, groups))
+    assert worst <= 1e-11, f"expected entropy deviates from the series oracle by {worst}"
 
-    assert expected_entropy({"a": 1.0, "b": 1.0}) == 1.0
-    assert abs(expected_entropy({"a": 100.0, "b": 1.0}) - 0.0612611) <= 1e-6
-    assert abs(expected_entropy({"a": 1e4, "b": 1e4}) - math.log(2)) < 0.01
+    uniform, concentrated, balanced = expected_entropy([1.0, 1.0, 100.0, 1.0, 1e4, 1e4], [2, 2, 2])
+    assert uniform == 1.0
+    assert abs(concentrated - 0.0612611) <= 1e-6
+    assert abs(balanced - math.log(2)) < 0.01
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"evidence oracle suite took {elapsed:.2f} s"
-    verdict("evidence math oracle suite (digamma <= 1e-11 on 1000 pts)", elapsed)
+    verdict("evidence math oracle suite (expected entropy <= 1e-11 on 1000 masses)", elapsed)
 
 
 def test_mixture_normalization_over_randomized_maps():
@@ -142,9 +147,9 @@ def test_mixture_normalization_over_randomized_maps():
             key = (v, 0, 0)
             for instance_id in ids:
                 if rng.random() < 0.6:
-                    state.add_instance_evidence(key, instance_id, int(rng.integers(1, 30)))
+                    add_evidence(state, key, instance_id, int(rng.integers(1, 30)))
             if rng.random() < 0.5:
-                state.add_instance_evidence(key, UNKNOWN_INSTANCE_ID, int(rng.integers(1, 30)))
+                add_evidence(state, key, UNKNOWN_INSTANCE_ID, int(rng.integers(1, 30)))
         for cell in cells_of(state).values():
             if not cell.instance_counts:
                 continue
@@ -179,7 +184,7 @@ def test_dbscan_brute_force_equivalence():
 def _fixture_with_footprint(n_voxels, points):
     state = MapState(voxel_size=0.1)
     instance_id = state.new_instance()
-    state.add_instance_evidence([(i, 0, 0) for i in range(n_voxels)], instance_id, 1)
+    add_evidence(state, [(i, 0, 0) for i in range(n_voxels)], instance_id, 1)
     opinion = SubjectiveOpinion(
         points=np.asarray(points, dtype=float),
         category="x",
@@ -252,8 +257,8 @@ def test_fusion_conservation_and_determinism(noiseless_run, tmp_path):
     merge_state = MapState(voxel_size=0.1)
     a, b = merge_state.new_instance(), merge_state.new_instance()
     for i in range(6):
-        merge_state.add_instance_evidence((i, 0, 0), a, 2)
-        merge_state.add_instance_evidence((i, 0, 0), b, 3)
+        add_evidence(merge_state, (i, 0, 0), a, 2)
+        add_evidence(merge_state, (i, 0, 0), b, 3)
     merge_state.instances[a].category_evidence = {"chair": 1.0, "bed": 0.5}
     merge_state.instances[b].category_evidence = {"chair": 0.25}
     alpha_before = sum(
@@ -379,7 +384,7 @@ def test_split_evidence_mock_disambiguation():
         for label in beta:
             state.register_category(label)
         for i in range(6):
-            state.add_instance_evidence((i, 0, 0), instance_id, 3)
+            add_evidence(state, (i, 0, 0), instance_id, 3)
         decisions = declare_categories(state, entropy_threshold=0.5)
         assert decisions[0].flagged, "the split instance must be flagged"
         return state, instance_id

@@ -14,6 +14,7 @@ from voxeland import fusion, synthetic
 from voxeland.cli import main
 from voxeland.voxelmap import MapState
 
+from maps import add_evidence
 from oracles import oracle_snapshot_dict
 from snapshot_records import corrupted_snapshot, declare_shape
 
@@ -380,7 +381,7 @@ class TestDisambiguateCommand:
         state.register_category("bed")
         state.register_category("couch")
         for i in range(4):
-            state.add_instance_evidence((i, 0, 0), instance_id, 2)
+            add_evidence(state, (i, 0, 0), instance_id, 2)
         state.instances[instance_id].flagged = True
         snapshot = tmp_path / "map.vxl"
         state.save_snapshot(snapshot)

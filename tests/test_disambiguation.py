@@ -24,6 +24,7 @@ from voxeland.disambiguation import (
 from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import InstanceRecord, MapState, Observation
 
+from maps import add_evidence
 from oracles import oracle_select_views, oracle_snapshot_dict
 
 
@@ -40,7 +41,7 @@ def flagged_state(beta, key_count=4):
     for label in beta:
         state.register_category(label)
     for i in range(key_count):
-        state.add_instance_evidence((i, 0, 0), instance_id, 2)
+        add_evidence(state, (i, 0, 0), instance_id, 2)
     for frame in range(6):
         for label in beta:
             state.instances[instance_id].observations.append(
@@ -158,7 +159,7 @@ class TestPrompt:
         state.instances[instance_id].category_evidence = {"bed": 1.0, "couch": 1.0}
         for i in range(40):
             for j in range(40):
-                state.add_instance_evidence((i, j, 0), instance_id, 1)
+                add_evidence(state, (i, j, 0), instance_id, 1)
         state.instances[instance_id].flagged = True
         request = build_request(state.instances[instance_id])
         assert request.geometry.voxel_count == 1600
@@ -329,7 +330,7 @@ class TestDisambiguateAll:
         for i in range(2):
             instance_id = state.new_instance()
             state.instances[instance_id].category_evidence = {"bed": 3.0, "couch": 2.9}
-            state.add_instance_evidence((10 + i, 0, 0), instance_id, 1)
+            add_evidence(state, (10 + i, 0, 0), instance_id, 1)
             state.instances[instance_id].flagged = True
             flagged.append(instance_id)
         scripted = {str(i): r for i, r in zip(flagged, responses) if r is not MISSING}
@@ -356,7 +357,7 @@ class TestDisambiguateAll:
         state = MapState(voxel_size=0.02)
         instance_id = state.new_instance()
         state.instances[instance_id].category_evidence = {"chair": 5.0}
-        state.add_instance_evidence((0, 0, 0), instance_id, 1)
+        add_evidence(state, (0, 0, 0), instance_id, 1)
         declare_categories(state)
         before = oracle_snapshot_dict(state)
         report = disambiguate_all(state, MockClient({}))
@@ -398,7 +399,7 @@ class TestDisambiguateAll:
         second = state.new_instance()
         state.instances[second].category_evidence = {"chair": 3.0, "table": 2.9}
         for i in range(3, 9):
-            state.add_instance_evidence((i, 0, 0), second, 1)
+            add_evidence(state, (i, 0, 0), second, 1)
         state.instances[second].flagged = True
         expected = [build_request(state.instances[i]) for i in (first, second)]
 

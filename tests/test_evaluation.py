@@ -14,8 +14,10 @@ from voxeland.evaluation import (
     predicted_instances,
 )
 from voxeland.frames import GroundTruthInstance, GroundTruthScene
+from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import MapState, pack_keys, unpack_keys
 
+from maps import add_evidence
 from oracles import brute_force_average_precision, oracle_match_to_ground_truth
 
 
@@ -27,7 +29,7 @@ def build_map(instance_specs):
         instance_id = state.new_instance()
         ids.append(instance_id)
         for key in keys:
-            state.add_instance_evidence(key, instance_id, 5)
+            add_evidence(state, key, instance_id, 5)
         state.instances[instance_id].category_evidence = dict(beta)
         state.instances[instance_id].final_category = final
         for label in beta:
@@ -157,11 +159,11 @@ def maps_with_ground_truth(draw):
     truth may list the same voxels under two ids."""
     state = MapState(voxel_size=0.02)
     for key in draw(st.lists(st.sampled_from(GRID), max_size=6, unique=True)):
-        state.add_instance_evidence(key, 0, draw(st.integers(1, 3)))
+        add_evidence(state, key, 0, draw(st.integers(1, 3)))
     for _ in range(draw(st.integers(1, 8))):
         record = state.instances[state.new_instance()]
         for key in draw(st.lists(st.sampled_from(GRID), max_size=8, unique=True)):
-            state.add_instance_evidence(key, record.id, draw(st.integers(1, 3)))
+            add_evidence(state, key, record.id, draw(st.integers(1, 3)))
         masses = st.sampled_from([0.5, 1.0, 2.0])
         record.category_evidence = draw(st.dictionaries(st.sampled_from(CATEGORIES), masses, max_size=2))
         record.final_category = draw(st.none() | st.sampled_from(CATEGORIES))
@@ -278,9 +280,9 @@ class TestPredictedInstances:
         instance_id = state.new_instance()
         state.instances[instance_id].category_evidence = {"chair": 1.0}
         state.register_category("chair")
-        state.add_instance_evidence((0, 0, 0), instance_id, 5)
-        state.add_instance_evidence((1, 0, 0), instance_id, 1)
-        state.add_instance_evidence((1, 0, 0), 0, 9)  # unknown dominates
+        add_evidence(state, (0, 0, 0), instance_id, 5)
+        add_evidence(state, (1, 0, 0), instance_id, 1)
+        add_evidence(state, (1, 0, 0), 0, 9)  # unknown dominates
         predictions = predicted_instances(state)
         assert unpack_keys(predictions[0].keys) == [(0, 0, 0)]
 
@@ -288,7 +290,7 @@ class TestPredictedInstances:
         state = MapState(voxel_size=0.02)
         instance_id = state.new_instance()
         state.instances[instance_id].category_evidence = {"chair": 2.0, "bed": 1.0}
-        state.add_instance_evidence((0, 0, 0), instance_id, 5)
+        add_evidence(state, (0, 0, 0), instance_id, 5)
         predictions = predicted_instances(state)
         assert predictions[0].category == "chair"
         assert predictions[0].confidence == pytest.approx(2.0 / 3.0)
@@ -296,7 +298,7 @@ class TestPredictedInstances:
     def test_instances_without_category_evidence_skipped(self):
         state = MapState(voxel_size=0.02)
         bare = state.new_instance()
-        state.add_instance_evidence((0, 0, 0), bare, 5)
+        add_evidence(state, (0, 0, 0), bare, 5)
         assert predicted_instances(state) == []
 
 
@@ -327,6 +329,21 @@ class TestPrecisionVsEntropy:
         assert points[0] == (0.05, 1.0)
         assert points[-1][1] == pytest.approx(2.0 / 3.0)
         assert points[0][1] >= points[-1][1]
+
+    def test_ranks_by_the_expected_entropy_that_flags(self):
+        """Even splits of 1 + 1 and 50 + 50 have the same Shannon entropy, ln 2,
+        but expected entropies of 1.0 and about 0.698 nats: at 0.8 only the
+        better-evidenced instance is admitted."""
+        sparse, dense = block(0), block(100)
+        state, (sparse_id, dense_id) = build_map(
+            [(sparse, {"a": 1.0, "b": 1.0}, "a"), (dense, {"a": 50.0, "b": 50.0}, "a")]
+        )
+        gt = gt_scene([(sparse, "b"), (dense, "a")])
+        entropies = {p.instance_id: p.semantic_entropy for p in predicted_instances(state)}
+        assert entropies[sparse_id] == 1.0
+        assert entropies[dense_id] == pytest.approx(0.698, abs=1e-3)
+        assert [decision.flagged for decision in declare_categories(state, 0.8)] == [True, False]
+        assert precision_vs_entropy(state, gt, [0.8, 2.0]) == [(0.8, 1.0), (2.0, 0.5)]
 
     def test_owner_table_built_once(self, monkeypatch):
         state, gt = self.build_corrupted()

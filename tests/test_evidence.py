@@ -5,44 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxeland.evidence import (
-    NoEvidenceError,
-    digamma,
-    expected_entropy,
-    probabilities,
-    shannon_entropy,
-    top_category,
-)
+from voxeland.evidence import NoEvidenceError, expected_entropy, probabilities, top_category
 
-from oracles import oracle_digamma, validate_distribution
-
-EULER_GAMMA = 0.5772156649015328606
+from oracles import oracle_expected_entropy, scalar_expected_entropy, validate_distribution
 
 
-class TestDigamma:
-    def test_known_identities(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
-        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)
-
-    def test_matches_series_oracle(self):
-        rng = np.random.default_rng(7)
-        xs = np.concatenate(
-            [rng.uniform(1e-3, 1.0, 100), rng.uniform(0.1, 100.0, 200), 10 ** rng.uniform(0, 6, 100)]
-        )
-        for x in xs:
-            assert digamma(float(x)) == pytest.approx(oracle_digamma(float(x)), abs=1e-11)
-
-    def test_recurrence_property(self):
-        rng = np.random.default_rng(11)
-        for x in rng.uniform(0.1, 100.0, 1000):
-            x = float(x)
-            assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, abs=1e-11)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            digamma(bad)
+def entropy(*masses: float) -> float:
+    """The kernel's value for one group of masses."""
+    (value,) = expected_entropy(masses, [len(masses)])
+    return value
 
 
 class TestProbabilities:
@@ -81,64 +52,74 @@ class TestProbabilities:
 
 class TestExpectedEntropy:
     def test_uniform_pair_is_exactly_one(self):
-        assert expected_entropy({"a": 1.0, "b": 1.0}) == 1.0
+        assert entropy(1.0, 1.0) == 1.0
 
     def test_concentrated_pair(self):
         # frozen from the series oracle: psi(101) - (100 psi(100) + psi(1)) / 101
-        assert expected_entropy({"a": 100.0, "b": 1.0}) == pytest.approx(
-            0.0612611635409861, abs=1e-12
-        )
+        assert entropy(100.0, 1.0) == pytest.approx(0.0612611635409861, abs=1e-12)
 
     def test_single_support_is_exactly_zero(self):
-        assert expected_entropy({"a": 7.0}) == 0.0
+        assert entropy(7.0) == 0.0
 
-    def test_empty_is_error(self):
+    def test_empty_group_is_error(self):
         with pytest.raises(NoEvidenceError, match="no evidence"):
-            expected_entropy({})
+            expected_entropy([1.0, 1.0], [2, 0])
 
-    def test_relabeling_and_order_invariance(self):
-        reference = expected_entropy({"x": 3.0, "y": 9.0, "z": 0.5})
-        assert expected_entropy({"c": 0.5, "a": 9.0, "b": 3.0}) == reference
-        assert expected_entropy({1: 9.0, 2: 0.5, 3: 3.0}) == reference
+    def test_no_groups_give_no_values(self):
+        values = expected_entropy([], [])
+        assert values.dtype == np.float64 and values.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
+    def test_non_positive_or_non_finite_mass_is_error(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            expected_entropy([2.0, bad, 3.0], [1, 2])
+
+    def test_order_invariance_within_a_group(self):
+        values = expected_entropy([3.0, 9.0, 0.5, 0.5, 9.0, 3.0, 9.0, 0.5, 3.0], [3, 3, 3])
+        assert values[0] == values[1] == values[2]
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_limit_is_log_m(self, m):
-        masses = {i: 10_000.0 for i in range(m)}
-        assert abs(expected_entropy(masses) - math.log(m)) < 0.01
+        assert abs(entropy(*[10_000.0] * m) - math.log(m)) < 0.01
 
     def test_strictly_decreasing_with_concentration(self):
-        values = [expected_entropy({"a": float(n), "b": 1.0}) for n in range(1, 101)]
+        values = expected_entropy([mass for n in range(1, 101) for mass in (float(n), 1.0)], [2] * 100)
         assert all(b < a for a, b in zip(values, values[1:]))
 
-
-class TestShannonEntropy:
-    def test_uniform_two(self):
-        assert shannon_entropy({"a": 0.5, "b": 0.5}) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_degenerate(self):
-        assert shannon_entropy({"a": 1.0}) == 0.0
-
-    def test_quarter_three_quarter(self):
-        assert shannon_entropy({"a": 0.25, "b": 0.75}) == pytest.approx(
-            0.5623351446188083, abs=1e-10
+    def test_matches_series_oracle(self):
+        rng = np.random.default_rng(7)
+        masses = np.concatenate(
+            [rng.uniform(1e-3, 1.0, 100), rng.uniform(0.1, 100.0, 200), 10 ** rng.uniform(0, 6, 100)]
         )
+        rng.shuffle(masses)
+        sizes = [1, 2, 3, 4] * 40
+        groups = np.split(masses, np.cumsum(sizes)[:-1])
+        for value, group in zip(expected_entropy(masses, sizes), groups):
+            assert value == pytest.approx(oracle_expected_entropy(group.tolist()), abs=1e-11)
 
-    def test_zero_entries_contribute_nothing(self):
-        assert shannon_entropy({"a": 1.0, "b": 0.0}) == 0.0
-
-    @given(
-        st.dictionaries(
-            st.text(min_size=1, max_size=4),
-            st.floats(min_value=1e-9, max_value=1.0, allow_nan=False),
-            min_size=1,
-            max_size=8,
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_bit_identical_to_the_scalar_oracle_in_any_order(self, data):
+        """Groups of one, two and three or more masses, each of integer point
+        counts or of float confidence sums, every group checked by ``.hex()``
+        against the scalar oracle, and again with its masses reordered."""
+        counts = st.integers(min_value=1, max_value=10**6)
+        confidences = st.floats(min_value=1e-3, max_value=1e4)
+        groups = data.draw(
+            st.lists(
+                st.one_of(
+                    st.lists(counts, min_size=1, max_size=6),
+                    st.lists(confidences, min_size=1, max_size=6),
+                ),
+                min_size=1,
+                max_size=8,
+            )
         )
-    )
-    @settings(max_examples=60)
-    def test_bounds(self, masses):
-        dist = probabilities(masses)
-        entropy = shannon_entropy(dist)
-        assert 0.0 <= entropy <= math.log(len(dist)) + 1e-12
+        reordered = [data.draw(st.permutations(group)) for group in groups]
+        expected = [scalar_expected_entropy(dict(enumerate(group))).hex() for group in groups]
+        for layout in (groups, reordered):
+            values = expected_entropy([mass for group in layout for mass in group], list(map(len, layout)))
+            assert [value.hex() for value in values.tolist()] == expected
 
 
 class TestDistribution:

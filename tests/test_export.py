@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma
 
-from voxeland import atomic, export
+from voxeland import atomic, evidence, export
 from voxeland.evaluation import predicted_instances
-from voxeland.evidence import NoEvidenceError, expected_entropy
+from voxeland.evidence import NoEvidenceError
 from voxeland.export import (
     entropy_colors,
     export_entropy_layer,
@@ -24,6 +23,7 @@ from voxeland.export import (
 from voxeland.uncertainty import geometric_entropy_map, semantic_entropy_map
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, SnapshotError, pack_keys, unpack_key_array
 
+from maps import add_evidence
 from oracles import (
     OracleMap,
     cells_of,
@@ -35,6 +35,7 @@ from oracles import (
     oracle_geometric_entropy_map,
     oracle_semantic_entropy_map,
     oracle_write_ply,
+    scalar_expected_entropy,
 )
 from snapshot_records import corrupted_snapshot
 from test_fusion import clutter_map_without_refinement
@@ -48,10 +49,10 @@ def small_state():
     state.instances[b].category_evidence = {"chair": 0.5, "table": 0.5}
     state.register_category("chair")
     state.register_category("table")
-    state.add_instance_evidence((0, 0, 0), a, 4)
-    state.add_instance_evidence((1, 0, 0), a, 1)
-    state.add_instance_evidence((1, 0, 0), b, 1)
-    state.add_instance_evidence((2, 0, 0), 0, 3)
+    add_evidence(state, (0, 0, 0), a, 4)
+    add_evidence(state, (1, 0, 0), a, 1)
+    add_evidence(state, (1, 0, 0), b, 1)
+    add_evidence(state, (2, 0, 0), 0, 3)
     return state
 
 
@@ -153,7 +154,7 @@ def export_maps(draw):
         if not owners:
             state.integrate_occupancy(pack_keys(np.array([key])), hit=False)  # a cell without evidence
         for instance_id, count in owners.items():
-            state.add_instance_evidence(key, instance_id, count)
+            add_evidence(state, key, instance_id, count)
     state.frames_integrated = draw(st.integers(0, 50))
     return state
 
@@ -183,7 +184,7 @@ def map_of(evidence, cells):
         state.instances[state.new_instance()].category_evidence = masses
     for i, owners in enumerate(cells):
         for instance_id, count in owners.items():
-            state.add_instance_evidence((i, 0, 0), instance_id, count)
+            add_evidence(state, (i, 0, 0), instance_id, count)
     return state
 
 
@@ -292,8 +293,8 @@ class TestExportsMatchOracle:
         chair = state.new_instance()
         state.register_category("chair")
         state.instances[chair].category_evidence = {"chair": 0.9}
-        state.add_instance_evidence((0, 0, 0), UNKNOWN_INSTANCE_ID, 79)
-        state.add_instance_evidence((0, 0, 0), chair, 108)
+        add_evidence(state, (0, 0, 0), UNKNOWN_INSTANCE_ID, 79)
+        add_evidence(state, (0, 0, 0), chair, 108)
         unknown, share = 79 / 187, 108 / 187
         assert share == 0.5775401069518716
         (value,) = semantic_entropy_map(state).values.values()
@@ -305,11 +306,11 @@ class TestExportsMatchOracle:
         left-to-right sum does."""
         state = MapState(voxel_size=0.1)
         for count in (1, 5, 12):
-            state.add_instance_evidence((0, 0, 0), state.new_instance(), count)
-        terms = [(count / 18) * float(digamma(count)) for count in (1, 5, 12)]
-        left_to_right = float(digamma(18)) - (terms[0] + terms[1] + terms[2])
+            add_evidence(state, (0, 0, 0), state.new_instance(), count)
+        terms = [(count / 18) * float(evidence._psi(count)) for count in (1, 5, 12)]
+        left_to_right = float(evidence._psi(18)) - (terms[0] + terms[1] + terms[2])
         (value,) = geometric_entropy_map(state).values.values()
-        assert value == expected_entropy({1: 1, 2: 5, 3: 12}) != left_to_right
+        assert value == scalar_expected_entropy({1: 1, 2: 5, 3: 12}) != left_to_right
         assert_exports_match_oracle(state)
 
     @pytest.mark.parametrize(
@@ -326,8 +327,8 @@ class TestExportsMatchOracle:
         bad = state.new_instance()
         state.instances[bad].category_evidence = evidence
         if owns_cells:
-            state.add_instance_evidence((1, 0, 0), bad, 2)  # shared with both other instances
-            state.add_instance_evidence((3, 0, 0), bad, 1)  # its own
+            add_evidence(state, (1, 0, 0), bad, 2)  # shared with both other instances
+            add_evidence(state, (3, 0, 0), bad, 1)  # its own
         with pytest.raises(error, match=message):
             semantic_entropy_map(state)
         with pytest.raises(error, match=message):
@@ -433,7 +434,7 @@ def owners_state(cells: int, without_evidence: int = 0) -> MapState:
     owners = [10, 2, UNKNOWN_INSTANCE_ID, 13, 11, 12]
     for row in range(cells):
         for position in range(row % 6 + 1):
-            state.add_instance_evidence((row - 3, -row, 2 * row), owners[position], 1 + (7 * row + position) % 11)
+            add_evidence(state, (row - 3, -row, 2 * row), owners[position], 1 + (7 * row + position) % 11)
     for row in range(without_evidence):
         state.integrate_occupancy(pack_keys(np.array([[row, 1, -5]])), hit=row % 2 == 0)
     return state
@@ -454,8 +455,8 @@ def test_layers_own_their_arrays(tmp_path):
     before = exported(tmp_path / "before")
     instances = len(state.instances)
     for row in range(12):
-        state.add_instance_evidence((row - 3, -row, 2 * row), 1 + row % 13, 5)  # an existing cell
-        state.add_instance_evidence((row, 7, -7), 1 + row % 13, 2)  # a new cell, among the old ones
+        add_evidence(state, (row - 3, -row, 2 * row), 1 + row % 13, 5)  # an existing cell
+        add_evidence(state, (row, 7, -7), 1 + row % 13, 2)  # a new cell, among the old ones
     state.integrate_occupancy(pack_keys(np.array([[0, 0, 0], [-3, 0, 0]])), hit=True)
     assert len(state.instances) == instances  # the colormaps' h_max stay
     assert len(geometric_entropy_map(state).values) == 24

@@ -38,6 +38,7 @@ from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpin
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams, unpack_keys
 
+from maps import add_evidence
 from oracles import (
     OracleMap,
     cells_of,
@@ -78,7 +79,7 @@ def state_with_instance(n_voxels):
     state = MapState(voxel_size=VOXEL)
     instance_id = state.new_instance()
     for i in range(n_voxels):
-        state.add_instance_evidence((i, 0, 0), instance_id, 1)
+        add_evidence(state, (i, 0, 0), instance_id, 1)
     return state, instance_id
 
 
@@ -131,7 +132,7 @@ class TestOverlapScores:
             state = MapState(voxel_size=VOXEL)
             instance_id = state.new_instance()
             for i in range(int(rng.integers(1, 30))):
-                state.add_instance_evidence((i, 0, 0), instance_id, 1)
+                add_evidence(state, (i, 0, 0), instance_id, 1)
             points = [
                 center(int(rng.integers(0, 40)), int(rng.integers(0, 2)))
                 for _ in range(int(rng.integers(1, 40)))
@@ -179,7 +180,7 @@ class TestAssociate:
     def test_unknown_instance_never_candidate_for_semantic(self):
         state = MapState(voxel_size=VOXEL)
         for i in range(10):
-            state.add_instance_evidence((i, 0, 0), UNKNOWN_INSTANCE_ID, 5)
+            add_evidence(state, (i, 0, 0), UNKNOWN_INSTANCE_ID, 5)
         outcome = associate([opinion([center(i) for i in range(10)])], state, CFG)
         assert outcome.matches == []
         assert len(outcome.spawned) == 1
@@ -189,9 +190,9 @@ class TestAssociate:
         a = state.new_instance()
         b = state.new_instance()
         for i in range(10):
-            state.add_instance_evidence((i, 0, 0), a, 1)
+            add_evidence(state, (i, 0, 0), a, 1)
         for i in range(10):
-            state.add_instance_evidence((i, 1, 0), b, 1)
+            add_evidence(state, (i, 1, 0), b, 1)
         # 8 points on a, 10 on b
         points = [center(i, 0) for i in range(8)] + [center(i, 1) for i in range(10)]
         outcome = associate([opinion(points)], state, CFG)
@@ -221,7 +222,7 @@ def association_cases(draw):
     for _ in range(draw(st.integers(1, 4))):
         instance_id = state.new_instance()
         for key in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True)):
-            state.add_instance_evidence(key, instance_id, draw(st.integers(1, 3)))
+            add_evidence(state, key, instance_id, draw(st.integers(1, 3)))
     point = voxel_point(st.one_of(st.sampled_from(pool), GRID_CELL))
     opinions = [
         opinion(points)
@@ -274,9 +275,9 @@ def association_frames(draw):
             keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True))
         footprints.append(keys)
         for key in keys:
-            state.add_instance_evidence(key, instance_id, draw(st.integers(1, 3)))
+            add_evidence(state, key, instance_id, draw(st.integers(1, 3)))
     for key in draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)):
-        state.add_instance_evidence(key, UNKNOWN_INSTANCE_ID, draw(st.integers(1, 3)))
+        add_evidence(state, key, UNKNOWN_INSTANCE_ID, draw(st.integers(1, 3)))
     every = [key for keys in footprints for key in keys]
     kinds = {
         "near": st.lists(voxel_point(st.one_of(st.sampled_from(pool), GRID_CELL)), min_size=1, max_size=30),
@@ -312,7 +313,7 @@ class TestAssociateMatchesPerCandidateOracle:
         ids = [state.new_instance() for _ in range(3)]
         for instance_id, count in zip(ids, (2, 1, 3)):
             for i in range(4):
-                state.add_instance_evidence((i, 0, 0), instance_id, count)
+                add_evidence(state, (i, 0, 0), instance_id, count)
         ops = [opinion([center(i) for i in range(4)]), opinion([center(i) for i in range(2)])]
         reference = copy.deepcopy(state)
         outcome = associate(ops, state, CFG)
@@ -324,7 +325,7 @@ class TestAssociateMatchesPerCandidateOracle:
         ids = [state.new_instance() for _ in range(3)]
         for n, instance_id in enumerate(ids):
             for i in range(3 * n, 3 * n + 5):
-                state.add_instance_evidence((i, 0, 0), instance_id, 1)
+                add_evidence(state, (i, 0, 0), instance_id, 1)
         ops = [
             opinion([center(50), center(51)]),
             opinion([center(i) for i in range(11)]),
@@ -459,9 +460,9 @@ def two_instance_state(footprint_a, footprint_b, beta_a=None, beta_b=None):
     a = state.new_instance()
     b = state.new_instance()
     for key in footprint_a:
-        state.add_instance_evidence(key, a, 2)
+        add_evidence(state, key, a, 2)
     for key in footprint_b:
-        state.add_instance_evidence(key, b, 3)
+        add_evidence(state, key, b, 3)
     state.instances[a].category_evidence = dict(beta_a or {"chair": 1.0})
     state.instances[b].category_evidence = dict(beta_b or {"chair": 0.5})
     for label in list(state.instances[a].category_evidence) + list(
@@ -499,7 +500,7 @@ class TestRefine:
         ids = [state.new_instance() for _ in range(3)]
         for keys, instance_id in zip((a_keys, b_keys, c_keys), ids):
             for key in keys:
-                state.add_instance_evidence(key, instance_id, 1)
+                add_evidence(state, key, instance_id, 1)
             state.instances[instance_id].category_evidence = {"chair": 1.0}
         # pairwise oracle: IoU(A,B) = 3/17 fails, IoS(A,B) = 0.3 fails at 0.7;
         # use looser thresholds so adjacent pairs pass and closure collapses all
@@ -543,8 +544,8 @@ class TestRefine:
         state = MapState(voxel_size=VOXEL)
         a = state.new_instance()
         for i in range(5):
-            state.add_instance_evidence((i, 0, 0), a, 1)
-            state.add_instance_evidence((i, 0, 0), UNKNOWN_INSTANCE_ID, 9)
+            add_evidence(state, (i, 0, 0), a, 1)
+            add_evidence(state, (i, 0, 0), UNKNOWN_INSTANCE_ID, 9)
         state.instances[a].category_evidence = {"chair": 1.0}
         assert refine(state, CFG) == []
         assert UNKNOWN_INSTANCE_ID in state.instances
@@ -578,7 +579,7 @@ def refine_cases(draw):
             )
         )
         for owner in owners:
-            state.add_instance_evidence(key, owner, draw(st.integers(1, 5)))
+            add_evidence(state, key, owner, draw(st.integers(1, 5)))
     threshold = st.floats(0.0, 1.0, exclude_min=True)
     config = AssociationConfig(tau_iou=draw(threshold), tau_ios=draw(threshold))
     return state, config
@@ -592,7 +593,7 @@ def footprint_map(footprints):
         instance_id = state.new_instance()
         state.instances[instance_id].category_evidence = {"chair": 1.0}
         for key in keys:
-            state.add_instance_evidence(key, instance_id, 1)
+            add_evidence(state, key, instance_id, 1)
     return state
 
 

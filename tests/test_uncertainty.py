@@ -3,19 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from voxeland import uncertainty
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from voxeland import evidence
 from voxeland.evidence import expected_entropy, probabilities, top_category
 from voxeland.uncertainty import (
+    CategoryMixtures,
     LayerValues,
-    NotClassifiableError,
     declare_categories,
     geometric_entropy_map,
-    semantic_entropy,
     semantic_entropy_map,
 )
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, InstanceRecord, MapState, pack_keys
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, pack_keys
 
-from oracles import cells_of, oracle_expected_entropy, oracle_voxel_category_distribution
+from maps import add_evidence
+from oracles import (
+    cells_of,
+    oracle_expected_entropy,
+    oracle_voxel_category_distribution,
+    scalar_expected_entropy,
+    scalar_shannon_entropy,
+)
 
 
 def make_state(instance_betas, cell_counts):
@@ -31,7 +40,7 @@ def make_state(instance_betas, cell_counts):
     for key, counts in cell_counts.items():
         for name, count in counts.items():
             instance_id = UNKNOWN_INSTANCE_ID if name == "unknown" else id_map[name]
-            state.add_instance_evidence(key, instance_id, count)
+            add_evidence(state, key, instance_id, count)
     return state, id_map
 
 
@@ -41,7 +50,7 @@ def geometric_entropy(instance_counts: dict[int, int]) -> float:
     while state._next_instance_id <= max(instance_counts):
         state.new_instance()
     for instance_id, count in instance_counts.items():
-        state.add_instance_evidence((0, 0, 0), instance_id, count)
+        add_evidence(state, (0, 0, 0), instance_id, count)
     (value,) = geometric_entropy_map(state).values.values()
     return value
 
@@ -57,30 +66,90 @@ class TestGeometricEntropy:
         assert geometric_entropy({1: 100, 2: 1}) == pytest.approx(0.0612611635409861, abs=1e-12)
 
 
+def declared_entropies(*evidence: dict) -> list[float | None]:
+    """The entropy of each decision on a map of one instance per evidence mapping."""
+    state = MapState(voxel_size=0.02)
+    for beta in evidence:
+        state.instances[state.new_instance()].category_evidence = dict(beta)
+    return [decision.entropy for decision in declare_categories(state)]
+
+
 class TestSemanticEntropy:
     def test_single_category(self):
-        record = InstanceRecord(id=1, category_evidence={"chair": 0.9})
-        assert semantic_entropy(record) == 0.0
+        assert declared_entropies({"chair": 0.9}) == [0.0]
 
     def test_value_independent_of_labels_and_scale_split(self):
         for scale in (1.0, 2.5, 10.0):
             beta = {"bed": 0.48 * scale, "couch": 0.46 * scale, "other": 0.06 * scale}
             renamed = {"x": 0.48 * scale, "y": 0.46 * scale, "z": 0.06 * scale}
-            a = semantic_entropy(InstanceRecord(id=1, category_evidence=beta))
-            b = semantic_entropy(InstanceRecord(id=2, category_evidence=renamed))
+            a, b = declared_entropies(beta, renamed)
             assert a == b
 
     def test_uniform_pair(self):
-        record = InstanceRecord(id=1, category_evidence={"a": 1.0, "b": 1.0})
-        assert semantic_entropy(record) == 1.0
+        assert declared_entropies({"a": 1.0, "b": 1.0}) == [1.0]
 
     def test_unknown_not_classifiable(self):
-        with pytest.raises(NotClassifiableError):
-            semantic_entropy(InstanceRecord(id=UNKNOWN_INSTANCE_ID))
+        """The unknown instance gets no decision, even with category evidence."""
+        state = MapState(voxel_size=0.02)
+        state.instances[UNKNOWN_INSTANCE_ID].category_evidence = {"chair": 1.0}
+        assert declare_categories(state) == []
 
-    def test_empty_not_classifiable(self):
-        with pytest.raises(NotClassifiableError):
-            semantic_entropy(InstanceRecord(id=3))
+    def test_matches_the_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        evidence = [
+            {label: float(rng.uniform(0.05, 3.0)) for label in rng.choice(list("abcde"), size=n, replace=False)}
+            for n in rng.integers(0, 6, 60)
+        ]
+        expected = [scalar_expected_entropy(beta) if beta else None for beta in evidence]
+        assert any(len(beta) > 2 for beta in evidence) and None in expected
+        assert declared_entropies(*evidence) == expected
+
+    @pytest.mark.parametrize("beta", [{"chair": 2.0, "table": 0.0}, {"chair": 2.0, "table": -1.0}])
+    def test_non_positive_mass_raises_before_any_record_changes(self, beta):
+        state = MapState(voxel_size=0.02)
+        good, bad = state.new_instance(), state.new_instance()
+        state.instances[good].category_evidence = {"chair": 5.0}
+        state.instances[bad].category_evidence = beta
+        with pytest.raises(ValueError, match="positive and finite"):
+            declare_categories(state)
+        assert state.instances[good].final_category is None and not state.instances[good].flagged
+
+
+def shannon(probs: dict[str, float]) -> float:
+    """:meth:`CategoryMixtures.entropies` of one row holding ``probs``, in label order."""
+    labels = sorted(probs)
+    row = np.array([[probs[label] for label in labels]])
+    (value,) = CategoryMixtures(labels, row, np.zeros(1, dtype=np.int64)).entropies()
+    return value
+
+
+class TestMixtureEntropies:
+    def test_uniform_two(self):
+        assert shannon({"a": 0.5, "b": 0.5}) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_degenerate(self):
+        assert shannon({"a": 1.0}) == 0.0
+
+    def test_quarter_three_quarter(self):
+        assert shannon({"a": 0.25, "b": 0.75}) == pytest.approx(0.5623351446188083, abs=1e-10)
+
+    def test_zero_entries_contribute_nothing(self):
+        assert shannon({"a": 1.0, "b": 0.0}) == 0.0
+
+    @given(
+        st.dictionaries(
+            st.text(min_size=1, max_size=4),
+            st.floats(min_value=1e-9, max_value=1.0, allow_nan=False),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=60)
+    def test_bounds_and_the_scalar_oracle(self, masses):
+        dist = probabilities(masses)
+        value = shannon(dist)
+        assert 0.0 <= value <= math.log(len(dist)) + 1e-12
+        assert value.hex() == scalar_shannon_entropy(dist).hex()
 
 
 class TestVoxelCategoryDistribution:
@@ -112,7 +181,7 @@ class TestVoxelCategoryDistribution:
     def test_evidence_free_instance_routes_to_unknown(self):
         state = MapState(voxel_size=0.02)
         bare = state.new_instance()
-        state.add_instance_evidence((0, 0, 0), bare, 2)
+        add_evidence(state, (0, 0, 0), bare, 2)
         dist = oracle_voxel_category_distribution(cells_of(state)[(0, 0, 0)].instance_counts, state)
         assert dist == {"unknown": 1.0}
 
@@ -174,25 +243,22 @@ class TestEntropyMaps:
         state = MapState(voxel_size=0.02)
         a, b, c = (state.new_instance() for _ in range(3))
         for i, owner in enumerate((a, b, c, UNKNOWN_INSTANCE_ID)):
-            state.add_instance_evidence([(x, i, 0) for x in range(75)], owner, range(1, 76))
+            add_evidence(state, [(x, i, 0) for x in range(75)], owner, range(1, 76))
         contested = {(0, 0, 9): {a: 2, b: 3}, (5, 5, 5): {a: 1, b: 1, c: 4}, (9, 9, 9): {UNKNOWN_INSTANCE_ID: 7, c: 1}}
         for key, counts in contested.items():
             for instance_id, count in counts.items():
-                state.add_instance_evidence(key, instance_id, count)
-        digamma, arguments = uncertainty._psi, []
-        monkeypatch.setattr(uncertainty, "_psi", lambda x: arguments.append(sorted(np.ravel(x).tolist())) or digamma(x))
+                add_evidence(state, key, instance_id, count)
+        digamma, arguments = evidence._psi, []
+        monkeypatch.setattr(evidence, "_psi", lambda x: arguments.append(sorted(np.ravel(x).tolist())) or digamma(x))
         layer = geometric_entropy_map(state)
         assert sorted(arguments) == [[1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 7.0], [5.0, 6.0, 8.0]]
         assert len(layer.values) == 303
         for key, value in layer.values.items():
-            assert value.hex() == (expected_entropy(contested[key]) if key in contested else 0.0).hex()
+            assert value.hex() == (scalar_expected_entropy(contested[key]) if key in contested else 0.0).hex()
 
     def test_repeated_single_instance_integration_never_raises_entropy(self):
-        values = []
-        for n in range(1, 101):
-            values.append(expected_entropy({"a": float(n)}))
-        assert all(v == 0.0 for v in values)
-        mixed = [expected_entropy({"a": float(n), "b": 1.0}) for n in range(1, 101)]
+        assert not expected_entropy(np.arange(1.0, 101.0), [1] * 100).any()
+        mixed = expected_entropy([mass for n in range(1, 101) for mass in (float(n), 1.0)], [2] * 100)
         assert all(b <= a for a, b in zip(mixed, mixed[1:]))
 
 
@@ -286,7 +352,7 @@ class TestDeclareCategories:
     def test_never_classified_instance_flagged(self):
         state = MapState(voxel_size=0.02)
         bare = state.new_instance()
-        state.add_instance_evidence((0, 0, 0), bare, 1)
+        add_evidence(state, (0, 0, 0), bare, 1)
         decisions = declare_categories(state)
         assert decisions[0].flagged and decisions[0].entropy is None
 
