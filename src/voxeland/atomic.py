@@ -21,8 +21,10 @@ text is held whole, nothing is decoded or re-encoded, and no container is
 built per row (a burst of container allocations sets off full garbage
 collections over every object the process keeps alive).
 
-The snapshot and dataset readers check parsed JSON values by exact type,
-which ``int()`` or ``float()`` would not: they truncate or parse a string.
+Every reader of an input file parses it inside :func:`reading`, the one
+place that decides which exceptions mean a malformed input, and checks
+parsed JSON values by exact type, which ``int()`` or ``float()`` would not:
+they truncate or parse a string.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import secrets
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+from tokenize import TokenError
 from typing import IO
 
 import numpy as np
@@ -56,6 +59,32 @@ def atomic_write(path: Path | str, binary: bool = False) -> Iterator[IO]:
             # opening or replacing the temporary failed: name the file asked for
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+# What parsing a malformed input raises: the readers' own checks, json and UTF-8
+# decoding, a missing key or index, and numpy's parser of a corrupt .npy header,
+# which may raise a SyntaxError, a tokenize.TokenError or, as an error, a warning.
+_MALFORMED = (
+    KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError, SyntaxError, TokenError, Warning
+)
+
+
+@contextmanager
+def reading(where: Path | str, error: type[ValueError] = ValueError) -> Iterator[None]:
+    """Re-raise what a malformed input raises in the block as one ``error``
+    whose message begins with ``where``: a missing key as such, an ``error``,
+    ValueError or TypeError by its message, anything else by its class name
+    and message.  An OSError, or any other exception, passes through."""
+    try:
+        yield
+    except _MALFORMED as exc:
+        if isinstance(exc, KeyError):
+            detail = f"missing key {exc}"
+        elif type(exc) in (error, ValueError, TypeError):
+            detail = str(exc)
+        else:
+            detail = f"{type(exc).__name__}: {exc}"
+        raise error(f"{where}: {detail}") from exc
 
 
 Column = tuple[np.ndarray, np.ndarray]

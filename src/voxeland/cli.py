@@ -95,7 +95,7 @@ def _removed_on_failure(out_dir: Path) -> Iterator[None]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    from . import evaluation, frames, voxelmap
+    from . import atomic, evaluation, frames, voxelmap
     config = _load_config(args.config)
     state = voxelmap.MapState.load_snapshot(args.snapshot)
     gt = frames.load_ground_truth(args.gt)
@@ -103,7 +103,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     timing = None
     timing_path = Path(args.snapshot).parent / "timing.json"
     if timing_path.is_file():
-        timing = json.loads(timing_path.read_text(encoding="utf-8"))
+        with atomic.reading(timing_path):
+            timing = atomic._checked(json.loads(timing_path.read_text(encoding="utf-8")), "timing", dict)
     report = evaluation.evaluate(state, gt, eval_config, timing=timing)
     report.save(args.out)
     for category in sorted(report.per_class_ap):
@@ -126,20 +127,16 @@ def _cmd_disambiguate(args: argparse.Namespace) -> int:
     from . import disambiguation, voxelmap
     config = _load_config(args.config)
     state = voxelmap.MapState.load_snapshot(args.snapshot)
-    if args.client == "mock":
-        if args.fixtures:
-            client = disambiguation.MockClient.from_fixture_file(args.fixtures)
-        else:
-            client = disambiguation.ArgmaxClient()
-    else:
+    if args.client == "http":
         if not config.endpoint:
             raise ValueError("http client requires 'endpoint' in the config file")
         client = disambiguation.HttpClient(
-            endpoint=config.endpoint,
-            api_key_env=config.api_key_env,
-            model=config.model,
-            timeout_s=config.timeout_s,
+            config.endpoint, api_key_env=config.api_key_env, model=config.model, timeout_s=config.timeout_s
         )
+    elif args.fixtures:
+        client = disambiguation.MockClient.from_fixture_file(args.fixtures)
+    else:
+        client = disambiguation.ArgmaxClient()
     report = disambiguation.disambiguate_all(
         state, client, min_prob=config.min_prob, views_per_candidate=config.views_per_candidate
     )

@@ -3,7 +3,7 @@
 Every key has a documented default; a JSON file may override any subset.
 Values are checked when the configuration is built: a value of the wrong
 type or out of range, or a key the configuration does not have, is a
-ValueError.
+ValueError, which names the file when it comes from one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .atomic import _all_of, _checked
+from .atomic import _all_of, _checked, reading
 from .evaluation import EvalConfig
 from .fusion import AssociationConfig
 from .opinions import ClusteringParams
@@ -86,13 +86,14 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: a config file holds one JSON object")
-        unknown = sorted(set(obj) - {spec.name for spec in fields(cls)})
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {unknown}")
-        return cls(**obj)
+        with reading(path):
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(obj, dict):
+                raise ValueError("a config file holds one JSON object")
+            unknown = sorted(set(obj) - {spec.name for spec in fields(cls)})
+            if unknown:
+                raise ValueError(f"unknown config keys {unknown}")
+            return cls(**obj)
 
     def clustering_params(self) -> ClusteringParams:
         if self.coarse_voxel is None:

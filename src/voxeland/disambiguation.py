@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import reading
 from .evidence import probabilities
 from .voxelmap import InstanceRecord, MapState, Observation, VoxelKey, unpack_key_array, unpack_keys
 
@@ -237,12 +238,10 @@ class MockClient:
     def from_fixture_file(cls, path: Path | str) -> "MockClient":
         """The client of a JSON object from instance ids to response strings;
         any other file content is a ValueError naming the file."""
-        try:
+        with reading(path):
             responses = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: not JSON ({exc})") from exc
-        if not isinstance(responses, dict) or not all(isinstance(value, str) for value in responses.values()):
-            raise ValueError(f"{path}: fixtures must be a JSON object from instance ids to response strings")
+            if not isinstance(responses, dict) or not all(isinstance(value, str) for value in responses.values()):
+                raise ValueError("fixtures must be a JSON object from instance ids to response strings")
         return cls(responses)
 
     def query(self, request: DisambiguationRequest) -> str:
@@ -259,6 +258,7 @@ class ArgmaxClient:
         return f"The object category is {request.candidates[0]}"
 
 
+@dataclass
 class HttpClient:
     """Minimal JSON-over-HTTP decision client.
 
@@ -267,17 +267,10 @@ class HttpClient:
     points at a readable file.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key_env: str = "",
-        model: str = "",
-        timeout_s: float = 30.0,
-    ) -> None:
-        self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.model = model
-        self.timeout_s = timeout_s
+    endpoint: str
+    api_key_env: str = ""
+    model: str = ""
+    timeout_s: float = 30.0
 
     def query(self, request: DisambiguationRequest) -> str:
         images = []

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _all_of, _checked, _number, _numbers
+from .atomic import _all_of, _checked, _number, _numbers, reading
 from .voxelmap import pack_keys, unpack_key_array
 
 
@@ -292,32 +292,29 @@ def _parse_prediction(obj: dict) -> PredictionInstance:
 def load_manifest(path: Path | str) -> list[FrameRecord]:
     """Parse a JSON-lines manifest, preserving frame order.
 
-    Malformed lines and invalid poses/intrinsics raise :class:`DatasetError`
-    carrying the 1-based line number.
+    A line that is not UTF-8 JSON of a frame, or holds an invalid pose or
+    intrinsics, raises :class:`DatasetError` carrying its 1-based number.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"manifest not found: {path}")
     root = path.parent
     records: list[FrameRecord] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+    # bytes split at the line ends a text read splits at: \n, \r and \r\n
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        with reading(f"{path}: line {lineno}", DatasetError):
+            text = line.decode("utf-8").strip()
+            if not text:
                 continue
-            try:
-                obj = json.loads(line)
-                record = FrameRecord(
-                    frame_id=_checked(obj["frame_id"], "frame_id", int),
-                    depth_path=root / obj["depth"],
-                    predictions_path=root / obj["predictions"],
-                    pose=_parse_pose(obj["pose"]),
-                    intrinsics=_parse_intrinsics(obj["intrinsics"]),
-                    rgb_path=(root / obj["rgb"]) if obj.get("rgb") else None,
-                )
-            except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(record)
+            obj = json.loads(text)
+            records.append(FrameRecord(
+                frame_id=_checked(obj["frame_id"], "frame_id", int),
+                depth_path=root / obj["depth"],
+                predictions_path=root / obj["predictions"],
+                pose=_parse_pose(obj["pose"]),
+                intrinsics=_parse_intrinsics(obj["intrinsics"]),
+                rgb_path=(root / obj["rgb"]) if obj.get("rgb") else None,
+            ))
     return records
 
 
@@ -325,11 +322,9 @@ def load_predictions(path: Path | str) -> list[PredictionInstance]:
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"predictions file not found: {path}")
-    try:
+    with reading(path, DatasetError):
         obj = json.loads(path.read_text(encoding="utf-8"))
         return list(map(_parse_prediction, obj["instances"]))
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def load_frame(record: FrameRecord) -> Frame:
@@ -355,9 +350,11 @@ def load_ground_truth(path: Path | str) -> GroundTruthScene:
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"ground truth file not found: {path}")
-    try:
+    with reading(path, DatasetError):
         obj = json.loads(path.read_text(encoding="utf-8"))
         voxel_size = _number(obj["voxel_size"], "voxel_size")
+        if voxel_size <= 0:
+            raise ValueError(f"voxel_size {voxel_size!r} is not positive")
         instances = []
         seen: set[str] = set()
         for inst in obj["instances"]:
@@ -376,8 +373,6 @@ def load_ground_truth(path: Path | str) -> GroundTruthScene:
             keys = np.unique(pack_keys(np.array(voxels, dtype=np.int64)))
             instances.append(GroundTruthInstance(id=gt_id, category=category, keys=keys))
         return GroundTruthScene(voxel_size=voxel_size, instances=instances)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def save_ground_truth(path: Path | str, scene: GroundTruthScene) -> None:

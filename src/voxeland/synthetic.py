@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _checked, _number, _numbers
+from .atomic import _checked, _number, _numbers, reading
 from .frames import (
     CameraIntrinsics,
     GroundTruthInstance,
@@ -424,9 +424,6 @@ def scene_from_spec(obj: dict) -> SyntheticScene:
 
 
 def load_scene_spec(path: Path | str) -> SyntheticScene:
-    """Read a scene spec; a missing key or a value of the wrong shape is a ValueError."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return scene_from_spec(obj)
-    except (KeyError, IndexError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed scene spec: {type(exc).__name__}: {exc}") from exc
+    """Read a scene spec; a file that is not one is a ValueError naming it."""
+    with reading(path):
+        return scene_from_spec(json.loads(Path(path).read_text(encoding="utf-8")))

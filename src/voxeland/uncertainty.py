@@ -152,8 +152,8 @@ class CategoryMixtures:
     ``labels`` of every instance's category evidence and the unknown
     category, in string order, and a label a row does not hold has
     probability 0.  A shared cell's ``probs`` are accumulated owner by owner
-    in ascending id order, as a per-voxel mixture adds them: each rank of
-    owner in one pass over the contested entries of that rank.
+    in ascending id order, as a per-voxel mixture adds them: one ``np.add.at``
+    over the contested entries, which adds each row's entries in turn.
     """
 
     labels: list[str]
@@ -189,11 +189,8 @@ class CategoryMixtures:
 
         entry_row = np.repeat(row_of_cell[contested.cells], contested.sizes)
         entry_owner = np.searchsorted(ids, contested.ids)
-        entry_rank = np.arange(len(contested.ids)) - np.repeat(contested.starts, contested.sizes)
-        # the entries of each rank, in entry order, one slice of a stable sort after another
-        by_rank = np.argsort(entry_rank, kind="stable")
-        for at in np.split(by_rank, np.cumsum(np.bincount(entry_rank))[:-1]):
-            probs[entry_row[at]] += contested.shares[at, None] * probs[entry_owner[at]]
+        # ufunc.at adds a row's entries in entry order, which is ascending id
+        np.add.at(probs, entry_row, contested.shares[:, None] * probs[entry_owner])
         return cls(labels, probs, row_of_cell)
 
     def entropies(self) -> np.ndarray:

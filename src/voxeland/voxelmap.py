@@ -26,12 +26,11 @@ import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from tokenize import TokenError
 from typing import BinaryIO
 
 import numpy as np
 
-from .atomic import _all_of, _checked, _number, atomic_write
+from .atomic import _all_of, _checked, _number, atomic_write, reading
 
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
@@ -446,7 +445,7 @@ class MapState:
         A file that opens with ``{`` is a schema-1 JSON snapshot, which is no
         longer read.
         """
-        try:
+        with reading(path, SnapshotError):
             with open(path, "rb") as handle, warnings.catch_warnings():
                 warnings.simplefilter("error")  # a warning while numpy reads a record is an error
                 if handle.peek(1).startswith(b"{"):
@@ -455,15 +454,6 @@ class MapState:
                 if handle.read(1):
                     raise SnapshotError("trailing bytes after the last record")
             return cls._from_records(records)
-        except SnapshotError as exc:
-            raise SnapshotError(f"{path}: {exc}") from None
-        # numpy's parser of a corrupt record header may also raise a
-        # SyntaxError, a tokenize.TokenError or a warning
-        except (
-            KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError, SyntaxError, TokenError,
-            Warning,
-        ) as exc:
-            raise SnapshotError(f"{path}: malformed snapshot: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def _from_records(cls, records: list[np.ndarray]) -> "MapState":

@@ -11,9 +11,10 @@ JSON_VALUES = st.recursive(
 )
 
 
-def mutate_one_value(data, document):
+def mutate_one_value(data, document, values=JSON_VALUES):
     """Replace or delete one value anywhere in a parsed JSON document, or
-    replace the whole document; returns the mutated document."""
+    replace the whole document, drawing a new value from ``values``;
+    returns the mutated document."""
     parent, step = None, None
     node = document
     while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
@@ -21,9 +22,9 @@ def mutate_one_value(data, document):
         step = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
         node = node[step]
     if parent is None:
-        return data.draw(JSON_VALUES)
+        return data.draw(values)
     if isinstance(parent, dict) and data.draw(st.booleans()):
         del parent[step]
     else:
-        parent[step] = data.draw(JSON_VALUES)
+        parent[step] = data.draw(values)
     return document

@@ -104,7 +104,7 @@ class TestManifest:
             (lambda f: f["intrinsics"].update(fy=math.inf), "fy inf is not finite"),
             (lambda f: f["intrinsics"].update(cx=-math.inf), "cx -inf is not finite"),
             (lambda f: f["intrinsics"].update(depth_scale=math.nan), "depth_scale nan is not finite"),
-            (lambda f: f["intrinsics"].update(depth_scale=10**400), "int too large"),
+            (lambda f: f["intrinsics"].update(depth_scale=10**400), "OverflowError: int too large"),
             (lambda f: f["pose"]["rotation"].__setitem__(0, "1"), "rotation '1' is not int or float"),
             (lambda f: f["pose"]["rotation"].__setitem__(4, True), "rotation True is not int or float"),
             (lambda f: f["pose"]["translation"].__setitem__(0, "0.5"), "translation '0.5' is not int or float"),
@@ -501,6 +501,8 @@ class TestPredictionsAndGroundTruth:
         [
             (lambda g: g.update(voxel_size="0.02"), "voxel_size '0.02' is not int or float"),
             (lambda g: g.update(voxel_size=math.nan), "voxel_size nan is not finite"),
+            (lambda g: g.update(voxel_size=-0.02), "voxel_size -0.02 is not positive"),
+            (lambda g: g.update(voxel_size=0), "voxel_size 0.0 is not positive"),
             (lambda g: g["instances"][0].update(id=5), "id 5 is not str"),
             (lambda g: g["instances"][0].update(category=7), "category 7 is not str"),
             (lambda g: g["instances"][0].update(voxels=[[1.7, 0, True]]), r"voxel \[1.7, 0, True\] is not three"),
@@ -511,7 +513,7 @@ class TestPredictionsAndGroundTruth:
             (lambda g: g["instances"][0].update(voxels="abc"), "voxels 'abc' is not list"),
         ],
         ids=[
-            "string-voxel-size", "nan-voxel-size", "int-id", "int-category", "float-and-bool-voxel",
+            "string-voxel-size", "nan-voxel-size", "negative-voxel-size", "zero-voxel-size", "int-id", "int-category", "float-and-bool-voxel",
             "bool-voxel", "short-voxel", "long-voxel", "string-voxel", "string-voxels",
         ],
     )
