@@ -11,7 +11,6 @@ import shutil
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,13 +70,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
         for layer, file_name in LAYERS.items():
             _write_layer(layer, state, out_dir / file_name)
         timing = pipeline.timer.report()
-        timing["merges"] = [
-            {"frame_id": frame_id, **asdict(event)} for frame_id, event in pipeline.merges
-        ]
         with atomic.atomic_write(out_dir / "timing.json") as handle:
             handle.write(json.dumps(timing, sort_keys=True))
     for stage, entry in timing["stages"].items():
-        print(f"{stage}: {entry['mean_ms']:.2f} ms over {entry['runs']} runs")
+        summary = ", ".join(f"{name} {entry[name + '_ms']:.2f}" for name in ("mean", "p50", "p95", "max"))
+        print(f"{stage}: {summary} ms over {entry['runs']} runs")
     print(f"Frame-rate: {timing['frame_rate_hz']:.2f} Hz over {timing['frames']} frames")
     return 0
 
@@ -105,7 +102,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if timing_path.is_file():
         with atomic.reading(timing_path):
             timing = atomic._checked(json.loads(timing_path.read_text(encoding="utf-8")), "timing", dict)
-    report = evaluation.evaluate(state, gt, eval_config, timing=timing)
+    try:
+        report = evaluation.evaluate(state, gt, eval_config, timing=timing)
+    except ValueError as exc:
+        raise ValueError(f"{args.gt} against {args.snapshot}: {exc}") from exc
     report.save(args.out)
     for category in sorted(report.per_class_ap):
         print(f"AP[{category}] = {report.per_class_ap[category]:.4f}")

@@ -11,31 +11,45 @@ and value array) and does the rest on arrays; the semantic map takes its
 argmax from the same category mixtures as the semantic layer
 (:class:`CategoryMixtures`).
 
-Rows are assembled from token tables (see :mod:`voxeland.atomic`) built
-from the integer voxel keys, not from float centers.  Each axis's distinct
-keys come from a presence mask over its span (:func:`atomic._dense_ranks`,
-no sort), and only those are formatted: as the ``"%.6f "`` token of the
-voxel center in a PLY row, and as the ``"%d, "``, ``"%d, "`` or
-``"%d]}"`` token of the key in a sidecar entry.  Colors come from a
-palette, one ``"%d %d %d\\n"`` token per entry, and each vertex's shade
-indexes it.  An entropy layer's palette is the ramp color of each of its
-distinct values (one ``np.unique`` over their bits, so -0.0 stays apart
-from 0.0), and the same shade indexes the sidecar's
-``'{"entropy": %s, "key": ['`` tokens; a cell map's palette holds the id
-color of each id that occurs, and the shade is the id's rank among them.
+PLY files and sidecars are assembled from columns of tokens.  A column is
+a table of NUL-padded ASCII tokens (:func:`_token_table`), each the text of
+one distinct value together with the fixed text around it, and each row's
+index into that table; a row is one token of each column.  An integer
+column's distinct values and row indices come from :func:`_dense_ranks`,
+a presence mask over the column's span, with no sort.  The bytes are built
+and written ``_CHUNK_ROWS`` rows at a time (:func:`_row_chunks`): each chunk
+gathers its tokens into one byte block and drops the padding, so no file's
+text is held whole, nothing is decoded or re-encoded, and no container is
+built per row (a burst of container allocations sets off full garbage
+collections over every object the process keeps alive).
+
+The tokens are built from the integer voxel keys, not from float centers.
+Each axis's distinct keys come from :func:`_dense_ranks`, and only those
+are formatted: as the ``"%.6f "`` token of the voxel center in a PLY row,
+and as the ``"%d, "``, ``"%d, "`` or ``"%d]}"`` token of the key in a
+sidecar entry.  Colors come from a palette, one ``"%d %d %d\\n"`` token
+per entry, and each vertex's shade indexes it.  An entropy layer's palette
+is the ramp color of each of its distinct values (one ``np.unique`` over
+their bits, so -0.0 stays apart from 0.0), and the same shade indexes the
+sidecar's ``'{"entropy": %s, "key": ['`` tokens; a cell map's palette
+holds the id color of each id that occurs, and the shade is the id's rank
+among them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import _dense_ranks, _row_chunks, _token_table, atomic_write
+from .atomic import atomic_write
 from .uncertainty import CategoryMixtures, UncertaintyLayer
 from .voxelmap import _KEY_OFFSET, MapState, unpack_key_array
+
+_CHUNK_ROWS = 1 << 16
 
 
 def entropy_colors(values: np.ndarray, h_max: float) -> np.ndarray:
@@ -63,6 +77,62 @@ def _id_color(index: int) -> tuple[int, int, int]:
         int(sector) % 6
     ]
     return (int(64 + 191 * r), int(64 + 191 * g), int(64 + 191 * b))
+
+
+Column = tuple[np.ndarray, np.ndarray]
+
+
+def _token_table(tokens: list[str]) -> np.ndarray:
+    """The tokens as a ``(len(tokens), width)`` uint8 table, each row NUL-padded.
+
+    Padding is dropped by dropping NUL bytes, so a token must be ASCII
+    without a NUL byte; any other token is a ValueError.
+    """
+    text = "".join(tokens)
+    if not text.isascii() or "\0" in text:
+        bad = next(token for token in tokens if not token.isascii() or "\0" in token)
+        raise ValueError(f"token {bad!r} is not ASCII text without NUL bytes")
+    table = np.array(tokens, dtype=bytes)
+    return table.view(np.uint8).reshape(len(tokens), table.dtype.itemsize)
+
+
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integers of ``values`` in ascending order, and each
+    value's index among them.
+
+    They come from a presence mask over the values' span, the distinct
+    values by ``flatnonzero`` and the indices by the mask's running count,
+    so the cost is O(n + span) with no sort; the caller bounds the span.
+    """
+    if not len(values):
+        return values[:0], np.zeros(0, dtype=np.intp)
+    low = values.min()
+    offsets = values - low
+    present = np.zeros(offsets.max() + 1, dtype=bool)
+    present[offsets] = True
+    return np.flatnonzero(present) + low, np.cumsum(present)[offsets] - 1
+
+
+def _row_chunks(columns: list[Column], separator: str = "") -> Iterator[np.ndarray]:
+    """The bytes of the rows, ``_CHUNK_ROWS`` rows at a time, with ``separator``
+    between rows.  Row r is each column's token ``table[index[r]]`` in turn."""
+    gap = np.frombuffer(separator.encode("ascii"), dtype=np.uint8)
+    count = len(columns[0][1])
+    for start in range(0, count, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, count))
+        # the first row's separator is cut off
+        yield _chunk_bytes(columns, gap, rows)[0 if start else len(gap) :]
+
+
+def _chunk_bytes(columns: list[Column], gap: np.ndarray, rows: slice) -> np.ndarray:
+    """The bytes of ``rows``: each row's tokens, behind the separator ``gap``,
+    gathered into one ``(rows, width)`` block whose padding one mask drops."""
+    bounds = np.cumsum([len(gap)] + [table.shape[1] for table, _ in columns]).tolist()
+    block = np.empty((rows.stop - rows.start, bounds[-1]), dtype=np.uint8)
+    block[:, : len(gap)] = gap
+    for (table, index), left, right in zip(columns, bounds, bounds[1:]):
+        block[:, left:right] = np.take(table, index[rows], axis=0)
+    return block[block != 0]
 
 
 def _tokens(form, values: np.ndarray) -> np.ndarray:

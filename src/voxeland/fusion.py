@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ STAGE_OPINIONS = "Opinions generation"
 STAGE_ASSOCIATION = "Data association"
 STAGE_INTEGRATION = "Map integration"
 STAGE_REFINEMENT = "Map refinement"
+STAGES = (STAGE_OPINIONS, STAGE_ASSOCIATION, STAGE_INTEGRATION, STAGE_REFINEMENT)
 
 
 @dataclass
@@ -273,42 +274,41 @@ def _merge_instances(state: MapState, keep_id: int, retire_id: int) -> None:
 
 
 @dataclass
-class StageTimer:
-    """Accumulates wall-clock time per pipeline stage."""
+class FrameReport:
+    """What mapping one frame took and decided: the seconds of each stage
+    that ran, refinement only on the frames it was due, the frame's total
+    seconds, its association outcome and its merges in order."""
 
-    totals: dict[str, float] = field(
-        default_factory=lambda: {
-            STAGE_OPINIONS: 0.0,
-            STAGE_ASSOCIATION: 0.0,
-            STAGE_INTEGRATION: 0.0,
-            STAGE_REFINEMENT: 0.0,
-        }
-    )
-    counts: dict[str, int] = field(
-        default_factory=lambda: {
-            STAGE_OPINIONS: 0,
-            STAGE_ASSOCIATION: 0,
-            STAGE_INTEGRATION: 0,
-            STAGE_REFINEMENT: 0,
-        }
-    )
-    frames: int = 0
-    elapsed: float = 0.0
+    frame_id: int
+    stage_seconds: dict[str, float]
+    seconds: float
+    association: AssociationOutcome
+    merges: list[MergeEvent]
 
-    def record(self, stage: str, seconds: float) -> None:
-        self.totals[stage] += seconds
-        self.counts[stage] += 1
+
+class FrameReports(list[FrameReport]):
+    """The reports of the frames a pipeline mapped, in order."""
 
     def report(self) -> dict:
+        """The run as JSON values: each stage's ``runs`` (the frames it ran
+        in) and the mean, p50, p95 and max of its milliseconds, all 0.0 when
+        it never ran; ``frames`` and ``frame_rate_hz`` over the frames'
+        summed seconds; and ``merges``, each with its frame id, in order.
+        Percentiles are numpy's default (linear) method."""
         stages = {}
-        for stage, total in self.totals.items():
-            runs = self.counts[stage]
-            stages[stage] = {
-                "mean_ms": (total / runs * 1000.0) if runs else 0.0,
-                "runs": runs,
-            }
-        hz = self.frames / self.elapsed if self.elapsed > 0 else 0.0
-        return {"stages": stages, "frames": self.frames, "frame_rate_hz": hz}
+        for stage in STAGES:
+            ms = [report.stage_seconds[stage] * 1000.0 for report in self if stage in report.stage_seconds]
+            summary = [np.mean(ms), *np.percentile(ms, [50, 95, 100])] if ms else [0.0] * 4
+            stages[stage] = dict(zip(("mean_ms", "p50_ms", "p95_ms", "max_ms"), map(float, summary)), runs=len(ms))
+        elapsed = sum(report.seconds for report in self)
+        return {
+            "stages": stages,
+            "frames": len(self),
+            "frame_rate_hz": len(self) / elapsed if elapsed > 0 else 0.0,
+            "merges": [
+                {"frame_id": report.frame_id, **asdict(event)} for report in self for event in report.merges
+            ],
+        }
 
 
 class Pipeline:
@@ -317,8 +317,8 @@ class Pipeline:
     When ``view_store`` is set and a frame's manifest record carries an RGB
     path, the bbox crop of every integrated semantic opinion is archived
     there and its path recorded in the observation log for later view
-    selection.  ``merges`` records every refinement merge as
-    ``(frame_id, event)``, in the order the merges happened.
+    selection.  ``timer`` holds the :class:`FrameReport` of every processed
+    frame, in order.
     """
 
     def __init__(
@@ -338,8 +338,8 @@ class Pipeline:
         self.carve = carve
         self.carve_stride = carve_stride
         self.view_store = Path(view_store) if view_store is not None else None
-        self.timer = StageTimer()
-        self.merges: list[tuple[int, MergeEvent]] = []
+        # named `timer` only because the benchmark (perfbench/bench.py) reads `pipeline.timer.report()`
+        self.timer = FrameReports()
 
     def _archive_view(
         self, frame: Frame, opinion: SubjectiveOpinion, instance_id: int, rgb: Callable[[], np.ndarray]
@@ -356,17 +356,16 @@ class Pipeline:
         write_ppm(path, crop)
         return str(path)
 
-    def process_frame(self, frame: Frame) -> AssociationOutcome:
-        """build opinions -> associate -> integrate -> refine when due."""
-        start = time.perf_counter()
+    def process_frame(self, frame: Frame) -> FrameReport:
+        """build opinions -> associate -> integrate -> refine when due; the
+        frame's report is returned and appended to ``timer``."""
+        # each stage that ran takes the time from one mark to the next, in STAGES order
+        marks = [time.perf_counter()]
         opinions = build_opinions(frame, self.clustering, self.max_range, voxel_size=self.state.voxel_size)
-        mark = time.perf_counter()
-        self.timer.record(STAGE_OPINIONS, mark - start)
+        marks.append(time.perf_counter())
 
         outcome = associate(opinions, self.state, self.association)
-        now = time.perf_counter()
-        self.timer.record(STAGE_ASSOCIATION, now - mark)
-        mark = now
+        marks.append(time.perf_counter())
 
         assignments = list(outcome.matches) + [
             (index, instance_id, 0.0, 0.0) for index, instance_id in outcome.spawned
@@ -390,15 +389,14 @@ class Pipeline:
                     opinion, self.state, frame.record.pose.translation, self.carve_stride
                 )
         self.state.frames_integrated += 1
-        now = time.perf_counter()
-        self.timer.record(STAGE_INTEGRATION, now - mark)
-        mark = now
+        marks.append(time.perf_counter())
 
+        events = []
         if self.state.frames_integrated % self.association.refine_every == 0:
             events = refine(self.state, self.association)
-            self.merges.extend((frame.frame_id, event) for event in events)
-            self.timer.record(STAGE_REFINEMENT, time.perf_counter() - mark)
+            marks.append(time.perf_counter())
 
-        self.timer.frames += 1
-        self.timer.elapsed += time.perf_counter() - start
-        return outcome
+        seconds = {stage: end - begin for stage, begin, end in zip(STAGES, marks, marks[1:])}
+        report = FrameReport(frame.frame_id, seconds, marks[-1] - marks[0], outcome, events)
+        self.timer.append(report)
+        return report

@@ -429,21 +429,6 @@ def update_occupancy(cell: VoxelCell, hit: bool, params: OccupancyParams) -> Non
     cell.log_odds = min(params.log_odds_max, max(params.log_odds_min, cell.log_odds + delta))
 
 
-def argmax_owner(instance_counts: Mapping[int, int]) -> int:
-    """The instance with the most evidence in a non-empty cell; ties go to the smallest id."""
-    if len(instance_counts) == 1:
-        return next(iter(instance_counts))
-    return max(sorted(instance_counts), key=instance_counts.__getitem__)
-
-
-def sole_owner(instance_counts: Mapping[int, int]) -> int | None:
-    """The owner of a cell with exactly one instance and positive evidence, else None."""
-    if len(instance_counts) != 1:
-        return None
-    owner = next(iter(instance_counts))
-    return owner if instance_counts[owner] > 0 else None
-
-
 @dataclass
 class OracleRecord:
     id: int

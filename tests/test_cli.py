@@ -111,6 +111,9 @@ class TestSynthBuildEval:
         ):
             assert stage in timing["stages"]
         assert timing["stages"]["Map refinement"]["runs"] == 2  # 8 frames / refine_every 4
+        for entry in timing["stages"].values():
+            assert set(entry) == {"mean_ms", "p50_ms", "p95_ms", "max_ms", "runs"}
+            assert 0 < entry["p50_ms"] <= entry["p95_ms"] <= entry["max_ms"]
         assert timing["frame_rate_hz"] > 0
         for merge in timing["merges"]:
             assert set(merge) == {"frame_id", "kept_id", "retired_id", "iou", "ios"}
@@ -234,6 +237,8 @@ class TestSynthBuildEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "voxel size 0.04 is not the map's 0.02" in err
+        assert str(tmp_path / "ground_truth.json") in err
+        assert str(out / "map.vxl") in err
         assert not report.exists()
 
     def test_config_value_of_wrong_type_is_one_error_line(self, built, tmp_path, capsys):

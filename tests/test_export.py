@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voxeland import atomic, evidence, export
+from voxeland import evidence, export
 from voxeland.evaluation import predicted_instances
 from voxeland.evidence import NoEvidenceError
 from voxeland.export import (
@@ -280,9 +280,9 @@ class TestExportsMatchOracle:
     def test_empty_map(self):
         assert_exports_match_oracle(MapState(voxel_size=0.05))
 
-    @pytest.mark.parametrize("chunk_rows", [atomic._CHUNK_ROWS, 7])
+    @pytest.mark.parametrize("chunk_rows", [export._CHUNK_ROWS, 7])
     def test_noisy_scene(self, noisy_state, chunk_rows, monkeypatch):
-        monkeypatch.setattr(atomic, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(export, "_CHUNK_ROWS", chunk_rows)
         assert sum(len(cell.instance_counts) > 1 for cell in cells_of(noisy_state).values()) >= 50
         assert_exports_match_oracle(noisy_state)
 
@@ -490,14 +490,14 @@ class TestTokenRows:
         """With chunks of 4 rows, the last row falls one before, on or one
         after the second chunk's end: the ", " and "," separators between
         chunks and an end of a chunk without a next one."""
-        monkeypatch.setattr(atomic, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(export, "_CHUNK_ROWS", 4)
         assert_exports_match_oracle(owners_state(rows))
 
     @pytest.mark.parametrize("token", ["a\0b", "ab\0", "\0", "caf\xe9", "\u2603"])
     def test_token_table_rejects_what_it_would_drop_or_mangle(self, token):
         """Padding is dropped as NUL bytes, so a NUL or non-ASCII token is an error."""
         with pytest.raises(ValueError, match="not ASCII text without NUL bytes"):
-            atomic._token_table(["ok", token])
+            export._token_table(["ok", token])
 
     @pytest.mark.parametrize(
         "keys, palette, shade, message",
@@ -565,7 +565,7 @@ def test_interrupted_ply_write_keeps_previous_files(tmp_path, monkeypatch):
     layer = geometric_entropy_map(state)
     export_entropy_layer(state, layer, tmp_path / "geom.ply")
     before = {name: (tmp_path / name).read_bytes() for name in ("geom.ply", "geom.ply.json")}
-    monkeypatch.setattr(atomic, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(export, "_CHUNK_ROWS", 1)
     monkeypatch.setattr(export, "_row_chunks", interrupted_after_first_chunk(export._row_chunks))
     shifted = {key: value + 0.5 for key, value in layer.values.items()}
     layer = layer_of(layer.kind, shifted, layer.generated_at_frame)

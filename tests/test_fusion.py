@@ -25,6 +25,9 @@ from voxeland.fusion import (
     STAGE_OPINIONS,
     STAGE_REFINEMENT,
     AssociationConfig,
+    AssociationOutcome,
+    FrameReport,
+    FrameReports,
     MergeEvent,
     Pipeline,
     associate,
@@ -766,8 +769,9 @@ class TestProcessFrame:
             PredictionInstance("table", 0.8, encode_rle_mask(block_mask(shape, (24, 36), (24, 36)))),
         ]
         pipeline = make_pipeline()
-        outcome = pipeline.process_frame(synthetic_frame(0, predictions, shape=shape))
-        assert len(outcome.spawned) == 2
+        report = pipeline.process_frame(synthetic_frame(0, predictions, shape=shape))
+        assert pipeline.timer == [report] and pipeline.timer[0] is report
+        assert len(report.association.spawned) == 2
         state = pipeline.state
         assert len(state.instances) == 3  # unknown + 2 spawned
         unknown_mass = sum(
@@ -789,11 +793,11 @@ class TestProcessFrame:
         ]
         pipeline = make_pipeline()
         frame = synthetic_frame(0, predictions, shape=shape)
-        first = pipeline.process_frame(frame)
+        first = pipeline.process_frame(frame).association
         counts_after_first = {
             key: dict(cell.instance_counts) for key, cell in cells_of(pipeline.state).items()
         }
-        second = pipeline.process_frame(copy.deepcopy(frame))
+        second = pipeline.process_frame(copy.deepcopy(frame)).association
         assert len(first.spawned) == 1
         spawned_id = first.spawned[0][1]
         assert second.spawned == []
@@ -819,12 +823,13 @@ class TestProcessFrame:
         mask = encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))
         predictions = [PredictionInstance("chair", 0.9, mask), PredictionInstance("table", 0.6, mask)]
         pipeline.process_frame(synthetic_frame(0, predictions, shape=shape))
-        assert pipeline.timer.counts[STAGE_REFINEMENT] == 0
-        assert pipeline.merges == []
+        assert sum(STAGE_REFINEMENT in report.stage_seconds for report in pipeline.timer) == 0
+        assert [event for report in pipeline.timer for event in report.merges] == []
         pipeline.process_frame(synthetic_frame(1, predictions, shape=shape))
-        assert pipeline.timer.counts[STAGE_REFINEMENT] == 1
+        assert sum(STAGE_REFINEMENT in report.stage_seconds for report in pipeline.timer) == 1
         assert len(returned) == 1
-        assert pipeline.merges == [(1, event) for event in returned]
+        merges = [(report.frame_id, event) for report in pipeline.timer for event in report.merges]
+        assert merges == [(1, event) for event in returned]
 
     def test_timer_reports_all_stages(self):
         pipeline = make_pipeline(refine_every=1)
@@ -834,6 +839,42 @@ class TestProcessFrame:
             assert stage in report["stages"]
         assert report["frames"] == 1
         assert report["frame_rate_hz"] > 0
+
+    def test_report_summarizes_known_seconds(self):
+        """Each stage is summarized over the frames it ran in, with numpy's
+        linear percentiles; a refinement that never ran has runs 0 and zeros."""
+        event = MergeEvent(kept_id=1, retired_id=5, iou=0.25, ios=0.8)
+        reports = FrameReports(
+            FrameReport(
+                frame_id,
+                {STAGE_OPINIONS: opinions_ms / 1000, STAGE_ASSOCIATION: 0.002, STAGE_INTEGRATION: 0.004}
+                | ({STAGE_REFINEMENT: 0.02} if frame_id == 4 else {}),
+                0.1,
+                AssociationOutcome(),
+                [event] if frame_id == 4 else [],
+            )
+            for frame_id, opinions_ms in enumerate([5.0, 1.0, 4.0, 2.0, 3.0])
+        )
+        report = reports.report()
+        assert report["frames"] == 5 and report["frame_rate_hz"] == pytest.approx(10.0)
+        assert report["stages"][STAGE_OPINIONS] == pytest.approx(
+            {"mean_ms": 3.0, "p50_ms": 3.0, "p95_ms": 4.8, "max_ms": 5.0, "runs": 5}
+        )
+        assert report["stages"][STAGE_INTEGRATION] == pytest.approx(
+            {"mean_ms": 4.0, "p50_ms": 4.0, "p95_ms": 4.0, "max_ms": 4.0, "runs": 5}
+        )
+        assert report["stages"][STAGE_REFINEMENT] == pytest.approx(
+            {"mean_ms": 20.0, "p50_ms": 20.0, "p95_ms": 20.0, "max_ms": 20.0, "runs": 1}
+        )
+        assert report["merges"] == [{"frame_id": 4, "kept_id": 1, "retired_id": 5, "iou": 0.25, "ios": 0.8}]
+
+        early = FrameReports(reports[:4]).report()
+        zeros = {"mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0, "runs": 0}
+        assert early["stages"][STAGE_REFINEMENT] == zeros and early["merges"] == []
+        assert list(early["stages"]) == [STAGE_OPINIONS, STAGE_ASSOCIATION, STAGE_INTEGRATION, STAGE_REFINEMENT]
+        assert FrameReports().report() == {
+            "stages": {stage: zeros for stage in early["stages"]}, "frames": 0, "frame_rate_hz": 0.0, "merges": []
+        }
 
     def test_archived_views_read_the_image_once_per_frame(self, tmp_path, monkeypatch):
         shape = (40, 40)
@@ -965,7 +1006,7 @@ class TestPerFrameInsertion:
             carve=carve,
             carve_stride=stride,
         )
-        outcomes = [pipeline.process_frame(frame) for frame in frames]
+        outcomes = [pipeline.process_frame(frame).association for frame in frames]
         reference = reference_pipeline_map(pipeline, frames, outcomes)
         assert oracle_snapshot_dict(pipeline.state) == reference.to_dict()
         check_storage(pipeline.state)
