@@ -14,7 +14,6 @@ from voxeland.frames import (
     FrameRecord,
     Pose,
     PredictionInstance,
-    encode_rle_mask,
 )
 from voxeland.opinions import ClusteringParams, build_opinions
 
@@ -34,7 +33,7 @@ record = FrameRecord(
     pose=Pose(rotation=np.eye(3), translation=np.zeros(3)),
     intrinsics=intr,
 )
-frame = Frame(record=record, depth=depth, predictions=[PredictionInstance("box", 0.9, encode_rle_mask(mask))])
+frame = Frame(record=record, depth=depth, predictions=[PredictionInstance("box", 0.9, mask)])
 
 params = ClusteringParams(coarse_voxel=0.08, eps=0.144, min_pts=4)
 opinions = build_opinions(frame, params, voxel_size=0.02)

@@ -1,12 +1,15 @@
 """Command-line driver: synth / build / eval / disambiguate / export.
 
-Each command imports its modules when it runs, so ``synth`` and ``--help`` load no scipy.
+Each command imports its modules when it runs, so ``synth`` and ``--help`` load no scipy,
+and :func:`main` can pin OpenBLAS to one thread before numpy loads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import shutil
 import sys
 from collections.abc import Iterator
@@ -140,17 +143,8 @@ def _cmd_disambiguate(args: argparse.Namespace) -> int:
     report = disambiguation.disambiguate_all(
         state, client, min_prob=config.min_prob, views_per_candidate=config.views_per_candidate
     )
-    out = args.out or args.snapshot
-    state.save_snapshot(out)
-    summary = {
-        "decisions": [
-            {"instance_id": d.instance_id, "chosen_category": d.chosen_category}
-            for d in report.decisions
-        ],
-        "parse_failures": [list(item) for item in report.parse_failures],
-        "client_failures": [list(item) for item in report.client_failures],
-    }
-    print(json.dumps(summary, sort_keys=True))
+    state.save_snapshot(args.out or args.snapshot)
+    print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     return 0
 
 
@@ -205,7 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a dataset, file or value error is one ``error:`` line on stderr and exit code 1."""
+    """Run one command; a dataset, file or value error is one ``error:`` line on stderr and exit code 1.
+
+    OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is set: the
+    products of mapping are small, and more threads only keep a second CPU busy.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,10 +1,11 @@
 """External disambiguation of instances with ambiguous category evidence.
 
 Flagged instances are turned into requests bundling the category evidence,
-a textual summary of the reconstructed geometry, and up to M archived views
-per candidate category.  Requests go to a pluggable decision client; the
-scripted mock keeps tests hermetic, the HTTP client talks to any service
-accepting ``{"prompt": ..., "images": [...]}`` and answering ``{"text": ...}``.
+a textual summary of the reconstructed geometry, and up to M of the
+instance's observations per candidate category as its views.  Requests go
+to a pluggable decision client; the scripted mock keeps tests hermetic, the
+HTTP client talks to any service accepting ``{"prompt": ..., "images":
+[...]}`` and answering ``{"text": ...}``.
 Decisions only ever set an instance's final category -- accumulated evidence
 is never rewritten.
 """
@@ -37,7 +38,7 @@ PROMPT_TEMPLATE = (
 
 ANSWER_PHRASE = "the object category is"
 
-GEOMETRY_VOXEL_CAP = 512
+GEOMETRY_VOXEL_CAP = 16
 
 DEFAULT_MIN_PROB = 0.15
 DEFAULT_VIEWS_PER_CANDIDATE = 3
@@ -56,19 +57,11 @@ class ClientError(RuntimeError):
 
 
 @dataclass
-class ViewRef:
-    image_ref: str | None
-    frame_id: int
-    category: str
-    confidence: float
-
-
-@dataclass
 class GeometrySummary:
     voxel_count: int
     bbox_min: VoxelKey
     bbox_max: VoxelKey
-    voxels: list[VoxelKey]  # downsampled, capped at GEOMETRY_VOXEL_CAP
+    voxels: list[VoxelKey]  # the prompt's sample, at most GEOMETRY_VOXEL_CAP
 
 
 @dataclass
@@ -77,7 +70,7 @@ class DisambiguationRequest:
     evidence: dict[str, float]  # the category distribution, over every label with evidence
     candidates: list[str]  # descending probability, >= 2 entries
     geometry: GeometrySummary
-    views: list[ViewRef]
+    views: list[Observation]
     prompt: str = ""
 
 
@@ -95,28 +88,22 @@ class DisambiguationReport:
     client_failures: list[tuple[int, str]] = field(default_factory=list)
 
 
-def select_candidates(record: InstanceRecord, min_prob: float = DEFAULT_MIN_PROB) -> list[str]:
-    """Candidate categories: everything at or above min_prob, at least the top 2.
+def select_candidates(evidence: dict[str, float], min_prob: float = DEFAULT_MIN_PROB) -> list[str]:
+    """Candidate categories of a category distribution: everything at or
+    above min_prob, at least the top 2.
 
-    Ordered by descending probability; ties by label.  Raises when the
-    instance has no category evidence at all.
+    Ordered by descending probability; ties by label.
     """
-    if not record.category_evidence:
-        raise DisambiguationError("nothing to disambiguate")
-    dist = probabilities(record.category_evidence)
-    ranked = sorted(dist, key=lambda label: (-dist[label], str(label)))
-    selected = [label for label in ranked if dist[label] >= min_prob]
-    floor = min(2, len(ranked))
-    if len(selected) < floor:
-        selected = ranked[:floor]
-    return [str(label) for label in selected]
+    ranked = sorted(evidence, key=lambda label: (-evidence[label], label))
+    selected = [label for label in ranked if evidence[label] >= min_prob]
+    return selected if len(selected) >= 2 else ranked[:2]
 
 
 def select_views(
     record: InstanceRecord,
     candidates: list[str],
     views_per_candidate: int = DEFAULT_VIEWS_PER_CANDIDATE,
-) -> list[ViewRef]:
+) -> list[Observation]:
     """Per candidate, the highest-confidence observations of that category.
 
     Observations are ranked by confidence, then frame id.  The first of each
@@ -124,7 +111,7 @@ def select_views(
     used only when no other frame remains.  Returns fewer views when fewer
     exist, and none for a negative ``views_per_candidate``.
     """
-    views: list[ViewRef] = []
+    views: list[Observation] = []
     for candidate in candidates:
         matching = [obs for obs in record.observations if obs.category == candidate]
         matching.sort(key=lambda obs: (-obs.confidence, obs.frame_id))
@@ -134,30 +121,22 @@ def select_views(
         for obs in matching:
             (duplicates if obs.frame_id in frames else firsts).append(obs)
             frames.add(obs.frame_id)
-        chosen = (firsts + duplicates)[: max(views_per_candidate, 0)]
-        views.extend(
-            ViewRef(
-                image_ref=obs.view_path or f"frame:{obs.frame_id}",
-                frame_id=obs.frame_id,
-                category=obs.category,
-                confidence=obs.confidence,
-            )
-            for obs in chosen
-        )
+        views.extend((firsts + duplicates)[: max(views_per_candidate, 0)])
     return views
 
 
 def summarize_geometry(keys: np.ndarray, cap: int = GEOMETRY_VOXEL_CAP) -> GeometrySummary:
-    """Bounds and an evenly strided sample of a footprint given as sorted packed keys."""
+    """Bounds and a sample of at most ``cap`` voxels of a footprint given as
+    sorted packed keys, evenly strided from its first key to its last."""
     if not len(keys):
         return GeometrySummary(voxel_count=0, bbox_min=(0, 0, 0), bbox_max=(0, 0, 0), voxels=[])
     unpacked = unpack_key_array(keys)
-    stride = max(1, -(-len(keys) // cap))
+    count = min(len(keys), cap)
     return GeometrySummary(
         voxel_count=len(keys),
         bbox_min=tuple(unpacked.min(axis=0).tolist()),  # type: ignore[arg-type]
         bbox_max=tuple(unpacked.max(axis=0).tolist()),  # type: ignore[arg-type]
-        voxels=unpack_keys(keys[::stride][:cap]),
+        voxels=unpack_keys(keys[np.arange(count) * (len(keys) - 1) // max(count - 1, 1)]),
     )
 
 
@@ -170,13 +149,13 @@ def build_prompt(request: DisambiguationRequest) -> str:
     lines.append(
         f"Geometry: {geometry.voxel_count} occupied voxels, "
         f"bounds {list(geometry.bbox_min)} to {list(geometry.bbox_max)}, "
-        f"sample: {[list(v) for v in geometry.voxels[:16]]}"
+        f"sample: {[list(v) for v in geometry.voxels]}"
     )
     lines.append(f"Views ({len(request.views)}):")
     for view in request.views:
         lines.append(
             f"- frame {view.frame_id}, predicted {view.category} "
-            f"({view.confidence:.2f}): {view.image_ref}"
+            f"({view.confidence:.2f}): {view.view_path or f'frame:{view.frame_id}'}"
         )
     return "\n".join(lines)
 
@@ -186,15 +165,22 @@ def build_request(
     min_prob: float = DEFAULT_MIN_PROB,
     views_per_candidate: int = DEFAULT_VIEWS_PER_CANDIDATE,
 ) -> DisambiguationRequest:
-    """Request for one instance: its candidates, geometry and views."""
-    candidates = select_candidates(record, min_prob)
+    """Request for one instance: its candidates, geometry and views.
+
+    Raises DisambiguationError for an instance with no category evidence
+    or a single candidate.
+    """
+    if not record.category_evidence:
+        raise DisambiguationError("nothing to disambiguate")
+    evidence = probabilities(record.category_evidence)
+    candidates = select_candidates(evidence, min_prob)
     if len(candidates) < 2:
         raise DisambiguationError(
             f"instance {record.id} has a single candidate category; nothing to disambiguate"
         )
     request = DisambiguationRequest(
         instance_id=record.id,
-        evidence=probabilities(record.category_evidence),
+        evidence=evidence,
         candidates=candidates,
         geometry=summarize_geometry(record.keys),
         views=select_views(record, candidates, views_per_candidate),
@@ -263,8 +249,8 @@ class HttpClient:
     """Minimal JSON-over-HTTP decision client.
 
     Sends ``{"prompt": str, "images": [base64, ...]}`` and expects
-    ``{"text": str}`` back.  Images are attached for views whose image_ref
-    points at a readable file.
+    ``{"text": str}`` back.  A view's image is attached when the
+    observation has an archived ``view_path`` that is a file.
     """
 
     endpoint: str
@@ -273,10 +259,11 @@ class HttpClient:
     timeout_s: float = 30.0
 
     def query(self, request: DisambiguationRequest) -> str:
-        images = []
-        for view in request.views:
-            if view.image_ref and Path(view.image_ref).is_file():
-                images.append(base64.b64encode(Path(view.image_ref).read_bytes()).decode("ascii"))
+        images = [
+            base64.b64encode(Path(view.view_path).read_bytes()).decode("ascii")
+            for view in request.views
+            if view.view_path and Path(view.view_path).is_file()
+        ]
         body: dict = {"prompt": request.prompt, "images": images}
         if self.model:
             body["model"] = self.model

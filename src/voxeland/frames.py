@@ -9,7 +9,8 @@ On-disk layout of a dataset directory:
   at a binary PPM used only for archiving disambiguation views.
 * ``predictions/<frame>.json`` -- ``{"instances": [{"category", "confidence",
   "rle"}]}`` with uncompressed run-length masks (runs alternate starting with
-  the zero run, filling the image row-major).
+  the zero run, filling the image row-major), decoded once, when the frame
+  is loaded.
 * ``ground_truth.json`` -- pre-voxelized instances at map resolution,
   loaded as sorted packed voxel keys (see :mod:`voxelmap`).
 """
@@ -87,16 +88,15 @@ class Pose:
 
 @dataclass
 class PredictionInstance:
+    """One predicted instance: ``mask`` is its boolean ``(height, width)`` mask."""
+
     category: str
     confidence: float
-    rle: list[int]
+    mask: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.confidence <= 1.0):
             raise ValueError(f"confidence must be in (0, 1], got {self.confidence}")
-
-    def mask(self, width: int, height: int) -> np.ndarray:
-        return decode_rle_mask(self.rle, width, height)
 
 
 @dataclass
@@ -127,7 +127,8 @@ class FrameRecord:
 @dataclass
 class Frame:
     """One fully decoded frame: ``depth`` is the raw ``(height, width)``
-    uint16 image, 0 where invalid, in units of the intrinsics' depth scale."""
+    uint16 image, 0 where invalid, in units of the intrinsics' depth scale,
+    and each prediction holds its decoded mask of the same size."""
 
     record: FrameRecord
     depth: np.ndarray
@@ -142,7 +143,8 @@ def decode_rle_mask(runs: list[int], width: int, height: int) -> np.ndarray:
     """Expand an uncompressed RLE into a boolean row-major (height, width) mask.
 
     Runs alternate value starting with the zero run; a leading 0 encodes a
-    mask that starts with ones.
+    mask that starts with ones.  The one check of run lengths: a negative
+    run, or runs that do not sum to ``width * height``, raise DatasetError.
     """
     runs = list(runs)
     if any(r < 0 for r in runs):
@@ -275,18 +277,20 @@ def _parse_intrinsics(obj: dict) -> CameraIntrinsics:
     )
 
 
-def _parse_prediction(obj: dict) -> PredictionInstance:
-    """A prediction with a string category, a numeric confidence and integer runs."""
+def _parse_prediction(obj: dict, width: int, height: int, where: str) -> PredictionInstance:
+    """A prediction with a string category, a numeric confidence and integer
+    runs that decode to a ``width`` x ``height`` mask; ``where`` heads the
+    message of runs that do not."""
     rle = _checked(obj["rle"], "rle", list)
     if not _all_of(rle, int):
         raise TypeError("a run length is not an integer")
-    if any(run < 0 for run in rle):
-        raise ValueError(f"negative run length in {rle!r}")
-    return PredictionInstance(
-        category=_checked(obj["category"], "category", str),
-        confidence=_number(obj["confidence"], "confidence"),
-        rle=rle,
-    )
+    category = _checked(obj["category"], "category", str)
+    confidence = _number(obj["confidence"], "confidence")
+    try:
+        mask = decode_rle_mask(rle, width, height)
+    except DatasetError as exc:
+        raise DatasetError(f"{where}{exc}") from exc
+    return PredictionInstance(category=category, confidence=confidence, mask=mask)
 
 
 def load_manifest(path: Path | str) -> list[FrameRecord]:
@@ -318,13 +322,24 @@ def load_manifest(path: Path | str) -> list[FrameRecord]:
     return records
 
 
-def load_predictions(path: Path | str) -> list[PredictionInstance]:
+def load_predictions(
+    path: Path | str, width: int, height: int, frame_id: int | None = None
+) -> list[PredictionInstance]:
+    """The predictions of a ``width`` x ``height`` frame, each mask decoded once.
+
+    A malformed file raises :class:`DatasetError` naming it; runs that do not
+    decode also name the instance and the frame, when ``frame_id`` is given.
+    """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"predictions file not found: {path}")
     with reading(path, DatasetError):
         obj = json.loads(path.read_text(encoding="utf-8"))
-        return list(map(_parse_prediction, obj["instances"]))
+        predictions = []
+        for index, item in enumerate(obj["instances"]):
+            where = "" if frame_id is None else f"frame {frame_id}: instance {index}: "
+            predictions.append(_parse_prediction(item, width, height, where))
+        return predictions
 
 
 def load_frame(record: FrameRecord) -> Frame:
@@ -335,14 +350,7 @@ def load_frame(record: FrameRecord) -> Frame:
             f"{record.depth_path}: frame {record.frame_id}: depth size {depth.shape[1]}x"
             f"{depth.shape[0]} does not match intrinsics {width}x{height}"
         )
-    predictions = load_predictions(record.predictions_path)
-    for index, prediction in enumerate(predictions):
-        total = sum(prediction.rle)
-        if total != width * height:
-            raise DatasetError(
-                f"{record.predictions_path}: frame {record.frame_id}: instance {index}: run "
-                f"lengths sum to {total}, expected {width * height} for {width}x{height}"
-            )
+    predictions = load_predictions(record.predictions_path, width, height, record.frame_id)
     return Frame(record=record, depth=depth, predictions=predictions)
 
 

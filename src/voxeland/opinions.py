@@ -163,10 +163,11 @@ def build_opinions(
     The camera is the frame record's intrinsics and pose.  Prediction masks
     may overlap; a pixel claimed by several predictions contributes to each
     of them, but never to the unknown opinion.  Opinions whose masks cover no
-    valid depth, or whose coarse clusters are all noise, are dropped.
+    valid depth, or whose coarse clusters are all noise, are dropped.  A
+    mask of another shape than the depth image is a ValueError.
     """
     depth, intrinsics, pose = frame.depth, frame.record.intrinsics, frame.record.pose
-    height, width = depth.shape
+    width = depth.shape[1]
     valid = (depth != 0) & (depth.astype(float) * intrinsics.depth_scale <= max_range)
     pixels = np.flatnonzero(valid)
     vs = pixels // width
@@ -187,11 +188,12 @@ def build_opinions(
     claimed = np.zeros(len(pixels), dtype=bool)
     masked = []  # (prediction, pixel bbox, points) of each prediction covering valid depth
     for prediction in frame.predictions:
-        mask = prediction.mask(width, height)
-        selected = mask.ravel()[pixels]
+        if prediction.mask.shape != depth.shape:
+            raise ValueError(f"a {prediction.category} mask is {prediction.mask.shape}, the depth {depth.shape}")
+        selected = prediction.mask.ravel()[pixels]
         claimed |= selected
         if selected.any():
-            masked.append((prediction, pixel_bbox(mask), selected_points(selected)))
+            masked.append((prediction, pixel_bbox(prediction.mask), selected_points(selected)))
 
     unknown = None if claimed.all() else selected_points(~claimed)
     # freed before the opinions key their points: keyed beside them, 640x480 frames took 2-3 ms in page faults

@@ -40,7 +40,6 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from voxeland.disambiguation import ViewRef
 from voxeland.evidence import NoEvidenceError, probabilities, top_category
 from voxeland.evaluation import EvalConfig, MatchRecord
 from voxeland.export import layer_h_max
@@ -362,9 +361,8 @@ def oracle_build_opinions(
     opinions: list[SubjectiveOpinion] = []
 
     for prediction in frame.predictions:
-        mask = prediction.mask(depth.shape[1], depth.shape[0])
-        claimed |= mask
-        selected = mask & valid
+        claimed |= prediction.mask
+        selected = prediction.mask & valid
         if not selected.any():
             continue
         vs, us = np.nonzero(selected)
@@ -378,7 +376,7 @@ def oracle_build_opinions(
                 category=prediction.category,
                 confidence=prediction.confidence,
                 source_frame=frame.frame_id,
-                pixel_bbox=pixel_bbox(mask),
+                pixel_bbox=pixel_bbox(prediction.mask),
                 voxel_size=voxel_size,
             )
         )
@@ -1113,10 +1111,10 @@ def oracle_voxelize_box_shell(
     return shell
 
 
-def oracle_select_views(record, candidates: list[str], views_per_candidate: int) -> list[ViewRef]:
+def oracle_select_views(record, candidates: list[str], views_per_candidate: int) -> list[Observation]:
     """View selection in two passes: per candidate, the best observation of
     each unused frame up to the budget, then the rest in rank order."""
-    views: list[ViewRef] = []
+    views: list[Observation] = []
     for candidate in candidates:
         matching = [obs for obs in record.observations if obs.category == candidate]
         matching.sort(key=lambda obs: (-obs.confidence, obs.frame_id))
@@ -1137,13 +1135,5 @@ def oracle_select_views(record, candidates: list[str], views_per_candidate: int)
                 if id(obs) not in chosen_ids:
                     chosen.append(obs)
                     chosen_ids.add(id(obs))
-        views.extend(
-            ViewRef(
-                image_ref=obs.view_path or f"frame:{obs.frame_id}",
-                frame_id=obs.frame_id,
-                category=obs.category,
-                confidence=obs.confidence,
-            )
-            for obs in chosen
-        )
+        views.extend(chosen)
     return views

@@ -411,8 +411,29 @@ class TestDisambiguateCommand:
         assert updated.instances[instance_id].final_category == "couch"
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["decisions"] == [
-            {"chosen_category": "couch", "instance_id": instance_id}
+            {"chosen_category": "couch", "instance_id": instance_id, "raw_response": "The object category is couch"}
         ]
+
+    def test_stdout_is_the_report_as_recorded(self, tmp_path, capsys):
+        """Each decision with its raw response, and each failure with its reason."""
+        snapshot, first = self.make_flagged_snapshot(tmp_path)
+        state = MapState.load_snapshot(snapshot)
+        for _ in range(2):
+            instance_id = state.new_instance()
+            state.instances[instance_id].category_evidence = {"bed": 3.0, "couch": 2.9}
+            add_evidence(state, (10 + instance_id, 0, 0), instance_id, 1)
+            state.instances[instance_id].flagged = True
+        state.save_snapshot(snapshot)
+        fixtures = tmp_path / "fixtures.json"
+        answer = "Looking at the views: the object category is Couch."
+        fixtures.write_text(json.dumps({str(first): answer, str(first + 1): "no idea"}))
+        code = main(["disambiguate", "--snapshot", str(snapshot), "--client", "mock", "--fixtures", str(fixtures)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "decisions": [{"chosen_category": "couch", "instance_id": first, "raw_response": answer}],
+            "parse_failures": [[first + 1, "answer phrase not found in 'no idea'"]],
+            "client_failures": [[first + 2, f"no scripted response for instance {first + 2}"]],
+        }
 
     @pytest.mark.parametrize("content", ["[]", '{"1": null}', "{"])
     def test_bad_fixture_file_is_one_error_line(self, tmp_path, capsys, content):
@@ -455,3 +476,27 @@ def test_command_loads_no_scipy(tmp_path, argv):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
     assert argv == ["--help"] or (tmp_path / "ds" / "manifest.jsonl").is_file()
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_cli_pins_blas_threads_unless_set(tmp_path, preset, expected):
+    """In a fresh interpreter, a command runs with ``OPENBLAS_NUM_THREADS``
+    at 1 when it was unset, and at the user's value otherwise, even when the
+    command fails."""
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from voxeland.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main(['export', '--snapshot', {str(tmp_path / 'missing.vxl')!r}, '--layer', 'instances',"
+        f" '--out', {str(tmp_path / 'out.ply')!r}])\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(synthetic.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.strip() == expected

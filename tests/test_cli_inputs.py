@@ -94,12 +94,19 @@ FILES = {
     "snapshot header": "out/map.vxl",
 }
 
+
+def read_predictions(path: Path):
+    """The predictions file at ``path``, read at the frame size its dataset's manifest gives."""
+    intrinsics = load_manifest(path.parents[1] / "manifest.jsonl")[0].intrinsics
+    return load_predictions(path, intrinsics.width, intrinsics.height)
+
+
 # Each file's reader; timing.json has none but the one in ``eval``.
 READERS = {
     "config": PipelineConfig.from_file,
     "spec": load_scene_spec,
     "manifest": load_manifest,
-    "predictions": load_predictions,
+    "predictions": read_predictions,
     "ground truth": load_ground_truth,
     "fixtures": MockClient.from_fixture_file,
     "timing": None,

@@ -130,7 +130,6 @@ class TestViewArchiving:
             FrameRecord,
             Pose,
             PredictionInstance,
-            encode_rle_mask,
         )
         from voxeland.opinions import ClusteringParams
 
@@ -154,7 +153,7 @@ class TestViewArchiving:
         frame = Frame(
             record=record,
             depth=depth,
-            predictions=[PredictionInstance("chair", 0.9, encode_rle_mask(mask))],
+            predictions=[PredictionInstance("chair", 0.9, mask)],
         )
         state = MapState(voxel_size=0.02)
         pipeline = Pipeline(

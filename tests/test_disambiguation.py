@@ -1,7 +1,10 @@
+import base64
 import io
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from voxeland.disambiguation import (
     select_candidates,
     select_views,
 )
+from voxeland.evidence import probabilities
 from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import InstanceRecord, MapState, Observation
 
@@ -53,24 +57,24 @@ def flagged_state(beta, key_count=4):
 
 class TestSelectCandidates:
     def test_threshold_selection(self):
-        record = record_with({"bed": 4.8, "couch": 4.6, "chair": 0.6})
-        assert select_candidates(record, min_prob=0.15) == ["bed", "couch"]
+        evidence = probabilities({"bed": 4.8, "couch": 4.6, "chair": 0.6})
+        assert select_candidates(evidence, min_prob=0.15) == ["bed", "couch"]
 
     def test_top_two_floor(self):
-        record = record_with({"chair": 9.5, "table": 0.5})
-        assert select_candidates(record, min_prob=0.15) == ["chair", "table"]
+        evidence = probabilities({"chair": 9.5, "table": 0.5})
+        assert select_candidates(evidence, min_prob=0.15) == ["chair", "table"]
 
     def test_uniform_four_all_selected(self):
-        record = record_with({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0})
-        assert select_candidates(record, min_prob=0.15) == ["a", "b", "c", "d"]
+        evidence = probabilities({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0})
+        assert select_candidates(evidence, min_prob=0.15) == ["a", "b", "c", "d"]
 
     def test_no_evidence_is_error(self):
         with pytest.raises(DisambiguationError, match="nothing to disambiguate"):
-            select_candidates(record_with({}))
+            build_request(record_with({}))
 
     def test_first_is_argmax_and_sorted(self):
-        record = record_with({"couch": 4.6, "bed": 4.8, "chair": 0.6})
-        candidates = select_candidates(record, min_prob=0.01)
+        evidence = probabilities({"couch": 4.6, "bed": 4.8, "chair": 0.6})
+        candidates = select_candidates(evidence, min_prob=0.01)
         assert candidates[0] == "bed"
         assert candidates == ["bed", "couch", "chair"]
 
@@ -163,9 +167,49 @@ class TestPrompt:
         state.instances[instance_id].flagged = True
         request = build_request(state.instances[instance_id])
         assert request.geometry.voxel_count == 1600
-        assert len(request.geometry.voxels) <= 512
+        assert len(request.geometry.voxels) <= 16
         assert request.geometry.bbox_min == (0, 0, 0)
         assert request.geometry.bbox_max == (39, 39, 0)
+
+    @pytest.mark.parametrize("shape", [(10, 10, 10), (40, 40, 1), (7, 13, 11), (1001, 1, 1), (33, 31, 1)])
+    def test_geometry_sample_spans_the_footprint(self, shape):
+        """The prompt prints every sampled voxel, and the sample reaches
+        across at least 90% of the bounding box along the first axis."""
+        state = MapState(voxel_size=0.02)
+        instance_id = state.new_instance()
+        record = state.instances[instance_id]
+        record.category_evidence = {"bed": 1.0, "couch": 1.0}
+        add_evidence(state, list(np.ndindex(*shape)), instance_id, 1)
+        request = build_request(record)
+        sample = request.geometry.voxels
+        assert request.geometry.voxel_count == math.prod(shape) >= 1000
+        assert len(sample) == 16 and len(set(sample)) == 16
+        assert set(sample) <= set(np.ndindex(*shape))
+        assert f"sample: {[list(v) for v in sample]}" in request.prompt
+        first_axis = [voxel[0] for voxel in sample]
+        assert max(first_axis) - min(first_axis) >= 0.9 * (shape[0] - 1)
+
+    @pytest.mark.parametrize("key_count", [1, 2, 5, 16, 17, 31])
+    def test_geometry_sample_runs_from_first_to_last_voxel(self, key_count):
+        """A footprint of at most 16 voxels is sampled whole; a larger one
+        gives 16 distinct voxels, its first and its last among them."""
+        state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6}, key_count=key_count)
+        sample = build_request(state.instances[instance_id]).geometry.voxels
+        assert len(sample) == len(set(sample)) == min(key_count, 16)
+        assert sample == sorted(sample) and sample[0] == (0, 0, 0) and sample[-1] == (key_count - 1, 0, 0)
+
+    def test_views_are_the_observations_and_the_prompt_names_their_images(self):
+        observations = [
+            Observation(frame_id=3, category="bed", confidence=0.9, pixel_bbox=None, view_path="views/a.ppm"),
+            Observation(frame_id=5, category="couch", confidence=0.8, pixel_bbox=(0, 0, 1, 1)),
+        ]
+        state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
+        record = state.instances[instance_id]
+        record.observations = observations
+        request = build_request(record)
+        assert [id(view) for view in request.views] == [id(obs) for obs in observations]
+        assert "- frame 3, predicted bed (0.90): views/a.ppm" in request.prompt
+        assert "- frame 5, predicted couch (0.80): frame:5" in request.prompt
 
     def test_single_candidate_rejected(self):
         state, instance_id = flagged_state({"bed": 4.8})
@@ -255,6 +299,38 @@ class TestClients:
         assert captured["body"]["prompt"] == request.prompt
         assert captured["body"]["model"] == "m1"
         assert captured["timeout"] == 5.0
+
+    def test_http_client_attaches_only_archived_views(self, monkeypatch, tmp_path):
+        """A view without an archived image is named ``frame:N`` in the
+        prompt; a file of that name in the working directory is not sent."""
+        captured = {}
+
+        class FakeResponse(io.BytesIO):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *args):
+                return False
+
+        def fake_urlopen(request, timeout):
+            captured["body"] = json.loads(request.data.decode("utf-8"))
+            return FakeResponse(json.dumps({"text": "The object category is couch"}).encode())
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "frame:0").write_bytes(b"not an archived view")
+        (tmp_path / "view.ppm").write_bytes(b"P6 archived")
+        state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
+        record = state.instances[instance_id]
+        record.observations = [
+            Observation(frame_id=0, category="bed", confidence=0.9, pixel_bbox=None),
+            Observation(frame_id=1, category="couch", confidence=0.8, pixel_bbox=None, view_path="view.ppm"),
+            Observation(frame_id=2, category="couch", confidence=0.7, pixel_bbox=None, view_path="gone.ppm"),
+        ]
+        request = build_request(record)
+        assert "frame:0" in request.prompt
+        HttpClient(endpoint="http://localhost:9/decide").query(request)
+        assert captured["body"]["images"] == [base64.b64encode(b"P6 archived").decode("ascii")]
 
     def test_http_client_transport_error(self, monkeypatch):
         def fake_urlopen(request, timeout):

@@ -369,16 +369,17 @@ class TestPredictionsAndGroundTruth:
         payload = {"instances": [{"category": "chair", "confidence": 0.9, "rle": [5, 1]}]}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload))
-        predictions = load_predictions(path)
+        predictions = load_predictions(path, 3, 2)
         assert predictions[0].category == "chair"
-        assert predictions[0].mask(3, 2).sum() == 1
+        assert predictions[0].mask.shape == (2, 3) and predictions[0].mask.dtype == bool
+        assert np.flatnonzero(predictions[0].mask).tolist() == [5]
 
     def test_confidence_range_enforced(self, tmp_path):
         payload = {"instances": [{"category": "chair", "confidence": 1.5, "rle": [6]}]}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(DatasetError):
-            load_predictions(path)
+            load_predictions(path, 3, 2)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -404,27 +405,44 @@ class TestPredictionsAndGroundTruth:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"instances": [instance]}))
         with pytest.raises(DatasetError, match=f"p.json: {message}"):
-            load_predictions(path)
+            load_predictions(path, 3, 2)
 
-    @pytest.mark.parametrize("runs", [[5], [5, 2], [0, 7], []], ids=["short", "long", "long-ones", "empty"])
-    def test_runs_not_covering_the_depth_image_rejected_with_file_name(self, tmp_path, runs):
+    @staticmethod
+    def frame_4(tmp_path, instances) -> FrameRecord:
+        """The record of frame 4, a 3x2 depth image with these predictions."""
         write_pgm(tmp_path / "d.pgm", np.full((2, 3), 1000, dtype=np.uint16))
         path = tmp_path / "p.json"
-        instances = [
-            {"category": "chair", "confidence": 0.9, "rle": [6]},
-            {"category": "table", "confidence": 0.9, "rle": runs},
-        ]
         path.write_text(json.dumps({"instances": instances}))
-        record = FrameRecord(
+        return FrameRecord(
             frame_id=4,
             depth_path=tmp_path / "d.pgm",
             predictions_path=path,
             pose=IDENTITY,
             intrinsics=CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=3, height=2, depth_scale=0.001),
         )
+
+    @pytest.mark.parametrize("runs", [[5], [5, 2], [0, 7], []], ids=["short", "long", "long-ones", "empty"])
+    def test_runs_not_covering_the_depth_image_rejected_with_file_name(self, tmp_path, runs):
+        record = self.frame_4(tmp_path, [
+            {"category": "chair", "confidence": 0.9, "rle": [6]},
+            {"category": "table", "confidence": 0.9, "rle": runs},
+        ])
         message = f"p\\.json: frame 4: instance 1: run lengths sum to {sum(runs)}, expected 6 for 3x2"
         with pytest.raises(DatasetError, match=message):
             load_frame(record)
+
+    def test_negative_run_of_a_loaded_frame_names_frame_and_instance(self, tmp_path):
+        record = self.frame_4(tmp_path, [
+            {"category": "chair", "confidence": 0.9, "rle": [6]},
+            {"category": "table", "confidence": 0.9, "rle": [-1, 7]},
+        ])
+        with pytest.raises(DatasetError, match=r"p\.json: frame 4: instance 1: negative run length in \[-1, 7\]"):
+            load_frame(record)
+
+    def test_loaded_frame_holds_decoded_masks(self, tmp_path):
+        record = self.frame_4(tmp_path, [{"category": "chair", "confidence": 0.9, "rle": [1, 2, 3]}])
+        (prediction,) = load_frame(record).predictions
+        assert prediction.mask.tolist() == [[False, True, True], [False, False, False]]
 
     def test_depth_size_not_matching_the_intrinsics_rejected(self, tmp_path):
         write_pgm(tmp_path / "d.pgm", np.full((3, 2), 1000, dtype=np.uint16))
@@ -444,7 +462,7 @@ class TestPredictionsAndGroundTruth:
     def test_integral_confidence_read_as_float(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"instances": [{"category": "chair", "confidence": 1, "rle": [6]}]}))
-        assert type(load_predictions(path)[0].confidence) is float
+        assert type(load_predictions(path, 3, 2)[0].confidence) is float
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -460,13 +478,12 @@ class TestPredictionsAndGroundTruth:
         path = tmp_path_factory.mktemp("predictions") / "p.json"
         path.write_text(json.dumps(mutate_one_value(data, payload)))
         try:
-            predictions = load_predictions(path)
+            predictions = load_predictions(path, 3, 2)
         except DatasetError:
             return
         for prediction in predictions:
             assert type(prediction.category) is str and type(prediction.confidence) is float
-            assert type(prediction.rle) is list and all(type(r) is int for r in prediction.rle)
-            assert min(prediction.rle, default=0) >= 0
+            assert prediction.mask.dtype == bool and prediction.mask.shape == (2, 3)
 
     def test_ground_truth_round_trip(self, tmp_path):
         payload = {

@@ -15,7 +15,6 @@ from voxeland.frames import (
     Pose,
     PredictionInstance,
     crop_bbox,
-    encode_rle_mask,
     read_ppm,
     write_ppm,
 )
@@ -765,8 +764,8 @@ class TestProcessFrame:
     def test_cold_start_spawns_and_feeds_unknown(self):
         shape = (40, 40)
         predictions = [
-            PredictionInstance("chair", 0.9, encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))),
-            PredictionInstance("table", 0.8, encode_rle_mask(block_mask(shape, (24, 36), (24, 36)))),
+            PredictionInstance("chair", 0.9, block_mask(shape, (2, 14), (2, 14))),
+            PredictionInstance("table", 0.8, block_mask(shape, (24, 36), (24, 36))),
         ]
         pipeline = make_pipeline()
         report = pipeline.process_frame(synthetic_frame(0, predictions, shape=shape))
@@ -789,7 +788,7 @@ class TestProcessFrame:
     def test_replay_doubles_alpha_and_reassociates(self):
         shape = (40, 40)
         predictions = [
-            PredictionInstance("chair", 0.9, encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))),
+            PredictionInstance("chair", 0.9, block_mask(shape, (2, 14), (2, 14))),
         ]
         pipeline = make_pipeline()
         frame = synthetic_frame(0, predictions, shape=shape)
@@ -820,7 +819,7 @@ class TestProcessFrame:
         pipeline = make_pipeline(refine_every=2)
         shape = (40, 40)
         # two labels on one mask spawn two instances with the same footprint
-        mask = encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))
+        mask = block_mask(shape, (2, 14), (2, 14))
         predictions = [PredictionInstance("chair", 0.9, mask), PredictionInstance("table", 0.6, mask)]
         pipeline.process_frame(synthetic_frame(0, predictions, shape=shape))
         assert sum(STAGE_REFINEMENT in report.stage_seconds for report in pipeline.timer) == 0
@@ -888,8 +887,8 @@ class TestProcessFrame:
 
         monkeypatch.setattr(fusion, "read_ppm", counting_read_ppm)
         predictions = [
-            PredictionInstance("chair", 0.9, encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))),
-            PredictionInstance("table", 0.8, encode_rle_mask(block_mask(shape, (24, 36), (20, 33)))),
+            PredictionInstance("chair", 0.9, block_mask(shape, (2, 14), (2, 14))),
+            PredictionInstance("table", 0.8, block_mask(shape, (24, 36), (20, 33))),
         ]
         pipeline = Pipeline(
             MapState(voxel_size=0.02), clustering=ClusteringParams(0.08, 0.144, 4), view_store=tmp_path / "views"
@@ -919,10 +918,10 @@ class TestProcessFrame:
             for frame_id in range(4):
                 predictions = [
                     PredictionInstance(
-                        "chair", 0.9, encode_rle_mask(block_mask(shape, (2, 14), (2, 14)))
+                        "chair", 0.9, block_mask(shape, (2, 14), (2, 14))
                     ),
                     PredictionInstance(
-                        "table", 0.8, encode_rle_mask(block_mask(shape, (24, 36), (24, 36)))
+                        "table", 0.8, block_mask(shape, (24, 36), (24, 36))
                     ),
                 ]
                 pipeline.process_frame(synthetic_frame(frame_id, predictions, shape=shape))
@@ -959,7 +958,7 @@ def overlapping_frames(draw):
         for row, col, rows, cols in draw(st.lists(st.one_of(st.just(near_box), BOX), min_size=1, max_size=4)):
             mask = block_mask(FRAME_SHAPE, (row, row + rows), (col, col + cols))
             label = draw(st.sampled_from(["chair", "table", "lamp"]))
-            predictions.append(PredictionInstance(label, draw(st.floats(0.1, 1.0)), encode_rle_mask(mask)))
+            predictions.append(PredictionInstance(label, draw(st.floats(0.1, 1.0)), mask))
         depth = stepped_depth(near_box, draw(st.integers(500, 900)))
         shift = (draw(st.integers(-2, 2)) * 0.005, draw(st.integers(-2, 2)) * 0.005, 0.0)
         frames.append(synthetic_frame(frame_id, predictions, depth, FRAME_SHAPE, shift))
@@ -1019,7 +1018,7 @@ class TestPerFrameInsertion:
         self.check(frames, occupancy, carve, stride)
 
     def test_k_hits_cross_the_upper_bound(self):
-        mask = encode_rle_mask(block_mask(FRAME_SHAPE, (4, 14), (4, 14)))
+        mask = block_mask(FRAME_SHAPE, (4, 14), (4, 14))
         predictions = [PredictionInstance(label, 0.9, mask) for label in ("chair", "table", "lamp")]
         frames = [synthetic_frame(0, predictions, depth_value=1000, shape=FRAME_SHAPE)]
         occupancy = OccupancyParams(log_odds_max=2.0)
@@ -1033,9 +1032,9 @@ class TestPerFrameInsertion:
         # a miss after one
         near = block_mask(FRAME_SHAPE, (2, 12), (2, 12))
         predictions = [
-            PredictionInstance("chair", 0.9, encode_rle_mask(near)),
-            PredictionInstance("table", 0.8, encode_rle_mask(block_mask(FRAME_SHAPE, (6, 22), (6, 22)))),
-            PredictionInstance("lamp", 0.7, encode_rle_mask(near)),
+            PredictionInstance("chair", 0.9, near),
+            PredictionInstance("table", 0.8, block_mask(FRAME_SHAPE, (6, 22), (6, 22))),
+            PredictionInstance("lamp", 0.7, near),
         ]
         depth = stepped_depth((2, 2, 10, 10), 600)
         frames = [synthetic_frame(0, predictions, depth, FRAME_SHAPE, (0.01, 0.01, 0.0))]

@@ -12,7 +12,6 @@ from voxeland.frames import (
     Pose,
     PredictionInstance,
     backproject_pixels,
-    encode_rle_mask,
     load_frame,
     load_manifest,
 )
@@ -342,8 +341,8 @@ class TestBuildOpinions:
         frame, intr, pose = make_frame(
             depth,
             [
-                PredictionInstance("chair", 0.9, encode_rle_mask(mask_a)),
-                PredictionInstance("table", 0.8, encode_rle_mask(mask_b)),
+                PredictionInstance("chair", 0.9, mask_a),
+                PredictionInstance("table", 0.8, mask_b),
             ],
         )
         opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
@@ -352,12 +351,19 @@ class TestBuildOpinions:
         assert opinions[0].pixel_bbox == (5, 5, 14, 14)
         assert opinions[2].pixel_bbox is None
 
+    @pytest.mark.parametrize("shape", [(20, 21), (21, 20), (400,)])
+    def test_mask_of_another_shape_than_the_depth_rejected(self, shape):
+        depth = np.full((20, 20), 1000, dtype=np.uint16)
+        frame, _, _ = make_frame(depth, [PredictionInstance("chair", 0.9, np.ones(shape, dtype=bool))])
+        with pytest.raises(ValueError, match=r"a chair mask is \(.*\), the depth \(20, 20\)"):
+            build_opinions(frame, PARAMS, voxel_size=VOXEL)
+
     def test_invalid_depth_prediction_dropped(self):
         depth = np.full((20, 20), 1000, dtype=np.uint16)
         depth[:10, :10] = 0
         mask = np.zeros((20, 20), dtype=bool)
         mask[:10, :10] = True
-        frame, intr, pose = make_frame(depth, [PredictionInstance("chair", 0.9, encode_rle_mask(mask))])
+        frame, intr, pose = make_frame(depth, [PredictionInstance("chair", 0.9, mask)])
         opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
         assert [o.category for o in opinions] == [UNKNOWN_CATEGORY]
         # background pixel count: everything valid and unclaimed
@@ -371,7 +377,7 @@ class TestBuildOpinions:
         mask = np.zeros((60, 60), dtype=bool)
         mask[15:45, 15:45] = True
         mask[20:30, 45:49] = True  # leak: 10x4 px on the wall
-        frame, intr, pose = make_frame(depth, [PredictionInstance("box", 0.9, encode_rle_mask(mask))])
+        frame, intr, pose = make_frame(depth, [PredictionInstance("box", 0.9, mask)])
         opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
         semantic = [o for o in opinions if not o.is_unknown]
         assert len(semantic) == 1
@@ -387,8 +393,8 @@ class TestBuildOpinions:
         frame, intr, pose = make_frame(
             depth,
             [
-                PredictionInstance("a", 0.9, encode_rle_mask(mask_a)),
-                PredictionInstance("b", 0.9, encode_rle_mask(mask_b)),
+                PredictionInstance("a", 0.9, mask_a),
+                PredictionInstance("b", 0.9, mask_b),
             ],
         )
         opinions = build_opinions(frame, PARAMS, voxel_size=VOXEL)
@@ -456,7 +462,7 @@ def posed_frame(depth, masks, pose=TILTED, fx=90.0):
     )
     record = FrameRecord(frame_id=7, depth_path=None, predictions_path=None, pose=pose, intrinsics=intr)
     predictions = [
-        PredictionInstance(f"c{index % 3}", 0.25 + 0.125 * index, encode_rle_mask(mask))
+        PredictionInstance(f"c{index % 3}", 0.25 + 0.125 * index, mask)
         for index, mask in enumerate(masks)
     ]
     return Frame(record=record, depth=depth, predictions=predictions), intr, pose

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxeland.frames import CameraIntrinsics, load_manifest, load_frame
+from voxeland.frames import CameraIntrinsics, decode_rle_mask, load_manifest, load_frame
 from voxeland import synthetic
 from voxeland.cli import main
 from voxeland.synthetic import (
@@ -87,7 +87,7 @@ class TestRenderer:
             generate_synthetic(scene, seed=0, out_dir=tmp)
             records = load_manifest(pathlib.Path(tmp) / "manifest.jsonl")
             frame = load_frame(records[0])
-            mask = frame.predictions[0].mask(INTR.width, INTR.height)
+            mask = frame.predictions[0].mask
             depth = frame.depth
             from voxeland.frames import backproject_pixels
 
@@ -440,7 +440,7 @@ class TestGenerationAgainstReference:
         edges = set()
         for record in load_manifest(tmp_path / "fast" / "manifest.jsonl"):
             for prediction in load_frame(record).predictions:
-                mask = prediction.mask(intrinsics.width, intrinsics.height)
+                mask = prediction.mask
                 edges.update(
                     name
                     for name, line in (
@@ -449,6 +449,27 @@ class TestGenerationAgainstReference:
                     if line.any()
                 )
         assert edges == {"top", "bottom", "left", "right"}
+
+
+def test_loaded_masks_equal_the_decoded_runs_of_the_file(tmp_path):
+    """Every mask of every frame that ``load_frame`` returns is the decoding
+    of the runs written to the frame's predictions file, in file order."""
+    intrinsics = CameraIntrinsics(48.0, 48.0, 32.0, 24.0, 64, 48, 0.001)
+    noise = NoiseSpec(mask_dilation_px=2, depth_sigma=0.004, misclassification_rate=0.2, mislabel_confidence=0.7)
+    trajectory = orbit_trajectory(np.zeros(3), 1.6, 0.8, 4, target=np.array([0.0, 0.0, 0.3]))
+    generate_synthetic(desk_scene(clutter_boxes(12), intrinsics, noise, trajectory), seed=5, out_dir=tmp_path)
+    masks = 0
+    for record in load_manifest(tmp_path / "manifest.jsonl"):
+        instances = json.loads(record.predictions_path.read_text())["instances"]
+        predictions = load_frame(record).predictions
+        assert [(p.category, p.confidence) for p in predictions] == [
+            (i["category"], i["confidence"]) for i in instances
+        ]
+        for prediction, instance in zip(predictions, instances):
+            expected = decode_rle_mask(instance["rle"], intrinsics.width, intrinsics.height)
+            assert prediction.mask.dtype == bool and np.array_equal(prediction.mask, expected)
+            masks += 1
+    assert masks >= 8
 
 
 @pytest.mark.parametrize(
