@@ -46,7 +46,8 @@ for beta, key, count in (
     record.category_evidence = beta
     record.add_evidence(pack_keys(np.array([key])), np.array([count]))
     print(f"instance {record.id}: category evidence {beta}, {count} points in voxel {key}")
-layer = semantic_entropy_map(state).values
-print(f"voxel (0, 0, 0), mixing instances 1 and 2 by 3:2: H = {layer[(0, 0, 0)]:.4f} nats "
+# the layer's values come in key order: voxel (0, 0, 0), then (1, 0, 0)
+mixed, alone = semantic_entropy_map(state).values.values()
+print(f"voxel (0, 0, 0), mixing instances 1 and 2 by 3:2: H = {mixed:.4f} nats "
       "(high: this voxel needs a second opinion)")
-print(f"voxel (1, 0, 0), instance 3 alone: H = {layer[(1, 0, 0)]:.4f} nats")
+print(f"voxel (1, 0, 0), instance 3 alone: H = {alone:.4f} nats")

@@ -63,9 +63,9 @@ with tempfile.TemporaryDirectory() as tmp:
 
     geometric = geometric_entropy_map(state)
     semantic = semantic_entropy_map(state)
-    print(f"\ngeometric layer: {len(geometric.values)} voxels, "
+    print(f"\ngeometric layer: {len(geometric.values.entropies)} voxels, "
           f"max {max(geometric.values.values()):.3f} nats")
-    print(f"semantic layer:  {len(semantic.values)} voxels, "
+    print(f"semantic layer:  {len(semantic.values.entropies)} voxels, "
           f"max {max(semantic.values.values()):.3f} nats")
 
     out = Path(tmp) / "layers"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .atomic import reading
 from .evidence import probabilities
-from .voxelmap import InstanceRecord, MapState, Observation, VoxelKey, unpack_key_array, unpack_keys
+from .voxelmap import InstanceRecord, MapState, Observation, unpack_key_array
 
 PROMPT_TEMPLATE = (
     "Please, help me to disambiguate the correct category of this object. "
@@ -59,9 +59,9 @@ class ClientError(RuntimeError):
 @dataclass
 class GeometrySummary:
     voxel_count: int
-    bbox_min: VoxelKey
-    bbox_max: VoxelKey
-    voxels: list[VoxelKey]  # the prompt's sample, at most GEOMETRY_VOXEL_CAP
+    bbox_min: list[int]
+    bbox_max: list[int]
+    voxels: list[list[int]]  # the prompt's sample, at most GEOMETRY_VOXEL_CAP
 
 
 @dataclass
@@ -125,18 +125,18 @@ def select_views(
     return views
 
 
-def summarize_geometry(keys: np.ndarray, cap: int = GEOMETRY_VOXEL_CAP) -> GeometrySummary:
-    """Bounds and a sample of at most ``cap`` voxels of a footprint given as
-    sorted packed keys, evenly strided from its first key to its last."""
+def summarize_geometry(keys: np.ndarray) -> GeometrySummary:
+    """Bounds and a sample of at most GEOMETRY_VOXEL_CAP voxels of a footprint
+    given as sorted packed keys, evenly strided from its first key to its last."""
     if not len(keys):
-        return GeometrySummary(voxel_count=0, bbox_min=(0, 0, 0), bbox_max=(0, 0, 0), voxels=[])
+        return GeometrySummary(voxel_count=0, bbox_min=[0, 0, 0], bbox_max=[0, 0, 0], voxels=[])
     unpacked = unpack_key_array(keys)
-    count = min(len(keys), cap)
+    count = min(len(keys), GEOMETRY_VOXEL_CAP)
     return GeometrySummary(
         voxel_count=len(keys),
-        bbox_min=tuple(unpacked.min(axis=0).tolist()),  # type: ignore[arg-type]
-        bbox_max=tuple(unpacked.max(axis=0).tolist()),  # type: ignore[arg-type]
-        voxels=unpack_keys(keys[np.arange(count) * (len(keys) - 1) // max(count - 1, 1)]),
+        bbox_min=unpacked.min(axis=0).tolist(),
+        bbox_max=unpacked.max(axis=0).tolist(),
+        voxels=unpacked[np.arange(count) * (len(keys) - 1) // max(count - 1, 1)].tolist(),
     )
 
 
@@ -148,8 +148,8 @@ def build_prompt(request: DisambiguationRequest) -> str:
     geometry = request.geometry
     lines.append(
         f"Geometry: {geometry.voxel_count} occupied voxels, "
-        f"bounds {list(geometry.bbox_min)} to {list(geometry.bbox_max)}, "
-        f"sample: {[list(v) for v in geometry.voxels]}"
+        f"bounds {geometry.bbox_min} to {geometry.bbox_max}, "
+        f"sample: {geometry.voxels}"
     )
     lines.append(f"Views ({len(request.views)}):")
     for view in request.views:

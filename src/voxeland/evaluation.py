@@ -126,9 +126,10 @@ def predicted_instances(state: MapState) -> list[PredictedInstance]:
 
 
 def match_to_ground_truth(
-    state: MapState, gt: GroundTruthScene, config: EvalConfig | None = None
+    state: MapState, predictions: list[PredictedInstance], gt: GroundTruthScene, config: EvalConfig | None = None
 ) -> list[MatchRecord]:
-    """Greedy confidence-ranked matching of predictions to ground truth.
+    """Greedy confidence-ranked matching of ``predictions``, the
+    :func:`predicted_instances` of ``state``, to ground truth.
 
     A prediction is a true positive when its voxel IoU with some not yet
     matched same-category ground-truth instance reaches the threshold; each
@@ -136,13 +137,7 @@ def match_to_ground_truth(
     by lower instance id.  Raises ValueError when the ground truth's voxel
     size is not the map's.
     """
-    return _match(state, predicted_instances(state), gt, config or EvalConfig())
-
-
-def _match(
-    state: MapState, predictions: list[PredictedInstance], gt: GroundTruthScene, config: EvalConfig
-) -> list[MatchRecord]:
-    """:func:`match_to_ground_truth` of the given predictions of ``state``."""
+    config = config or EvalConfig()
     # ground-truth keys index the map's voxels only at the map's voxel size
     if gt.voxel_size != state.voxel_size:
         raise ValueError(f"the ground truth's voxel size {gt.voxel_size} is not the map's {state.voxel_size}")
@@ -208,10 +203,9 @@ def evaluate(
     truth are excluded (reported as absent).  Raises ValueError as
     :func:`match_to_ground_truth` does.
     """
-    config = config or EvalConfig()
-    matches = match_to_ground_truth(state, gt, config)
+    matches = match_to_ground_truth(state, predicted_instances(state), gt, config)
     gt_counts = Counter(gt_instance.category for gt_instance in gt.instances)
-    classes = config.classes if config.classes is not None else sorted(gt_counts)
+    classes = sorted(gt_counts) if config is None or config.classes is None else config.classes
     per_class_ap: dict[str, float] = {}
     for category in classes:
         ap = average_precision([m.is_tp for m in matches if m.category == category], gt_counts[category])
@@ -237,7 +231,7 @@ def precision_vs_entropy(
     there.
     """
     predictions = predicted_instances(state)
-    matches = _match(state, predictions, gt, config or EvalConfig())
+    matches = match_to_ground_truth(state, predictions, gt, config)
     entropy_by_id = {p.instance_id: p.semantic_entropy for p in predictions}
     points = []
     for threshold in thresholds:

@@ -316,9 +316,11 @@ class Pipeline:
 
     When ``view_store`` is set and a frame's manifest record carries an RGB
     path, the bbox crop of every integrated semantic opinion is archived
-    there and its path recorded in the observation log for later view
-    selection.  ``timer`` holds the :class:`FrameReport` of every processed
-    frame, in order.
+    there and its absolute path recorded in the observation log for later
+    view selection, so the map's views are found from any working directory.
+    ``timer`` holds the :class:`FrameReport` of every processed frame, in
+    order.  A ``max_range`` that is not positive or a ``carve_stride`` below
+    1 is a ValueError naming the parameter.
     """
 
     def __init__(
@@ -331,13 +333,17 @@ class Pipeline:
         carve_stride: int = 4,
         view_store: Path | str | None = None,
     ) -> None:
+        if not max_range > 0:
+            raise ValueError(f"max_range must be positive, got {max_range!r}")
+        if carve_stride < 1:
+            raise ValueError(f"carve_stride must be at least 1, got {carve_stride!r}")
         self.state = state
         self.clustering = clustering
         self.association = association or AssociationConfig()
         self.max_range = max_range
         self.carve = carve
         self.carve_stride = carve_stride
-        self.view_store = Path(view_store) if view_store is not None else None
+        self.view_store = Path(view_store).absolute() if view_store is not None else None
         # named `timer` only because the benchmark (perfbench/bench.py) reads `pipeline.timer.report()`
         self.timer = FrameReports()
 

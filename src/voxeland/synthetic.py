@@ -111,15 +111,15 @@ class SyntheticScene:
         return list(dict.fromkeys(scene_object.category for scene_object in self.objects))
 
 
-def look_at_pose(eye: np.ndarray, target: np.ndarray, up: np.ndarray = (0.0, 0.0, 1.0)) -> Pose:
-    """Camera-to-world pose looking from eye toward target, image v axis down."""
+def look_at_pose(eye: np.ndarray, target: np.ndarray) -> Pose:
+    """Camera-to-world pose looking from eye toward target, world z up and
+    image v axis down."""
     eye = np.asarray(eye, dtype=float)
     forward = np.asarray(target, dtype=float) - eye
     forward = forward / np.linalg.norm(forward)
-    up = np.asarray(up, dtype=float)
-    right = np.cross(forward, up)
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
     norm = np.linalg.norm(right)
-    if norm < 1e-9:  # looking straight along up; pick an arbitrary right
+    if norm < 1e-9:  # looking straight along z; pick an arbitrary right
         right = np.cross(forward, np.array([1.0, 0.0, 0.0]))
         norm = np.linalg.norm(right)
     right = right / norm

@@ -29,36 +29,29 @@ every instance's evidence is checked, read by a cell or not, so both
 semantic readers raise alike for evidence that gives no distribution.
 
 A layer keeps what those passes compute: the sorted packed keys of its cells
-and their values, as two read-only arrays (:class:`LayerValues`), read as a
-mapping from ``(i, j, k)`` keys to floats.
+and their values, as two read-only arrays (:class:`LayerValues`).
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evidence import expected_entropy, probabilities, top_category
-from .voxelmap import UNKNOWN_CATEGORY, UNKNOWN_INSTANCE_ID, MapState, OwnerTable, VoxelKey, pack_keys, unpack_keys
+from .voxelmap import UNKNOWN_CATEGORY, UNKNOWN_INSTANCE_ID, MapState, OwnerTable
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5  # nats
 
 
-class LayerValues(Mapping):
-    """A layer's value of each cell, as a read-only mapping from ``(i, j, k)``
-    keys to floats over two aligned arrays: ``packed_keys``, the cells'
-    strictly increasing packed keys (:func:`voxelmap.pack_keys`), and
-    ``entropies``, their float64 values.
+class LayerValues:
+    """A layer's value of each cell, as two aligned read-only arrays:
+    ``packed_keys``, the cells' strictly increasing packed keys
+    (:func:`voxelmap.pack_keys`), and ``entropies``, their float64 values.
 
-    The arrays are the mapping's own read-only copies.  A key is looked up
-    with one ``searchsorted``; a key that is absent, not three integers or
-    outside the packable range raises ``KeyError``.  Iteration yields keys
-    of Python ints in key order, and ``values()`` is the list of floats in
-    that order.
+    The arrays are the layer's own copies.  ``values()`` is the list of
+    floats in key order.
     """
 
     def __init__(self, packed_keys: np.ndarray, entropies: np.ndarray) -> None:
@@ -72,23 +65,6 @@ class LayerValues(Mapping):
             raise ValueError("packed keys are not strictly increasing")
         packed_keys.flags.writeable = entropies.flags.writeable = False
         self.packed_keys, self.entropies = packed_keys, entropies
-
-    def __getitem__(self, key: VoxelKey) -> float:
-        try:
-            i, j, k = key
-            packed = pack_keys(np.array([[operator.index(i), operator.index(j), operator.index(k)]]))[0]
-        except (TypeError, ValueError, OverflowError):
-            raise KeyError(key) from None
-        row = int(np.searchsorted(self.packed_keys, packed))
-        if row == len(self.packed_keys) or self.packed_keys[row] != packed:
-            raise KeyError(key)
-        return float(self.entropies[row])
-
-    def __iter__(self) -> Iterator[VoxelKey]:
-        return iter(unpack_keys(self.packed_keys))
-
-    def __len__(self) -> int:
-        return len(self.packed_keys)
 
     def values(self) -> list[float]:
         return self.entropies.tolist()

@@ -51,8 +51,6 @@ class SnapshotError(ValueError):
     """Raised when a snapshot is not a map of this schema version."""
 
 
-VoxelKey = tuple[int, int, int]
-
 # Key packing: each signed coordinate is offset into 21 bits, so packed keys
 # fit in an int64 and sort as scalars in (i, j, k) order.
 _KEY_OFFSET = 1 << 20
@@ -89,12 +87,6 @@ def unpack_key_array(packed: np.ndarray) -> np.ndarray:
         [((packed >> shift) & _KEY_MASK) - _KEY_OFFSET for shift in (2 * _KEY_BITS, _KEY_BITS, 0)],
         axis=1,
     )
-
-
-def unpack_keys(packed: np.ndarray) -> list[VoxelKey]:
-    """Inverse of pack_keys: packed scalars to voxel keys of Python ints."""
-    i, j, k = unpack_key_array(packed).T.tolist()
-    return list(zip(i, j, k))
 
 
 def in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -60,13 +60,24 @@ from voxeland.voxelmap import (
     MapState,
     Observation,
     OccupancyParams,
-    VoxelKey,
     in_sorted,
     pack_keys,
-    unpack_keys,
+    unpack_key_array,
 )
 
 EULER_GAMMA = 0.5772156649015328606
+
+VoxelKey = tuple[int, int, int]
+
+
+def unpack_keys(packed: np.ndarray) -> list[VoxelKey]:
+    """Packed keys as (i, j, k) tuples of Python ints, in the given order."""
+    return [tuple(key) for key in unpack_key_array(packed).tolist()]
+
+
+def layer_dict(layer: UncertaintyLayer) -> dict[VoxelKey, float]:
+    """A layer's values as a dict from (i, j, k) tuples to floats, in key order."""
+    return dict(zip(unpack_keys(layer.values.packed_keys), layer.values.values()))
 
 
 def oracle_digamma(x: float, terms: int = 10_000) -> float:
@@ -921,9 +932,7 @@ def oracle_geometric_entropy_map(state: OracleMap) -> UncertaintyLayer:
         for key, cell in state.cells.items()
         if cell.instance_counts
     }
-    return UncertaintyLayer(
-        kind="geometric", values=values, generated_at_frame=state.frames_integrated
-    )
+    return layer_of("geometric", values, state.frames_integrated)
 
 
 def oracle_semantic_entropy_map(state: OracleMap) -> UncertaintyLayer:
@@ -932,9 +941,7 @@ def oracle_semantic_entropy_map(state: OracleMap) -> UncertaintyLayer:
         for key, cell in state.cells.items()
         if cell.instance_counts
     }
-    return UncertaintyLayer(
-        kind="semantic", values=values, generated_at_frame=state.frames_integrated
-    )
+    return layer_of("semantic", values, state.frames_integrated)
 
 
 def layer_of(kind: str, values: dict[VoxelKey, float], generated_at_frame: int = 0) -> UncertaintyLayer:
@@ -994,10 +1001,11 @@ def oracle_export_entropy_layer(
     state: MapState, layer: UncertaintyLayer, ply_path: Path | str
 ) -> None:
     h_max = layer_h_max(state, layer.kind)
-    keys = sorted(layer.values)
+    values = layer_dict(layer)
+    keys = sorted(values)
     centers = _oracle_voxel_centers(keys, state.voxel_size)
     colors = np.array(
-        [oracle_entropy_color(layer.values[k], h_max) for k in keys], dtype=np.uint8
+        [oracle_entropy_color(values[k], h_max) for k in keys], dtype=np.uint8
     )
     oracle_write_ply(ply_path, centers, colors.reshape(-1, 3))
     sidecar = {
@@ -1005,7 +1013,7 @@ def oracle_export_entropy_layer(
         "unit": "nats",
         "h_max": h_max,
         "generated_at_frame": layer.generated_at_frame,
-        "values": [{"key": list(k), "entropy": layer.values[k]} for k in keys],
+        "values": [{"key": list(k), "entropy": values[k]} for k in keys],
     }
     Path(str(ply_path) + ".json").write_text(json.dumps(sidecar, sort_keys=True), encoding="utf-8")
 

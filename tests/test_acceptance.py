@@ -40,6 +40,7 @@ from oracles import (
     check_storage,
     ios,
     iou,
+    layer_dict,
     oracle_expected_entropy,
     oracle_voxel_category_distribution,
 )
@@ -319,10 +320,10 @@ def test_end_to_end_noiseless_oracle(noiseless_run):
     declared = [r.final_category for r in state.instances.values() if not r.is_unknown]
     assert len(declared) == 5 and all(declared)
 
-    layer = geometric_entropy_map(state)
+    layer = layer_dict(geometric_entropy_map(state))
     for key, cell in cells_of(state).items():
         if len(cell.instance_counts) == 1:
-            assert layer.values[key] == 0.0
+            assert layer[key] == 0.0
     verdict(f"end-to-end noiseless: mAP exactly 1.0 in {elapsed:.1f} s", elapsed)
 
 

@@ -1,4 +1,6 @@
+import base64
 import copy
+import io
 import json
 import os
 import re
@@ -8,10 +10,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voxeland import fusion, synthetic
 from voxeland.cli import main
+from voxeland.frames import write_ppm
 from voxeland.voxelmap import MapState
 
 from maps import add_evidence
@@ -448,6 +452,53 @@ class TestDisambiguateCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and str(fixtures) in line
         assert snapshot.read_bytes() == before
+
+    def test_http_client_posts_views_archived_from_another_directory(self, tmp_path, monkeypatch):
+        """`build` records each archived view by its absolute path, so
+        `disambiguate` run from a sibling directory posts the images."""
+        posted = []
+
+        class FakeResponse(io.BytesIO):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *args):
+                return False
+
+        def fake_urlopen(request, timeout):
+            posted.extend(json.loads(request.data.decode("utf-8"))["images"])
+            return FakeResponse(json.dumps({"text": "no decision"}).encode())
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        spec = copy.deepcopy(SCENE_SPEC)
+        spec["trajectory"]["orbit"]["frames"] = 2
+        Path("scene.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", "scene.json", "--seed", "3", "--out", "dataset"]) == 0
+        lines = [json.loads(line) for line in Path("dataset/manifest.jsonl").read_text().splitlines()]
+        for line in lines:
+            line["rgb"] = f"rgb_{line['frame_id']}.ppm"
+            shape = (line["intrinsics"]["height"], line["intrinsics"]["width"], 3)
+            write_ppm(Path("dataset", line["rgb"]), np.full(shape, 40 + line["frame_id"], dtype=np.uint8))
+        Path("dataset/manifest.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        Path("config.json").write_text(json.dumps({"archive_views": True, "endpoint": "http://localhost:9/decide"}))
+        assert main(["build", "--dataset", "dataset", "--config", "config.json", "--out", "out"]) == 0
+        state = MapState.load_snapshot("out/map.vxl")
+        record = next(record for record in state.instances.values() if record.observations)
+        (category,) = record.category_evidence
+        record.category_evidence = {category: 4.8, "other": 4.6}
+        record.flagged = True
+        state.save_snapshot("out/map.vxl")
+        views = [Path(obs.view_path) for obs in record.observations]
+        archived = {base64.b64encode(view.read_bytes()).decode("ascii") for view in views}
+
+        monkeypatch.chdir(tmp_path / "b")
+        argv = ["disambiguate", "--snapshot", "../a/out/map.vxl", "--client", "http", "--config", "../a/config.json"]
+        assert main(argv) == 0
+        assert posted and set(posted) <= archived
+        assert all(view.is_absolute() for view in views)
 
     def test_mock_without_fixtures_is_identity_baseline(self, tmp_path):
         snapshot, instance_id = self.make_flagged_snapshot(tmp_path)

@@ -168,8 +168,8 @@ class TestPrompt:
         request = build_request(state.instances[instance_id])
         assert request.geometry.voxel_count == 1600
         assert len(request.geometry.voxels) <= 16
-        assert request.geometry.bbox_min == (0, 0, 0)
-        assert request.geometry.bbox_max == (39, 39, 0)
+        assert request.geometry.bbox_min == [0, 0, 0]
+        assert request.geometry.bbox_max == [39, 39, 0]
 
     @pytest.mark.parametrize("shape", [(10, 10, 10), (40, 40, 1), (7, 13, 11), (1001, 1, 1), (33, 31, 1)])
     def test_geometry_sample_spans_the_footprint(self, shape):
@@ -181,7 +181,7 @@ class TestPrompt:
         record.category_evidence = {"bed": 1.0, "couch": 1.0}
         add_evidence(state, list(np.ndindex(*shape)), instance_id, 1)
         request = build_request(record)
-        sample = request.geometry.voxels
+        sample = list(map(tuple, request.geometry.voxels))
         assert request.geometry.voxel_count == math.prod(shape) >= 1000
         assert len(sample) == 16 and len(set(sample)) == 16
         assert set(sample) <= set(np.ndindex(*shape))
@@ -194,7 +194,7 @@ class TestPrompt:
         """A footprint of at most 16 voxels is sampled whole; a larger one
         gives 16 distinct voxels, its first and its last among them."""
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6}, key_count=key_count)
-        sample = build_request(state.instances[instance_id]).geometry.voxels
+        sample = list(map(tuple, build_request(state.instances[instance_id]).geometry.voxels))
         assert len(sample) == len(set(sample)) == min(key_count, 16)
         assert sample == sorted(sample) and sample[0] == (0, 0, 0) and sample[-1] == (key_count - 1, 0, 0)
 

@@ -15,10 +15,10 @@ from voxeland.evaluation import (
 )
 from voxeland.frames import GroundTruthInstance, GroundTruthScene
 from voxeland.uncertainty import declare_categories
-from voxeland.voxelmap import MapState, pack_keys, unpack_keys
+from voxeland.voxelmap import MapState, pack_keys
 
 from maps import add_evidence
-from oracles import brute_force_average_precision, oracle_match_to_ground_truth
+from oracles import brute_force_average_precision, oracle_match_to_ground_truth, unpack_keys
 
 
 def build_map(instance_specs):
@@ -85,7 +85,7 @@ class TestMatching:
             [(keys_a, {"chair": 2.0}, "chair"), (keys_b, {"table": 2.0}, "table")]
         )
         gt = gt_scene([(keys_a, "chair"), (keys_b, "table")])
-        matches = match_to_ground_truth(state, gt)
+        matches = match_to_ground_truth(state, predicted_instances(state), gt)
         assert all(m.is_tp for m in matches)
         assert len(matches) == 2
 
@@ -93,7 +93,7 @@ class TestMatching:
         keys = block(0)
         state, ids = build_map([(keys, {"chair": 1.0, "bed": 0.9}, "bed")])
         gt = gt_scene([(keys, "chair")])
-        matches = match_to_ground_truth(state, gt)
+        matches = match_to_ground_truth(state, predicted_instances(state), gt)
         assert len(matches) == 1
         assert not matches[0].is_tp
 
@@ -108,7 +108,7 @@ class TestMatching:
             ]
         )
         gt = gt_scene([(keys, "chair")])
-        matches = match_to_ground_truth(state, gt)
+        matches = match_to_ground_truth(state, predicted_instances(state), gt)
         assert len(matches) == 2
         assert sum(1 for m in matches if m.is_tp) == 1
         assert sum(1 for m in matches if not m.is_tp) == 1
@@ -123,7 +123,7 @@ class TestMatching:
             ]
         )
         gt = gt_scene([(block(0, 12), "chair")])
-        matches = match_to_ground_truth(state, gt)
+        matches = match_to_ground_truth(state, predicted_instances(state), gt)
         assert sum(1 for m in matches if m.is_tp) <= 1
 
     def test_equal_confidence_ties_rank_by_lower_id(self):
@@ -132,16 +132,16 @@ class TestMatching:
             [(keys_a, {"chair": 2.0}, "chair"), (keys_b, {"chair": 2.0}, "chair")]
         )
         gt = gt_scene([(keys_a, "chair"), (keys_b, "chair")])
-        matches = match_to_ground_truth(state, gt)
+        matches = match_to_ground_truth(state, predicted_instances(state), gt)
         assert [m.instance_id for m in matches] == sorted(ids)
 
     def test_iou_threshold_gate(self):
         # footprint covers 5 of 15 gt voxels: IoU = 5/20 = 0.25 < 0.5
         state, ids = build_map([(block(0, 5), {"chair": 2.0}, "chair")])
         gt = gt_scene([(block(0, 15), "chair")])
-        matches = match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.5))
+        matches = match_to_ground_truth(state, predicted_instances(state), gt, EvalConfig(iou_threshold=0.5))
         assert not matches[0].is_tp
-        loose = match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.2))
+        loose = match_to_ground_truth(state, predicted_instances(state), gt, EvalConfig(iou_threshold=0.2))
         assert loose[0].is_tp
 
 
@@ -186,7 +186,7 @@ class TestMatchAgainstOracle:
     @given(maps_with_ground_truth())
     def test_equals_set_based_matching(self, case):
         state, gt, config = case
-        matches = match_to_ground_truth(state, gt, config)
+        matches = match_to_ground_truth(state, predicted_instances(state), gt, config)
         expected = oracle_match_to_ground_truth(state, gt, config)
         assert matches == expected
         assert [m.iou.hex() for m in matches] == [m.iou.hex() for m in expected]
@@ -195,7 +195,7 @@ class TestMatchAgainstOracle:
         # 2 shared voxels of a union of 4: IoU is exactly 0.5
         state, _ = build_map([(block(0, 3), {"chair": 1.0}, None)])
         gt = gt_scene([(block(1, 3), "chair")])
-        (match,) = match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.5))
+        (match,) = match_to_ground_truth(state, predicted_instances(state), gt, EvalConfig(iou_threshold=0.5))
         assert match.iou == 0.5 and match.is_tp
         assert [match] == oracle_match_to_ground_truth(state, gt, EvalConfig(iou_threshold=0.5))
 
@@ -208,7 +208,7 @@ class TestVoxelSizeMismatch:
     @pytest.mark.parametrize(
         "entry",
         [
-            match_to_ground_truth,
+            lambda state, gt: match_to_ground_truth(state, predicted_instances(state), gt),
             evaluate,
             lambda state, gt: precision_vs_entropy(state, gt, [2.0]),
         ],

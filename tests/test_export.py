@@ -27,6 +27,7 @@ from maps import add_evidence
 from oracles import (
     OracleMap,
     cells_of,
+    layer_dict,
     layer_of,
     oracle_entropy_color,
     oracle_export_entropy_layer,
@@ -216,7 +217,7 @@ class TestLabelOrder:
 
 def layer_items(layer):
     """A layer's values in order, with each float's exact bits."""
-    return layer.kind, layer.generated_at_frame, [(k, v.hex()) for k, v in layer.values.items()]
+    return layer.kind, layer.generated_at_frame, [(k, v.hex()) for k, v in layer_dict(layer).items()]
 
 
 def assert_exports_match_oracle(state, layers=None):
@@ -459,7 +460,7 @@ def test_layers_own_their_arrays(tmp_path):
         add_evidence(state, (row, 7, -7), 1 + row % 13, 2)  # a new cell, among the old ones
     state.integrate_occupancy(pack_keys(np.array([[0, 0, 0], [-3, 0, 0]])), hit=True)
     assert len(state.instances) == instances  # the colormaps' h_max stay
-    assert len(geometric_entropy_map(state).values) == 24
+    assert len(geometric_entropy_map(state).values.entropies) == 24
     assert exported(tmp_path / "after") == before
 
 
@@ -567,7 +568,7 @@ def test_interrupted_ply_write_keeps_previous_files(tmp_path, monkeypatch):
     before = {name: (tmp_path / name).read_bytes() for name in ("geom.ply", "geom.ply.json")}
     monkeypatch.setattr(export, "_CHUNK_ROWS", 1)
     monkeypatch.setattr(export, "_row_chunks", interrupted_after_first_chunk(export._row_chunks))
-    shifted = {key: value + 0.5 for key, value in layer.values.items()}
+    shifted = {key: value + 0.5 for key, value in layer_dict(layer).items()}
     layer = layer_of(layer.kind, shifted, layer.generated_at_frame)
     with pytest.raises(KeyboardInterrupt):
         export_entropy_layer(state, layer, tmp_path / "geom.ply")

@@ -25,10 +25,10 @@ from voxeland.frames import (
     write_pgm,
     write_ppm,
 )
-from voxeland.voxelmap import pack_keys, unpack_keys
+from voxeland.voxelmap import pack_keys
 
 from fuzzing import mutate_one_value
-from oracles import backproject, project
+from oracles import backproject, project, unpack_keys
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480, depth_scale=0.001)
 IDENTITY = Pose(rotation=np.eye(3), translation=np.zeros(3))

@@ -38,7 +38,7 @@ from voxeland.fusion import (
 from voxeland.frames import load_frame, load_manifest
 from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion, build_opinions
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams, unpack_keys
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams
 
 from maps import add_evidence
 from oracles import (
@@ -55,6 +55,7 @@ from oracles import (
     oracle_refine,
     oracle_snapshot_dict,
     oracle_voxel_counts,
+    unpack_keys,
 )
 
 VOXEL = 0.1
@@ -753,6 +754,24 @@ def make_pipeline(refine_every=30):
 
 
 class TestProcessFrame:
+    @pytest.mark.parametrize(
+        "arguments, name",
+        [
+            ({"max_range": -1.0}, "max_range"),
+            ({"max_range": 0.0}, "max_range"),
+            ({"max_range": float("nan")}, "max_range"),
+            ({"carve": True, "carve_stride": 0}, "carve_stride"),
+            ({"carve_stride": -2}, "carve_stride"),
+        ],
+        ids=["negative-range", "zero-range", "nan-range", "zero-stride", "negative-stride"],
+    )
+    def test_bad_parameters_refused_at_construction(self, arguments, name):
+        """A range that maps nothing or a stride that divides by zero in
+        carving is a ValueError naming the parameter, before any frame."""
+        clustering = ClusteringParams(coarse_voxel=0.08, eps=0.08 * 1.8, min_pts=4)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Pipeline(MapState(voxel_size=0.02), clustering=clustering, **arguments)
+
     def test_empty_frame_only_increments_counter(self):
         pipeline = make_pipeline()
         empty = synthetic_frame(0, [], depth_value=0)

@@ -25,7 +25,6 @@ from voxeland.opinions import (
     pixel_bbox,
 )
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
-from voxeland.voxelmap import unpack_keys
 
 from oracles import (
     backproject,
@@ -35,6 +34,7 @@ from oracles import (
     oracle_build_opinions,
     oracle_filter_geometric_opinion,
     oracle_voxel_counts,
+    unpack_keys,
 )
 
 PARAMS = ClusteringParams(coarse_voxel=0.08, eps=0.08 * 1.8, min_pts=4)

@@ -31,9 +31,9 @@ from voxeland.synthetic import (
     scene_from_spec,
     voxelize_box_shell,
 )
-from voxeland.voxelmap import pack_keys, unpack_keys
+from voxeland.voxelmap import pack_keys
 
-from oracles import oracle_dilate_mask, oracle_render_frame, oracle_voxelize_box_shell
+from oracles import oracle_dilate_mask, oracle_render_frame, oracle_voxelize_box_shell, unpack_keys
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60, depth_scale=0.001)
 

@@ -29,7 +29,7 @@ from voxeland.voxelmap import (
     overlap_scores,
     pack_keys,
     points_to_keys,
-    unpack_keys,
+    unpack_key_array,
 )
 
 from fuzzing import mutate_one_value
@@ -42,6 +42,7 @@ from oracles import (
     oracle_overlap_scores,
     oracle_snapshot_dict,
     oracle_voxel_category_distribution,
+    unpack_keys,
     world_to_key,
 )
 from snapshot_records import RECORD_NAMES, corrupted_snapshot, declare_shape, read_records
@@ -93,17 +94,15 @@ class TestWorldToKey:
         rng = np.random.default_rng(1)
         keys = rng.integers(-1000, 1000, (500, 3)).astype(np.int64)
         packed = pack_keys(keys)
-        unpacked = unpack_keys(packed)
-        assert len(unpacked) == len(keys)
-        for row, key in zip(keys, unpacked):
-            assert key == tuple(row)
+        unpacked = unpack_key_array(packed)
+        assert unpacked.dtype == np.int64 and unpacked.tolist() == keys.tolist()
 
     def test_packed_order_is_key_order(self):
         rng = np.random.default_rng(2)
         keys = rng.integers(-(1 << 20), 1 << 20, (500, 3)).astype(np.int64)
         keys[:4] = [[-(1 << 20)] * 3, [(1 << 20) - 1] * 3, [-1, 0, 0], [0, -1, (1 << 20) - 1]]
         packed = pack_keys(keys)
-        assert unpack_keys(np.sort(packed)) == sorted(map(tuple, keys.tolist()))
+        assert unpack_key_array(np.sort(packed)).tolist() == sorted(keys.tolist())
         with pytest.raises(ValueError, match="packable"):
             pack_keys(np.array([[0, 0, 1 << 20]]))
 
