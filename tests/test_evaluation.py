@@ -136,13 +136,23 @@ class TestMatching:
         assert [m.instance_id for m in matches] == sorted(ids)
 
     def test_iou_threshold_gate(self):
-        # footprint covers 5 of 15 gt voxels: IoU = 5/20 = 0.25 < 0.5
+        # footprint covers 5 of 15 gt voxels: IoU = 5/15 = 1/3 < 0.5
         state, ids = build_map([(block(0, 5), {"chair": 2.0}, "chair")])
         gt = gt_scene([(block(0, 15), "chair")])
         matches = match_to_ground_truth(state, predicted_instances(state), gt, EvalConfig(iou_threshold=0.5))
         assert not matches[0].is_tp
         loose = match_to_ground_truth(state, predicted_instances(state), gt, EvalConfig(iou_threshold=0.2))
         assert loose[0].is_tp
+
+    def test_no_config_is_the_default_config(self):
+        # IoU 1/3 (below the default 0.5) and IoU exactly 0.5 (at it)
+        state, ids = build_map(
+            [(block(0, 5), {"chair": 2.0}, "chair"), (block(100, 3), {"table": 1.0}, "table")]
+        )
+        gt = gt_scene([(block(0, 15), "chair"), (block(101, 3), "table")])
+        matches = match_to_ground_truth(state, predicted_instances(state), gt)
+        assert matches == match_to_ground_truth(state, predicted_instances(state), gt, EvalConfig())
+        assert [(m.instance_id, m.iou, m.is_tp) for m in matches] == [(ids[0], pytest.approx(1 / 3), False), (ids[1], 0.5, True)]
 
 
 GRID = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]

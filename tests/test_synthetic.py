@@ -60,6 +60,34 @@ def simple_scene(noise=None, frames=1):
     )
 
 
+class TestLookAtPose:
+    @pytest.mark.parametrize(
+        "eye, target",
+        [
+            ((2.0, 0.0, 0.8), (0.0, 0.0, 0.8)),
+            ((2.0, 0.0, 0.8), (0.0, 0.0, 0.25)),
+            ((0.0, -1.5, 0.2), (0.3, 0.0, 1.4)),
+            ((-1.0, 2.0, 1.0), (1.0, -1.0, 0.0)),
+            ((0.5, 0.5, 2.0), (0.5, 0.5, 0.0)),
+            ((0.5, 0.5, 0.0), (0.5, 0.5, 2.0)),
+        ],
+        ids=["level", "looking-down", "looking-up", "diagonal", "straight-down", "straight-up"],
+    )
+    def test_camera_looks_at_target_with_world_z_up(self, eye, target):
+        eye, target = np.array(eye), np.array(target)
+        pose = look_at_pose(eye, target)
+        rotation = pose.rotation
+        forward = (target - eye) / np.linalg.norm(target - eye)
+        assert np.array_equal(pose.translation, eye)
+        assert np.allclose(rotation.T @ rotation, np.eye(3), atol=1e-12)
+        assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(rotation[:, 2], forward, atol=1e-12)  # the optical axis
+        if abs(forward[2]) < 1.0 - 1e-9:
+            # image rows are level and the image v axis points down the world z axis
+            assert rotation[2, 0] == pytest.approx(0.0, abs=1e-12)
+            assert rotation[2, 1] < 0.0
+
+
 class TestRenderer:
     def test_frontal_depth_matches_face_distance(self):
         scene = simple_scene()

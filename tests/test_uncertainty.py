@@ -288,8 +288,11 @@ class TestLayerValues:
             (pack_keys(np.array(KEYS)), [0.0] * 5),
             (pack_keys(np.array(KEYS)).astype(float), [0.0] * 4),
             (pack_keys(np.array(KEYS)).reshape(2, 2), np.zeros((2, 2))),
+            (pack_keys(np.array(KEYS)).astype(np.int32), [0.0] * 4),
+            (pack_keys(np.array(KEYS)), np.zeros((4, 1))),
         ],
-        ids=["unsorted", "duplicate", "fewer-values", "more-values", "float-keys", "two-dimensional"],
+        ids=["unsorted", "duplicate", "fewer-values", "more-values", "float-keys", "two-dimensional", "int32-keys",
+             "two-dimensional-values"],
     )
     def test_rejects_keys_not_strictly_increasing_int64_or_unaligned(self, keys, entropies):
         with pytest.raises(ValueError):
