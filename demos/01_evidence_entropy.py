@@ -36,7 +36,6 @@ for m, h in zip(ms, expected_entropy([10_000.0] * sum(ms), ms)):
 print()
 print("=== Shannon entropy of a mixed voxel in the semantic layer ===")
 state = MapState(voxel_size=0.02)
-state.add_cells(pack_keys(np.array([[0, 0, 0], [1, 0, 0]])))
 for beta, key, count in (
     ({"bed": 4.8, "couch": 0.2}, (0, 0, 0), 3),
     ({"couch": 4.6, "chair": 0.6}, (0, 0, 0), 2),
@@ -44,7 +43,7 @@ for beta, key, count in (
 ):
     record = state.instances[state.new_instance()]
     record.category_evidence = beta
-    record.add_evidence(pack_keys(np.array([key])), np.array([count]))
+    state.cells.add_evidence(pack_keys(np.array([key])), record.id, np.array([count]))
     print(f"instance {record.id}: category evidence {beta}, {count} points in voxel {key}")
 # the layer's values come in key order: voxel (0, 0, 0), then (1, 0, 0)
 mixed, alone = semantic_entropy_map(state).values.values()

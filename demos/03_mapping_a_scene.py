@@ -49,11 +49,12 @@ with tempfile.TemporaryDirectory() as tmp:
     declare_categories(state)
 
     print(f"\nmap: {len(state.cells)} voxels, {len(state.instances) - 1} object instances")
+    voxel_counts = state.voxel_counts()
     for instance_id, record in sorted(state.instances.items()):
         if record.is_unknown:
             continue
         evidence = {k: round(v, 1) for k, v in record.category_evidence.items()}
-        print(f"  instance {instance_id}: {record.voxel_count} voxels, "
+        print(f"  instance {instance_id}: {voxel_counts[instance_id]} voxels, "
               f"evidence {evidence} -> {record.final_category}")
 
     print("\nper-stage timing:")

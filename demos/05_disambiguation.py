@@ -19,9 +19,7 @@ def ambiguous_map():
     state.instances[instance_id].category_evidence = {"bed": 4.8, "couch": 4.6, "chair": 0.6}
     for label in ("bed", "couch", "chair"):
         state.register_category(label)
-    keys = pack_keys(np.array([(i, 0, 0) for i in range(8)]))
-    state.add_cells(keys)
-    state.instances[instance_id].add_evidence(keys, np.full(8, 3))
+    state.cells.add_evidence(pack_keys(np.array([(i, 0, 0) for i in range(8)])), instance_id, np.full(8, 3))
     for frame in range(6):
         label = "bed" if frame % 2 == 0 else "couch"
         state.instances[instance_id].observations.append(
@@ -36,7 +34,8 @@ record = state.instances[instance_id]
 print(f"instance {instance_id} evidence: {record.category_evidence}")
 print(f"flagged for disambiguation: {record.flagged}")
 
-request = build_request(record)
+(keys, _), = state.cells.footprints([instance_id])
+request = build_request(record, keys)
 print(f"\ncandidates: {request.candidates}")
 print(f"views attached: {len(request.views)}")
 print("--- prompt ---")

@@ -162,10 +162,12 @@ def build_prompt(request: DisambiguationRequest) -> str:
 
 def build_request(
     record: InstanceRecord,
+    keys: np.ndarray,
     min_prob: float = DEFAULT_MIN_PROB,
     views_per_candidate: int = DEFAULT_VIEWS_PER_CANDIDATE,
 ) -> DisambiguationRequest:
-    """Request for one instance: its candidates, geometry and views.
+    """Request for one instance: its candidates, its geometry from ``keys``,
+    the sorted packed keys of its footprint, and its views.
 
     Raises DisambiguationError for an instance with no category evidence
     or a single candidate.
@@ -182,7 +184,7 @@ def build_request(
         instance_id=record.id,
         evidence=evidence,
         candidates=candidates,
-        geometry=summarize_geometry(record.keys),
+        geometry=summarize_geometry(keys),
         views=select_views(record, candidates, views_per_candidate),
     )
     request.prompt = build_prompt(request)
@@ -295,7 +297,8 @@ def disambiguate_all(
 
     Successful decisions set final_category and clear the flag; failures of
     any kind leave the instance flagged and are recorded per instance.
-    Evidence is never mutated.
+    Evidence is never mutated.  The flagged instances' footprints are read
+    from the owner table in one pass.
     """
     report = DisambiguationReport()
     flagged = [
@@ -303,9 +306,10 @@ def disambiguate_all(
         for instance_id, record in sorted(state.instances.items())
         if not record.is_unknown and record.flagged
     ]
-    for instance_id, record in flagged:
+    footprints = state.cells.footprints([instance_id for instance_id, _ in flagged])
+    for (instance_id, record), (keys, _) in zip(flagged, footprints):
         try:
-            request = build_request(record, min_prob, views_per_candidate)
+            request = build_request(record, keys, min_prob, views_per_candidate)
         except DisambiguationError as exc:
             report.parse_failures.append((instance_id, str(exc)))
             continue

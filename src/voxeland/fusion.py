@@ -11,19 +11,16 @@ it :func:`voxelmap.overlap_scores` derives two scores:
 
 An opinion matches when either score passes its threshold; otherwise it
 spawns a new instance.  The reserved unknown opinion is always associated
-with the unknown map instance.  Before its opinions are integrated, the
-voxels of all of them become map cells in one insertion.  Every N integrated
-frames the map instances are associated against each other with the same
-criterion and merged, which heals over-segmentation from disjoint first
-observations; each merge takes the first passing pair in ascending (kept,
-retired) id order, and rescores the merged instance only against the
-instances that shared a voxel with either part.
+with the unknown map instance.  Every (voxel, instance) pair of a frame
+becomes an entry of the map's owner table in one insertion, so integrating
+an opinion only looks its entries up.  Every N integrated frames the map
+instances are associated against each other with the same criterion and
+merged, which heals over-segmentation from disjoint first observations.
 
-Both count overlaps with :func:`voxelmap.overlap_counts` over one owner
-table of the footprints and score them as arrays: association counts a
-frame's opinions against every candidate in one call, and refinement counts
-every pair of footprints in one call and each merged instance against its
-neighbours in one more.
+Both read their overlaps from the owner table as it stands: association
+finds the owners of every voxel of a frame's opinions with one
+``searchsorted``, and refinement counts every pair of instances from the
+contested cells.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from .voxelmap import (
     UNKNOWN_INSTANCE_ID,
     MapState,
     Observation,
-    overlap_counts,
+    _no_keys,
     overlap_scores,
     pack_keys,
     points_to_keys,
@@ -54,6 +51,8 @@ STAGE_ASSOCIATION = "Data association"
 STAGE_INTEGRATION = "Map integration"
 STAGE_REFINEMENT = "Map refinement"
 STAGES = (STAGE_OPINIONS, STAGE_ASSOCIATION, STAGE_INTEGRATION, STAGE_REFINEMENT)
+# the per-frame counts of the map's writes that a run's report sums
+WORK = ("cells_touched", "new_cells", "new_entries")
 
 
 @dataclass
@@ -110,18 +109,16 @@ def associate(
     for opinion in opinions:
         _check_voxel_size(opinion, state)
     outcome = AssociationOutcome()
-    # instances spawned below own no voxel yet, so they are never candidates
-    candidates = [
-        record
-        for instance_id, record in state.instances.items()
-        if instance_id != UNKNOWN_INSTANCE_ID and record.voxel_count
-    ]
     semantic = [o for o in opinions if not o.is_unknown]
+    sizes = state.voxel_counts()
     keys, counts = [o.keys for o in semantic], [o.counts for o in semantic]
-    overlap = overlap_counts(keys, [record.keys for record in candidates], counts)
+    overlap = state.cells.overlaps(keys, len(sizes), counts)
+    # instances spawned below own no voxel yet, so they are never candidates
+    ids = np.flatnonzero(sizes)
+    ids = ids[ids != UNKNOWN_INSTANCE_ID]
+    overlap = overlap[:, ids]
     points = np.array([len(o.points) for o in semantic], dtype=np.int64)
-    ids = np.array([record.id for record in candidates], dtype=np.int64)
-    iou, ios = overlap_scores(overlap, points[:, None], [record.voxel_count for record in candidates])
+    iou, ios = overlap_scores(overlap, points[:, None], sizes[ids])
     rows, columns = np.nonzero(config.passes(iou, ios))
     # each row's largest (iou, ios, -id) of a passing candidate, which wins
     best: dict[int, tuple[float, float, int]] = {}
@@ -149,12 +146,11 @@ def integrate_geometric(
     tracks observation rather than point sampling density.  An opinion keyed
     at another voxel size than the map's is a ValueError.
     """
-    record = state.instances.get(instance_id)
-    if record is None:
+    if instance_id not in state.instances:
         raise KeyError(f"instance {instance_id} is not registered")
     _check_voxel_size(opinion, state)
-    state.integrate_occupancy(opinion.keys, hit=True)
-    record.add_evidence(opinion.keys, opinion.counts)
+    rows = state.cells.add_evidence(opinion.keys, instance_id, opinion.counts)
+    state.integrate_occupancy(opinion.keys, hit=True, rows=rows)
 
 
 def integrate_semantic(
@@ -222,22 +218,18 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
     in ascending (kept, retired) order.  The unknown instance never
     participates.
 
-    Both thresholds are positive, so only pairs sharing a voxel can pass.  One
-    :func:`overlap_counts` call over every footprint gives the shared-voxel
-    count of every pair, kept as an upper-triangular matrix over the ids in
-    ascending order with the pairs' iou, ios and passing matrices beside it;
+    Both thresholds are positive, so only pairs sharing a voxel can pass.
+    The contested cells give the shared-voxel count of every pair
+    (:meth:`OwnerTable.shared_cells`), an upper-triangular matrix over the
+    ascending ids with the pairs' iou, ios and passing matrices beside it;
     the first passing entry in row-major order is the next merge.  A merge
-    changes only the pairs of the two instances it touches: the retired
-    one's row and column are cleared, and the kept one is recounted from its
-    merged footprint.  The merged footprint shares a voxel only with the
-    instances that shared one with either part, so the kept one is recounted
-    and rescored against those alone, in one more call.
+    clears the retired one's row and column and recounts the kept one from
+    its cells, against the instances that shared a voxel with either part.
     """
+    table = state.cells
     ids = [instance_id for instance_id in sorted(state.instances) if instance_id != UNKNOWN_INSTANCE_ID]
-    records = [state.instances[instance_id] for instance_id in ids]
-    footprints = [record.keys for record in records]
-    sizes = np.array([record.voxel_count for record in records], dtype=np.int64)
-    shared = np.triu(overlap_counts(footprints, footprints), 1)
+    id_array, sizes = np.array(ids, dtype=np.int64), state.voxel_counts()[ids]
+    shared = table.shared_cells(np.flatnonzero(table.sizes > 1), id_array)
     iou, ios = overlap_scores(shared, sizes[:, None], sizes)
     passing = config.passes(iou, ios)
 
@@ -252,18 +244,20 @@ def refine(state: MapState, config: AssociationConfig) -> list[MergeEvent]:
         others = np.flatnonzero(touching)
         shared[retire] = shared[:, retire] = 0
         passing[retire] = passing[:, retire] = False
-        sizes[keep] = records[keep].voxel_count
+        kept = np.searchsorted(table.bounds, np.flatnonzero(table.ids == ids[keep]), side="right") - 1
+        sizes[keep] = len(kept)
         pairs = np.minimum(others, keep), np.maximum(others, keep)
-        shared[pairs] = overlap_counts([records[keep].keys], [records[other].keys for other in others])[0]
+        shared[pairs] = table.shared_cells(kept, id_array)[pairs]
         iou[pairs], ios[pairs] = overlap_scores(shared[pairs], sizes[pairs[0]], sizes[pairs[1]])
         passing[pairs] = config.passes(iou[pairs], ios[pairs])
+    table.compact()
     return events
 
 
 def _merge_instances(state: MapState, keep_id: int, retire_id: int) -> None:
     keep = state.instances[keep_id]
     retire = state.instances[retire_id]
-    keep.add_evidence(retire.keys, retire.counts)
+    state.cells.relabel(retire_id, keep_id)
     for category, mass in retire.category_evidence.items():
         keep.category_evidence[category] = keep.category_evidence.get(category, 0.0) + mass
     keep.observations.extend(retire.observations)
@@ -275,15 +269,22 @@ def _merge_instances(state: MapState, keep_id: int, retire_id: int) -> None:
 
 @dataclass
 class FrameReport:
-    """What mapping one frame took and decided: the seconds of each stage
-    that ran, refinement only on the frames it was due, the frame's total
-    seconds, its association outcome and its merges in order."""
+    """What mapping one frame took, decided and wrote: the seconds of each
+    stage that ran, refinement only on the frames it was due, the frame's
+    total seconds, its association outcome, its merges in order, the
+    distinct voxels of its opinions (``cells_touched``), the cells and the
+    (cell, instance) entries they added to the map, and the number of
+    instances after the frame."""
 
     frame_id: int
     stage_seconds: dict[str, float]
     seconds: float
     association: AssociationOutcome
     merges: list[MergeEvent]
+    cells_touched: int
+    new_cells: int
+    new_entries: int
+    instances: int
 
 
 class FrameReports(list[FrameReport]):
@@ -293,7 +294,9 @@ class FrameReports(list[FrameReport]):
         """The run as JSON values: each stage's ``runs`` (the frames it ran
         in) and the mean, p50, p95 and max of its milliseconds, all 0.0 when
         it never ran; ``frames`` and ``frame_rate_hz`` over the frames'
-        summed seconds; and ``merges``, each with its frame id, in order.
+        summed seconds; ``merges``, each with its frame id, in order; the
+        sums of the frames' ``cells_touched``, ``new_cells`` and
+        ``new_entries``; and ``instances`` after the last frame.
         Percentiles are numpy's default (linear) method."""
         stages = {}
         for stage in STAGES:
@@ -308,6 +311,8 @@ class FrameReports(list[FrameReport]):
             "merges": [
                 {"frame_id": report.frame_id, **asdict(event)} for report in self for event in report.merges
             ],
+            **{name: sum(getattr(report, name) for report in self) for name in WORK},
+            "instances": self[-1].instances if self else 0,
         }
 
 
@@ -377,12 +382,22 @@ class Pipeline:
             (index, instance_id, 0.0, 0.0) for index, instance_id in outcome.spawned
         ]
         assignments.sort(key=lambda item: item[0])
-        # every voxel of the frame becomes a cell here, so integration finds
-        # each of its keys in the cells and inserts none
+        # every (voxel, instance) pair of the frame becomes an entry here, so
+        # integration finds each of its entries and inserts none
+        by_id = sorted(((opinions[i].keys, instance_id) for i, instance_id, _, _ in assignments), key=lambda a: a[1])
+        keys = np.concatenate([_no_keys(), *(keys for keys, _ in by_id)])
+        ids = np.repeat(np.array([i for _, i in by_id], dtype=np.int64), [len(keys) for keys, _ in by_id])
         # a stable sort merges the opinions' sorted runs, far faster than np.unique's
-        # sort; packed keys are non-negative, so the first key differs from -1
-        keys = np.sort(np.concatenate([np.empty(0, np.int64), *(o.keys for o in opinions)]), kind="stable")
-        self.state.add_cells(keys[np.diff(keys, prepend=-1) != 0])
+        # sort, and keeps each voxel's ids ascending
+        order = np.argsort(keys, kind="stable")
+        keys, ids = keys[order], ids[order]
+        # packed keys and ids are non-negative, so the first pair differs from (-1, -1)
+        voxel = np.diff(keys, prepend=-1) != 0
+        pair = voxel | (np.diff(ids, prepend=-1) != 0)
+        table = self.state.cells
+        before = len(table), len(table.ids)
+        table.insert(keys[pair], ids[pair])
+        added = len(table) - before[0], len(table.ids) - before[1]
         rgb = functools.cache(lambda: read_ppm(frame.record.rgb_path))
         for index, instance_id, _, _ in assignments:
             opinion = opinions[index]
@@ -403,6 +418,7 @@ class Pipeline:
             marks.append(time.perf_counter())
 
         seconds = {stage: end - begin for stage, begin, end in zip(STAGES, marks, marks[1:])}
-        report = FrameReport(frame.frame_id, seconds, marks[-1] - marks[0], outcome, events)
+        work = int(voxel.sum()), *added, len(self.state.instances)
+        report = FrameReport(frame.frame_id, seconds, marks[-1] - marks[0], outcome, events, *work)
         self.timer.append(report)
         return report

@@ -14,19 +14,17 @@ ambiguous or never-classified ones are flagged for external disambiguation.
 It and the geometric layer are one :func:`evidence.expected_entropy` call
 each, over groups of masses laid end to end.
 
-Both layers are array passes over the map's owner table, bit for bit the
-per-voxel definitions: :class:`voxelmap.OwnerTable` holds the cells' keys
-and lists each cell's owners in ascending id order, and every mixture is
-taken in that order with the rounding of the per-voxel code (``math.log``
-of each mixed probability).  A cell with one owner is that owner's alone:
-its geometric entropy is exactly 0 and its category distribution is the
-owner's, so the per-owner work of both layers runs only over the contested
-cells, those of two or more owners (:meth:`voxelmap.OwnerTable.contested`).
-:class:`CategoryMixtures` is the one category mixing pass;
-the semantic export reads its argmax.  Entropies subtract their terms in
-label order, whatever order category evidence lists its labels in, and
-every instance's evidence is checked, read by a cell or not, so both
-semantic readers raise alike for evidence that gives no distribution.
+Both layers are array passes over the map's owner table as it stands, bit
+for bit the per-voxel definitions: each cell's owners are in ascending id
+order, and every mixture is taken in that order with the rounding of the
+per-voxel code (``math.log`` of each mixed probability).  A cell with one
+owner has geometric entropy exactly 0 and the owner's category
+distribution, so the per-owner work runs only over the contested cells
+(:meth:`voxelmap.OwnerTable.contested`).  :class:`CategoryMixtures` is the
+one category mixing pass; the semantic export reads its argmax.  Entropies
+subtract their terms in label order, and every instance's evidence is
+checked, so both semantic readers raise alike for evidence that gives no
+distribution.
 
 A layer keeps what those passes compute: the sorted packed keys of its cells
 and their values, as two read-only arrays (:class:`LayerValues`).

@@ -1,21 +1,19 @@
-"""Sparse volumetric map with per-voxel instance evidence, stored as arrays.
+"""Sparse volumetric map with per-voxel instance evidence, stored cell by cell.
 
 Voxels are addressed by packed int64 keys (:func:`pack_keys`), whose order
-is the (i, j, k) order of the keys.  The map's cells are one sorted key array
-with aligned occupancy log-odds (binary Bayes filter, clamped).  Each instance
-record holds its footprint: the sorted keys of the voxels where it has
-evidence, with the number of its 3D points registered in each.  A cell may
-have no owner (carved free space); every footprint key is a cell.  Instances
-also accumulate per-category confidence mass and an observation log used
-later for view selection.  Instance id 0 is reserved for the ``unknown``
-instance absorbing observed-but-unrecognized geometry.  A list of
-footprints has one index, :class:`OwnerTable`: the layers, exports and
-evaluation read the map's, keys included, and :func:`overlap_counts`, the
-kernel of association, refinement and evaluation, builds one of its own;
-:func:`overlap_scores` turns its counts into their iou and ios.
+is the (i, j, k) order of the keys.  The map's one store of geometric
+evidence is its :class:`OwnerTable`: the sorted keys of its cells, the
+occupancy log-odds of each (binary Bayes filter, clamped), and each cell's
+run of owners, the instances with points registered there, with their
+counts.  A cell may have no owner (carved free space).  Every reader takes
+the evidence from that table as it stands, and mapping updates it in place.
+Instance records hold the rest: per-category confidence mass and an
+observation log used later for view selection.  Instance id 0 is reserved
+for the ``unknown`` instance absorbing observed-but-unrecognized geometry.
 
-A snapshot file holds these arrays as they are, as ``.npy`` records behind
-one JSON header for the registries; loading checks every invariant above.
+A snapshot file holds the table's arrays as they are, as ``.npy`` records
+behind one JSON header for the registries; loading checks every invariant
+above.
 """
 
 from __future__ import annotations
@@ -35,15 +33,16 @@ from .atomic import _all_of, _checked, _number, atomic_write, reading
 UNKNOWN_INSTANCE_ID = 0
 UNKNOWN_CATEGORY = "unknown"
 
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 # The records of a snapshot file, in file order, with their dtypes.
 _SNAPSHOT_RECORDS = {
     "header": np.dtype("u1"),
     "cell keys": np.dtype("<i8"),
     "cell log-odds": np.dtype("<f8"),
-    "footprint keys": np.dtype("<i8"),
-    "footprint counts": np.dtype("<i8"),
+    "owner counts": np.dtype("<u2"),
+    "owner ids": np.dtype("<i4"),
+    "evidence counts": np.dtype("<i4"),
 }
 
 
@@ -89,41 +88,15 @@ def unpack_key_array(packed: np.ndarray) -> np.ndarray:
     )
 
 
-def in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Mask of the ``keys`` found in the sorted array ``sorted_keys``."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    rows = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[rows] == keys
-
-
-def overlap_counts(
-    queries: list[np.ndarray], footprints: list[np.ndarray], counts: list[np.ndarray] | None = None
-) -> np.ndarray:
+def overlap_counts(queries: list[np.ndarray], footprints: list[np.ndarray]) -> np.ndarray:
     """The (query, footprint) matrix of the voxels each query shares with
-    each footprint, all given as sorted unique packed keys.  With ``counts``,
-    one array aligned with each query's keys, an entry sums the counts of the
-    shared voxels instead.
-
-    The footprints are indexed once, as an :class:`OwnerTable` whose ids are
-    their positions.  Each query voxel finds its cell's run of owners with
-    one ``searchsorted`` over the table's keys, and one ``bincount`` over
-    all runs sums the pairs.
-    """
-    table = OwnerTable(footprints, np.arange(len(footprints)))
-    keys = np.concatenate([_no_keys(), *queries])
-    query = np.repeat(np.arange(len(queries)), [len(keys) for keys in queries])
-    cell = np.searchsorted(table.keys, keys)
-    # a key past the last cell reads an empty run appended after it
-    runs = np.append(table.sizes, 0)[cell] * (np.append(table.keys, -1)[cell] == keys)
-    first = np.append(table.starts, 0)[cell]
-    # entry e of a voxel's run is table entry first + e
-    entries = np.repeat(first - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
-    pairs = np.repeat(query * len(footprints), runs) + table.ids[entries]
-    # weighted counts sum exactly in float64 while they stay far below 2**53
-    weights = None if counts is None else np.repeat(np.concatenate([_no_keys(), *counts]), runs)
-    summed = np.bincount(pairs, weights=weights, minlength=len(queries) * len(footprints))
-    return summed.astype(np.int64).reshape(len(queries), len(footprints))
+    each footprint, all given as sorted unique packed keys, counted over one
+    owner table of the footprints whose ids are their positions."""
+    keys = np.concatenate([_no_keys(), *footprints])
+    order = np.argsort(keys, kind="stable")
+    table = OwnerTable.empty()
+    table.insert(keys[order], np.repeat(np.arange(len(footprints)), list(map(len, footprints)))[order])
+    return table.overlaps(queries, len(footprints))
 
 
 def overlap_scores(overlap, size_a, size_b) -> tuple[np.ndarray, np.ndarray]:
@@ -145,28 +118,24 @@ def overlap_scores(overlap, size_a, size_b) -> tuple[np.ndarray, np.ndarray]:
     return iou, ios
 
 
-def _sorted_add(
-    keys: np.ndarray, values: np.ndarray, new_keys: np.ndarray, new_values=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge sorted unique ``new_keys`` into sorted unique ``keys``: insert
-    the missing ones with value 0, then add ``new_values`` (when given) at
-    each.  Returns the keys, the aligned values (possibly updated in place)
-    and the row of each new key.  Every write to cells and footprints goes
-    through here, so both stay sorted and unique.
-    """
-    rows = np.searchsorted(keys, new_keys)
-    if len(keys):
-        missing = keys[np.minimum(rows, len(keys) - 1)] != new_keys
-    else:
-        missing = np.ones(len(new_keys), dtype=bool)
-    if missing.any():
-        keys = np.insert(keys, rows[missing], new_keys[missing])
-        values = np.insert(values, rows[missing], 0)
-        # each new key moves down by the number of keys inserted before it
-        rows = rows + np.cumsum(missing) - missing
-    if new_values is not None:
-        values[rows] += new_values
-    return keys, values, rows
+def _run_entries(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of runs laid end to end: ``sizes[r]`` of them from ``first[r]`` on, run by run."""
+    # entry e of a run is first + e
+    return np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def _spliced(arrays: list[np.ndarray], at: np.ndarray, values: list) -> list[np.ndarray]:
+    """Each of the equally long ``arrays`` with its ``values`` put before
+    the ascending positions ``at``, as ``np.insert`` would, with the
+    positions worked out once for all of them."""
+    placed = at + np.arange(len(at))
+    kept = np.ones(len(arrays[0]) + len(at), dtype=bool)
+    kept[placed] = False
+    kept = np.flatnonzero(kept)
+    spliced = [np.empty(len(kept) + len(at), array.dtype) for array in arrays]
+    for out, array, value in zip(spliced, arrays, values):
+        out[placed], out[kept] = value, array
+    return spliced
 
 
 def _no_keys() -> np.ndarray:
@@ -210,54 +179,25 @@ class Observation:
 
 @dataclass
 class InstanceRecord:
-    """One map instance: its footprint, category evidence and observation log.
-
-    ``keys`` are the sorted packed keys of the voxels where the instance has
-    evidence and ``counts`` the number of its points registered in each,
-    every one at least 1.
-    """
+    """One map instance's category evidence, observation log and declaration."""
 
     id: int
     category_evidence: dict[str, float] = field(default_factory=dict)
     observations: list[Observation] = field(default_factory=list)
     final_category: str | None = None
     flagged: bool = False
-    keys: np.ndarray = field(default_factory=_no_keys, repr=False, compare=False)
-    counts: np.ndarray = field(default_factory=_no_keys, repr=False, compare=False)
 
     @property
     def is_unknown(self) -> bool:
         return self.id == UNKNOWN_INSTANCE_ID
 
-    @property
-    def voxel_count(self) -> int:
-        return len(self.keys)
-
-    def add_evidence(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Add ``counts`` points at the sorted unique packed ``keys``, which must be map cells."""
-        self.keys, self.counts, _ = _sorted_add(self.keys, self.counts, keys, counts)
-
-
-@dataclass
-class Cells:
-    """The map's cells: sorted unique packed keys with aligned occupancy log-odds."""
-
-    keys: np.ndarray = field(default_factory=_no_keys)
-    log_odds: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
 
 @dataclass
 class ContestedCells:
-    """The cells of an :class:`OwnerTable` with two or more owners, in key order.
-
-    ``cells`` are their indices in the table and ``sizes`` their numbers of
-    owners.  Their runs of entries are laid end to end, each cell's from
-    ``starts`` on: the ``ids`` and ``counts`` of its owners in ascending id
-    order, and each one's share of the cell's total, count / total, as
-    floats.  The totals are exact: a map's counts sum far below 2**53.
+    """The cells of an :class:`OwnerTable` with two or more owners, in key
+    order: their indices (``cells``), numbers of owners (``sizes``), and
+    runs laid end to end, each from ``starts`` on, of their owners' ``ids``
+    and ``counts`` and each one's exact share of the cell's total, as floats.
     """
 
     cells: np.ndarray
@@ -269,47 +209,178 @@ class ContestedCells:
 
 
 class OwnerTable:
-    """The index of a list of footprints, built from the footprints alone.
+    """The map's cells and the evidence in them, cell by cell.
 
-    ``keys`` are their distinct keys in ascending order, one per cell with
-    evidence.  Each cell owns the run of entries from ``starts`` on, ``sizes``
-    long: the ``ids`` of the footprints holding it, in the footprints' order,
-    and their ``counts`` there when the footprints' counts are given.  Most
-    cells of a map have one owner, which holds all of their evidence, so the
+    ``keys`` are the cells' packed keys in ascending order, ``log_odds``
+    their occupancy and ``sizes`` their numbers of owners.  Cell c's run of
+    entries, from ``bounds[c]`` to ``bounds[c + 1]``, holds the ``ids`` of
+    its owners in ascending order and their evidence ``counts``, each at
+    least 1 between frames.  ``owned_cells[i]`` is the number of cells id i
+    owns, kept up to date by the writes.  Most cells have one owner, so the
     readers of the counts do per-entry work only on :meth:`contested`.
     """
 
-    def __init__(self, footprints: list[np.ndarray], ids, counts: list[np.ndarray] | None = None) -> None:
-        keys = np.concatenate([_no_keys(), *footprints])
-        # a stable sort keeps the footprints' order within each key
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        self.ids = np.repeat(np.asarray(ids, dtype=np.int64), list(map(len, footprints)))[order]
-        self.counts = None if counts is None else np.concatenate([_no_keys(), *counts])[order]
-        # packed keys are non-negative, so the first entry differs from -1
-        self.starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        self.sizes = np.diff(self.starts, append=len(keys))
-        self.keys = keys[self.starts]
+    def __init__(self, keys, log_odds, sizes, ids, counts) -> None:
+        self.keys, self.log_odds, self.sizes, self.ids, self.counts = keys, log_odds, sizes, ids, counts
+        self.bounds = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        self.owned_cells = np.bincount(ids)
+
+    @classmethod
+    def empty(cls) -> "OwnerTable":
+        return cls(_no_keys(), np.empty(0), _no_keys(), _no_keys(), _no_keys())
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self.bounds[:-1]
+
+    def rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each packed key's row among the cells, or its insertion row, and whether it is a cell."""
+        rows = np.searchsorted(self.keys, keys)
+        if not len(self.keys):
+            return rows, np.zeros(len(keys), dtype=bool)
+        return rows, np.take(self.keys, rows, mode="clip") == keys
+
+    def entries(self, rows: np.ndarray, found: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Where owner ``ids[i]`` stands, or would stand, in the run of the
+        cell at ``rows[i]`` (empty when not ``found``), and whether it is there."""
+        entry = self.bounds[rows]
+        end = self.bounds[rows + found]
+        ids = np.broadcast_to(ids, entry.shape)
+        if not len(self.ids):
+            return entry, np.zeros(len(entry), dtype=bool)
+        # a run's ids ascend: step past the smaller ones, a few steps at most
+        first = np.take(self.ids, entry, mode="clip")
+        pending = np.flatnonzero((first < ids) & (entry < end))
+        while len(pending):
+            entry[pending] += 1
+            pending = pending[entry[pending] < end[pending]]
+            pending = pending[self.ids[entry[pending]] < ids[pending]]
+        present = np.take(self.ids, entry, mode="clip") == ids
+        present &= entry < end
+        return entry, present
+
+    def overlaps(self, queries: list[np.ndarray], width: int, weights: list[np.ndarray] | None = None) -> np.ndarray:
+        """The (len(queries), width) matrix of the voxels of each query of
+        packed keys in cells that each owner id below ``width`` owns, or
+        with ``weights``, one array per query, of their summed weights."""
+        keys = np.concatenate([_no_keys(), *queries])
+        rows, found = self.rows(keys)
+        first = self.bounds[rows]
+        sizes = self.bounds[rows + found] - first
+        query = np.repeat(np.repeat(np.arange(len(queries)), list(map(len, queries))), sizes)
+        weights = None if weights is None else np.repeat(np.concatenate([_no_keys(), *weights]), sizes)
+        pairs = query * width + self.ids[_run_entries(first, sizes)]
+        # weighted counts sum exactly in float64 while they stay far below 2**53
+        summed = np.bincount(pairs, weights, minlength=len(queries) * width)
+        return summed.astype(np.int64).reshape(len(queries), width)
+
+    def insert(self, keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+        """Make each of the sorted packed ``keys`` a cell and, with ``ids``,
+        each pair ``(keys[i], ids[i])``, sorted by key, then id, and unique,
+        an entry; a new cell starts at log-odds 0 and a new entry at count 0.
+        Returns each key's row among the cells."""
+        rows, found = self.rows(keys)
+        fresh = ~found
+        fresh[1:] &= keys[1:] != keys[:-1]
+        entry, present = (None, np.ones(len(keys), dtype=bool)) if ids is None else self.entries(rows, found, ids)
+        new = ~present
+        if fresh.any():
+            cells = [self.keys, self.log_odds, self.sizes]
+            self.keys, self.log_odds, self.sizes = _spliced(cells, rows[fresh], [keys[fresh], 0.0, 0])
+            # each key's row moves down by the cells inserted before it, a new key's own one not counted
+            rows = rows + np.cumsum(fresh) - ~found
+        if new.any():
+            np.add.at(self.sizes, rows[new], 1)
+            self.ids, self.counts = _spliced([self.ids, self.counts], entry[new], [ids[new], 0])
+            added = np.bincount(ids[new])
+            self.owned_cells = np.pad(self.owned_cells, (0, max(len(added) - len(self.owned_cells), 0)))
+            self.owned_cells[: len(added)] += added
+        if fresh.any() or new.any():
+            self.bounds = np.zeros(len(self.sizes) + 1, dtype=np.int64)
+            np.cumsum(self.sizes, out=self.bounds[1:])
+        return rows
+
+    def add_evidence(self, keys: np.ndarray, instance_id: int, counts: np.ndarray) -> np.ndarray:
+        """Add ``counts`` points of the instance at the sorted unique packed
+        ``keys``, first inserting any pair that is not an entry yet, and
+        return the keys' rows among the cells."""
+        rows, found = self.rows(keys)
+        entry, present = self.entries(rows, found, instance_id)
+        if not present.all():
+            self.insert(keys, np.full(len(keys), instance_id))
+            return self.add_evidence(keys, instance_id, counts)
+        self.counts[entry] += counts
+        return rows
+
+    def relabel(self, retired: int, kept: int) -> None:
+        """Give the entries of owner ``retired`` to the smaller id ``kept``,
+        re-sorting each run they are in ([3, 5] becomes [2, 3]).  Where both
+        own a cell, the counts are summed into kept's entry and the other
+        one is left dead, id -1 at the front of the run, until :meth:`compact`."""
+        moved = np.flatnonzero(self.ids == retired)
+        cells = np.searchsorted(self.bounds, moved, side="right") - 1
+        entry, both = self.entries(cells, np.ones(len(cells), dtype=bool), kept)
+        self.counts[entry[both]] += self.counts[moved[both]]
+        self.ids[moved] = np.where(both, -1, kept)
+        if len(moved):
+            self.owned_cells[kept] += len(moved) - both.sum()
+            self.owned_cells[retired] = 0
+        entries = _run_entries(self.bounds[cells], self.sizes[cells])
+        order = np.lexsort((self.ids[entries], np.repeat(np.arange(len(cells)), self.sizes[cells])))
+        self.ids[entries], self.counts[entries] = self.ids[entries[order]], self.counts[entries[order]]
+
+    def compact(self) -> None:
+        """Drop the dead entries :meth:`relabel` left."""
+        dead = np.flatnonzero(self.ids < 0)
+        if len(dead):
+            np.subtract.at(self.sizes, np.searchsorted(self.bounds, dead, side="right") - 1, 1)
+            self.ids, self.counts = np.delete(self.ids, dead), np.delete(self.counts, dead)
+            self.bounds = np.concatenate([[0], np.cumsum(self.sizes)])
+
+    def shared_cells(self, cells: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """How many of the ``cells`` each pair of the ascending ``ids`` owns,
+        as a matrix over ``ids`` above its diagonal; other owners are left out."""
+        sizes = self.sizes[cells]
+        owners = self.ids[_run_entries(self.starts[cells], sizes)]
+        columns = np.searchsorted(ids, owners)
+        listed = np.append(ids, -1)[columns] == owners
+        runs, columns = np.repeat(np.arange(len(cells)), sizes)[listed], columns[listed]
+        # a run's owners ascend, so each pair (a, b) of a run has a before b
+        pairs = [_no_keys()]
+        for step in range(1, int(sizes.max(initial=0))):
+            same = runs[step:] == runs[:-step]
+            pairs.append(columns[:-step][same] * len(ids) + columns[step:][same])
+        return np.bincount(np.concatenate(pairs), minlength=len(ids) ** 2).reshape(len(ids), len(ids))
+
+    def footprints(self, ids) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each owner's sorted packed cell keys and its counts there, for the
+        ``ids`` in the order given, from one pass over the entries."""
+        ids = np.asarray(ids, dtype=np.int64)
+        picked = np.flatnonzero(np.isin(self.ids, ids))
+        # a stable sort by owner keeps each owner's entries in key order
+        picked = picked[np.argsort(self.ids[picked], kind="stable")]
+        cells = np.searchsorted(self.bounds, picked, side="right") - 1
+        owners = self.ids[picked]
+        bounds = zip(np.searchsorted(owners, ids).tolist(), np.searchsorted(owners, ids, side="right").tolist())
+        return [(self.keys[cells[a:b]], self.counts[picked[a:b]]) for a, b in bounds]
 
     def contested(self) -> ContestedCells:
-        """The cells with two or more owners and their entries, read from
-        ``starts`` and ``sizes`` without a pass over the other cells' entries."""
+        """The cells with two or more owners and their entries."""
         cells = np.flatnonzero(self.sizes > 1)
         sizes = self.sizes[cells]
         starts = np.cumsum(sizes) - sizes
-        # entry e of a cell's run is table entry first + e
-        entries = np.repeat(self.starts[cells] - starts, sizes) + np.arange(sizes.sum())
+        entries = _run_entries(self.starts[cells], sizes)
         counts = self.counts[entries]
         totals = np.add.reduceat(counts, starts).astype(float) if len(cells) else np.empty(0)
         shares = counts / np.repeat(totals, sizes)
         return ContestedCells(cells, sizes, starts, self.ids[entries], counts, shares)
 
     def argmax_owners(self) -> np.ndarray:
-        """The instance with the most evidence in each cell with evidence; ties go to the smallest id.
-
-        A cell's one owner is its argmax.  A contested cell's entries are in
-        ascending id order, so its first entry that reaches the cell's
-        largest count is the one."""
+        """The instance with the most evidence in each cell, which must have
+        an owner; ties go to the smallest id, the first in a contested run."""
         owners = self.ids[self.starts]
         contested = self.contested()
         if len(contested.cells):
@@ -321,7 +392,7 @@ class OwnerTable:
 
 
 class MapState:
-    """The volumetric map: cells, instance registry, category registry.
+    """The volumetric map: its owner table, instance registry and category registry.
 
     Mutations are expected to come from a single integration owner; readers
     may snapshot at any frame boundary.
@@ -332,7 +403,7 @@ class MapState:
             raise ValueError(f"voxel_size must be finite and positive, got {voxel_size}")
         self.voxel_size = float(voxel_size)
         self.occupancy = occupancy or OccupancyParams()
-        self.cells = Cells()
+        self.cells = OwnerTable.empty()
         self.instances: dict[int, InstanceRecord] = {
             UNKNOWN_INSTANCE_ID: InstanceRecord(id=UNKNOWN_INSTANCE_ID)
         }
@@ -354,43 +425,48 @@ class MapState:
 
     # -- cell updates -------------------------------------------------------
 
-    def add_cells(self, keys: np.ndarray) -> None:
-        """Make each voxel of the sorted unique packed ``keys`` a cell; a
-        voxel new to the map starts at log-odds 0."""
-        self.cells.keys, self.cells.log_odds, _ = _sorted_add(
-            self.cells.keys, self.cells.log_odds, keys
-        )
-
-    def integrate_occupancy(self, keys: np.ndarray, hit: bool) -> None:
+    def integrate_occupancy(self, keys: np.ndarray, hit: bool, rows: np.ndarray | None = None) -> None:
         """One clamped Bayes-filter hit or miss in each voxel of the sorted
-        unique packed ``keys``; a voxel new to the map starts at log-odds 0."""
+        unique packed ``keys``, whose cell ``rows`` are given or looked up; a
+        voxel new to the map starts at log-odds 0."""
+        if rows is None:
+            rows = self.cells.insert(keys)
         params = self.occupancy
         delta = params.l_hit if hit else params.l_miss
-        self.cells.keys, log_odds, rows = _sorted_add(
-            self.cells.keys, self.cells.log_odds, keys, delta
-        )
-        log_odds[rows] = np.clip(log_odds[rows], params.log_odds_min, params.log_odds_max)
-        self.cells.log_odds = log_odds
+        log_odds = self.cells.log_odds
+        log_odds[rows] = np.clip(log_odds[rows] + delta, params.log_odds_min, params.log_odds_max)
 
     # -- reading ------------------------------------------------------------
 
     def owner_table(self) -> OwnerTable:
-        """The evidence of every footprint, with each cell's owners in ascending id order."""
-        records = [self.instances[instance_id] for instance_id in sorted(self.instances)]
-        return OwnerTable([r.keys for r in records], [r.id for r in records], [r.counts for r in records])
+        """The cells with an owner: the map's table itself unless free space was carved."""
+        table = self.cells
+        if table.sizes.all():
+            return table
+        owned = table.sizes > 0
+        return OwnerTable(table.keys[owned], table.log_odds[owned], table.sizes[owned], table.ids, table.counts)
+
+    def voxel_counts(self) -> np.ndarray:
+        """The number of cells each instance id owns, indexed by id."""
+        counts = np.zeros(self._next_instance_id, dtype=np.int64)
+        counts[: len(self.cells.owned_cells)] = self.cells.owned_cells
+        return counts
 
     # -- serialization ------------------------------------------------------
 
-    def _snapshot_fields(self) -> dict:
-        """The snapshot's header: every field but the cell and footprint arrays."""
+    def _snapshot_fields(self, directory: Path) -> dict:
+        """The snapshot's header: every field but the owner table's arrays,
+        with each view path relative to the snapshot's ``directory``."""
         instances = [
             {
                 "id": record.id,
                 "category_evidence": record.category_evidence,
-                "voxel_count": record.voxel_count,
                 "final_category": record.final_category,
                 "flagged": record.flagged,
-                "observations": list(map(vars, record.observations)),
+                "observations": [
+                    dict(vars(o), view_path=o.view_path and os.path.relpath(o.view_path, directory))
+                    for o in record.observations
+                ],
             }
             for record in (self.instances[i] for i in sorted(self.instances))
         ]
@@ -405,78 +481,61 @@ class MapState:
         }
 
     def save_snapshot(self, path: Path | str) -> None:
-        """Write the map as a schema-2 snapshot: the ``_SNAPSHOT_RECORDS`` as
-        ``.npy`` records, one after another in one file.
-
-        The header is :meth:`_snapshot_fields` as compact, sorted-key JSON
-        in UTF-8.  The footprints are concatenated in the header's instance
-        order (ascending id), each as long as its ``voxel_count``.  The same
-        map always gives the same bytes.
-        """
-        header = json.dumps(self._snapshot_fields(), sort_keys=True, separators=(",", ":"))
-        records = [self.instances[i] for i in sorted(self.instances)]
-        arrays = [
-            np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-            self.cells.keys,
-            self.cells.log_odds,
-            np.concatenate([_no_keys()] + [record.keys for record in records]),
-            np.concatenate([_no_keys()] + [record.counts for record in records]),
-        ]
+        """Write the map as a schema-3 snapshot: the ``_SNAPSHOT_RECORDS`` as
+        ``.npy`` records in one file, the header as :meth:`_snapshot_fields`
+        in compact, sorted-key UTF-8 JSON and then the owner table's arrays,
+        or a ValueError, before the file is opened, for a value that does
+        not fit its record's dtype.  The same map in one directory always
+        gives the same bytes."""
+        fields = self._snapshot_fields(Path(path).absolute().parent)
+        header = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        table = self.cells
+        arrays = [np.frombuffer(header, np.uint8), table.keys, table.log_odds, table.sizes, table.ids, table.counts]
+        records = [_fitted(name, array, dtype) for (name, dtype), array in zip(_SNAPSHOT_RECORDS.items(), arrays)]
         with atomic_write(path, binary=True) as handle:
-            for array, dtype in zip(arrays, _SNAPSHOT_RECORDS.values()):
-                np.lib.format.write_array(handle, array.astype(dtype, copy=False), allow_pickle=False)
+            for record in records:
+                np.lib.format.write_array(handle, record, allow_pickle=False)
 
     @classmethod
     def load_snapshot(cls, path: Path | str) -> "MapState":
         """Read a map written by :meth:`save_snapshot`.
 
         Raises SnapshotError, naming ``path``, when the file is not a
-        schema-2 snapshot or holds a malformed map; see :meth:`_from_records`.
-        A record whose header declares more bytes than the file has left is
-        rejected before anything is allocated for it.
-        A file that opens with ``{`` is a schema-1 JSON snapshot, which is no
-        longer read.
-        """
+        schema-3 snapshot or holds a malformed map (:meth:`_from_records`).
+        An older schema is refused, with a message to rebuild the map, before
+        its other records are read, and a record declaring more bytes than
+        the file has left before anything is allocated for it."""
         with reading(path, SnapshotError):
             with open(path, "rb") as handle, warnings.catch_warnings():
                 warnings.simplefilter("error")  # a warning while numpy reads a record is an error
                 if handle.peek(1).startswith(b"{"):
                     raise SnapshotError("schema-1 JSON snapshots are no longer read; rebuild the map")
-                records = [_read_record(handle, name) for name in _SNAPSHOT_RECORDS]
+                header = _read_record(handle, "header")
+                if header.ndim != 1 or header.dtype != _SNAPSHOT_RECORDS["header"]:
+                    raise SnapshotError("the header record is not a 1-d |u1 array")
+                header = json.loads(header.tobytes().decode("utf-8"))
+                version = header.get("schema_version") if isinstance(header, dict) else None
+                if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
+                    older = type(version) is int and version < SNAPSHOT_SCHEMA_VERSION
+                    rebuild = "; older snapshots are no longer read, so rebuild the map" if older else ""
+                    expected = SNAPSHOT_SCHEMA_VERSION
+                    raise SnapshotError(f"snapshot schema_version {version!r} is not {expected}{rebuild}")
+                records = [_read_record(handle, name) for name in list(_SNAPSHOT_RECORDS)[1:]]
                 if handle.read(1):
                     raise SnapshotError("trailing bytes after the last record")
-            return cls._from_records(records)
+            return cls._from_records(header, records, Path(path).absolute().parent)
 
     @classmethod
-    def _from_records(cls, records: list[np.ndarray]) -> "MapState":
-        """Rebuild a map from the records of a snapshot file.
-
-        Raises SnapshotError, or one of the errors :meth:`load_snapshot` turns
-        into one, when a record is not a 1-d array of its dtype or the map is
-        malformed: a header that is not UTF-8 JSON of schema version
-        SNAPSHOT_SCHEMA_VERSION, a missing header key, a value not of its
-        exact JSON type (a bool is not an int, and a number where a float is
-        expected must be finite), invalid occupancy parameters, a category
-        registry that does not begin with the unknown category or lists one
-        twice, an instance registry without the unknown instance or whose
-        ``next_instance_id`` is not above every listed id, a category evidence
-        mass that is not above 0 (integration only adds confidences in (0,
-        1]), a negative ``voxel_count`` or ``voxel_count``s that do not sum to
-        the footprint length, cell keys that are negative or not strictly
-        increasing, a log-odds that is not finite, an evidence count below 1,
-        a footprint whose keys are not strictly increasing, or a footprint key
-        that is not a cell.  Every non-negative int64 is a packed key.
-        """
-        for record, (name, dtype) in zip(records, _SNAPSHOT_RECORDS.items()):
+    def _from_records(cls, obj: dict, records: list[np.ndarray], directory: Path) -> "MapState":
+        """Rebuild a map from the parsed header ``obj`` and the table's
+        records of a snapshot file saved in ``directory``.  Raises
+        SnapshotError, or an error :meth:`load_snapshot` turns into one, for
+        a record or header value that breaks the schema: each check below
+        names what it found, from a value not of its exact JSON type (a bool
+        is not an int; a float must be finite) to an evidence count below 1."""
+        for record, (name, dtype) in zip(records, list(_SNAPSHOT_RECORDS.items())[1:]):
             if record.ndim != 1 or record.dtype != dtype:
                 raise SnapshotError(f"the {name} record is not a 1-d {dtype.str} array")
-        header, cell_keys, log_odds, footprint_keys, footprint_counts = records
-        obj = json.loads(header.tobytes().decode("utf-8"))
-        version = obj.get("schema_version") if isinstance(obj, dict) else None
-        if type(version) is not int or version != SNAPSHOT_SCHEMA_VERSION:
-            raise SnapshotError(
-                f"snapshot schema_version {version!r} is not {SNAPSHOT_SCHEMA_VERSION}"
-            )
         params = obj["occupancy"]
         occupancy = OccupancyParams(**{
             f.name: _checked(params[f.name], f.name, int, float)
@@ -494,24 +553,19 @@ class MapState:
         if len(set(state.categories)) != len(state.categories):
             raise SnapshotError("a category is listed twice")
         state.instances = {}
-        voxel_counts: list[int] = []
         for inst in obj["instances"]:
             record = InstanceRecord(
                 id=_checked(inst["id"], "instance id", int),
                 category_evidence=_evidence(inst["category_evidence"]),
                 final_category=_checked(inst["final_category"], "final_category", str, type(None)),
                 flagged=_checked(inst["flagged"], "flagged", bool),
-                observations=list(map(_observation, inst["observations"])),
+                observations=[_observation(o, directory) for o in inst["observations"]],
             )
             for label, mass in record.category_evidence.items():
                 if not mass > 0.0:
                     raise SnapshotError(
                         f"instance {record.id}: category evidence {label!r} of {mass!r} is not above 0"
                     )
-            voxel_count = _checked(inst["voxel_count"], "voxel_count", int)
-            if voxel_count < 0:
-                raise SnapshotError(f"instance {record.id}: voxel_count {voxel_count} is negative")
-            voxel_counts.append(voxel_count)
             state.instances[record.id] = record
         if len(state.instances) != len(obj["instances"]):
             raise SnapshotError("an instance is listed twice")
@@ -522,30 +576,40 @@ class MapState:
                 f"next_instance_id {state._next_instance_id} is not above every listed id"
             )
 
-        if len(log_odds) != len(cell_keys) or len(footprint_counts) != len(footprint_keys):
-            raise SnapshotError("the log-odds or the counts are not as many as their keys")
-        if np.any(cell_keys[1:] <= cell_keys[:-1]):
+        keys, log_odds, sizes, ids, counts = records
+        if not len(keys) == len(log_odds) == len(sizes) or len(counts) != len(ids):
+            raise SnapshotError("the log-odds, owner counts or evidence counts are not as many as their keys or ids")
+        if np.any(keys[1:] <= keys[:-1]):
             raise SnapshotError("the cell keys are not strictly increasing")
-        if len(cell_keys) and cell_keys[0] < 0:
-            raise SnapshotError(f"cell key {cell_keys[0]} is negative, outside the packable range")
+        if len(keys) and keys[0] < 0:
+            raise SnapshotError(f"cell key {keys[0]} is negative, outside the packable range")
         if not np.all(np.isfinite(log_odds)):
             raise SnapshotError("a cell log-odds is not finite")
-        if np.any(footprint_counts < 1):
-            raise SnapshotError(f"evidence count {footprint_counts.min()} is below 1")
-        if not np.all(in_sorted(cell_keys, footprint_keys)):
-            raise SnapshotError("a footprint key is not a cell")
-        if sum(voxel_counts) != len(footprint_keys):
-            raise SnapshotError(
-                f"the voxel_counts sum to {sum(voxel_counts)}, not to the {len(footprint_keys)} footprint keys"
-            )
-        state.cells = Cells(cell_keys, log_odds)
-        stop = 0
-        for record, voxel_count in zip(state.instances.values(), voxel_counts):
-            start, stop = stop, stop + voxel_count
-            record.keys, record.counts = footprint_keys[start:stop], footprint_counts[start:stop]
-            if np.any(record.keys[1:] <= record.keys[:-1]):
-                raise SnapshotError(f"instance {record.id}: its footprint keys are not strictly increasing")
+        bounds = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        if bounds[-1] != len(ids):
+            raise SnapshotError(f"the owner counts sum to {bounds[-1]}, not to the {len(ids)} owner ids")
+        unlisted = ids[~np.isin(ids, list(state.instances))]
+        if len(unlisted):
+            raise SnapshotError(f"owner id {unlisted[0]} is not a listed instance")
+        # within a run the ids step up, except onto the run's first entry
+        first = np.zeros(len(ids), dtype=bool)
+        first[bounds[:-1][sizes > 0]] = True
+        if not np.all((np.diff(ids) > 0) | first[1:]):
+            raise SnapshotError("a cell's owner ids are not strictly increasing")
+        if np.any(counts < 1):
+            raise SnapshotError(f"evidence count {counts.min()} is below 1")
+        state.cells = OwnerTable(keys, log_odds, *(array.astype(np.int64) for array in (sizes, ids, counts)))
         return state
+
+
+def _fitted(name: str, array: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``array`` as its record's dtype, or a ValueError naming a value that does not fit."""
+    if dtype.kind in "iu" and array.size:
+        info = np.iinfo(dtype)
+        low, high = array.min(), array.max()
+        if low < info.min or high > info.max:
+            raise ValueError(f"the {name} record cannot hold {low if low < info.min else high} as {dtype.str}")
+    return array.astype(dtype, copy=False)
 
 
 def _read_record(handle: BinaryIO, name: str) -> np.ndarray:
@@ -574,9 +638,10 @@ def _evidence(values: dict) -> dict[str, float]:
     }
 
 
-def _observation(o: dict) -> Observation:
-    """A parsed observation, each field checked by exact type."""
+def _observation(o: dict, directory: Path) -> Observation:
+    """A parsed observation, each field checked by exact type and its view path resolved in ``directory``."""
     bbox = _checked(o["pixel_bbox"], "pixel_bbox", list, type(None))
+    view_path = _checked(o["view_path"], "view_path", str, type(None))
     if bbox is not None and (len(bbox) != 4 or not _all_of(bbox, int)):
         raise TypeError(f"pixel_bbox {bbox!r} is not four integers")
     return Observation(
@@ -584,5 +649,5 @@ def _observation(o: dict) -> Observation:
         category=_checked(o["category"], "category", str),
         confidence=_number(o["confidence"], "confidence"),
         pixel_bbox=tuple(bbox) if bbox else None,
-        view_path=_checked(o["view_path"], "view_path", str, type(None)),
+        view_path=view_path and os.path.normpath(directory / view_path),
     )

@@ -60,7 +60,6 @@ from voxeland.voxelmap import (
     MapState,
     Observation,
     OccupancyParams,
-    in_sorted,
     pack_keys,
     unpack_key_array,
 )
@@ -468,7 +467,8 @@ class OracleMap:
 
     @classmethod
     def from_state(cls, state: MapState) -> "OracleMap":
-        """A copy of ``state``, read from its cell arrays and footprints.
+        """A copy of ``state``, read from its cell arrays and its instances'
+        footprints (:func:`footprint`).
 
         Each cell lists its owners in ascending id order.
         """
@@ -488,7 +488,8 @@ class OracleMap:
                 final_category=record.final_category,
                 flagged=record.flagged,
             )
-            for key, count in zip(unpack_keys(record.keys), record.counts.tolist()):
+            keys, counts = footprint(state, instance_id)
+            for key, count in zip(unpack_keys(keys), counts.tolist()):
                 model.add_instance_evidence(key, instance_id, count, new_cell=False)
         return model
 
@@ -577,20 +578,31 @@ def cells_of(state: MapState) -> dict[VoxelKey, VoxelCell]:
     return OracleMap.from_state(state).cells
 
 
+def footprint(state: MapState, instance_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted packed keys of the cells an instance owns and its counts
+    there, through the map's one footprint accessor."""
+    [found] = state.cells.footprints([instance_id])
+    return found
+
+
 def check_storage(state: MapState) -> None:
-    """Assert the invariants of the array storage: cell keys and every
-    footprint sorted and unique, counts at least 1, every footprint key a
-    cell, and arrays of the declared dtypes and lengths."""
-    keys = state.cells.keys
-    assert keys.dtype == np.int64 and state.cells.log_odds.dtype == np.float64
-    assert len(state.cells.log_odds) == len(keys)
+    """Assert the invariants of the owner table: cell keys sorted and unique,
+    each cell's owner ids registered and strictly increasing, every count at
+    least 1, the owner counts summing to the entries, the cells each id owns
+    counted, and arrays of the declared dtypes and lengths."""
+    table = state.cells
+    keys = table.keys
+    assert keys.dtype == np.int64 and table.log_odds.dtype == np.float64
+    assert table.sizes.dtype == table.ids.dtype == table.counts.dtype == np.int64
+    assert len(table.log_odds) == len(table.sizes) == len(keys)
+    assert len(table.counts) == len(table.ids) == table.sizes.sum() == table.bounds[-1]
+    assert table.bounds.tolist() == [0, *np.cumsum(table.sizes).tolist()]
+    assert table.owned_cells.tolist() == np.bincount(table.ids, minlength=len(table.owned_cells)).tolist()
     assert np.all(keys[1:] > keys[:-1])
-    for record in state.instances.values():
-        assert record.keys.dtype == np.int64 and record.counts.dtype == np.int64
-        assert len(record.counts) == len(record.keys) == record.voxel_count
-        assert np.all(record.keys[1:] > record.keys[:-1])
-        assert np.all(record.counts >= 1)
-        assert np.all(np.isin(record.keys, keys))
+    assert np.all(table.counts >= 1)
+    assert set(table.ids.tolist()) <= set(state.instances)
+    for start, stop in zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist()):
+        assert np.all(np.diff(table.ids[start:stop]) > 0)
 
 
 def _footprint_cells(state: MapState) -> dict[VoxelKey, dict[int, int]]:
@@ -598,8 +610,8 @@ def _footprint_cells(state: MapState) -> dict[VoxelKey, dict[int, int]]:
     id, read from the footprints one voxel at a time in ascending id order."""
     cells: dict[VoxelKey, dict[int, int]] = {}
     for instance_id in sorted(state.instances):
-        record = state.instances[instance_id]
-        for key, count in zip(unpack_keys(record.keys), record.counts.tolist()):
+        keys, counts = footprint(state, instance_id)
+        for key, count in zip(unpack_keys(keys), counts.tolist()):
             cells.setdefault(key, {})[instance_id] = count
     return cells
 
@@ -625,7 +637,7 @@ def oracle_snapshot_dict(state: MapState) -> dict:
                 label: record.category_evidence[label]
                 for label in sorted(record.category_evidence)
             },
-            "voxel_count": record.voxel_count,
+            "voxel_count": len(footprint(state, record.id)[0]),
             "final_category": record.final_category,
             "flagged": record.flagged,
             "observations": [
@@ -813,14 +825,11 @@ def oracle_associate(
     opinions: list[SubjectiveOpinion], state: MapState, config: AssociationConfig
 ) -> AssociationOutcome:
     """Reference association: each opinion against each candidate on its own,
-    the overlap counted with one ``in_sorted`` per (opinion, candidate) pair,
+    the overlap counted with one ``np.isin`` per (opinion, candidate) pair,
     over the opinion's voxels as :func:`oracle_voxel_counts` keys them."""
     outcome = AssociationOutcome()
-    candidates = [
-        record
-        for instance_id, record in state.instances.items()
-        if instance_id != UNKNOWN_INSTANCE_ID and record.voxel_count
-    ]
+    ids = [instance_id for instance_id in state.instances if instance_id != UNKNOWN_INSTANCE_ID]
+    candidates = [(instance_id, keys) for instance_id, (keys, _) in zip(ids, state.cells.footprints(ids)) if len(keys)]
     for index, opinion in enumerate(opinions):
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))
@@ -830,14 +839,14 @@ def oracle_associate(
         counts = np.array(list(voxels.values()))
         n_points = len(opinion.points)
         best: tuple[float, float, int] | None = None  # (iou, ios, -id) ordering helper
-        for record in candidates:
-            if record.keys[0] > keys[-1] or record.keys[-1] < keys[0]:
+        for instance_id, footprint in candidates:
+            if footprint[0] > keys[-1] or footprint[-1] < keys[0]:
                 continue
-            overlap = int(counts[in_sorted(record.keys, keys)].sum())
-            score_iou, score_ios = oracle_overlap_scores(overlap, n_points, record.voxel_count)
+            overlap = int(counts[np.isin(keys, footprint)].sum())
+            score_iou, score_ios = oracle_overlap_scores(overlap, n_points, len(footprint))
             if score_iou < config.tau_iou and score_ios < config.tau_ios:
                 continue
-            candidate = (score_iou, score_ios, -record.id)
+            candidate = (score_iou, score_ios, -instance_id)
             if best is None or candidate > best:
                 best = candidate
         if best is None:

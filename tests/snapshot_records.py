@@ -10,7 +10,7 @@ import numpy as np
 
 from voxeland.voxelmap import MapState
 
-RECORD_NAMES = ("header", "cell keys", "cell log-odds", "footprint keys", "footprint counts")
+RECORD_NAMES = ("header", "cell keys", "cell log-odds", "owner counts", "owner ids", "evidence counts")
 
 
 def read_records(path: Path | str) -> dict:
@@ -55,3 +55,24 @@ def declare_shape(path: Path | str, name: str, shape: tuple[int, ...]) -> None:
                 header["shape"] = shape
             np.lib.format.write_array_header_1_0(handle, header)
             handle.write(array.tobytes())
+
+
+def schema_2_snapshot(path: Path | str, state: MapState) -> Path:
+    """Write ``state`` at ``path`` as schema 2 laid it out: the header with a
+    ``voxel_count`` per instance, the cells, then every footprint's keys and
+    counts, concatenated in ascending id order, all as int64."""
+    state.save_snapshot(path)
+    header = read_records(path)["header"]
+    ids = sorted(state.instances)
+    footprints = state.cells.footprints(ids)
+    for instance, (keys, _) in zip(header["instances"], footprints):
+        instance["voxel_count"] = len(keys)
+    records = {
+        "header": {**header, "schema_version": 2},
+        "cell keys": state.cells.keys,
+        "cell log-odds": state.cells.log_odds,
+        "footprint keys": np.concatenate([np.empty(0, np.int64), *(keys for keys, _ in footprints)]),
+        "footprint counts": np.concatenate([np.empty(0, np.int64), *(counts for _, counts in footprints)]),
+    }
+    write_records(path, records)
+    return Path(path)

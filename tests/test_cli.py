@@ -20,7 +20,7 @@ from voxeland.voxelmap import MapState
 
 from maps import add_evidence
 from oracles import oracle_snapshot_dict
-from snapshot_records import corrupted_snapshot, declare_shape
+from snapshot_records import corrupted_snapshot, declare_shape, read_records, schema_2_snapshot
 
 SCENE_SPEC = {
     "room": {"min": [-3, -3, 0], "max": [3, 3, 2.4]},
@@ -195,23 +195,27 @@ class TestSynthBuildEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "export", "disambiguate"])
-    @pytest.mark.parametrize("bad", ["schema-1", "truncated", "huge-shape", "wrong-version", "no-instance-id"])
+    @pytest.mark.parametrize(
+        "bad", ["schema-1", "schema-2", "truncated", "huge-shape", "wrong-version", "no-instance-id"]
+    )
     def test_bad_snapshot_is_one_error_line(self, built, tmp_path, capsys, command, bad):
-        """A schema-1 JSON snapshot, a truncated file, a record declaring far
-        more bytes than the file holds or a bad header fails with one error
-        line and exit code 1, and nothing is written."""
+        """A schema-1 JSON snapshot, a schema-2 file, a truncated file, a
+        record declaring far more bytes than the file holds or a bad header
+        fails with one error line and exit code 1, and nothing is written."""
         _, dataset, out = built
         path = tmp_path / "map.vxl"
         if bad == "schema-1":
             path = tmp_path / "map.json"
             schema_1 = {**oracle_snapshot_dict(MapState.load_snapshot(out / "map.vxl")), "schema_version": 1}
             path.write_text(json.dumps(schema_1, sort_keys=True, separators=(",", ":")))
+        elif bad == "schema-2":
+            schema_2_snapshot(path, MapState.load_snapshot(out / "map.vxl"))
         elif bad == "truncated":
             saved = (out / "map.vxl").read_bytes()
             path.write_bytes(saved[: len(saved) // 2])
         elif bad == "huge-shape":
             shutil.copyfile(out / "map.vxl", path)
-            declare_shape(path, "footprint keys", (9999999999999,))
+            declare_shape(path, "owner ids", (9999999999999,))
         else:
             corrupt = {
                 "wrong-version": lambda header: header.update(schema_version=99),
@@ -228,6 +232,7 @@ class TestSynthBuildEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snapshot" in err and err.count("\n") == 1
         assert "Traceback" not in err
+        assert bad != "schema-2" or "rebuild the map" in err
         assert os.listdir(tmp_path) == [path.name] and path.read_bytes() == before
 
     def test_ground_truth_of_another_voxel_size_is_one_error_line(self, built, tmp_path, capsys):
@@ -453,9 +458,10 @@ class TestDisambiguateCommand:
         assert line.startswith("error: ") and str(fixtures) in line
         assert snapshot.read_bytes() == before
 
-    def test_http_client_posts_views_archived_from_another_directory(self, tmp_path, monkeypatch):
-        """`build` records each archived view by its absolute path, so
-        `disambiguate` run from a sibling directory posts the images."""
+    def build_with_archived_views(self, tmp_path, monkeypatch) -> list:
+        """Build a 2-frame dataset with archived views from ``tmp_path / "a"``
+        into ``a/out``, with one instance flagged between two categories;
+        returns the list the patched ``urlopen`` posts images to."""
         posted = []
 
         class FakeResponse(io.BytesIO):
@@ -491,7 +497,14 @@ class TestDisambiguateCommand:
         record.category_evidence = {category: 4.8, "other": 4.6}
         record.flagged = True
         state.save_snapshot("out/map.vxl")
-        views = [Path(obs.view_path) for obs in record.observations]
+        return posted
+
+    def test_http_client_posts_views_archived_from_another_directory(self, tmp_path, monkeypatch):
+        """`disambiguate` run from a sibling directory posts the archived
+        images, whose paths the loaded map holds as absolute ones."""
+        posted = self.build_with_archived_views(tmp_path, monkeypatch)
+        views = [Path(obs.view_path) for record in MapState.load_snapshot("out/map.vxl").instances.values()
+                 for obs in record.observations]
         archived = {base64.b64encode(view.read_bytes()).decode("ascii") for view in views}
 
         monkeypatch.chdir(tmp_path / "b")
@@ -499,6 +512,26 @@ class TestDisambiguateCommand:
         assert main(argv) == 0
         assert posted and set(posted) <= archived
         assert all(view.is_absolute() for view in views)
+
+    def test_http_client_posts_views_after_the_output_directory_moved(self, tmp_path, monkeypatch):
+        """The snapshot holds each view path relative to its own directory, so
+        moving the whole output directory keeps its views: `disambiguate` on
+        the moved snapshot posts the moved images."""
+        posted = self.build_with_archived_views(tmp_path, monkeypatch)
+        header = read_records("out/map.vxl")["header"]
+        stored = [obs["view_path"] for record in header["instances"] for obs in record["observations"]]
+        assert stored and all(path.startswith("views/inst") for path in stored)
+        shutil.move(tmp_path / "a" / "out", tmp_path / "b" / "moved")
+        moved = tmp_path / "b" / "moved"
+        archived = {base64.b64encode(path.read_bytes()).decode("ascii") for path in (moved / "views").iterdir()}
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["disambiguate", "--snapshot", "b/moved/map.vxl", "--client", "http", "--config", "a/config.json"]
+        assert main(argv) == 0
+        assert posted and set(posted) <= archived
+        views = [obs.view_path for record in MapState.load_snapshot(moved / "map.vxl").instances.values()
+                 for obs in record.observations]
+        assert all(Path(view).is_absolute() and Path(view).parent == moved / "views" for view in views)
 
     def test_mock_without_fixtures_is_identity_baseline(self, tmp_path):
         snapshot, instance_id = self.make_flagged_snapshot(tmp_path)

@@ -29,13 +29,18 @@ from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import InstanceRecord, MapState, Observation
 
 from maps import add_evidence
-from oracles import oracle_select_views, oracle_snapshot_dict
+from oracles import footprint, oracle_select_views, oracle_snapshot_dict
 
 
 def record_with(beta, observations=()):
     record = InstanceRecord(id=1, category_evidence=dict(beta))
     record.observations = list(observations)
     return record
+
+
+def request_for(state, instance_id, **kwargs):
+    """The request of one instance of ``state``, with its footprint from the map."""
+    return build_request(state.instances[instance_id], footprint(state, instance_id)[0], **kwargs)
 
 
 def flagged_state(beta, key_count=4):
@@ -70,7 +75,7 @@ class TestSelectCandidates:
 
     def test_no_evidence_is_error(self):
         with pytest.raises(DisambiguationError, match="nothing to disambiguate"):
-            build_request(record_with({}))
+            build_request(record_with({}), np.empty(0, dtype=np.int64))
 
     def test_first_is_argmax_and_sorted(self):
         evidence = probabilities({"couch": 4.6, "bed": 4.8, "chair": 0.6})
@@ -146,14 +151,14 @@ class TestSelectViews:
 class TestPrompt:
     def test_contains_template_and_answer_shape(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         assert "Please, help me to disambiguate the correct category of this object." in request.prompt
         assert 'The object category is <object_category>' in request.prompt
         assert request.prompt.startswith(PROMPT_TEMPLATE)
 
     def test_contains_every_candidate(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6, "chair": 2.0})
-        request = build_request(state.instances[instance_id], min_prob=0.05)
+        request = request_for(state, instance_id, min_prob=0.05)
         for label in request.candidates:
             assert label in request.prompt
 
@@ -165,7 +170,7 @@ class TestPrompt:
             for j in range(40):
                 add_evidence(state, (i, j, 0), instance_id, 1)
         state.instances[instance_id].flagged = True
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         assert request.geometry.voxel_count == 1600
         assert len(request.geometry.voxels) <= 16
         assert request.geometry.bbox_min == [0, 0, 0]
@@ -180,7 +185,7 @@ class TestPrompt:
         record = state.instances[instance_id]
         record.category_evidence = {"bed": 1.0, "couch": 1.0}
         add_evidence(state, list(np.ndindex(*shape)), instance_id, 1)
-        request = build_request(record)
+        request = request_for(state, instance_id)
         sample = list(map(tuple, request.geometry.voxels))
         assert request.geometry.voxel_count == math.prod(shape) >= 1000
         assert len(sample) == 16 and len(set(sample)) == 16
@@ -194,7 +199,7 @@ class TestPrompt:
         """A footprint of at most 16 voxels is sampled whole; a larger one
         gives 16 distinct voxels, its first and its last among them."""
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6}, key_count=key_count)
-        sample = list(map(tuple, build_request(state.instances[instance_id]).geometry.voxels))
+        sample = list(map(tuple, request_for(state, instance_id).geometry.voxels))
         assert len(sample) == len(set(sample)) == min(key_count, 16)
         assert sample == sorted(sample) and sample[0] == (0, 0, 0) and sample[-1] == (key_count - 1, 0, 0)
 
@@ -206,7 +211,7 @@ class TestPrompt:
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
         record = state.instances[instance_id]
         record.observations = observations
-        request = build_request(record)
+        request = request_for(state, instance_id)
         assert [id(view) for view in request.views] == [id(obs) for obs in observations]
         assert "- frame 3, predicted bed (0.90): views/a.ppm" in request.prompt
         assert "- frame 5, predicted couch (0.80): frame:5" in request.prompt
@@ -214,13 +219,13 @@ class TestPrompt:
     def test_single_candidate_rejected(self):
         state, instance_id = flagged_state({"bed": 4.8})
         with pytest.raises(DisambiguationError):
-            build_request(state.instances[instance_id])
+            request_for(state, instance_id)
 
 
 class TestParseDecision:
     def request(self, candidates=("bed", "couch")):
         state, instance_id = flagged_state({c: 4.0 for c in candidates})
-        return build_request(state.instances[instance_id], min_prob=0.01)
+        return request_for(state, instance_id, min_prob=0.01)
 
     def test_direct_match(self):
         request = self.request()
@@ -259,19 +264,19 @@ class TestClients:
         fixture.write_text(json.dumps({"1": "The object category is couch"}))
         client = MockClient.from_fixture_file(fixture)
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         assert client.query(request) == "The object category is couch"
 
     def test_mock_client_missing_key(self):
         client = MockClient({})
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         with pytest.raises(ClientError):
             client.query(request)
 
     def test_argmax_client_answers_top_candidate(self):
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         assert ArgmaxClient().query(request) == "The object category is bed"
 
     def test_http_client(self, monkeypatch):
@@ -292,7 +297,7 @@ class TestClients:
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         client = HttpClient(endpoint="http://localhost:9/decide", model="m1", timeout_s=5.0)
         assert client.query(request) == "The object category is couch"
         assert captured["url"] == "http://localhost:9/decide"
@@ -327,7 +332,7 @@ class TestClients:
             Observation(frame_id=1, category="couch", confidence=0.8, pixel_bbox=None, view_path="view.ppm"),
             Observation(frame_id=2, category="couch", confidence=0.7, pixel_bbox=None, view_path="gone.ppm"),
         ]
-        request = build_request(record)
+        request = request_for(state, instance_id)
         assert "frame:0" in request.prompt
         HttpClient(endpoint="http://localhost:9/decide").query(request)
         assert captured["body"]["images"] == [base64.b64encode(b"P6 archived").decode("ascii")]
@@ -338,7 +343,7 @@ class TestClients:
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         client = HttpClient(endpoint="http://localhost:9/decide")
         with pytest.raises(ClientError):
             client.query(request)
@@ -367,7 +372,7 @@ class TestClients:
             "urllib.request.urlopen", lambda request, timeout: FakeResponse(json.dumps(payload).encode())
         )
         state, instance_id = flagged_state({"bed": 4.8, "couch": 4.6})
-        request = build_request(state.instances[instance_id])
+        request = request_for(state, instance_id)
         with pytest.raises(ClientError, match="string 'text'"):
             HttpClient(endpoint="http://localhost:9/decide").query(request)
 
@@ -477,7 +482,7 @@ class TestDisambiguateAll:
         for i in range(3, 9):
             add_evidence(state, (i, 0, 0), second, 1)
         state.instances[second].flagged = True
-        expected = [build_request(state.instances[i]) for i in (first, second)]
+        expected = [request_for(state, i) for i in (first, second)]
 
         class RecordingClient:
             def __init__(self):

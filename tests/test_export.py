@@ -363,7 +363,7 @@ class TestExportsMatchOracle:
     def test_cells_with_zero_evidence(self, tmp_path):
         """Every count in the map is at least 1, so no reader needs a case
         for a zero count: a snapshot holding one is rejected on load."""
-        path = corrupted_snapshot(tmp_path / "map.vxl", small_state(), lambda r: r["footprint counts"].fill(0))
+        path = corrupted_snapshot(tmp_path / "map.vxl", small_state(), lambda r: r["evidence counts"].fill(0))
         with pytest.raises(SnapshotError, match="below 1"):
             MapState.load_snapshot(path)
 

@@ -1,8 +1,10 @@
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxeland import fusion
@@ -38,7 +40,7 @@ from voxeland.fusion import (
 from voxeland.frames import load_frame, load_manifest
 from voxeland.opinions import UNKNOWN_CATEGORY, ClusteringParams, SubjectiveOpinion, build_opinions
 from voxeland.synthetic import NoiseSpec, SceneObject, SyntheticScene, generate_synthetic, orbit_trajectory
-from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams
+from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, Observation, OccupancyParams, OwnerTable, pack_keys
 
 from maps import add_evidence
 from oracles import (
@@ -407,7 +409,7 @@ class TestIntegrateGeometric:
             cell.instance_counts.get(instance_id, 0) for cell in cells_of(state).values()
         )
         assert total == len(points)
-        assert state.instances[instance_id].voxel_count == 4
+        assert state.voxel_counts()[instance_id] == 4
 
     def test_occupancy_hit_once_per_voxel(self):
         state = MapState(voxel_size=VOXEL)
@@ -482,7 +484,7 @@ class TestRefine:
         events = refine(state, CFG)
         assert events == [MergeEvent(kept_id=a, retired_id=b, iou=1.0, ios=1.0)]
         assert b not in state.instances
-        assert state.instances[a].voxel_count == 5
+        assert state.voxel_counts()[a] == 5
         assert cells_of(state)[(0, 0, 0)].instance_counts == {a: 5}
         assert state.instances[a].category_evidence == {"chair": 1.5}
         check_storage(state)
@@ -511,7 +513,7 @@ class TestRefine:
         events = refine(state, config)
         assert len(events) == 2
         assert set(state.instances) == {UNKNOWN_INSTANCE_ID, ids[0]}
-        assert state.instances[ids[0]].voxel_count == 24
+        assert state.voxel_counts()[ids[0]] == 24
         check_storage(state)
 
     def test_idempotent(self):
@@ -870,6 +872,10 @@ class TestProcessFrame:
                 0.1,
                 AssociationOutcome(),
                 [event] if frame_id == 4 else [],
+                cells_touched=10 * frame_id,
+                new_cells=frame_id,
+                new_entries=2 * frame_id,
+                instances=3 + frame_id,
             )
             for frame_id, opinions_ms in enumerate([5.0, 1.0, 4.0, 2.0, 3.0])
         )
@@ -885,14 +891,50 @@ class TestProcessFrame:
             {"mean_ms": 20.0, "p50_ms": 20.0, "p95_ms": 20.0, "max_ms": 20.0, "runs": 1}
         )
         assert report["merges"] == [{"frame_id": 4, "kept_id": 1, "retired_id": 5, "iou": 0.25, "ios": 0.8}]
+        work = {name: report[name] for name in ("cells_touched", "new_cells", "new_entries", "instances")}
+        assert work == {"cells_touched": 100, "new_cells": 10, "new_entries": 20, "instances": 7}
 
         early = FrameReports(reports[:4]).report()
         zeros = {"mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0, "runs": 0}
         assert early["stages"][STAGE_REFINEMENT] == zeros and early["merges"] == []
         assert list(early["stages"]) == [STAGE_OPINIONS, STAGE_ASSOCIATION, STAGE_INTEGRATION, STAGE_REFINEMENT]
         assert FrameReports().report() == {
-            "stages": {stage: zeros for stage in early["stages"]}, "frames": 0, "frame_rate_hz": 0.0, "merges": []
+            "stages": {stage: zeros for stage in early["stages"]}, "frames": 0, "frame_rate_hz": 0.0, "merges": [],
+            "cells_touched": 0, "new_cells": 0, "new_entries": 0, "instances": 0,
         }
+
+    def test_report_counts_the_work_of_each_frame(self, monkeypatch):
+        """Two frames of given opinions: each report counts the distinct voxels
+        of its opinions, the cells and (cell, instance) entries they added,
+        and the instances after the frame, its merge included."""
+        clustering = ClusteringParams(coarse_voxel=0.4, eps=0.72, min_pts=4)  # not used: opinions are given
+        pipeline = Pipeline(MapState(voxel_size=VOXEL), clustering, AssociationConfig(refine_every=2))
+
+        def chair(*cells):
+            return opinion([center(i) for i in cells], "chair")
+
+        def unknown(*cells):
+            return opinion([center(i) for i in cells], UNKNOWN_CATEGORY)
+
+        frames = [
+            # instance 1 in voxels 0 and 1, the unknown instance in 1 and 2
+            ([chair(0, 1), unknown(1, 2)], AssociationOutcome([(1, 0, 0.0, 0.0)], [(0, 1)])),
+            # instance 1 again in 1 and 3, a new instance 2 in 3, the unknown one in 2
+            ([chair(1, 3), chair(3), unknown(2)], AssociationOutcome([(0, 1, 0.5, 1.0), (2, 0, 0.0, 0.0)], [(1, 2)])),
+        ]
+        reports = []
+        for frame_id, (opinions, outcome) in enumerate(frames):
+            for _ in outcome.spawned:
+                pipeline.state.new_instance()
+            monkeypatch.setattr(fusion, "build_opinions", lambda *args, **kwargs: opinions)
+            monkeypatch.setattr(fusion, "associate", lambda *args: outcome)
+            reports.append(pipeline.process_frame(synthetic_frame(frame_id, [])))
+        work = [(r.cells_touched, r.new_cells, r.new_entries, r.instances) for r in reports]
+        # frame 1 adds voxel 3 and the entries (3, 1) and (3, 2); instance 2 then merges into 1
+        assert work == [(3, 3, 4, 2), (3, 1, 2, 2)]
+        assert [(e.kept_id, e.retired_id) for e in reports[1].merges] == [(1, 2)]
+        totals = pipeline.timer.report()
+        assert [totals[name] for name in ("cells_touched", "new_cells", "new_entries", "instances")] == [6, 4, 6, 2]
 
     def test_archived_views_read_the_image_once_per_frame(self, tmp_path, monkeypatch):
         shape = (40, 40)
@@ -1059,3 +1101,99 @@ class TestPerFrameInsertion:
         frames = [synthetic_frame(0, predictions, depth, FRAME_SHAPE, (0.01, 0.01, 0.0))]
         state = self.check(frames, OccupancyParams(), carve=True, stride=1)
         assert state.cells.log_odds.min() < 0.0
+
+
+@st.composite
+def mapping_runs(draw):
+    """Frames of 1-4 opinions on a small grid, each opinion tagged with the
+    label of the instance it goes to: 0 for the unknown instance, and 1-3
+    for object instances, spawned the first time their label is drawn, so an
+    instance repeats within a frame and across frames.  Carving is on or
+    off, and refinement runs every 1-3 frames."""
+    frames = []
+    for _ in range(draw(st.integers(1, 4))):
+        opinions = []
+        for _ in range(draw(st.integers(1, 4))):
+            label = draw(st.integers(0, 3))
+            points = draw(st.lists(voxel_point(GRID_CELL), min_size=1, max_size=12))
+            category = UNKNOWN_CATEGORY if label == 0 else draw(st.sampled_from(["chair", "table"]))
+            opinions.append((label, points, category))
+        frames.append(opinions)
+    carve = draw(st.booleans())
+    return frames, carve, draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+def expected_table(model: OracleMap) -> OwnerTable:
+    """The owner table of the map's cells, built cell by cell from the dict."""
+    keys = sorted(model.cells)
+    owners = [sorted((i, c) for i, c in model.cells[key].instance_counts.items() if c > 0) for key in keys]
+    return OwnerTable(
+        pack_keys(np.array(keys, dtype=np.int64).reshape(-1, 3)),
+        np.array([model.cells[key].log_odds for key in keys]),
+        np.array([len(run) for run in owners], dtype=np.int64),
+        np.array([i for run in owners for i, _ in run], dtype=np.int64),
+        np.array([c for run in owners for _, c in run], dtype=np.int64),
+    )
+
+
+def table_arrays(table: OwnerTable) -> list:
+    return [table.keys.tolist(), table.log_odds.tobytes(), table.sizes.tolist(), table.ids.tolist(), table.counts.tolist()]
+
+
+class TestMappingAgainstOracle:
+    """The pipeline's batched insertion, per-opinion integration, carving and
+    refinement against the dict-of-cells map, after every frame: the owner
+    table and its log-odds, the merges, and a save/load round trip."""
+
+    @given(mapping_runs())
+    @settings(max_examples=100, deadline=None)
+    # instance 3 shares (3, 0, 0) with 2 and merges into 1, which turns that cell's run [2, 3] into [1, 2]
+    @example(([[(1, [center(0), center(1)], "chair"), (2, [center(3), center(4), center(5)], "table"),
+                (3, [center(0), center(1), center(3)], "chair")]], False, 1, 1))
+    def test_random_runs(self, case):
+        frames, carve, stride, refine_every = case
+        config = AssociationConfig(refine_every=refine_every)
+        state = MapState(voxel_size=VOXEL)
+        clustering = ClusteringParams(coarse_voxel=0.4, eps=0.72, min_pts=4)  # not used: opinions are given
+        pipeline = Pipeline(state, clustering=clustering, association=config, carve=carve, carve_stride=stride)
+        model = OracleMap(voxel_size=VOXEL)
+        origin = np.array([0.05, 1.5, 0.25])
+        instance_of: dict[int, int] = {0: UNKNOWN_INSTANCE_ID}
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            for frame_id, drawn in enumerate(frames):
+                opinions = [opinion(points, category, frame=frame_id) for _, points, category in drawn]
+                outcome = AssociationOutcome()
+                for index, (label, _, _) in enumerate(drawn):
+                    if label in instance_of:
+                        outcome.matches.append((index, instance_of[label], 0.0, 0.0))
+                    else:
+                        instance_of[label] = state.new_instance()
+                        assert model.new_instance() == instance_of[label]
+                        outcome.spawned.append((index, instance_of[label]))
+                patch.setattr(fusion, "build_opinions", lambda *args, **kwargs: opinions)
+                patch.setattr(fusion, "associate", lambda *args: outcome)
+                frame = synthetic_frame(frame_id, [], translation=origin)
+                report = pipeline.process_frame(frame)
+
+                for index, (label, _, _) in enumerate(drawn):
+                    oracle_integrate(opinions[index], instance_of[label], model)
+                    if label:
+                        oracle_integrate_semantic(opinions[index], instance_of[label], model)
+                    if carve:
+                        oracle_carve_free_space(opinions[index], model, origin, stride)
+                model.frames_integrated += 1
+                merges = oracle_refine(model, config) if model.frames_integrated % refine_every == 0 else []
+                assert report.merges == merges
+                for event in merges:
+                    instance_of = {
+                        label: event.kept_id if found == event.retired_id else found
+                        for label, found in instance_of.items()
+                    }
+
+                check_storage(state)
+                assert table_arrays(state.cells) == table_arrays(expected_table(model))
+                assert oracle_snapshot_dict(state) == model.to_dict()
+                state.save_snapshot(Path(tmp, "map.vxl"))
+                loaded = MapState.load_snapshot(Path(tmp, "map.vxl"))
+                assert table_arrays(loaded.cells) == table_arrays(state.cells)
+                assert loaded.voxel_counts().tolist() == state.voxel_counts().tolist()

@@ -38,6 +38,7 @@ from oracles import (
     OracleMap,
     cells_of,
     check_storage,
+    footprint,
     oracle_argmax_owner,
     oracle_overlap_scores,
     oracle_snapshot_dict,
@@ -45,7 +46,7 @@ from oracles import (
     unpack_keys,
     world_to_key,
 )
-from snapshot_records import RECORD_NAMES, corrupted_snapshot, declare_shape, read_records
+from snapshot_records import RECORD_NAMES, corrupted_snapshot, declare_shape, read_records, schema_2_snapshot
 from test_fusion import clutter_map_without_refinement
 
 
@@ -183,7 +184,7 @@ class TestInstanceEvidence:
         add_evidence(state, (0, 0, 0), k2, 5)
         assert cells_of(state)[(0, 0, 0)].instance_counts == {k2: 5}
         assert cells_of(state)[(0, 0, 0)].log_odds == 0.0
-        assert state.instances[k2].voxel_count == 1
+        assert state.voxel_counts()[k2] == 1
 
     def test_accumulation(self):
         state = MapState(voxel_size=0.02)
@@ -191,7 +192,7 @@ class TestInstanceEvidence:
         add_evidence(state, (0, 0, 0), k2, 5)
         add_evidence(state, (0, 0, 0), k2, 3)
         assert cells_of(state)[(0, 0, 0)].instance_counts == {k2: 8}
-        assert state.instances[k2].voxel_count == 1
+        assert state.voxel_counts()[k2] == 1
 
     def test_batch_adds_repeated_keys_and_broadcasts_one_count(self):
         state = MapState(voxel_size=0.02)
@@ -203,7 +204,7 @@ class TestInstanceEvidence:
             (0, 0, 0): {k2: 6},
             (1, 0, 0): {k2: 5},
         }
-        assert state.instances[k2].voxel_count == 3
+        assert state.voxel_counts()[k2] == 3
         check_storage(state)
 
     def test_support_expansion(self):
@@ -289,19 +290,19 @@ class TestRegistryAudit:
         assert oracle_snapshot_dict(state) == model.to_dict()
         assert oracle_snapshot_dict(batched)["cells"] == model.to_dict()["cells"]
         for instance_id in ids:
-            assert set(unpack_keys(state.instances[instance_id].keys)) == {
+            assert set(unpack_keys(footprint(state, instance_id)[0])) == {
                 key
                 for key, cell in model.cells.items()
                 if cell.instance_counts.get(instance_id, 0) > 0
             }
-            assert state.instances[instance_id].voxel_count == model.instances[instance_id].voxel_count
+            assert state.voxel_counts()[instance_id] == model.instances[instance_id].voxel_count
 
     def test_audit_detects_corruption(self, tmp_path):
         state = MapState(voxel_size=0.05)
         k = state.new_instance()
         add_evidence(state, (0, 0, 0), k, 1)
-        with pytest.raises(SnapshotError, match="voxel_counts sum to 7"):
-            load_corrupted(tmp_path, state, lambda r: r["header"]["instances"][1].update(voxel_count=7))
+        with pytest.raises(SnapshotError, match="owner counts sum to 7, not to the 1 owner ids"):
+            load_corrupted(tmp_path, state, lambda r: r["owner counts"].fill(7))
 
 
 class TestSparseExpansionAgainstDenseReference:
@@ -362,9 +363,10 @@ def replaced(name, change):
 
 
 def both_cell_records(change):
-    """A corruption that applies ``change`` to the cell keys and their log-odds."""
+    """A corruption that applies ``change`` to the cell keys and the records
+    aligned with them, their log-odds and owner counts."""
     return lambda records: records.update(
-        {name: change(records[name]) for name in ("cell keys", "cell log-odds")}
+        {name: change(records[name]) for name in ("cell keys", "cell log-odds", "owner counts")}
     )
 
 
@@ -381,7 +383,8 @@ class TestSnapshot:
         state.instances[b].category_evidence = {"table": 0.4, "chair": 0.2}
         state.register_category("chair")
         state.register_category("table")
-        cells = [((0, 0, 0), a, 3), ((1, 0, 0), b, 2), ((0, 1, 0), a, 1), ((0, 0, 1), b, 5)]
+        # (0, 0, 1) is owned by both; the carved (-1, 0, 0) by neither
+        cells = [((0, 0, 0), a, 3), ((1, 0, 0), b, 2), ((0, 1, 0), a, 1), ((0, 0, 1), b, 5), ((0, 0, 1), a, 4)]
         for key, instance_id, count in (
             cells if insertion_order == "forward" else list(reversed(cells))
         ):
@@ -424,7 +427,7 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="schema_version"):
             load_corrupted(tmp_path, self.build_state("forward"), lambda r: r["header"].pop("schema_version"))
 
-    @pytest.mark.parametrize("path", [("categories",), ("occupancy", "p_hit"), ("instances", 0, "voxel_count")])
+    @pytest.mark.parametrize("path", [("categories",), ("occupancy", "p_hit"), ("instances", 0, "flagged")])
     def test_missing_key_rejected(self, tmp_path, path):
         def corrupt(records):
             parent = records["header"]
@@ -459,30 +462,36 @@ class TestSnapshot:
             (replaced("cell log-odds", lambda v: np.append(v, 0.0)), "not as many as their keys"),
             (replaced("cell log-odds", lambda v: np.where(v > 0, np.nan, v)), "log-odds is not finite"),
             (replaced("cell log-odds", lambda v: np.where(v > 0, -np.inf, v)), "log-odds is not finite"),
-            (replaced("footprint keys", lambda k: k.astype(float)), "footprint keys record is not a 1-d <i8"),
-            (replaced("footprint keys", swapped_first_two), "instance 1: its footprint keys are not strictly"),
-            (replaced("footprint keys", lambda k: k[[0, 0, 2, 3]]), "instance 1: its footprint keys are not strictly"),
-            (replaced("footprint keys", lambda k: k + 1), "footprint key is not a cell"),
-            (replaced("footprint counts", lambda c: c.astype(float)), "counts record is not a 1-d <i8"),
-            (replaced("footprint counts", lambda c: c.astype(str)), "counts record is not a 1-d <i8"),
-            (replaced("footprint counts", lambda c: c > 0), "counts record is not a 1-d <i8"),
-            (replaced("footprint counts", lambda c: np.where(c == c.max(), 0, c)), "evidence count 0 is below 1"),
-            (replaced("footprint counts", lambda c: c - c.max() - 1), "is below 1"),
-            (replaced("footprint counts", lambda c: c[:-1]), "not as many as their keys"),
-            (lambda r: r["header"]["instances"][1].update(voxel_count=-1), "voxel_count -1 is negative"),
-            (lambda r: r["header"]["instances"][1].update(voxel_count=3), "voxel_counts sum to 5, not to the 4"),
-            (lambda r: r.pop("footprint counts"), "EOF: reading magic string"),
+            (replaced("owner counts", lambda c: c.astype(np.int64)), "owner counts record is not a 1-d <u2"),
+            (replaced("owner counts", lambda c: c.astype(">u2")), "owner counts record is not a 1-d <u2"),
+            (replaced("owner counts", lambda c: c[:-1]), "not as many as their keys"),
+            (replaced("owner counts", lambda c: c + 1), "owner counts sum to 10, not to the 5 owner ids"),
+            (replaced("owner counts", lambda c: c[[0, 1, 1, 3, 4]]), "owner counts sum to 4, not to the 5"),
+            (replaced("owner ids", lambda i: i.astype(np.int64)), "owner ids record is not a 1-d <i4"),
+            (replaced("owner ids", lambda i: i.astype(np.uint32)), "owner ids record is not a 1-d <i4"),
+            (replaced("owner ids", lambda i: i[[0, 2, 1, 3, 4]]), "a cell's owner ids are not strictly increasing"),
+            (replaced("owner ids", lambda i: i[[0, 1, 1, 3, 4]]), "a cell's owner ids are not strictly increasing"),
+            (replaced("owner ids", lambda i: i + 5), "owner id 6 is not a listed instance"),
+            (replaced("owner ids", lambda i: i - 2), "owner id -1 is not a listed instance"),
+            (replaced("evidence counts", lambda c: c.astype(float)), "evidence counts record is not a 1-d <i4"),
+            (replaced("evidence counts", lambda c: c.astype(str)), "evidence counts record is not a 1-d <i4"),
+            (replaced("evidence counts", lambda c: c > 0), "evidence counts record is not a 1-d <i4"),
+            (replaced("evidence counts", lambda c: np.where(c == c.max(), 0, c)), "evidence count 0 is below 1"),
+            (replaced("evidence counts", lambda c: c - c.max() - 1), "is below 1"),
+            (replaced("evidence counts", lambda c: c[:-1]), "not as many as their keys"),
+            (lambda r: r.pop("evidence counts"), "EOF: reading magic string"),
             (lambda r: r.update(extra=np.zeros(1)), "trailing bytes after the last record"),
-            (replaced("footprint counts", lambda c: c.astype(object)), "Object arrays cannot be loaded"),
+            (replaced("evidence counts", lambda c: c.astype(object)), "Object arrays cannot be loaded"),
         ],
         ids=[
             "int-header", "truncated-json", "not-utf-8", "json-list", "float-keys", "int32-keys",
             "big-endian-keys", "bool-keys", "string-keys", "2d-keys", "negative-key", "key-twice",
             "keys-unsorted", "keys-short", "float32-log-odds", "int-log-odds", "string-log-odds",
-            "bool-log-odds", "log-odds-long", "nan-log-odds", "inf-log-odds", "float-footprint-keys",
-            "footprint-unsorted", "key-twice-in-footprint", "footprint-key-not-a-cell", "float-counts",
-            "string-counts", "bool-counts", "zero-count", "negative-count", "counts-short",
-            "negative-voxel-count", "voxel-counts-sum", "missing-record", "extra-record", "pickled-counts",
+            "bool-log-odds", "log-odds-long", "nan-log-odds", "inf-log-odds", "int64-owner-counts",
+            "big-endian-owner-counts", "owner-counts-short", "owner-counts-over", "owner-counts-under",
+            "int64-ids", "uint32-ids", "ids-descending-in-a-run", "id-twice-in-a-run", "unlisted-id",
+            "negative-id", "float-counts", "string-counts", "bool-counts", "zero-count", "negative-count",
+            "counts-short", "missing-record", "extra-record", "pickled-counts",
         ],
     )
     def test_bad_records_rejected(self, tmp_path, corrupt, message):
@@ -496,8 +505,8 @@ class TestSnapshot:
         [
             (lambda data: b"", "EOF: reading magic string"),
             (lambda data: b"\x93NUMPX" + data[6:], "magic string is not correct"),
-            (lambda data: data[: len(data) // 2], "the header record declares 560 bytes, but 544 are left"),
-            (lambda data: data[:-1], "the footprint counts record declares 32 bytes, but 31 are left"),
+            (lambda data: data[:300], "the header record declares 512 bytes, but 172 are left"),
+            (lambda data: data[:-1], "the evidence counts record declares 20 bytes, but 19 are left"),
             (lambda data: data + b"\0", "trailing bytes after the last record"),
             (lambda data: data.replace(b"'<f8'", b"'<q9'"), "descr is not a valid dtype descriptor: '<q9'"),
             (lambda data: b'{"schema_version": 1, "cells": [', "schema-1 JSON snapshots are no longer read"),
@@ -540,6 +549,39 @@ class TestSnapshot:
         self.build_state("forward").save_snapshot(path)
         declare_shape(path, name, (9999999999999,))
         with pytest.raises(SnapshotError, match=f"the {name} record declares [1-9]\\d{{12,}} bytes") as raised:
+            MapState.load_snapshot(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "name, array, value",
+        [
+            ("owner counts", "sizes", 1 << 16),
+            ("owner counts", "sizes", -1),
+            ("owner ids", "ids", 1 << 31),
+            ("evidence counts", "counts", 1 << 31),
+            ("evidence counts", "counts", -(1 << 31) - 1),
+        ],
+        ids=["owner-count-over-u2", "negative-owner-count", "id-over-i4", "count-over-i4", "count-under-i4"],
+    )
+    def test_value_that_does_not_fit_is_refused_before_the_file_opens(self, tmp_path, name, array, value):
+        state = self.build_state("forward")
+        getattr(state.cells, array)[-1] = value
+        path = tmp_path / "map.vxl"
+        path.write_bytes(b"previous")
+        with pytest.raises(ValueError, match=f"the {name} record cannot hold {value} as"):
+            state.save_snapshot(path)
+        assert path.read_bytes() == b"previous" and os.listdir(tmp_path) == ["map.vxl"]
+
+    def test_evidence_past_the_record_dtype_is_refused(self, tmp_path):
+        state = self.build_state("forward")
+        add_evidence(state, (0, 0, 0), 1, (1 << 31) - 3)  # 3 points are already there
+        with pytest.raises(ValueError, match=f"the evidence counts record cannot hold {1 << 31} as <i4"):
+            state.save_snapshot(tmp_path / "map.vxl")
+        assert os.listdir(tmp_path) == []
+
+    def test_schema_2_snapshot_rejected(self, tmp_path):
+        path = schema_2_snapshot(tmp_path / "map.vxl", self.build_state("forward"))
+        with pytest.raises(SnapshotError, match="schema_version 2 is not 3; .*rebuild the map") as raised:
             MapState.load_snapshot(path)
         assert str(raised.value).startswith(f"{path}: ")
 
@@ -592,7 +634,7 @@ class TestSnapshot:
             (lambda s: s["instances"][1].update(flagged=1), "flagged 1 is not bool"),
             (lambda s: s["instances"][1].update(id=1.7), "instance id 1.7 is not int"),
             (lambda s: s["instances"][1].update(id=True), "instance id True is not int"),
-            (lambda s: s["instances"][1].update(voxel_count=2.0), "voxel_count 2.0 is not int"),
+            (lambda s: s["instances"][1].update(final_category=["chair"]), "final_category \\['chair'\\] is not str"),
             (lambda s: s["instances"][1].update(final_category=5), "final_category 5 is not str"),
             (lambda s: s["instances"][1]["observations"].append({**OBSERVATION, "frame_id": "12"}),
              "frame_id '12' is not int"),
@@ -627,7 +669,7 @@ class TestSnapshot:
         ],
         ids=[
             "next-id-taken", "next-id-zero", "no-unknown-instance", "instance-twice",
-            "string-flagged", "int-flagged", "float-id", "bool-id", "float-voxel-count",
+            "string-flagged", "int-flagged", "float-id", "bool-id", "list-final-category",
             "int-final-category", "string-frame-id", "string-bbox", "three-bbox", "float-in-bbox",
             "string-confidence", "int-view-path", "string-evidence", "nan-evidence",
             "negative-evidence", "zero-sum-evidence", "int-category",
@@ -686,7 +728,8 @@ def snapshot_maps(draw):
     state = MapState(voxel_size=draw(st.sampled_from([0.05, 0.1, 1 / 3])))
     ids = [UNKNOWN_INSTANCE_ID] + [state.new_instance() for _ in range(draw(st.integers(0, 13)))]
     for instance_id in ids:
-        for key, count in draw(st.lists(st.tuples(_SNAPSHOT_KEY, st.integers(1, 10**12)), max_size=6)):
+        # six counts of one key still fit the snapshot's <i4 evidence counts
+        for key, count in draw(st.lists(st.tuples(_SNAPSHOT_KEY, st.integers(1, 2**28)), max_size=6)):
             add_evidence(state, key, instance_id, count)
     # five hits reach log_odds_max and five misses log_odds_min
     for key, hit, repeats in draw(
@@ -716,29 +759,48 @@ def snapshot_maps(draw):
     return state
 
 
+def with_view_paths(snapshot: dict, change) -> dict:
+    """``snapshot``, a dict of :func:`oracle_snapshot_dict`, with ``change``
+    applied to every view path that is not None or empty."""
+    for instance in snapshot["instances"]:
+        for observation in instance["observations"]:
+            observation["view_path"] = observation["view_path"] and change(observation["view_path"])
+    return snapshot
+
+
+def absolute(path: str) -> str:
+    """The absolute form of ``path``, with POSIX's leading "//" read as "/"."""
+    return "/" + os.path.abspath(path).lstrip("/")
+
+
 def assert_snapshot_round_trip(state: MapState, directory) -> None:
-    """The saved records are the map's header and arrays, loading gives the
-    same map with the same log-odds bits, and a save after the load writes
-    the same bytes."""
+    """The saved records are the map's header, with each view path relative
+    to ``directory``, and the owner table's arrays in their records' dtypes;
+    loading gives the same map with each view path made absolute and the
+    same log-odds bits, and a save after the load writes the same bytes."""
     path = os.path.join(directory, "map.vxl")
     state.save_snapshot(path)
     with open(path, "rb") as handle:
         saved = handle.read()
     records = read_records(path)
-    expected = oracle_snapshot_dict(state)
+    expected = with_view_paths(oracle_snapshot_dict(state), lambda view: os.path.relpath(view, directory))
     del expected["cells"]
+    for instance in expected["instances"]:
+        del instance["voxel_count"]
     assert records["header"] == expected
-    footprints = [state.instances[instance_id] for instance_id in sorted(state.instances)]
-    for name, array in [
-        ("cell keys", state.cells.keys),
-        ("cell log-odds", state.cells.log_odds),
-        ("footprint keys", np.concatenate([np.empty(0, np.int64)] + [record.keys for record in footprints])),
-        ("footprint counts", np.concatenate([np.empty(0, np.int64)] + [record.counts for record in footprints])),
+    table = state.cells
+    for name, array, dtype in [
+        ("cell keys", table.keys, "<i8"),
+        ("cell log-odds", table.log_odds, "<f8"),
+        ("owner counts", table.sizes, "<u2"),
+        ("owner ids", table.ids, "<i4"),
+        ("evidence counts", table.counts, "<i4"),
     ]:
-        assert records[name].tobytes() == array.tobytes(), name
+        assert records[name].dtype == np.dtype(dtype) and records[name].tolist() == array.tolist(), name
+    assert records["cell log-odds"].tobytes() == table.log_odds.tobytes()
     loaded = MapState.load_snapshot(path)
     check_storage(loaded)
-    assert oracle_snapshot_dict(loaded) == oracle_snapshot_dict(state)
+    assert oracle_snapshot_dict(loaded) == with_view_paths(oracle_snapshot_dict(state), absolute)
     assert loaded.cells.log_odds.tobytes() == state.cells.log_odds.tobytes()
     loaded.save_snapshot(path)
     with open(path, "rb") as handle:
@@ -761,7 +823,7 @@ class TestSnapshotRoundTrip:
         state = MapState(voxel_size=0.05)
         assert_snapshot_round_trip(state, tmp_path)
         records = read_records(tmp_path / "map.vxl")
-        assert [len(records[name]) for name in RECORD_NAMES[1:]] == [0, 0, 0, 0]
+        assert [len(records[name]) for name in RECORD_NAMES[1:]] == [0, 0, 0, 0, 0]
 
     def test_noisy_scene(self, noisy_state, tmp_path):
         assert len(noisy_state.cells) > 7 * 100 and len(noisy_state.instances) > 10
@@ -834,6 +896,22 @@ def footprint_lists(draw):
     return ids, footprints, counts
 
 
+def table_of(ids, footprints, counts) -> OwnerTable:
+    """The owner table of the footprints, each added in turn, last id first."""
+    table = OwnerTable.empty()
+    for instance_id, keys, values in reversed(list(zip(ids, footprints, counts))):
+        table.add_evidence(keys, instance_id, values)
+    return table
+
+
+def runs_of(table: OwnerTable) -> dict[int, dict[int, int]]:
+    """Each cell of the table with its counts by owner id, in the run's order."""
+    return {
+        key: dict(zip(table.ids[start:stop].tolist(), table.counts[start:stop].tolist()))
+        for key, start, stop in zip(table.keys.tolist(), table.bounds[:-1].tolist(), table.bounds[1:].tolist())
+    }
+
+
 def cells_by_key(ids, footprints, counts) -> dict[int, dict[int, int]]:
     """Each key of some footprint with its count by footprint id."""
     cells: dict[int, dict[int, int]] = {}
@@ -852,7 +930,7 @@ class TestOwnerTableAgainstDict:
     def test_layout_contested_and_argmax(self, case):
         ids, footprints, counts = case
         cells = cells_by_key(ids, footprints, counts)
-        table = OwnerTable(footprints, ids, counts)
+        table = table_of(ids, footprints, counts)
         assert table.keys.tolist() == sorted(cells)
         assert table.starts.tolist() == (np.cumsum(table.sizes) - table.sizes).tolist()
         assert int(table.sizes.sum()) == len(table.ids) == len(table.counts)
@@ -872,25 +950,19 @@ class TestOwnerTableAgainstDict:
             cells[key][i] / sum(cells[key].values()) for key in shared for i in sorted(cells[key])
         ]
         assert table.argmax_owners().tolist() == [oracle_argmax_owner(cells[key]) for key in sorted(cells)]
-        without_counts = OwnerTable(footprints, ids)
-        assert without_counts.counts is None
-        assert without_counts.keys.tolist() == table.keys.tolist()
-        assert without_counts.ids.tolist() == table.ids.tolist()
+        found = table.footprints([*ids[::-1], 31])
+        assert [(keys.tolist(), values.tolist()) for keys, values in found] == [
+            (keys.tolist(), values.tolist()) for keys, values in zip(footprints[::-1], counts[::-1])
+        ] + [([], [])]
 
     @settings(max_examples=300, deadline=None)
     @given(footprint_lists(), footprint_lists())
     def test_overlap_counts_match_set_intersections(self, indexed, queried):
         _, footprints, _ = indexed
-        _, queries, counts = queried
+        _, queries, _ = queried
         shared = [[set(query.tolist()) & set(keys.tolist()) for keys in footprints] for query in queries]
         plain = overlap_counts(queries, footprints)
         assert plain.dtype == np.int64 and plain.tolist() == [[len(s) for s in row] for row in shared]
-        weights = [dict(zip(query.tolist(), values.tolist())) for query, values in zip(queries, counts)]
-        weighted = overlap_counts(queries, footprints, counts)
-        assert weighted.dtype == np.int64
-        assert weighted.tolist() == [
-            [sum(weight[key] for key in keys) for keys in row] for row, weight in zip(shared, weights)
-        ]
 
     @pytest.mark.parametrize(
         "queries, footprints, expected",
@@ -906,12 +978,10 @@ class TestOwnerTableAgainstDict:
     def test_overlap_counts_edges(self, queries, footprints, expected):
         queries = [np.array(keys, dtype=np.int64) for keys in queries]
         footprints = [np.array(keys, dtype=np.int64) for keys in footprints]
-        counts = [np.full(len(keys), 3, dtype=np.int64) for keys in queries]
         assert np.array_equal(overlap_counts(queries, footprints), expected)
-        assert np.array_equal(overlap_counts(queries, footprints, counts), 3 * np.asarray(expected))
 
     def test_empty_table(self):
-        table = OwnerTable([], [], [])
+        table = OwnerTable.empty()
         assert table.keys.tolist() == table.starts.tolist() == table.sizes.tolist() == table.ids.tolist() == []
         assert table.argmax_owners().tolist() == []
         contested = table.contested()
@@ -1023,37 +1093,65 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["map.vxl"]
 
 
-SORTED_KEYS = st.lists(st.integers(-40, 40), max_size=30, unique=True).map(sorted)
-
-
-class TestSortedAdd:
-    """``_sorted_add`` against a dict of key to value."""
+class TestTableWrites:
+    """``OwnerTable.insert`` and ``relabel`` against a dict of cell to {id: count}."""
 
     @settings(max_examples=300, deadline=None)
-    @given(SORTED_KEYS, SORTED_KEYS, st.booleans())
-    def test_matches_dict_merge(self, old, new, with_values):
-        keys = np.array(old, dtype=np.int64)
-        values = np.arange(1, len(old) + 1, dtype=np.int64) * 10
-        new_keys = np.array(new, dtype=np.int64)
-        new_values = np.arange(1, len(new) + 1, dtype=np.int64) if with_values else None
-        expected = dict(zip(old, values.tolist()))
-        for position, key in enumerate(new):
-            expected[key] = expected.get(key, 0) + (position + 1 if with_values else 0)
-        merged, merged_values, rows = voxelmap._sorted_add(keys, values.copy(), new_keys, new_values)
-        assert merged.tolist() == sorted(expected)
-        assert merged_values.tolist() == [expected[key] for key in sorted(expected)]
-        assert merged[rows].tolist() == new
+    @given(footprint_lists(), st.lists(st.tuples(PACKED_KEY, st.integers(0, 30)), max_size=20), st.booleans())
+    def test_insert_matches_dict_merge(self, case, pairs, cells_only):
+        table = table_of(*case)
+        table.log_odds[:] = np.arange(len(table))  # each cell's own value, to follow it
+        expected = runs_of(table)
+        log_odds = dict(zip(table.keys.tolist(), table.log_odds.tolist()))
+        pairs = sorted(set(pairs))
+        keys = np.array([key for key, _ in pairs], dtype=np.int64)
+        ids = np.array([instance_id for _, instance_id in pairs], dtype=np.int64)
+        for key, instance_id in pairs:
+            cell = expected.setdefault(key, {})
+            if not cells_only:
+                cell.setdefault(instance_id, 0)
+        keys = np.unique(keys) if cells_only else keys
+        rows = table.insert(keys) if cells_only else table.insert(keys, ids)
+        assert table.keys[rows].tolist() == keys.tolist()
+        assert runs_of(table) == {key: dict(sorted(cell.items())) for key, cell in sorted(expected.items())}
+        assert list(runs_of(table)) == sorted(expected)
+        assert all(list(run) == sorted(run) for run in runs_of(table).values())
+        assert table.log_odds.tolist() == [log_odds.get(key, 0.0) for key in table.keys.tolist()]
+        assert table.bounds.tolist() == [0, *np.cumsum(table.sizes).tolist()]
+        assert table.owned_cells.tolist() == np.bincount(table.ids, minlength=len(table.owned_cells)).tolist()
 
-    @pytest.mark.parametrize(
-        "old, new",
-        [([], [3, 5]), ([1, 2], []), ([1, 2], [7, 9]), ([5, 9], [-3, 0]), ([1, 4], [1, 4])],
-        ids=["empty-map", "nothing-new", "all-after", "all-before", "all-present"],
-    )
-    def test_edges(self, old, new):
-        keys = np.array(old, dtype=np.int64)
-        merged, merged_values, rows = voxelmap._sorted_add(
-            keys, np.ones(len(old), dtype=np.int64), np.array(new, dtype=np.int64)
-        )
-        assert merged.tolist() == sorted(set(old) | set(new))
-        assert merged_values.tolist() == [int(key in old) for key in merged.tolist()]
-        assert merged[rows].tolist() == new
+    @settings(max_examples=300, deadline=None)
+    @given(footprint_lists(), st.data())
+    def test_relabels_then_compact_match_dict_merges(self, case, data):
+        """A chain of merges, as refinement makes them, then one compaction."""
+        table = table_of(*case)
+        expected = runs_of(table)
+        live = sorted(case[0])
+        for _ in range(min(data.draw(st.integers(0, 3)), len(live) - 1)):
+            kept, retired = sorted(data.draw(st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)))
+            live.remove(retired)
+            for cell in expected.values():
+                if retired in cell:
+                    cell[kept] = cell.get(kept, 0) + cell.pop(retired)
+            table.relabel(retired, kept)
+            # a dead entry, left where both owned a cell, heads its run
+            for start, stop in zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist()):
+                run = table.ids[start:stop].tolist()
+                assert run == sorted(run) and run.count(-1) == stop - start - len(set(run) - {-1})
+        table.compact()
+        assert runs_of(table) == {key: dict(sorted(cell.items())) for key, cell in expected.items()}
+        assert all(list(run) == sorted(run) for run in runs_of(table).values())
+        assert table.bounds.tolist() == [0, *np.cumsum(table.sizes).tolist()]
+        assert table.owned_cells.tolist() == np.bincount(table.ids, minlength=len(table.owned_cells)).tolist()
+        assert np.all(table.ids >= 0) and np.all(table.counts >= 1)
+
+    def test_merging_5_into_2_resorts_the_run(self):
+        footprints = [np.array([7, 9]), np.array([9]), np.array([8, 9])]
+        table = table_of([2, 3, 5], footprints, [np.ones(len(keys), dtype=np.int64) for keys in footprints])
+        assert runs_of(table) == {7: {2: 1}, 8: {5: 1}, 9: {2: 1, 3: 1, 5: 1}}
+        table.relabel(5, 2)
+        assert table.ids.tolist() == [2, 2, -1, 2, 3]
+        assert table.counts.tolist() == [1, 1, 1, 2, 1]
+        table.compact()
+        assert runs_of(table) == {7: {2: 1}, 8: {2: 1}, 9: {2: 2, 3: 1}}
+        assert table.ids.tolist() == [2, 2, 2, 3]
