@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voxeland import atomic, voxelmap
+from voxeland import atomic
 from voxeland.atomic import atomic_write
 from voxeland.evidence import NoEvidenceError, probabilities
 from voxeland.voxelmap import (
