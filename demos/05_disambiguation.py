@@ -8,7 +8,7 @@ argmax would label it bed; the second opinion corrects it to couch.
 
 import numpy as np
 
-from voxeland.disambiguation import ArgmaxClient, MockClient, build_request, disambiguate_all
+from voxeland.disambiguation import ArgmaxClient, MockClient, build_request, disambiguate_all, summarize_geometry
 from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import MapState, Observation, pack_keys
 
@@ -34,8 +34,8 @@ record = state.instances[instance_id]
 print(f"instance {instance_id} evidence: {record.category_evidence}")
 print(f"flagged for disambiguation: {record.flagged}")
 
-(keys, _), = state.cells.footprints([instance_id])
-request = build_request(record, keys)
+[geometry] = summarize_geometry(state.cells, [instance_id])
+request = build_request(record, geometry)
 print(f"\ncandidates: {request.candidates}")
 print(f"views attached: {len(request.views)}")
 print("--- prompt ---")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .atomic import reading
 from .evidence import probabilities
-from .voxelmap import InstanceRecord, MapState, Observation, unpack_key_array
+from .voxelmap import InstanceRecord, MapState, Observation, OwnerTable, unpack_key_array
 
 PROMPT_TEMPLATE = (
     "Please, help me to disambiguate the correct category of this object. "
@@ -125,19 +125,37 @@ def select_views(
     return views
 
 
-def summarize_geometry(keys: np.ndarray) -> GeometrySummary:
-    """Bounds and a sample of at most GEOMETRY_VOXEL_CAP voxels of a footprint
-    given as sorted packed keys, evenly strided from its first key to its last."""
-    if not len(keys):
-        return GeometrySummary(voxel_count=0, bbox_min=[0, 0, 0], bbox_max=[0, 0, 0], voxels=[])
-    unpacked = unpack_key_array(keys)
-    count = min(len(keys), GEOMETRY_VOXEL_CAP)
-    return GeometrySummary(
-        voxel_count=len(keys),
-        bbox_min=unpacked.min(axis=0).tolist(),
-        bbox_max=unpacked.max(axis=0).tolist(),
-        voxels=unpacked[np.arange(count) * (len(keys) - 1) // max(count - 1, 1)].tolist(),
-    )
+def summarize_geometry(table: OwnerTable, ids: list[int]) -> list[GeometrySummary]:
+    """The geometry of each of the distinct ``ids``, in the order given, from
+    one pass over the entries of ``table``: the number of cells the id owns,
+    their bounds and a sample of at most GEOMETRY_VOXEL_CAP of them, evenly
+    strided in key order from the first cell to the last."""
+    # each owner's position among the ids, len(ids) for the others, in the
+    # smallest dtype that holds it, which a stable sort sorts fastest
+    rank = np.full(max([*ids, len(table.owned_cells) - 1]) + 1, len(ids), np.min_scalar_type(len(ids)))
+    rank[ids] = np.arange(len(ids))
+    entry_rank = rank[table.ids]
+    picked = np.flatnonzero(entry_rank < len(ids))
+    # a stable sort by rank keeps each id's entries in key order
+    picked = picked[np.argsort(entry_rank[picked], kind="stable")]
+    voxels = unpack_key_array(np.repeat(table.keys, table.sizes)[picked])
+    counts = np.bincount(entry_rank[picked], minlength=len(ids))
+    starts = np.cumsum(counts) - counts
+    low, high = np.zeros((2, len(ids), 3), dtype=np.int64)
+    if len(picked):
+        owning = counts > 0
+        low[owning] = np.minimum.reduceat(voxels, starts[owning], axis=0)
+        high[owning] = np.maximum.reduceat(voxels, starts[owning], axis=0)
+    sampled = np.minimum(counts, GEOMETRY_VOXEL_CAP)
+    ends = np.cumsum(sampled)
+    # the sample's nth voxel of an id is its voxel n * (count - 1) // (sampled - 1)
+    of = np.repeat(np.arange(len(ids)), sampled)
+    nth = np.arange(sampled.sum()) - (ends - sampled)[of]
+    samples = voxels[starts[of] + nth * (counts[of] - 1) // np.maximum(sampled[of] - 1, 1)].tolist()
+    return [
+        GeometrySummary(voxel_count=count, bbox_min=lo, bbox_max=hi, voxels=samples[end - size : end])
+        for count, lo, hi, end, size in zip(*(a.tolist() for a in (counts, low, high, ends, sampled)))
+    ]
 
 
 def build_prompt(request: DisambiguationRequest) -> str:
@@ -162,12 +180,12 @@ def build_prompt(request: DisambiguationRequest) -> str:
 
 def build_request(
     record: InstanceRecord,
-    keys: np.ndarray,
+    geometry: GeometrySummary,
     min_prob: float = DEFAULT_MIN_PROB,
     views_per_candidate: int = DEFAULT_VIEWS_PER_CANDIDATE,
 ) -> DisambiguationRequest:
-    """Request for one instance: its candidates, its geometry from ``keys``,
-    the sorted packed keys of its footprint, and its views.
+    """Request for one instance: its candidates, its ``geometry`` (from
+    :func:`summarize_geometry`) and its views.
 
     Raises DisambiguationError for an instance with no category evidence
     or a single candidate.
@@ -184,7 +202,7 @@ def build_request(
         instance_id=record.id,
         evidence=evidence,
         candidates=candidates,
-        geometry=summarize_geometry(keys),
+        geometry=geometry,
         views=select_views(record, candidates, views_per_candidate),
     )
     request.prompt = build_prompt(request)
@@ -297,8 +315,8 @@ def disambiguate_all(
 
     Successful decisions set final_category and clear the flag; failures of
     any kind leave the instance flagged and are recorded per instance.
-    Evidence is never mutated.  The flagged instances' footprints are read
-    from the owner table in one pass.
+    Evidence is never mutated.  The geometry of every flagged instance is
+    summarized in one pass over the owner table (:func:`summarize_geometry`).
     """
     report = DisambiguationReport()
     flagged = [
@@ -306,10 +324,10 @@ def disambiguate_all(
         for instance_id, record in sorted(state.instances.items())
         if not record.is_unknown and record.flagged
     ]
-    footprints = state.cells.footprints([instance_id for instance_id, _ in flagged])
-    for (instance_id, record), (keys, _) in zip(flagged, footprints):
+    geometries = summarize_geometry(state.cells, [instance_id for instance_id, _ in flagged]) if flagged else []
+    for (instance_id, record), geometry in zip(flagged, geometries):
         try:
-            request = build_request(record, keys, min_prob, views_per_candidate)
+            request = build_request(record, geometry, min_prob, views_per_candidate)
         except DisambiguationError as exc:
             report.parse_failures.append((instance_id, str(exc)))
             continue

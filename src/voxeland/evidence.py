@@ -43,10 +43,21 @@ def top_category(probs: Mapping[str, float]) -> str:
 
 
 def _group_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each group's sum: one or two values in floating point, which is exact
-    rounding, and three or more with ``math.fsum``."""
+    """Each group's correctly rounded sum.
+
+    Floating-point addition rounds one sum of two values once, and adds
+    integers whose magnitudes sum below 2**53 exactly, since every partial
+    sum is an integer that a float holds; ``math.fsum`` sums the other
+    groups of three or more.
+    """
     sums = np.add.reduceat(values, starts)
     many = sizes > 2
+    integral = values == np.trunc(values)
+    if many.any() and integral.any():
+        whole = integral.all() or np.logical_and.reduceat(integral, starts)
+        # without a negative value, the magnitudes' sums are the sums
+        magnitudes = sums if values.min() >= 0.0 else np.add.reduceat(np.abs(values), starts)
+        many &= ~(whole & (magnitudes < 2.0**53))
     if many.any():
         flat = values[np.repeat(many, sizes)].tolist()
         ends = np.cumsum(sizes[many]).tolist()
@@ -59,11 +70,11 @@ def expected_entropy(masses, sizes) -> np.ndarray:
 
     The groups are laid end to end in ``masses``, ``sizes[g]`` masses for
     group g.  Each value is digamma(S) - sum_k (m_k / S) * digamma(m_k) over
-    its group, with S the group's total; both sums are correctly rounded,
-    so a value does not depend on the order of its group's masses, and a
-    group of one mass is exactly 0.0.  The sizes must sum to the number of
-    masses.  Every mass must be positive and finite (ValueError otherwise),
-    and a group with no mass raises NoEvidenceError.
+    its group, with S the group's total; both sums are correctly rounded
+    (:func:`_group_sums`), so a value does not depend on the order of its
+    group's masses, and a group of one mass is exactly 0.0.  The sizes must
+    sum to the number of masses.  Every mass must be positive and finite
+    (ValueError otherwise), and a group with no mass raises NoEvidenceError.
     """
     masses = np.asarray(masses, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.int64)

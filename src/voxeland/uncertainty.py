@@ -21,10 +21,11 @@ per-voxel code (``math.log`` of each mixed probability).  A cell with one
 owner has geometric entropy exactly 0 and the owner's category
 distribution, so the per-owner work runs only over the contested cells
 (:meth:`voxelmap.OwnerTable.contested`).  :class:`CategoryMixtures` is the
-one category mixing pass; the semantic export reads its argmax.  Entropies
-subtract their terms in label order, and every instance's evidence is
-checked, so both semantic readers raise alike for evidence that gives no
-distribution.
+one category mixing pass, a few slice additions over the contested cells
+ordered by their number of owners; the semantic export reads its argmax.
+Entropies subtract their terms in label order, and every instance's
+evidence is checked, so both semantic readers raise alike for evidence
+that gives no distribution.
 
 A layer keeps what those passes compute: the sorted packed keys of its cells
 and their values, as two read-only arrays (:class:`LayerValues`).
@@ -122,12 +123,15 @@ class CategoryMixtures:
 
     Each instance's distribution is a row, in ascending id order, read by
     the cells it owns alone (with a share of exactly 1); each cell with two
-    or more owners has a row of its own after them.  Columns are the
-    ``labels`` of every instance's category evidence and the unknown
-    category, in string order, and a label a row does not hold has
-    probability 0.  A shared cell's ``probs`` are accumulated owner by owner
-    in ascending id order, as a per-voxel mixture adds them: one ``np.add.at``
-    over the contested entries, which adds each row's entries in turn.
+    or more owners has a row of its own after them, in descending number of
+    owners and then in key order, so the cells with more than k owners hold
+    one contiguous block of rows.  Columns are the ``labels`` of every
+    instance's category evidence and the unknown category, in string order,
+    and a label a row does not hold has probability 0.  A shared cell's
+    ``probs`` are accumulated owner by owner in ascending id order, from
+    0.0, as a per-voxel mixture adds them: one slice addition per owner
+    position k, of each share times its owner's row, into the block of the
+    cells with more than k owners.
     """
 
     labels: list[str]
@@ -154,17 +158,25 @@ class CategoryMixtures:
         labels = sorted({label for dist in distributions for label in dist})
         column = {label: j for j, label in enumerate(labels)}
         contested = table.contested()
-        row_of_cell = np.searchsorted(ids, table.ids[table.starts])
-        row_of_cell[contested.cells] = len(ids) + np.arange(len(contested.cells))
-        probs = np.zeros((len(ids) + len(contested.cells), len(labels)))
+        # descending owner count, ties in key order
+        order = np.argsort(-contested.sizes, kind="stable")
+        row_of_id = np.zeros(ids[-1] + 1, dtype=np.int64)
+        row_of_id[ids] = np.arange(len(ids))
+        row_of_cell = row_of_id[table.ids[table.starts]]
+        row_of_cell[contested.cells[order]] = len(ids) + np.arange(len(order))
+        probs = np.zeros((len(ids) + len(order), len(labels)))
         for i, dist in enumerate(distributions):
             for label, p in dist.items():
                 probs[i, column[label]] = p
 
-        entry_row = np.repeat(row_of_cell[contested.cells], contested.sizes)
-        entry_owner = np.searchsorted(ids, contested.ids)
-        # ufunc.at adds a row's entries in entry order, which is ascending id
-        np.add.at(probs, entry_row, contested.shares[:, None] * probs[entry_owner])
+        starts, sizes = contested.starts[order], contested.sizes[order]
+        # the cells with more than k owners are the block's first rows, and
+        # each adds its kth owner, so a row adds its owners in ascending id order
+        for k in range(int(sizes.max(initial=0))):
+            entries = starts[: np.count_nonzero(sizes > k)] + k
+            terms = np.take(probs, row_of_id[contested.ids[entries]], axis=0)
+            terms *= contested.shares[entries, None]
+            probs[len(ids) : len(ids) + len(entries)] += terms
         return cls(labels, probs, row_of_cell)
 
     def entropies(self) -> np.ndarray:

@@ -355,18 +355,6 @@ class OwnerTable:
             pairs.append(columns[:-step][same] * len(ids) + columns[step:][same])
         return np.bincount(np.concatenate(pairs), minlength=len(ids) ** 2).reshape(len(ids), len(ids))
 
-    def footprints(self, ids) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each owner's sorted packed cell keys and its counts there, for the
-        ``ids`` in the order given, from one pass over the entries."""
-        ids = np.asarray(ids, dtype=np.int64)
-        picked = np.flatnonzero(np.isin(self.ids, ids))
-        # a stable sort by owner keeps each owner's entries in key order
-        picked = picked[np.argsort(self.ids[picked], kind="stable")]
-        cells = np.searchsorted(self.bounds, picked, side="right") - 1
-        owners = self.ids[picked]
-        bounds = zip(np.searchsorted(owners, ids).tolist(), np.searchsorted(owners, ids, side="right").tolist())
-        return [(self.keys[cells[a:b]], self.counts[picked[a:b]]) for a, b in bounds]
-
     def contested(self) -> ContestedCells:
         """The cells with two or more owners and their entries."""
         cells = np.flatnonzero(self.sizes > 1)

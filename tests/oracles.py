@@ -40,6 +40,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from voxeland.disambiguation import GEOMETRY_VOXEL_CAP, GeometrySummary
 from voxeland.evidence import NoEvidenceError, probabilities, top_category
 from voxeland.evaluation import EvalConfig, MatchRecord
 from voxeland.export import layer_h_max
@@ -60,6 +61,7 @@ from voxeland.voxelmap import (
     MapState,
     Observation,
     OccupancyParams,
+    OwnerTable,
     pack_keys,
     unpack_key_array,
 )
@@ -578,11 +580,39 @@ def cells_of(state: MapState) -> dict[VoxelKey, VoxelCell]:
     return OracleMap.from_state(state).cells
 
 
+def footprints(table: OwnerTable, ids) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each owner's sorted packed cell keys and its counts there, for the
+    ``ids`` in the order given, from one pass over the entries of ``table``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    picked = np.flatnonzero(np.isin(table.ids, ids))
+    # a stable sort by owner keeps each owner's entries in key order
+    picked = picked[np.argsort(table.ids[picked], kind="stable")]
+    cells = np.searchsorted(table.bounds, picked, side="right") - 1
+    owners = table.ids[picked]
+    bounds = zip(np.searchsorted(owners, ids).tolist(), np.searchsorted(owners, ids, side="right").tolist())
+    return [(table.keys[cells[a:b]], table.counts[picked[a:b]]) for a, b in bounds]
+
+
 def footprint(state: MapState, instance_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted packed keys of the cells an instance owns and its counts
-    there, through the map's one footprint accessor."""
-    [found] = state.cells.footprints([instance_id])
+    """The sorted packed keys of the cells an instance owns and its counts there."""
+    [found] = footprints(state.cells, [instance_id])
     return found
+
+
+def oracle_summarize_geometry(keys: np.ndarray) -> GeometrySummary:
+    """The geometry of one footprint given as sorted packed keys, on its own:
+    bounds and a sample of at most GEOMETRY_VOXEL_CAP voxels, evenly strided
+    from its first key to its last."""
+    if not len(keys):
+        return GeometrySummary(voxel_count=0, bbox_min=[0, 0, 0], bbox_max=[0, 0, 0], voxels=[])
+    unpacked = unpack_key_array(keys)
+    count = min(len(keys), GEOMETRY_VOXEL_CAP)
+    return GeometrySummary(
+        voxel_count=len(keys),
+        bbox_min=unpacked.min(axis=0).tolist(),
+        bbox_max=unpacked.max(axis=0).tolist(),
+        voxels=unpacked[np.arange(count) * (len(keys) - 1) // max(count - 1, 1)].tolist(),
+    )
 
 
 def check_storage(state: MapState) -> None:
@@ -829,7 +859,7 @@ def oracle_associate(
     over the opinion's voxels as :func:`oracle_voxel_counts` keys them."""
     outcome = AssociationOutcome()
     ids = [instance_id for instance_id in state.instances if instance_id != UNKNOWN_INSTANCE_ID]
-    candidates = [(instance_id, keys) for instance_id, (keys, _) in zip(ids, state.cells.footprints(ids)) if len(keys)]
+    candidates = [(instance_id, keys) for instance_id, (keys, _) in zip(ids, footprints(state.cells, ids)) if len(keys)]
     for index, opinion in enumerate(opinions):
         if opinion.is_unknown:
             outcome.matches.append((index, UNKNOWN_INSTANCE_ID, 0.0, 0.0))

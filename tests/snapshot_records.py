@@ -10,6 +10,8 @@ import numpy as np
 
 from voxeland.voxelmap import MapState
 
+from oracles import footprints
+
 RECORD_NAMES = ("header", "cell keys", "cell log-odds", "owner counts", "owner ids", "evidence counts")
 
 
@@ -64,15 +66,15 @@ def schema_2_snapshot(path: Path | str, state: MapState) -> Path:
     state.save_snapshot(path)
     header = read_records(path)["header"]
     ids = sorted(state.instances)
-    footprints = state.cells.footprints(ids)
-    for instance, (keys, _) in zip(header["instances"], footprints):
+    found = footprints(state.cells, ids)
+    for instance, (keys, _) in zip(header["instances"], found):
         instance["voxel_count"] = len(keys)
     records = {
         "header": {**header, "schema_version": 2},
         "cell keys": state.cells.keys,
         "cell log-odds": state.cells.log_odds,
-        "footprint keys": np.concatenate([np.empty(0, np.int64), *(keys for keys, _ in footprints)]),
-        "footprint counts": np.concatenate([np.empty(0, np.int64), *(counts for _, counts in footprints)]),
+        "footprint keys": np.concatenate([np.empty(0, np.int64), *(keys for keys, _ in found)]),
+        "footprint counts": np.concatenate([np.empty(0, np.int64), *(counts for _, counts in found)]),
     }
     write_records(path, records)
     return Path(path)

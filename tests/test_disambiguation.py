@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from voxeland.disambiguation import (
     ANSWER_PHRASE,
+    GEOMETRY_VOXEL_CAP,
     PROMPT_TEMPLATE,
     ArgmaxClient,
     ClientError,
@@ -23,13 +24,14 @@ from voxeland.disambiguation import (
     parse_decision,
     select_candidates,
     select_views,
+    summarize_geometry,
 )
 from voxeland.evidence import probabilities
 from voxeland.uncertainty import declare_categories
 from voxeland.voxelmap import InstanceRecord, MapState, Observation
 
 from maps import add_evidence
-from oracles import footprint, oracle_select_views, oracle_snapshot_dict
+from oracles import footprint, oracle_select_views, oracle_snapshot_dict, oracle_summarize_geometry
 
 
 def record_with(beta, observations=()):
@@ -39,8 +41,9 @@ def record_with(beta, observations=()):
 
 
 def request_for(state, instance_id, **kwargs):
-    """The request of one instance of ``state``, with its footprint from the map."""
-    return build_request(state.instances[instance_id], footprint(state, instance_id)[0], **kwargs)
+    """The request of one instance of ``state``, with its geometry summarized on its own."""
+    [geometry] = summarize_geometry(state.cells, [instance_id])
+    return build_request(state.instances[instance_id], geometry, **kwargs)
 
 
 def flagged_state(beta, key_count=4):
@@ -75,7 +78,7 @@ class TestSelectCandidates:
 
     def test_no_evidence_is_error(self):
         with pytest.raises(DisambiguationError, match="nothing to disambiguate"):
-            build_request(record_with({}), np.empty(0, dtype=np.int64))
+            build_request(record_with({}), oracle_summarize_geometry(np.empty(0, dtype=np.int64)))
 
     def test_first_is_argmax_and_sorted(self):
         evidence = probabilities({"couch": 4.6, "bed": 4.8, "chair": 0.6})
@@ -220,6 +223,44 @@ class TestPrompt:
         state, instance_id = flagged_state({"bed": 4.8})
         with pytest.raises(DisambiguationError):
             request_for(state, instance_id)
+
+
+@st.composite
+def geometry_maps(draw):
+    """A map of 6 instances on a 6x6x6 grid and the ids to summarize: the
+    instances own 0, 1, GEOMETRY_VOXEL_CAP, GEOMETRY_VOXEL_CAP + 1 and any
+    number of cells, and share many of them; the ids come in any order and
+    may include an unregistered one."""
+    state = MapState(voxel_size=0.05)
+    grid = list(np.ndindex(6, 6, 6))
+    sizes = [0, 1, GEOMETRY_VOXEL_CAP, GEOMETRY_VOXEL_CAP + 1, draw(st.integers(2, 200)), draw(st.integers(0, 216))]
+    for size in draw(st.permutations(sizes)):
+        instance_id = state.new_instance()
+        cells = draw(st.permutations(range(len(grid))))[:size]
+        if cells:
+            add_evidence(state, [grid[c] for c in cells], instance_id, 1)
+    ids = draw(st.permutations(sorted(state.instances) + [state._next_instance_id + 3]))
+    return state, ids[: draw(st.integers(0, len(ids)))]
+
+
+class TestSummarizeGeometry:
+    @settings(max_examples=100, deadline=None)
+    @given(geometry_maps())
+    def test_one_pass_equals_each_footprint_on_its_own(self, drawn):
+        state, ids = drawn
+        expected = [oracle_summarize_geometry(footprint(state, instance_id)[0]) for instance_id in ids]
+        assert summarize_geometry(state.cells, ids) == expected
+
+    def test_footprints_of_none_one_the_cap_and_more_cells(self):
+        state = MapState(voxel_size=0.05)
+        ids = [state.new_instance() for _ in range(4)]
+        for instance_id, size in zip(ids, (1, GEOMETRY_VOXEL_CAP, GEOMETRY_VOXEL_CAP + 7)):
+            add_evidence(state, [(i, 2 * i % 5, -i) for i in range(size)], instance_id, 1)
+        summaries = summarize_geometry(state.cells, ids)
+        assert [summary.voxel_count for summary in summaries] == [1, GEOMETRY_VOXEL_CAP, GEOMETRY_VOXEL_CAP + 7, 0]
+        assert [len(summary.voxels) for summary in summaries] == [1, GEOMETRY_VOXEL_CAP, GEOMETRY_VOXEL_CAP, 0]
+        assert summaries == [oracle_summarize_geometry(footprint(state, i)[0]) for i in ids]
+        assert summarize_geometry(state.cells, []) == []
 
 
 class TestParseDecision:

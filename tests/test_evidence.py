@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxeland import evidence
 from voxeland.evidence import NoEvidenceError, expected_entropy, probabilities, top_category
 
 from oracles import oracle_expected_entropy, scalar_expected_entropy, validate_distribution
@@ -120,6 +121,59 @@ class TestExpectedEntropy:
         for layout in (groups, reordered):
             values = expected_entropy([mass for group in layout for mass in group], list(map(len, layout)))
             assert [value.hex() for value in values.tolist()] == expected
+
+
+# Groups of positive masses: integers whose sum is just below 2**53, which
+# floating point adds exactly, integers that reach or pass it, where a float
+# sum and fsum can differ, and groups with fractions.
+POSITIVE_GROUPS = {
+    "2^53-2": [2**52, 2**51, 2**51 - 3, 1],
+    "2^53-1": [2**53 - 3, 1, 1],
+    "2^53": [2**53 - 2, 1, 1],
+    "2^53+2": [2**53, 1, 1],
+    "2^53+4": [1, 2**53, 1, 1, 1],
+    "2^70+2": [2.0**70, 1, 1],
+    "small-integers": [3, 1, 4, 1, 5],
+    "fractions": [0.1, 0.2, 0.3],
+    "mixed": [3, 0.5, 7, 2],
+    "mixed-past-2^53": [2**53, 0.5, 1],
+}
+# Groups with negative values too, as the weighted digamma terms can be.
+SIGNED_GROUPS = {
+    "cancelling-past-2^53": [1e16, 1, -1e16],
+    "1e300": [1e300, 1, -1e300],
+    "signed-2^53+2": [2**53, -1, 3],
+    "signed-small": [-3, 5, -7, 2],
+    "signed-fractions": [-0.1, 0.2, -0.3],
+}
+
+
+def group_sums(groups):
+    values = np.array([value for group in groups for value in group], dtype=np.float64)
+    sizes = np.array(list(map(len, groups)))
+    return evidence._group_sums(values, np.cumsum(sizes) - sizes, sizes)
+
+
+class TestGroupSums:
+    def test_a_float_sum_past_2_53_is_not_the_exact_sum(self):
+        assert sum([2.0**53, 1.0, 1.0]) == 2.0**53 != math.fsum([2.0**53, 1.0, 1.0]) == 2**53 + 2
+        assert group_sums([[2**53, 1, 1]]).tolist() == [2**53 + 2]
+
+    @pytest.mark.parametrize("groups", [POSITIVE_GROUPS, {**POSITIVE_GROUPS, **SIGNED_GROUPS}], ids=["positive", "signed"])
+    def test_each_sum_is_fsum_bit_for_bit(self, groups):
+        groups = list(groups.values())
+        for layout in (groups, [[value] for value in groups[0]] + groups + [[2**53, 1]]):
+            expected = [math.fsum(map(float, group)).hex() for group in layout]
+            assert [value.hex() for value in group_sums(layout).tolist()] == expected
+
+    @pytest.mark.parametrize("name", list(POSITIVE_GROUPS))
+    def test_expected_entropy_against_the_oracles(self, name):
+        group = POSITIVE_GROUPS[name]
+        (value,) = expected_entropy(group, [len(group)])
+        assert value.hex() == scalar_expected_entropy(dict(enumerate(map(float, group)))).hex()
+        assert value == pytest.approx(oracle_expected_entropy(group), abs=1e-11)
+        (batched,) = expected_entropy([*group, *group], [len(group), len(group)])[1:]
+        assert batched.hex() == value.hex()
 
 
 class TestDistribution:

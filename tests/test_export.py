@@ -20,7 +20,7 @@ from voxeland.export import (
     layer_h_max,
     write_ply,
 )
-from voxeland.uncertainty import geometric_entropy_map, semantic_entropy_map
+from voxeland.uncertainty import CategoryMixtures, geometric_entropy_map, semantic_entropy_map
 from voxeland.voxelmap import UNKNOWN_INSTANCE_ID, MapState, SnapshotError, pack_keys, unpack_key_array
 
 from maps import add_evidence
@@ -35,6 +35,7 @@ from oracles import (
     oracle_export_semantic_map,
     oracle_geometric_entropy_map,
     oracle_semantic_entropy_map,
+    oracle_voxel_category_distribution,
     oracle_write_ply,
     scalar_expected_entropy,
 )
@@ -312,6 +313,37 @@ class TestExportsMatchOracle:
         left_to_right = float(evidence._psi(18)) - (terms[0] + terms[1] + terms[2])
         (value,) = geometric_entropy_map(state).values.values()
         assert value == scalar_expected_entropy({1: 1, 2: 5, 3: 12}) != left_to_right
+        assert_exports_match_oracle(state)
+
+    @pytest.mark.parametrize("seed", [3, 32, 901])
+    def test_cells_of_2_3_5_and_6_owners_in_turn(self, seed):
+        """Contested cells of 2, 3, 5 and 6 owners alternate in key order,
+        each after a cell of one owner, so the mixture rows, ordered by
+        number of owners, are not in key order.  Each 5- and 6-owner cell
+        holds the unknown instance and instance 7, which has no category
+        evidence."""
+        rng = np.random.default_rng(seed)
+        evidence = [
+            {label: float(rng.uniform(0.1, 3.0)) for label in rng.choice(LABELS, rng.integers(1, 4), replace=False)}
+            for _ in range(6)
+        ] + [{}]
+        cells = []
+        for size in [2, 3, 5, 6] * 6:
+            cells.append({int(rng.integers(8)): int(rng.integers(1, 40))})
+            owners = [0, 7] if size > 3 else []
+            owners += rng.choice(np.arange(1, 7), size - len(owners), replace=False).tolist()
+            cells.append({owner: int(rng.integers(1, 40)) for owner in owners})
+        state = map_of(evidence, cells)
+        table = state.owner_table()
+        contested = table.contested()
+        assert contested.sizes.tolist() == [2, 3, 5, 6] * 6
+        mixtures = CategoryMixtures.of(state, table)
+        assert np.any(np.diff(mixtures.row_of_cell[contested.cells]) < 0)
+        model = OracleMap.from_state(state)
+        for key, row in zip(unpack_key_array(table.keys).tolist(), mixtures.row_of_cell.tolist()):
+            mixed = oracle_voxel_category_distribution(model.cells[tuple(key)].instance_counts, model)
+            expected = [mixed.get(label, 0.0).hex() for label in mixtures.labels]
+            assert [p.hex() for p in mixtures.probs[row].tolist()] == expected
         assert_exports_match_oracle(state)
 
     @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from oracles import (
     cells_of,
     check_storage,
     footprint,
+    footprints,
     oracle_argmax_owner,
     oracle_overlap_scores,
     oracle_snapshot_dict,
@@ -928,9 +929,9 @@ class TestOwnerTableAgainstDict:
     @settings(max_examples=300, deadline=None)
     @given(footprint_lists())
     def test_layout_contested_and_argmax(self, case):
-        ids, footprints, counts = case
-        cells = cells_by_key(ids, footprints, counts)
-        table = table_of(ids, footprints, counts)
+        ids, drawn, counts = case
+        cells = cells_by_key(ids, drawn, counts)
+        table = table_of(ids, drawn, counts)
         assert table.keys.tolist() == sorted(cells)
         assert table.starts.tolist() == (np.cumsum(table.sizes) - table.sizes).tolist()
         assert int(table.sizes.sum()) == len(table.ids) == len(table.counts)
@@ -950,9 +951,9 @@ class TestOwnerTableAgainstDict:
             cells[key][i] / sum(cells[key].values()) for key in shared for i in sorted(cells[key])
         ]
         assert table.argmax_owners().tolist() == [oracle_argmax_owner(cells[key]) for key in sorted(cells)]
-        found = table.footprints([*ids[::-1], 31])
+        found = footprints(table, [*ids[::-1], 31])
         assert [(keys.tolist(), values.tolist()) for keys, values in found] == [
-            (keys.tolist(), values.tolist()) for keys, values in zip(footprints[::-1], counts[::-1])
+            (keys.tolist(), values.tolist()) for keys, values in zip(drawn[::-1], counts[::-1])
         ] + [([], [])]
 
     @settings(max_examples=300, deadline=None)
